@@ -149,7 +149,7 @@ func TestFullImpactSetExprDependency(t *testing.T) {
 			Expr: query.NewLinExpr(1, query.Term{Attr: 0, Coef: 1})}}, nil),
 	}
 	full := FullImpact(log, 2)
-	if !full[0][1] {
+	if !full[0].Has(1) {
 		t.Errorf("F(q0) = %v, want to include attr 1", full[0].Sorted())
 	}
 }
@@ -235,13 +235,13 @@ func TestIncrementalScansBatches(t *testing.T) {
 	}
 }
 
-func TestRefinementExcludesNonComplaints(t *testing.T) {
-	// Figure 5(b): the dirty and true range intervals are disjoint and a
-	// non-complaint tuple sits between them. Minimizing distance alone
-	// stretches the repaired interval over the middle tuple; the
-	// refinement step must pull it back.
+// figure5b builds Figure 5(b): the dirty and true range intervals are
+// disjoint and a non-complaint tuple sits between them. Minimizing
+// distance alone stretches the repaired interval over the middle tuple;
+// the refinement step must pull it back.
+func figure5b() (d0 *relation.Table, dirty, truth []query.Query) {
 	sch := relation.MustSchema("T", []string{"a", "v"}, "")
-	d0 := relation.NewTable(sch)
+	d0 = relation.NewTable(sch)
 	d0.MustInsert(15, 0) // id 1: inside the true interval
 	d0.MustInsert(30, 0) // id 2: between the intervals (non-complaint)
 	d0.MustInsert(50, 0) // id 3: inside the dirty interval
@@ -251,7 +251,11 @@ func TestRefinementExcludesNonComplaints(t *testing.T) {
 				query.NewAnd(query.AttrPred(0, query.GE, lo), query.AttrPred(0, query.LE, hi))),
 		}
 	}
-	dirty, truth := mk(40, 60), mk(10, 20)
+	return d0, mk(40, 60), mk(10, 20)
+}
+
+func TestRefinementExcludesNonComplaints(t *testing.T) {
+	d0, dirty, truth := figure5b()
 	complaints := completeComplaints(t, d0, dirty, truth)
 	// Complete complaint set: id1 (should be matched) and id3 (should
 	// not); id2 matched under neither log, so it is a non-complaint.

@@ -42,7 +42,7 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 		mDiagnosesResolved.Inc()
 		return &Repair{Log: query.CloneLog(log), Resolved: true,
 			Stats: Stats{RelevantQueries: len(log), LastStatus: "trivial",
-				PlanTime: replayTime}}, nil
+				PlanTime: replayTime, Replays: 1}}, nil
 	}
 
 	d := &diagnoser{
@@ -50,6 +50,7 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 		width: width, dirtyFinal: dirtyFinal, span: span,
 	}
 	d.stats.PlanTime += replayTime
+	d.stats.Replays = 1
 	if opt.WarmStart {
 		d.seeds = newSeedBoard()
 	}
@@ -110,29 +111,27 @@ type diagnoser struct {
 	span       *obs.Span  // phase spans hang here (nil = tracing off)
 
 	// planning products
-	candidates []int // repair candidates (query slicing or all)
-	attrs      []int // encoded attributes (attr slicing or nil)
-	tupleIDs   []int64
-	full       []query.AttrSet     // full impact F(q) per query (nil unless needed)
-	dirtyVals  map[int64][]float64 // dirty final state by tuple id
-	ac         query.AttrSet       // complaint attributes A(C)
+	candidates   []int // repair candidates (query slicing or all)
+	attrs        []int // encoded attributes (attr slicing or nil)
+	tupleIDs     []int64
+	complaintIDs map[int64]bool
+	full         []query.AttrSet // full impact F(q) per query (nil unless needed)
+	ac           query.AttrSet   // complaint attributes A(C)
+	bound        float64         // big-M of encodings over d.log
 
 	stats Stats
 }
 
 // plan computes the slicing sets (§5.2–5.3) and the tuple slice (§5.1).
 // Its products stay on the diagnoser: the partition planner reuses the
-// full-impact sets and per-tuple dirty values to build the
+// full-impact sets and the dirty final state to build the
 // complaint–query interaction graph without recomputing them, and
 // partition subproblems adopt them wholesale (adoptPlan) so only the
-// coordinating diagnosis pays for the FullImpact closure.
+// coordinating diagnosis pays for the replay and the FullImpact closure.
 func (d *diagnoser) plan() {
 	d.stats.PlanPasses++
 	pp := startPhase(d.span, "plan")
-	d.dirtyVals = make(map[int64][]float64, d.dirtyFinal.Len())
-	d.dirtyFinal.Rows(func(t relation.Tuple) {
-		d.dirtyVals[t.ID] = append([]float64(nil), t.Values...)
-	})
+	d.bound = d.domainBound(d.log, d.dirtyFinal)
 	if d.opt.QuerySlicing || d.opt.AttrSlicing || d.opt.Partition > 0 {
 		ip := startPhase(pp.sp, "impact")
 		if d.opt.ImpactCache != nil {
@@ -155,15 +154,26 @@ func (d *diagnoser) plan() {
 // pinned to the partition's candidates, and relevantQueries over the
 // shared impact sets is deterministic.
 func (sub *diagnoser) adoptPlan(parent *diagnoser) {
-	sub.dirtyVals = parent.dirtyVals
+	sub.dirtyFinal = parent.dirtyFinal
+	sub.bound = parent.bound
 	sub.full = parent.full
 	sub.planSlices()
 }
 
+// domainBound is the big-M of encodings over the given base log, whose
+// final state the caller has already replayed: the bound encode.Encode
+// would derive for itself, minus the replay it would spend on it.
+func (d *diagnoser) domainBound(log []query.Query, final *relation.Table) float64 {
+	if d.opt.DomainBound > 0 {
+		return d.opt.DomainBound
+	}
+	return encode.DomainBound(d.d0, log, final)
+}
+
 // planSlices derives the per-diagnosis slicing sets from the (computed
-// or adopted) dirty values and impact closure.
+// or adopted) dirty final state and impact closure.
 func (d *diagnoser) planSlices() {
-	d.ac = complaintAttrs(d.complaints, d.dirtyVals, d.width)
+	d.ac = complaintAttrs(d.complaints, d.dirtyFinal)
 	if d.opt.QuerySlicing {
 		d.candidates = relevantQueries(d.full, d.ac, d.opt.SingleCorruption)
 	} else {
@@ -190,6 +200,10 @@ func (d *diagnoser) planSlices() {
 	}
 	d.stats.RelevantQueries = len(d.candidates)
 
+	d.complaintIDs = make(map[int64]bool, len(d.complaints))
+	for _, c := range d.complaints {
+		d.complaintIDs[c.TupleID] = true
+	}
 	if d.opt.TupleSlicing {
 		d.tupleIDs = make([]int64, 0, len(d.complaints))
 		for _, c := range d.complaints {
@@ -207,13 +221,15 @@ func (d *diagnoser) encComplaints() []encode.Complaint {
 	return out
 }
 
-// attempt encodes the given parameter set over the given log and solves,
-// returning the repaired log when the solver finds a solution. Solver
-// statistics accumulate into st (shared for the sequential scan,
-// per-worker under the parallel scan); encode/seed/solve spans hang
-// under sp (typically a per-batch span).
-func (d *diagnoser) attempt(baseLog []query.Query, paramSet map[int]bool, soft []int64, st *Stats, sp *obs.Span) ([]query.Query, bool, error) {
+// attempt encodes the given parameter set over the given log (whose
+// big-M is bound, see domainBound) and solves, returning the repaired
+// log when the solver finds a solution. Solver statistics accumulate
+// into st (shared for the sequential scan, per-worker under the parallel
+// scan); encode/seed/solve spans hang under sp (typically a per-batch
+// span).
+func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[int]bool, soft []int64, st *Stats, sp *obs.Span) ([]query.Query, bool, error) {
 	eo := d.opt.encOptions()
+	eo.DomainBound = bound
 	eo.ParamQueries = paramSet
 	eo.TupleIDs = d.tupleIDs
 	eo.Attrs = d.attrs
@@ -228,6 +244,7 @@ func (d *diagnoser) attempt(baseLog []query.Query, paramSet map[int]bool, soft [
 	}
 	ep.sp.SetAttr("rows", res.Stats.Rows)
 	ep.sp.SetAttr("vars", res.Stats.Vars)
+	ep.sp.SetAttr("bound", bound)
 	st.Rows += res.Stats.Rows
 	st.Vars += res.Stats.Vars
 	st.Binaries += res.Stats.Binaries
@@ -326,15 +343,14 @@ func (d *diagnoser) basic() (*Repair, error) {
 	bsp := d.span.Start("batch")
 	bsp.SetAttr("queries", len(paramSet))
 	defer bsp.End()
-	repaired, ok, err := d.attempt(d.log, paramSet, nil, &d.stats, bsp)
+	repaired, ok, err := d.attempt(d.log, d.bound, paramSet, nil, &d.stats, bsp)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
-		return d.finish(nil), nil
+		return d.unresolved(), nil
 	}
-	repaired = d.maybeRefine(repaired, paramSet, &d.stats, bsp)
-	return d.finish(repaired), nil
+	return d.finish(d.maybeRefine(repaired, paramSet, &d.stats, bsp)), nil
 }
 
 // incremental runs Algorithm 3: batches of K consecutive candidates,
@@ -369,7 +385,7 @@ func (d *diagnoser) incremental() (*Repair, error) {
 		}
 		bsp := d.span.Start("batch")
 		bsp.SetAttr("queries", len(paramSet))
-		repaired, ok, err := d.attempt(d.log, paramSet, nil, &d.stats, bsp)
+		repaired, ok, err := d.attempt(d.log, d.bound, paramSet, nil, &d.stats, bsp)
 		if err != nil {
 			bsp.End()
 			return nil, err
@@ -378,13 +394,13 @@ func (d *diagnoser) incremental() (*Repair, error) {
 			bsp.End()
 			continue
 		}
-		repaired = d.maybeRefine(repaired, paramSet, &d.stats, bsp)
+		v := d.maybeRefine(repaired, paramSet, &d.stats, bsp)
 		bsp.End()
-		rep := d.finish(repaired)
+		rep := d.finish(v)
 		if !rep.Resolved {
 			continue // failed replay verification; scan older batches
 		}
-		damage := d.nonComplaintDamage(rep.Log)
+		damage := d.damage(v)
 		if damage == 0 {
 			return rep, nil
 		}
@@ -397,42 +413,59 @@ func (d *diagnoser) incremental() (*Repair, error) {
 		fallback.Stats = d.stats
 		return fallback, nil
 	}
-	return d.finish(nil), nil
+	return d.unresolved(), nil
 }
 
-// nonComplaintDamage counts non-complaint tuples whose replayed final
-// state differs from the dirty final state under the repair.
-func (d *diagnoser) nonComplaintDamage(repaired []query.Query) int {
-	final, err := query.Replay(repaired, d.d0)
-	if err != nil {
-		return int(^uint(0) >> 1)
+// verified is a candidate repair with its one verification replay: the
+// final state the log produces from D0 and that state's diff against the
+// dirty final state. Resolution, the damage gate and the refinement soft
+// set all read it, so a candidate costs one full-table replay however
+// many of them look. Never mutated once built: the parallel scan builds
+// it on a worker and reads it on the collector.
+type verified struct {
+	log   []query.Query
+	final *relation.Table // nil when the log does not replay
+	diff  []relation.Diff // dirtyFinal -> final
+}
+
+// verify replays a candidate repair, charging the replay to st.
+func (d *diagnoser) verify(log []query.Query, st *Stats, sp *obs.Span) verified {
+	vp := startPhase(sp, "verify")
+	v := verified{log: log}
+	st.Replays++
+	if final, err := query.Replay(log, d.d0); err == nil {
+		v.final = final
+		v.diff = relation.DiffTables(d.dirtyFinal, final, 1e-9)
 	}
-	complaintIDs := make(map[int64]bool, len(d.complaints))
-	for _, c := range d.complaints {
-		complaintIDs[c.TupleID] = true
-	}
+	st.VerifyTime += vp.stop()
+	return v
+}
+
+// damage counts non-complaint tuples whose final state under the repair
+// differs from the dirty final state.
+func (d *diagnoser) damage(v verified) int {
 	n := 0
-	for _, df := range relation.DiffTables(d.dirtyFinal, final, 1e-9) {
-		if !complaintIDs[df.ID] {
+	for _, df := range v.diff {
+		if !d.complaintIDs[df.ID] {
 			n++
 		}
 	}
 	return n
 }
 
-// maybeRefine runs the §5.1 step-2 refinement: if the step-1 repair
-// touches non-complaint tuples, re-solve with those tuples soft and an
-// objective that minimizes how many stay affected. The step iterates (up
-// to a small bound) because excluding one batch of non-complaint tuples
-// can move the repaired clause onto previously untouched tuples the
-// earlier soft set did not cover; the soft set accumulates across rounds.
-func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, st *Stats, sp *obs.Span) []query.Query {
+// maybeRefine verifies the step-1 repair and runs the §5.1 step-2
+// refinement: if the repair touches non-complaint tuples, re-solve with
+// those tuples soft and an objective that minimizes how many stay
+// affected. The step iterates (up to a small bound) because excluding one
+// batch of non-complaint tuples can move the repaired clause onto
+// previously untouched tuples the earlier soft set did not cover; the
+// soft set accumulates across rounds. Each round's re-solve is verified
+// in turn, and that replay is the next round's input: the returned
+// repair always carries the verification of its own log.
+func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, st *Stats, sp *obs.Span) verified {
+	v := d.verify(repaired, st, sp)
 	if !d.opt.TupleSlicing || d.opt.SkipRefine {
-		return repaired
-	}
-	complaintIDs := make(map[int64]bool, len(d.complaints))
-	for _, c := range d.complaints {
-		complaintIDs[c.TupleID] = true
+		return v
 	}
 	// The paper's refinement MILP is "significantly smaller" than step 1
 	// (§5.1); if the step-1 repair disturbed a huge set of tuples, a full
@@ -445,14 +478,10 @@ func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, s
 
 	softSet := make(map[int64]bool)
 	var soft []int64
-	for round := 0; round < maxRounds; round++ {
-		repairedFinal, err := query.Replay(repaired, d.d0)
-		if err != nil {
-			return repaired
-		}
+	for round := 0; round < maxRounds && v.final != nil; round++ {
 		fresh := 0
-		for _, df := range relation.DiffTables(d.dirtyFinal, repairedFinal, 1e-9) {
-			if complaintIDs[df.ID] || softSet[df.ID] {
+		for _, df := range v.diff {
+			if d.complaintIDs[df.ID] || softSet[df.ID] {
 				continue
 			}
 			if fresh >= maxSoftPerRound {
@@ -463,35 +492,37 @@ func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, s
 			fresh++
 		}
 		if fresh == 0 {
-			return repaired // converged: no newly affected tuples
+			return v // converged: no newly affected tuples
 		}
 		st.Refined = true
 		// Re-encode over the *repaired* log so distance is measured from
 		// the current solution, parameterizing only the repaired queries.
 		rsp := sp.Start("refine")
 		rsp.SetAttr("soft", len(soft))
-		refined, ok, err := d.attempt(repaired, paramSet, soft, st, rsp)
+		refined, ok, err := d.attempt(v.log, d.domainBound(v.log, v.final), paramSet, soft, st, rsp)
 		rsp.End()
 		if err != nil || !ok {
-			return repaired
+			return v
 		}
-		repaired = refined
+		v = d.verify(refined, st, sp)
 	}
-	return repaired
+	return v
 }
 
-// finish verifies and packages the repair.
-func (d *diagnoser) finish(repaired []query.Query) *Repair {
-	if repaired == nil {
-		return &Repair{Log: query.CloneLog(d.log), Resolved: false, Stats: d.stats}
-	}
-	rep := &Repair{Log: repaired, Stats: d.stats}
-	rep.Distance = query.Distance(d.log, repaired)
+// unresolved packages the outcome of a search that found no repair.
+func (d *diagnoser) unresolved() *Repair {
+	return &Repair{Log: query.CloneLog(d.log), Resolved: false, Stats: d.stats}
+}
+
+// finish packages a verified repair.
+func (d *diagnoser) finish(v verified) *Repair {
+	rep := &Repair{Log: v.log, Stats: d.stats}
+	rep.Distance = query.Distance(d.log, v.log)
 	origParams := make([][]float64, len(d.log))
 	for i, q := range d.log {
 		origParams[i] = q.Params()
 	}
-	for i, q := range repaired {
+	for i, q := range v.log {
 		rp := q.Params()
 		for j := range rp {
 			if math.Abs(rp[j]-origParams[i][j]) > 1e-9 {
@@ -500,18 +531,8 @@ func (d *diagnoser) finish(repaired []query.Query) *Repair {
 			}
 		}
 	}
-	rep.Resolved = d.verify(repaired)
+	rep.Resolved = v.final != nil && ComplaintsResolved(v.final, d.complaints, 1e-6)
 	return rep
-}
-
-// verify replays the repaired log and checks every complaint against the
-// resulting final state.
-func (d *diagnoser) verify(repaired []query.Query) bool {
-	final, err := query.Replay(repaired, d.d0)
-	if err != nil {
-		return false
-	}
-	return ComplaintsResolved(final, d.complaints, 1e-6)
 }
 
 // ComplaintsResolved checks a final state against a complaint set.

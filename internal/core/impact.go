@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/query"
+	"repro/internal/relation"
 )
 
 // FullImpact computes F(q) for every query in the log (Definition 7,
@@ -89,7 +90,7 @@ func ExtendFullImpact(prev []query.AttrSet, log []query.Query, width int) []quer
 		}
 		fillDeps(i + 1)
 		full[i] = closureScan(log[i], deps, full, i, n, width)
-		if !attrSetsEqual(full[i], prev[i]) {
+		if !full[i].Equal(prev[i]) {
 			dirtyIdx = append(dirtyIdx, i)
 		}
 	}
@@ -108,20 +109,12 @@ func closureScan(q query.Query, deps, full []query.AttrSet, i, n, width int) que
 	return f
 }
 
-// attrSetsEqual reports set equality.
-func attrSetsEqual(a, b query.AttrSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return a.ContainsAll(b)
-}
-
 // complaintAttrs computes A(C) (Definition 6) against the dirty final
 // state: the attributes identified as incorrect.
-func complaintAttrs(complaints []Complaint, dirtyVals map[int64][]float64, width int) query.AttrSet {
-	a := make(query.AttrSet)
+func complaintAttrs(complaints []Complaint, dirtyFinal *relation.Table) query.AttrSet {
+	var a query.AttrSet
 	for _, c := range complaints {
-		a.Union(complaintAttrSet(c, dirtyVals, width))
+		a.Union(complaintAttrSet(c, dirtyFinal))
 	}
 	return a
 }
@@ -131,19 +124,17 @@ func complaintAttrs(complaints []Complaint, dirtyVals map[int64][]float64, width
 // the dirty final state; existence complaints (insert/delete repairs)
 // contribute every attribute. The per-complaint sets drive the
 // partition planner's interaction graph; their union is A(C).
-func complaintAttrSet(c Complaint, dirtyVals map[int64][]float64, width int) query.AttrSet {
-	a := make(query.AttrSet)
-	dirty, inFinal := dirtyVals[c.TupleID]
+func complaintAttrSet(c Complaint, dirtyFinal *relation.Table) query.AttrSet {
+	width := dirtyFinal.Schema().Width()
+	dirty, inFinal := dirtyFinal.Get(c.TupleID)
 	if !c.Exists || !inFinal {
 		// Tuple existence is wrong: every attribute is implicated.
-		for i := 0; i < width; i++ {
-			a[i] = true
-		}
-		return a
+		return query.FullAttrSet(width)
 	}
+	var a query.AttrSet
 	for i := 0; i < width; i++ {
-		if dirty[i] != c.Values[i] {
-			a[i] = true
+		if dirty.Values[i] != c.Values[i] {
+			a.Add(i)
 		}
 	}
 	return a

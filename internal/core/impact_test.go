@@ -41,7 +41,7 @@ func TestQuickFullImpactInvariants(t *testing.T) {
 					break
 				}
 			}
-			if !touched && len(full[i]) != len(di) {
+			if !touched && !full[i].Equal(di) {
 				t.Logf("seed %d: F(q%d) grew with no dependent successors", seed, i)
 				return false
 			}
@@ -56,7 +56,7 @@ func TestQuickFullImpactInvariants(t *testing.T) {
 // slicingInstance builds a random single-corruption instance and returns
 // what the slicing-soundness properties need.
 func slicingInstance(rng *rand.Rand) (log []query.Query, idx int, complaints []Complaint,
-	dirtyVals map[int64][]float64, width int, ok bool) {
+	final *relation.Table, width int, ok bool) {
 	d0, dirty, truth, corrupt := randomWorkload(rng)
 	dirtyFinal, err := query.Replay(dirty, d0)
 	if err != nil {
@@ -70,11 +70,7 @@ func slicingInstance(rng *rand.Rand) (log []query.Query, idx int, complaints []C
 	if len(complaints) == 0 {
 		return nil, 0, nil, nil, 0, false
 	}
-	dirtyVals = make(map[int64][]float64, dirtyFinal.Len())
-	dirtyFinal.Rows(func(tp relation.Tuple) {
-		dirtyVals[tp.ID] = append([]float64(nil), tp.Values...)
-	})
-	return dirty, corrupt, complaints, dirtyVals, d0.Schema().Width(), true
+	return dirty, corrupt, complaints, dirtyFinal, d0.Schema().Width(), true
 }
 
 // Property: query slicing never discards the corrupted query when the
@@ -82,11 +78,11 @@ func slicingInstance(rng *rand.Rand) (log []query.Query, idx int, complaints []C
 func TestQuickQuerySlicingSound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		log, idx, complaints, dirtyVals, width, ok := slicingInstance(rng)
+		log, idx, complaints, dirtyFinal, width, ok := slicingInstance(rng)
 		if !ok {
 			return true
 		}
-		ac := complaintAttrs(complaints, dirtyVals, width)
+		ac := complaintAttrs(complaints, dirtyFinal)
 		full := FullImpact(log, width)
 		for _, r := range relevantQueries(full, ac, false) {
 			if r == idx {
@@ -106,11 +102,11 @@ func TestQuickQuerySlicingSound(t *testing.T) {
 func TestQuickSingleCorruptionSlicingSound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		log, idx, complaints, dirtyVals, width, ok := slicingInstance(rng)
+		log, idx, complaints, dirtyFinal, width, ok := slicingInstance(rng)
 		if !ok {
 			return true
 		}
-		ac := complaintAttrs(complaints, dirtyVals, width)
+		ac := complaintAttrs(complaints, dirtyFinal)
 		full := FullImpact(log, width)
 		for _, r := range relevantQueries(full, ac, true) {
 			if r == idx {

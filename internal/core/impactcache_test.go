@@ -59,7 +59,7 @@ func TestQuickExtendFullImpactMatchesFresh(t *testing.T) {
 				return false
 			}
 			for i := range got {
-				if !attrSetsEqual(got[i], want[i]) {
+				if !got[i].Equal(want[i]) {
 					t.Logf("seed %d prevN %d: F(q%d) = %v, want %v",
 						seed, prevN, i, got[i].Sorted(), want[i].Sorted())
 					return false
@@ -83,7 +83,7 @@ func TestExtendFullImpactMalformedPrevFallsBack(t *testing.T) {
 	got := ExtendFullImpact(prev, short, 3)
 	want := FullImpact(short, 3)
 	for i := range want {
-		if !attrSetsEqual(got[i], want[i]) {
+		if !got[i].Equal(want[i]) {
 			t.Fatalf("F(q%d) = %v, want %v", i, got[i].Sorted(), want[i].Sorted())
 		}
 	}
@@ -131,7 +131,7 @@ func TestImpactCacheHitExtendMiss(t *testing.T) {
 		t.Fatalf("cold stats = %+v", st)
 	}
 	for i := range full {
-		if !attrSetsEqual(full[i], FullImpact(log[:7], 3)[i]) {
+		if !full[i].Equal(FullImpact(log[:7], 3)[i]) {
 			t.Fatalf("cold closure wrong at %d", i)
 		}
 	}
@@ -152,7 +152,7 @@ func TestImpactCacheHitExtendMiss(t *testing.T) {
 	}
 	want := FullImpact(log, 3)
 	for i := range want {
-		if !attrSetsEqual(grown[i], want[i]) {
+		if !grown[i].Equal(want[i]) {
 			t.Fatalf("extended closure wrong at %d: %v want %v",
 				i, grown[i].Sorted(), want[i].Sorted())
 		}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/query"
 )
 
 // incrementalParallel runs the Inc_k batch scan with Options.Parallel
@@ -36,7 +35,7 @@ func (d *diagnoser) incrementalParallel() (*Repair, error) {
 		batches = append(batches, cands[start:end])
 	}
 	if len(batches) == 0 {
-		return d.finish(nil), nil
+		return d.unresolved(), nil
 	}
 
 	// Batch spans are pre-created in index order by this (coordinating)
@@ -51,7 +50,7 @@ func (d *diagnoser) incrementalParallel() (*Repair, error) {
 	}
 
 	type outcome struct {
-		repaired []query.Query // nil: no solution for this batch
+		repaired verified // nil log: no solution for this batch
 		err      error
 		stats    Stats
 	}
@@ -68,13 +67,12 @@ func (d *diagnoser) incrementalParallel() (*Repair, error) {
 		for _, qi := range batch {
 			paramSet[qi] = true
 		}
-		repaired, ok, err := d.attempt(d.log, paramSet, nil, &st, bspans[bi])
+		var v verified
+		repaired, ok, err := d.attempt(d.log, d.bound, paramSet, nil, &st, bspans[bi])
 		if err == nil && ok {
-			repaired = d.maybeRefine(repaired, paramSet, &st, bspans[bi])
-		} else {
-			repaired = nil
+			v = d.maybeRefine(repaired, paramSet, &st, bspans[bi])
 		}
-		return outcome{repaired: repaired, err: err, stats: st}
+		return outcome{repaired: v, err: err, stats: st}
 	})
 
 	// Adjudicate in order; merge worker statistics as they arrive. The
@@ -100,14 +98,14 @@ func (d *diagnoser) incrementalParallel() (*Repair, error) {
 		if out.err != nil && firstErr == nil {
 			firstErr = out.err
 		}
-		if decided || out.repaired == nil {
+		if decided || out.repaired.log == nil {
 			continue
 		}
 		rep := d.finish(out.repaired)
 		if !rep.Resolved {
 			continue
 		}
-		damage := d.nonComplaintDamage(rep.Log)
+		damage := d.damage(out.repaired)
 		if damage == 0 {
 			winner = rep
 			winnerStatus = out.stats.LastStatus
@@ -140,7 +138,7 @@ func (d *diagnoser) incrementalParallel() (*Repair, error) {
 		fallback.Stats = d.stats
 		return fallback, nil
 	}
-	return d.finish(nil), nil
+	return d.unresolved(), nil
 }
 
 // mergeStats folds a worker's statistics into the shared totals. Called
@@ -158,6 +156,8 @@ func (d *diagnoser) mergeStats(st Stats) {
 	d.stats.SolveTime += st.SolveTime
 	d.stats.PlanTime += st.PlanTime
 	d.stats.MergeTime += st.MergeTime
+	d.stats.VerifyTime += st.VerifyTime
+	d.stats.Replays += st.Replays
 	d.stats.PlanPasses += st.PlanPasses
 	d.stats.RemoteJobs += st.RemoteJobs
 	d.stats.StreamedResults += st.StreamedResults

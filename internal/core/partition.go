@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/relation"
 )
 
 // This file is the planning half of the plan/solve engine. FullImpact
@@ -75,10 +77,10 @@ func largestFirst(parts []partition) []int {
 // candidates whose full impact intersects that complaint's A(c). These
 // are the edges of the complaint–query interaction graph.
 func interactionSets(complaints []Complaint, full []query.AttrSet,
-	dirtyVals map[int64][]float64, width int, candidates []int) [][]int {
+	dirtyFinal *relation.Table, candidates []int) [][]int {
 	sets := make([][]int, len(complaints))
 	for ci, c := range complaints {
-		ac := complaintAttrSet(c, dirtyVals, width)
+		ac := complaintAttrSet(c, dirtyFinal)
 		for _, qi := range candidates {
 			if full[qi].Intersects(ac) {
 				sets[ci] = append(sets[ci], qi)
@@ -137,8 +139,8 @@ func (uf *unionFind) union(a, b int) {
 // Partitions are ordered by their smallest complaint index, so planning
 // is deterministic for a given input.
 func planPartitions(complaints []Complaint, full []query.AttrSet,
-	dirtyVals map[int64][]float64, width int, candidates []int) []partition {
-	sets := interactionSets(complaints, full, dirtyVals, width, candidates)
+	dirtyFinal *relation.Table, candidates []int) []partition {
+	sets := interactionSets(complaints, full, dirtyFinal, candidates)
 
 	uf := newUnionFind(len(complaints))
 	owner := make(map[int]int) // query index -> first complaint seen with it
@@ -173,13 +175,13 @@ func planPartitions(complaints []Complaint, full []query.AttrSet,
 	parts := make([]partition, 0, len(order))
 	for _, root := range order {
 		p := byRoot[root]
-		cands := make(query.AttrSet)
+		var cands []int
 		for _, ci := range p.complaintIdx {
-			cands.Add(sets[ci]...)
+			cands = append(cands, sets[ci]...)
 		}
 		parts = append(parts, partition{
 			complaintIdx: p.complaintIdx,
-			candidates:   cands.Sorted(),
+			candidates:   sortedUnique(cands),
 		})
 	}
 	if len(orphans) > 0 {
@@ -189,11 +191,17 @@ func planPartitions(complaints []Complaint, full []query.AttrSet,
 		parts[0].complaintIdx = append(orphans, parts[0].complaintIdx...)
 		sort.Ints(parts[0].complaintIdx)
 	}
-	rows := len(dirtyVals)
+	rows := dirtyFinal.Len()
 	for i := range parts {
 		parts[i].size = partitionSize(rows, len(parts[i].candidates), len(parts[i].complaintIdx))
 	}
 	return parts
+}
+
+// sortedUnique sorts a list of query indices and drops repeats, in place.
+func sortedUnique(idx []int) []int {
+	slices.Sort(idx)
+	return slices.Compact(idx)
 }
 
 // partitioned is the partition-parallel solve path. handled=false means
@@ -201,7 +209,7 @@ func planPartitions(complaints []Complaint, full []query.AttrSet,
 // through to the joint path (the single-component stats still record
 // that planning ran).
 func (d *diagnoser) partitioned() (*Repair, bool, error) {
-	parts := planPartitions(d.complaints, d.full, d.dirtyVals, d.width, d.candidates)
+	parts := planPartitions(d.complaints, d.full, d.dirtyFinal, d.candidates)
 	d.stats.Partitions = len(parts)
 	if len(parts) < 2 {
 		return nil, false, nil
@@ -346,7 +354,7 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 func (d *diagnoser) solveSub(cs []Complaint, o Options) (*Repair, error) {
 	o = o.withDefaults()
 	sub := &diagnoser{opt: o, d0: d.d0, log: d.log, complaints: cs,
-		width: d.width, dirtyFinal: d.dirtyFinal,
+		width: d.width,
 		// The sub-diagnosis hangs its batch spans directly under the
 		// partition's span (no nested "diagnose" level).
 		span: o.Trace,
@@ -379,11 +387,10 @@ func (d *diagnoser) solveSub(cs []Complaint, o Options) (*Repair, error) {
 //     interference through tuples outside the complaint attributes) →
 //     fall back to a joint solve.
 func (d *diagnoser) mergePartitionRepairs(parts []partition, reps []*Repair) (*Repair, error) {
-	// The merge phase covers parameter stitching, conflict resolution,
-	// and the full-complaint re-verification; a fallback joint solve is
-	// charged to the solve phases it runs, not to MergeTime. The phase
-	// is stopped (exactly once per path) before any finish() snapshot or
-	// fallback so rep.Stats carries the final MergeTime.
+	// The merge phase covers parameter stitching and conflict resolution;
+	// the merged log's verification replay is its own phase, and a
+	// fallback joint solve is charged to the phases it runs. The phase is
+	// stopped (exactly once per path) before any Stats snapshot.
 	mp := startPhase(d.span, "merge")
 	merged, conflicts := applyPartitionParams(d.log, reps)
 	if len(conflicts) > 0 {
@@ -400,33 +407,25 @@ func (d *diagnoser) mergePartitionRepairs(parts []partition, reps []*Repair) (*R
 			return d.solveJoint()
 		}
 	}
+	d.stats.MergeTime += mp.stop()
 
-	allResolved := true
 	for _, rep := range reps {
 		if rep == nil || !rep.Resolved {
-			allResolved = false
 			if rep != nil && rep.Stats.LastStatus != "" {
 				d.stats.LastStatus = rep.Stats.LastStatus
 			}
-			break
+			return d.unresolved(), nil
 		}
 	}
-	if !allResolved {
-		d.stats.MergeTime += mp.stop()
-		return d.finish(nil), nil
-	}
 
-	rep := d.finish(merged)
+	rep := d.finish(d.verify(merged, &d.stats, d.span))
 	if !rep.Resolved {
 		// Every partition verified in isolation but the combined replay
 		// violates a complaint: the partitions interfered outside the
 		// attribute sets the planner reasons about. Solve jointly.
 		d.stats.PartitionFallback = true
-		d.stats.MergeTime += mp.stop()
 		return d.solveJoint()
 	}
-	d.stats.MergeTime += mp.stop()
-	rep.Stats = d.stats // refresh: finish() snapshotted before MergeTime landed
 	return rep, nil
 }
 
@@ -459,14 +458,13 @@ func (d *diagnoser) resolveConflicts(parts []partition, reps []*Repair, conflict
 			continue
 		}
 		var u partition
-		cands := make(query.AttrSet)
 		for _, mi := range members {
 			u.complaintIdx = append(u.complaintIdx, parts[mi].complaintIdx...)
-			cands.Add(parts[mi].candidates...)
+			u.candidates = append(u.candidates, parts[mi].candidates...)
 		}
 		sort.Ints(u.complaintIdx)
-		u.candidates = cands.Sorted()
-		u.size = partitionSize(len(d.dirtyVals), len(u.candidates), len(u.complaintIdx))
+		u.candidates = sortedUnique(u.candidates)
+		u.size = partitionSize(d.dirtyFinal.Len(), len(u.candidates), len(u.complaintIdx))
 		resolve = append(resolve, len(newParts))
 		newParts = append(newParts, u)
 		newReps = append(newReps, nil)

@@ -70,17 +70,13 @@ func planFor(t testing.TB, d0 *relation.Table, log []query.Query, complaints []C
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirtyVals := make(map[int64][]float64)
-	final.Rows(func(tp relation.Tuple) {
-		dirtyVals[tp.ID] = append([]float64(nil), tp.Values...)
-	})
 	if candidates == nil {
 		candidates = make([]int, len(log))
 		for i := range log {
 			candidates[i] = i
 		}
 	}
-	return planPartitions(complaints, FullImpact(log, width), dirtyVals, width, candidates)
+	return planPartitions(complaints, FullImpact(log, width), final, candidates)
 }
 
 func TestPlanPartitionsConnectedComponents(t *testing.T) {
@@ -282,7 +278,7 @@ func TestMergeConflictFallsBackToJointSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.plan()
-	parts := planPartitions(d.complaints, d.full, d.dirtyVals, d.width, d.candidates)
+	parts := planPartitions(d.complaints, d.full, d.dirtyFinal, d.candidates)
 	if len(parts) != 2 {
 		t.Fatalf("setup: want 2 partitions, got %d", len(parts))
 	}

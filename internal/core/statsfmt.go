@@ -32,9 +32,10 @@ func (s Stats) Format(verbose bool) []string {
 				s.Nodes, s.LPIters, s.Refactorizations, s.PresolvedRows),
 			fmt.Sprintf("model: %d rows, %d vars (%d binary); %d batches tried",
 				s.Rows, s.Vars, s.Binaries, s.BatchesTried),
-			fmt.Sprintf("phases: plan %v (impact %v), encode %v, solve %v, merge %v",
+			fmt.Sprintf("phases: plan %v (impact %v), encode %v, solve %v, verify %v (%d full replays), merge %v",
 				fmtDur(s.PlanTime), fmtDur(s.ImpactTime),
-				fmtDur(s.EncodeTime), fmtDur(s.SolveTime), fmtDur(s.MergeTime)))
+				fmtDur(s.EncodeTime), fmtDur(s.SolveTime),
+				fmtDur(s.VerifyTime), s.Replays, fmtDur(s.MergeTime)))
 	}
 	if s.Partitions > 0 {
 		out = append(out, fmt.Sprintf("partitions: %d (fallback to joint solve: %v)",
@@ -67,6 +68,8 @@ func (s Stats) Brief() string {
 		fmt.Sprintf("plan=%v", fmtDur(s.PlanTime)),
 		fmt.Sprintf("encode=%v", fmtDur(s.EncodeTime)),
 		fmt.Sprintf("solve=%v", fmtDur(s.SolveTime)),
+		fmt.Sprintf("verify=%v", fmtDur(s.VerifyTime)),
+		fmt.Sprintf("replays=%d", s.Replays),
 	}
 	if s.WarmSeeds > 0 {
 		parts = append(parts, fmt.Sprintf("warm=%d", s.WarmSeeds))

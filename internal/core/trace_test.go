@@ -38,10 +38,10 @@ func TestTraceSpanTreeWellNested(t *testing.T) {
 		t.Fatalf("trace not well-nested:\n%s", root.Structure())
 	}
 	// The tree must actually cover the pipeline: planning with the
-	// impact closure, per-partition encode+solve, and the merge.
+	// impact closure, per-partition encode+solve+verify, and the merge.
 	s := root.Structure()
 	for _, want := range []string{"diagnose", "replay", "plan", "impact",
-		"partition", "queue", "encode", "solve", "presolve", "merge"} {
+		"partition", "queue", "encode", "solve", "presolve", "verify", "merge"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("structure missing %q span:\n%s", want, s)
 		}
@@ -98,11 +98,11 @@ func TestTraceStatsAgreeWithSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := root.End()
-	if rep.Stats.PlanTime <= 0 || rep.Stats.SolveTime <= 0 || rep.Stats.EncodeTime <= 0 {
-		t.Fatalf("phase timers not populated: plan=%v encode=%v solve=%v",
-			rep.Stats.PlanTime, rep.Stats.EncodeTime, rep.Stats.SolveTime)
+	if rep.Stats.PlanTime <= 0 || rep.Stats.SolveTime <= 0 || rep.Stats.EncodeTime <= 0 || rep.Stats.VerifyTime <= 0 {
+		t.Fatalf("phase timers not populated: plan=%v encode=%v solve=%v verify=%v",
+			rep.Stats.PlanTime, rep.Stats.EncodeTime, rep.Stats.SolveTime, rep.Stats.VerifyTime)
 	}
-	if sum := rep.Stats.PlanTime + rep.Stats.EncodeTime + rep.Stats.SolveTime; sum > total+5*time.Millisecond {
+	if sum := rep.Stats.PlanTime + rep.Stats.EncodeTime + rep.Stats.SolveTime + rep.Stats.VerifyTime; sum > total+5*time.Millisecond {
 		t.Errorf("phase times (%v) exceed the root span (%v)", sum, total)
 	}
 }

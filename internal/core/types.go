@@ -320,17 +320,28 @@ type Stats struct {
 	// by the MILP root presolve (milp/presolve.go).
 	Refactorizations int
 	PresolvedRows    int
-	// PlanTime, EncodeTime, SolveTime, and MergeTime split the wall
-	// clock by pipeline phase. PlanTime covers the log replay, the
-	// FullImpact closure (ImpactTime is the subset spent there), and
-	// slicing; MergeTime covers stitching and re-verifying partition
-	// repairs. All four are derived from the same instrumentation points
-	// as the trace spans (Options.Trace), so the CLI, bench, and wire
-	// report one consistent truth.
+	// PlanTime, EncodeTime, SolveTime, VerifyTime, and MergeTime split
+	// the wall clock by pipeline phase. PlanTime covers the log replay,
+	// the FullImpact closure (ImpactTime is the subset spent there), and
+	// slicing; VerifyTime covers the verification replay of every
+	// candidate repair and its diff against the dirty final state
+	// (including the merged log of a partitioned diagnosis); MergeTime
+	// covers stitching partition repairs and re-solving conflicts. All
+	// five are derived from the same instrumentation points as the trace
+	// spans (Options.Trace), so the CLI, bench, and wire report one
+	// consistent truth.
 	PlanTime   time.Duration
 	EncodeTime time.Duration
 	SolveTime  time.Duration
+	VerifyTime time.Duration
 	MergeTime  time.Duration
+	// Replays counts full-table replays of a log from D0: the planning
+	// replay plus one verification replay per candidate repair (each
+	// solved batch, each refinement round's re-solve, the merged log of a
+	// partitioned diagnosis). Encoding replays only the tuple slice and
+	// is not counted. Deterministic for the sequential scans; on the
+	// distributed path it aggregates the workers' replays too.
+	Replays int
 	// PartitionStats breaks a partitioned diagnosis down per partition,
 	// in plan (index) order; empty when partitioning found fewer than
 	// two components. Conflict re-solves append additional entries.

@@ -77,6 +77,9 @@ func (e *encoder) widenWindow(pv milp.Var, lo, hi float64) {
 // independent per variable, but a sorted walk keeps the pass trivially
 // inside the detmap determinism contract.
 func (e *encoder) flushWindows() {
+	if len(e.windows) == 0 {
+		return
+	}
 	params := make([]milp.Var, 0, len(e.windows))
 	for pv := range e.windows {
 		params = append(params, pv)
@@ -99,7 +102,7 @@ func (e *encoder) flushWindows() {
 			e.m.SetBounds(pv, lb, ub)
 		}
 	}
-	e.windows = make(map[milp.Var][2]float64)
+	clear(e.windows)
 }
 
 // pctx carries the parameter variables of the query being encoded, or
@@ -113,6 +116,36 @@ type pctx struct {
 // Encode builds the MILP for the given initial state, log, and complaint
 // set under the slicing options. The log is not mutated.
 func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt Options) (*Result, error) {
+	e, err := newEncoder(d0, log, complaints, opt)
+	if err != nil {
+		return nil, err
+	}
+	for i := range e.log {
+		if err := e.step(i); err != nil {
+			return nil, err
+		}
+	}
+	if err := e.assignFinals(complaints); err != nil {
+		return nil, err
+	}
+
+	e.stats.Rows = e.m.NumConstrs()
+	e.stats.Vars = e.m.NumVars()
+	e.stats.Binaries = e.m.NumIntVars()
+	e.stats.TuplesTracked = len(e.order)
+	return &Result{
+		Model:    e.m,
+		Params:   e.params,
+		Sigma:    e.sigma,
+		Affected: e.affected,
+		Stats:    e.stats,
+		Eps:      e.eps,
+	}, nil
+}
+
+// newEncoder sets up the encoder over the state before the first query:
+// the slicing scopes, the domain bound, and the tracked tuples of D0.
+func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, opt Options) (*encoder, error) {
 	opt = opt.withDefaults()
 	e := &encoder{
 		m:         milp.NewModel(),
@@ -121,7 +154,6 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 		sch:       d0.Schema(),
 		width:     d0.Schema().Width(),
 		eps:       opt.Eps,
-		dirty:     d0.Clone(),
 		tracked:   make(map[int64]*tstate),
 		paramOrig: make(map[milp.Var]float64),
 		sigma:     make(map[SigmaKey]milp.Var),
@@ -131,7 +163,11 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 	}
 	e.M = opt.DomainBound
 	if e.M <= 0 {
-		e.M = autoBound(d0, log)
+		// Callers that hold the log's final state pass DomainBound(d0,
+		// log, final) instead and spare this replay. A log that does not
+		// replay fails the dirty replay below with the same error.
+		final, _ := query.Replay(log, d0)
+		e.M = DomainBound(d0, log, final)
 	}
 	if opt.TupleIDs == nil {
 		e.trackAll = true
@@ -169,66 +205,71 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 		}
 	}
 
-	// Seed tracked tuples from D0.
-	d0.Rows(func(t relation.Tuple) {
-		if e.trackAll || e.wantIDs[t.ID] {
-			e.newTstate(t.ID, t.Values)
-		}
-	})
-
-	// Walk the log.
-	for i, q := range e.log {
-		pc, err := e.paramize(i, q)
-		if err != nil {
-			return nil, err
-		}
-		switch v := q.(type) {
-		case *query.Update:
-			e.encodeUpdate(i, v, pc)
-			if err := v.Apply(e.dirty); err != nil {
-				return nil, fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
+	// Seed tracked tuples from D0. A statement's effect on a tuple depends
+	// on that tuple alone, so under tuple slicing the dirty replay carries
+	// only the wanted rows: each log step then costs O(|tracked|), not
+	// O(|D0|). The ID counter is D0's, so inserts allocate the IDs they
+	// get in a replay of the full table.
+	if e.trackAll {
+		e.dirty = d0.Clone()
+	} else {
+		var keep []relation.Tuple
+		d0.Rows(func(t relation.Tuple) {
+			if e.wantIDs[t.ID] {
+				keep = append(keep, t)
 			}
-		case *query.Delete:
-			e.encodeDelete(i, v, pc)
-			if err := v.Apply(e.dirty); err != nil {
-				return nil, fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
-			}
-		case *query.Insert:
-			pos := e.dirty.Len()
-			if err := v.Apply(e.dirty); err != nil {
-				return nil, fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
-			}
-			newID := e.dirty.At(pos).ID
-			e.encodeInsert(i, v, pc, newID)
-		default:
-			return nil, fmt.Errorf("encode: unsupported query kind %T at index %d", q, i)
+		})
+		var err error
+		if e.dirty, err = relation.NewTableFromRows(e.sch, keep, d0.NextID()); err != nil {
+			return nil, fmt.Errorf("encode: slicing the initial state: %w", err)
 		}
-		e.flushWindows()
-		e.refreshDirty()
 	}
-
-	if err := e.assignFinals(complaints); err != nil {
-		return nil, err
-	}
-
-	e.stats.Rows = e.m.NumConstrs()
-	e.stats.Vars = e.m.NumVars()
-	e.stats.Binaries = e.m.NumIntVars()
-	e.stats.TuplesTracked = len(e.order)
-	return &Result{
-		Model:    e.m,
-		Params:   e.params,
-		Sigma:    e.sigma,
-		Affected: e.affected,
-		Stats:    e.stats,
-		Eps:      e.eps,
-	}, nil
+	e.dirty.Rows(func(t relation.Tuple) { e.newTstate(t.ID, t.Values) })
+	return e, nil
 }
 
-// autoBound derives the big-M domain bound: twice the largest absolute
-// value seen in the initial state, any replayed state, or any query
-// constant, plus slack.
-func autoBound(d0 *relation.Table, log []query.Query) float64 {
+// step encodes log entry i over the tracked tuples and advances the dirty
+// replay past it.
+func (e *encoder) step(i int) error {
+	q := e.log[i]
+	pc, err := e.paramize(i, q)
+	if err != nil {
+		return err
+	}
+	switch v := q.(type) {
+	case *query.Update:
+		e.encodeUpdate(i, v, pc)
+		if err := v.Apply(e.dirty); err != nil {
+			return fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
+		}
+	case *query.Delete:
+		e.encodeDelete(i, v, pc)
+		if err := v.Apply(e.dirty); err != nil {
+			return fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
+		}
+	case *query.Insert:
+		newID := e.dirty.NextID()
+		if err := v.Apply(e.dirty); err != nil {
+			return fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
+		}
+		if e.trackAll || e.wantIDs[newID] {
+			e.encodeInsert(i, v, pc, newID)
+		} else {
+			e.dirty.Delete(newID)
+		}
+	default:
+		return fmt.Errorf("encode: unsupported query kind %T at index %d", q, i)
+	}
+	e.flushWindows()
+	e.refreshDirty()
+	return nil
+}
+
+// DomainBound derives the big-M domain bound Encode uses when
+// Options.DomainBound is zero: twice the largest absolute value seen in
+// the initial state, the log's final state (final = Replay(log, d0); nil
+// when the log does not replay) or any query constant, plus slack.
+func DomainBound(d0 *relation.Table, log []query.Query, final *relation.Table) float64 {
 	maxAbs := 1.0
 	scan := func(vs []float64) {
 		for _, v := range vs {
@@ -241,7 +282,7 @@ func autoBound(d0 *relation.Table, log []query.Query) float64 {
 	for _, q := range log {
 		scan(q.Params())
 	}
-	if final, err := query.Replay(log, d0); err == nil {
+	if final != nil {
 		final.Rows(func(t relation.Tuple) { scan(t.Values) })
 	}
 	return 2*maxAbs + 10
@@ -294,12 +335,7 @@ func (e *encoder) promote(t *tstate, a int) {
 // step; deleted tuples keep their last values and flip dirtyAlive.
 func (e *encoder) refreshDirty() {
 	for _, t := range e.order {
-		if tp, ok := e.dirty.Get(t.id); ok {
-			copy(t.dirtyVals, tp.Values)
-			t.dirtyAlive = true
-		} else {
-			t.dirtyAlive = false
-		}
+		t.dirtyAlive = e.dirty.ReadValues(t.id, t.dirtyVals)
 	}
 }
 
@@ -444,9 +480,6 @@ func (e *encoder) encodeDelete(qi int, q *query.Delete, pc pctx) {
 // parameterized insert's values are parameter variables; the tuple always
 // exists (inserts are repaired by changing values, as in the paper).
 func (e *encoder) encodeInsert(qi int, q *query.Insert, pc pctx, newID int64) {
-	if !e.trackAll && !e.wantIDs[newID] {
-		return
-	}
 	t := e.newTstate(newID, q.Values)
 	if !pc.on {
 		return

@@ -41,10 +41,8 @@ func Repair(d0 *relation.Table, dirty *query.Update, truth *relation.Table) (*qu
 	// Attributes the original WHERE referenced; the baseline keeps the
 	// predicate's attribute structure, like QFix repairs constants.
 	attrs := query.NewAttrSet(query.CondAttrs(dirty.Where, nil)...)
-	if len(attrs) == 0 {
-		for a := 0; a < width; a++ {
-			attrs[a] = true
-		}
+	if attrs.Len() == 0 {
+		attrs = query.FullAttrSet(width)
 	}
 
 	// Box fit: per referenced attribute, [min, max] over changed tuples.

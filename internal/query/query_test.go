@@ -234,7 +234,7 @@ func TestDirectImpactDependency(t *testing.T) {
 		AttrPred(3, GE, 10),
 	)
 	di := DirectImpact(u, 5)
-	if !di[2] || len(di) != 1 {
+	if !di.Has(2) || di.Len() != 1 {
 		t.Errorf("DirectImpact = %v", di.Sorted())
 	}
 	dep := Dependency(u)
@@ -243,17 +243,17 @@ func TestDirectImpactDependency(t *testing.T) {
 		t.Errorf("Dependency = %v", dep.Sorted())
 	}
 	ins := NewInsert(1, 2, 3, 4, 5)
-	if di := DirectImpact(ins, 5); len(di) != 5 {
+	if di := DirectImpact(ins, 5); di.Len() != 5 {
 		t.Errorf("INSERT DirectImpact = %v", di.Sorted())
 	}
-	if dep := Dependency(ins); len(dep) != 0 {
+	if dep := Dependency(ins); dep.Len() != 0 {
 		t.Errorf("INSERT Dependency = %v", dep.Sorted())
 	}
 	del := NewDelete(AttrPred(1, LE, 3))
-	if di := DirectImpact(del, 4); len(di) != 4 {
+	if di := DirectImpact(del, 4); di.Len() != 4 {
 		t.Errorf("DELETE DirectImpact = %v", di.Sorted())
 	}
-	if dep := Dependency(del); !dep[1] || len(dep) != 1 {
+	if dep := Dependency(del); !dep.Has(1) || dep.Len() != 1 {
 		t.Errorf("DELETE Dependency = %v", dep.Sorted())
 	}
 }
@@ -269,7 +269,7 @@ func TestAttrSetOps(t *testing.T) {
 	}
 	c := a.Clone()
 	c.Union(b)
-	if len(c) != 4 || len(a) != 3 {
+	if c.Len() != 4 || a.Len() != 3 {
 		t.Error("Union/Clone wrong")
 	}
 	if !c.ContainsAll(a) || a.ContainsAll(c) {

@@ -194,3 +194,102 @@ func TestQuickDistanceMetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: the bitset AttrSet behaves like a map[int]bool set, at widths
+// on and around the word boundaries and with operands of different
+// widths (a narrower or wider right-hand side, trailing zero words).
+func TestQuickAttrSetMatchesMapModel(t *testing.T) {
+	widths := []int{1, 63, 64, 65, 130}
+	draw := func(rng *rand.Rand, width int) (AttrSet, map[int]bool) {
+		model := make(map[int]bool)
+		var attrs []int
+		for i, n := 0, rng.Intn(width+1); i < n; i++ {
+			a := rng.Intn(width)
+			attrs = append(attrs, a)
+			model[a] = true
+		}
+		// Build through every constructor: from the width (may keep
+		// trailing zero words), from the members, and by Add on nil.
+		var s AttrSet
+		switch rng.Intn(3) {
+		case 0:
+			s = FullAttrSet(width)
+			for i := range s {
+				s[i] = 0
+			}
+			s.Add(attrs...)
+		case 1:
+			s = NewAttrSet(attrs...)
+		default:
+			s.Add(attrs...)
+		}
+		return s, model
+	}
+	sameAs := func(s AttrSet, model map[int]bool, width int) bool {
+		if s.Len() != len(model) {
+			return false
+		}
+		for a := -1; a <= width+wordBits; a++ {
+			if s.Has(a) != model[a] {
+				return false
+			}
+		}
+		sorted := s.Sorted()
+		if len(sorted) != len(model) {
+			return false
+		}
+		for i, a := range sorted {
+			if !model[a] || (i > 0 && sorted[i-1] >= a) {
+				return false
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		wa, wb := widths[rng.Intn(len(widths))], widths[rng.Intn(len(widths))]
+		a, ma := draw(rng, wa)
+		b, mb := draw(rng, wb)
+		if !sameAs(a, ma, wa) || !sameAs(b, mb, wb) {
+			t.Logf("seed %d: construction at widths %d, %d", seed, wa, wb)
+			return false
+		}
+		intersects, aHasB, bHasA := false, true, true
+		for x := range ma {
+			intersects = intersects || mb[x]
+			bHasA = bHasA && mb[x]
+		}
+		for x := range mb {
+			aHasB = aHasB && ma[x]
+		}
+		if a.Intersects(b) != intersects || b.Intersects(a) != intersects ||
+			a.ContainsAll(b) != aHasB || b.ContainsAll(a) != bHasA ||
+			a.Equal(b) != (aHasB && bHasA) {
+			t.Logf("seed %d: predicates at widths %d, %d: a=%v b=%v", seed, wa, wb, a.Sorted(), b.Sorted())
+			return false
+		}
+		u := a.Clone()
+		u.Union(b)
+		mu := make(map[int]bool)
+		for x := range ma {
+			mu[x] = true
+		}
+		for x := range mb {
+			mu[x] = true
+		}
+		if !sameAs(u, mu, max(wa, wb)) || !sameAs(a, ma, wa) || !u.ContainsAll(a) || !u.ContainsAll(b) {
+			t.Logf("seed %d: union at widths %d, %d", seed, wa, wb)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, w := range widths {
+		full := FullAttrSet(w)
+		if full.Len() != w || full.Has(w) || !full.Has(w-1) {
+			t.Errorf("FullAttrSet(%d) = %v", w, full.Sorted())
+		}
+	}
+}

@@ -123,11 +123,32 @@ func (tb *Table) Delete(id int64) bool {
 
 // Get returns a copy of the tuple with the given ID.
 func (tb *Table) Get(id int64) (Tuple, bool) {
+	t, ok := tb.lookup(id)
+	if !ok {
+		return Tuple{}, false
+	}
+	return t.Clone(), true
+}
+
+// lookup returns the tuple with the given ID without copying it: the
+// result aliases table storage.
+func (tb *Table) lookup(id int64) (Tuple, bool) {
 	i, ok := tb.byID[id]
 	if !ok {
 		return Tuple{}, false
 	}
-	return tb.rows[i].Clone(), true
+	return tb.rows[i], true
+}
+
+// ReadValues copies the values of the tuple with the given ID into dst
+// (which must have the schema's width), reporting whether the tuple is
+// live; dst is untouched when it is not. It is Get without the allocation.
+func (tb *Table) ReadValues(id int64, dst []float64) bool {
+	t, ok := tb.lookup(id)
+	if ok {
+		copy(dst, t.Values)
+	}
+	return ok
 }
 
 // Set overwrites the values of the tuple with the given ID.
@@ -200,10 +221,9 @@ type Diff struct {
 func DiffTables(before, after *Table, eps float64) []Diff {
 	var out []Diff
 	for _, t := range before.rows {
-		t := t
-		if a, ok := after.Get(t.ID); ok {
+		if a, ok := after.lookup(t.ID); ok {
 			if !t.Equal(a, eps) {
-				bc, ac := t.Clone(), a
+				bc, ac := t.Clone(), a.Clone()
 				out = append(out, Diff{ID: t.ID, Before: &bc, After: &ac})
 			}
 		} else {
@@ -212,8 +232,7 @@ func DiffTables(before, after *Table, eps float64) []Diff {
 		}
 	}
 	for _, t := range after.rows {
-		t := t
-		if _, ok := before.Get(t.ID); !ok {
+		if _, ok := before.byID[t.ID]; !ok {
 			ac := t.Clone()
 			out = append(out, Diff{ID: t.ID, After: &ac})
 		}
