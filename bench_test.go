@@ -3,7 +3,7 @@
 // full-resolution series with cmd/qfix-bench:
 //
 //	go test -bench=. -benchmem            # smoke-scale, all figures
-//	go run ./cmd/qfix-bench -fig all      # EXPERIMENTS.md scale
+//	go run ./cmd/qfix-bench -fig all      # default scale (README.md, "Benchmarks")
 package qfix_test
 
 import (

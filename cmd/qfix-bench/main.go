@@ -7,8 +7,8 @@
 //	qfix-bench -fig fig9 -scale large -reps 5 -seed 7
 //
 // Output is one aligned text table per figure, with the same series the
-// paper plots (latency plus precision/recall/F1). See EXPERIMENTS.md for
-// the recorded paper-vs-measured comparison at the default scale.
+// paper plots (latency plus precision/recall/F1). See the "Benchmarks"
+// section of README.md for the experiment list and what each reproduces.
 package main
 
 import (
@@ -16,7 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -83,6 +86,7 @@ func main() {
 		fmt.Println(table.String())
 		if *jsonDir != "" {
 			path := filepath.Join(*jsonDir, "BENCH_"+e.ID+".json")
+			table.Machine = machine()
 			raw, err := json.MarshalIndent(table, "", "  ")
 			if err == nil {
 				err = os.WriteFile(path, raw, 0o644)
@@ -96,4 +100,15 @@ func main() {
 		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
 	fmt.Printf("total: %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// machine describes this run for the JSON record: core count,
+// GOMAXPROCS, toolchain and the commit of the checkout.
+func machine() bench.Machine {
+	commit := "unknown"
+	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return bench.Machine{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion: runtime.Version(), Commit: commit}
 }

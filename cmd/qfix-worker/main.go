@@ -10,13 +10,12 @@
 // Each job is a self-contained partition subproblem (initial state, query
 // log, complaint subset, solver options) framed as newline-delimited JSON
 // over TCP; the worker solves it with the in-process engine and streams
-// the repair back. A wire-v3 coordinator (qfix -mux) keeps one
-// persistent connection and multiplexes jobs over it: up to
-// -max-inflight jobs (a server-wide bound, whatever mix of connections
-// they arrive on) solve concurrently and each result is written the
-// moment its solve lands, possibly out of submission order. v2
-// coordinators (one dialed connection per job) are served unchanged. Jobs from coordinators speaking a protocol generation this
-// binary doesn't know are rejected with an error result. -max-timelimit
+// the repair back. A mux coordinator (qfix -mux) keeps one persistent
+// connection and multiplexes jobs over it: up to -max-inflight jobs (a
+// server-wide bound, whatever mix of connections they arrive on) solve
+// concurrently and each result is written the moment its solve lands,
+// possibly out of submission order. Jobs from coordinators speaking any
+// other protocol version are rejected with an error result. -max-timelimit
 // caps the solver budget a coordinator may request. Repeat jobs
 // carrying the digests of an already-decoded D0/log reuse the worker's
 // decode cache and impact closure instead of re-decoding and
@@ -81,8 +80,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qfix-worker:", err)
 		os.Exit(1)
 	}
-	log.Printf("qfix-worker: serving diagnosis jobs on %s (protocol v%d, accepting back to v%d)",
-		l.Addr(), dist.WireVersion, dist.MinWireVersion)
+	log.Printf("qfix-worker: serving diagnosis jobs on %s (protocol v%d)", l.Addr(), dist.WireVersion)
 	if *maxTL > 0 {
 		log.Printf("qfix-worker: per-job solver budget capped at %v", maxTL.Round(time.Second))
 	}

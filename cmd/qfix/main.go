@@ -33,6 +33,7 @@ import (
 	"time"
 
 	qfix "repro"
+	"repro/internal/dist"
 	"repro/internal/histstore"
 	"repro/internal/obs"
 )
@@ -54,7 +55,7 @@ func main() {
 		noPre     = flag.Bool("no-presolve", false, "disable the MILP root presolve (ablation)")
 		verbose   = flag.Bool("v", false, "print solver statistics (nodes, LP iterations, refactorizations, presolved rows)")
 		workers   = flag.String("workers", "", "comma-separated qfix-worker addresses (host:port,...) for distributed diagnosis")
-		mux       = flag.Bool("mux", false, "multiplex jobs over one persistent connection per worker (wire v3) instead of dialing per job")
+		mux       = flag.Bool("mux", false, "multiplex jobs over one persistent connection per worker instead of dialing per job")
 		noTuple   = flag.Bool("no-tuple-slicing", false, "disable tuple slicing")
 		noQuery   = flag.Bool("no-query-slicing", false, "disable query slicing")
 		attrSlice = flag.Bool("attr-slicing", false, "enable attribute slicing")
@@ -123,21 +124,26 @@ func main() {
 		NoPresolve:       *noPre,
 		TimeLimit:        *limit,
 	}
-	if *workers != "" {
-		for _, addr := range strings.Split(*workers, ",") {
-			if addr = strings.TrimSpace(addr); addr != "" {
-				opts.Workers = append(opts.Workers, addr)
-			}
+	var fleet []string
+	for _, addr := range strings.Split(*workers, ",") {
+		if addr = strings.TrimSpace(addr); addr != "" {
+			fleet = append(fleet, addr)
 		}
 	}
-	opts.MuxWorkers = *mux
-	if *mux && len(opts.Workers) == 0 {
+	if len(fleet) > 0 {
+		cfg := dist.Config{Mux: *mux}
+		if *verbose {
+			// Same log.Printf sink qfix-worker uses, so coordinator warnings
+			// (slow jobs, retries, fallbacks) read identically on both sides.
+			cfg.Logf = log.Printf
+		}
+		// One coordinator for the whole run: -repeat reuses its
+		// connections instead of dialing per diagnosis.
+		coord := dist.Connect(cfg, fleet...)
+		defer coord.Close()
+		coord.Install(&opts)
+	} else if *mux {
 		fmt.Fprintln(os.Stderr, "qfix: -mux has no effect without -workers; diagnosing locally")
-	}
-	if *verbose {
-		// Same log.Printf sink qfix-worker uses, so coordinator warnings
-		// (slow jobs, retries, fallbacks) read identically on both sides.
-		opts.Logf = log.Printf
 	}
 	var root *obs.Span
 	if *tracePath != "" {

@@ -11,14 +11,13 @@
 // much of the solving left the process.
 //
 // The fleet is exercised twice: once dialing a fresh connection per job
-// (the wire-v2 discipline) and once with Options.MuxWorkers, which
-// keeps one persistent multiplexed connection per worker and streams
-// each result back the moment its solve lands
-// (Stats.StreamedResults) — the wire-v3 discipline `qfix -mux` enables
-// from the CLI. All three runs produce the identical repair.
+// and once with dist.Config.Mux, which keeps one persistent multiplexed
+// connection per worker and streams each result back the moment its
+// solve lands (Stats.StreamedResults) — what `qfix -mux` enables from
+// the CLI. All three runs produce the identical repair.
 //
 // In production the two goroutines are `qfix-worker -addr :7433` style
-// processes on other machines and Options.Workers lists their addresses.
+// processes on other machines and dist.Connect is given their addresses.
 //
 // Run with: go run ./examples/distributed
 package main
@@ -84,9 +83,12 @@ func main() {
 		Partition:    3,
 	}
 
-	run := func(name string, o qfix.Options) *qfix.Repair {
+	// diagnose is qfix.Diagnose for the in-process run and a
+	// coordinator's Diagnose — which plans locally and ships every
+	// partition to its workers — for the fleet runs.
+	run := func(name string, diagnose func(*qfix.Table, []qfix.Query, []qfix.Complaint, qfix.Options) (*qfix.Repair, error)) *qfix.Repair {
 		start := time.Now()
-		rep, err := qfix.Diagnose(d0, history, complaints, o)
+		rep, err := diagnose(d0, history, complaints, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -97,15 +99,16 @@ func main() {
 		return rep
 	}
 
-	local := run("local", opts)
+	local := run("local", qfix.Diagnose)
 
-	distOpts := opts
-	distOpts.Workers = workers // qfix.Diagnose installs the coordinator
-	remote := run("dial-per-job", distOpts)
+	dial := dist.Connect(dist.Config{}, workers...)
+	defer dial.Close()
+	remote := run("dial-per-job", dial.Diagnose)
 
-	muxOpts := distOpts
-	muxOpts.MuxWorkers = true // one persistent multiplexed connection per worker
-	muxed := run("mux", muxOpts)
+	// One persistent multiplexed connection per worker.
+	mux := dist.Connect(dist.Config{Mux: true}, workers...)
+	defer mux.Close()
+	muxed := run("mux", mux.Diagnose)
 
 	fmt.Println("\nrepaired history (mux):")
 	for i, q := range muxed.Log {

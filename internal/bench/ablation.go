@@ -8,10 +8,11 @@ import (
 )
 
 // Ablation measures the engineering choices this implementation adds on
-// top of the paper (documented in DESIGN.md): constant-folding presolve,
-// predicate-parameter window tightening, and warm-started LP relaxations
-// in branch-and-bound. Each is switched off individually against the
-// full configuration on the same single-corruption instance.
+// top of the paper (README.md, "Benchmarks"; each knob is documented on
+// encode.Options): constant-folding presolve, predicate-parameter
+// window tightening, and warm-started LP relaxations in
+// branch-and-bound. Each is switched off individually against the full
+// configuration on the same single-corruption instance.
 func (r *Runner) Ablation() (*Table, error) {
 	var nd, nq int
 	switch r.Scale {

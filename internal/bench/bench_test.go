@@ -12,8 +12,8 @@ import (
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 21 {
-		t.Errorf("expected 21 experiments (every figure + ex2 + ablation + partition + distributed + impactcache + warmstart + solver + daemon), got %d", len(exps))
+	if len(exps) != 17 {
+		t.Errorf("expected 17 experiments (every figure + ex2 + ablation + warmstart + solver), got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
@@ -134,7 +134,7 @@ func TestPartitionOutcomeMatchesJoint(t *testing.T) {
 	// the joint path's Resolved/per-complaint outcome (and actually
 	// decompose into 8 partitions rather than falling back). One query
 	// per cluster keeps the joint Basic MILP solvable inside the time
-	// limit — at the figure's larger sizes the joint encoding times out,
+	// limit — at larger sizes the joint encoding times out,
 	// which is precisely the scaling wall the partition engine removes.
 	w, corruptIdx, err := PartitionClusters(8, 4, 1, 7)
 	if err != nil {
@@ -182,83 +182,6 @@ func TestPartitionOutcomeMatchesJoint(t *testing.T) {
 		if core.ComplaintsResolved(jf, one, 1e-6) != core.ComplaintsResolved(pf, one, 1e-6) {
 			t.Errorf("complaint %d resolution differs between joint and partitioned", i)
 		}
-	}
-}
-
-func TestDistributedQuickShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	r := &Runner{Scale: Quick, Seed: 1}
-	table, err := r.FigDistributed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (local + dial + mux at one cluster count)", len(table.Rows))
-	}
-	var localRow, dialRow, muxRow *Row
-	for i := range table.Rows {
-		row := &table.Rows[i]
-		if row.Solved < 1 {
-			t.Errorf("%s clusters=%s unsolved (%+v)", row.Series, row.X, row)
-		}
-		switch row.Series {
-		case "local-4":
-			localRow = row
-		case "dial-2":
-			dialRow = row
-		case "mux-2":
-			muxRow = row
-		}
-	}
-	if localRow == nil || dialRow == nil || muxRow == nil {
-		t.Fatal("missing local-4, dial-2, or mux-2 series")
-	}
-	// Distribution must not change the repair: identical accuracy on
-	// both transports.
-	for _, distRow := range []*Row{dialRow, muxRow} {
-		if distRow.F1 != localRow.F1 || distRow.Precision != localRow.Precision {
-			t.Errorf("%s accuracy diverged from local: f1 %v vs %v, precision %v vs %v",
-				distRow.Series, distRow.F1, localRow.F1, distRow.Precision, localRow.Precision)
-		}
-		if !strings.Contains(distRow.Note, "remote=") || strings.Contains(distRow.Note, "remote=0/") {
-			t.Errorf("%s did not solve remotely: note=%q", distRow.Series, distRow.Note)
-		}
-	}
-	// The mux series must actually stream its results back over the
-	// persistent connections.
-	if !strings.Contains(muxRow.Note, "streamed") {
-		t.Errorf("mux-2 streamed nothing: note=%q", muxRow.Note)
-	}
-	if strings.Contains(dialRow.Note, "streamed") {
-		t.Errorf("dial-2 claims streamed results: note=%q", dialRow.Note)
-	}
-}
-
-func TestDaemonQuickShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	r := &Runner{Scale: Quick, Seed: 1}
-	table, err := r.FigDaemon()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1 (one concurrency level at quick scale)", len(table.Rows))
-	}
-	row := table.Rows[0]
-	// Every response is checked against the local oracle inside FigDaemon;
-	// a surviving row means the daemon's repairs were byte-identical.
-	if row.Solved != 1 {
-		t.Errorf("daemon row not solved: %+v", row)
-	}
-	if row.P50MS <= 0 || row.P99MS < row.P50MS {
-		t.Errorf("implausible latency percentiles: p50=%v p99=%v", row.P50MS, row.P99MS)
-	}
-	if !strings.Contains(row.Note, "diagnoses/s") {
-		t.Errorf("note missing throughput: %q", row.Note)
 	}
 }
 

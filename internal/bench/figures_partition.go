@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/workload"
@@ -17,7 +15,8 @@ import (
 // queries read and write only that attribute. Corrupting one query per
 // cluster yields complaints confined to the cluster, so the partition
 // planner finds exactly `clusters` connected components. Exported for
-// the integration test that validates the partition engine end to end.
+// the partition, warm-start and dist end-to-end tests and for the
+// fleet_partitioned workload of benchmark/.
 func PartitionClusters(clusters, rowsPer, queriesPer int, seed int64) (*workload.Workload, []int, error) {
 	const vd = 200.0
 	rng := rand.New(rand.NewSource(seed))
@@ -71,102 +70,4 @@ func PartitionClusters(clusters, rowsPer, queriesPer int, seed int64) (*workload
 	}
 	w := workload.NewCustom(workload.Config{Vd: vd, Seed: seed}, sch, d0, log, corrupt)
 	return w, corruptIdx, nil
-}
-
-// FigPartition measures the plan/solve engine on many-independent-
-// complaint workloads: the joint Basic MILP over every candidate versus
-// partition-parallel diagnosis with 1 and 4 workers. The partitioned
-// series must match the joint series' Resolved outcome while the
-// wall-clock drops both from smaller per-partition MILPs (the MILP is
-// superlinear in candidate count) and from solving partitions
-// concurrently.
-func (r *Runner) FigPartition() (*Table, error) {
-	var clusterCounts []int
-	var rowsPer, queriesPer int
-	switch r.Scale {
-	case Quick:
-		clusterCounts, rowsPer, queriesPer = []int{4, 8}, 5, 2
-	case Large:
-		clusterCounts, rowsPer, queriesPer = []int{8, 16, 32, 64, 128}, 8, 3
-	default:
-		clusterCounts, rowsPer, queriesPer = []int{4, 8, 16, 32, 64, 128}, 6, 3
-	}
-	// The joint Basic MILP reliably blows its solver budget beyond ~8
-	// clusters (every additional cluster multiplies the binary count);
-	// running it there would spend minutes per point to record a timeout.
-	// The sweep caps the joint series at 8 clusters and lets the
-	// partitioned series chart the scaling frontier alone above that.
-	const jointClusterCap = 8
-	t := &Table{ID: "partition", Title: "partition-parallel diagnosis on independent complaint clusters",
-		XLabel: "clusters",
-		Caption: fmt.Sprintf("rows/cluster=%d queries/cluster=%d; one corrupted query per cluster; "+
-			"joint = Basic MILP over all candidates, skipped beyond %d clusters (times out)",
-			rowsPer, queriesPer, jointClusterCap)}
-	series := []struct {
-		name      string
-		partition int
-	}{
-		{"joint", 0},
-		{"partition-1", 1},
-		{"partition-4", 4},
-	}
-	for _, nc := range clusterCounts {
-		for _, s := range series {
-			if s.partition == 0 && nc > jointClusterCap {
-				continue
-			}
-			opts := core.Options{
-				Algorithm:    core.Basic,
-				TupleSlicing: true,
-				QuerySlicing: true,
-				Partition:    s.partition,
-			}
-			if nc >= 64 {
-				// The partitioned series' total work grows linearly with
-				// the cluster count; the flat 4×TimeLimit default budget
-				// does not, and would truncate the 64/128-cluster points
-				// into "unresolved" on slower machines. Scale the budget
-				// with the sweep instead (solve work, not the ceiling,
-				// is what the figure measures).
-				opts.TotalTimeLimit = time.Duration(nc/8) * r.timeLimit()
-			}
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w, corruptIdx, err := PartitionClusters(nc, rowsPer, queriesPer,
-					r.Seed+int64(rep)*353+int64(nc))
-				if err != nil {
-					return nil, err
-				}
-				in, err := w.MakeInstance(corruptIdx...)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, withPhases(Row{Series: s.name, X: fmt.Sprint(nc),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok,
-				Note: partitionNote(pts)}, pts))
-			r.logf("partition %s clusters=%d: %.1fms solved=%.2f", s.name, nc, ms, ok)
-		}
-	}
-	return t, nil
-}
-
-// partitionNote summarizes the planner's stats across points.
-func partitionNote(pts []point) string {
-	maxParts := 0
-	fallbacks := 0
-	for _, p := range pts {
-		if p.stats.Partitions > maxParts {
-			maxParts = p.stats.Partitions
-		}
-		if p.stats.PartitionFallback {
-			fallbacks++
-		}
-	}
-	if maxParts == 0 {
-		return ""
-	}
-	return fmt.Sprintf("partitions=%d fallbacks=%d", maxParts, fallbacks)
 }

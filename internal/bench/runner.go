@@ -6,10 +6,10 @@
 //
 // Scales: the paper evaluates on CPLEX, which is orders of magnitude
 // faster than this repository's stdlib-only MILP solver, so the default
-// scale shrinks ND/Nq proportionally (documented per experiment in
-// EXPERIMENTS.md). The shape of every result — which algorithm wins,
-// where basic collapses, how slicing scales — is preserved; absolute
-// numbers are not comparable.
+// scale shrinks ND/Nq proportionally (each driver states its sizes;
+// README.md, "Benchmarks", lists the experiments). The shape of every
+// result — which algorithm wins, where basic collapses, how slicing
+// scales — is preserved; absolute numbers are not comparable.
 package bench
 
 import (
@@ -29,7 +29,7 @@ const (
 	// Quick: smallest meaningful sizes; seconds per figure. Used by
 	// `go test -bench` smoke benchmarks.
 	Quick Scale = iota
-	// Default: the EXPERIMENTS.md sizes; minutes for the full suite.
+	// Default: the sizes each driver states; minutes for the full suite.
 	Default
 	// Large: closest to the paper that remains tractable without CPLEX.
 	Large
@@ -121,12 +121,8 @@ func Experiments() []Experiment {
 		{"fig10", "DecTree baseline vs QFix: performance and accuracy", (*Runner).Fig10DecTree},
 		{"ex2", "Figure 2 case study: end-to-end repair of the tax example", (*Runner).Example2},
 		{"ablation", "Implementation ablations: folding, param windows, warm LP starts", (*Runner).Ablation},
-		{"partition", "Partition-parallel diagnosis: joint vs partitioned on independent complaint clusters", (*Runner).FigPartition},
-		{"distributed", "Distributed diagnosis: local partitioned vs loopback qfix-worker fleet", (*Runner).FigDistributed},
-		{"impactcache", "Impact cache: repeat-diagnosis latency, cold vs cached vs incrementally extended", (*Runner).FigImpactCache},
 		{"warmstart", "Solver warm starts: seeded branch-and-bound across batches, partitions, and repeat diagnoses", (*Runner).FigWarmStart},
 		{"solver", "MILP solver stack: presolve and parallel branch-and-bound on big-M models", (*Runner).FigSolver},
-		{"daemon", "Resident multi-tenant daemon: sustained mixed-tenant diagnosis throughput and latency percentiles", (*Runner).FigDaemon},
 	}
 }
 

@@ -24,14 +24,17 @@ type Row struct {
 	EncodeMS float64 `json:",omitempty"`
 	SolveMS  float64 `json:",omitempty"`
 	MergeMS  float64 `json:",omitempty"`
-	// Latency percentiles (ms) for experiments that measure a request
-	// population rather than repeated identical runs (the daemon
-	// figure); zero elsewhere and omitted from the JSON.
-	P50MS float64 `json:",omitempty"`
-	P90MS float64 `json:",omitempty"`
-	P99MS float64 `json:",omitempty"`
 	// Note carries figure-specific extras (model rows, batches, ...).
 	Note string
+}
+
+// Machine is where and from what a table was measured — what a
+// committed BENCH_*.json needs for its numbers to mean anything later.
+type Machine struct {
+	Cores      int
+	GOMAXPROCS int
+	GoVersion  string
+	Commit     string // git rev-parse --short HEAD, or "unknown"
 }
 
 // Table is the reproduction of one paper figure.
@@ -41,6 +44,8 @@ type Table struct {
 	XLabel  string
 	Rows    []Row
 	Caption string
+	// Machine is stamped by qfix-bench -json on the tables it writes.
+	Machine Machine
 }
 
 // String renders an aligned text table matching the series the paper

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -497,5 +498,15 @@ func TestDistanceAccountsAllParams(t *testing.T) {
 	want := query.Distance(dirty, rep.Log)
 	if math.Abs(rep.Distance-want) > 1e-9 {
 		t.Errorf("distance %v != recomputed %v", rep.Distance, want)
+	}
+}
+
+// Every Options field is a configuration the tests and benchmarks have
+// to cover. This number may only be lowered: a new knob has to retire
+// an old one.
+func TestOptionsFieldBudget(t *testing.T) {
+	const budget = 28
+	if n := reflect.TypeOf(Options{}).NumField(); n != budget {
+		t.Errorf("Options has %d fields, budget is %d", n, budget)
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // incrementalParallel runs the Inc_k batch scan with Options.Parallel
-// workers on the shared scheduler (sched.go). Batches are independent
+// workers on the shared scheduler (sched.OnPool). Batches are independent
 // MILPs, so they solve concurrently; the *choice* stays deterministic
 // and identical to the sequential scan: batches are adjudicated in
 // newest-first order, the first clean repair wins, and the
@@ -55,7 +56,7 @@ func (d *diagnoser) incrementalParallel() (*Repair, error) {
 		stats    Stats
 	}
 	var stop atomic.Bool
-	results, wait := schedule(d.opt.Scheduler, d.opt.Parallel, len(batches), func(bi int) outcome {
+	results, wait := sched.OnPool(d.opt.Scheduler, d.opt.Parallel, len(batches), nil, func(bi int) outcome {
 		defer bspans[bi].End()
 		var st Stats
 		if stop.Load() || (!d.deadline.IsZero() && time.Now().After(d.deadline)) {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/sched"
 )
 
 // This file is the planning half of the plan/solve engine. FullImpact
@@ -61,7 +62,7 @@ func partitionSize(rows, candidates, complaints int) int {
 // Ties keep index order (stable sort), so the order — and therefore the
 // scheduler's start sequence — is deterministic for a given plan.
 // Result adjudication stays in submission (index) order regardless; see
-// scheduleOrder.
+// sched.OnPool.
 func largestFirst(parts []partition) []int {
 	order := make([]int, len(parts))
 	for i := range order {
@@ -244,7 +245,6 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 	sub.Parallel = 1
 	sub.TotalTimeLimit = 0 // the outer deadline is enforced per job below
 	sub.PartitionSolver = nil
-	sub.Workers = nil
 	// Partition jobs already run on the scan's scheduler; a sub-diagnosis
 	// scheduling nested scans from a pool worker could deadlock the pool,
 	// so subs never carry one (their Parallel=1/Partition=0 settings make
@@ -273,7 +273,7 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 		queueWait time.Duration
 		solve     time.Duration
 	}
-	results, wait := scheduleOrder(d.opt.Scheduler, d.opt.Partition, len(parts), largestFirst(parts), func(i int) outcome {
+	results, wait := sched.OnPool(d.opt.Scheduler, d.opt.Partition, len(parts), largestFirst(parts), func(i int) outcome {
 		jobStart := time.Now()
 		qspans[i].End()
 		defer pspans[i].End()

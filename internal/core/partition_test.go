@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -444,4 +445,46 @@ func randomClusterWorkload(rng *rand.Rand, clusters, rowsPer int) (*relation.Tab
 		_ = log[corrupt].SetParams(p)
 	}
 	return d0, log, truth
+}
+
+func TestLargestFirstOrder(t *testing.T) {
+	parts := []partition{{size: 5}, {size: 9}, {size: 5}, {size: 20}, {size: 1}}
+	want := []int{3, 1, 0, 2, 4} // ties (indices 0 and 2) keep index order
+	if got := largestFirst(parts); !reflect.DeepEqual(got, want) {
+		t.Errorf("largestFirst = %v, want %v", got, want)
+	}
+	if got := largestFirst(nil); len(got) != 0 {
+		t.Errorf("largestFirst(nil) = %v, want empty", got)
+	}
+}
+
+func TestPartitionSizeFloorsDegenerateFactors(t *testing.T) {
+	if got := partitionSize(0, 0, 0); got != 1 {
+		t.Errorf("partitionSize(0,0,0) = %d, want 1", got)
+	}
+	if got := partitionSize(10, 3, 2); got != 60 {
+		t.Errorf("partitionSize(10,3,2) = %d, want 60", got)
+	}
+	// An orphan-only partition (no candidates) still ranks below a real
+	// one over the same rows.
+	if partitionSize(10, 0, 1) >= partitionSize(10, 2, 1) {
+		t.Error("degenerate partition does not rank below a populated one")
+	}
+}
+
+// planPartitions must stamp every partition with a positive size
+// estimate consistent with the rows × candidates × complaints formula.
+func TestPlanPartitionsSizes(t *testing.T) {
+	d0, dirty, _, complaints := clusterWorkload(t, 3, 4)
+	parts := planFor(t, d0, dirty, complaints, nil)
+	if len(parts) != 3 {
+		t.Fatalf("planned %d partitions, want 3", len(parts))
+	}
+	rows := d0.Len() // the cluster workload neither inserts nor deletes
+	for i, p := range parts {
+		want := partitionSize(rows, len(p.candidates), len(p.complaintIdx))
+		if p.size != want || p.size <= 0 {
+			t.Errorf("partition %d: size = %d, want %d (>0)", i, p.size, want)
+		}
+	}
 }

@@ -22,7 +22,7 @@ func (s *countingSolver) SolvePartition(sub Subproblem) (*Repair, error) {
 		return nil, errors.New("injected solver failure")
 	}
 	if sub.Options.Partition != 0 || sub.Options.Parallel > 1 ||
-		sub.Options.PartitionSolver != nil || sub.Options.Workers != nil ||
+		sub.Options.PartitionSolver != nil ||
 		len(sub.Options.Candidates) == 0 || len(sub.Complaints) == 0 ||
 		sub.D0 == nil || len(sub.Log) == 0 {
 		s.badPackage.Add(1)

@@ -102,14 +102,15 @@ type Options struct {
 
 	// Scheduler, when non-nil, runs the engine's solve scans (the
 	// incremental batch scan and the partition scan) on this resident
-	// shared worker pool instead of spinning up fresh goroutines per
-	// scan. Parallel/Partition still bound each scan's share of the
-	// pool; the pool's own size bounds the process total, which is what
-	// a resident multi-tenant service (internal/qfixd) needs when many
-	// diagnoses run concurrently. Process-local: never serialized, and
-	// partition subproblems shipped to workers solve without it. The
-	// chosen repair is identical with or without a Scheduler (results
-	// are adjudicated in submission order either way).
+	// shared worker pool; when nil each scan runs on a private pool of
+	// its own width (sched.OnPool either way). Parallel/Partition still
+	// bound each scan's share of a shared pool; the pool's own size
+	// bounds the process total, which is what a resident multi-tenant
+	// service (internal/qfixd) needs when many diagnoses run
+	// concurrently. Process-local: never serialized, and partition
+	// subproblems shipped to workers solve without it. The chosen repair
+	// is identical with or without a Scheduler (results are adjudicated
+	// in submission order either way).
 	Scheduler *sched.Pool
 
 	// PartitionSolver, when non-nil, dispatches each partition
@@ -120,20 +121,6 @@ type Options struct {
 	// by falling back to the local engine when a worker fails). Ignored
 	// unless Partition enables partitioning.
 	PartitionSolver PartitionSolver
-	// Workers lists remote diagnosis workers ("host:port"). The core
-	// engine treats this as opaque configuration: the top-level qfix
-	// package turns it into a dist coordinator and installs it as
-	// PartitionSolver. Kept here so Options stays the single
-	// configuration surface.
-	Workers []string
-	// MuxWorkers makes the Workers coordinator keep one persistent
-	// multiplexed connection per worker (wire v3) instead of dialing a
-	// fresh connection per job: concurrent partition jobs share the
-	// connection and results stream back as each solve lands
-	// (Stats.StreamedResults). Workers built one protocol generation
-	// back are negotiated down to the dial-per-job path automatically.
-	// Like Workers, opaque to the core engine.
-	MuxWorkers bool
 
 	// ImpactCache, when non-nil, caches FullImpact closures across
 	// diagnoses keyed by a digest of the log (impactcache.go). Repeat
@@ -221,13 +208,9 @@ type Options struct {
 	// shipped to remote workers solve untraced, and the coordinator
 	// records their dispatch/wire segments client-side instead.
 	Trace *obs.Span
-	// Logf, when non-nil, receives structured operational warnings from
-	// the engine and the distributed coordinator (slow jobs, retries)
-	// as printf-style calls. Nil discards them. Like Trace, opaque to
-	// the wire protocol.
-	Logf func(format string, args ...any)
 
-	// Ablation switches (extensions beyond the paper; see DESIGN.md):
+	// Ablation switches (extensions beyond the paper; see encode.Options
+	// and README.md, "The solver"):
 	// NoFolding disables the encoder's constant-folding presolve,
 	// NoParamWindows disables predicate-parameter window tightening,
 	// ColdLP disables warm-started LP relaxations in branch-and-bound,
@@ -286,8 +269,8 @@ type Stats struct {
 	RemoteJobs int
 	// StreamedResults counts the subset of RemoteJobs whose result
 	// streamed back over a persistent multiplexed worker connection
-	// (Options.MuxWorkers, wire v3) — written by the worker the moment
-	// the solve landed rather than over a per-job dialed connection.
+	// (dist.Config.Mux) — written by the worker the moment the solve
+	// landed rather than over a per-job dialed connection.
 	StreamedResults int
 	// ImpactCacheHits counts planning passes that reused a cached
 	// FullImpact closure (Options.ImpactCache) instead of computing one

@@ -29,13 +29,12 @@ type Config struct {
 	// retries; zero picks one retry per remaining worker, capped at
 	// len(workers)-1.
 	Retries int
-	// Mux keeps one persistent multiplexed connection per worker (wire
-	// v3, MuxTransport) instead of dialing a fresh connection per job:
-	// concurrent jobs share the connection, results stream back as each
-	// solve lands (Stats.StreamedResults), and workers still speaking
-	// wire v2 are negotiated down to the dial-per-job path on their
-	// first frame. Only Connect consults it; explicit transports passed
-	// to NewCoordinator choose for themselves.
+	// Mux keeps one persistent multiplexed connection per worker
+	// (MuxTransport) instead of dialing a fresh connection per job:
+	// concurrent jobs share the connection and results stream back as
+	// each solve lands (Stats.StreamedResults). Only Connect consults
+	// it; explicit transports passed to NewCoordinator choose for
+	// themselves.
 	Mux bool
 	// Logf, when set, receives one line per dispatch failure/fallback.
 	Logf func(format string, args ...any)
@@ -46,9 +45,8 @@ type Config struct {
 const DefaultJobTimeout = 5 * time.Minute
 
 // Coordinator distributes partition subproblems over a set of worker
-// transports. It implements core.PartitionSolver: install it via
-// Options.PartitionSolver (or let the top-level qfix package do so from
-// Options.Workers) and the engine's partition scan ships every
+// transports. It implements core.PartitionSolver: Install wires a
+// diagnosis's Options to it and the engine's partition scan ships every
 // subproblem through it. Planning, merging, conflict resolution, and
 // replay verification all stay in the engine — the coordinator is purely
 // a dispatch layer with retry and local fallback, so a diagnosis never
@@ -262,7 +260,7 @@ func (c *Coordinator) dispatch(job *Job, deadline time.Time, sp *obs.Span) (*cor
 		}
 		// Ship the attempt with its solve budget clamped to the attempt
 		// window (minus the wire slack, floored at the window itself for
-		// windows within one slack): wire v3 has no cancel frame, so
+		// windows within one slack): the wire has no cancel frame, so
 		// without the clamp a worker keeps solving — pinning one of its
 		// MaxInflight slots — long after this coordinator timed out and
 		// moved on. The shallow copy leaves the shared job (and its
@@ -436,36 +434,26 @@ func digestJSON(v any) uint64 {
 	return h.Sum64()
 }
 
-// Diagnose runs a full distributed diagnosis: planning, merging and
-// verification happen in-process via core.Diagnose, with a per-run
-// solver (Solver) installed so concurrent Diagnose calls on one shared
-// coordinator never cross-pollute encoding memos. Partition defaults to
-// the worker count when unset so the dispatch pipeline is as wide as the
-// fleet.
-func (c *Coordinator) Diagnose(d0 *relation.Table, log []query.Query,
-	complaints []core.Complaint, opt core.Options) (*core.Repair, error) {
+// Install points one diagnosis at this fleet: a per-run solver (Solver)
+// becomes opt.PartitionSolver, so concurrent diagnoses on one shared
+// coordinator never cross-pollute encoding memos, and Partition
+// defaults to the worker count when unset so the dispatch pipeline is
+// as wide as the fleet. It is the one wiring rule every entry point
+// (Diagnose, the qfix CLI, qfixd) shares.
+func (c *Coordinator) Install(opt *core.Options) {
 	if opt.Partition == 0 {
-		opt.Partition = len(c.transports)
-		if opt.Partition == 0 {
-			opt.Partition = 1
-		}
+		opt.Partition = max(len(c.transports), 1)
 	}
 	opt.PartitionSolver = c.Solver()
-	return core.Diagnose(d0, log, complaints, opt)
 }
 
-// DiagnoseWorkers runs one diagnosis with a throwaway coordinator over
-// the given worker addresses — the Options.Workers bootstrap shared by
-// qfix.Diagnose and histstore.Store.Diagnose, kept here so every entry
-// point configures the fleet identically. Options.MuxWorkers selects
-// persistent multiplexed connections (note the connections then live
-// only for this one diagnosis; callers that diagnose repeatedly should
-// hold a Connect'ed coordinator instead to amortize them).
-func DiagnoseWorkers(workers []string, d0 *relation.Table, log []query.Query,
+// Diagnose runs a full distributed diagnosis: planning, merging and
+// verification happen in-process via core.Diagnose, each partition
+// dispatched through this coordinator (Install).
+func (c *Coordinator) Diagnose(d0 *relation.Table, log []query.Query,
 	complaints []core.Complaint, opt core.Options) (*core.Repair, error) {
-	coord := Connect(Config{Mux: opt.MuxWorkers, Logf: opt.Logf}, workers...)
-	defer coord.Close()
-	return coord.Diagnose(d0, log, complaints, opt)
+	c.Install(&opt)
+	return core.Diagnose(d0, log, complaints, opt)
 }
 
 func (c *Coordinator) logf(format string, args ...any) {

@@ -16,10 +16,9 @@ import (
 	"repro/internal/relation"
 )
 
-// benchInstance regenerates the partition bench workload (the same
-// generator cmd/qfix-bench's `partition` and `distributed` experiments
-// use): `clusters` independent complaint components, one corrupted query
-// each.
+// benchInstance regenerates the partition bench workload (the
+// generator behind benchmark/'s fleet_partitioned): `clusters`
+// independent complaint components, one corrupted query each.
 func benchInstance(t *testing.T, clusters int) (*relation.Table, []query.Query, []core.Complaint) {
 	t.Helper()
 	w, corruptIdx, err := bench.PartitionClusters(clusters, 5, 2, 1)
@@ -271,24 +270,30 @@ func TestDistributedTimeoutFallsBackLocal(t *testing.T) {
 }
 
 // TestDistributedVersionSkewFallsBackLocal simulates a worker built from
-// an incompatible tree: it answers every job with a bumped protocol
-// version, which the coordinator must reject and solve locally.
+// an incompatible tree, newer or older: it answers every job with
+// another protocol version, which the coordinator must reject and solve
+// locally.
 func TestDistributedVersionSkewFallsBackLocal(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
-
-	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, skewedTransport{})
-	defer coord.Close()
-	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
 	sch := d0.Schema()
-	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-		t.Errorf("version-skew fallback repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
-	}
-	if got.Stats.RemoteJobs != 0 {
-		t.Errorf("Stats.RemoteJobs = %d, want 0 (all results rejected)", got.Stats.RemoteJobs)
+
+	for _, v := range []int{dist.WireVersion + 1, dist.WireVersion - 1} {
+		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, skewedTransport{version: v})
+		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+			t.Errorf("v%d skew fallback repair differs from local:\n got:\n%s\nwant:\n%s", v, g, w)
+		}
+		if got.Stats.RemoteJobs != 0 {
+			t.Errorf("v%d: Stats.RemoteJobs = %d, want 0 (all results rejected)", v, got.Stats.RemoteJobs)
+		}
+		if coord.LocalFallbacks() != got.Stats.Partitions {
+			t.Errorf("v%d: LocalFallbacks = %d, want %d", v, coord.LocalFallbacks(), got.Stats.Partitions)
+		}
+		coord.Close()
 	}
 }
 
@@ -332,10 +337,10 @@ func (unresolvedTransport) Addr() string { return "capped" }
 func (unresolvedTransport) Close() error { return nil }
 
 // skewedTransport answers every job with a wrong protocol version.
-type skewedTransport struct{}
+type skewedTransport struct{ version int }
 
-func (skewedTransport) Do(_ context.Context, job *dist.Job) (*dist.Result, error) {
-	return &dist.Result{Version: dist.WireVersion + 1, ID: job.ID}, nil
+func (s skewedTransport) Do(_ context.Context, job *dist.Job) (*dist.Result, error) {
+	return &dist.Result{Version: s.version, ID: job.ID}, nil
 }
 func (skewedTransport) Addr() string { return "skewed" }
 func (skewedTransport) Close() error { return nil }

@@ -70,7 +70,7 @@ const muxWriteTimeout = time.Minute
 var errMuxDown = errors.New("dist: persistent connection unavailable")
 
 // MuxTransport keeps one long-lived connection to a worker and
-// multiplexes concurrent jobs over it (wire v3): each frame carries its
+// multiplexes concurrent jobs over it: each frame carries its
 // job ID, a single reader goroutine demultiplexes result frames to the
 // in-flight callers as the worker streams them back — possibly out of
 // submission order — and the connection persists across jobs and
@@ -86,15 +86,11 @@ var errMuxDown = errors.New("dist: persistent connection unavailable")
 //   - while the persistent connection is down, jobs fall back to
 //     dial-per-job against the same worker instead of erroring, so a
 //     restarted worker serves again immediately and the mux link is
-//     re-dialed once the backoff expires;
-//   - a worker speaking the previous protocol generation (wire v2) is
-//     detected on its first rejected frame and served one dialed v2
-//     connection per job from then on, the rejected job retried
-//     immediately.
+//     re-dialed once the backoff expires.
 type MuxTransport struct {
 	addr    string
 	dialer  net.Dialer
-	oneShot *TCPTransport // dial-per-job fallback and v2 legacy path
+	oneShot *TCPTransport // dial-per-job fallback while the mux link is down
 
 	// writeMu serializes frame writes on the persistent connection. It
 	// is held only around Encode — never together with mu — so a write
@@ -142,9 +138,6 @@ func (t *MuxTransport) Close() error {
 
 // Do implements Transport.
 func (t *MuxTransport) Do(ctx context.Context, job *Job) (*Result, error) {
-	if t.isLegacy() {
-		return t.oneShot.Do(ctx, job)
-	}
 	res, err := t.doMux(ctx, job)
 	if err != nil {
 		if !errors.Is(err, errMuxDown) {
@@ -162,35 +155,10 @@ func (t *MuxTransport) Do(ctx context.Context, job *Job) (*Result, error) {
 		// attempt on a per-job dial rather than failing it.
 		return t.oneShot.Do(ctx, job)
 	}
-	if versionRejected(job, res) {
-		// A v2 worker refusing our v3 frame: negotiate down for good
-		// and retry this job on the per-job path so the attempt isn't
-		// lost. TCPTransport re-stamps the job at v2 itself.
-		t.setLegacy()
-		return t.oneShot.Do(ctx, job)
-	}
 	// The result streamed back over the persistent connection; mark it
 	// so the engine's stats distinguish mux results from per-job dials.
 	res.Stats.StreamedResults = 1
 	return res, nil
-}
-
-// isLegacy reports whether the worker negotiated down to wire v2. The
-// one-shot transport's flag is the single source of truth (it also
-// flips it itself when a per-job frame is rejected), so the mux and
-// per-job paths can never disagree about the worker's generation.
-func (t *MuxTransport) isLegacy() bool {
-	return t.oneShot.legacy.Load()
-}
-
-// setLegacy flips the transport to the v2 per-job path permanently.
-// The persistent connection is deliberately NOT torn down here: sibling
-// jobs still in flight on it each receive their own rejection frame (a
-// v2 worker answers every frame, serially) and retry themselves on the
-// per-job path, so nothing is failed over to a local solve just because
-// a neighbor negotiated first. The idle connection dies with Close.
-func (t *MuxTransport) setLegacy() {
-	t.oneShot.legacy.Store(true)
 }
 
 // doMux runs one job over the persistent connection.

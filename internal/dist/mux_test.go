@@ -2,8 +2,6 @@ package dist_test
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -132,110 +130,6 @@ func TestDistributedMuxReconnectAfterWorkerRestart(t *testing.T) {
 	if got2.Stats.StreamedResults != got2.Stats.Partitions {
 		t.Errorf("post-restart StreamedResults = %d, want %d (mux link must re-establish)",
 			got2.Stats.StreamedResults, got2.Stats.Partitions)
-	}
-}
-
-// startLegacyWorker simulates a worker binary from the previous
-// protocol generation: it serves one connection serially, solves only
-// v2-stamped jobs, and rejects anything newer with an error result
-// stamped at its own version — exactly what a wire-v2 qfix-worker does
-// with a v3 frame.
-func startLegacyWorker(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := json.NewDecoder(conn)
-				enc := json.NewEncoder(conn)
-				for {
-					var job dist.Job
-					if dec.Decode(&job) != nil {
-						return
-					}
-					var res *dist.Result
-					if job.Version != dist.MinWireVersion {
-						res = &dist.Result{Version: dist.MinWireVersion, ID: job.ID,
-							Err: fmt.Sprintf("dist: protocol version mismatch: job v%d, worker v%d",
-								job.Version, dist.MinWireVersion)}
-					} else if sub, err := dist.DecodeJob(&job); err != nil {
-						res = &dist.Result{Version: dist.MinWireVersion, ID: job.ID, Err: err.Error()}
-					} else {
-						rep, err := sub.SolveLocal()
-						res, err = dist.EncodeResult(job.ID, rep, err)
-						if err != nil {
-							return
-						}
-						res.Version = dist.MinWireVersion
-					}
-					if enc.Encode(res) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return l.Addr().String()
-}
-
-// TestDistributedMuxLegacyWorkerNegotiatesDown points a mux coordinator
-// at a wire-v2 worker: the first frame is rejected, the transport
-// negotiates down to one dialed v2 connection per job, and no instance
-// is lost — the repair stays byte-identical and everything still solves
-// remotely, just not streamed.
-func TestDistributedMuxLegacyWorkerNegotiatesDown(t *testing.T) {
-	d0, log, complaints := benchInstance(t, 4)
-	want := localReference(t, d0, log, complaints)
-
-	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, startLegacyWorker(t))
-	defer coord.Close()
-	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch := d0.Schema()
-	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-		t.Errorf("legacy-worker repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
-	}
-	if got.Stats.RemoteJobs != got.Stats.Partitions {
-		t.Errorf("RemoteJobs = %d, want %d (legacy worker must still serve every job)",
-			got.Stats.RemoteJobs, got.Stats.Partitions)
-	}
-	if got.Stats.StreamedResults != 0 {
-		t.Errorf("StreamedResults = %d, want 0 (legacy path is dial-per-job)",
-			got.Stats.StreamedResults)
-	}
-}
-
-// TestDistributedLegacyWorkerDialPerJob covers the same negotiation on
-// the plain dial-per-job transport (no -mux): a v3 coordinator's first
-// frame is rejected, the transport re-sends the job v2-stamped, and the
-// worker keeps serving.
-func TestDistributedLegacyWorkerDialPerJob(t *testing.T) {
-	d0, log, complaints := benchInstance(t, 4)
-	want := localReference(t, d0, log, complaints)
-
-	coord := dist.Connect(dist.Config{Logf: t.Logf}, startLegacyWorker(t))
-	defer coord.Close()
-	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch := d0.Schema()
-	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-		t.Errorf("legacy-worker repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
-	}
-	if got.Stats.RemoteJobs != got.Stats.Partitions {
-		t.Errorf("RemoteJobs = %d, want %d", got.Stats.RemoteJobs, got.Stats.Partitions)
 	}
 }
 

@@ -17,10 +17,9 @@ import (
 // and writes results. A connection may carry any number of jobs; up to
 // MaxInflight jobs across the whole server solve concurrently and each
 // result is written the moment its solve lands — possibly out of
-// submission order, which is the wire-v3 contract (a mux coordinator
-// matches results to jobs by ID, and v2 coordinators only ever have one
-// job in flight per connection, so they observe the serial behavior
-// they expect).
+// submission order: a mux coordinator matches results to jobs by ID,
+// and a dial-per-job coordinator only ever has one job in flight per
+// connection.
 type Server struct {
 	// MaxTimeLimit, when positive, caps the per-solve and total time
 	// limits of incoming jobs — a fleet operator's guard against a
@@ -32,9 +31,7 @@ type Server struct {
 	// coordinators, dial-per-job coordinators, and mixtures alike.
 	// Admission stops reading a connection's further frames until a
 	// slot frees. Zero picks runtime.GOMAXPROCS; negative forces one
-	// solve at a time server-wide (stricter than the pre-v3 serial
-	// loop, which was serial per connection but concurrent across
-	// connections).
+	// solve at a time server-wide.
 	MaxInflight int
 	// CacheSize bounds the decode cache: repeat jobs whose D0/log
 	// digests match a cached entry skip the wire decode and the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -73,11 +72,10 @@ func (InProc) Addr() string { return "inproc" }
 func (InProc) Close() error { return nil }
 
 // resultVersion picks the version a result frame answers with: the
-// job's own dialect, so every sender — including one older than
-// MinWireVersion, whose job can only be rejected — can decode its
-// answer. Only frames from the future are capped at our own version
-// (we cannot speak a dialect we don't know; a newer sender accepts
-// ours, that being how it detects a downlevel worker).
+// job's own, so a sender of an older generation — whose job can only be
+// rejected — can still decode the rejection. Only frames from the
+// future are capped at our own version (we cannot speak a dialect we
+// don't know).
 func resultVersion(jobVersion int) int {
 	if jobVersion > WireVersion {
 		return WireVersion
@@ -131,8 +129,7 @@ func solveJob(ctx context.Context, job *Job, wc *workerCache) *Result {
 	key := wcKey{d0: job.D0Digest, log: job.LogDigest}
 	cached := false
 	var sub core.Subproblem
-	if wc != nil && key.d0 != 0 && key.log != 0 &&
-		job.Version >= MinWireVersion && job.Version <= WireVersion {
+	if wc != nil && key.d0 != 0 && key.log != 0 && job.Version == WireVersion {
 		if d0, lg, ok := wc.lookup(key, len(job.D0.Rows), len(job.Log)); ok {
 			sub = core.Subproblem{D0: d0, Log: lg,
 				Complaints: job.Complaints, Options: decodeOptions(job.Options)}
@@ -186,41 +183,12 @@ func budgetDeadErr(ctx context.Context) error {
 	return context.DeadlineExceeded
 }
 
-// legacyJob shallow-copies the job restamped at the version a
-// previous-generation worker accepts. The D0/log/complaint slices are
-// shared read-only across jobs, so the copy is cheap and safe.
-func legacyJob(job *Job) *Job {
-	j := *job
-	j.Version = MinWireVersion
-	return &j
-}
-
-// versionRejected reports that a worker refused the job because it
-// speaks an older protocol WE CAN STILL SERVE: the error result is
-// stamped with the worker's own (lower) version. Current-generation
-// workers echo the job's version on every result, including genuine
-// solve errors, so only a downlevel worker can produce this shape. A
-// worker below MinWireVersion is NOT negotiation material — restamping
-// at MinWireVersion would be rejected just the same — so its rejection
-// is left to fail the attempt outright instead of arming a permanently
-// futile legacy mode.
-func versionRejected(job *Job, res *Result) bool {
-	return res.Err != "" &&
-		res.Version >= MinWireVersion && res.Version < WireVersion &&
-		job.Version > MinWireVersion
-}
-
 // TCPTransport ships jobs to one worker address, one connection per job,
 // framed as newline-delimited JSON. Per-job deadlines come from the
-// context; a worker that dies mid-solve surfaces as a read error. A
-// worker that turns out to speak the previous protocol generation is
-// negotiated down on its first rejection and served v2 frames from then
-// on — the rejected job is retried immediately so the attempt is not
-// lost.
+// context; a worker that dies mid-solve surfaces as a read error.
 type TCPTransport struct {
 	addr   string
 	dialer net.Dialer
-	legacy atomic.Bool // worker negotiated down to MinWireVersion
 }
 
 // Dial returns a transport for the worker at addr ("host:port"). No
@@ -236,21 +204,8 @@ func (t *TCPTransport) Addr() string { return t.addr }
 // nothing to tear down.
 func (t *TCPTransport) Close() error { return nil }
 
-// Do implements Transport.
+// Do implements Transport: one dial-solve-read round trip.
 func (t *TCPTransport) Do(ctx context.Context, job *Job) (*Result, error) {
-	if t.legacy.Load() {
-		job = legacyJob(job)
-	}
-	res, err := t.do(ctx, job)
-	if err == nil && versionRejected(job, res) {
-		t.legacy.Store(true)
-		return t.do(ctx, legacyJob(job))
-	}
-	return res, err
-}
-
-// do runs one dial-solve-read round trip.
-func (t *TCPTransport) do(ctx context.Context, job *Job) (*Result, error) {
 	conn, err := t.dialer.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: dial %s: %w", t.addr, err)

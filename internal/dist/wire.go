@@ -27,27 +27,13 @@ import (
 	"repro/internal/relation"
 )
 
-// WireVersion is the current protocol version; MinWireVersion is the
-// oldest version this binary still speaks. A worker rejects jobs
-// outside [MinWireVersion, WireVersion] and answers in the job's own
-// dialect (the result echoes the job's version), so mixed fleets keep
-// working across one protocol generation. Bump WireVersion on any
-// incompatible change to the frame types below; raise MinWireVersion
-// only when dropping a generation is acceptable.
-//
-// v2 added the D0/log digests (worker-side decode caching) and the
-// cache-hit counters carried back in Result.Stats. v3 is the
-// multiplexed persistent-connection protocol: a connection may carry
-// any number of concurrent in-flight jobs, and the worker streams each
-// result frame as its solve lands — possibly out of submission order,
-// matched to its job by ID. The frame shapes are unchanged from v2;
-// the version tags the connection discipline. A v3 coordinator that
-// sees its first frame rejected by a v2 worker negotiates down and
-// serves that worker one dialed connection per job, exactly as v2 did.
-const (
-	WireVersion    = 3
-	MinWireVersion = 2
-)
+// WireVersion is the protocol generation this binary speaks: a
+// connection may carry any number of concurrent in-flight jobs, and the
+// worker streams each result frame as its solve lands — possibly out of
+// submission order, matched to its job by ID. Both sides reject frames
+// of any other version (the coordinator then solves the job locally),
+// so bump it on any incompatible change to the frame types below.
+const WireVersion = 3
 
 // Job is one partition subproblem on the wire. It is self-contained:
 // the worker needs nothing but the job to solve it.
@@ -74,8 +60,7 @@ type Job struct {
 	// socket buffers while the saturated worker isn't reading) is
 	// uncounted by design — the blocking read loop is the backpressure
 	// that keeps unread frames on the coordinator's side, bounded by
-	// its write deadline. Advisory: correctness never depends on it,
-	// and v2 workers ignore the field.
+	// its write deadline. Advisory: correctness never depends on it.
 	AttemptTTLNS int64            `json:"attempt_ttl_ns,omitempty"`
 	D0           wireTable        `json:"d0"`
 	Log          []wireQuery      `json:"log"`
@@ -343,16 +328,15 @@ type wireOptions struct {
 	NoFolding        bool    `json:"no_folding"`
 	NoParamWindows   bool    `json:"no_param_windows"`
 	ColdLP           bool    `json:"cold_lp"`
-	// WarmStart rides the wire as a plain flag (additive, so v2 workers
-	// ignore it and older coordinators simply never set it); the
-	// worker's process-local SolutionCache supplies the actual seeds,
-	// exactly as its impact cache supplies closures.
+	// WarmStart rides the wire as a plain flag; the worker's
+	// process-local SolutionCache supplies the actual seeds, exactly as
+	// its impact cache supplies closures.
 	WarmStart bool `json:"warm_start,omitempty"`
 	// SolverParallel and NoPresolve configure the worker's MILP solver
-	// to match the coordinator's (additive fields, same compatibility
-	// story as WarmStart). -1 means one LP worker per worker-side CPU;
-	// repairs are byte-identical at any setting, so coordinators and
-	// workers may disagree on parallelism without disagreeing on output.
+	// to match the coordinator's. -1 means one LP worker per worker-side
+	// CPU; repairs are byte-identical at any setting, so coordinators
+	// and workers may disagree on parallelism without disagreeing on
+	// output.
 	SolverParallel int  `json:"solver_parallel,omitempty"`
 	NoPresolve     bool `json:"no_presolve,omitempty"`
 }
@@ -423,13 +407,13 @@ func EncodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 	}, nil
 }
 
-// DecodeJob reconstructs the subproblem, rejecting incompatible protocol
-// versions (anything outside [MinWireVersion, WireVersion]).
+// DecodeJob reconstructs the subproblem, rejecting any protocol version
+// but WireVersion.
 func DecodeJob(j *Job) (core.Subproblem, error) {
-	if j.Version < MinWireVersion || j.Version > WireVersion {
+	if j.Version != WireVersion {
 		return core.Subproblem{}, fmt.Errorf(
-			"dist: protocol version mismatch: job v%d, worker speaks v%d-v%d",
-			j.Version, MinWireVersion, WireVersion)
+			"dist: protocol version mismatch: job v%d, worker speaks v%d",
+			j.Version, WireVersion)
 	}
 	d0, err := decodeTable(j.D0)
 	if err != nil {
@@ -466,15 +450,13 @@ func EncodeResult(id uint64, rep *core.Repair, solveErr error) (*Result, error) 
 	return res, nil
 }
 
-// DecodeResult reconstructs the repair, rejecting incompatible protocol
-// versions and propagating worker-side solver errors. Results one
-// generation back (MinWireVersion) are accepted: a v2 worker answering
-// the per-job compatibility path is a valid peer, not skew.
+// DecodeResult reconstructs the repair, rejecting any protocol version
+// but WireVersion and propagating worker-side solver errors.
 func DecodeResult(res *Result) (*core.Repair, error) {
-	if res.Version < MinWireVersion || res.Version > WireVersion {
+	if res.Version != WireVersion {
 		return nil, fmt.Errorf(
-			"dist: protocol version mismatch: result v%d, coordinator speaks v%d-v%d",
-			res.Version, MinWireVersion, WireVersion)
+			"dist: protocol version mismatch: result v%d, coordinator speaks v%d",
+			res.Version, WireVersion)
 	}
 	if res.Err != "" {
 		return nil, fmt.Errorf("dist: worker: %s", res.Err)

@@ -202,28 +202,29 @@ type testError struct{}
 
 func (*testError) Error() string { return "synthetic solver failure" }
 
+// A frame of any version but WireVersion — newer or older — is refused
+// by both decoders and by the worker-side handler.
 func TestVersionMismatchRejected(t *testing.T) {
-	sub := fixtureSubproblem(t)
-	job, err := dist.EncodeJob(1, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job.Version = dist.WireVersion + 1
-	if _, err := dist.DecodeJob(job); err == nil {
-		t.Error("DecodeJob accepted a mismatched version")
-	}
-	// The worker-side handler must reject it too, as an error Result —
-	// InProc runs exactly the server's handler.
-	res, err := dist.InProc{}.Do(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Err == "" {
-		t.Error("worker solved a job with a mismatched protocol version")
-	}
-
-	good := &dist.Result{Version: dist.WireVersion + 1}
-	if _, err := dist.DecodeResult(good); err == nil {
-		t.Error("DecodeResult accepted a mismatched version")
+	for _, v := range []int{dist.WireVersion + 1, dist.WireVersion - 1} {
+		job, err := dist.EncodeJob(1, fixtureSubproblem(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.Version = v
+		if _, err := dist.DecodeJob(job); err == nil {
+			t.Errorf("DecodeJob accepted a v%d job", v)
+		}
+		// The worker-side handler must reject it too, as an error Result —
+		// InProc runs exactly the server's handler.
+		res, err := dist.InProc{}.Do(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Err == "" {
+			t.Errorf("worker solved a v%d job", v)
+		}
+		if _, err := dist.DecodeResult(&dist.Result{Version: v}); err == nil {
+			t.Errorf("DecodeResult accepted a v%d result", v)
+		}
 	}
 }

@@ -17,7 +17,7 @@
 //     sentinel M+ into deleted tuples and assumes later predicates then
 //     fail. That is unsound for predicates like "a >= c", so instead each
 //     tuple carries an explicit liveness literal that gates every later
-//     condition (see DESIGN.md).
+//     condition (see encodeDelete).
 package encode
 
 import (

@@ -18,9 +18,8 @@
 // Tuple IDs and the insert counter are persisted explicitly (format 2)
 // so identities survive checkpoint and reopen even after DELETEs — a
 // store whose complaints and caches are keyed by TupleID must never
-// renumber surviving rows. The legacy ID-less snapshot format (rows of
-// bare values, IDs implicitly 1..n) is still read; the first Checkpoint
-// upgrades it.
+// renumber surviving rows. A snapshot.csv without the header record is
+// not a store and fails Open.
 //
 // The generation number is the checkpoint commit protocol: Checkpoint
 // writes the new snapshot under a temporary name and renames it into
@@ -56,7 +55,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
@@ -69,7 +67,7 @@ const snapMagic = "qfixsnap"
 const snapFormat = 2
 
 // logGenPrefix starts the log's generation header line. It is a SQL
-// comment, so legacy readers (and grep) skip it naturally.
+// comment, so anything that reads the log as SQL skips it naturally.
 const logGenPrefix = "-- qfixlog gen "
 
 // Store is an open history directory. A Store is safe for concurrent
@@ -90,8 +88,7 @@ type Store struct {
 	d0     *relation.Table //qfix:guarded-by mu
 	log    []query.Query   //qfix:guarded-by mu
 	logF   *os.File        //qfix:guarded-by mu
-	// gen is the checkpoint generation; 0 for stores still on the
-	// legacy snapshot format.
+	// gen is the checkpoint generation (>= 1).
 	gen int64 //qfix:guarded-by mu
 	// digest is the rolling log digest (core.DigestStep per append),
 	// the impact cache key for the current log.
@@ -209,9 +206,8 @@ func syncDir(dir string) {
 	}
 }
 
-// readSnapshot loads snapshot.csv in either format: format 2 restores
-// explicit tuple IDs, the insert counter and the checkpoint generation;
-// the legacy format assigns IDs 1..n in row order (gen 0).
+// readSnapshot loads snapshot.csv, restoring explicit tuple IDs, the
+// insert counter and the checkpoint generation.
 func readSnapshot(path string, sch *relation.Schema) (*relation.Table, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -225,8 +221,7 @@ func readSnapshot(path string, sch *relation.Schema) (*relation.Table, int64, er
 		return nil, 0, fmt.Errorf("histstore: snapshot: %w", err)
 	}
 	if len(records) == 0 || records[0][0] != snapMagic {
-		tb, err := readLegacySnapshot(records, sch)
-		return tb, 0, err
+		return nil, 0, fmt.Errorf("histstore: snapshot: not a qfix snapshot (no %s header)", snapMagic)
 	}
 
 	hdr := records[0]
@@ -266,22 +261,6 @@ func readSnapshot(path string, sch *relation.Schema) (*relation.Table, int64, er
 		return nil, 0, fmt.Errorf("histstore: snapshot: %w", err)
 	}
 	return tb, gen, nil
-}
-
-// readLegacySnapshot loads the original ID-less format: one row of bare
-// values per tuple, IDs implicitly 1..n.
-func readLegacySnapshot(records [][]string, sch *relation.Schema) (*relation.Table, error) {
-	tb := relation.NewTable(sch)
-	for li, rec := range records {
-		vals, err := parseValues(rec, li+1)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := tb.Insert(vals); err != nil {
-			return nil, fmt.Errorf("histstore: snapshot line %d: %w", li+1, err)
-		}
-	}
-	return tb, nil
 }
 
 func parseValues(cells []string, line int) ([]float64, error) {
@@ -338,7 +317,7 @@ func Open(dir string) (*Store, error) {
 			if ln == 1 {
 				if g, ok := parseLogGen(line); ok {
 					logGen = g
-					if gen > 0 && logGen != gen {
+					if logGen != gen {
 						// Stale pre-checkpoint log: stop before parsing
 						// any statements — crash recovery must not
 						// depend on the contents of a file it is about
@@ -347,13 +326,11 @@ func Open(dir string) (*Store, error) {
 					}
 					continue
 				}
-				if gen > 0 {
-					// A format-2 store's log always opens with its
-					// generation header (freshLog writes it first); a
-					// headerless file is stale or foreign. Same rule:
-					// don't parse what will be discarded.
-					break
-				}
+				// A store's log always opens with its generation
+				// header (freshLog writes it first); a headerless
+				// file is stale or foreign. Same rule: don't parse
+				// what will be discarded.
+				break
 			}
 			if line == "" || strings.HasPrefix(line, "--") {
 				continue
@@ -373,7 +350,7 @@ func Open(dir string) (*Store, error) {
 	}
 
 	var logF *os.File
-	if gen > 0 && logGen != gen {
+	if logGen != gen {
 		// The log predates the snapshot: a checkpoint committed its
 		// snapshot rename but crashed before replacing the log (or the
 		// log file is missing). Those statements are already folded into
@@ -526,9 +503,7 @@ func (s *Store) Current() (*relation.Table, error) {
 // (Stats.ImpactCacheHits), and calls after Appends reuse the
 // incrementally extended closure (Stats.ImpactCacheExtends counts
 // extensions done on the diagnosis path; appends extend eagerly, so the
-// usual count there is zero). With Options.Workers set (and no explicit
-// PartitionSolver), partition subproblems ship to a dist coordinator
-// exactly as in the top-level qfix.Diagnose.
+// usual count there is zero).
 func (s *Store) Diagnose(complaints []core.Complaint, opt core.Options) (*core.Repair, error) {
 	// Snapshot the history under the read lock, then diagnose unlocked:
 	// the log is append-only and Checkpoint swaps the d0 pointer rather
@@ -549,13 +524,7 @@ func (s *Store) Diagnose(complaints []core.Complaint, opt core.Options) (*core.R
 		opt.LogDigest = digest // exact-hit fast path: no SQL re-rendering
 	}
 	mDiagnoses.Inc()
-	var rep *core.Repair
-	var err error
-	if len(opt.Workers) > 0 && opt.PartitionSolver == nil {
-		rep, err = dist.DiagnoseWorkers(opt.Workers, d0, log, complaints, opt)
-	} else {
-		rep, err = core.Diagnose(d0, log, complaints, opt)
-	}
+	rep, err := core.Diagnose(d0, log, complaints, opt)
 	if err == nil && opt.ImpactCache == s.cache {
 		// Adopt the closure the diagnosis (or a predecessor) cached so
 		// future Appends extend it eagerly — but only if the store still
@@ -594,7 +563,7 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	gen := s.gen + 1 // a legacy store (gen 0) upgrades to gen 1
+	gen := s.gen + 1
 	dirPath := filepath.Join(s.dir, "snapshot.csv")
 	tmp := dirPath + ".tmp"
 	if err := writeSnapshot(tmp, cur, gen); err != nil {

@@ -108,13 +108,22 @@ func TestOpenErrors(t *testing.T) {
 		t.Error("Open on empty dir accepted")
 	}
 	dir := t.TempDir()
+	snap, logp := filepath.Join(dir, "snapshot.csv"), filepath.Join(dir, "log.sql")
 	os.WriteFile(filepath.Join(dir, "meta.txt"), []byte("table t\nattrs a,b\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "snapshot.csv"), []byte("1,notanum\n"), 0o644)
+	os.WriteFile(snap, []byte("qfixsnap,2,2,1\n1,1,notanum\n"), 0o644)
 	if _, err := Open(dir); err == nil {
 		t.Error("bad snapshot accepted")
 	}
-	os.WriteFile(filepath.Join(dir, "snapshot.csv"), []byte("1,2\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "log.sql"), []byte("NOT SQL;\n"), 0o644)
+	// A snapshot without the magic header — rows of a foreign CSV, or an
+	// empty file — is not a store: a clean error, never rows read as D0.
+	for _, body := range []string{"1,2\n", ""} {
+		os.WriteFile(snap, []byte(body), 0o644)
+		if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "not a qfix snapshot") {
+			t.Errorf("headerless snapshot %q: err = %v, want \"not a qfix snapshot\"", body, err)
+		}
+	}
+	os.WriteFile(snap, []byte("qfixsnap,2,2,1\n1,1,2\n"), 0o644)
+	os.WriteFile(logp, []byte("-- qfixlog gen 1\nNOT SQL;\n"), 0o644)
 	if _, err := Open(dir); err == nil {
 		t.Error("bad log accepted")
 	}
@@ -266,48 +275,6 @@ func TestCheckpointPreservesTupleIDsAfterDelete(t *testing.T) {
 	}
 	if _, ok := cur.Get(5); !ok {
 		t.Errorf("post-checkpoint insert got IDs %v, want it at 5", cur.IDs())
-	}
-}
-
-// The legacy ID-less snapshot format (pre-format-2 stores) must still
-// open, with IDs implicitly 1..n; the first checkpoint upgrades it.
-func TestOpenLegacySnapshotFormat(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "meta.txt"),
-		[]byte("table Taxes\nattrs income,owed,pay\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "snapshot.csv"),
-		[]byte("9500,950,8550\n90000,22500,67500\n"), 0o644)
-	os.WriteFile(filepath.Join(dir, "log.sql"),
-		[]byte("UPDATE Taxes SET pay = income - owed;\n"), 0o644)
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.D0().IDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("legacy IDs = %v, want [1 2]", got)
-	}
-	if len(s.Log()) != 1 {
-		t.Fatalf("legacy log len = %d, want 1", len(s.Log()))
-	}
-	if s.gen != 0 {
-		t.Errorf("legacy gen = %d, want 0", s.gen)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.gen != 1 {
-		t.Errorf("upgraded gen = %d, want 1", re.gen)
-	}
-	if got := re.D0().IDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("upgraded IDs = %v, want [1 2]", got)
 	}
 }
 

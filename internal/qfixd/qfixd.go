@@ -503,15 +503,11 @@ func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.C
 	opt := wopt.resolve()
 	opt.Scheduler = s.pool
 	if s.coord != nil {
-		opt.PartitionSolver = s.coord.Solver()
-		if opt.Partition == 0 {
-			opt.Partition = len(s.cfg.Workers)
-		}
+		s.coord.Install(&opt)
 	}
 	if opt.Partition == 0 {
 		opt.Partition = s.cfg.Partition
 	}
-	opt.Logf = s.cfg.Logf
 
 	var root *obs.Span
 	if s.cfg.TraceDir != "" {

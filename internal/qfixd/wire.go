@@ -15,12 +15,10 @@ import (
 // moment it lands, while cheap ops (append, complain, ...) answer
 // inline in the read loop. A client multiplexing requests over one
 // connection matches responses to requests by ID.
-const (
-	// WireVersion is the protocol generation this package speaks.
-	WireVersion = 1
-	// MinWireVersion is the oldest generation still accepted.
-	MinWireVersion = 1
-)
+//
+// WireVersion is the protocol generation this package speaks; frames of
+// any other version are refused.
+const WireVersion = 1
 
 // Ops.
 const (
@@ -140,9 +138,9 @@ func (o *DiagnoseOptions) resolve() core.Options {
 
 // validate rejects frames this daemon generation cannot serve.
 func (r *Request) validate() error {
-	if r.Version < MinWireVersion || r.Version > WireVersion {
-		return fmt.Errorf("qfixd: protocol v%d not supported (this daemon speaks v%d..v%d)",
-			r.Version, MinWireVersion, WireVersion)
+	if r.Version != WireVersion {
+		return fmt.Errorf("qfixd: protocol v%d not supported (this daemon speaks v%d)",
+			r.Version, WireVersion)
 	}
 	if o := r.Options; o != nil && o.Algorithm != "" &&
 		o.Algorithm != "basic" && o.Algorithm != "incremental" {

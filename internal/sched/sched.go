@@ -19,96 +19,15 @@ var (
 	mQueueDepth = obs.Default().Gauge("qfix_sched_queue_depth",
 		"Scheduler jobs submitted but not yet started, across all active pools.")
 	mWorkers = obs.Default().Gauge("qfix_sched_workers",
-		"Live scheduler pool goroutines (Schedule/ScheduleOrder/Workers).")
+		"Live scheduler goroutines (Pool workers and Workers).")
 )
 
-// Schedule fans jobs 0..n-1 out over a pool of at most workers
-// concurrent goroutines, starting them in index order.
-func Schedule[R any](workers, n int, job func(i int) R) (results []chan R, wait func()) {
-	return ScheduleOrder(workers, n, nil, job)
-}
-
-// ScheduleOrder is Schedule with an explicit start order: order[k] is
-// the k-th job index handed to the pool (nil means 0..n-1; otherwise it
-// must be a permutation of 0..n-1). The partition scan passes its
-// largest-first order here so the biggest MILP is never stuck behind
-// the queue defining the critical path.
-//
-// Every job gets its own 1-buffered result channel, so the consumer can
-// adjudicate results in SUBMISSION order (index order, not start order)
-// while later jobs are still running — the property the callers rely on
-// for determinism: whichever job finishes first, and whatever order the
-// pool started them in, the *choice* among results is made in a fixed
-// order. Jobs that want to short-circuit after a decision (e.g. batches
-// older than an accepted repair) check their own cancellation flag
-// inside job; the scheduler itself never drops a slot.
-//
-// wait blocks until every job has delivered its result.
-func ScheduleOrder[R any](workers, n int, order []int, job func(i int) R) (results []chan R, wait func()) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	results = make([]chan R, n)
-	for i := range results {
-		results[i] = make(chan R, 1)
-	}
-	feed := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		mWorkers.Add(1)
-		go func() {
-			defer wg.Done()
-			defer mWorkers.Add(-1)
-			// The pool's cancellation contract lives in the jobs, not the
-			// plumbing: feed is always closed by the feeder, every job
-			// delivers into its own 1-buffered channel (the send never
-			// blocks), and jobs that should stop early check their own
-			// flag/deadline. A ctx here would double-encode that contract.
-			//qfix:ctx-ok pool drains a closed feed; sends are 1-buffered; jobs own cancellation
-			for i := range feed {
-				mQueueDepth.Add(-1)
-				results[i] <- job(i)
-			}
-		}()
-	}
-	mQueueDepth.Add(int64(n))
-	// The feeder performs exactly n sends, each matched by a worker
-	// receive, then closes feed — termination is structural, not
-	// signal-driven.
-	//qfix:leak-ok feeder makes n matched sends then closes feed; workers drain it
-	go func() {
-		if order == nil {
-			// Feeding cannot wedge: the pool above keeps receiving until
-			// feed closes, and it closes right after these sends.
-			//qfix:ctx-ok every send is matched by a pool receive; close follows
-			for i := 0; i < n; i++ {
-				feed <- i
-			}
-		} else {
-			//qfix:ctx-ok every send is matched by a pool receive; close follows
-			for _, i := range order {
-				feed <- i
-			}
-		}
-		close(feed)
-	}()
-	return results, wg.Wait
-}
-
-// Pool is a resident worker pool: a fixed set of long-lived goroutines
-// draining one shared run queue. It exists for resident services
-// (internal/qfixd) that multiplex many concurrent diagnoses onto one
-// process: Schedule/ScheduleOrder spin up a fresh pool per scan, which
-// is right for a one-shot CLI run but makes every diagnosis in a daemon
-// pay goroutine churn and lets concurrent diagnoses oversubscribe the
-// CPU (each scan sizing its own pool as if it were alone). A Pool is
-// created once, shared via core.Options.Scheduler, and bounds the
+// Pool is a worker pool: a fixed set of goroutines draining one shared
+// run queue until Close. A resident service (internal/qfixd) creates
+// one, shares it via core.Options.Scheduler, and thereby bounds the
 // process's total solve concurrency at its worker count while each
-// scan's OnPool call still bounds that scan's share.
+// scan's OnPool call still bounds that scan's share; a one-shot
+// diagnosis lets OnPool make a private pool for the scan.
 //
 // Close-after-drain contract: Submit after Close panics. Owners stop
 // feeding work (drain their in-flight diagnoses) before closing; the
@@ -118,7 +37,7 @@ type Pool struct {
 	wg   sync.WaitGroup
 }
 
-// NewPool starts a resident pool of n workers (n < 1 picks 1).
+// NewPool starts a pool of n workers (n < 1 picks 1).
 func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
@@ -130,8 +49,9 @@ func NewPool(n int) *Pool {
 		go func() {
 			defer p.wg.Done()
 			defer mWorkers.Add(-1)
-			// Resident workers live until Close closes the queue; jobs
-			// own their cancellation exactly as in ScheduleOrder.
+			// Workers live until Close closes the queue. The pool's
+			// cancellation contract lives in the jobs, not the plumbing:
+			// jobs that should stop early check their own flag/deadline.
 			//qfix:ctx-ok exits via Close(): closed jobs channel ends the range
 			for f := range p.jobs {
 				f()
@@ -149,15 +69,27 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 }
 
-// OnPool is ScheduleOrder running on a resident pool instead of fresh
-// goroutines: jobs 0..n-1 are fed to p in the given start order, at
-// most `workers` of this batch in flight at once (the batch's share of
-// the pool), each delivering into its own 1-buffered result channel so
-// the consumer adjudicates in submission order — the same determinism
-// contract as ScheduleOrder, which is why the chosen result is
-// independent of which pool worker ran which job or how batches from
-// concurrent scans interleave on the shared queue. (A generic method is
-// not expressible on Pool, hence the package-level function.)
+// OnPool fans jobs 0..n-1 out over p with at most `workers` of them in
+// flight at once (the scan's share of the pool). order[k] is the k-th
+// job index handed to the pool (nil means 0..n-1; otherwise it must be
+// a permutation of 0..n-1): the partition scan passes its largest-first
+// order here so the biggest MILP is never stuck behind the queue
+// defining the critical path. A nil p runs the scan on a private pool
+// of min(workers, n) goroutines that wait closes.
+//
+// Every job gets its own 1-buffered result channel, so the consumer can
+// adjudicate results in SUBMISSION order (index order, not start order)
+// while later jobs are still running — the property the callers rely on
+// for determinism: whichever job finishes first, whatever order the
+// pool started them in, whichever pool worker ran which job and however
+// batches from concurrent scans interleave on a shared queue, the
+// *choice* among results is made in a fixed order. Jobs that want to
+// short-circuit after a decision (e.g. batches older than an accepted
+// repair) check their own cancellation flag inside job; the scheduler
+// itself never drops a slot.
+//
+// wait blocks until every job has delivered its result. (A generic
+// method is not expressible on Pool, hence the package-level function.)
 func OnPool[R any](p *Pool, workers, n int, order []int, job func(i int) R) (results []chan R, wait func()) {
 	if workers < 1 {
 		workers = 1
@@ -171,6 +103,14 @@ func OnPool[R any](p *Pool, workers, n int, order []int, job func(i int) R) (res
 	}
 	var wg sync.WaitGroup
 	wg.Add(n)
+	wait = wg.Wait
+	if p == nil {
+		p = NewPool(workers)
+		wait = func() {
+			wg.Wait()
+			p.Close()
+		}
+	}
 	share := make(chan struct{}, workers)
 	mQueueDepth.Add(int64(n))
 	go func() {
@@ -197,12 +137,12 @@ func OnPool[R any](p *Pool, workers, n int, order []int, job func(i int) R) (res
 			}
 		}
 	}()
-	return results, wg.Wait
+	return results, wait
 }
 
 // Workers starts fn on n goroutines (worker ids 0..n-1) and returns a
 // function that blocks until all of them return. It is the open-ended
-// counterpart to Schedule for pools that pull work from shared state
+// counterpart to OnPool for workers that pull work from shared state
 // rather than a job list — the speculative LP workers of the parallel
 // branch-and-bound search claim nodes off the search's own heap.
 func Workers(n int, fn func(worker int)) (wait func()) {

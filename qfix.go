@@ -38,21 +38,19 @@
 // instances than the joint path (see core.Options for the exact
 // guarantees).
 //
-// Diagnosis also scales past one process: Options.Workers lists remote
-// workers (cmd/qfix-worker) and the internal/dist coordinator ships each
-// partition subproblem to the fleet over a versioned wire protocol,
-// falling back to the local engine per job when a worker fails — a
-// distributed diagnosis never loses an instance the local engine can
-// solve, and its merged repair goes through the same replay
-// verification. Options.MuxWorkers upgrades the fleet transport to one
-// persistent multiplexed connection per worker (wire v3): concurrent
-// jobs share the connection and each result streams back the moment its
-// solve lands (Stats.StreamedResults), with workers one protocol
-// generation back served one dialed connection per job automatically.
-// Partitions are dispatched largest-first (by the planner's
-// rows × candidates × complaints estimate) on both the local pool and
-// the fleet, so the biggest MILP never sits at the back of the queue
-// defining the critical path.
+// Diagnosis also scales past one process: internal/dist's Coordinator
+// (dist.Connect over cmd/qfix-worker addresses, then Install or
+// Coordinator.Diagnose) ships each partition subproblem to a worker
+// fleet over a versioned wire protocol, falling back to the local
+// engine per job when a worker fails — a distributed diagnosis never
+// loses an instance the local engine can solve, and its merged repair
+// goes through the same replay verification. dist.Config.Mux keeps one
+// persistent multiplexed connection per worker: concurrent jobs share
+// the connection and each result streams back the moment its solve
+// lands (Stats.StreamedResults). Partitions are dispatched
+// largest-first (by the planner's rows × candidates × complaints
+// estimate) on both the local pool and the fleet, so the biggest MILP
+// never sits at the back of the queue defining the critical path.
 //
 // Options.WarmStart threads solver warm starts through the whole solve
 // stack: every MILP seeds branch-and-bound from the best available
@@ -75,7 +73,6 @@ package qfix
 
 import (
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
@@ -183,17 +180,7 @@ func ComplaintsFromDiff(dirty, truth *Table, eps float64) []Complaint {
 // Diagnose analyzes the log and complaints and returns a log repair
 // (paper Definition 5). See core.Options for the algorithm and
 // optimization switches.
-//
-// With Options.Workers set (and no explicit Options.PartitionSolver), a
-// distributed coordinator over those workers is installed for the run:
-// planning, merging and replay verification stay local while each
-// partition subproblem ships to a worker, falling back to the local
-// engine per job if a worker dies or times out. Run workers with
-// cmd/qfix-worker.
 func Diagnose(d0 *Table, log []Query, complaints []Complaint, opt Options) (*Repair, error) {
-	if len(opt.Workers) > 0 && opt.PartitionSolver == nil {
-		return dist.DiagnoseWorkers(opt.Workers, d0, log, complaints, opt)
-	}
 	return core.Diagnose(d0, log, complaints, opt)
 }
 
