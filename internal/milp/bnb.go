@@ -153,9 +153,13 @@ type search struct {
 	nodes     int
 	lpIters   int
 	refactors int
-	stopped   bool
-	unbounded bool
-	seeded    bool
+	// lpNumFails and lpIterLimits count the consumed nodes whose LP gave
+	// up (each also sets stopped: its subtree went unexplored).
+	lpNumFails   int
+	lpIterLimits int
+	stopped      bool
+	unbounded    bool
+	seeded       bool
 
 	// Tracing (driver-only). Node consumption is grouped into "nodes"
 	// spans of nodeBatch consumed nodes each — one span per node would
@@ -255,6 +259,8 @@ func (m *Model) Solve(opt Options) Result {
 		LPIters:          s.lpIters,
 		SeedUsed:         s.seeded,
 		Refactorizations: s.refactors,
+		LPNumFails:       s.lpNumFails,
+		LPIterLimits:     s.lpIterLimits,
 		PresolvedRows:    ps.rowsDropped,
 		PresolvedVars:    ps.varsFixed,
 	}
@@ -425,7 +431,12 @@ func (s *search) process(n *node, sol simplex.Solution, end *simplex.Snapshot, e
 		return false
 	case simplex.IterLimit, simplex.NumFail:
 		// Treat as unexplorable; conservatively drop this subtree but
-		// record that the search was not exhaustive.
+		// record that the search was not exhaustive, and why.
+		if sol.Status == simplex.NumFail {
+			s.lpNumFails++
+		} else {
+			s.lpIterLimits++
+		}
 		s.stopped = true
 		return true
 	}

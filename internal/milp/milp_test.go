@@ -401,3 +401,27 @@ func TestModelAccessors(t *testing.T) {
 		t.Errorf("Bounds after set = %v,%v", lb, ub)
 	}
 }
+
+// TestLPGiveUpsAreCounted: a node whose LP runs out of iterations stops
+// the search as Limit, and the result says which exit it was.
+func TestLPGiveUpsAreCounted(t *testing.T) {
+	build := func() *Model {
+		m := NewModel()
+		a, b, c := m.NewBinary(), m.NewBinary(), m.NewBinary()
+		m.SetObjCoef(a, -10)
+		m.SetObjCoef(b, -13)
+		m.SetObjCoef(c, -7)
+		m.AddLE([]Term{{a, 3}, {b, 4}, {c, 2}}, 6)
+		return m
+	}
+	res := build().Solve(Options{NoPresolve: true})
+	if res.Status != Optimal || res.LPNumFails != 0 || res.LPIterLimits != 0 {
+		t.Fatalf("unlimited solve: status %v numfails %d iterlimits %d", res.Status, res.LPNumFails, res.LPIterLimits)
+	}
+	opt := Options{NoPresolve: true}
+	opt.LP.MaxIters = 1 // the root relaxation needs more than one pivot
+	res = build().Solve(opt)
+	if res.Status != Limit || res.LPIterLimits != 1 || res.LPNumFails != 0 {
+		t.Fatalf("one-iteration LPs: status %v numfails %d iterlimits %d", res.Status, res.LPNumFails, res.LPIterLimits)
+	}
+}

@@ -255,6 +255,12 @@ type Result struct {
 	// Refactorizations is the total basis refactorizations across all
 	// consumed LP solves (sparse LU rebuilds; see simplex/factor.go).
 	Refactorizations int
+	// LPNumFails and LPIterLimits count the explored nodes whose LP
+	// relaxation ended in simplex.NumFail or simplex.IterLimit. Such a
+	// node's subtree is dropped unexplored, so either being nonzero is
+	// why an otherwise unlimited search reports Limit.
+	LPNumFails   int
+	LPIterLimits int
 	// PresolvedRows and PresolvedVars count constraint rows dropped and
 	// variables fixed by the root presolve (zero under NoPresolve).
 	PresolvedRows int

@@ -1,6 +1,9 @@
 package simplex
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file holds the factorized basis representation that backs the
 // revised simplex: a sparse LU factorization of the basis matrix with an
@@ -13,6 +16,15 @@ import "math"
 // rows, so a pivot costs O(nnz) instead of the O(m^2) a dense inverse
 // update pays, and a refactorization costs little more than the fill of
 // L+U instead of Gauss-Jordan's O(m^3).
+//
+// Refactorization is pattern-driven (Gilbert-Peierls style): a column is
+// scattered into a dense accumulator while its nonzero rows are listed,
+// and every later step walks that list, never 0..m. An encoder basis is
+// mostly unit slack columns, each of which then costs O(1), and the
+// whole factorization O(m + nnz log nnz) where the dense scans it
+// replaced (kept as the test reference, denseRefactorize) read 4 m^2
+// values. The arithmetic and its order are those of the dense routine,
+// so L, U and the permutation are bit-for-bit the same.
 //
 // Representation: P B = L U with a row permutation P chosen by partial
 // pivoting, then B' = B E_1 ... E_k after k basis changes, where each
@@ -51,8 +63,11 @@ const (
 	maxEtas = 64
 )
 
-// factor is a basis factorization. All storage is reused across
-// refactorizations; newFactor sizes it once per solver lifetime.
+// factor is a basis factorization. All storage but the eta vectors is
+// reused across refactorizations; newFactor sizes it once per solver
+// lifetime, and once the growable buffers have reached their working
+// size a refactorization allocates nothing. Each eta update still
+// allocates its own vector.
 type factor struct {
 	m     int
 	rowOf []int // permuted position -> original row
@@ -63,8 +78,15 @@ type factor struct {
 	udiag []float64  // U diagonal by column
 	etas  []feta
 
-	work  []float64 // dense scratch, original-row space
+	work  []float64 // dense scratch, original-row space; all zero between refactorizations
 	work2 []float64 // dense scratch, permuted/position space
+
+	// Pattern state of the column refactorize is working on; mark is all
+	// false and the lists empty between calls, on the singular exit too.
+	mark  []bool // row is listed in pat
+	pat   []int  // rows the scattered column has touched, in first-touch order
+	heap  []int  // min-heap: positions of pivoted pattern rows awaiting elimination
+	lrows []int  // rows of the L column being emitted
 }
 
 func newFactor(m int) *factor {
@@ -77,6 +99,7 @@ func newFactor(m int) *factor {
 		udiag: make([]float64, m),
 		work:  make([]float64, m),
 		work2: make([]float64, m),
+		mark:  make([]bool, m),
 	}
 }
 
@@ -93,15 +116,15 @@ func (f *factor) identity() {
 	f.etas = f.etas[:0]
 }
 
-// refactorize factors the basis matrix whose k-th column's nonzeros are
-// produced by cols (original-row coordinates), discarding the eta file.
-// Left-looking with partial pivoting; reports false when some column
-// admits no pivot above factorPivTol (singular basis).
-func (f *factor) refactorize(cols func(k int, emit func(row int, v float64))) bool {
+// refactorize factors the basis matrix whose k-th column is structural
+// column cols[basis[k]] when basis[k] < n and the unit slack column of row
+// basis[k]-n otherwise, discarding the eta file. Left-looking with
+// partial pivoting; reports false when some column admits no pivot
+// above factorPivTol (singular basis).
+func (f *factor) refactorize(cols [][]entry, n int, basis []int) bool {
 	m := f.m
 	for i := 0; i < m; i++ {
 		f.pinv[i] = -1
-		f.work[i] = 0
 	}
 	f.etas = f.etas[:0]
 	x := f.work
@@ -110,61 +133,99 @@ func (f *factor) refactorize(cols func(k int, emit func(row int, v float64))) bo
 		// columns: x starts as a_j and becomes L^{-1} P a_j restricted to
 		// the rows seen so far. L columns keep original-row indices until
 		// the whole permutation is known.
-		cols(j, func(r int, v float64) { x[r] += v })
-		for t := 0; t < j; t++ {
-			pt := x[f.rowOf[t]]
+		if b := basis[j]; b < n {
+			for _, e := range cols[b] {
+				f.touch(e.row)
+				x[e.row] += e.coef
+			}
+		} else if r := b - n; f.pinv[r] < 0 {
+			// The slack of a row nothing has claimed, which is most of an
+			// encoder basis: its own pivot, 1, with nothing above or below.
+			f.ucols[j] = f.ucols[j][:0]
+			f.lcols[j] = f.lcols[j][:0]
+			f.udiag[j] = 1
+			f.pinv[r] = j
+			f.rowOf[j] = r
+			continue
+		} else {
+			f.touch(r)
+			x[r] += 1
+		}
+		// Earlier columns must be applied in ascending order. The heap
+		// holds the positions of the pivoted rows in the pattern; column
+		// t's fill lands only on rows that were unpivoted at step t, whose
+		// positions, if they have one by now, exceed t — so pops ascend.
+		// Row rowOf[t] is final once popped, which makes it U's entry t.
+		ucol := f.ucols[j][:0]
+		for len(f.heap) > 0 {
+			t := f.heapPop()
+			r := f.rowOf[t]
+			pt := x[r]
 			if pt == 0 {
 				continue
 			}
 			for _, e := range f.lcols[t] {
+				f.touch(e.i)
 				x[e.i] -= e.v * pt
 			}
+			if math.Abs(pt) > factorDropTol {
+				ucol = append(ucol, fentry{t, pt})
+			}
+			x[r] = 0
 		}
-		// Partial pivoting over the rows no earlier column claimed.
+		f.ucols[j] = ucol
+		// Partial pivoting over the rows no earlier column claimed:
+		// largest magnitude, lowest row on ties.
 		best, bv := -1, factorPivTol
-		for r := 0; r < m; r++ {
+		for _, r := range f.pat {
 			if f.pinv[r] >= 0 {
 				continue
 			}
-			if a := math.Abs(x[r]); a > bv {
+			if a := math.Abs(x[r]); a > bv || (a == bv && best >= 0 && r < best) {
 				best, bv = r, a
 			}
 		}
 		if best < 0 {
 			// Singular: clear scratch before bailing so later calls see a
 			// clean workspace.
-			for r := 0; r < m; r++ {
+			for _, r := range f.pat {
 				x[r] = 0
+				f.mark[r] = false
 			}
+			f.pat = f.pat[:0]
 			return false
 		}
-		ucol := f.ucols[j][:0]
-		for t := 0; t < j; t++ {
-			r := f.rowOf[t]
-			if v := x[r]; v != 0 {
-				if math.Abs(v) > factorDropTol {
-					ucol = append(ucol, fentry{t, v})
-				}
-				x[r] = 0
-			}
-		}
-		f.ucols[j] = ucol
 		piv := x[best]
 		x[best] = 0
 		f.udiag[j] = piv
 		f.pinv[best] = j
 		f.rowOf[j] = best
-		lcol := f.lcols[j][:0]
-		for r := 0; r < m; r++ {
-			if f.pinv[r] >= 0 || x[r] == 0 {
+		// L's entries go out in ascending row order: btran accumulates in
+		// entry order, so the order is part of the result.
+		lrows, sorted := f.lrows[:0], true
+		for _, r := range f.pat {
+			f.mark[r] = false
+			if f.pinv[r] >= 0 {
 				continue
 			}
 			if math.Abs(x[r]) > factorDropTol {
-				lcol = append(lcol, fentry{r, x[r] / piv})
+				sorted = sorted && (len(lrows) == 0 || lrows[len(lrows)-1] < r)
+				lrows = append(lrows, r)
+			} else {
+				x[r] = 0
 			}
+		}
+		f.pat = f.pat[:0]
+		if !sorted { // a column without fill lists its rows as the problem does, ascending
+			slices.Sort(lrows)
+		}
+		lcol := f.lcols[j][:0]
+		for _, r := range lrows {
+			lcol = append(lcol, fentry{r, x[r] / piv})
 			x[r] = 0
 		}
 		f.lcols[j] = lcol
+		f.lrows = lrows
 	}
 	// The permutation is complete: rewrite L's row indices into permuted
 	// coordinates so the triangular solves index one dense scratch.
@@ -175,6 +236,61 @@ func (f *factor) refactorize(cols func(k int, emit func(row int, v float64))) bo
 		}
 	}
 	return true
+}
+
+// touch lists row r in the current column's pattern, queueing it for
+// elimination when an earlier column already pivoted on it.
+func (f *factor) touch(r int) {
+	if f.mark[r] {
+		return
+	}
+	f.mark[r] = true
+	f.pat = append(f.pat, r)
+	if t := f.pinv[r]; t >= 0 {
+		f.heapPush(t)
+	}
+}
+
+func (f *factor) heapPush(t int) {
+	h := append(f.heap, t)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] <= t {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = t
+	f.heap = h
+}
+
+func (f *factor) heapPop() int {
+	h := f.heap
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	n := len(h)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[c] >= last {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	f.heap = h
+	return top
 }
 
 // ftran solves B w = a in place: x enters holding a in original-row

@@ -51,16 +51,23 @@ func (ws *Solver) Install(snap *Snapshot) bool {
 		len(snap.basis) != m || len(snap.xval) != n+m {
 		return false
 	}
-	inBasis := make([]bool, n+m)
-	for _, b := range snap.basis {
-		if b < 0 || b >= n+m || inBasis[b] {
-			return false
-		}
-		inBasis[b] = true
+	// Branch-and-bound installs a basis per node, so from here on nothing
+	// may allocate once the retained buffers have the problem's shape.
+	if len(ws.inBasis) != n+m {
+		ws.inBasis = make([]bool, n+m)
 	}
-	// Reuse the retained solver's buffers when the shape matches —
-	// branch-and-bound installs a basis per node, so this path must not
-	// allocate.
+	valid := true
+	for _, b := range snap.basis {
+		if b < 0 || b >= n+m || ws.inBasis[b] {
+			valid = false
+			break
+		}
+		ws.inBasis[b] = true
+	}
+	clear(ws.inBasis)
+	if !valid {
+		return false
+	}
 	s := ws.inner
 	if s == nil || s.m != m || s.n != n {
 		s = &solver{p: ws.p, m: m, n: n, N: n + m}

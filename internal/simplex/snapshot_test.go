@@ -195,3 +195,25 @@ func TestObjective(t *testing.T) {
 		t.Fatalf("Objective = %v, want 4", got)
 	}
 }
+
+// Branch-and-bound installs a basis per node: with the solver's buffers
+// in place an Install allocates nothing, and a rejected snapshot leaves
+// the duplicate-check scratch clean for the next one.
+func TestInstallAllocatesNothing(t *testing.T) {
+	p, sn := loadEncoderNode(t)
+	ws := NewSolver(p, Options{})
+	if !ws.Install(sn) {
+		t.Fatal("Install rejected the captured basis")
+	}
+	if a := testing.AllocsPerRun(10, func() { ws.Install(sn) }); a != 0 {
+		t.Errorf("Install allocated %v times per call, want 0", a)
+	}
+	dup := &Snapshot{m: sn.m, n: sn.n, basis: append([]int(nil), sn.basis...), xval: sn.xval}
+	dup.basis[len(dup.basis)-1] = dup.basis[0]
+	if ws.Install(dup) {
+		t.Fatal("Install accepted a duplicate basis entry")
+	}
+	if !ws.Install(sn) {
+		t.Fatal("a rejected snapshot poisoned the next Install")
+	}
+}

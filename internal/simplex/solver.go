@@ -16,6 +16,7 @@ type Solver struct {
 	opt         Options
 	inner       *solver
 	initialized bool
+	inBasis     []bool // Install's duplicate check, all false between calls
 }
 
 // NewSolver prepares a reusable solver for the problem.
@@ -64,6 +65,9 @@ func (ws *Solver) Solve() Solution {
 	}
 	if st == Optimal && !s.solutionValid() {
 		st = NumFail // even the cold basis is numerically untrustworthy
+	}
+	if st == NumFail {
+		mNumFails.Inc()
 	}
 	return s.result(st)
 }
@@ -184,6 +188,7 @@ type solver struct {
 	fx     []float64 // scratch: FTRAN input (original-row space)
 	y      []float64 // scratch: duals
 	dB     []float64 // scratch: phase-1 costs of basic vars
+	cB     []float64 // scratch: phase-2 costs of basic vars
 	iters  int
 	pivots int // lifetime basis changes
 
@@ -197,10 +202,7 @@ type solver struct {
 // columns, flushing the eta file and the drift it accumulated. Reports
 // false when the basis matrix is numerically singular.
 func (s *solver) refactorize() bool {
-	ok := s.fac.refactorize(func(k int, emit func(row int, v float64)) {
-		s.colOf(s.basis[k], emit)
-	})
-	if !ok {
+	if !s.fac.refactorize(s.p.cols, s.n, s.basis) {
 		return false
 	}
 	s.refactorCount++
@@ -234,6 +236,7 @@ func (s *solver) init() {
 		s.fx = make([]float64, s.m)
 		s.y = make([]float64, s.m)
 		s.dB = make([]float64, s.m)
+		s.cB = make([]float64, s.m)
 		s.fac = newFactor(s.m)
 	}
 	copy(s.lb, s.p.lb)
@@ -393,7 +396,7 @@ func (s *solver) phase1() Status {
 
 // phase2 optimizes the true objective from a feasible basis.
 func (s *solver) phase2() Status {
-	cB := make([]float64, s.m)
+	cB := s.cB
 	refactors := 0
 	for {
 		if s.iters >= s.opt.MaxIters {
@@ -673,6 +676,8 @@ func (s *solver) pivot(j, dir int, phase1 bool) Status {
 }
 
 func (s *solver) result(st Status) Solution {
+	// A fresh X per solve: branch-and-bound keeps a node's Solution while
+	// the same solver goes on to the next node.
 	x := make([]float64, s.n)
 	copy(x, s.xval[:s.n])
 	obj := 0.0
