@@ -23,9 +23,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
@@ -38,7 +41,28 @@ import (
 	"repro/internal/obs"
 )
 
+// errUnresolved ends a run that printed its report and found no
+// verified repair: exit status 1 with nothing on standard error, which
+// is how a caller tells it from a fault.
+var errUnresolved = errors.New("no verified repair")
+
 func main() {
+	// Everything the run prints goes through one buffer (a repaired log is
+	// a line per statement), flushed here whichever way the run ends.
+	out := bufio.NewWriter(os.Stdout)
+	err := run(out)
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
+		if !errors.Is(err, errUnresolved) {
+			fmt.Fprintln(os.Stderr, "qfix:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(out *bufio.Writer) error {
 	var (
 		dataPath  = flag.String("data", "", "CSV file with header row: the initial state D0")
 		logPath   = flag.String("log", "", "SQL file with the query history")
@@ -85,31 +109,42 @@ func main() {
 		err     error
 	)
 	if *histPath != "" {
-		store, err = histstore.Open(*histPath)
-		fatalIf(err)
+		if store, err = histstore.Open(*histPath); err != nil {
+			return err
+		}
 		defer store.Close()
 		// The store diagnoses from its own state; only the schema is
 		// needed up front (complaint parsing, output rendering).
 		sch = store.Schema()
 	} else {
-		sch, d0, err = loadCSV(*dataPath, *tableName, *keyAttr)
-		fatalIf(err)
-		var sqlBytes []byte
-		sqlBytes, err = os.ReadFile(*logPath)
-		fatalIf(err)
-		history, err = qfix.ParseLog(sch, string(sqlBytes))
-		fatalIf(err)
+		if sch, d0, err = loadCSV(*dataPath, *tableName, *keyAttr); err != nil {
+			return err
+		}
+		sqlBytes, err := os.ReadFile(*logPath)
+		if err != nil {
+			return err
+		}
+		if history, err = qfix.ParseLog(sch, string(sqlBytes)); err != nil {
+			return err
+		}
 	}
 
 	complaints, err := loadComplaints(*compPath, sch.Width())
-	fatalIf(err)
-
+	if err != nil {
+		return err
+	}
 	par, err := parsePool("parallel", *parallel)
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 	part, err := parsePool("partition", *partition)
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 	spar, err := parsePool("solver-parallel", *solverPar)
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 
 	opts := qfix.Options{
 		K:                *k,
@@ -156,7 +191,7 @@ func main() {
 	case "incremental", "inc":
 		opts.Algorithm = qfix.Incremental
 	default:
-		fatalIf(fmt.Errorf("unknown algorithm %q", *algo))
+		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 
 	if *repeat < 1 {
@@ -171,37 +206,43 @@ func main() {
 	}
 	var rep *qfix.Repair
 	var elapsed time.Duration
-	for run := 1; run <= *repeat; run++ {
+	for n := 1; n <= *repeat; n++ {
 		start := time.Now()
 		if store != nil {
 			rep, err = store.Diagnose(complaints, opts)
 		} else {
 			rep, err = qfix.Diagnose(d0, history, complaints, opts)
 		}
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		elapsed = time.Since(start)
 		if *repeat > 1 {
-			fmt.Printf("-- run %d/%d: %v (impact cache hits: %d; warm seeds: %d, %d nodes)\n",
-				run, *repeat, elapsed.Round(time.Millisecond), rep.Stats.ImpactCacheHits,
+			fmt.Fprintf(out, "-- run %d/%d: %v (impact cache hits: %d; warm seeds: %d, %d nodes)\n",
+				n, *repeat, elapsed.Round(time.Millisecond), rep.Stats.ImpactCacheHits,
 				rep.Stats.WarmSeeds, rep.Stats.Nodes)
 		}
 	}
 
 	if root != nil {
 		root.End()
-		fatalIf(writeTrace(root, *tracePath))
+		if err := writeTrace(root, *tracePath); err != nil {
+			return err
+		}
 	}
 	if *metrics != "" {
-		fatalIf(writeMetrics(*metrics))
+		if err := writeMetrics(*metrics, out); err != nil {
+			return err
+		}
 	}
 
-	fmt.Printf("-- diagnosis completed in %v\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(out, "-- diagnosis completed in %v\n", elapsed.Round(time.Millisecond))
 	for _, line := range rep.Stats.Format(*verbose) {
-		fmt.Printf("-- %s\n", line)
+		fmt.Fprintf(out, "-- %s\n", line)
 	}
-	fmt.Printf("-- complaints resolved: %v; repair distance: %.3f\n", rep.Resolved, rep.Distance)
+	fmt.Fprintf(out, "-- complaints resolved: %v; repair distance: %.3f\n", rep.Resolved, rep.Distance)
 	if len(rep.Changed) == 0 {
-		fmt.Println("-- no queries needed repair")
+		fmt.Fprintln(out, "-- no queries needed repair")
 	}
 	for i, q := range rep.Log {
 		marker := "  "
@@ -210,19 +251,13 @@ func main() {
 				marker = "*>"
 			}
 		}
-		fmt.Printf("%s %s;\n", marker, q.String(sch))
+		fmt.Fprintf(out, "%s %s;\n", marker, q.String(sch))
 	}
 	if !rep.Resolved {
-		fmt.Println("-- WARNING: no verified repair found (infeasible or time limit)")
-		os.Exit(1)
+		fmt.Fprintln(out, "-- WARNING: no verified repair found (infeasible or time limit)")
+		return errUnresolved
 	}
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qfix:", err)
-		os.Exit(1)
-	}
+	return nil
 }
 
 // writeTrace exports the finished span tree: JSONL span lines for
@@ -241,9 +276,9 @@ func writeTrace(root *obs.Span, path string) error {
 
 // writeMetrics dumps the process-wide registry: JSON for .json paths,
 // Prometheus text exposition otherwise; "-" writes text to stdout.
-func writeMetrics(path string) error {
+func writeMetrics(path string, stdout io.Writer) error {
 	if path == "-" {
-		return obs.Default().WritePrometheus(os.Stdout)
+		return obs.Default().WritePrometheus(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -275,22 +310,25 @@ func parsePool(name, s string) (int, error) {
 }
 
 // loadCSV reads the initial state: header row of attribute names, then
-// one row of numeric values per tuple.
+// one row of numeric values per tuple. Records are streamed, not
+// collected: the table is the only copy of the data this keeps.
 func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	records, err := csv.NewReader(f).ReadAll()
+	r := csv.NewReader(bufio.NewReaderSize(f, 64<<10))
+	r.ReuseRecord = true
+	rec, err := r.Read()
+	if err == io.EOF {
+		return nil, nil, fmt.Errorf("%s: empty file", path)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(records) < 1 {
-		return nil, nil, fmt.Errorf("%s: empty file", path)
-	}
-	header := make([]string, len(records[0]))
-	for i, h := range records[0] {
+	header := make([]string, len(rec))
+	for i, h := range rec {
 		header[i] = strings.TrimSpace(h)
 	}
 	sch, err := qfix.NewSchema(table, header, key)
@@ -298,20 +336,26 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 		return nil, nil, err
 	}
 	tb := qfix.NewTable(sch)
-	for li, rec := range records[1:] {
-		vals := make([]float64, len(rec))
+	vals := make([]float64, len(header)) // Insert copies it; the reader holds every record to the header's width
+	for line := 2; ; line++ {            // counts records, the header being the first
+		rec, err := r.Read()
+		if err == io.EOF {
+			return sch, tb, nil
+		}
+		if err != nil {
+			return nil, nil, err
+		}
 		for i, cell := range rec {
 			v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s line %d: %v", path, li+2, err)
+				return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
 			}
 			vals[i] = v
 		}
 		if _, err := tb.Insert(vals); err != nil {
-			return nil, nil, fmt.Errorf("%s line %d: %v", path, li+2, err)
+			return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
 		}
 	}
-	return sch, tb, nil
 }
 
 // loadComplaints parses the complaint file.

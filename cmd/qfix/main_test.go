@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	qfix "repro"
+	"repro/internal/oltp"
 )
 
 func TestLoadCSV(t *testing.T) {
@@ -41,6 +48,94 @@ func TestLoadCSVErrors(t *testing.T) {
 	}
 	if _, _, err := loadCSV(filepath.Join(dir, "missing.csv"), "t", ""); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestLoadCSVParity pins what the streaming loader owes the ReadAll one
+// it replaced: quoted and padded cells load, and a ragged row, a bad
+// number and a bad quote are reported in the same words with the same
+// line numbers.
+func TestLoadCSVParity(t *testing.T) {
+	dir := t.TempDir()
+	load := func(content string) (*qfix.Table, error) {
+		t.Helper()
+		path := filepath.Join(dir, "d.csv")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, tb, err := loadCSV(path, "t", "")
+		return tb, err
+	}
+	tb, err := load("a, b\n\"1\",2\n\n\" 3 \",\"4e1\"\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tb.Schema().Index("b"); !ok || tb.Len() != 2 {
+		t.Fatalf("schema %v, %d rows", tb.Schema(), tb.Len())
+	}
+	if tp, _ := tb.Get(2); tp.Values[0] != 3 || tp.Values[1] != 40 {
+		t.Errorf("tuple 2 = %v, want [3 40]", tp.Values)
+	}
+	for content, want := range map[string]string{
+		"a,b\n1,2\n3\n":     "record on line 3: wrong number of fields",
+		"a,b\n1,2\n3,4,5\n": "record on line 3: wrong number of fields",
+		"a,b\n1,2\n3,x\n":   filepath.Join(dir, "d.csv") + ` line 3: strconv.ParseFloat: parsing "x": invalid syntax`,
+		"a,b\n1,2\n\n3,\n":  filepath.Join(dir, "d.csv") + ` line 3: strconv.ParseFloat: parsing "": invalid syntax`,
+		"a,b\n1,2\n\"3,4\n": `parse error on line 3, column 6: extraneous or missing " in quoted-field`,
+		"a,a\n1,2\n":        `relation: schema "t" has duplicate attribute "a"`,
+		"":                  filepath.Join(dir, "d.csv") + ": empty file",
+	} {
+		if _, err := load(content); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %s", content, err, want)
+		}
+	}
+}
+
+// TestCLIOutputGoldens runs the built binary and compares what it prints
+// with the rendering recorded before output was buffered
+// (testdata/*.golden: everything after the first line, which carries the
+// elapsed time): the "*>" and three-space markers, the trailing ";", and
+// for a diagnosis without a verified repair the WARNING last, exit
+// status 1 and a silent standard error.
+func TestCLIOutputGoldens(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "qfix")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	firstLine := regexp.MustCompile(`^-- diagnosis completed in \S+$`)
+	for _, c := range []struct {
+		complaints, golden string
+		exit               int
+	}{
+		{"testdata/complaints.txt", "testdata/resolved.golden", 0},
+		{"testdata/unresolvable.txt", "testdata/unresolved.golden", 1},
+	} {
+		cmd := exec.Command(bin, "-data", "testdata/taxes.csv", "-log", "testdata/history.sql",
+			"-complaints", c.complaints, "-table", "Taxes")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		exit := 0
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			exit = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if exit != c.exit || stderr.Len() != 0 {
+			t.Errorf("%s: exit status %d (want %d), stderr %q (want none)", c.complaints, exit, c.exit, stderr.String())
+		}
+		first, rest, _ := strings.Cut(stdout.String(), "\n")
+		if !firstLine.MatchString(first) {
+			t.Errorf("%s: first line %q", c.complaints, first)
+		}
+		want, err := os.ReadFile(c.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rest != string(want) {
+			t.Errorf("%s: printed\n%s\nwant\n%s", c.complaints, rest, want)
+		}
 	}
 }
 
@@ -117,5 +212,33 @@ func TestEndToEndFromFiles(t *testing.T) {
 	}
 	if len(rep.Changed) != 1 || rep.Changed[0] != 0 {
 		t.Errorf("changed = %v, want [0]", rep.Changed)
+	}
+}
+
+// BenchmarkLoadCSV times loading the initial state of an OLTP history:
+// 2000 TATP subscriber rows of 6 attributes, written as the benchmark
+// harness writes them.
+func BenchmarkLoadCSV(b *testing.B) {
+	d0 := oltp.TATP(oltp.TATPConfig{Subscribers: 2000, Queries: 1, Seed: 8}).D0
+	var data bytes.Buffer
+	data.WriteString(strings.Join(d0.Schema().Attrs(), ",") + "\n")
+	for i := 0; i < d0.Len(); i++ {
+		for a, v := range d0.At(i).Values {
+			if a > 0 {
+				data.WriteByte(',')
+			}
+			data.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		data.WriteByte('\n')
+	}
+	path := filepath.Join(b.TempDir(), "d0.csv")
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, tb, err := loadCSV(path, "subscriber", "s_id"); err != nil || tb.Len() != d0.Len() {
+			b.Fatalf("%d rows, error %v", tb.Len(), err)
+		}
 	}
 }

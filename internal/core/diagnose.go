@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/encode"
@@ -62,6 +63,10 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 	rep, err := d.dispatch()
 	mDiagnoses.Inc()
 	if rep != nil {
+		// Inside the diagnosis a candidate log shares every statement it
+		// did not repair with the caller's log (see attempt); the repair
+		// handed back is the caller's own to mutate.
+		rep.Log = query.CloneLog(rep.Log)
 		if rep.Resolved {
 			mDiagnosesResolved.Inc()
 		}
@@ -318,16 +323,20 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 		d.opt.SolutionCache.put(warmKey, res, mres)
 	}
 
-	repaired := query.CloneLog(baseLog)
-	byQuery := map[int][]float64{}
-	for qi := range repaired {
-		byQuery[qi] = repaired[qi].Params()
-	}
-	for i, ref := range res.Params {
-		byQuery[ref.Query][ref.Index] = vals[i]
-	}
-	for qi, q := range repaired {
-		if err := q.SetParams(byQuery[qi]); err != nil {
+	// Copy on write: the candidate shares every statement of the base log
+	// but the ones the MILP parameterized, so whoever compares it with the
+	// base log (finish, a refinement round built on it) can skip whatever
+	// is pointer-identical. res.Params lists a query's parameters together
+	// and the queries in log order.
+	repaired := slices.Clone(baseLog)
+	for i := 0; i < len(res.Params); {
+		qi := res.Params[i].Query
+		params := baseLog[qi].Params()
+		for ; i < len(res.Params) && res.Params[i].Query == qi; i++ {
+			params[res.Params[i].Index] = vals[i]
+		}
+		repaired[qi] = baseLog[qi].Clone()
+		if err := repaired[qi].SetParams(params); err != nil {
 			return nil, false, fmt.Errorf("core: applying repair to query %d: %w", qi, err)
 		}
 	}
@@ -511,24 +520,28 @@ func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, s
 
 // unresolved packages the outcome of a search that found no repair.
 func (d *diagnoser) unresolved() *Repair {
-	return &Repair{Log: query.CloneLog(d.log), Resolved: false, Stats: d.stats}
+	return &Repair{Log: d.log, Resolved: false, Stats: d.stats}
 }
 
-// finish packages a verified repair.
+// finish packages a verified repair. Only statements that are not the
+// base log's own can differ from it (logs are copy-on-write, see
+// attempt), so only those are compared; each contributes to the
+// distance what query.Distance would add for it, in the same order.
 func (d *diagnoser) finish(v verified) *Repair {
 	rep := &Repair{Log: v.log, Stats: d.stats}
-	rep.Distance = query.Distance(d.log, v.log)
-	origParams := make([][]float64, len(d.log))
-	for i, q := range d.log {
-		origParams[i] = q.Params()
-	}
 	for i, q := range v.log {
-		rp := q.Params()
+		if q == d.log[i] {
+			continue
+		}
+		orig, rp := d.log[i].Params(), q.Params()
+		changed := false
 		for j := range rp {
-			if math.Abs(rp[j]-origParams[i][j]) > 1e-9 {
-				rep.Changed = append(rep.Changed, i)
-				break
-			}
+			diff := math.Abs(rp[j] - orig[j])
+			rep.Distance += diff
+			changed = changed || diff > 1e-9
+		}
+		if changed {
+			rep.Changed = append(rep.Changed, i)
 		}
 	}
 	rep.Resolved = v.final != nil && ComplaintsResolved(v.final, d.complaints, 1e-6)

@@ -283,8 +283,7 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 		if !d.deadline.IsZero() {
 			remain := time.Until(d.deadline)
 			if remain <= 0 {
-				out.rep = &Repair{Log: query.CloneLog(d.log),
-					Stats: Stats{LastStatus: "total-time-limit"}}
+				out.rep = &Repair{Log: d.log, Stats: Stats{LastStatus: "total-time-limit"}}
 				return out
 			}
 			o.TotalTimeLimit = remain
@@ -485,11 +484,12 @@ func (d *diagnoser) resolveConflicts(parts []partition, reps []*Repair, conflict
 }
 
 // applyPartitionParams overlays every partition repair's changed
-// parameters onto a clone of the original log. conflicts lists pairs of
-// repair indices that assigned different values to the same query's
-// parameters (each offending query contributes one pair).
+// parameters onto the original log, copy-on-write like attempt: the
+// merged log shares every statement no partition repaired. conflicts
+// lists pairs of repair indices that assigned different values to the
+// same query's parameters (each offending query contributes one pair).
 func applyPartitionParams(orig []query.Query, reps []*Repair) (mergedLog []query.Query, conflicts [][2]int) {
-	merged := query.CloneLog(orig)
+	merged := slices.Clone(orig)
 	assigned := make(map[int][]float64)
 	ownerOf := make(map[int]int) // query index -> repair that assigned it
 	for ri, rep := range reps {
@@ -506,6 +506,7 @@ func applyPartitionParams(orig []query.Query, reps []*Repair) (mergedLog []query
 			}
 			assigned[qi] = params
 			ownerOf[qi] = ri
+			merged[qi] = orig[qi].Clone()
 			if err := merged[qi].SetParams(params); err != nil {
 				// Structural mismatch cannot happen between clones of the
 				// same log; route it through the conflict fallback anyway.

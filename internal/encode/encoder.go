@@ -27,7 +27,7 @@ type tstate struct {
 type encoder struct {
 	m     *milp.Model
 	opt   Options
-	log   []query.Query // cloned: predicate pointers are stable
+	log   []query.Query // the caller's, read only
 	sch   *relation.Schema
 	width int
 	M     float64
@@ -150,7 +150,7 @@ func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, o
 	e := &encoder{
 		m:         milp.NewModel(),
 		opt:       opt,
-		log:       query.CloneLog(log),
+		log:       log,
 		sch:       d0.Schema(),
 		width:     d0.Schema().Width(),
 		eps:       opt.Eps,

@@ -117,7 +117,9 @@ type Stats struct {
 
 // Result is an encoded MILP plus the bookkeeping to interpret solutions.
 type Result struct {
-	Model  *milp.Model
+	Model *milp.Model
+	// Params lists the repairable parameters in log order, those of one
+	// query together and in its canonical parameter order.
 	Params []ParamRef
 	// Sigma maps parameterized queries' symbolic σ literals; entries
 	// exist only where folding failed. Used by tests and diagnostics.

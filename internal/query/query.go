@@ -74,25 +74,38 @@ func (u *Update) Kind() Kind { return KindUpdate }
 // Apply implements Query: tuples satisfying Where get all SET clauses
 // applied simultaneously over their old values.
 func (u *Update) Apply(tb *relation.Table) error {
-	width := tb.Schema().Width()
+	if err := u.checkSet(tb.Schema().Width()); err != nil {
+		return err
+	}
+	newVals := make([]float64, len(u.Set))
+	tb.Update(func(t *relation.Tuple) { u.applyTo(t, newVals) })
+	return nil
+}
+
+// checkSet rejects a SET clause that names no attribute of the table.
+func (u *Update) checkSet(width int) error {
 	for _, sc := range u.Set {
 		if sc.Attr < 0 || sc.Attr >= width {
 			return fmt.Errorf("query: SET attribute %d out of range [0,%d)", sc.Attr, width)
 		}
 	}
-	newVals := make([]float64, len(u.Set))
-	tb.Update(func(t *relation.Tuple) {
-		if !u.Where.Eval(t.Values) {
-			return
-		}
-		for i, sc := range u.Set {
-			newVals[i] = sc.Expr.Eval(t.Values)
-		}
-		for i, sc := range u.Set {
-			t.Values[sc.Attr] = newVals[i]
-		}
-	})
 	return nil
+}
+
+// applyTo runs the statement on one tuple, reporting whether it matched.
+// newVals is scratch of len(u.Set): every SET expression is evaluated
+// over the old values before any is assigned.
+func (u *Update) applyTo(t *relation.Tuple, newVals []float64) bool {
+	if !u.Where.Eval(t.Values) {
+		return false
+	}
+	for i, sc := range u.Set {
+		newVals[i] = sc.Expr.Eval(t.Values)
+	}
+	for i, sc := range u.Set {
+		t.Values[sc.Attr] = newVals[i]
+	}
+	return true
 }
 
 // Clone implements Query.
@@ -186,9 +199,7 @@ func (q *Delete) Apply(tb *relation.Table) error {
 			doomed = append(doomed, t.ID)
 		}
 	})
-	for _, id := range doomed {
-		tb.Delete(id)
-	}
+	tb.DeleteBatch(doomed)
 	return nil
 }
 
@@ -206,18 +217,6 @@ func (q *Delete) String(s *relation.Schema) string {
 		out += " WHERE " + q.Where.String(s)
 	}
 	return out
-}
-
-// Replay clones d0 and applies every query in the log, returning the
-// final state Dn = Q(D0).
-func Replay(log []Query, d0 *relation.Table) (*relation.Table, error) {
-	cur := d0.Clone()
-	for i, q := range log {
-		if err := q.Apply(cur); err != nil {
-			return nil, fmt.Errorf("query %d (%s): %w", i, q.Kind(), err)
-		}
-	}
-	return cur, nil
 }
 
 // ReplayAll returns every intermediate state [D0, D1, ..., Dn]. Used by

@@ -1,0 +1,254 @@
+package query
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/relation"
+)
+
+// Replay clones d0 and applies every query in the log, returning the
+// final state Dn = Q(D0).
+func Replay(log []Query, d0 *relation.Table) (*relation.Table, error) {
+	return newExecutor(log, d0.Clone()).run(log)
+}
+
+// Whether a replay indexes an attribute is a matter of cost. With p
+// point statements on it and a table of r rows, scanning for them costs
+// p·r predicate evaluations; the index costs about buildEvals
+// evaluations' worth per row to build (a map insert, a bucket) and each
+// statement about lookupRows rows' worth to find its bucket and rows
+// (two map lookups, a call per row). It is built when
+// p·(r − lookupRows) > buildEvals·r: never for a table of a dozen rows,
+// from about thirty statements on a table of 30 rows, from about fifteen
+// on a large one. The constants are where BenchmarkReplayOLTP's two
+// sides cross on TATP logs of 4 to 1000 rows and 8 to 128 statements.
+const (
+	lookupRows = 12
+	buildEvals = 14
+)
+
+// executor applies the statements of one replay to one table. It leaves
+// the table exactly as q.Apply per statement would; what it saves is the
+// full scan of a point statement: one whose WHERE is, or has as a direct
+// conjunct of its top-level AND, "attr = c". Such a statement can match
+// only rows holding c in attr, so for each attribute the log selects on
+// often enough the executor keeps a hash index value → row IDs and hands
+// the statement that one bucket. The index is only a prefilter — the
+// whole WHERE still decides every candidate row — and every other
+// statement goes through q.Apply.
+type executor struct {
+	tb    *relation.Table
+	index []attrIndex // per attribute of the schema
+	any   bool        // some attribute is indexed
+
+	// Scratch of the statement being applied.
+	newVals []float64 // SET values (Update.applyTo)
+	written []int     // indexed attributes the UPDATE sets
+	old     []float64 // their values in the row at hand, before it ran
+	ids     []int64   // the rows to visit (UPDATE) or remove (DELETE)
+}
+
+// attrIndex is the point-lookup index of one attribute. A bucket lists
+// the ID of every live row holding the value (NaN, which equals nothing,
+// is not listed), each once, and possibly IDs of rows deleted since:
+// IDs are never reused, so those resolve to no row and are skipped.
+type attrIndex struct {
+	points int                 // statements of the log with an equality conjunct on it
+	want   bool                // which are enough to index it
+	rows   map[float64][]int64 // nil until first used, and after a scanning UPDATE wrote the attribute
+}
+
+func newExecutor(log []Query, tb *relation.Table) *executor {
+	x := &executor{tb: tb, index: make([]attrIndex, tb.Schema().Width())}
+	if len(log) <= buildEvals {
+		return x
+	}
+	rows := tb.Len() // the table can grow to this many
+	for _, q := range log {
+		switch q := q.(type) {
+		case *Update:
+			x.countPoints(q.Where)
+		case *Delete:
+			x.countPoints(q.Where)
+		case *Insert:
+			rows++
+		}
+	}
+	for a := range x.index {
+		ix := &x.index[a]
+		ix.want = ix.points*(rows-lookupRows) > buildEvals*rows
+		x.any = x.any || ix.want
+	}
+	return x
+}
+
+// pointAttr reports the attribute p selects on when p is "attr = c"
+// over an attribute of the schema.
+func (x *executor) pointAttr(p *Pred) (int, bool) {
+	if p.Op != EQ || p.LHS.Const != 0 || len(p.LHS.Terms) != 1 || p.LHS.Terms[0].Coef != 1 {
+		return 0, false
+	}
+	a := p.LHS.Terms[0].Attr
+	return a, a >= 0 && a < len(x.index)
+}
+
+// conjuncts lists the conditions that must all hold for where to hold,
+// as far as the top level shows.
+func conjuncts(where Cond, one *[1]Cond) []Cond {
+	if and, ok := where.(*And); ok {
+		return and.Kids
+	}
+	one[0] = where
+	return one[:]
+}
+
+func (x *executor) countPoints(where Cond) {
+	var one [1]Cond
+	for _, c := range conjuncts(where, &one) {
+		if p, ok := c.(*Pred); ok {
+			if a, ok := x.pointAttr(p); ok {
+				x.index[a].points++
+			}
+		}
+	}
+}
+
+// pointPred returns the first equality conjunct of where on an indexed
+// attribute, or nil when the statement has to scan.
+func (x *executor) pointPred(where Cond) *Pred {
+	var one [1]Cond
+	for _, c := range conjuncts(where, &one) {
+		if p, ok := c.(*Pred); ok {
+			if a, ok := x.pointAttr(p); ok && x.index[a].want {
+				return p
+			}
+		}
+	}
+	return nil
+}
+
+// run applies the log to the executor's table and returns it.
+func (x *executor) run(log []Query) (*relation.Table, error) {
+	for i, q := range log {
+		if err := x.apply(q); err != nil {
+			return nil, fmt.Errorf("query %d (%s): %w", i, q.Kind(), err)
+		}
+	}
+	return x.tb, nil
+}
+
+// apply runs one statement.
+func (x *executor) apply(q Query) error {
+	if !x.any {
+		return q.Apply(x.tb)
+	}
+	switch q := q.(type) {
+	case *Update:
+		if p := x.pointPred(q.Where); p != nil {
+			return x.update(q, p)
+		}
+		if err := q.Apply(x.tb); err != nil {
+			return err
+		}
+		for _, sc := range q.Set {
+			x.index[sc.Attr].rows = nil // rewritten behind the index's back
+		}
+		return nil
+	case *Delete:
+		if p := x.pointPred(q.Where); p != nil {
+			x.delete(q, p)
+			return nil
+		}
+		return q.Apply(x.tb)
+	case *Insert:
+		id := x.tb.NextID()
+		if err := q.Apply(x.tb); err != nil {
+			return err
+		}
+		for a := range x.index {
+			if x.index[a].rows != nil {
+				x.index[a].add(q.Values[a], id)
+			}
+		}
+		return nil
+	}
+	// A statement kind this file does not know may write anything.
+	for a := range x.index {
+		x.index[a].rows = nil
+	}
+	return q.Apply(x.tb)
+}
+
+// bucket returns the rows a statement with conjunct p can match, building
+// the attribute's index if it is not there.
+func (x *executor) bucket(p *Pred) []int64 {
+	a := p.LHS.Terms[0].Attr
+	ix := &x.index[a]
+	if ix.rows == nil {
+		ix.rows = make(map[float64][]int64, x.tb.Len())
+		x.tb.Rows(func(t relation.Tuple) { ix.add(t.Values[a], t.ID) })
+	}
+	return ix.rows[p.RHS]
+}
+
+func (x *executor) update(u *Update, p *Pred) error {
+	if err := u.checkSet(len(x.index)); err != nil {
+		return err
+	}
+	x.ids = append(x.ids[:0], x.bucket(p)...) // a copy: a row that moves leaves its bucket
+	x.written = x.written[:0]
+	for _, sc := range u.Set {
+		if x.index[sc.Attr].rows != nil && !slices.Contains(x.written, sc.Attr) {
+			x.written = append(x.written, sc.Attr)
+		}
+	}
+	x.newVals = slices.Grow(x.newVals[:0], len(u.Set))[:len(u.Set)]
+	x.old = slices.Grow(x.old[:0], len(x.written))[:len(x.written)]
+	row := func(t *relation.Tuple) {
+		for k, a := range x.written {
+			x.old[k] = t.Values[a]
+		}
+		if !u.applyTo(t, x.newVals) {
+			return
+		}
+		for k, a := range x.written {
+			if v := t.Values[a]; v != x.old[k] {
+				x.index[a].move(t.ID, x.old[k], v)
+			}
+		}
+	}
+	for _, id := range x.ids {
+		x.tb.UpdateRow(id, row)
+	}
+	return nil
+}
+
+func (x *executor) delete(q *Delete, p *Pred) {
+	x.ids = x.ids[:0]
+	row := func(t *relation.Tuple) {
+		if q.Where.Eval(t.Values) {
+			x.ids = append(x.ids, t.ID)
+		}
+	}
+	for _, id := range x.bucket(p) {
+		x.tb.UpdateRow(id, row)
+	}
+	x.tb.DeleteBatch(x.ids) // their IDs stay listed, and resolve to nothing
+}
+
+func (ix *attrIndex) add(v float64, id int64) {
+	if v == v {
+		ix.rows[v] = append(ix.rows[v], id)
+	}
+}
+
+func (ix *attrIndex) move(id int64, from, to float64) {
+	if b := ix.rows[from]; len(b) > 0 {
+		if i := slices.Index(b, id); i >= 0 {
+			b[i] = b[len(b)-1]
+			ix.rows[from] = b[:len(b)-1]
+		}
+	}
+	ix.add(to, id)
+}

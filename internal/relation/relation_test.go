@@ -231,3 +231,82 @@ func TestQuickCloneDiff(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDeleteBatchMatchesDeleteLoop: removing half of 10 000 rows in one
+// batch leaves what a Delete per row leaves — the same rows in the same
+// order, the same ID counter, every survivor still found by its ID — and
+// deletes later and earlier than the batch keep working.
+func TestDeleteBatchMatchesDeleteLoop(t *testing.T) {
+	s := MustSchema("t", []string{"a", "b"}, "")
+	batch := NewTable(s)
+	for i := 0; i < 10000; i++ {
+		batch.MustInsert(float64(i), float64(i%7))
+	}
+	loop := batch.Clone()
+	rng := rand.New(rand.NewSource(5))
+	var doomed []int64
+	for _, id := range batch.IDs() {
+		if rng.Intn(2) == 0 {
+			doomed = append(doomed, id)
+		}
+	}
+	rng.Shuffle(len(doomed), func(i, j int) { doomed[i], doomed[j] = doomed[j], doomed[i] })
+	withNoise := append([]int64{doomed[0], -3, 20001}, doomed...) // a repeat and two strangers
+	if n := batch.DeleteBatch(withNoise); n != len(doomed) {
+		t.Fatalf("DeleteBatch removed %d rows, want %d", n, len(doomed))
+	}
+	for _, id := range doomed {
+		loop.Delete(id)
+	}
+	same := func() {
+		t.Helper()
+		if batch.Len() != loop.Len() || batch.NextID() != loop.NextID() {
+			t.Fatalf("batch: %d rows, next ID %d; loop: %d rows, next ID %d",
+				batch.Len(), batch.NextID(), loop.Len(), loop.NextID())
+		}
+		for i := 0; i < loop.Len(); i++ {
+			b, l := batch.At(i), loop.At(i)
+			if b.ID != l.ID || !b.Equal(l, 0) {
+				t.Fatalf("row %d: batch has %v, loop has %v", i, b, l)
+			}
+			if got, ok := batch.Get(b.ID); !ok || !got.Equal(b, 0) {
+				t.Fatalf("tuple %d not found by ID after the batch", b.ID)
+			}
+		}
+		if d := DiffTables(loop, batch, 0); len(d) != 0 {
+			t.Fatalf("%d differences between loop and batch", len(d))
+		}
+	}
+	same()
+	if batch.DeleteBatch(nil) != 0 || batch.DeleteBatch(doomed) != 0 {
+		t.Error("an empty or already-deleted batch removed rows")
+	}
+	last := batch.At(batch.Len() - 1).ID
+	batch.MustInsert(1, 1)
+	loop.MustInsert(1, 1)
+	for _, id := range []int64{last, batch.At(0).ID} {
+		if batch.DeleteBatch([]int64{id}) != 1 || !loop.Delete(id) {
+			t.Fatalf("tuple %d not deleted", id)
+		}
+	}
+	same()
+}
+
+func TestUpdateRow(t *testing.T) {
+	tb := newTestTable(t)
+	a := tb.MustInsert(1, 2)
+	b := tb.MustInsert(4, 5)
+	if !tb.UpdateRow(b.ID, func(tp *Tuple) { tp.Values[0] = 40 }) {
+		t.Fatal("live tuple not found")
+	}
+	if got, _ := tb.Get(b.ID); got.Values[0] != 40 {
+		t.Errorf("tuple after UpdateRow = %v", got.Values)
+	}
+	if got, _ := tb.Get(a.ID); got.Values[0] != 1 {
+		t.Errorf("UpdateRow touched another tuple: %v", got.Values)
+	}
+	tb.Delete(b.ID)
+	if tb.UpdateRow(b.ID, func(*Tuple) { t.Error("f called for a deleted tuple") }) {
+		t.Error("deleted tuple reported live")
+	}
+}

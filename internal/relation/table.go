@@ -121,6 +121,40 @@ func (tb *Table) Delete(id int64) bool {
 	return true
 }
 
+// DeleteBatch removes every live tuple whose ID is listed (unknown and
+// repeated IDs are ignored) and returns how many went. Survivors keep
+// their order. It is one pass from the first doomed row — rows compacted
+// and each moved row's byID entry rewritten once — where a Delete per ID
+// would re-index the tail once per doomed row.
+func (tb *Table) DeleteBatch(ids []int64) int {
+	first, n := len(tb.rows), 0
+	for _, id := range ids {
+		i, ok := tb.byID[id]
+		if !ok {
+			continue
+		}
+		delete(tb.byID, id)
+		tb.rows[i].Values = nil // doomed: a live row has at least one value
+		first = min(first, i)
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	w := first
+	for _, t := range tb.rows[first:] {
+		if t.Values == nil {
+			continue
+		}
+		tb.rows[w] = t
+		tb.byID[t.ID] = w
+		w++
+	}
+	clear(tb.rows[w:])
+	tb.rows = tb.rows[:w]
+	return n
+}
+
 // Get returns a copy of the tuple with the given ID.
 func (tb *Table) Get(id int64) (Tuple, bool) {
 	t, ok := tb.lookup(id)
@@ -179,6 +213,18 @@ func (tb *Table) Update(f func(t *Tuple)) {
 	for i := range tb.rows {
 		f(&tb.rows[i])
 	}
+}
+
+// UpdateRow applies f to the live tuple with the given ID, reporting
+// whether there is one; f may mutate the values slice in place. It is
+// Update for a caller that already knows which rows a statement can
+// match.
+func (tb *Table) UpdateRow(id int64, f func(t *Tuple)) bool {
+	i, ok := tb.byID[id]
+	if ok {
+		f(&tb.rows[i])
+	}
+	return ok
 }
 
 // At returns a copy of the tuple at position i in insertion order.

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // tokKind classifies lexer tokens.
@@ -31,32 +30,73 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"UPDATE": true, "SET": true, "WHERE": true,
-	"INSERT": true, "INTO": true, "VALUES": true,
-	"DELETE": true, "FROM": true,
-	"AND": true, "OR": true, "BETWEEN": true,
-	"TRUE": true, "FALSE": true, "IN": true, "NOT": true,
+// keywords in their canonical (upper-case) spelling, by length: a token's
+// text is compared with these few, case-insensitively, in place.
+var keywords = [...][]string{
+	2: {"OR", "IN"},
+	3: {"SET", "AND", "NOT"},
+	4: {"INTO", "FROM", "TRUE"},
+	5: {"WHERE", "FALSE"},
+	6: {"UPDATE", "INSERT", "VALUES", "DELETE"},
+	7: {"BETWEEN"},
 }
 
-// lex splits input into tokens. It returns an error for any character
-// outside the supported subset.
-func lex(input string) ([]token, error) {
-	var toks []token
-	i := 0
+// keyword returns the canonical spelling of the keyword text is, or "".
+func keyword(text string) string {
+	if len(text) < len(keywords) {
+		for _, kw := range keywords[len(text)] {
+			if strings.EqualFold(text, kw) {
+				return kw
+			}
+		}
+	}
+	return ""
+}
+
+// Byte classes of the supported subset, which is ASCII only.
+const (
+	clsSpace  = 1 << iota // blank, tab, newline, carriage return
+	clsDigit              // 0-9
+	clsLetter             // A-Z, a-z, _
+	clsSymbol             // the one-byte symbols
+)
+
+var class = func() (t [256]uint8) {
+	for _, c := range " \t\n\r" {
+		t[c] |= clsSpace
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] |= clsDigit
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] |= clsLetter
+		t[c-'a'+'A'] |= clsLetter
+	}
+	t['_'] |= clsLetter
+	for _, c := range "=,()+-*/;[]" {
+		t[c] |= clsSymbol
+	}
+	return t
+}()
+
+// lex scans the token that starts at or after offset i of input, past
+// blanks and comments, and returns it with the offset just behind it; at
+// the end of the input that token is tokEOF. It returns an error for any
+// character outside the supported subset.
+func lex(input string, i int) (token, int, error) {
 	n := len(input)
 	for i < n {
 		c := input[i]
 		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		case class[c]&clsSpace != 0:
 			i++
 		case c == '-' && i+1 < n && input[i+1] == '-': // line comment
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case unicode.IsDigit(rune(c)) || (c == '.' && i+1 < n && unicode.IsDigit(rune(input[i+1]))):
+		case class[c]&clsDigit != 0 || (c == '.' && i+1 < n && class[input[i+1]]&clsDigit != 0):
 			start := i
-			for i < n && (unicode.IsDigit(rune(input[i])) || input[i] == '.' ||
+			for i < n && (class[input[i]]&clsDigit != 0 || input[i] == '.' ||
 				input[i] == 'e' || input[i] == 'E' ||
 				((input[i] == '+' || input[i] == '-') && i > start && (input[i-1] == 'e' || input[i-1] == 'E'))) {
 				i++
@@ -64,42 +104,33 @@ func lex(input string) ([]token, error) {
 			text := input[start:i]
 			v, err := strconv.ParseFloat(text, 64)
 			if err != nil {
-				return nil, fmt.Errorf("sqlparse: bad number %q at %d", text, start)
+				return token{}, start, fmt.Errorf("sqlparse: bad number %q at %d", text, start)
 			}
-			toks = append(toks, token{kind: tokNumber, text: text, num: v, pos: start})
-		case unicode.IsLetter(rune(c)) || c == '_':
+			return token{kind: tokNumber, text: text, num: v, pos: start}, i, nil
+		case class[c]&clsLetter != 0:
 			start := i
-			for i < n && (unicode.IsLetter(rune(input[i])) || unicode.IsDigit(rune(input[i])) || input[i] == '_') {
+			for i < n && class[input[i]]&(clsLetter|clsDigit) != 0 {
 				i++
 			}
 			text := input[start:i]
-			up := strings.ToUpper(text)
-			if keywords[up] {
-				toks = append(toks, token{kind: tokKeyword, text: up, pos: start})
-			} else {
-				toks = append(toks, token{kind: tokIdent, text: text, pos: start})
+			if kw := keyword(text); kw != "" {
+				return token{kind: tokKeyword, text: kw, pos: start}, i, nil
 			}
+			return token{kind: tokIdent, text: text, pos: start}, i, nil
 		case c == '<' || c == '>':
-			if i+1 < n && input[i+1] == '=' {
-				toks = append(toks, token{kind: tokSymbol, text: input[i : i+2], pos: i})
-				i += 2
-			} else if c == '<' && i+1 < n && input[i+1] == '>' {
-				toks = append(toks, token{kind: tokSymbol, text: "<>", pos: i})
-				i += 2
-			} else {
-				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
-				i++
+			if i+1 < n && (input[i+1] == '=' || (c == '<' && input[i+1] == '>')) {
+				return token{kind: tokSymbol, text: input[i : i+2], pos: i}, i + 2, nil
 			}
+			return token{kind: tokSymbol, text: input[i : i+1], pos: i}, i + 1, nil
 		case c == '!' && i+1 < n && input[i+1] == '=':
-			toks = append(toks, token{kind: tokSymbol, text: "!=", pos: i})
-			i += 2
-		case strings.ContainsRune("=,()+-*/;[]", rune(c)):
-			toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
-			i++
+			return token{kind: tokSymbol, text: "!=", pos: i}, i + 2, nil
+		case class[c]&clsSymbol != 0:
+			return token{kind: tokSymbol, text: input[i : i+1], pos: i}, i + 1, nil
+		case c >= 0x80:
+			return token{}, i, fmt.Errorf("sqlparse: non-ASCII byte 0x%02x at %d", c, i)
 		default:
-			return nil, fmt.Errorf("sqlparse: unexpected character %q at %d", c, i)
+			return token{}, i, fmt.Errorf("sqlparse: unexpected character %q at %d", c, i)
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, pos: n})
-	return toks, nil
+	return token{kind: tokEOF, pos: n}, n, nil
 }

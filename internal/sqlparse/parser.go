@@ -9,27 +9,31 @@ import (
 )
 
 // Parser parses statements against a fixed schema, which resolves
-// attribute names to positions.
+// attribute names to positions. It holds one token of lookahead and
+// scans the source as it goes.
 type Parser struct {
 	schema *relation.Schema
-	toks   []token
-	pos    int
 	src    string
+	tok    token // the current token
+	off    int   // where the token after it starts, blanks aside
+	// lexErr is the first error the scanner met. From then on the parser
+	// sees the end of the input, and the parse returns this error whatever
+	// the grammar made of that.
+	lexErr error
 }
 
 // Parse parses a single statement.
 func Parse(schema *relation.Schema, sql string) (query.Query, error) {
-	p, err := newParser(schema, sql)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(schema, sql)
 	q, err := p.statement()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		p.accept(tokSymbol, ";")
+		if !p.at(tokEOF, "") {
+			err = p.errf("trailing input after statement")
+		}
 	}
-	p.accept(tokSymbol, ";")
-	if !p.at(tokEOF, "") {
-		return nil, p.errf("trailing input after statement")
+	if err = p.scanned(err); err != nil {
+		return nil, err
 	}
 	return q, nil
 }
@@ -37,10 +41,7 @@ func Parse(schema *relation.Schema, sql string) (query.Query, error) {
 // ParseLog parses a sequence of statements separated by semicolons or
 // newlines into a query log.
 func ParseLog(schema *relation.Schema, sql string) ([]query.Query, error) {
-	p, err := newParser(schema, sql)
-	if err != nil {
-		return nil, err
-	}
+	p := newParser(schema, sql)
 	var log []query.Query
 	for !p.at(tokEOF, "") {
 		if p.accept(tokSymbol, ";") {
@@ -48,11 +49,28 @@ func ParseLog(schema *relation.Schema, sql string) ([]query.Query, error) {
 		}
 		q, err := p.statement()
 		if err != nil {
-			return nil, fmt.Errorf("statement %d: %w", len(log)+1, err)
+			return nil, p.scanned(fmt.Errorf("statement %d: %w", len(log)+1, err))
 		}
 		log = append(log, q)
 	}
+	if err := p.scanned(nil); err != nil {
+		return nil, err
+	}
 	return log, nil
+}
+
+// scanned returns the error of a parse that ended with err: a character
+// outside the supported subset anywhere in the input is reported before
+// anything the grammar objects to, so what is left of a rejected input
+// is scanned for one.
+func (p *Parser) scanned(err error) error {
+	for err != nil && !p.at(tokEOF, "") {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		return p.lexErr
+	}
+	return err
 }
 
 // MustParse is Parse that panics on error, for statically known inputs.
@@ -73,16 +91,24 @@ func MustParseLog(schema *relation.Schema, sql string) []query.Query {
 	return log
 }
 
-func newParser(schema *relation.Schema, sql string) (*Parser, error) {
-	toks, err := lex(sql)
-	if err != nil {
-		return nil, err
-	}
-	return &Parser{schema: schema, toks: toks, src: sql}, nil
+func newParser(schema *relation.Schema, sql string) *Parser {
+	p := &Parser{schema: schema, src: sql}
+	p.advance()
+	return p
 }
 
-func (p *Parser) cur() token  { return p.toks[p.pos] }
-func (p *Parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+// advance makes the next token of the source the current one.
+func (p *Parser) advance() {
+	if p.lexErr == nil {
+		p.tok, p.off, p.lexErr = lex(p.src, p.off)
+	}
+	if p.lexErr != nil {
+		p.tok = token{kind: tokEOF, pos: p.off}
+	}
+}
+
+func (p *Parser) cur() token  { return p.tok }
+func (p *Parser) next() token { t := p.tok; p.advance(); return t }
 
 func (p *Parser) at(kind tokKind, text string) bool {
 	t := p.cur()
@@ -91,7 +117,7 @@ func (p *Parser) at(kind tokKind, text string) bool {
 
 func (p *Parser) accept(kind tokKind, text string) bool {
 	if p.at(kind, text) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -294,7 +320,7 @@ func (p *Parser) condUnit() (query.Cond, error) {
 		return query.NewOr(), nil
 	}
 	if p.at(tokSymbol, "(") {
-		save := p.pos
+		tok, off := p.tok, p.off
 		p.next()
 		cond, err := p.orCond()
 		if err == nil {
@@ -302,7 +328,7 @@ func (p *Parser) condUnit() (query.Cond, error) {
 				return cond, nil
 			}
 		}
-		p.pos = save // reparse as arithmetic predicate
+		p.tok, p.off = tok, off // reparse as arithmetic predicate
 	}
 	return p.predicate()
 }

@@ -307,8 +307,25 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse(schema(), "not sql")
 }
 
+// lexAll scans the whole input, as a parse that consumed every token
+// would.
+func lexAll(input string) ([]token, error) {
+	var toks []token
+	for off := 0; ; {
+		tok, next, err := lex(input, off)
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, tok)
+		if tok.kind == tokEOF {
+			return toks, nil
+		}
+		off = next
+	}
+}
+
 func TestLexerNumbers(t *testing.T) {
-	toks, err := lex("1.5e3 2E-2 .5 42")
+	toks, err := lexAll("1.5e3 2E-2 .5 42")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,16 +344,63 @@ func TestLexerNumbers(t *testing.T) {
 			t.Errorf("num %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	if _, err := lex("1.2.3"); err == nil {
+	if _, err := lexAll("1.2.3"); err == nil {
 		t.Error("bad number accepted")
 	}
 }
 
 func TestLexerRejectsGarbage(t *testing.T) {
-	if _, err := lex("a $ b"); err == nil {
+	if _, err := lexAll("a $ b"); err == nil {
 		t.Error("garbage accepted")
 	}
-	if !strings.Contains(func() string { _, e := lex("#"); return e.Error() }(), "unexpected") {
+	if !strings.Contains(func() string { _, e := lexAll("#"); return e.Error() }(), "unexpected") {
 		t.Error("error message unhelpful")
+	}
+}
+
+// TestNonASCIIRejected: the subset is ASCII. Any byte from 0x80 up is
+// reported as such with its offset, whether or not Latin-1 happens to
+// have a letter at that value (0xc3 and 0xe9 do, 0xa9 and 0x80 do not),
+// and wherever it stands: a lexical error is reported before anything
+// the grammar objects to, in Parse and ParseLog alike.
+func TestNonASCIIRejected(t *testing.T) {
+	s := schema()
+	for sql, want := range map[string]string{
+		"UPDATE Taxes SET owed = 1 WHERE incom\xc3\xa9 >= 2": "sqlparse: non-ASCII byte 0xc3 at 37",
+		"UPDATE Taxes SET owed = 1 WHERE \xa9 >= 2":          "sqlparse: non-ASCII byte 0xa9 at 32",
+		"UPDATE Taxes SET owed = 1 WHERE income >= 2\xe9":    "sqlparse: non-ASCII byte 0xe9 at 43",
+		"\x80":                            "sqlparse: non-ASCII byte 0x80 at 0",
+		"SELECT nothing; DELETE \xc3":     "sqlparse: non-ASCII byte 0xc3 at 23",
+		"DELETE FROM Taxes WHERE (a \xff": "sqlparse: non-ASCII byte 0xff at 27",
+		"DELETE FROM Taxes -- caf\xc3\xa9\n WHERE income = 1 @": "sqlparse: unexpected character '@' at 45",
+	} {
+		if _, err := Parse(s, sql); err == nil || err.Error() != want {
+			t.Errorf("Parse(%q): error %v, want %s", sql, err, want)
+		}
+		if _, err := ParseLog(s, sql); err == nil || err.Error() != want {
+			t.Errorf("ParseLog(%q): error %v, want %s", sql, err, want)
+		}
+	}
+	// Comments are skipped, not scanned: what they hold is not SQL.
+	if _, err := Parse(s, "DELETE FROM Taxes -- caf\xc3\xa9\n WHERE income = 1"); err != nil {
+		t.Errorf("non-ASCII bytes in a comment: %v", err)
+	}
+}
+
+// TestKeywordsAnyCase: keywords are matched in place in any case;
+// identifiers that merely contain or extend one are identifiers.
+func TestKeywordsAnyCase(t *testing.T) {
+	s := relation.MustSchema("Updates", []string{"setting", "ORacle", "_in"}, "")
+	q, err := Parse(s, "uPdAtE updates sEt setting = 1, ORacle = _in wHeRe setting bEtWeEn 1 aNd 2 oR _in iN [1, 2] Or NoT_ = 1")
+	if err == nil || !strings.Contains(err.Error(), `unknown attribute "NoT_"`) {
+		t.Fatalf("parsed to %v, error %v", q, err)
+	}
+	q, err = Parse(s, "uPdAtE updates sEt setting = 1, ORacle = _in wHeRe setting bEtWeEn 1 aNd 2 oR _in iN [1, 2] Or tRuE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "UPDATE Updates SET setting = 1, ORacle = _in WHERE (setting >= 1 AND setting <= 2) OR (_in >= 1 AND _in <= 2) OR TRUE"
+	if got := q.String(s); got != want {
+		t.Errorf("parsed to %s, want %s", got, want)
 	}
 }
