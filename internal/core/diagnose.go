@@ -65,7 +65,13 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 	if rep != nil {
 		// Inside the diagnosis a candidate log shares every statement it
 		// did not repair with the caller's log (see attempt); the repair
-		// handed back is the caller's own to mutate.
+		// handed back is the caller's own to mutate. Which statements were
+		// shared is only knowable before the clone.
+		for i, q := range rep.Log {
+			if q != log[i] {
+				rep.Rewritten = append(rep.Rewritten, i)
+			}
+		}
 		rep.Log = query.CloneLog(rep.Log)
 		if rep.Resolved {
 			mDiagnosesResolved.Inc()

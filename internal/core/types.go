@@ -373,6 +373,12 @@ type Repair struct {
 	Log []query.Query
 	// Changed lists indices of queries whose parameters moved.
 	Changed []int
+	// Rewritten lists, ascending, the indices of Log's statements the
+	// diagnosis built itself (a superset of Changed: a parameterized
+	// query can solve back to its old values); every other statement is
+	// a copy of the input log's, so whoever holds a rendering of the
+	// input can reuse it there.
+	Rewritten []int
 	// Distance is the Manhattan distance d(Q, Q*) to the original log.
 	Distance float64
 	// Resolved reports that replaying Log from D0 satisfies every

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -180,6 +182,24 @@ func TestDistributedLoopbackTCP(t *testing.T) {
 	if got.Stats.RemoteJobs != 4 {
 		t.Errorf("Stats.RemoteJobs = %d, want 4 (healthy fleet solves everything remotely)",
 			got.Stats.RemoteJobs)
+	}
+	// Repairs that came back over the wire are merged onto the caller's
+	// log, so Rewritten is as exact as in process: it holds everything
+	// that changed, and the rest is the input's own, bit for bit.
+	for _, i := range got.Changed {
+		if !slices.Contains(got.Rewritten, i) {
+			t.Errorf("Changed has %d, Rewritten %v does not", i, got.Rewritten)
+		}
+	}
+	for i, q := range got.Log {
+		if slices.Contains(got.Rewritten, i) {
+			continue
+		}
+		if !slices.EqualFunc(q.Params(), log[i].Params(), func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}) {
+			t.Errorf("statement %d is outside Rewritten %v but differs from the input", i, got.Rewritten)
+		}
 	}
 	// The coordinator plans once; each worker plans its own job once.
 	if got.Stats.PlanPasses != 1+got.Stats.RemoteJobs {

@@ -42,6 +42,17 @@
 // seeds each solve from the solutions of earlier diagnoses of the same
 // history (Stats.WarmSeeds), so auditing the same store repeatedly
 // collapses each branch-and-bound to its pruning pass.
+//
+// In memory a store keeps, per logged statement, the parsed query and
+// the statement's canonical SQL: the line Append writes, or — rendered
+// by the first DiagnoseView after Open — Query.String of what Open
+// parsed (not the file's bytes: a hand-edited log.sql need not be
+// canonical). That is a 16-byte string header plus the text, which is
+// the statement's line in log.sql less the ";\n" — ~63 B a statement on
+// the benchmark's TATP logs. DiagnoseView hands the text out with the
+// repair, so a caller that renders answers (internal/qfixd) prints only
+// the statements the repair rewrote (core.Repair.Rewritten) and reuses
+// the rest. Checkpoint drops it with the log.
 package histstore
 
 import (
@@ -87,7 +98,13 @@ type Store struct {
 	schema *relation.Schema
 	d0     *relation.Table //qfix:guarded-by mu
 	log    []query.Query   //qfix:guarded-by mu
-	logF   *os.File        //qfix:guarded-by mu
+	// text[i] is log[i].String(schema). It covers a prefix of the log
+	// and, like the log, only ever grows by appending within a
+	// generation: Append extends it when it covers the whole log,
+	// DiagnoseView renders whatever is missing (everything, the first
+	// time after Open).
+	text []string //qfix:guarded-by mu
+	logF *os.File //qfix:guarded-by mu
 	// gen is the checkpoint generation (>= 1).
 	gen int64 //qfix:guarded-by mu
 	// digest is the rolling log digest (core.DigestStep per append),
@@ -448,6 +465,9 @@ func (s *Store) appendLocked(q query.Query) error {
 	if err := s.logF.Sync(); err != nil {
 		return err
 	}
+	if len(s.text) == len(s.log) {
+		s.text = append(s.text, line)
+	}
 	s.log = append(s.log, q.Clone())
 	s.digest = core.DigestStep(s.digest, s.schema, q)
 	s.extendImpactLocked()
@@ -497,6 +517,26 @@ func (s *Store) Current() (*relation.Table, error) {
 	return query.Replay(log, d0)
 }
 
+// View names the history a diagnosis ran over. Within a generation the
+// log only grows, so (Gen, Len) identifies it exactly: two views of one
+// store with equal Gen and Len are the same checkpoint state and the
+// same statements.
+type View struct {
+	// Gen is the checkpoint generation and Len the log length.
+	Gen int64
+	Len int
+	// SQL is the log's canonical text, SQL[i] == log[i].String(schema);
+	// nil from Head. It is shared with the store: read-only.
+	SQL []string
+}
+
+// Head reports the history a diagnosis started now would run over.
+func (s *Store) Head() View {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return View{Gen: s.gen, Len: len(s.log)}
+}
+
 // Diagnose runs QFix over the store's checkpoint state and log with the
 // store's impact cache installed: the first call pays the FullImpact
 // closure, repeat calls over the same log reuse it
@@ -505,15 +545,50 @@ func (s *Store) Current() (*relation.Table, error) {
 // extensions done on the diagnosis path; appends extend eagerly, so the
 // usual count there is zero).
 func (s *Store) Diagnose(complaints []core.Complaint, opt core.Options) (*core.Repair, error) {
-	// Snapshot the history under the read lock, then diagnose unlocked:
-	// the log is append-only and Checkpoint swaps the d0 pointer rather
-	// than mutating the table, so the captured (d0, log, digest) triple
-	// stays internally consistent for the whole run even while writers
-	// proceed. The engine never mutates its inputs (replay verification
-	// clones), so concurrent diagnoses may share the same snapshot.
 	s.mu.RLock()
-	d0, log, digest := s.d0, s.log, s.digest
+	h := s.historyLocked()
 	s.mu.RUnlock()
+	return s.diagnose(h, complaints, opt)
+}
+
+// DiagnoseView is Diagnose that also reports which history it ran over,
+// with its canonical SQL: what a caller needs to render the repair
+// without re-printing the statements it left alone, and to recognize a
+// later request over the same history.
+func (s *Store) DiagnoseView(complaints []core.Complaint, opt core.Options) (*core.Repair, View, error) {
+	s.mu.RLock()
+	h, text := s.historyLocked(), s.text
+	s.mu.RUnlock()
+	if len(text) < len(h.log) {
+		s.mu.Lock()
+		for _, q := range s.log[len(s.text):] {
+			s.text = append(s.text, q.String(s.schema))
+		}
+		h, text = s.historyLocked(), s.text
+		s.mu.Unlock()
+	}
+	rep, err := s.diagnose(h, complaints, opt)
+	return rep, View{Gen: h.gen, Len: len(h.log), SQL: text}, err
+}
+
+// history is the consistent (d0, log, digest, gen) tuple a diagnosis
+// captures under the read lock and then runs over unlocked: the log is
+// append-only and Checkpoint swaps the d0 pointer rather than mutating
+// the table, so the tuple stays internally consistent for the whole run
+// even while writers proceed. The engine never mutates its inputs
+// (replay verification clones), so concurrent diagnoses may share one.
+type history struct {
+	d0     *relation.Table
+	log    []query.Query
+	digest uint64
+	gen    int64
+}
+
+func (s *Store) historyLocked() history {
+	return history{d0: s.d0, log: s.log, digest: s.digest, gen: s.gen}
+}
+
+func (s *Store) diagnose(h history, complaints []core.Complaint, opt core.Options) (*core.Repair, error) {
 	if opt.ImpactCache == nil {
 		opt.ImpactCache = s.cache
 	}
@@ -521,18 +596,18 @@ func (s *Store) Diagnose(complaints []core.Complaint, opt core.Options) (*core.R
 		opt.SolutionCache = s.solutions
 	}
 	if opt.LogDigest == 0 {
-		opt.LogDigest = digest // exact-hit fast path: no SQL re-rendering
+		opt.LogDigest = h.digest // exact-hit fast path: no SQL re-rendering
 	}
 	mDiagnoses.Inc()
-	rep, err := core.Diagnose(d0, log, complaints, opt)
+	rep, err := core.Diagnose(h.d0, h.log, complaints, opt)
 	if err == nil && opt.ImpactCache == s.cache {
 		// Adopt the closure the diagnosis (or a predecessor) cached so
 		// future Appends extend it eagerly — but only if the store still
 		// holds the history this diagnosis saw; a closure for a stale
 		// digest must not seed eager extension of a different log.
 		s.mu.Lock()
-		if s.digest == digest && len(s.log) == len(log) {
-			if full, ok := s.cache.Cached(digest, len(log)); ok {
+		if s.digest == h.digest && len(s.log) == len(h.log) {
+			if full, ok := s.cache.Cached(h.digest, len(h.log)); ok {
 				s.impact = full
 			}
 		}
@@ -591,6 +666,7 @@ func (s *Store) Checkpoint() error {
 	syncDir(s.dir)
 	s.d0 = cur
 	s.log = nil
+	s.text = nil
 	s.logF = logF
 	s.gen = gen
 	s.digest = core.DigestSeed(s.schema)

@@ -9,7 +9,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/oltp"
+	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/workload"
 )
 
 func newStore(t *testing.T) (*Store, *relation.Schema) {
@@ -533,4 +536,140 @@ func TestConcurrentAppendAndDiagnose(t *testing.T) {
 	if got := len(s.Log()); got != 0 {
 		t.Errorf("log len after checkpoint = %d", got)
 	}
+}
+
+// checkView asserts a DiagnoseView of s reports exactly want, rendered
+// as Query.String renders it.
+func checkView(t *testing.T, s *Store, want []query.Query) View {
+	t.Helper()
+	_, v, err := s.DiagnoseView(nil, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Len != len(want) || len(v.SQL) != len(want) {
+		t.Fatalf("view has Len %d and %d texts, want %d", v.Len, len(v.SQL), len(want))
+	}
+	for i, q := range want {
+		if v.SQL[i] != q.String(s.Schema()) {
+			t.Fatalf("text %d = %q, want %q", i, v.SQL[i], q.String(s.Schema()))
+		}
+	}
+	if h := s.Head(); h.Gen != v.Gen || h.Len != v.Len {
+		t.Fatalf("Head = %+v on a quiet store, the view was %+v", h, v)
+	}
+	return v
+}
+
+// The text a store hands out with a diagnosis is Query.String of its
+// log, however the statements got there: appended in this process (the
+// line Append wrote), parsed back by Open, typed into log.sql by hand
+// in another spelling, or left after a Checkpoint.
+func TestStoreTextMatchesString(t *testing.T) {
+	for name, w := range map[string]*workload.Workload{
+		"tpcc": oltp.TPCC(oltp.TPCCConfig{Orders: 60, Queries: 80, Seed: 3}),
+		"tatp": oltp.TATP(oltp.TATPConfig{Subscribers: 60, Queries: 80, Seed: 3}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Create(dir, w.D0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := len(w.Log) / 2
+			for _, q := range w.Log[:half] {
+				if err := s.Append(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v := checkView(t, s, w.Log[:half])
+			// Statements appended after the text exists extend it; a view
+			// taken earlier keeps naming the shorter log.
+			for _, q := range w.Log[half:] {
+				if err := s.Append(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkView(t, s, w.Log)
+			if len(v.SQL) != half {
+				t.Fatalf("an earlier view grew to %d texts", len(v.SQL))
+			}
+			s.Close()
+
+			// A statement spelled differently on disk is stored as parsed.
+			f, err := os.OpenFile(filepath.Join(dir, "log.sql"), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			canon := w.Log[0].String(w.Schema)
+			edited := "  " + strings.ReplaceAll(strings.ToLower(canon), " ", "   ")
+			if _, err := f.WriteString(edited + ";\n"); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if s, err = Open(dir); err != nil {
+				t.Fatalf("reopening with %q appended: %v", edited, err)
+			}
+			defer s.Close()
+			all := append(query.CloneLog(w.Log), w.Log[0])
+			before := checkView(t, s, all)
+
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if h := s.Head(); h.Gen != before.Gen+1 || h.Len != 0 {
+				t.Fatalf("Head after Checkpoint = %+v, want generation %d and no log", h, before.Gen+1)
+			}
+			if err := s.Append(w.Log[1]); err != nil {
+				t.Fatal(err)
+			}
+			checkView(t, s, w.Log[1:2])
+		})
+	}
+}
+
+// Views taken while appends land: each one is a prefix of the appended
+// sequence, exactly as long as it says, rendered canonically.
+func TestStoreTextUnderConcurrentAppends(t *testing.T) {
+	w := oltp.TATP(oltp.TATPConfig{Subscribers: 40, Queries: 120, Seed: 5})
+	s, err := Create(t.TempDir(), w.D0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Append(w.Log[0]); err != nil {
+		t.Fatal(err)
+	}
+	appended := make(chan error, 1)
+	go func() {
+		for _, q := range w.Log[1:] {
+			if err := s.Append(q); err != nil {
+				appended <- err
+				return
+			}
+		}
+		appended <- nil
+	}()
+	for done := false; !done; {
+		select {
+		case err := <-appended:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+		}
+		_, v, err := s.DiagnoseView(nil, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Len != len(v.SQL) || v.Len < 1 || v.Len > len(w.Log) {
+			t.Fatalf("view has Len %d and %d texts", v.Len, len(v.SQL))
+		}
+		for i, text := range v.SQL {
+			if text != w.Log[i].String(w.Schema) {
+				t.Fatalf("text %d of %d = %q, want %q", i, v.Len, text, w.Log[i].String(w.Schema))
+			}
+		}
+	}
+	checkView(t, s, w.Log)
 }

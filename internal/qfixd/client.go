@@ -1,6 +1,7 @@
 package qfixd
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,7 +35,8 @@ func DialDaemon(addr string) (*Client, error) {
 	}
 	c := &Client{conn: conn, enc: json.NewEncoder(conn),
 		pending: make(map[uint64]chan *Response)}
-	//qfix:leak-ok read exits when Close closes the conn, failing Decode
+	c.enc.SetEscapeHTML(false) // the strings are SQL: `<=` travels as two bytes, not seven
+	//qfix:leak-ok read exits when Close closes the conn, failing the read
 	go c.read()
 	return c, nil
 }
@@ -43,13 +45,22 @@ func DialDaemon(addr string) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // read routes response frames to their waiting requests until the
-// connection ends, then fails whatever is still pending.
+// connection ends or sends something that is not a frame (a line over
+// maxFrame included), then fails whatever is still pending.
 func (c *Client) read() {
-	dec := json.NewDecoder(c.conn)
-	//qfix:ctx-ok exits via Close: the closed connection fails Decode, failing all pending requests
+	// A diagnose response is tens of kilobytes; the default 4 KiB buffer
+	// would fetch it in as many reads.
+	br := bufio.NewReaderSize(c.conn, 64<<10)
+	var line []byte // reused: decodeResponse copies what it keeps
+	//qfix:ctx-ok exits via Close: the closed connection fails the read, failing all pending requests
 	for {
+		var err error
+		if line, err = readFrame(br, line); err != nil {
+			c.fail(fmt.Errorf("qfixd: connection lost: %w", err))
+			return
+		}
 		resp := new(Response)
-		if err := dec.Decode(resp); err != nil {
+		if err := decodeResponse(line, resp); err != nil {
 			c.fail(fmt.Errorf("qfixd: connection lost: %w", err))
 			return
 		}

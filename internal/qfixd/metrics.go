@@ -11,6 +11,10 @@ var (
 		"Diagnose requests received (before admission).")
 	mBusy = obs.Default().Counter("qfix_daemon_busy_total",
 		"Diagnose requests refused with backpressure (tenant queue full).")
+	mMemoHits = obs.Default().Counter("qfix_daemon_memo_hits_total",
+		"Wire diagnose requests answered from the tenant's answer memo (no engine run, no slot).")
+	mMemoMisses = obs.Default().Counter("qfix_daemon_memo_misses_total",
+		"Wire diagnose requests that ran the engine (first, changed, or not memoisable).")
 	mInflight = obs.Default().Gauge("qfix_daemon_inflight",
 		"Diagnoses currently running.")
 	mQueueDepth = obs.Default().Gauge("qfix_daemon_queue_depth",

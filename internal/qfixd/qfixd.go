@@ -26,7 +26,15 @@
 //     (Config.MaxInflight) and queues excess per tenant, draining the
 //     queues round-robin so a flooding tenant cannot starve the rest,
 //     and rejecting beyond Config.TenantQueue with ErrBusy instead of
-//     queueing unboundedly.
+//     queueing unboundedly;
+//   - each tenant keeps the last answer it sent over the wire (memo):
+//     a diagnose request that repeats the question exactly — same
+//     store, same history, same complaints, same options — costs a
+//     lookup and one write of the bytes already encoded, with no engine
+//     run and no admission slot. An append, a checkpoint, a complaint,
+//     another option value or an eviction each change the question and
+//     run the engine, whose answer is rendered from the store's own SQL
+//     text except for the statements the repair rewrote.
 //
 // The determinism guarantee survives residency: a diagnosis adjudicates
 // its scans in submission order whether jobs run on the shared pool or
@@ -43,9 +51,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -133,8 +143,9 @@ type Service struct {
 	traceSeq atomic.Uint64
 }
 
-// tenant is one tenant's resident state: its open store and the
-// complaints staged (via the complain op) for its next diagnosis.
+// tenant is one tenant's resident state: its open store, the
+// complaints staged (via the complain op) for its next diagnosis, and
+// the last answer it sent over the wire.
 //
 // refs pins the store against eviction: lookup increments it (under
 // the service mutex, so a pin and an eviction cannot interleave) and
@@ -147,6 +158,28 @@ type tenant struct {
 	staged  []core.Complaint //qfix:guarded-by mu
 	refs    int              //qfix:guarded-by mu — operations currently using the store
 	lastUse time.Time        //qfix:guarded-by mu — last pin or release
+	memo    *memo            //qfix:guarded-by mu — immutable once published; replaced, never edited
+}
+
+// memo is the last diagnosis a tenant answered over the wire: the
+// question — which store, which history of it (histstore.View: the
+// generation and length name a log exactly), the whole complaint list
+// (staged then inline) and the request's options — and the answer as
+// the wire carries it. A diagnosis is a deterministic function of
+// exactly those, so a request that asks the same question again gets
+// the same bytes without running the engine or waiting for a slot.
+// The comparison is on the values themselves, floats bit for bit, never
+// on a digest; an append (length), a checkpoint (generation), another
+// complaint, another option or a reopened store all differ somewhere
+// and run the engine. One entry per tenant: the case it serves is the
+// audit repeated until something changes.
+type memo struct {
+	store      *histstore.Store
+	gen        int64
+	n          int
+	complaints []core.Complaint
+	opt        DiagnoseOptions
+	tail       []byte // answerTail: the frame from its "id" value on
 }
 
 // NewService builds the resident state: the scheduler pool starts
@@ -411,7 +444,7 @@ func (s *Service) Complain(name string, complaints []core.Complaint) (int, error
 }
 
 // Checkpoint commits the tenant's current state as the new D0 and
-// clears its staged complaints.
+// clears its staged complaints (and the answer memoised over them).
 func (s *Service) Checkpoint(name string) error {
 	if s.draining.Load() {
 		return ErrDraining
@@ -426,6 +459,7 @@ func (s *Service) Checkpoint(name string) error {
 	}
 	tn.mu.Lock()
 	tn.staged = nil
+	tn.memo = nil
 	tn.mu.Unlock()
 	return nil
 }
@@ -461,7 +495,8 @@ func (s *Service) Stats(name string) (tenants int, ts *TenantStats, err error) {
 // fleet, when configured). ctx bounds the wait for an inflight slot —
 // cancel it (e.g. when the requesting connection drops) and a queued
 // request leaves the queue; requests beyond the tenant's queue cap
-// fail fast with ErrBusy.
+// fail fast with ErrBusy. It always runs the engine: the answer memo
+// belongs to the wire path (answer).
 func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.Complaint,
 	wopt *DiagnoseOptions) (*core.Repair, error) {
 	if s.draining.Load() {
@@ -477,8 +512,102 @@ func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.C
 	tn.mu.Lock()
 	all := append(cloneComplaints(tn.staged), complaints...)
 	tn.mu.Unlock()
+	rep, _, err := s.run(ctx, name, store, all, wopt)
+	return rep, err
+}
+
+// answer serves one diagnose request of the wire: the rest of its
+// response frame after the "id" value (see answerTail). A request that
+// repeats the tenant's last answered question is served from the memo;
+// anything else runs the engine like Diagnose, renders the answer while
+// the store is still pinned — only the statements the repair rewrote,
+// the store's own text for the rest — and becomes the new memo.
+func (s *Service) answer(ctx context.Context, req *Request) ([]byte, error) {
+	if s.draining.Load() {
+		return nil, ErrDraining
+	}
+	tn, store, err := s.lookup(req.Tenant)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release(tn)
+	var opt DiagnoseOptions
+	if req.Options != nil {
+		opt = *req.Options
+	}
+	// The store's head is read before tn.mu is taken (an append holds
+	// the store's lock across its fsync). If an append lands right
+	// after, the request raced it and may be answered either way.
+	head := store.Head()
+	var all []core.Complaint
+	tn.mu.Lock()
+	m := tn.memo
+	hit := m != nil && m.store == store && m.gen == head.Gen && m.n == head.Len &&
+		m.opt == opt && sameComplaints(m.complaints, tn.staged, req.Complaints)
+	if !hit {
+		all = append(cloneComplaints(tn.staged), req.Complaints...)
+	}
+	tn.mu.Unlock()
+	if hit {
+		mRequests.Inc()
+		mMemoHits.Inc()
+		if s.cfg.TraceDir != "" {
+			root := obs.NewTrace("qfixd")
+			root.SetAttr("tenant", req.Tenant)
+			root.SetAttr("memo", "hit")
+			root.End()
+			s.writeTrace(root, req.Tenant)
+		}
+		s.logf("qfixd: %s: diagnosed %d complaints: memo=hit", req.Tenant, len(m.complaints))
+		return m.tail, nil
+	}
+	mMemoMisses.Inc()
+
+	rep, view, err := s.run(ctx, req.Tenant, store, all, req.Options)
+	if err != nil {
+		return nil, err
+	}
+	log := slices.Clone(view.SQL)
+	for _, i := range rep.Rewritten {
+		log[i] = rep.Log[i].String(store.Schema())
+	}
+	tail, err := answerTail(log, rep)
+	if err != nil {
+		return nil, fmt.Errorf("qfixd: encoding the repair: %w", err)
+	}
+	// Only a verified repair is kept: an unresolved answer can be a time
+	// limit's doing, and asking again must be allowed to do better.
+	if rep.Resolved {
+		tn.mu.Lock()
+		tn.memo = &memo{store: store, gen: view.Gen, n: view.Len, complaints: all, opt: opt, tail: tail}
+		tn.mu.Unlock()
+	}
+	return tail, nil
+}
+
+// sameComplaints reports whether staged followed by inline is want,
+// value for value and bit for bit.
+func sameComplaints(want, staged, inline []core.Complaint) bool {
+	return len(want) == len(staged)+len(inline) &&
+		slices.EqualFunc(want[:len(staged)], staged, sameComplaint) &&
+		slices.EqualFunc(want[len(staged):], inline, sameComplaint)
+}
+
+func sameComplaint(a, b core.Complaint) bool {
+	return a.TupleID == b.TupleID && a.Exists == b.Exists &&
+		slices.EqualFunc(a.Values, b.Values, func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		})
+}
+
+// run takes an admission slot and runs the engine over the tenant's
+// store (pinned by the caller) and the given complaints, reporting the
+// history the diagnosis saw.
+func (s *Service) run(ctx context.Context, name string, store *histstore.Store, all []core.Complaint,
+	wopt *DiagnoseOptions) (*core.Repair, histstore.View, error) {
+	var none histstore.View
 	if len(all) == 0 {
-		return nil, errors.New("qfixd: no complaints (stage some with the complain op or send them inline)")
+		return nil, none, errors.New("qfixd: no complaints (stage some with the complain op or send them inline)")
 	}
 
 	mRequests.Inc()
@@ -486,14 +615,14 @@ func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.C
 		if errors.Is(err, ErrBusy) {
 			mBusy.Inc()
 		}
-		return nil, err
+		return nil, none, err
 	}
 	defer s.adm.release()
 	// The drain flag is rechecked after the (possibly long) queue wait:
 	// a request admitted after Drain would otherwise extend the drain
 	// indefinitely under sustained load.
 	if s.draining.Load() {
-		return nil, ErrDraining
+		return nil, none, ErrDraining
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -513,11 +642,12 @@ func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.C
 	if s.cfg.TraceDir != "" {
 		root = obs.NewTrace("qfixd")
 		root.SetAttr("tenant", name)
+		root.SetAttr("memo", "miss")
 		opt.Trace = root
 	}
 
 	start := time.Now() //qfix:det-ok latency metric and log line only; never a decision input
-	rep, err := store.Diagnose(all, opt)
+	rep, view, err := store.DiagnoseView(all, opt)
 	elapsed := time.Since(start) //qfix:det-ok latency metric and log line only; never a decision input
 	mDiagnoseSeconds.Observe(elapsed.Seconds())
 	if root != nil {
@@ -526,11 +656,11 @@ func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.C
 	}
 	if err != nil {
 		s.logf("qfixd: %s: diagnose failed after %v: %v", name, elapsed.Round(time.Millisecond), err)
-		return nil, err
+		return nil, none, err
 	}
-	s.logf("qfixd: %s: diagnosed %d complaints in %v: resolved=%v changed=%d",
+	s.logf("qfixd: %s: diagnosed %d complaints in %v: resolved=%v changed=%d memo=miss",
 		name, len(all), elapsed.Round(time.Millisecond), rep.Resolved, len(rep.Changed))
-	return rep, nil
+	return rep, view, nil
 }
 
 // writeTrace exports one request's finished span tree, best-effort: a

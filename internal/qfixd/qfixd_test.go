@@ -18,7 +18,7 @@ import (
 
 // startDaemon runs a Service+Server on a loopback listener and returns
 // the service and its address.
-func startDaemon(t *testing.T, cfg Config) (*Service, string) {
+func startDaemon(t testing.TB, cfg Config) (*Service, string) {
 	t.Helper()
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
@@ -37,7 +37,7 @@ func startDaemon(t *testing.T, cfg Config) (*Service, string) {
 	return svc, l.Addr().String()
 }
 
-func dialDaemon(t *testing.T, addr string) *Client {
+func dialDaemon(t testing.TB, addr string) *Client {
 	t.Helper()
 	c, err := DialDaemon(addr)
 	if err != nil {

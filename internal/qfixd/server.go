@@ -7,16 +7,17 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
 
 // Server exposes a Service over TCP: newline-delimited JSON requests in,
 // responses out (see wire.go). A connection carries any number of
 // requests; diagnoses run concurrently under the service's admission
-// control and answer out of order, cheap ops answer inline. Teardown
+// control and answer out of order, cheap ops answer inline. A diagnose
+// response is written from the service's pre-encoded answer (frame.go);
+// every other frame is encoding/json's. Teardown
 // follows the dist server's close protocol; Shutdown adds the graceful
 // variant the resident daemon needs.
 type Server struct {
@@ -151,11 +152,13 @@ func (s *Server) handle(conn net.Conn) {
 	var writeMu sync.Mutex
 	dec := json.NewDecoder(conn)
 	enc := json.NewEncoder(conn)
-	write := func(resp *Response) {
-		resp.Version = WireVersion
+	enc.SetEscapeHTML(false) // the strings are SQL: `<=` travels as two bytes, not seven
+	// frame runs one frame's write under the connection's write lock and
+	// deadline.
+	frame := func(write func() error) {
 		writeMu.Lock()
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //qfix:det-ok transport write deadline; never reaches repair logic
-		err := enc.Encode(resp)
+		err := write()
 		if err == nil {
 			conn.SetWriteDeadline(time.Time{})
 		}
@@ -167,6 +170,10 @@ func (s *Server) handle(conn net.Conn) {
 			s.svc.logf("qfixd: %s: writing response: %v", conn.RemoteAddr(), err)
 			conn.Close()
 		}
+	}
+	write := func(resp *Response) {
+		resp.Version = WireVersion
+		frame(func() error { return enc.Encode(resp) })
 	}
 	for {
 		req := new(Request)
@@ -184,7 +191,19 @@ func (s *Server) handle(conn net.Conn) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				write(s.diagnose(ctx, req))
+				tail, err := s.svc.answer(ctx, req)
+				if err != nil {
+					write(&Response{ID: req.ID, Err: err.Error(), Busy: errors.Is(err, ErrBusy)})
+					return
+				}
+				// The answer is already encoded (and, on a memo hit, shared
+				// with other requests): only the ID in front of it is this
+				// request's, and the two go out in one gathered write.
+				head := strconv.AppendUint([]byte(frameHead), req.ID, 10)
+				frame(func() error {
+					_, err := (&net.Buffers{head, tail}).WriteTo(conn)
+					return err
+				})
 			}()
 			continue
 		}
@@ -195,41 +214,6 @@ func (s *Server) handle(conn net.Conn) {
 // writeTimeout bounds one response frame; a write this slow means the
 // client stopped draining without closing the connection.
 const writeTimeout = time.Minute
-
-// diagnose answers one diagnose request (on its own goroutine).
-func (s *Server) diagnose(ctx context.Context, req *Request) *Response {
-	rep, err := s.svc.Diagnose(ctx, req.Tenant, req.Complaints, req.Options)
-	if err != nil {
-		return &Response{ID: req.ID, Err: err.Error(), Busy: errors.Is(err, ErrBusy)}
-	}
-	return repairResponse(req.ID, rep, s.svc, req.Tenant)
-}
-
-// repairResponse renders a repair for the wire. The log statements are
-// rendered with Query.String on the tenant's schema — exactly the
-// rendering the qfix CLI prints, which is what the byte-identity e2e
-// tests compare.
-func repairResponse(id uint64, rep *core.Repair, svc *Service, tenant string) *Response {
-	tn, store, err := svc.lookup(tenant)
-	if err != nil {
-		return &Response{ID: id, Err: err.Error()}
-	}
-	defer svc.release(tn)
-	sch := store.Schema()
-	log := make([]string, len(rep.Log))
-	for i, q := range rep.Log {
-		log[i] = q.String(sch)
-	}
-	stats := rep.Stats
-	return &Response{
-		ID:       id,
-		Log:      log,
-		Changed:  rep.Changed,
-		Distance: rep.Distance,
-		Resolved: rep.Resolved,
-		Stats:    &stats,
-	}
-}
 
 // inline answers the cheap ops directly in the read loop.
 func (s *Server) inline(req *Request) *Response {
