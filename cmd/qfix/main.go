@@ -84,7 +84,6 @@ func run(out *bufio.Writer) error {
 		noQuery   = flag.Bool("no-query-slicing", false, "disable query slicing")
 		attrSlice = flag.Bool("attr-slicing", false, "enable attribute slicing")
 		single    = flag.Bool("single", false, "assume a single corrupted query (strict candidate filter)")
-		warm      = flag.Bool("warm", false, "warm-start MILP solves from prior solutions (refinement rounds, sibling partitions, and -repeat/-hist runs via a solution cache); repairs stay identical to cold solves")
 		limit     = flag.Duration("timelimit", 60*time.Second, "per-solve time limit")
 		tracePath = flag.String("trace", "", "record a diagnosis trace to this file (.jsonl/.ndjson = span lines, anything else = Chrome trace_event JSON for chrome://tracing)")
 		metrics   = flag.String("metrics", "", "after diagnosing, dump process metrics to this file ('-' = stdout; .json = JSON, otherwise Prometheus text)")
@@ -154,7 +153,6 @@ func run(out *bufio.Writer) error {
 		QuerySlicing:     !*noQuery,
 		AttrSlicing:      *attrSlice,
 		SingleCorruption: *single,
-		WarmStart:        *warm,
 		SolverParallel:   spar,
 		NoPresolve:       *noPre,
 		TimeLimit:        *limit,
@@ -198,11 +196,8 @@ func run(out *bufio.Writer) error {
 		*repeat = 1
 	}
 	if store == nil && *repeat > 1 {
-		// The store brings its own caches; standalone repeats share one.
+		// The store brings its own cache; standalone repeats share one.
 		opts.ImpactCache = qfix.NewImpactCache(0)
-		if *warm {
-			opts.SolutionCache = qfix.NewSolutionCache(0)
-		}
 	}
 	var rep *qfix.Repair
 	var elapsed time.Duration
@@ -218,9 +213,9 @@ func run(out *bufio.Writer) error {
 		}
 		elapsed = time.Since(start)
 		if *repeat > 1 {
-			fmt.Fprintf(out, "-- run %d/%d: %v (impact cache hits: %d; warm seeds: %d, %d nodes)\n",
+			fmt.Fprintf(out, "-- run %d/%d: %v (impact cache hits: %d; %d nodes)\n",
 				n, *repeat, elapsed.Round(time.Millisecond), rep.Stats.ImpactCacheHits,
-				rep.Stats.WarmSeeds, rep.Stats.Nodes)
+				rep.Stats.Nodes)
 		}
 	}
 

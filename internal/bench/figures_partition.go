@@ -15,7 +15,7 @@ import (
 // queries read and write only that attribute. Corrupting one query per
 // cluster yields complaints confined to the cluster, so the partition
 // planner finds exactly `clusters` connected components. Exported for
-// the partition, warm-start and dist end-to-end tests and for the
+// the partition and dist end-to-end tests and for the
 // fleet_partitioned workload of benchmark/.
 func PartitionClusters(clusters, rowsPer, queriesPer int, seed int64) (*workload.Workload, []int, error) {
 	const vd = 200.0

@@ -121,7 +121,6 @@ func Experiments() []Experiment {
 		{"fig10", "DecTree baseline vs QFix: performance and accuracy", (*Runner).Fig10DecTree},
 		{"ex2", "Figure 2 case study: end-to-end repair of the tax example", (*Runner).Example2},
 		{"ablation", "Implementation ablations: folding, param windows, warm LP starts", (*Runner).Ablation},
-		{"warmstart", "Solver warm starts: seeded branch-and-bound across batches, partitions, and repeat diagnoses", (*Runner).FigWarmStart},
 		{"solver", "MILP solver stack: presolve and parallel branch-and-bound on big-M models", (*Runner).FigSolver},
 	}
 }

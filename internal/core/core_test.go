@@ -505,7 +505,7 @@ func TestDistanceAccountsAllParams(t *testing.T) {
 // to cover. This number may only be lowered: a new knob has to retire
 // an old one.
 func TestOptionsFieldBudget(t *testing.T) {
-	const budget = 28
+	const budget = 25
 	if n := reflect.TypeOf(Options{}).NumField(); n != budget {
 		t.Errorf("Options has %d fields, budget is %d", n, budget)
 	}

@@ -52,9 +52,6 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 	}
 	d.stats.PlanTime += replayTime
 	d.stats.Replays = 1
-	if opt.WarmStart {
-		d.seeds = newSeedBoard()
-	}
 	d.plan()
 	if opt.TotalTimeLimit > 0 {
 		d.deadline = time.Now().Add(opt.TotalTimeLimit)
@@ -118,8 +115,7 @@ type diagnoser struct {
 	width      int
 	dirtyFinal *relation.Table
 	deadline   time.Time
-	seeds      *seedBoard // warm-start seed sharing (nil unless WarmStart)
-	span       *obs.Span  // phase spans hang here (nil = tracing off)
+	span       *obs.Span // phase spans hang here (nil = tracing off)
 
 	// planning products
 	candidates   []int // repair candidates (query slicing or all)
@@ -146,7 +142,7 @@ func (d *diagnoser) plan() {
 	if d.opt.QuerySlicing || d.opt.AttrSlicing || d.opt.Partition > 0 {
 		ip := startPhase(pp.sp, "impact")
 		if d.opt.ImpactCache != nil {
-			d.full = d.opt.ImpactCache.fullImpact(d.log, d.d0.Schema(), d.width, d.opt.LogDigest, &d.stats)
+			d.full = d.opt.ImpactCache.fullImpact(d.log, d.width, &d.stats)
 		} else {
 			d.full = FullImpact(d.log, d.width)
 		}
@@ -236,8 +232,7 @@ func (d *diagnoser) encComplaints() []encode.Complaint {
 // big-M is bound, see domainBound) and solves, returning the repaired
 // log when the solver finds a solution. Solver statistics accumulate
 // into st (shared for the sequential scan, per-worker under the parallel
-// scan); encode/seed/solve spans hang under sp (typically a per-batch
-// span).
+// scan); encode/solve spans hang under sp (typically a per-batch span).
 func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[int]bool, soft []int64, st *Stats, sp *obs.Span) ([]query.Query, bool, error) {
 	eo := d.opt.encOptions()
 	eo.DomainBound = bound
@@ -279,29 +274,6 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 		Parallel:   d.opt.SolverParallel,
 		NoPresolve: d.opt.NoPresolve,
 	}
-	var warmKey uint64
-	if d.opt.WarmStart {
-		sdp := startPhase(sp, "seed")
-		if d.opt.SolutionCache != nil {
-			// The key digests D0, the log SQL, and the complaint set —
-			// only worth computing when there is a cache to consult.
-			warmKey = d.solveKey(baseLog, paramSet, soft)
-		}
-		d.seedSolve(res, warmKey, &mopt, st)
-		st.SolveTime += sdp.stop()
-		if !d.deadline.IsZero() {
-			// The seed completion spent wall clock; re-clamp the main
-			// solve so seeding can never stretch the shared deadline.
-			remain := time.Until(d.deadline)
-			if remain <= 0 {
-				st.LastStatus = "total-time-limit"
-				return nil, false, nil
-			}
-			if remain < mopt.TimeLimit {
-				mopt.TimeLimit = remain
-			}
-		}
-	}
 	svp := startPhase(sp, "solve")
 	mopt.Trace = svp.sp
 	mres, vals := res.SolveOpts(mopt)
@@ -313,20 +285,9 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 	st.LPIters += mres.LPIters
 	st.Refactorizations += mres.Refactorizations
 	st.PresolvedRows += mres.PresolvedRows
-	if mres.SeedUsed {
-		st.WarmSeeds++
-		mWarmSeeds.Inc()
-	}
 	st.LastStatus = mres.Status.String()
 	if !mres.HasSolution {
 		return nil, false, nil
-	}
-	if d.opt.WarmStart {
-		// Publish the accepted assignment for related solves (refinement
-		// rounds, sibling partitions) and cache the full solution and
-		// basis for repeat diagnoses of this exact history.
-		d.seeds.publish(res.Params, vals)
-		d.opt.SolutionCache.put(warmKey, res, mres)
 	}
 
 	// Copy on write: the candidate shares every statement of the base log

@@ -1,85 +1,57 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/lru"
 	"repro/internal/query"
-	"repro/internal/relation"
 )
 
 // This file implements the impact cache: FullImpact closures reused
 // across diagnoses of the same (or a growing) log. The closure depends
-// only on the log's structure — not on D0's contents or the complaint
-// set — so it is keyed by a rolling digest of the log's canonical SQL
-// forms. An exact digest match returns the cached closure outright; a
-// match on a proper prefix seeds ExtendFullImpact, which touches only
-// the prefix entries whose impact reaches the appended queries. Both
-// paths hand out the cached sets by reference: the engine treats impact
-// sets as read-only, and sharing them is the point of caching.
-
-// DigestSeed starts a rolling log digest, binding it to the schema so
-// logs over different tables never collide on identical SQL text.
-func DigestSeed(sch *relation.Schema) uint64 {
-	h := fnvOffset64
-	h = fnvString(h, sch.Name())
-	for _, a := range sch.Attrs() {
-		h = fnvString(h, ",")
-		h = fnvString(h, a)
-	}
-	return h
-}
-
-// DigestStep folds one appended statement into a rolling digest.
-// Append-only log growth therefore extends a digest in O(|statement|):
-// histstore keeps the rolling value alongside its log.
-func DigestStep(h uint64, sch *relation.Schema, q query.Query) uint64 {
-	return fnvString(fnvString(h, q.String(sch)), ";")
-}
-
-// DigestLog computes the rolling digests of every log prefix:
-// digests[i] covers log[:i+1].
-func DigestLog(sch *relation.Schema, log []query.Query) []uint64 {
-	out := make([]uint64, len(log))
-	h := DigestSeed(sch)
-	for i, q := range log {
-		h = DigestStep(h, sch, q)
-		out[i] = h
-	}
-	return out
-}
-
-// FNV-1a, inlined so the digest needs no allocation per statement.
-const (
-	fnvOffset64 = uint64(14695981039346656037)
-	fnvPrime64  = 1099511628211
-)
-
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
+// only on each statement's read and write attribute sets — not on D0's
+// contents, the complaint set, or the statements' constants — so it is
+// keyed by the statements themselves: an entry covers a log whose
+// statements are == the cached ones element by element. A caller that
+// keeps its statements across diagnoses (histstore's log, the dist
+// worker's decoded jobs) therefore hits without rendering or hashing
+// anything; a re-parsed log with identical SQL is new statements and
+// misses. An exact match returns the cached closure outright; a match on
+// a proper prefix seeds ExtendFullImpact, which touches only the prefix
+// entries whose impact reaches the appended queries. Both paths hand out
+// the cached sets by reference: the engine treats impact sets as
+// read-only, and sharing them is the point of caching.
+//
+// Statement identity is safe to key on because nothing that changes a
+// closure can happen to a statement in place: SetParams rewrites only
+// constants, and query.Dependency/DirectImpact read only which
+// attributes a statement reads and writes.
 
 // DefaultImpactCacheEntries bounds an ImpactCache constructed with
 // NewImpactCache(0).
 const DefaultImpactCacheEntries = 32
 
-// ImpactCache caches FullImpact closures across diagnoses, keyed by log
-// digest. Install one via Options.ImpactCache (histstore.Store and the
-// dist worker each keep their own) and repeated diagnoses of the same
-// log skip the O(n²) closure entirely, while diagnoses of a grown log
-// pay only the incremental ExtendFullImpact update. Safe for concurrent
-// use; eviction is LRU.
+// ImpactCache caches FullImpact closures across diagnoses, keyed by the
+// log's statements. Install one via Options.ImpactCache (histstore.Store
+// and the dist worker each keep their own) and repeated diagnoses of the
+// same log skip the O(n²) closure entirely, while diagnoses of a grown
+// log pay only the incremental ExtendFullImpact update. Safe for
+// concurrent use; eviction is LRU.
 type ImpactCache struct {
 	mu      sync.Mutex
-	entries *lru.Map[uint64, impactEntry]
+	entries *lru.Map[impactKey, impactEntry]
+}
+
+// impactKey locates the one entry that can match a log of n statements
+// ending in last; impactEntry.log confirms the rest.
+type impactKey struct {
+	last query.Query
+	n    int
 }
 
 type impactEntry struct {
-	n    int // log length the closure covers (guards digest collisions)
+	log  []query.Query // the statements the closure covers (the caller's)
 	full []query.AttrSet
 }
 
@@ -89,32 +61,40 @@ func NewImpactCache(max int) *ImpactCache {
 	if max <= 0 {
 		max = DefaultImpactCacheEntries
 	}
-	return &ImpactCache{entries: lru.New[uint64, impactEntry](max)}
+	return &ImpactCache{entries: lru.New[impactKey, impactEntry](max)}
 }
 
-// Cached returns the closure stored under the given digest, if it
-// covers exactly n queries. The returned sets are shared and read-only.
-func (c *ImpactCache) Cached(digest uint64, n int) ([]query.AttrSet, bool) {
-	if c == nil {
+// Cached returns the closure stored for exactly these statements, if
+// any. The returned sets are shared and read-only.
+func (c *ImpactCache) Cached(log []query.Query) ([]query.AttrSet, bool) {
+	if c == nil || len(log) == 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries.Get(digest); ok && e.n == n {
-		return e.full, true
-	}
-	return nil, false
+	return c.getLocked(log)
 }
 
-// Put stores a closure for a log of n queries under its digest. The
-// cache takes the slice by reference; callers must not mutate it after.
-func (c *ImpactCache) Put(digest uint64, n int, full []query.AttrSet) {
-	if c == nil || n == 0 || len(full) != n {
+func (c *ImpactCache) getLocked(log []query.Query) ([]query.AttrSet, bool) {
+	e, ok := c.entries.Get(impactKey{last: log[len(log)-1], n: len(log)})
+	if !ok || !slices.Equal(e.log, log) {
+		return nil, false
+	}
+	return e.full, true
+}
+
+// Put stores the closure of log. The cache takes both slices by
+// reference — an append-only log's entries share one backing array —
+// so callers must not overwrite log's elements or mutate full after;
+// appending to log is fine.
+func (c *ImpactCache) Put(log []query.Query, full []query.AttrSet) {
+	if c == nil || len(log) == 0 || len(full) != len(log) {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries.Put(digest, impactEntry{n: n, full: full})
+	c.entries.Put(impactKey{last: log[len(log)-1], n: len(log)},
+		impactEntry{log: slices.Clip(log), full: full})
 }
 
 // Len reports how many closures the cache currently holds.
@@ -129,44 +109,32 @@ func (c *ImpactCache) Len() int {
 
 // fullImpact is the planner's entry point: return FullImpact(log),
 // reusing an exact cached closure, extending the longest cached prefix,
-// or computing from scratch, and record what happened in st. A nonzero
-// hint (Options.LogDigest, maintained rolling by histstore) resolves an
-// exact hit without re-rendering the log's SQL at all.
-func (c *ImpactCache) fullImpact(log []query.Query, sch *relation.Schema, width int, hint uint64, st *Stats) []query.AttrSet {
-	if hint != 0 {
-		if full, ok := c.Cached(hint, len(log)); ok {
-			st.ImpactCacheHits++
-			mImpactCacheHits.Inc()
-			return full
-		}
-	}
-	digests := DigestLog(sch, log)
-	if len(digests) == 0 {
+// or computing from scratch, and record what happened in st.
+func (c *ImpactCache) fullImpact(log []query.Query, width int, st *Stats) []query.AttrSet {
+	if len(log) == 0 {
 		return nil
 	}
-	key := digests[len(digests)-1]
-	if full, ok := c.Cached(key, len(log)); ok {
+	c.mu.Lock()
+	full, exact := c.getLocked(log)
+	prefix := false
+	for i := len(log) - 1; !exact && !prefix && i > 0; i-- {
+		full, prefix = c.getLocked(log[:i])
+	}
+	c.mu.Unlock()
+	switch {
+	case exact:
 		st.ImpactCacheHits++
 		mImpactCacheHits.Inc()
 		return full
-	}
-	var full []query.AttrSet
-	prefix := 0
-	for i := len(digests) - 2; i >= 0; i-- {
-		if cached, ok := c.Cached(digests[i], i+1); ok {
-			full, prefix = cached, i+1
-			break
-		}
-	}
-	if prefix > 0 {
+	case prefix:
 		st.ImpactCacheHits++
 		st.ImpactCacheExtends++
 		mImpactCacheHits.Inc()
 		full = ExtendFullImpact(full, log, width)
-	} else {
+	default:
 		mImpactCacheMisses.Inc()
 		full = FullImpact(log, width)
 	}
-	c.Put(key, len(log), full)
+	c.Put(log, full)
 	return full
 }

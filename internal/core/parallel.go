@@ -162,7 +162,6 @@ func (d *diagnoser) mergeStats(st Stats) {
 	d.stats.PlanPasses += st.PlanPasses
 	d.stats.RemoteJobs += st.RemoteJobs
 	d.stats.StreamedResults += st.StreamedResults
-	d.stats.WarmSeeds += st.WarmSeeds
 	d.stats.ImpactCacheHits += st.ImpactCacheHits
 	d.stats.ImpactCacheExtends += st.ImpactCacheExtends
 	d.stats.WorkerCacheHits += st.WorkerCacheHits

@@ -356,11 +356,7 @@ func (d *diagnoser) solveSub(cs []Complaint, o Options) (*Repair, error) {
 		width: d.width,
 		// The sub-diagnosis hangs its batch spans directly under the
 		// partition's span (no nested "diagnose" level).
-		span: o.Trace,
-		// Sibling partitions share the parent's seed board, so the
-		// largest (first-finishing) solve seeds any later sibling that
-		// shares log coordinates with it.
-		seeds: d.seeds}
+		span: o.Trace}
 	sub.adoptPlan(d)
 	if o.TotalTimeLimit > 0 {
 		sub.deadline = time.Now().Add(o.TotalTimeLimit)

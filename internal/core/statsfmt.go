@@ -13,7 +13,7 @@ import (
 
 // Format renders the stats as report lines (no prefix, no trailing
 // newline; the CLI adds its "-- " marker). Non-verbose output includes
-// only the lines a casual run cares about — cache and warm-start wins,
+// only the lines a casual run cares about — impact-cache wins,
 // partition/remote shape; verbose adds solver totals, model sizes, the
 // per-phase time split, and per-partition breakdowns.
 func (s Stats) Format(verbose bool) []string {
@@ -21,10 +21,6 @@ func (s Stats) Format(verbose bool) []string {
 	if s.ImpactCacheHits > 0 {
 		out = append(out, fmt.Sprintf("impact cache: %d hits (%d incremental extends)",
 			s.ImpactCacheHits, s.ImpactCacheExtends))
-	}
-	if s.WarmSeeds > 0 {
-		out = append(out, fmt.Sprintf("warm starts: %d seeded solves (%d nodes, %d LP iterations total)",
-			s.WarmSeeds, s.Nodes, s.LPIters))
 	}
 	if verbose {
 		out = append(out,
@@ -70,9 +66,6 @@ func (s Stats) Brief() string {
 		fmt.Sprintf("solve=%v", fmtDur(s.SolveTime)),
 		fmt.Sprintf("verify=%v", fmtDur(s.VerifyTime)),
 		fmt.Sprintf("replays=%d", s.Replays),
-	}
-	if s.WarmSeeds > 0 {
-		parts = append(parts, fmt.Sprintf("warm=%d", s.WarmSeeds))
 	}
 	if s.ImpactCacheHits > 0 {
 		parts = append(parts, fmt.Sprintf("impacthits=%d", s.ImpactCacheHits))

@@ -46,6 +46,4 @@ var (
 		"FullImpact closures served from the impact cache (exact hits and incremental extends).")
 	mImpactCacheMisses = obs.Default().Counter("qfix_impact_cache_misses_total",
 		"FullImpact closures computed from scratch despite a configured impact cache.")
-	mWarmSeeds = obs.Default().Counter("qfix_warm_seeds_total",
-		"MILP solves whose branch-and-bound admitted a warm-start incumbent.")
 )

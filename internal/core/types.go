@@ -123,38 +123,15 @@ type Options struct {
 	PartitionSolver PartitionSolver
 
 	// ImpactCache, when non-nil, caches FullImpact closures across
-	// diagnoses keyed by a digest of the log (impactcache.go). Repeat
-	// diagnoses of the same log reuse the closure outright; diagnoses of
-	// a grown log extend the cached prefix incrementally
-	// (ExtendFullImpact). The cache is process-local and never
-	// serialized: histstore.Store installs one per store, and dist
-	// workers keep one per process so repeat jobs skip re-planning.
+	// diagnoses keyed by the log's statements themselves
+	// (impactcache.go). Repeat diagnoses of the same statements reuse the
+	// closure outright; diagnoses of a grown log extend the cached
+	// prefix incrementally (ExtendFullImpact). The cache holds on to the
+	// log slice it is given, so do not overwrite its elements afterwards
+	// (appending is fine). Process-local and never serialized:
+	// histstore.Store installs one per store, and dist workers keep one
+	// per process so repeat jobs skip re-planning.
 	ImpactCache *ImpactCache
-	// LogDigest, when nonzero, is the caller-maintained rolling digest
-	// of the log (DigestSeed folded through DigestStep — what
-	// histstore.Store keeps alongside its log). It lets the impact
-	// cache take its exact-hit path without re-rendering the whole
-	// log's SQL. It MUST describe exactly the log passed to Diagnose;
-	// ignored without ImpactCache.
-	LogDigest uint64
-
-	// WarmStart enables solver warm starts through the whole solve
-	// stack (warmstart.go): each MILP seeds branch-and-bound from the
-	// best available prior solution — refinement rounds from the repair
-	// they refine, later sibling partitions from earlier ones that
-	// share log coordinates, and repeat diagnoses from SolutionCache —
-	// with the prior basis seeding the root LP on exact cache hits.
-	// Warm starts are bit-for-bit invisible in the output: every seed
-	// is vetted and admitted exactly like a search-discovered
-	// incumbent, so repairs stay byte-identical to cold solves while
-	// Stats.WarmSeeds counts admissions and Stats.Nodes/LPIters drop.
-	WarmStart bool
-	// SolutionCache, when non-nil (and WarmStart set), caches accepted
-	// MILP solutions and final LP bases across diagnoses, keyed by a
-	// digest of the exact solve next to ImpactCache's log digests.
-	// Process-local and never serialized: histstore.Store installs one
-	// per store, dist workers keep one per process.
-	SolutionCache *SolutionCache
 
 	// TupleSlicing encodes only complaint tuples (§5.1) and enables the
 	// refinement step unless SkipRefine is set.
@@ -201,7 +178,7 @@ type Options struct {
 
 	// Trace, when non-nil, is the parent span the diagnosis hangs its
 	// phase spans under (internal/obs): replay, plan (with the impact
-	// closure), per-batch encode/seed/solve, per-partition subtrees with
+	// closure), per-batch encode/solve, per-partition subtrees with
 	// queue waits, MILP presolve and node batches, and the merge. Nil
 	// (the default) disables tracing at near-zero cost — every span
 	// operation is a nil no-op. Opaque to the wire protocol: subproblems
@@ -274,8 +251,7 @@ type Stats struct {
 	StreamedResults int
 	// ImpactCacheHits counts planning passes that reused a cached
 	// FullImpact closure (Options.ImpactCache) instead of computing one
-	// from scratch — exact-digest reuse and prefix extension both
-	// count. On the distributed path this aggregates worker-side hits
+	// from scratch — exact reuse and prefix extension both count. On the distributed path this aggregates worker-side hits
 	// too (each worker diagnosis plans with the worker's process
 	// cache), so a cold client run against a warm fleet reports them —
 	// distinct from WorkerCacheHits, which counts decode reuse.
@@ -290,12 +266,6 @@ type Stats struct {
 	// ImpactTime is the wall clock spent obtaining the FullImpact
 	// closure (cached, extended, or computed), part of planning.
 	ImpactTime time.Duration
-	// WarmSeeds counts MILP solves whose branch-and-bound admitted a
-	// warm-start incumbent (Options.WarmStart): a prior solution from
-	// the SolutionCache or a completed seed-board projection that
-	// survived milp's snap/feasibility/re-pricing vetting. On the
-	// distributed path this aggregates worker-side admissions too.
-	WarmSeeds int
 	// Nodes and LPIters total across solves.
 	Nodes, LPIters int
 	// Refactorizations totals sparse-LU basis rebuilds across solves

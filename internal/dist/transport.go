@@ -151,9 +151,6 @@ func solveJob(ctx context.Context, job *Job, wc *workerCache) *Result {
 	if wc != nil && sub.Options.ImpactCache == nil {
 		sub.Options.ImpactCache = wc.impact
 	}
-	if wc != nil && sub.Options.WarmStart && sub.Options.SolutionCache == nil {
-		sub.Options.SolutionCache = wc.solutions
-	}
 	// Re-check now that decoding is done (the window may have closed
 	// during a large decode) and clamp the solve budget to what is
 	// left, so a live job solves on exactly its attempt share however

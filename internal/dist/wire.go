@@ -328,10 +328,6 @@ type wireOptions struct {
 	NoFolding        bool    `json:"no_folding"`
 	NoParamWindows   bool    `json:"no_param_windows"`
 	ColdLP           bool    `json:"cold_lp"`
-	// WarmStart rides the wire as a plain flag; the worker's
-	// process-local SolutionCache supplies the actual seeds, exactly as
-	// its impact cache supplies closures.
-	WarmStart bool `json:"warm_start,omitempty"`
 	// SolverParallel and NoPresolve configure the worker's MILP solver
 	// to match the coordinator's. -1 means one LP worker per worker-side
 	// CPU; repairs are byte-identical at any setting, so coordinators
@@ -360,7 +356,6 @@ func encodeOptions(o core.Options) wireOptions {
 		NoFolding:        o.NoFolding,
 		NoParamWindows:   o.NoParamWindows,
 		ColdLP:           o.ColdLP,
-		WarmStart:        o.WarmStart,
 		SolverParallel:   o.SolverParallel,
 		NoPresolve:       o.NoPresolve,
 	}
@@ -385,7 +380,6 @@ func decodeOptions(w wireOptions) core.Options {
 		NoFolding:        w.NoFolding,
 		NoParamWindows:   w.NoParamWindows,
 		ColdLP:           w.ColdLP,
-		WarmStart:        w.WarmStart,
 		SolverParallel:   w.SolverParallel,
 		NoPresolve:       w.NoPresolve,
 	}

@@ -20,17 +20,13 @@ const DefaultWorkerCacheEntries = 8
 // (the engine replays onto clones and repairs onto cloned logs), so
 // concurrent jobs may hold the same entry. The embedded impact cache
 // rides along: decoded logs keep their FullImpact closure across jobs
-// and runs, so repeat jobs skip worker-side re-planning too. Eviction
-// is LRU over (d0, log) digest pairs.
-// solutions rides along for the same reason as the impact cache:
-// repeat jobs on a warm worker (Options.WarmStart) seed their solves
-// from the solutions of earlier same-history jobs, so a repeat fleet
-// diagnosis collapses each worker's search to the pruning pass.
+// and runs (it is keyed by the decoded statements, which a decode hit
+// hands back unchanged), so repeat jobs skip worker-side re-planning
+// too. Eviction is LRU over (d0, log) digest pairs.
 type workerCache struct {
-	mu        sync.Mutex
-	entries   *lru.Map[wcKey, wcEntry] //qfix:guarded-by mu
-	impact    *core.ImpactCache
-	solutions *core.SolutionCache
+	mu      sync.Mutex
+	entries *lru.Map[wcKey, wcEntry] //qfix:guarded-by mu
+	impact  *core.ImpactCache
 }
 
 type wcKey struct{ d0, log uint64 }
@@ -45,8 +41,7 @@ func newWorkerCache(max int) *workerCache {
 		max = DefaultWorkerCacheEntries
 	}
 	return &workerCache{entries: lru.New[wcKey, wcEntry](max),
-		impact:    core.NewImpactCache(0),
-		solutions: core.NewSolutionCache(0)}
+		impact: core.NewImpactCache(0)}
 }
 
 // lookup returns the cached decode for the digest pair. The row and log

@@ -37,11 +37,9 @@
 // A store also owns a core.ImpactCache: Diagnose installs it, so repeat
 // diagnoses of the same log reuse the FullImpact closure, and Append
 // eagerly extends the cached closure (core.ExtendFullImpact) so a
-// diagnosis after appends starts from a warm closure. A
-// core.SolutionCache sits next to it: Diagnose with Options.WarmStart
-// seeds each solve from the solutions of earlier diagnoses of the same
-// history (Stats.WarmSeeds), so auditing the same store repeatedly
-// collapses each branch-and-bound to its pruning pass.
+// diagnosis after appends starts from a warm closure. The cache is keyed
+// by the store's own statements, which the log keeps for the life of a
+// generation, so neither path renders or hashes any SQL.
 //
 // In memory a store keeps, per logged statement, the parsed query and
 // the statement's canonical SQL: the line Append writes, or — rendered
@@ -90,7 +88,7 @@ const logGenPrefix = "-- qfixlog gen "
 // snapshot discipline is what makes the unlocked run sound: the log is
 // append-only (a reader's slice header never sees later entries) and
 // Checkpoint replaces the d0 pointer rather than mutating the table, so
-// a diagnosis always sees the consistent (d0, log, digest) triple it
+// a diagnosis always sees the consistent (d0, log, gen) triple it
 // captured.
 type Store struct {
 	mu     sync.RWMutex
@@ -106,12 +104,8 @@ type Store struct {
 	text []string //qfix:guarded-by mu
 	logF *os.File //qfix:guarded-by mu
 	// gen is the checkpoint generation (>= 1).
-	gen int64 //qfix:guarded-by mu
-	// digest is the rolling log digest (core.DigestStep per append),
-	// the impact cache key for the current log.
-	digest    uint64 //qfix:guarded-by mu
-	cache     *core.ImpactCache
-	solutions *core.SolutionCache
+	gen   int64 //qfix:guarded-by mu
+	cache *core.ImpactCache
 	// impact is the FullImpact closure covering log, once a diagnosis
 	// has materialized one; Append extends it incrementally.
 	impact []query.AttrSet //qfix:guarded-by mu
@@ -149,8 +143,7 @@ func Create(dir string, d0 *relation.Table) (*Store, error) {
 	syncDir(dir)
 	mOpens.Inc()
 	return &Store{dir: dir, schema: sch, d0: d0.Clone(), logF: logF, gen: gen,
-		digest: core.DigestSeed(sch), cache: core.NewImpactCache(0),
-		solutions: core.NewSolutionCache(0)}, nil
+		cache: core.NewImpactCache(0)}, nil
 }
 
 // writeSnapshot writes a format-2 snapshot (header record, then one
@@ -381,15 +374,9 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 
-	s := &Store{dir: dir, schema: sch, d0: d0, log: log, logF: logF, gen: gen,
-		digest: core.DigestSeed(sch), cache: core.NewImpactCache(0),
-		solutions: core.NewSolutionCache(0)}
-	for _, q := range log {
-		//qfix:lock-ok s is unpublished until return; no other goroutine can hold a reference yet
-		s.digest = core.DigestStep(s.digest, sch, q)
-	}
 	mOpens.Inc()
-	return s, nil
+	return &Store{dir: dir, schema: sch, d0: d0, log: log, logF: logF, gen: gen,
+		cache: core.NewImpactCache(0)}, nil
 }
 
 // parseLogGen recognizes the log's generation header line.
@@ -434,14 +421,6 @@ func (s *Store) Log() []query.Query {
 	return query.CloneLog(s.log)
 }
 
-// ImpactCache returns the store's impact cache (shared by every
-// Diagnose on this store).
-func (s *Store) ImpactCache() *core.ImpactCache { return s.cache }
-
-// SolutionCache returns the store's solution cache (shared by every
-// warm-started Diagnose on this store).
-func (s *Store) SolutionCache() *core.SolutionCache { return s.solutions }
-
 // Append durably adds a statement to the log.
 func (s *Store) Append(q query.Query) error {
 	s.mu.Lock()
@@ -469,7 +448,6 @@ func (s *Store) appendLocked(q query.Query) error {
 		s.text = append(s.text, line)
 	}
 	s.log = append(s.log, q.Clone())
-	s.digest = core.DigestStep(s.digest, s.schema, q)
 	s.extendImpactLocked()
 	mAppends.Inc()
 	return nil
@@ -490,7 +468,7 @@ func (s *Store) extendImpactLocked() {
 		return
 	}
 	s.impact = core.ExtendFullImpact(s.impact, s.log, s.schema.Width())
-	s.cache.Put(s.digest, len(s.log), s.impact)
+	s.cache.Put(s.log, s.impact)
 }
 
 // AppendSQL parses and durably adds a statement written in SQL. The
@@ -571,43 +549,36 @@ func (s *Store) DiagnoseView(complaints []core.Complaint, opt core.Options) (*co
 	return rep, View{Gen: h.gen, Len: len(h.log), SQL: text}, err
 }
 
-// history is the consistent (d0, log, digest, gen) tuple a diagnosis
+// history is the consistent (d0, log, gen) tuple a diagnosis
 // captures under the read lock and then runs over unlocked: the log is
 // append-only and Checkpoint swaps the d0 pointer rather than mutating
 // the table, so the tuple stays internally consistent for the whole run
 // even while writers proceed. The engine never mutates its inputs
 // (replay verification clones), so concurrent diagnoses may share one.
 type history struct {
-	d0     *relation.Table
-	log    []query.Query
-	digest uint64
-	gen    int64
+	d0  *relation.Table
+	log []query.Query
+	gen int64
 }
 
 func (s *Store) historyLocked() history {
-	return history{d0: s.d0, log: s.log, digest: s.digest, gen: s.gen}
+	return history{d0: s.d0, log: s.log, gen: s.gen}
 }
 
 func (s *Store) diagnose(h history, complaints []core.Complaint, opt core.Options) (*core.Repair, error) {
 	if opt.ImpactCache == nil {
 		opt.ImpactCache = s.cache
 	}
-	if opt.WarmStart && opt.SolutionCache == nil {
-		opt.SolutionCache = s.solutions
-	}
-	if opt.LogDigest == 0 {
-		opt.LogDigest = h.digest // exact-hit fast path: no SQL re-rendering
-	}
 	mDiagnoses.Inc()
 	rep, err := core.Diagnose(h.d0, h.log, complaints, opt)
 	if err == nil && opt.ImpactCache == s.cache {
 		// Adopt the closure the diagnosis (or a predecessor) cached so
 		// future Appends extend it eagerly — but only if the store still
-		// holds the history this diagnosis saw; a closure for a stale
-		// digest must not seed eager extension of a different log.
+		// holds the history this diagnosis saw (see View): a closure of a
+		// stale log must not seed eager extension of a different one.
 		s.mu.Lock()
-		if s.digest == h.digest && len(s.log) == len(h.log) {
-			if full, ok := s.cache.Cached(h.digest, len(h.log)); ok {
+		if s.gen == h.gen && len(s.log) == len(h.log) {
+			if full, ok := s.cache.Cached(h.log); ok {
 				s.impact = full
 			}
 		}
@@ -669,7 +640,6 @@ func (s *Store) Checkpoint() error {
 	s.text = nil
 	s.logF = logF
 	s.gen = gen
-	s.digest = core.DigestSeed(s.schema)
 	s.impact = nil
 	mCheckpoints.Inc()
 	return nil

@@ -140,9 +140,8 @@ func (s *search) boundsAt(path *boundFix, v int) (lb, ub float64) {
 // shared with speculative workers and guarded by mu; everything else is
 // driver-only.
 type search struct {
-	model *Model
-	ps    *presolved
-	opt   Options
+	ps  *presolved
+	opt Options
 
 	fixedObj       float64 // objective carried by presolve-fixed vars
 	rootLB, rootUB []float64
@@ -159,7 +158,6 @@ type search struct {
 	lpIterLimits int
 	stopped      bool
 	unbounded    bool
-	seeded       bool
 
 	// Tracing (driver-only). Node consumption is grouped into "nodes"
 	// spans of nodeBatch consumed nodes each — one span per node would
@@ -170,9 +168,6 @@ type search struct {
 	batchSp    *obs.Span
 	batchFrom  int
 	batchIters int
-
-	incBasis *simplex.Snapshot // end basis of the incumbent's node
-	rootEnd  *simplex.Snapshot // end basis of the root relaxation
 
 	nextID int64
 
@@ -186,7 +181,6 @@ type search struct {
 	incumbent []float64 // reduced space
 	incObj    float64   // reduced objective + fixedObj (excludes objConst)
 	hasInc    bool
-	softInc   bool
 }
 
 // Solve runs presolve then branch-and-bound to optimality or a limit.
@@ -211,16 +205,13 @@ func (m *Model) Solve(opt Options) Result {
 		}
 	}
 
-	s := &search{model: m, ps: ps, opt: opt, fixedObj: ps.fixedObj, incObj: math.Inf(1), span: opt.Trace}
+	s := &search{ps: ps, opt: opt, fixedObj: ps.fixedObj, incObj: math.Inf(1), span: opt.Trace}
 	s.cond = sync.NewCond(&s.mu)
 	n := ps.prob.NumVars()
 	s.rootLB = make([]float64, n)
 	s.rootUB = make([]float64, n)
 	for j := 0; j < n; j++ {
 		s.rootLB[j], s.rootUB[j] = ps.prob.Bounds(j)
-	}
-	if opt.Incumbent != nil {
-		s.seedIncumbent(opt.Incumbent)
 	}
 	if opt.TimeLimit > 0 {
 		// Deadline enforcement is the one sanctioned wall-clock use in the
@@ -230,14 +221,8 @@ func (m *Model) Solve(opt Options) Result {
 		s.hasDL = true
 	}
 
-	root := &node{id: 0, bound: math.Inf(-1)}
 	s.nextID = 1
-	if opt.Basis != nil && !opt.ColdLP {
-		// Best effort: a stale-shaped or singular basis is rejected at
-		// install time and the root LP simply starts cold.
-		root.basis = opt.Basis
-	}
-	heap.Push(&s.nheap, root)
+	heap.Push(&s.nheap, &node{id: 0, bound: math.Inf(-1)})
 
 	var wait func()
 	if w := opt.Parallel - 1; w > 0 {
@@ -257,19 +242,11 @@ func (m *Model) Solve(opt Options) Result {
 	res := Result{
 		Nodes:            s.nodes,
 		LPIters:          s.lpIters,
-		SeedUsed:         s.seeded,
 		Refactorizations: s.refactors,
 		LPNumFails:       s.lpNumFails,
 		LPIterLimits:     s.lpIterLimits,
 		PresolvedRows:    ps.rowsDropped,
 		PresolvedVars:    ps.varsFixed,
-	}
-	if !opt.ColdLP {
-		if s.incBasis != nil {
-			res.Basis = s.incBasis
-		} else {
-			res.Basis = s.rootEnd
-		}
 	}
 	if s.hasInc {
 		res.HasSolution = true
@@ -320,9 +297,6 @@ func (s *search) run(env *probEnv) {
 		s.nodes++
 		s.lpIters += sol.Iters
 		s.refactors += sol.Refactors
-		if n.id == 0 {
-			s.rootEnd = end
-		}
 		if !s.process(n, sol, end, env) {
 			return
 		}
@@ -407,13 +381,8 @@ func (s *search) bestPending() *node {
 	return best
 }
 
-// pruneLim is the objective value at or above which a node is pruned. A
-// soft (translated-seed) incumbent prunes only strictly worse nodes —
-// its slack keeps tie-valued subtrees explorable, see admit.
+// pruneLim is the objective value at or above which a node is pruned.
 func (s *search) pruneLim() float64 {
-	if s.softInc {
-		return s.incObj + s.opt.Gap
-	}
 	return s.incObj - s.opt.Gap
 }
 
@@ -486,12 +455,12 @@ func (s *search) process(n *node, sol simplex.Solution, end *simplex.Snapshot, e
 			x[j] = r
 		}
 		if movedBy == 0 {
-			s.admit(x, end)
+			s.admit(x)
 			return true
 		}
 		env.apply(n.fix) // feasibility is checked under the node's bounds
 		if env.prob.PointFeasible(x) {
-			s.admit(x, end)
+			s.admit(x)
 			return true
 		}
 		// Snapping broke feasibility. Polish first: re-solve this node's
@@ -499,8 +468,8 @@ func (s *search) process(n *node, sol simplex.Solution, end *simplex.Snapshot, e
 		// certifies a nearby point with exact integer coordinates (the
 		// continuous variables absorb the snap) or proves the snapped
 		// integer assignment infeasible here.
-		if px, pend, ok := s.polish(n, x, end, env); ok {
-			s.admit(px, pend)
+		if px, ok := s.polish(n, x, end, env); ok {
+			s.admit(px)
 			if s.ps.prob.Objective(px)+s.fixedObj <= lpObj+s.opt.Gap {
 				// The polished point attains this subtree's LP bound:
 				// nothing below can beat it by more than Gap.
@@ -549,65 +518,15 @@ func (s *search) process(n *node, sol simplex.Solution, end *simplex.Snapshot, e
 	return true
 }
 
-// seedIncumbent vets a caller-supplied MIP start: snap integer
-// variables (rejecting seeds further than IntTol from integrality),
-// verify the snapped point against every bound and constraint row of
-// the ORIGINAL model, project it into presolve's reduced space, and
-// recompute its objective exactly before admitting it as the initial
-// bound. A seed that fails any gate is ignored; the search then runs
-// exactly as if no seed were given.
-func (s *search) seedIncumbent(x0 []float64) {
-	if len(x0) != s.model.NumVars() {
-		return
-	}
-	x := append([]float64(nil), x0...)
-	for j, isInt := range s.model.isInt {
-		if !isInt {
-			continue
-		}
-		r := math.Round(x[j])
-		if math.Abs(x[j]-r) > s.opt.IntTol {
-			return
-		}
-		x[j] = r
-	}
-	if !s.model.prob.PointFeasible(x) {
-		return
-	}
-	xr, ok := s.ps.project(x)
-	if !ok {
-		return
-	}
-	if s.ps.prob != s.model.prob && !s.ps.prob.PointFeasible(xr) {
-		return // tolerance edge of a tightened bound: seeding isn't worth forcing
-	}
-	s.mu.Lock()
-	s.incumbent = xr
-	s.incObj = s.ps.prob.Objective(xr) + s.fixedObj
-	s.hasInc = true
-	s.softInc = !s.opt.IncumbentPrior
-	s.mu.Unlock()
-	s.seeded = true
-}
-
 // admit stores x (reduced space) as the incumbent when it beats the
-// current bound, pricing it exactly on x itself. A soft (translated-
-// seed) incumbent additionally yields to any search-discovered solution
-// within Gap of it — ties then resolve to the solution the cold search
-// would report. Driver-only; the lock orders the write against workers'
-// advisory reads.
-func (s *search) admit(x []float64, end *simplex.Snapshot) {
+// current bound, pricing it exactly on x itself. Driver-only; the lock
+// orders the write against workers' advisory reads.
+func (s *search) admit(x []float64) {
 	obj := s.ps.prob.Objective(x) + s.fixedObj
-	lim := s.incObj
-	if s.softInc {
-		lim += s.opt.Gap
-	}
-	if !s.hasInc || obj < lim {
+	if !s.hasInc || obj < s.incObj {
 		s.mu.Lock()
 		s.incumbent, s.incObj, s.hasInc = x, obj, true
-		s.softInc = false
 		s.mu.Unlock()
-		s.incBasis = end
 	}
 }
 
@@ -616,7 +535,7 @@ func (s *search) admit(x []float64, end *simplex.Snapshot) {
 // variables absorb the snap. ok means the restricted LP certified a
 // feasible point with exact integer coordinates; the node's bounds are
 // restored either way. Driver-only.
-func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEnv) ([]float64, *simplex.Snapshot, bool) {
+func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEnv) ([]float64, bool) {
 	env.apply(n.fix)
 	type saved struct {
 		j      int
@@ -633,7 +552,6 @@ func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEn
 		env.prob.SetBounds(j, v, v)
 	}
 	var sol simplex.Solution
-	var pend *simplex.Snapshot
 	if s.opt.ColdLP {
 		sol = env.prob.Solve(s.opt.LP)
 	} else {
@@ -641,7 +559,6 @@ func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEn
 			env.lp.Reset()
 		}
 		sol = env.lp.Solve()
-		pend = env.lp.Snapshot()
 	}
 	s.lpIters += sol.Iters
 	s.refactors += sol.Refactors
@@ -649,7 +566,7 @@ func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEn
 		env.prob.SetBounds(r.j, r.lb, r.ub)
 	}
 	if sol.Status != simplex.Optimal {
-		return nil, nil, false
+		return nil, false
 	}
 	px := append([]float64(nil), sol.X...)
 	for j, isInt := range s.ps.isInt {
@@ -658,9 +575,9 @@ func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEn
 		}
 	}
 	if !env.prob.PointFeasible(px) {
-		return nil, nil, false
+		return nil, false
 	}
-	return px, pend, true
+	return px, true
 }
 
 // nodeBatch is how many consumed nodes share one "nodes" trace span.

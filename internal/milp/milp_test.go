@@ -425,3 +425,49 @@ func TestLPGiveUpsAreCounted(t *testing.T) {
 		t.Fatalf("one-iteration LPs: status %v numfails %d iterlimits %d", res.Status, res.LPNumFails, res.LPIterLimits)
 	}
 }
+
+// Regression: the incumbent's objective must be recomputed from the
+// integer-snapped X, not copied from the unrounded LP iterate. Here the
+// LP optimum sits 1e-7 below an integer with a 1e6 objective weight, so
+// the rounding moves the true objective 0.1 past the default Gap (1e-9):
+// the buggy path stored Obj = 1999999.9 for X = [2].
+func TestIncumbentObjectiveRecomputedFromSnappedX(t *testing.T) {
+	m := NewModel()
+	x := m.NewInteger(0, 5)
+	m.SetObjCoef(x, 1e6)
+	m.AddGE([]Term{{x, 1}}, 2-1e-7)
+
+	res := m.Solve(Options{})
+	if res.Status != Optimal || !res.HasSolution {
+		t.Fatalf("solve: %+v", res)
+	}
+	if res.X[x] != 2 {
+		t.Fatalf("X = %v, want exactly 2", res.X[x])
+	}
+	if math.Abs(res.Obj-2e6) > 1e-6 {
+		t.Fatalf("Obj = %v, want 2e6 (objective priced on the snapped point)", res.Obj)
+	}
+}
+
+// Regression: a snapped incumbent that violates a tight constraint must
+// be rejected and the search must keep branching instead of returning an
+// infeasible "optimal" point. With IntTol=1e-3 the LP optimum 1.9995 is
+// within snapping distance of 2, but x=2 violates x <= 1.9995 by 5e-4 —
+// far beyond the residual tolerance. The true integer optimum is x=1.
+func TestSnappedIncumbentFeasibilityChecked(t *testing.T) {
+	m := NewModel()
+	x := m.NewInteger(0, 5)
+	m.SetObjCoef(x, -1)
+	m.AddLE([]Term{{x, 1}}, 1.9995)
+
+	res := m.Solve(Options{IntTol: 1e-3})
+	if res.Status != Optimal || !res.HasSolution {
+		t.Fatalf("solve: %+v", res)
+	}
+	if res.X[x] != 1 {
+		t.Fatalf("X = %v, want 1 (x=2 violates the row and must not be admitted)", res.X[x])
+	}
+	if math.Abs(res.Obj-(-1)) > 1e-9 {
+		t.Fatalf("Obj = %v, want -1", res.Obj)
+	}
+}

@@ -185,36 +185,6 @@ type Options struct {
 	// which solve is performed, never which solutions exist.
 	NoPresolve bool
 
-	// Incumbent, when non-nil, proposes a starting solution (a MIP
-	// start, length NumVars). It is vetted before it is trusted: integer
-	// variables are snapped to the nearest integer (a seed more than
-	// IntTol from integrality is rejected), the snapped point is
-	// feasibility-checked against every bound and constraint row with
-	// the simplex residual check, and its objective is recomputed
-	// exactly from the snapped point. Only then is it admitted as the
-	// initial incumbent bound (Result.SeedUsed reports admission).
-	// A rejected seed is ignored — the search runs exactly as cold.
-	//
-	// An admitted seed is held with a Gap of slack unless
-	// IncumbentPrior says otherwise: the search still explores nodes
-	// whose bound ties the seed, and the first search-discovered
-	// solution at least as good (within Gap) replaces it. Alternative
-	// optima therefore resolve to the same solution a cold search
-	// returns — the seed can only speed the search up, never steal a
-	// tie from it.
-	Incumbent []float64
-	// IncumbentPrior marks Incumbent as this very model's own prior
-	// solution (a solution-cache replay), not a guess translated from a
-	// related model. A prior incumbent prunes at full strength — a tie
-	// with it IS the answer the cold search returned last time — which
-	// is what collapses a repeat solve to its pruning pass.
-	IncumbentPrior bool
-	// Basis seeds the root LP from a previously exported basis
-	// (Result.Basis of a solve whose model has the identical row and
-	// variable shape). Mismatched or singular bases are rejected and the
-	// root LP starts cold. Ignored under ColdLP.
-	Basis *simplex.Snapshot
-
 	// Trace, when non-nil, is the parent span under which the solve
 	// records its internals: one "presolve" span and one "nodes" span per
 	// batch of consumed branch-and-bound nodes. Spans are created only by
@@ -249,9 +219,6 @@ type Result struct {
 	Nodes int
 	// LPIters is the total simplex iterations across all nodes.
 	LPIters int
-	// SeedUsed reports that Options.Incumbent passed vetting and was
-	// admitted as the initial bound.
-	SeedUsed bool
 	// Refactorizations is the total basis refactorizations across all
 	// consumed LP solves (sparse LU rebuilds; see simplex/factor.go).
 	Refactorizations int
@@ -265,12 +232,4 @@ type Result struct {
 	// variables fixed by the root presolve (zero under NoPresolve).
 	PresolvedRows int
 	PresolvedVars int
-	// Basis is the LP basis belonging to the solution the search settled
-	// on (the incumbent's node, or the root relaxation when no incumbent
-	// exists), exportable as Options.Basis for a later solve of an
-	// identically shaped model. When presolve reduced the model the
-	// snapshot has the reduced shape — still replayable, because presolve
-	// is deterministic and reproduces the same reduced shape for the same
-	// model. Nil under ColdLP.
-	Basis *simplex.Snapshot
 }

@@ -32,9 +32,8 @@ type presolved struct {
 	prob  *simplex.Problem
 	isInt []bool
 
-	toFull []int     // reduced var -> original var
-	toRed  []int     // original var -> reduced var, or -1 when fixed
-	fixed  []float64 // original-space values of fixed vars (valid where toRed < 0)
+	toRed []int     // original var -> reduced var, or -1 when fixed
+	fixed []float64 // original-space values of fixed vars (valid where toRed < 0)
 
 	// fixedObj is the objective contribution of the fixed variables; the
 	// search adds it to every reduced-space objective so bounds and
@@ -346,7 +345,6 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 			continue
 		}
 		ps.toRed[j] = red.AddVar(lb[j], ub[j], obj[j])
-		ps.toFull = append(ps.toFull, j)
 		ps.isInt = append(ps.isInt, isInt[j])
 	}
 	terms := make([]simplex.Coef, 0, 8)
@@ -389,34 +387,15 @@ func impliedLB(lim float64, isInt bool) float64 {
 func identityPresolve(p *simplex.Problem, isInt []bool) *presolved {
 	n := p.NumVars()
 	ps := &presolved{
-		prob:   p,
-		isInt:  isInt,
-		toFull: make([]int, n),
-		toRed:  make([]int, n),
-		fixed:  make([]float64, n),
+		prob:  p,
+		isInt: isInt,
+		toRed: make([]int, n),
+		fixed: make([]float64, n),
 	}
 	for j := 0; j < n; j++ {
-		ps.toFull[j] = j
 		ps.toRed[j] = j
 	}
 	return ps
-}
-
-// project maps a full-length vector into reduced space. Reports false
-// when x assigns a fixed variable a value meaningfully away from its
-// forced value (the point is then not feasible in the original problem
-// either, by presolve's feasibility-preservation invariant).
-func (ps *presolved) project(x []float64) ([]float64, bool) {
-	out := make([]float64, len(ps.toFull))
-	for r, j := range ps.toFull {
-		out[r] = x[j]
-	}
-	for j, r := range ps.toRed {
-		if r < 0 && math.Abs(x[j]-ps.fixed[j]) > 1e-5 {
-			return nil, false
-		}
-	}
-	return out, true
 }
 
 // postsolve scatters a reduced-space solution back into the original

@@ -100,7 +100,6 @@ type DiagnoseOptions struct {
 	NoTupleSlicing bool   `json:"no_tuple_slicing,omitempty"`
 	NoQuerySlicing bool   `json:"no_query_slicing,omitempty"`
 	AttrSlicing    bool   `json:"attr_slicing,omitempty"`
-	WarmStart      bool   `json:"warm,omitempty"`
 	TimeLimitMS    int64  `json:"time_limit_ms,omitempty"`
 }
 
@@ -129,7 +128,6 @@ func (o *DiagnoseOptions) resolve() core.Options {
 	opt.TupleSlicing = !o.NoTupleSlicing
 	opt.QuerySlicing = !o.NoQuerySlicing
 	opt.AttrSlicing = o.AttrSlicing
-	opt.WarmStart = o.WarmStart
 	if o.TimeLimitMS > 0 {
 		opt.TimeLimit = time.Duration(o.TimeLimitMS) * time.Millisecond
 	}

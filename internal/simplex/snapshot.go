@@ -4,10 +4,9 @@ import "math"
 
 // Snapshot is an exported simplex basis: which variable occupies each
 // basis position plus the full iterate (so nonbasic variables remember
-// which bound they sat at). It is the warm-start currency of the solve
-// stack — branch-and-bound exports the basis its search ended on
-// (milp.Result.Basis) and a later solve of a model with the identical
-// row/variable shape seeds its root LP from it (milp.Options.Basis).
+// which bound they sat at). It is the warm-start currency of
+// branch-and-bound: every node records its parent's end basis and
+// installs it before solving its own relaxation.
 //
 // A Snapshot is a starting point, never an answer: installing one only
 // positions the first iterate, and phase 1/2 still prove feasibility
@@ -97,10 +96,10 @@ func (ws *Solver) Install(snap *Snapshot) bool {
 // PointFeasible reports whether the point x (length NumVars) satisfies
 // every variable bound and every constraint row under the same
 // magnitude-scaled residual tolerances the solver applies to its own
-// iterates (solutionValid/rowsValid). It is the vetting gate for
-// externally proposed solutions: branch-and-bound runs every integer-
-// snapped candidate and every caller-supplied MIP start through it
-// before trusting the point as an incumbent.
+// iterates (solutionValid/rowsValid). It is the vetting gate for points
+// the solver did not produce itself: branch-and-bound runs every
+// integer-snapped candidate through it before trusting the point as an
+// incumbent.
 func (p *Problem) PointFeasible(x []float64) bool {
 	n, m := len(p.obj), len(p.rhs)
 	if len(x) != n {

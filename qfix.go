@@ -52,16 +52,15 @@
 // estimate) on both the local pool and the fleet, so the biggest MILP
 // never sits at the back of the queue defining the critical path.
 //
-// Options.WarmStart threads solver warm starts through the whole solve
-// stack: every MILP seeds branch-and-bound from the best available
-// prior solution (refinement rounds from the repair they refine, later
-// sibling partitions from earlier ones sharing log coordinates, repeat
-// diagnoses from Options.SolutionCache, which also seeds the root LP
-// basis on exact hits). Seeds are vetted — integer-snapped,
-// feasibility-checked, re-priced exactly — and admitted like
-// search-discovered incumbents, so warm-started repairs are
-// byte-identical to cold ones; the win is Stats.WarmSeeds and reduced
-// Stats.Nodes/LPIters.
+// Between diagnoses of one history the engine carries a single thing:
+// the FullImpact closure of Definition 7, which depends only on each
+// statement's read and write attribute sets. Options.ImpactCache holds
+// it, keyed by the statements themselves, so a caller that keeps its
+// parsed log (internal/histstore, a dist worker) re-plans a repeat
+// without the O(n²) closure and a grown log at the cost of what the
+// appends reach. Every MILP is solved cold; answering an exact repeat
+// of a whole question is left to whoever is asked it again
+// (internal/qfixd's answer memo).
 //
 // The subpackages are exposed for advanced use: internal/encode (the MILP
 // encoder), internal/milp and internal/simplex (the solver stack),
@@ -112,31 +111,20 @@ type (
 	// Algorithm selects Basic (Algorithm 1) or Incremental (Algorithm 3).
 	Algorithm = core.Algorithm
 	// ImpactCache caches FullImpact closures across diagnoses of the
-	// same (or a growing) log, keyed by a log digest. Install one via
-	// Options.ImpactCache when diagnosing repeatedly: exact repeats skip
-	// the O(n²) closure entirely (Stats.ImpactCacheHits) and diagnoses
-	// after appends pay only an incremental extension
-	// (Stats.ImpactCacheExtends). internal/histstore keeps one per
-	// store; dist workers keep one per process.
+	// same (or a growing) log, keyed by the log's statements: hand it
+	// the same parsed statements again (a grown log may append to them)
+	// and exact repeats skip the O(n²) closure entirely
+	// (Stats.ImpactCacheHits) while diagnoses after appends pay only an
+	// incremental extension (Stats.ImpactCacheExtends); a re-parsed log
+	// is new statements and misses. Install one via Options.ImpactCache
+	// when diagnosing repeatedly; internal/histstore keeps one per
+	// store, dist workers one per process.
 	ImpactCache = core.ImpactCache
-	// SolutionCache caches accepted MILP solutions and final LP bases
-	// across diagnoses, keyed by a digest of the exact solve. Install
-	// one via Options.SolutionCache with Options.WarmStart set: repeat
-	// diagnoses seed each branch-and-bound with the prior solution as
-	// the starting incumbent and the prior basis in the root LP
-	// (Stats.WarmSeeds), collapsing the search to the pruning pass
-	// while repairs stay byte-identical to cold solves. internal/
-	// histstore keeps one per store; dist workers keep one per process.
-	SolutionCache = core.SolutionCache
 )
 
 // NewImpactCache returns an impact cache bounded to max closures (0
 // picks the default bound). Safe for concurrent use.
 func NewImpactCache(max int) *ImpactCache { return core.NewImpactCache(max) }
-
-// NewSolutionCache returns a solution cache bounded to max solutions (0
-// picks the default bound). Safe for concurrent use.
-func NewSolutionCache(max int) *SolutionCache { return core.NewSolutionCache(max) }
 
 // Algorithm choices.
 const (
