@@ -31,8 +31,10 @@ var CtxLoop = &Analyzer{
 	Doc: "flag blocking loops, channel operations, and goroutines that never consult a " +
 		"context.Context and so cannot be cancelled",
 	Directive: "ctx-ok",
-	Packages:  []string{"internal/dist", "internal/sched", "internal/core", "internal/qfixd"},
-	Run:       runCtxLoop,
+	Packages: []string{
+		"internal/dist", "internal/sched", "internal/core", "internal/qfixd", "internal/frameconn",
+	},
+	Run: runCtxLoop,
 }
 
 func runCtxLoop(pass *Pass) error {

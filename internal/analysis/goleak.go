@@ -32,7 +32,7 @@ var GoLeak = &Analyzer{
 		"(no ctx, no WaitGroup join, no close-owned channel range)",
 	Directive: "leak-ok",
 	Packages: []string{
-		"internal/qfixd", "internal/dist", "internal/sched", "internal/obs",
+		"internal/qfixd", "internal/dist", "internal/sched", "internal/obs", "internal/frameconn",
 	},
 	Run: runGoLeak,
 }

@@ -33,7 +33,7 @@ var LockCheck = &Analyzer{
 		"the named mutex (RLock suffices for reads of RWMutex-guarded fields)",
 	Directive: "lock-ok",
 	Packages: []string{
-		"internal/histstore", "internal/qfixd", "internal/dist", "internal/sched",
+		"internal/histstore", "internal/qfixd", "internal/dist", "internal/sched", "internal/frameconn",
 	},
 	Run: runLockCheck,
 }

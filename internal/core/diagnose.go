@@ -24,6 +24,12 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 		return nil, fmt.Errorf("core: empty query log")
 	}
 	width := d0.Schema().Width()
+	for _, c := range complaints {
+		if c.Exists && len(c.Values) != width {
+			return nil, fmt.Errorf("core: complaint on tuple %d has %d values for %d attributes",
+				c.TupleID, len(c.Values), width)
+		}
+	}
 
 	span := opt.Trace.Start("diagnose")
 	span.SetAttr("algorithm", opt.Algorithm.String())
@@ -138,7 +144,7 @@ type diagnoser struct {
 func (d *diagnoser) plan() {
 	d.stats.PlanPasses++
 	pp := startPhase(d.span, "plan")
-	d.bound = d.domainBound(d.log, d.dirtyFinal)
+	d.bound = encode.DomainBound(d.d0, d.log, d.dirtyFinal)
 	if d.opt.QuerySlicing || d.opt.AttrSlicing || d.opt.Partition > 0 {
 		ip := startPhase(pp.sp, "impact")
 		if d.opt.ImpactCache != nil {
@@ -165,16 +171,6 @@ func (sub *diagnoser) adoptPlan(parent *diagnoser) {
 	sub.bound = parent.bound
 	sub.full = parent.full
 	sub.planSlices()
-}
-
-// domainBound is the big-M of encodings over the given base log, whose
-// final state the caller has already replayed: the bound encode.Encode
-// would derive for itself, minus the replay it would spend on it.
-func (d *diagnoser) domainBound(log []query.Query, final *relation.Table) float64 {
-	if d.opt.DomainBound > 0 {
-		return d.opt.DomainBound
-	}
-	return encode.DomainBound(d.d0, log, final)
 }
 
 // planSlices derives the per-diagnosis slicing sets from the (computed
@@ -229,18 +225,22 @@ func (d *diagnoser) encComplaints() []encode.Complaint {
 }
 
 // attempt encodes the given parameter set over the given log (whose
-// big-M is bound, see domainBound) and solves, returning the repaired
+// big-M is bound: encode.DomainBound over it and its final state, which
+// the caller has already replayed) and solves, returning the repaired
 // log when the solver finds a solution. Solver statistics accumulate
 // into st (shared for the sequential scan, per-worker under the parallel
 // scan); encode/solve spans hang under sp (typically a per-batch span).
 func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[int]bool, soft []int64, st *Stats, sp *obs.Span) ([]query.Query, bool, error) {
-	eo := d.opt.encOptions()
-	eo.DomainBound = bound
-	eo.ParamQueries = paramSet
-	eo.TupleIDs = d.tupleIDs
-	eo.Attrs = d.attrs
-	eo.FixNonComplaints = !d.opt.TupleSlicing
-	eo.SoftTupleIDs = soft
+	eo := encode.Options{
+		ParamQueries:     paramSet,
+		TupleIDs:         d.tupleIDs,
+		Attrs:            d.attrs,
+		FixNonComplaints: !d.opt.TupleSlicing,
+		SoftTupleIDs:     soft,
+		DomainBound:      bound,
+		NoFolding:        d.opt.NoFolding,
+		NoParamWindows:   d.opt.NoParamWindows,
+	}
 
 	ep := startPhase(sp, "encode")
 	res, err := encode.Encode(d.d0, baseLog, d.encComplaints(), eo)
@@ -475,7 +475,7 @@ func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, s
 		// the current solution, parameterizing only the repaired queries.
 		rsp := sp.Start("refine")
 		rsp.SetAttr("soft", len(soft))
-		refined, ok, err := d.attempt(v.log, d.domainBound(v.log, v.final), paramSet, soft, st, rsp)
+		refined, ok, err := d.attempt(v.log, encode.DomainBound(d.d0, v.log, v.final), paramSet, soft, st, rsp)
 		rsp.End()
 		if err != nil || !ok {
 			return v

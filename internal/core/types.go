@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/encode"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -162,11 +161,6 @@ type Options struct {
 	TotalTimeLimit time.Duration
 	// MaxNodes bounds branch-and-bound nodes per solve (0 = default).
 	MaxNodes int
-
-	// DomainBound, Eps, Normalize pass through to the encoder.
-	DomainBound float64
-	Eps         float64
-	Normalize   bool
 
 	// SolverParallel explores branch-and-bound nodes of each MILP with
 	// this many concurrent LP workers (0 or 1 = sequential, -1 = one per
@@ -385,15 +379,4 @@ func (s Subproblem) SolveLocal() (*Repair, error) {
 // concurrent use.
 type PartitionSolver interface {
 	SolvePartition(sub Subproblem) (*Repair, error)
-}
-
-// encOptions builds encoder options shared by all strategies.
-func (o Options) encOptions() encode.Options {
-	return encode.Options{
-		DomainBound:    o.DomainBound,
-		Eps:            o.Eps,
-		Normalize:      o.Normalize,
-		NoFolding:      o.NoFolding,
-		NoParamWindows: o.NoParamWindows,
-	}
 }

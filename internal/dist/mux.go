@@ -9,6 +9,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/frameconn"
 )
 
 // Mux reconnect backoff: after a dial failure or broken connection the
@@ -55,14 +57,6 @@ func backoffSeed(addr string) int64 {
 	}
 	return int64(h)
 }
-
-// muxWriteTimeout bounds a frame write when the caller's context
-// carries no deadline (the coordinator always sets one; this guards
-// direct users of the transport). A frame normally lands in the socket
-// buffer in microseconds — a write this slow means the worker stopped
-// draining its receive window, and without some deadline the write
-// would block forever holding writeMu, wedging the transport.
-const muxWriteTimeout = time.Minute
 
 // errMuxDown marks a job that never reached the persistent connection
 // (dial failed, backoff in force, or transport closed): the attempt is
@@ -232,7 +226,9 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 	}
 	dl, ok := ctx.Deadline()
 	if !ok {
-		dl = time.Now().Add(muxWriteTimeout) // never write unbounded under writeMu
+		// Only direct users of the transport come here without a
+		// deadline; a stalled write must not hold writeMu forever.
+		dl = time.Now().Add(frameconn.WriteTimeout)
 	}
 	conn.SetWriteDeadline(dl)
 	_, err = conn.Write(frame)
@@ -326,14 +322,15 @@ func (t *MuxTransport) connection(ctx context.Context) (net.Conn, error) {
 // readLoop demultiplexes result frames to their in-flight jobs until
 // the connection breaks, then fails whatever is still pending.
 func (t *MuxTransport) readLoop(conn net.Conn, gen uint64) {
-	dec := json.NewDecoder(conn)
-	// Lifetime is the connection's, not a caller's: Decode fails when
-	// the conn closes (teardown or peer loss) and the pending-map send
-	// is 1-buffered, so the loop can neither outlive the link nor block.
+	r := frameconn.NewReader(conn)
+	// Lifetime is the connection's, not a caller's: the read fails when
+	// the conn closes (teardown or peer loss) or streams a line past
+	// frameconn.MaxFrame, and the pending-map send is 1-buffered, so the
+	// loop can neither outlive the link nor block.
 	//qfix:ctx-ok loop exits when the connection closes; sends are 1-buffered
 	for {
 		res := new(Result)
-		if err := dec.Decode(res); err != nil {
+		if err := r.Decode(res); err != nil {
 			t.mu.Lock()
 			t.teardownLocked(gen)
 			t.mu.Unlock()

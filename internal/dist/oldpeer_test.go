@@ -5,25 +5,28 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"reflect"
 	"testing"
 
 	"repro/internal/dist"
 )
 
-// oldPeerTransport speaks to a real worker the way a peer from before
-// warm starts were deleted did: every job's options carry
-// "warm_start":true, and every result's stats come back carrying
-// WarmSeeds. The bytes go over a raw socket, so the worker decodes the
-// old member itself.
-type oldPeerTransport struct{ addr string }
+// rawTransport speaks to a real worker over a raw socket, one dial per
+// job, passing each job frame through job and each result line through
+// result (either may be nil): a peer that puts on the wire what this
+// tree's encoder never would. The worker decodes those bytes itself.
+type rawTransport struct {
+	addr        string
+	job, result func([]byte) ([]byte, error)
+}
 
-func (o oldPeerTransport) Addr() string { return o.addr }
-func (oldPeerTransport) Close() error   { return nil }
+func (o rawTransport) Addr() string { return o.addr }
+func (rawTransport) Close() error   { return nil }
 
-func (o oldPeerTransport) Do(ctx context.Context, job *dist.Job) (*dist.Result, error) {
+func (o rawTransport) Do(ctx context.Context, job *dist.Job) (*dist.Result, error) {
 	raw, err := json.Marshal(job)
-	if err == nil {
-		raw, err = withMember(raw, "options", "warm_start", true)
+	if err == nil && o.job != nil {
+		raw, err = o.job(raw)
 	}
 	if err != nil {
 		return nil, err
@@ -38,8 +41,8 @@ func (o oldPeerTransport) Do(ctx context.Context, job *dist.Job) (*dist.Result, 
 		return nil, err
 	}
 	line, err := bufio.NewReader(conn).ReadBytes('\n')
-	if err == nil {
-		line, err = withMember(line, "stats", "WarmSeeds", 3)
+	if err == nil && o.result != nil {
+		line, err = o.result(line)
 	}
 	if err != nil {
 		return nil, err
@@ -51,9 +54,9 @@ func (o oldPeerTransport) Do(ctx context.Context, job *dist.Job) (*dist.Result, 
 	return &res, nil
 }
 
-// withMember adds key=val to the object member obj of the JSON object
-// raw.
-func withMember(raw []byte, obj, key string, val any) ([]byte, error) {
+// withMembers adds the members to the object member obj of the JSON
+// object raw.
+func withMembers(raw []byte, obj string, members map[string]any) ([]byte, error) {
 	var top map[string]json.RawMessage
 	if err := json.Unmarshal(raw, &top); err != nil {
 		return nil, err
@@ -62,7 +65,9 @@ func withMember(raw []byte, obj, key string, val any) ([]byte, error) {
 	if err := json.Unmarshal(top[obj], &inner); err != nil {
 		return nil, err
 	}
-	inner[key] = val
+	for k, v := range members {
+		inner[k] = v
+	}
 	b, err := json.Marshal(inner)
 	if err != nil {
 		return nil, err
@@ -71,15 +76,15 @@ func withMember(raw []byte, obj, key string, val any) ([]byte, error) {
 	return json.Marshal(top)
 }
 
-// The warm_start wire field and Stats.WarmSeeds are gone, but a peer
-// that still sends them is served: encoding/json ignores unknown
-// members, so old jobs and old results decode cleanly and the fleet's
-// repair is the local engine's, byte for byte. No WireVersion bump.
-func TestDistributedColdUnaffectedByWarmField(t *testing.T) {
+// checkOldPeerServed runs a diagnosis whose every job goes through old
+// and requires the fleet to have served all of it with the local
+// engine's repair, byte for byte.
+func checkOldPeerServed(t *testing.T, old rawTransport) {
+	t.Helper()
 	d0, log, complaints := benchInstance(t, 3)
 	want := localReference(t, d0, log, complaints)
 
-	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, oldPeerTransport{startWorker(t)})
+	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, old)
 	defer coord.Close()
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 	if err != nil {
@@ -93,4 +98,57 @@ func TestDistributedColdUnaffectedByWarmField(t *testing.T) {
 	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
 		t.Errorf("old-peer distributed repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
 	}
+}
+
+// The warm_start wire field and Stats.WarmSeeds are gone, but a peer
+// that still sends them is served: encoding/json ignores unknown
+// members, so old jobs and old results decode cleanly and the fleet's
+// repair is the local engine's, byte for byte. No WireVersion bump.
+func TestDistributedColdUnaffectedByWarmField(t *testing.T) {
+	checkOldPeerServed(t, rawTransport{
+		addr: startWorker(t),
+		job: func(raw []byte) ([]byte, error) {
+			return withMembers(raw, "options", map[string]any{"warm_start": true})
+		},
+		result: func(line []byte) ([]byte, error) {
+			return withMembers(line, "stats", map[string]any{"WarmSeeds": 3})
+		},
+	})
+}
+
+// domain_bound, eps and normalize left wireOptions with the core.Options
+// fields no caller ever set. A coordinator from before still sends them,
+// with the zeros it always sent: the job decodes to the same subproblem
+// and the fleet's repair is unchanged. No WireVersion bump.
+func TestDistributedOldOptionMembersIgnored(t *testing.T) {
+	old := map[string]any{"domain_bound": 0, "eps": 0, "normalize": false}
+	job, err := dist.EncodeJob(1, fixtureSubproblem(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = withMembers(raw, "options", old); err != nil {
+		t.Fatal(err)
+	}
+	var onWire dist.Job
+	if err := json.Unmarshal(raw, &onWire); err != nil {
+		t.Fatal(err)
+	}
+	got, err := dist.DecodeJob(&onWire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fixtureSubproblem(t).Options; !reflect.DeepEqual(got.Options, want) {
+		t.Errorf("options with the old members decode to %+v, want %+v", got.Options, want)
+	}
+
+	checkOldPeerServed(t, rawTransport{
+		addr: startWorker(t),
+		job: func(raw []byte) ([]byte, error) {
+			return withMembers(raw, "options", old)
+		},
+	})
 }

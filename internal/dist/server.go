@@ -2,14 +2,14 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sync"
 	"time"
+
+	"repro/internal/frameconn"
 )
 
 // Server is the worker side of the protocol: it accepts connections,
@@ -41,101 +41,35 @@ type Server struct {
 	// Logf, when set, receives one line per job and per protocol error.
 	Logf func(format string, args ...any)
 
-	mu     sync.Mutex
-	ln     net.Listener          //qfix:guarded-by mu
-	conns  map[net.Conn]struct{} //qfix:guarded-by mu
-	cache  *workerCache          //qfix:guarded-by mu
-	sem    chan struct{}         //qfix:guarded-by mu — server-wide solve slots (MaxInflight)
-	closed bool                  //qfix:guarded-by mu
+	conns frameconn.Registry
+	mu    sync.Mutex
+	cache *workerCache  //qfix:guarded-by mu
+	sem   chan struct{} //qfix:guarded-by mu — server-wide solve slots (MaxInflight)
 }
 
 // Serve accepts and handles connections on l until Close or a fatal
 // listener error. It blocks; run it in a goroutine to serve in the
 // background.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("dist: server closed")
-	}
-	s.ln = l
-	if s.conns == nil {
-		s.conns = make(map[net.Conn]struct{})
-	}
-	s.mu.Unlock()
-
-	// Accept loops end by listener teardown: Close() closes l, Accept
-	// returns, and the closed flag picks the nil return. (The teardown
-	// race here was PR 4's bugfix; the invariant is pinned by
-	// TestServerClose.)
-	//qfix:ctx-ok exits via Close(): closed listener fails Accept
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		// Registration happens in the same critical section that checks
-		// for shutdown: a connection accepted just as Close runs would
-		// otherwise land in s.conns after Close's teardown iteration and
-		// never be closed.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		// handle's decode loop exits when the peer hangs up or Close
-		// tears the registered conn down; its deferred cleanup then
-		// deregisters the conn.
-		//qfix:leak-ok handle exits on conn error; Close closes every registered conn
-		go s.handle(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.conns.Serve(l, s.handle) }
 
 // Close stops accepting and tears down in-flight connections. Jobs being
 // solved are abandoned; their coordinators observe a broken connection
 // and fall back.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	return err
-}
+func (s *Server) Close() error { return s.conns.Close() }
 
 // handle serves one connection: a read loop admits jobs into the
-// server-wide solver pool, and results stream back over a per-
-// connection write lock as they land.
+// server-wide solver pool, and results stream back as they land. A line
+// past frameconn.MaxFrame ends the connection like any other bad frame;
+// its coordinator retries the job elsewhere or solves it locally.
 func (s *Server) handle(conn net.Conn) {
 	var wg sync.WaitGroup
-	defer func() {
-		wg.Wait() // let in-flight solves write (or fail) before teardown
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	var writeMu sync.Mutex
+	defer wg.Wait() // let in-flight solves write (or fail) before teardown
 	sem := s.solveSem()
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
+	r := frameconn.NewReader(conn)
+	w := frameconn.NewWriter(conn, true)
 	for {
 		job := new(Job)
-		if err := dec.Decode(job); err != nil {
+		if err := r.Decode(job); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("dist: %s: bad frame: %v", conn.RemoteAddr(), err)
 			}
@@ -174,33 +108,14 @@ func (s *Server) handle(conn net.Conn) {
 			s.logf("dist: job %d from %s: complaints=%d resolved=%v err=%q %s (%v)",
 				job.ID, conn.RemoteAddr(), len(job.Complaints), res.Resolved,
 				res.Err, res.Stats.Brief(), elapsed.Round(time.Millisecond))
-			writeMu.Lock()
-			// Bound the write: a peer that stalls without closing the
-			// connection must cost its result, not wedge this solve
-			// slot forever — the slots are server-wide, so an unbounded
-			// write here would eventually starve every coordinator.
-			conn.SetWriteDeadline(time.Now().Add(serverWriteTimeout))
-			err := enc.Encode(res)
-			if err == nil {
-				conn.SetWriteDeadline(time.Time{})
-			}
-			writeMu.Unlock()
-			if err != nil {
-				// Fail fast: a dropped result frame would otherwise leave
-				// the coordinator waiting out its full attempt timeout.
-				// Closing the connection breaks its read loop too, so the
-				// peer sees the failure promptly and retries elsewhere.
+			// A failed write has closed the connection: the coordinator
+			// retries now instead of waiting out its attempt timeout.
+			if err := w.Encode(res); err != nil {
 				s.logf("dist: %s: writing result %d: %v", conn.RemoteAddr(), job.ID, err)
-				conn.Close()
 			}
 		}()
 	}
 }
-
-// serverWriteTimeout bounds one result-frame write. A frame normally
-// lands in the socket buffer instantly; a write this slow means the
-// coordinator stopped draining without closing the connection.
-const serverWriteTimeout = time.Minute
 
 // solveSem lazily builds the server-wide solver-slot semaphore sized
 // per MaxInflight.
@@ -251,13 +166,4 @@ func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
 	}
-}
-
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("dist: listen %s: %w", addr, err)
-	}
-	return s.Serve(l)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/frameconn"
 )
 
 // Transport delivers one job to a solver and returns its result. A
@@ -229,7 +230,7 @@ func (t *TCPTransport) Do(ctx context.Context, job *Job) (*Result, error) {
 		return nil, fmt.Errorf("dist: send job to %s: %w", t.addr, err)
 	}
 	var res Result
-	if err := json.NewDecoder(conn).Decode(&res); err != nil {
+	if err := frameconn.NewReader(conn).Decode(&res); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, fmt.Errorf("dist: job %d on %s: %w", job.ID, t.addr, ctxErr)
 		}

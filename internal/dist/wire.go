@@ -1,21 +1,21 @@
 // Package dist distributes partition-parallel diagnosis across
 // processes. The engine in internal/core already decomposes a diagnosis
-// into independent partition subproblems; this package makes sharding a
-// transport problem, as the ROADMAP puts it: a Coordinator runs planning
-// locally, serializes each partition as a self-contained Job (initial
-// state, log, complaint subset, pinned sub-Options), and dispatches jobs
-// to workers over a versioned wire protocol. Results merge through the
-// engine's existing conflict-detection and joint-fallback path, so the
-// final repair is always replay-verified, and any job whose worker dies
-// or times out mid-solve falls back to the local engine — distribution
-// never loses an instance local diagnosis can solve.
+// into independent partition subproblems; here a Coordinator runs
+// planning locally, serializes each partition as a self-contained Job
+// (initial state, log, complaint subset, pinned sub-Options), and
+// dispatches jobs to workers over a versioned wire protocol. Results
+// merge through the engine's conflict-detection and joint-fallback path,
+// so the final repair is always replay-verified, and any job whose
+// worker dies or times out mid-solve falls back to the local engine —
+// distribution never loses an instance local diagnosis can solve.
 //
-// Three transports implement the Transport interface: InProc (the
-// degenerate zero-network case, used by tests and as a harness for the
-// codec round trip), TCP (newline-delimited JSON frames, one connection
-// per job, deadline-bounded), and Mux (one persistent connection per
-// worker carrying many concurrent jobs, results demultiplexed by job ID
-// as they stream back).
+// Three transports implement Transport: InProc (the zero-network case,
+// a harness for the codec round trip), TCP (one connection per job) and
+// Mux (one persistent connection per worker carrying many concurrent
+// jobs, results demultiplexed by job ID as they stream back). Both
+// network transports and the worker's Server frame newline-delimited
+// JSON through internal/frameconn: one accept loop, one 64 MiB cap on
+// every frame read, one bounded frame write.
 package dist
 
 import (
@@ -311,23 +311,20 @@ func decodeLog(ws []wireQuery) ([]query.Query, error) {
 // concerns (pool sizes, solver hooks, worker lists — the worker always
 // solves its job jointly, single-threaded).
 type wireOptions struct {
-	Algorithm        int     `json:"algorithm"`
-	K                int     `json:"k"`
-	TupleSlicing     bool    `json:"tuple_slicing"`
-	QuerySlicing     bool    `json:"query_slicing"`
-	AttrSlicing      bool    `json:"attr_slicing"`
-	SingleCorruption bool    `json:"single_corruption"`
-	SkipRefine       bool    `json:"skip_refine"`
-	Candidates       []int   `json:"candidates,omitempty"`
-	TimeLimitNS      int64   `json:"time_limit_ns"`
-	TotalTimeLimitNS int64   `json:"total_time_limit_ns"`
-	MaxNodes         int     `json:"max_nodes"`
-	DomainBound      float64 `json:"domain_bound"`
-	Eps              float64 `json:"eps"`
-	Normalize        bool    `json:"normalize"`
-	NoFolding        bool    `json:"no_folding"`
-	NoParamWindows   bool    `json:"no_param_windows"`
-	ColdLP           bool    `json:"cold_lp"`
+	Algorithm        int   `json:"algorithm"`
+	K                int   `json:"k"`
+	TupleSlicing     bool  `json:"tuple_slicing"`
+	QuerySlicing     bool  `json:"query_slicing"`
+	AttrSlicing      bool  `json:"attr_slicing"`
+	SingleCorruption bool  `json:"single_corruption"`
+	SkipRefine       bool  `json:"skip_refine"`
+	Candidates       []int `json:"candidates,omitempty"`
+	TimeLimitNS      int64 `json:"time_limit_ns"`
+	TotalTimeLimitNS int64 `json:"total_time_limit_ns"`
+	MaxNodes         int   `json:"max_nodes"`
+	NoFolding        bool  `json:"no_folding"`
+	NoParamWindows   bool  `json:"no_param_windows"`
+	ColdLP           bool  `json:"cold_lp"`
 	// SolverParallel and NoPresolve configure the worker's MILP solver
 	// to match the coordinator's. -1 means one LP worker per worker-side
 	// CPU; repairs are byte-identical at any setting, so coordinators
@@ -350,9 +347,6 @@ func encodeOptions(o core.Options) wireOptions {
 		TimeLimitNS:      int64(o.TimeLimit),
 		TotalTimeLimitNS: int64(o.TotalTimeLimit),
 		MaxNodes:         o.MaxNodes,
-		DomainBound:      o.DomainBound,
-		Eps:              o.Eps,
-		Normalize:        o.Normalize,
 		NoFolding:        o.NoFolding,
 		NoParamWindows:   o.NoParamWindows,
 		ColdLP:           o.ColdLP,
@@ -374,9 +368,6 @@ func decodeOptions(w wireOptions) core.Options {
 		TimeLimit:        time.Duration(w.TimeLimitNS),
 		TotalTimeLimit:   time.Duration(w.TotalTimeLimitNS),
 		MaxNodes:         w.MaxNodes,
-		DomainBound:      w.DomainBound,
-		Eps:              w.Eps,
-		Normalize:        w.Normalize,
 		NoFolding:        w.NoFolding,
 		NoParamWindows:   w.NoParamWindows,
 		ColdLP:           w.ColdLP,
@@ -402,7 +393,8 @@ func EncodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 }
 
 // DecodeJob reconstructs the subproblem, rejecting any protocol version
-// but WireVersion.
+// but WireVersion and any statement naming an attribute the table does
+// not have.
 func DecodeJob(j *Job) (core.Subproblem, error) {
 	if j.Version != WireVersion {
 		return core.Subproblem{}, fmt.Errorf(
@@ -417,12 +409,39 @@ func DecodeJob(j *Job) (core.Subproblem, error) {
 	if err != nil {
 		return core.Subproblem{}, err
 	}
+	for i, q := range log {
+		if err := checkAttrs(q, d0.Schema().Width()); err != nil {
+			return core.Subproblem{}, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
 	return core.Subproblem{
 		D0:         d0,
 		Log:        log,
 		Complaints: j.Complaints,
 		Options:    decodeOptions(j.Options),
 	}, nil
+}
+
+// checkAttrs rejects a statement that names an attribute outside the
+// table, in its WHERE, a SET target or a SET expression: replaying it
+// would index past the tuple.
+func checkAttrs(q query.Query, width int) error {
+	var attrs []int
+	switch v := q.(type) {
+	case *query.Update:
+		for _, sc := range v.Set {
+			attrs = append(sc.Expr.Attrs(attrs), sc.Attr)
+		}
+		attrs = query.CondAttrs(v.Where, attrs)
+	case *query.Delete:
+		attrs = query.CondAttrs(v.Where, nil)
+	}
+	for _, a := range attrs {
+		if a < 0 || a >= width {
+			return fmt.Errorf("dist: attribute %d out of range [0,%d)", a, width)
+		}
+	}
+	return nil
 }
 
 // EncodeResult packages a solved repair (or a solver error) for the wire.

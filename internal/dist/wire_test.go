@@ -67,9 +67,6 @@ func fixtureSubproblem(t *testing.T) core.Subproblem {
 			TimeLimit:        90 * time.Second,
 			TotalTimeLimit:   5 * time.Minute,
 			MaxNodes:         1234,
-			DomainBound:      1e6,
-			Eps:              0.25,
-			Normalize:        true,
 			NoFolding:        true,
 			NoParamWindows:   true,
 			ColdLP:           true,

@@ -61,13 +61,11 @@ func (e *encoder) evalCond(c query.Cond, t *tstate, pc pctx) bval {
 // agree with plain replay whenever the operands are constants.
 func (e *encoder) predB(expr aff, op query.CmpOp) bval {
 	lo, hi := expr.lo, expr.hi
-	eps := e.eps
-
 	if e.opt.NoFolding {
 		// Ablation mode: always emit the symbolic encoding. The big-M
 		// rows force the binary to the decided value when the interval
 		// is decisive, so this is equivalent but exhaustive.
-		return e.predBinary(expr, op, lo, hi, eps)
+		return e.predBinary(expr, op, lo, hi)
 	}
 
 	// Constant folding on decisive intervals.
@@ -108,11 +106,11 @@ func (e *encoder) predB(expr aff, op query.CmpOp) bval {
 			return knownB(false)
 		}
 	}
-	return e.predBinary(expr, op, lo, hi, eps)
+	return e.predBinary(expr, op, lo, hi)
 }
 
 // predBinary emits the big-M rows linking a fresh binary to "expr op 0".
-func (e *encoder) predBinary(expr aff, op query.CmpOp, lo, hi, eps float64) bval {
+func (e *encoder) predBinary(expr aff, op query.CmpOp, lo, hi float64) bval {
 	lo = finiteOr(lo, e.M*4)
 	hi = finiteOr(hi, e.M*4)
 	// Decisive intervals can reach here in NoFolding mode; big-M factors

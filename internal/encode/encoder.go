@@ -31,7 +31,6 @@ type encoder struct {
 	sch   *relation.Schema
 	width int
 	M     float64
-	eps   float64
 
 	dirty    *relation.Table
 	tracked  map[int64]*tstate
@@ -88,7 +87,7 @@ func (e *encoder) flushWindows() {
 	for _, pv := range params {
 		w := e.windows[pv]
 		orig := e.paramOrig[pv]
-		slack := e.eps + 1
+		slack := eps + 1
 		lo := math.Min(w[0], orig) - slack
 		hi := math.Max(w[1], orig) + slack
 		lb, ub := e.m.Bounds(pv)
@@ -139,21 +138,18 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 		Sigma:    e.sigma,
 		Affected: e.affected,
 		Stats:    e.stats,
-		Eps:      e.eps,
 	}, nil
 }
 
 // newEncoder sets up the encoder over the state before the first query:
 // the slicing scopes, the domain bound, and the tracked tuples of D0.
 func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, opt Options) (*encoder, error) {
-	opt = opt.withDefaults()
 	e := &encoder{
 		m:         milp.NewModel(),
 		opt:       opt,
 		log:       log,
 		sch:       d0.Schema(),
 		width:     d0.Schema().Width(),
-		eps:       opt.Eps,
 		tracked:   make(map[int64]*tstate),
 		paramOrig: make(map[milp.Var]float64),
 		sigma:     make(map[SigmaKey]milp.Var),
@@ -350,12 +346,8 @@ func (e *encoder) paramize(i int, q query.Query) (pctx, error) {
 	newParam := func(orig float64) milp.Var {
 		v := e.m.NewContinuous(orig-e.M, orig+e.M)
 		e.params = append(e.params, ParamRef{Query: i, Index: idx, Orig: orig, Var: v})
-		w := e.opt.ObjParamWeight
-		if e.opt.Normalize {
-			w /= math.Max(1, math.Abs(orig))
-		}
 		d := e.m.NewAbsDeviation([]milp.Term{{Var: v, Coef: 1}}, orig)
-		e.m.SetObjCoef(d, w)
+		e.m.SetObjCoef(d, 1)
 		e.paramOrig[v] = orig
 		idx++
 		return v

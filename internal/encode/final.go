@@ -125,7 +125,7 @@ func (e *encoder) softObjective(t *tstate) {
 	}
 	if constMatched {
 		// Matched under every parameter choice: constant objective cost.
-		e.m.AddObjConst(e.opt.ObjSoftWeight)
+		e.m.AddObjConst(softWeight)
 		return
 	}
 	if len(sigmas) == 0 {
@@ -136,6 +136,6 @@ func (e *encoder) softObjective(t *tstate) {
 		// affected >= sigma
 		e.m.AddGE([]milp.Term{{Var: aff, Coef: 1}, {Var: s, Coef: -1}}, 0)
 	}
-	e.m.SetObjCoef(aff, e.opt.ObjSoftWeight)
+	e.m.SetObjCoef(aff, softWeight)
 	e.affected[t.id] = aff
 }

@@ -53,20 +53,6 @@ type Options struct {
 	// auto-sizes from the data and log (2×max|value| + 10).
 	DomainBound float64
 
-	// Eps separates strict comparisons and equality complements
-	// (default 0.5, exact for the paper's integer-valued workloads).
-	Eps float64
-
-	// Normalize weights each parameter's deviation by 1/max(1,|orig|)
-	// (the "normalized" Manhattan distance of §4.3).
-	Normalize bool
-
-	// ObjParamWeight scales the parameter-distance objective (default 1).
-	ObjParamWeight float64
-	// ObjSoftWeight scales the affected-tuple count objective used by the
-	// refinement step (default 1e4, so the count dominates distance).
-	ObjSoftWeight float64
-
 	// NoFolding disables constant-folding presolve: every σ evaluation
 	// and value update is encoded symbolically, as in a literal reading
 	// of the paper's Algorithm 1. Ablation switch; see BenchmarkAblation.
@@ -76,18 +62,15 @@ type Options struct {
 	NoParamWindows bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Eps <= 0 {
-		o.Eps = 0.5
-	}
-	if o.ObjParamWeight <= 0 {
-		o.ObjParamWeight = 1
-	}
-	if o.ObjSoftWeight <= 0 {
-		o.ObjSoftWeight = 1e4
-	}
-	return o
-}
+const (
+	// eps separates strict comparisons and equality complements: exact
+	// for the paper's integer-valued workloads.
+	eps = 0.5
+	// softWeight is the objective weight of each tuple the refinement
+	// step counts as affected, so that the count dominates the
+	// parameter distance (weight 1 per unit).
+	softWeight = 1e4
+)
 
 // ParamRef locates one parameter variable: parameter Index of log entry
 // Query (canonical order, see internal/query), its original value, and
@@ -128,20 +111,17 @@ type Result struct {
 	// repair touched it (refinement objective).
 	Affected map[int64]milp.Var
 	Stats    Stats
-	// Eps is the separation the encoding was built with; it gates how
-	// aggressively solved parameters may be snapped.
-	Eps float64
 }
 
 // Solve runs the model with the given limits and returns the repaired
 // parameter values (by Params order) when a solution exists.
 //
 // Returned parameters are snapped: a value within 1e-6 of the original
-// parameter or of an integer is rounded to it. LP solutions carry
-// O(feasTol) noise, and replay semantics are exact — without snapping, a
-// repaired bound of 62.999999999999986 silently excludes a tuple with
-// value 63. Snapping is sound here because predicate sides are separated
-// by Options.Eps (default 0.5), far wider than the snap radius.
+// parameter, an integer or a half-integer is rounded to it. LP solutions
+// carry O(feasTol) noise, and replay semantics are exact — without
+// snapping, a repaired bound of 62.999999999999986 silently excludes a
+// tuple with value 63. Snapping is sound here because predicate sides
+// are separated by eps (0.5), far wider than the snap radius.
 func (r *Result) Solve(timeLimit time.Duration, maxNodes int) (milp.Result, []float64) {
 	return r.SolveOpts(milp.Options{TimeLimit: timeLimit, MaxNodes: maxNodes})
 }
@@ -160,7 +140,7 @@ func (r *Result) SolveOpts(opt milp.Options) (milp.Result, []float64) {
 			v = p.Orig
 		case math.Abs(v-math.Round(v)) <= 1e-6:
 			v = math.Round(v)
-		case r.Eps >= 0.5 && math.Abs(v-math.Round(v*2)/2) <= 1e-6:
+		case math.Abs(v-math.Round(v*2)/2) <= 1e-6:
 			// Half-integer boundaries arise from the eps=0.5 separation
 			// (e.g. "exclude 5, include 6" optimizes to exactly 5.5).
 			v = math.Round(v*2) / 2

@@ -1,14 +1,13 @@
 package qfixd
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/frameconn"
 )
 
 // Client is the Go side of the daemon protocol: one connection, safe
@@ -19,7 +18,7 @@ import (
 // daemon.
 type Client struct {
 	conn net.Conn
-	enc  *json.Encoder
+	w    *frameconn.Writer
 
 	mu      sync.Mutex
 	nextID  uint64                    //qfix:guarded-by mu
@@ -33,9 +32,8 @@ func DialDaemon(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qfixd: dial %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, enc: json.NewEncoder(conn),
+	c := &Client{conn: conn, w: frameconn.NewWriter(conn, false), // the strings are SQL
 		pending: make(map[uint64]chan *Response)}
-	c.enc.SetEscapeHTML(false) // the strings are SQL: `<=` travels as two bytes, not seven
 	//qfix:leak-ok read exits when Close closes the conn, failing the read
 	go c.read()
 	return c, nil
@@ -46,21 +44,17 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // read routes response frames to their waiting requests until the
 // connection ends or sends something that is not a frame (a line over
-// maxFrame included), then fails whatever is still pending.
+// frameconn.MaxFrame included), then fails whatever is still pending.
 func (c *Client) read() {
-	// A diagnose response is tens of kilobytes; the default 4 KiB buffer
-	// would fetch it in as many reads.
-	br := bufio.NewReaderSize(c.conn, 64<<10)
-	var line []byte // reused: decodeResponse copies what it keeps
+	r := frameconn.NewReader(c.conn)
 	//qfix:ctx-ok exits via Close: the closed connection fails the read, failing all pending requests
 	for {
-		var err error
-		if line, err = readFrame(br, line); err != nil {
-			c.fail(fmt.Errorf("qfixd: connection lost: %w", err))
-			return
-		}
 		resp := new(Response)
-		if err := decodeResponse(line, resp); err != nil {
+		line, err := r.Next()
+		if err == nil {
+			err = decodeResponse(line, resp) // copies what it keeps
+		}
+		if err != nil {
 			c.fail(fmt.Errorf("qfixd: connection lost: %w", err))
 			return
 		}
@@ -101,16 +95,11 @@ func (c *Client) Do(req *Request) (*Response, error) {
 	c.nextID++
 	req.ID = c.nextID
 	c.pending[req.ID] = ch
-	// Encode under the lock: Encoder is not concurrency-safe, and the
-	// frames are small enough that serializing writes here is simpler
-	// and safer than a second mutex ordering.
-	err := c.enc.Encode(req)
-	if err != nil {
-		delete(c.pending, req.ID)
-	}
 	c.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("qfixd: send: %w", err)
+	if err := c.w.Encode(req); err != nil {
+		// The writer closed the connection; the request fails with the
+		// rest.
+		c.fail(fmt.Errorf("qfixd: send: %w", err))
 	}
 	// The receive always resolves: read() routes the response or fail()
 	// closes the channel.

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/frameconn"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
 )
@@ -42,9 +43,9 @@ func fakeDaemon(t *testing.T, serve func(net.Conn)) string {
 	return l.Addr().String()
 }
 
-// A peer that streams a "frame" past maxFrame without ever ending the
-// line is given up on: every pending request fails with the reason, and
-// the client has buffered no more than the bound to find out.
+// A peer that streams a "frame" past frameconn.MaxFrame without ever
+// ending the line is given up on: every pending request fails with the
+// reason, and the client has buffered no more than the bound to find out.
 func TestClientBoundsResponseFrame(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams 65 MiB over loopback")
@@ -59,7 +60,7 @@ func TestClientBoundsResponseFrame(t *testing.T) {
 			}
 		}
 		chunk := bytes.Repeat([]byte("a"), 1<<20)
-		for sent := 0; sent < maxFrame+1<<20; sent += len(chunk) {
+		for sent := 0; sent < frameconn.MaxFrame+1<<20; sent += len(chunk) {
 			if _, err := conn.Write(chunk); err != nil {
 				break // the client hung up, as it should
 			}
@@ -77,16 +78,16 @@ func TestClientBoundsResponseFrame(t *testing.T) {
 		go func() { errs <- c.Ping() }()
 	}
 	for i := 0; i < 2; i++ {
-		if err := <-errs; err == nil || !errors.Is(err, errFrameTooLong) {
-			t.Fatalf("pending request ended with %v, want %v", err, errFrameTooLong)
+		if err := <-errs; err == nil || !errors.Is(err, frameconn.ErrFrameTooLong) {
+			t.Fatalf("pending request ended with %v, want %v", err, frameconn.ErrFrameTooLong)
 		}
 	}
-	if err := c.Ping(); !errors.Is(err, errFrameTooLong) {
-		t.Fatalf("a request after the failure got %v, want the sticky %v", err, errFrameTooLong)
+	if err := c.Ping(); !errors.Is(err, frameconn.ErrFrameTooLong) {
+		t.Fatalf("a request after the failure got %v, want the sticky %v", err, frameconn.ErrFrameTooLong)
 	}
 	runtime.ReadMemStats(&after)
-	if grown := int64(after.Sys) - int64(before.Sys); grown > 4*maxFrame {
-		t.Errorf("the process grew by %d MiB reading a frame capped at %d MiB", grown>>20, maxFrame>>20)
+	if grown := int64(after.Sys) - int64(before.Sys); grown > 4*frameconn.MaxFrame {
+		t.Errorf("the process grew by %d MiB reading a frame capped at %d MiB", grown>>20, frameconn.MaxFrame>>20)
 	}
 }
 

@@ -1,11 +1,8 @@
 package qfixd
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"math"
 	"strconv"
 
@@ -92,32 +89,6 @@ func appendString(b []byte, s string) ([]byte, error) {
 	b = append(b, '"')
 	b = append(b, s...)
 	return append(b, '"'), nil
-}
-
-// maxFrame bounds one response line. A repaired log of a million
-// statements is well under it; a peer that streams more without a
-// newline is broken or hostile, and the client gives up on it rather
-// than buffer without limit.
-const maxFrame = 64 << 20
-
-var errFrameTooLong = fmt.Errorf("response frame longer than %d MiB", maxFrame>>20)
-
-// readFrame reads one newline-terminated frame into buf (reused between
-// calls) and returns it without the newline. It gives up once more than
-// maxFrame bytes have come without one.
-func readFrame(br *bufio.Reader, buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	for len(buf) <= maxFrame {
-		chunk, err := br.ReadSlice('\n')
-		buf = append(buf, chunk...)
-		if err == nil {
-			return buf[:len(buf)-1], nil
-		}
-		if !errors.Is(err, bufio.ErrBufferFull) {
-			return nil, err
-		}
-	}
-	return nil, errFrameTooLong
 }
 
 // decodeResponse is json.Unmarshal(line, resp) for a zero resp, with a

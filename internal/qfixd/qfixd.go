@@ -19,8 +19,8 @@
 //     connections; each diagnosis gets a private encoding memo via
 //     Coordinator.Solver, so tenants never thrash each other's
 //     encodings;
-//   - one histstore.Store per tenant stays open with its impact and
-//     solution caches warm across requests (the stores are themselves
+//   - one histstore.Store per tenant stays open with its impact cache
+//     warm across requests (the stores are themselves
 //     concurrency-safe: appends keep landing while diagnoses run);
 //   - admission control bounds concurrent diagnoses globally
 //     (Config.MaxInflight) and queues excess per tenant, draining the
@@ -43,8 +43,8 @@
 // The e2e tests pin exactly that.
 //
 // Server (server.go) speaks a newline-delimited JSON protocol over TCP
-// (wire.go) in the same idiom as the dist worker protocol; Client
-// (client.go) is the matching Go client.
+// (wire.go), framed by internal/frameconn as the dist worker protocol
+// is; Client (client.go) is the matching Go client.
 package qfixd
 
 import (

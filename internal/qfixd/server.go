@@ -2,103 +2,42 @@ package qfixd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strconv"
 	"sync"
-	"time"
+
+	"repro/internal/frameconn"
 )
 
 // Server exposes a Service over TCP: newline-delimited JSON requests in,
-// responses out (see wire.go). A connection carries any number of
-// requests; diagnoses run concurrently under the service's admission
-// control and answer out of order, cheap ops answer inline. A diagnose
-// response is written from the service's pre-encoded answer (frame.go);
-// every other frame is encoding/json's. Teardown
-// follows the dist server's close protocol; Shutdown adds the graceful
-// variant the resident daemon needs.
+// responses out (see wire.go), framed by internal/frameconn as the dist
+// worker protocol is. A connection carries any number of requests;
+// diagnoses run concurrently under the service's admission control and
+// answer out of order, cheap ops answer inline. A diagnose response is
+// written from the service's pre-encoded answer (frame.go); every other
+// frame is encoding/json's. A request line past frameconn.MaxFrame drops
+// that connection only.
 type Server struct {
-	svc *Service
-
-	mu     sync.Mutex
-	ln     net.Listener          //qfix:guarded-by mu
-	conns  map[net.Conn]struct{} //qfix:guarded-by mu
-	closed bool                  //qfix:guarded-by mu
+	svc   *Service
+	conns frameconn.Registry
 }
 
 // NewServer serves svc. The service's lifecycle stays the caller's: a
 // server shutdown does not close the service (several listeners may
 // share one).
-func NewServer(svc *Service) *Server {
-	return &Server{svc: svc, conns: make(map[net.Conn]struct{})}
-}
+func NewServer(svc *Service) *Server { return &Server{svc: svc} }
 
 // Serve accepts and handles connections on l until Close/Shutdown or a
 // fatal listener error. It blocks; run it in a goroutine.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("qfixd: server closed")
-	}
-	s.ln = l
-	s.mu.Unlock()
-
-	//qfix:ctx-ok exits via Close/Shutdown: closed listener fails Accept
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		// Register in the same critical section that checks for
-		// shutdown, so a connection accepted during Close cannot
-		// outlive the teardown iteration.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.handle(conn)
-	}
-}
-
-// ListenAndServe listens on addr and serves until Close/Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("qfixd: listen %s: %w", addr, err)
-	}
-	return s.Serve(l)
-}
+func (s *Server) Serve(l net.Listener) error { return s.conns.Serve(l, s.handle) }
 
 // Close stops accepting and tears down connections immediately;
 // diagnoses already running are abandoned mid-solve (their responses
 // have nowhere to go). Use Shutdown for the graceful path.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.conns {
-		conn.Close()
-	}
-	return err
-}
+func (s *Server) Close() error { return s.conns.Close() }
 
 // Shutdown is the graceful drain: stop accepting, mark the service
 // draining (new requests answer ErrDraining), let in-flight diagnoses
@@ -106,14 +45,7 @@ func (s *Server) Close() error {
 // ctx bounds the wait; on expiry the remaining connections are cut
 // Close-style.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
+	err := s.conns.StopAccepting()
 	s.svc.Drain()
 
 	done := make(chan struct{})
@@ -125,17 +57,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = ctx.Err()
 		}
 	}
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
+	s.conns.Close()
 	return err
 }
 
 // handle serves one connection: a read loop answers cheap ops inline
-// and spawns a goroutine per diagnose, with responses serialized over a
-// per-connection write lock. The connection's context ends with the
+// and spawns a goroutine per diagnose, each response one frame of the
+// connection's writer. The connection's context ends with the
 // connection, so queued admissions of a dropped client leave the queue
 // instead of holding their tenant's place.
 func (s *Server) handle(conn net.Conn) {
@@ -144,40 +72,24 @@ func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		cancel()
 		wg.Wait() // in-flight diagnoses write (or fail) before teardown
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
 	}()
-	var writeMu sync.Mutex
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
-	enc.SetEscapeHTML(false) // the strings are SQL: `<=` travels as two bytes, not seven
-	// frame runs one frame's write under the connection's write lock and
-	// deadline.
-	frame := func(write func() error) {
-		writeMu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //qfix:det-ok transport write deadline; never reaches repair logic
-		err := write()
-		if err == nil {
-			conn.SetWriteDeadline(time.Time{})
-		}
-		writeMu.Unlock()
+	r := frameconn.NewReader(conn)
+	w := frameconn.NewWriter(conn, false) // the strings are SQL: `<=` travels as two bytes, not seven
+	// A failed write has closed the connection, which also ends this read
+	// loop: a dropped response would leave the client waiting forever on
+	// its ID.
+	logFailed := func(err error) {
 		if err != nil {
-			// A dropped response frame would leave the client waiting
-			// forever on that ID; failing the whole connection is the
-			// honest signal (and breaks this read loop too).
 			s.svc.logf("qfixd: %s: writing response: %v", conn.RemoteAddr(), err)
-			conn.Close()
 		}
 	}
 	write := func(resp *Response) {
 		resp.Version = WireVersion
-		frame(func() error { return enc.Encode(resp) })
+		logFailed(w.Encode(resp))
 	}
 	for {
 		req := new(Request)
-		if err := dec.Decode(req); err != nil {
+		if err := r.Decode(req); err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.svc.logf("qfixd: %s: bad frame: %v", conn.RemoteAddr(), err)
 			}
@@ -199,21 +111,13 @@ func (s *Server) handle(conn net.Conn) {
 				// The answer is already encoded (and, on a memo hit, shared
 				// with other requests): only the ID in front of it is this
 				// request's, and the two go out in one gathered write.
-				head := strconv.AppendUint([]byte(frameHead), req.ID, 10)
-				frame(func() error {
-					_, err := (&net.Buffers{head, tail}).WriteTo(conn)
-					return err
-				})
+				logFailed(w.Write(strconv.AppendUint([]byte(frameHead), req.ID, 10), tail))
 			}()
 			continue
 		}
 		write(s.inline(req))
 	}
 }
-
-// writeTimeout bounds one response frame; a write this slow means the
-// client stopped draining without closing the connection.
-const writeTimeout = time.Minute
 
 // inline answers the cheap ops directly in the read loop.
 func (s *Server) inline(req *Request) *Response {

@@ -8,8 +8,8 @@ import (
 )
 
 // The client/daemon protocol: newline-delimited JSON frames over TCP,
-// one Request per line from the client, one Response per line back —
-// the same idiom as the dist worker protocol. Responses carry the
+// one Request per line from the client, one Response per line back, each
+// line at most frameconn.MaxFrame — the dist worker protocol's framing. Responses carry the
 // request's ID and may arrive out of submission order: diagnose
 // requests run concurrently (admission permitting) and each answers the
 // moment it lands, while cheap ops (append, complain, ...) answer
