@@ -1,30 +1,24 @@
 // Command qfix-vet runs the qfix static-analysis suite (detmap,
-// ctxloop, spanend, detclock, lockcheck, goleak, wiredrift — see
-// internal/analysis) over Go packages. It runs two ways:
+// ctxloop, spanend, detclock, lockcheck, wiredrift — see
+// internal/analysis) over Go packages:
 //
-//	qfix-vet ./...                     # standalone, like go vet
-//	go vet -vettool=$(which qfix-vet) ./...
+//	qfix-vet ./...                     # patterns default to ./...
+//	qfix-vet -write-wire-lock ./...
 //
-// Standalone mode loads and type-checks packages itself via `go list
-// -export` and exits 1 if any diagnostic survives the //qfix:*-ok
-// directives; -json switches the report to a machine-readable array
-// (one object per finding) for CI problem matchers. Vettool mode
-// speaks the unit-checker protocol the go command drives: respond to
-// -V=full (cache key) and -flags, then analyze single compilation
-// units described by *.cfg files, with imports satisfied from the
-// export-data map the go command hands us. Cross-package facts ride
-// the driver's .vetx files in vettool mode and a shared in-process
-// store in standalone mode (go list -deps orders dependencies first).
+// It loads and type-checks packages itself via `go list -export`,
+// prints every diagnostic that survives the //qfix:*-ok directives as
+// a `file:line:col: analyzer: message` line, and exits 1 if there was
+// any (2 if the packages could not be loaded). Cross-package facts flow
+// through one in-process store: go list -deps orders dependencies
+// first, so a package's facts are ready before its dependents run.
 //
-// qfix-vet -write-wire-lock ./... regenerates the per-package
-// wire.lock goldens the wiredrift analyzer diffs against.
+// -write-wire-lock regenerates the per-package wire.lock goldens the
+// wiredrift analyzer diffs against.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,28 +27,9 @@ import (
 )
 
 func main() {
-	// Vet tool protocol probes come before flag parsing: the go command
-	// invokes the tool as `qfix-vet -V=full` (version stamp for the
-	// build cache) and `qfix-vet -flags` (supported analyzer flags).
-	for _, arg := range os.Args[1:] {
-		switch arg {
-		case "-V=full", "--V=full":
-			// The stamp participates in go's action cache: bump it when
-			// analyzer behavior changes so stale clean results die.
-			fmt.Printf("%s version qfix-vet-2.0\n", os.Args[0])
-			return
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	list := flag.Bool("list", false, "list the suite's analyzers and exit")
-	jsonOut := flag.Bool("json", false, "standalone mode: emit findings as a JSON array on stdout")
 	writeWireLock := flag.Bool("write-wire-lock", false, "regenerate wire.lock goldens for matching packages and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: qfix-vet [-json] [packages]        (standalone; patterns default to ./...)\n")
-		fmt.Fprintf(os.Stderr, "       qfix-vet -write-wire-lock [packages]\n")
-		fmt.Fprintf(os.Stderr, "       qfix-vet unit.cfg                  (as go vet -vettool)\n\n")
+		fmt.Fprintf(os.Stderr, "usage: qfix-vet [-write-wire-lock] [packages]   (patterns default to ./...)\n\n")
 		fmt.Fprintf(os.Stderr, "Analyzers:\n")
 		for _, a := range analysis.Suite() {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
@@ -62,20 +37,10 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *list {
-		for _, a := range analysis.Suite() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	args := flag.Args()
 	if *writeWireLock {
-		os.Exit(writeWireLocks(args))
+		os.Exit(writeWireLocks(flag.Args()))
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitCheck(args[0]))
-	}
-	os.Exit(standalone(args, *jsonOut))
+	os.Exit(vet(flag.Args()))
 }
 
 // loadPatterns lists and type-checks the module packages matching the
@@ -88,33 +53,19 @@ func loadPatterns(patterns []string) (string, []*analysis.Package, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	loader := analysis.NewLoader(dir)
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := analysis.NewLoader(dir).Load(patterns...)
 	return dir, pkgs, err
 }
 
-// jsonFinding is one -json mode record; stable field names are part of
-// the CI problem-matcher contract.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// standalone loads the packages matching the patterns and prints every
-// surviving diagnostic — one per line go-vet style, or as a JSON array.
-func standalone(patterns []string, jsonOut bool) int {
+// vet loads the packages matching the patterns and prints every
+// surviving diagnostic, one per line, go-vet style.
+func vet(patterns []string) int {
 	dir, pkgs, err := loadPatterns(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qfix-vet:", err)
 		return 2
 	}
-	// One fact store across the whole load: go list -deps guarantees
-	// dependencies precede dependents, so facts are ready when consumed.
 	facts := analysis.NewFactStore()
-	findings := []jsonFinding{}
 	failed := false
 	for _, pkg := range pkgs {
 		diags, err := analysis.Run(pkg, analysis.Suite(), facts)
@@ -124,26 +75,10 @@ func standalone(patterns []string, jsonOut bool) int {
 		}
 		for _, d := range diags {
 			failed = true
-			d = relativize(dir, d)
-			if jsonOut {
-				findings = append(findings, jsonFinding{
-					File:     d.Pos.Filename,
-					Line:     d.Pos.Line,
-					Col:      d.Pos.Column,
-					Analyzer: d.Analyzer,
-					Message:  d.Message,
-				})
-			} else {
-				fmt.Println(d.String())
+			if rel, err := filepath.Rel(dir, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+				d.Pos.Filename = rel
 			}
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "qfix-vet:", err)
-			return 2
+			fmt.Println(d.String())
 		}
 	}
 	if failed {
@@ -174,145 +109,4 @@ func writeWireLocks(patterns []string) int {
 		}
 	}
 	return 0
-}
-
-func relativize(dir string, d analysis.Diagnostic) analysis.Diagnostic {
-	if rel, err := filepath.Rel(dir, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-		d.Pos.Filename = rel
-	}
-	return d
-}
-
-// vetConfig mirrors the fields of the JSON unit-checker config the go
-// command writes for -vettool invocations.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// modulePath is the import-path prefix of this module's own packages —
-// the only units worth a facts pass when the driver asks VetxOnly.
-const modulePath = "repro"
-
-func inModule(importPath string) bool {
-	return importPath == modulePath || strings.HasPrefix(importPath, modulePath+"/")
-}
-
-// unitCheck analyzes one compilation unit under the go vet driver.
-// Diagnostics go to stderr; exit status 2 signals findings, matching
-// the x/tools unitchecker convention. Facts flow through the driver's
-// .vetx files: dependencies' facts arrive in PackageVetx, this unit's
-// exports leave through VetxOutput.
-func unitCheck(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qfix-vet:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "qfix-vet: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// Hydrate dependency facts from the .vetx files earlier units wrote.
-	facts := analysis.NewFactStore()
-	for path, vetx := range cfg.PackageVetx {
-		payload, err := os.ReadFile(vetx)
-		if err != nil {
-			continue // factless dependency (e.g. std): nothing to load
-		}
-		fs, err := analysis.DecodeFacts(payload)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "qfix-vet: decoding facts for %s: %v\n", path, err)
-			return 2
-		}
-		facts.Add(path, fs)
-	}
-	// emitVetx writes this unit's exported facts (possibly none) where
-	// the driver expects them; downstream units read the file back.
-	emitVetx := func() int {
-		if cfg.VetxOutput == "" {
-			return 0
-		}
-		payload, err := analysis.EncodeFacts(facts.Package(cfg.ImportPath))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qfix-vet:", err)
-			return 2
-		}
-		if payload == nil {
-			payload = []byte{}
-		}
-		if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "qfix-vet:", err)
-			return 2
-		}
-		return 0
-	}
-	// Keep vettool findings aligned with standalone mode: analyze only
-	// the non-test files of the unit (test variants share them).
-	var files []string
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			files = append(files, f)
-		}
-	}
-	// Fact-only dependency units: module packages still run the suite so
-	// their exports reach dependents (diagnostics are the dependent's
-	// business only in its own unit, so they are discarded here); std and
-	// external units are factless.
-	if cfg.VetxOnly {
-		if inModule(cfg.ImportPath) && len(files) > 0 {
-			if code := analyzeUnit(&cfg, files, facts, true); code != 0 {
-				return code
-			}
-		}
-		return emitVetx()
-	}
-	if len(files) == 0 {
-		return emitVetx()
-	}
-	// Findings exit 2, but the vetx file is written regardless so
-	// dependent units still see this package's facts.
-	code := analyzeUnit(&cfg, files, facts, false)
-	if ec := emitVetx(); ec != 0 {
-		return ec
-	}
-	return code
-}
-
-// analyzeUnit type-checks and runs the suite over one unit, reporting
-// diagnostics to stderr unless factsOnly. Exit code semantics match
-// unitCheck; 0 means continue.
-func analyzeUnit(cfg *vetConfig, files []string, facts *analysis.FactStore, factsOnly bool) int {
-	loader := analysis.NewLoader(cfg.Dir)
-	loader.SetExports(cfg.ImportMap, cfg.PackageFile)
-	pkg, err := loader.Check(cfg.ImportPath, cfg.Dir, files)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "qfix-vet:", err)
-		return 2
-	}
-	diags, err := analysis.Run(pkg, analysis.Suite(), facts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qfix-vet:", err)
-		return 2
-	}
-	if factsOnly || len(diags) == 0 {
-		return 0
-	}
-	w := io.Writer(os.Stderr)
-	for _, d := range diags {
-		fmt.Fprintln(w, d.String())
-	}
-	return 2
 }

@@ -1,18 +1,17 @@
 // Package analysis is qfix's static-analysis suite: a small, stdlib-only
 // clone of the golang.org/x/tools/go/analysis model (Analyzer, Pass,
-// Diagnostic) plus the seven domain analyzers that mechanically enforce
+// Diagnostic) plus the six domain analyzers that mechanically enforce
 // the invariants the engine's guarantees rest on — deterministic map
 // handling (detmap, interprocedural via exported facts), context-aware
-// blocking loops (ctxloop), balanced obs spans (spanend), no wall-clock
-// or randomness in deterministic solver paths (detclock), mutex
-// contracts on annotated struct fields (lockcheck), provable goroutine
-// termination in the resident daemon's packages (goleak), and wire
-// protocol schema stability against committed goldens (wiredrift). The
-// x/tools module itself is deliberately not a dependency: the repo
-// builds offline, so the framework here mirrors the upstream API shape
-// on top of go/ast + go/types only, and cmd/qfix-vet speaks enough of
-// the vet tool protocol to run either standalone or as `go vet
-// -vettool`.
+// blocking loops and goroutines (ctxloop), balanced obs spans
+// (spanend), no wall-clock or randomness in deterministic solver paths
+// (detclock), mutex contracts on annotated struct fields (lockcheck),
+// and wire protocol schema stability against committed goldens
+// (wiredrift). The x/tools module itself is deliberately not a
+// dependency: the repo builds offline, so the framework here mirrors
+// the upstream API shape on top of go/ast + go/types only, and
+// cmd/qfix-vet is the one command that runs it, loading packages itself
+// and sharing one in-process FactStore across the load.
 //
 // Findings are suppressed site-by-site with comment directives:
 //
@@ -20,7 +19,6 @@
 //	//qfix:ctx-ok <reason>   (ctxloop)
 //	//qfix:span-ok <reason>  (spanend)
 //	//qfix:lock-ok <reason>  (lockcheck)
-//	//qfix:leak-ok <reason>  (goleak)
 //	//qfix:wire-ok <reason>  (wiredrift)
 //
 // A directive suppresses diagnostics on its own line or the line
@@ -272,5 +270,5 @@ func Run(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, e
 
 // Suite returns the full qfix-vet analyzer set in a fixed order.
 func Suite() []*Analyzer {
-	return []*Analyzer{DetMap, CtxLoop, SpanEnd, DetClock, LockCheck, GoLeak, WireDrift}
+	return []*Analyzer{DetMap, CtxLoop, SpanEnd, DetClock, LockCheck, WireDrift}
 }

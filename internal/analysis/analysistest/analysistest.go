@@ -10,7 +10,7 @@
 // invisible to go build and go vet, so fixtures are free to contain the
 // violations they exist to pin. Imports (std or module packages such as
 // repro/internal/obs) are resolved through the same `go list -export`
-// loader the standalone tool uses.
+// loader qfix-vet uses.
 package analysistest
 
 import (

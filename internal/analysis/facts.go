@@ -1,58 +1,21 @@
 package analysis
 
-import "encoding/json"
-
 // A FactSet is one package's exported analysis facts: properties of its
 // declarations that downstream packages' passes consume. It is the
-// suite's (much smaller) analogue of x/tools analysis facts, and it
-// rides the same transport the go vet driver already provides — the
-// per-unit .vetx files — so cross-package results work identically in
-// standalone and -vettool mode.
+// suite's (much smaller) analogue of x/tools analysis facts.
 type FactSet struct {
 	// OrderDependent maps function keys ("Name" for package functions,
 	// "Recv.Name" for methods) to a short note explaining why the
 	// function's result depends on map iteration order. detmap exports
 	// these and flags unsorted uses of such results at call sites in
 	// other packages.
-	OrderDependent map[string]string `json:"order_dependent,omitempty"`
-}
-
-// Empty reports whether the set carries no facts (so drivers can skip
-// serializing it).
-func (fs *FactSet) Empty() bool {
-	return fs == nil || len(fs.OrderDependent) == 0
-}
-
-// EncodeFacts serializes a fact set for a .vetx file. An empty set
-// encodes to nil: the driver still writes the (empty) file, and
-// DecodeFacts accepts it back.
-func EncodeFacts(fs *FactSet) ([]byte, error) {
-	if fs.Empty() {
-		return nil, nil
-	}
-	return json.Marshal(fs)
-}
-
-// DecodeFacts parses a .vetx payload produced by EncodeFacts. Empty
-// payloads (including the zero-byte files written for factless units)
-// yield an empty set.
-func DecodeFacts(data []byte) (*FactSet, error) {
-	fs := &FactSet{}
-	if len(data) == 0 {
-		return fs, nil
-	}
-	if err := json.Unmarshal(data, fs); err != nil {
-		return nil, err
-	}
-	return fs, nil
+	OrderDependent map[string]string
 }
 
 // A FactStore holds the fact sets visible to one analysis run: the
-// facts of every already-analyzed dependency plus the facts the current
-// package is exporting. Standalone mode shares one store across the
-// whole load (go list -deps guarantees dependencies are analyzed
-// first); vettool mode hydrates a fresh store from the driver's
-// PackageVetx files per compilation unit.
+// facts of every already-analyzed package, the one being analyzed
+// included. One store is shared across a whole load, which works
+// because go list -deps lists dependencies before their dependents.
 type FactStore struct {
 	byPath map[string]*FactSet
 }
@@ -72,14 +35,6 @@ func (s *FactStore) Package(path string) *FactSet {
 		return fs
 	}
 	return &FactSet{}
-}
-
-// Add records (or replaces) the fact set for an import path.
-func (s *FactStore) Add(path string, fs *FactSet) {
-	if s == nil || fs == nil {
-		return
-	}
-	s.byPath[path] = fs
 }
 
 // exporting returns the mutable fact set under construction for path,

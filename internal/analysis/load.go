@@ -39,9 +39,6 @@ type Loader struct {
 	// list; grown across calls so analysistest fixtures can resolve
 	// both std and module imports.
 	exports map[string]string
-	// importMap canonicalizes source-level import paths first (the go
-	// vet driver supplies one per compilation unit).
-	importMap map[string]string
 	// checked caches packages this loader already type-checked from
 	// source, keyed by import path. Imports resolve here before falling
 	// back to export data, which both keeps one loader's view of a
@@ -59,9 +56,6 @@ func NewLoader(dir string) *Loader {
 		checked: map[string]*types.Package{},
 	}
 	l.imp = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
-		if canon, ok := l.importMap[path]; ok {
-			path = canon
-		}
 		f, ok := l.exports[path]
 		if !ok {
 			return nil, fmt.Errorf("analysis: no export data for %q", path)
@@ -73,26 +67,12 @@ func NewLoader(dir string) *Loader {
 
 // Import satisfies types.Importer: source-checked packages first, then
 // the gc export data harvested from go list. The loader itself is the
-// types.Config importer, so every Check in its lifetime shares one view.
+// types.Config importer, so every check in its lifetime shares one view.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	canon := path
-	if c, ok := l.importMap[path]; ok {
-		canon = c
-	}
-	if pkg, ok := l.checked[canon]; ok {
+	if pkg, ok := l.checked[path]; ok {
 		return pkg, nil
 	}
 	return l.imp.Import(path)
-}
-
-// SetExports installs an externally supplied import resolution — the go
-// vet driver's ImportMap and PackageFile tables — instead of harvesting
-// one from go list.
-func (l *Loader) SetExports(importMap, packageFile map[string]string) {
-	l.importMap = importMap
-	for path, file := range packageFile {
-		l.exports[path] = file
-	}
 }
 
 // listedPackage mirrors the `go list -json` fields the loader consumes.
@@ -138,7 +118,9 @@ func (l *Loader) golist(patterns ...string) ([]*listedPackage, error) {
 
 // Load lists, parses, and type-checks every non-test package matching
 // the patterns (e.g. "./..."), skipping standard-library dependencies:
-// those are import targets, not analysis targets.
+// those are import targets, not analysis targets. Any listed package
+// with an error fails the load, including a pattern that matches
+// nothing (go list reports it as an error package without files).
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	listed, err := l.golist(patterns...)
 	if err != nil {
@@ -146,17 +128,21 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	var out []*Package
 	for _, p := range listed {
-		if p.Module == nil || len(p.GoFiles) == 0 {
-			continue
-		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("analysis: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		if p.Module == nil || len(p.GoFiles) == 0 {
+			continue
 		}
 		files := make([]string, len(p.GoFiles))
 		for i, f := range p.GoFiles {
 			files[i] = filepath.Join(p.Dir, f)
 		}
-		pkg, err := l.Check(p.ImportPath, p.Dir, files)
+		asts, err := l.parse(files)
+		if err != nil {
+			return nil, err
+		}
+		pkg, err := l.check(p.ImportPath, p.Dir, asts)
 		if err != nil {
 			return nil, err
 		}
@@ -199,16 +185,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 			return nil, err
 		}
 	}
-	return l.check(importPath, dir, files, asts)
-}
-
-// Check parses files and type-checks them as the package at importPath.
-func (l *Loader) Check(importPath, dir string, files []string) (*Package, error) {
-	asts, err := l.parse(files)
-	if err != nil {
-		return nil, err
-	}
-	return l.check(importPath, dir, files, asts)
+	return l.check(importPath, dir, asts)
 }
 
 func (l *Loader) parse(files []string) ([]*ast.File, error) {
@@ -223,7 +200,7 @@ func (l *Loader) parse(files []string) ([]*ast.File, error) {
 	return asts, nil
 }
 
-func (l *Loader) check(importPath, dir string, files []string, asts []*ast.File) (*Package, error) {
+func (l *Loader) check(importPath, dir string, asts []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},

@@ -26,8 +26,8 @@ type Scale int
 
 // Scales.
 const (
-	// Quick: smallest meaningful sizes; seconds per figure. Used by
-	// `go test -bench` smoke benchmarks.
+	// Quick: smallest meaningful sizes; seconds per figure. Selected by
+	// `qfix-bench -scale quick` and this package's shape tests.
 	Quick Scale = iota
 	// Default: the sizes each driver states; minutes for the full suite.
 	Default

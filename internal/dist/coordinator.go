@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -308,11 +309,15 @@ func (c *Coordinator) dispatch(job *Job, deadline time.Time, sp *obs.Span) (*cor
 			continue
 		}
 		rep, err := DecodeResult(res)
+		if err == nil {
+			err = checkRepairOf(rep, len(job.Log))
+		}
 		if err != nil {
-			// Version mismatch or a worker-side solve error. A solve
-			// error would hit the local engine too, but the local
-			// fallback keeps the no-lost-instances guarantee cheap to
-			// state, so take it rather than guessing.
+			// Version mismatch, a worker-side solve error, or an answer
+			// that is not a repair of this job's log. A solve error would
+			// hit the local engine too, but the local fallback keeps the
+			// no-lost-instances guarantee cheap to state, so take it
+			// rather than guessing.
 			asp.SetAttr("outcome", "rejected")
 			asp.End()
 			c.logf("dist: warn retry job=%d worker=%s attempt=%d/%d elapsed=%v budget_left=%s rejected=%q",
@@ -345,6 +350,22 @@ func (c *Coordinator) dispatch(job *Job, deadline time.Time, sp *obs.Span) (*cor
 	}
 	c.logf("dist: job %d exhausted its worker attempts; solving locally", job.ID)
 	return nil, false
+}
+
+// checkRepairOf rejects a decoded result that cannot be a repair of a
+// logLen-statement log: the engine's partition merge indexes the
+// repaired log by every Changed entry, so a short log or an index
+// outside it would panic the coordinator's process.
+func checkRepairOf(rep *core.Repair, logLen int) error {
+	if len(rep.Log) != logLen {
+		return fmt.Errorf("dist: result log has %d statements, the job's has %d", len(rep.Log), logLen)
+	}
+	for _, qi := range rep.Changed {
+		if qi < 0 || qi >= logLen {
+			return fmt.Errorf("dist: result changes statement %d of a %d-statement log", qi, logLen)
+		}
+	}
+	return nil
 }
 
 // budgetLeft renders what remains of the job's total budget for the

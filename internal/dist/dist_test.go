@@ -21,7 +21,7 @@ import (
 // benchInstance regenerates the partition bench workload (the
 // generator behind benchmark/'s fleet_partitioned): `clusters`
 // independent complaint components, one corrupted query each.
-func benchInstance(t *testing.T, clusters int) (*relation.Table, []query.Query, []core.Complaint) {
+func benchInstance(t testing.TB, clusters int) (*relation.Table, []query.Query, []core.Complaint) {
 	t.Helper()
 	w, corruptIdx, err := bench.PartitionClusters(clusters, 5, 2, 1)
 	if err != nil {
@@ -299,7 +299,9 @@ func TestDistributedVersionSkewFallsBackLocal(t *testing.T) {
 	sch := d0.Schema()
 
 	for _, v := range []int{dist.WireVersion + 1, dist.WireVersion - 1} {
-		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, skewedTransport{version: v})
+		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, answerTransport(func(job *dist.Job) *dist.Result {
+			return &dist.Result{Version: v, ID: job.ID}
+		}))
 		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 		if err != nil {
 			t.Fatal(err)
@@ -326,7 +328,11 @@ func TestDistributedUnresolvedWorkerNotTrusted(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 
-	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, unresolvedTransport{})
+	// The identity log, unresolved: what a budget-capped worker returns
+	// when its solver gives up.
+	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, answerTransport(func(job *dist.Job) *dist.Result {
+		return &dist.Result{Version: dist.WireVersion, ID: job.ID, Log: job.Log, Resolved: false}
+	}))
 	defer coord.Close()
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 	if err != nil {
@@ -344,23 +350,52 @@ func TestDistributedUnresolvedWorkerNotTrusted(t *testing.T) {
 	}
 }
 
-// unresolvedTransport answers every job with a valid result whose
-// repair is the identity log, unresolved — what a budget-capped worker
-// returns when its solver gives up.
-type unresolvedTransport struct{}
+// TestDistributedMalformedResultFallsBackLocal answers every job with a
+// resolved result that is no repair of the job's log, in each of the
+// three shapes that once panicked the coordinator in the partition
+// merge. Each must be rejected like a version skew: every partition
+// solves locally and the repair is the local one, byte for byte.
+func TestDistributedMalformedResultFallsBackLocal(t *testing.T) {
+	d0, log, complaints := benchInstance(t, 4)
+	want := localReference(t, d0, log, complaints)
+	sch := d0.Schema()
 
-func (unresolvedTransport) Do(_ context.Context, job *dist.Job) (*dist.Result, error) {
-	return &dist.Result{Version: dist.WireVersion, ID: job.ID,
-		Log: job.Log, Resolved: false}, nil
+	for _, tc := range []struct {
+		name    string
+		changed []int
+		logLen  int // statements of the job's log kept in the result
+	}{
+		{"changed past the log", []int{999}, len(log)},
+		{"negative changed", []int{-1}, len(log)},
+		{"one-statement log", []int{3}, 1},
+	} {
+		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, answerTransport(func(job *dist.Job) *dist.Result {
+			return &dist.Result{Version: dist.WireVersion, ID: job.ID,
+				Log: job.Log[:tc.logLen], Changed: tc.changed, Resolved: true}
+		}))
+		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+			t.Errorf("%s: fallback repair differs from local:\n got:\n%s\nwant:\n%s", tc.name, g, w)
+		}
+		if got.Stats.RemoteJobs != 0 {
+			t.Errorf("%s: Stats.RemoteJobs = %d, want 0 (all results rejected)", tc.name, got.Stats.RemoteJobs)
+		}
+		if coord.LocalFallbacks() != got.Stats.Partitions {
+			t.Errorf("%s: LocalFallbacks = %d, want %d", tc.name, coord.LocalFallbacks(), got.Stats.Partitions)
+		}
+		coord.Close()
+	}
 }
-func (unresolvedTransport) Addr() string { return "capped" }
-func (unresolvedTransport) Close() error { return nil }
 
-// skewedTransport answers every job with a wrong protocol version.
-type skewedTransport struct{ version int }
+// answerTransport answers every job with the result the function makes
+// of it, without solving anything.
+type answerTransport func(job *dist.Job) *dist.Result
 
-func (s skewedTransport) Do(_ context.Context, job *dist.Job) (*dist.Result, error) {
-	return &dist.Result{Version: s.version, ID: job.ID}, nil
+func (a answerTransport) Do(_ context.Context, job *dist.Job) (*dist.Result, error) {
+	return a(job), nil
 }
-func (skewedTransport) Addr() string { return "skewed" }
-func (skewedTransport) Close() error { return nil }
+func (answerTransport) Addr() string { return "fake" }
+func (answerTransport) Close() error { return nil }

@@ -36,3 +36,28 @@ func FuzzDecodeJob(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeResult feeds arbitrary bytes to the coordinator's side of
+// the wire: every job of a two-partition diagnosis is answered with the
+// frame, json.Unmarshal'd into a Result. Diagnose must then return a
+// repair or an error; no frame a worker sends may panic the
+// coordinator. The seed corpus holds a result frame a loopback worker
+// sent for this instance and the three malformed shapes of it that once
+// panicked a coordinator in the partition merge.
+func FuzzDecodeResult(f *testing.F) {
+	d0, log, complaints := benchInstance(f, 2)
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		var res dist.Result
+		if json.Unmarshal(frame, &res) != nil {
+			return
+		}
+		// Every job gets the same Result; the coordinator only reads it.
+		coord := dist.NewCoordinator(dist.Config{}, answerTransport(func(*dist.Job) *dist.Result {
+			return &res
+		}))
+		defer coord.Close()
+		if rep, err := coord.Diagnose(d0, log, complaints, partitionOpts()); err == nil && rep == nil {
+			t.Fatal("Diagnose returned neither a repair nor an error")
+		}
+	})
+}

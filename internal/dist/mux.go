@@ -312,7 +312,6 @@ func (t *MuxTransport) connection(ctx context.Context) (net.Conn, error) {
 		}
 		t.conn = conn
 		t.gen++
-		//qfix:leak-ok readLoop exits when Close or a teardown closes this conn
 		go t.readLoop(conn, t.gen)
 		t.mu.Unlock()
 		return conn, nil

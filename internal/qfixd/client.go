@@ -34,7 +34,6 @@ func DialDaemon(addr string) (*Client, error) {
 	}
 	c := &Client{conn: conn, w: frameconn.NewWriter(conn, false), // the strings are SQL
 		pending: make(map[uint64]chan *Response)}
-	//qfix:leak-ok read exits when Close closes the conn, failing the read
 	go c.read()
 	return c, nil
 }
