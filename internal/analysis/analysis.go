@@ -1,33 +1,29 @@
 // Package analysis is qfix's static-analysis suite: a small, stdlib-only
 // clone of the golang.org/x/tools/go/analysis model (Analyzer, Pass,
-// Diagnostic) plus the six domain analyzers that mechanically enforce
-// the invariants the engine's guarantees rest on — deterministic map
-// handling (detmap, interprocedural via exported facts), context-aware
-// blocking loops and goroutines (ctxloop), balanced obs spans
-// (spanend), no wall-clock or randomness in deterministic solver paths
-// (detclock), mutex contracts on annotated struct fields (lockcheck),
-// and wire protocol schema stability against committed goldens
-// (wiredrift). The x/tools module itself is deliberately not a
-// dependency: the repo builds offline, so the framework here mirrors
-// the upstream API shape on top of go/ast + go/types only, and
-// cmd/qfix-vet is the one command that runs it, loading packages itself
-// and sharing one in-process FactStore across the load.
+// Diagnostic) plus the three domain analyzers that mechanically enforce
+// what no test can observe — deterministic map handling (detmap,
+// interprocedural via exported facts), context-aware blocking loops and
+// goroutines (ctxloop), and no wall-clock or randomness in deterministic
+// solver paths (detclock). Invariants a running program can check live
+// elsewhere: span pairing in internal/obs's exporters, which refuse a
+// span never ended; the wire schemas in each wire package's TestWireLock;
+// mutex contracts in the -race tests. The x/tools module itself is
+// deliberately not a dependency: the repo builds offline, so the
+// framework here mirrors the upstream API shape on top of go/ast +
+// go/types only, and cmd/qfix-vet is the one command that runs it,
+// loading packages itself and sharing one in-process FactStore across
+// the load.
 //
 // Findings are suppressed site-by-site with comment directives:
 //
 //	//qfix:det-ok <reason>   (detmap, detclock)
 //	//qfix:ctx-ok <reason>   (ctxloop)
-//	//qfix:span-ok <reason>  (spanend)
-//	//qfix:lock-ok <reason>  (lockcheck)
-//	//qfix:wire-ok <reason>  (wiredrift)
 //
 // A directive suppresses diagnostics on its own line or the line
 // directly below it (so it can ride at end-of-line or as a standalone
 // comment above the site). Directives that suppress nothing are
 // themselves reported — a stale allowlist is exactly the kind of silent
-// rot this suite exists to prevent. One directive is not a suppression:
-// //qfix:guarded-by <mutex> on a struct field declares the lockcheck
-// contract for that field.
+// rot this suite exists to prevent.
 package analysis
 
 import (
@@ -89,7 +85,6 @@ type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Dir       string // package source directory (for per-package goldens)
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
@@ -233,7 +228,6 @@ func Run(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, e
 			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
-			Dir:       pkg.Dir,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			suite:     st,
@@ -270,5 +264,5 @@ func Run(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, e
 
 // Suite returns the full qfix-vet analyzer set in a fixed order.
 func Suite() []*Analyzer {
-	return []*Analyzer{DetMap, CtxLoop, SpanEnd, DetClock, LockCheck, WireDrift}
+	return []*Analyzer{DetMap, CtxLoop, DetClock}
 }

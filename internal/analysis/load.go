@@ -20,7 +20,6 @@ import (
 // A Package is one type-checked package ready for analysis.
 type Package struct {
 	Path  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -142,7 +141,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg, err := l.check(p.ImportPath, p.Dir, asts)
+		pkg, err := l.check(p.ImportPath, asts)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +184,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 			return nil, err
 		}
 	}
-	return l.check(importPath, dir, asts)
+	return l.check(importPath, asts)
 }
 
 func (l *Loader) parse(files []string) ([]*ast.File, error) {
@@ -200,7 +199,7 @@ func (l *Loader) parse(files []string) ([]*ast.File, error) {
 	return asts, nil
 }
 
-func (l *Loader) check(importPath, dir string, asts []*ast.File) (*Package, error) {
+func (l *Loader) check(importPath string, asts []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -220,7 +219,6 @@ func (l *Loader) check(importPath, dir string, asts []*ast.File) (*Package, erro
 	l.checked[importPath] = tpkg
 	return &Package{
 		Path:  importPath,
-		Dir:   dir,
 		Fset:  l.fset,
 		Files: asts,
 		Types: tpkg,

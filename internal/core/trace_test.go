@@ -1,11 +1,14 @@
 package core
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/query"
+	"repro/internal/relation"
 )
 
 // traceDiagnose runs one diagnosis of the cluster workload under a
@@ -13,9 +16,16 @@ import (
 func traceDiagnose(t *testing.T, opts Options) *obs.Span {
 	t.Helper()
 	d0, dirty, _, complaints := clusterWorkload(t, 3, 4)
+	return traceRun(t, d0, dirty, complaints, opts)
+}
+
+// traceRun runs one diagnosis under a fresh trace root and returns the
+// ended root span.
+func traceRun(t *testing.T, d0 *relation.Table, log []query.Query, complaints []Complaint, opts Options) *obs.Span {
+	t.Helper()
 	root := obs.NewTrace("test")
 	opts.Trace = root
-	rep, err := Diagnose(d0, dirty, complaints, opts)
+	rep, err := Diagnose(d0, log, complaints, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,25 +36,51 @@ func traceDiagnose(t *testing.T, opts Options) *obs.Span {
 	return root
 }
 
+// TestTraceSpanTreeWellNested traces the partition scan, the parallel
+// batch scan and the incremental scan with refinement, which between
+// them start every span the engine has: each tree must be well nested
+// and export in both formats, which the exporters refuse while any span
+// is left un-ended.
 func TestTraceSpanTreeWellNested(t *testing.T) {
-	root := traceDiagnose(t, Options{
-		Algorithm:    Basic,
-		TupleSlicing: true,
-		QuerySlicing: true,
-		Partition:    3,
-		TimeLimit:    30 * time.Second,
-	})
-	if !root.WellNested(5 * time.Millisecond) {
-		t.Fatalf("trace not well-nested:\n%s", root.Structure())
-	}
-	// The tree must actually cover the pipeline: planning with the
-	// impact closure, per-partition encode+solve+verify, and the merge.
-	s := root.Structure()
-	for _, want := range []string{"diagnose", "replay", "plan", "impact",
-		"partition", "queue", "encode", "solve", "presolve", "verify", "merge"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("structure missing %q span:\n%s", want, s)
-		}
+	d0, dirty, _, complaints := clusterWorkload(t, 3, 4)
+	f0, fdirty, ftruth := figure5b()
+	for _, tc := range []struct {
+		name string
+		root func() *obs.Span
+		want []string
+	}{
+		{"partition", func() *obs.Span {
+			return traceRun(t, d0, dirty, complaints, Options{Algorithm: Basic, TupleSlicing: true,
+				QuerySlicing: true, Partition: 3, TimeLimit: 30 * time.Second})
+		}, []string{"diagnose", "replay", "plan", "impact", "partition", "queue", "batch",
+			"encode", "solve", "presolve", "nodes", "verify", "merge"}},
+		{"parallel", func() *obs.Span {
+			return traceRun(t, d0, dirty, complaints, Options{Algorithm: Incremental, K: 3,
+				TupleSlicing: true, QuerySlicing: true, Parallel: 2, TimeLimit: 30 * time.Second})
+		}, []string{"diagnose", "batch", "encode", "solve", "verify"}},
+		{"refine", func() *obs.Span {
+			return traceRun(t, f0, fdirty, completeComplaints(t, f0, fdirty, ftruth), Options{
+				Algorithm: Incremental, TupleSlicing: true, TimeLimit: 30 * time.Second})
+		}, []string{"diagnose", "batch", "refine", "encode", "solve", "verify"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := tc.root()
+			for _, export := range []func(io.Writer, *obs.Span) error{obs.WriteJSONL, obs.WriteChromeTrace} {
+				if err := export(io.Discard, root); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !root.WellNested(5 * time.Millisecond) {
+				t.Fatalf("trace not well-nested:\n%s", root.Structure())
+			}
+			// The tree must actually cover the pipeline it ran.
+			s := root.Structure()
+			for _, want := range tc.want {
+				if !strings.Contains(s, want) {
+					t.Errorf("structure missing %q span:\n%s", want, s)
+				}
+			}
+		})
 	}
 }
 

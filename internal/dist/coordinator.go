@@ -85,15 +85,15 @@ type Coordinator struct {
 // race on, and no cross-tenant eviction.
 type encMemo struct {
 	mu        sync.Mutex
-	d0        *relation.Table //qfix:guarded-by mu
-	d0Len     int             //qfix:guarded-by mu
-	nextID    int64           //qfix:guarded-by mu
-	table     wireTable       //qfix:guarded-by mu
-	d0Digest  uint64          //qfix:guarded-by mu
-	logPtr    *query.Query    //qfix:guarded-by mu
-	logLen    int             //qfix:guarded-by mu
-	log       []wireQuery     //qfix:guarded-by mu
-	logDigest uint64          //qfix:guarded-by mu
+	d0        *relation.Table // guarded by mu
+	d0Len     int             // guarded by mu
+	nextID    int64           // guarded by mu
+	table     wireTable       // guarded by mu
+	d0Digest  uint64          // guarded by mu
+	logPtr    *query.Query    // guarded by mu
+	logLen    int             // guarded by mu
+	log       []wireQuery     // guarded by mu
+	logDigest uint64          // guarded by mu
 }
 
 // NewCoordinator builds a coordinator over the given transports. With no

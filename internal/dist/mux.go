@@ -96,13 +96,13 @@ type MuxTransport struct {
 	writeMu sync.Mutex
 
 	mu       sync.Mutex
-	conn     net.Conn                //qfix:guarded-by mu
-	pending  map[uint64]chan *Result //qfix:guarded-by mu
-	gen      uint64                  //qfix:guarded-by mu — connection generation; guards stale teardowns
-	dialing  chan struct{}           //qfix:guarded-by mu — non-nil while a dial is in flight; closed when it settles
-	failures int                     //qfix:guarded-by mu — consecutive connection failures (drives backoff)
-	nextDial time.Time               //qfix:guarded-by mu — earliest next persistent-connection dial
-	rng      *rand.Rand              //qfix:guarded-by mu — backoff jitter, seeded from addr
+	conn     net.Conn                // guarded by mu
+	pending  map[uint64]chan *Result // guarded by mu
+	gen      uint64                  // guarded by mu — connection generation; guards stale teardowns
+	dialing  chan struct{}           // guarded by mu — non-nil while a dial is in flight; closed when it settles
+	failures int                     // guarded by mu — consecutive connection failures (drives backoff)
+	nextDial time.Time               // guarded by mu — earliest next persistent-connection dial
+	rng      *rand.Rand              // guarded by mu — backoff jitter, seeded from addr
 	closed   bool
 }
 

@@ -8,8 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/query"
+	"repro/internal/relation"
 )
 
 // TestDistributedTraceAndTelemetry is the observability integration
@@ -17,7 +20,9 @@ import (
 // produce a well-nested span tree whose remote segments name the worker
 // that solved them, the process metrics must count the jobs, and the
 // telemetry handler (what qfix-worker -telemetry serves) must expose
-// them as Prometheus text.
+// them as Prometheus text. A second traced run, with Parallel set, goes
+// to a worker that drops every job, so each partition ends in a "local"
+// fallback span; both trees must export.
 func TestDistributedTraceAndTelemetry(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 
@@ -26,25 +31,11 @@ func TestDistributedTraceAndTelemetry(t *testing.T) {
 
 	coord := dist.Connect(dist.Config{Logf: t.Logf}, startWorker(t), startWorker(t))
 	defer coord.Close()
+	root, got := tracedDiagnose(t, coord, d0, log, complaints, partitionOpts())
 
-	root := obs.NewTrace("qfix")
-	opts := partitionOpts()
-	opts.Trace = root
-	got, err := coord.Diagnose(d0, log, complaints, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	if !got.Resolved {
-		t.Fatalf("distributed diagnosis unresolved: %+v", got.Stats)
-	}
-
-	// Span tree: well-nested, and the remote segments are visible —
-	// one partition span per partition, each holding an attempt span
-	// whose worker attribute names the address that solved it.
-	if !root.WellNested(5 * time.Millisecond) {
-		t.Fatalf("trace not well-nested:\n%s", root.Structure())
-	}
+	// Remote segments are visible: one partition span per partition,
+	// each holding an attempt span whose worker attribute names the
+	// address that solved it.
 	partitions, attempts := 0, 0
 	root.Walk(func(sp *obs.Span, _ int) {
 		switch {
@@ -76,6 +67,21 @@ func TestDistributedTraceAndTelemetry(t *testing.T) {
 	if attempts < got.Stats.RemoteJobs {
 		t.Errorf("trace has %d attempt spans, want >= %d remote jobs",
 			attempts, got.Stats.RemoteJobs)
+	}
+
+	dead := dist.Connect(dist.Config{Retries: -1, Logf: t.Logf}, startCrashingWorker(t))
+	defer dead.Close()
+	opts := partitionOpts()
+	opts.Parallel = 2
+	fallback, frep := tracedDiagnose(t, dead, d0, log, complaints, opts)
+	locals := 0
+	fallback.Walk(func(sp *obs.Span, _ int) {
+		if sp.Name() == "local" {
+			locals++
+		}
+	})
+	if locals != frep.Stats.Partitions {
+		t.Errorf("fallback trace has %d local spans, want one per partition (%d)", locals, frep.Stats.Partitions)
 	}
 
 	// Metrics: loopback workers run in this process, so the worker- and
@@ -111,4 +117,31 @@ func TestDistributedTraceAndTelemetry(t *testing.T) {
 			t.Errorf("/metrics missing %s:\n%.1000s", name, text)
 		}
 	}
+}
+
+// tracedDiagnose runs one traced diagnosis through coord and checks its
+// tree: resolved, well nested, and exportable in both formats (which
+// the exporters refuse while any span is left un-ended).
+func tracedDiagnose(t *testing.T, coord *dist.Coordinator, d0 *relation.Table, log []query.Query,
+	complaints []core.Complaint, opts core.Options) (*obs.Span, *core.Repair) {
+	t.Helper()
+	root := obs.NewTrace("qfix")
+	opts.Trace = root
+	rep, err := coord.Diagnose(d0, log, complaints, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if !rep.Resolved {
+		t.Fatalf("distributed diagnosis unresolved: %+v", rep.Stats)
+	}
+	for _, export := range []func(io.Writer, *obs.Span) error{obs.WriteJSONL, obs.WriteChromeTrace} {
+		if err := export(io.Discard, root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !root.WellNested(5 * time.Millisecond) {
+		t.Fatalf("trace not well-nested:\n%s", root.Structure())
+	}
+	return root, rep
 }

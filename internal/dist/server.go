@@ -43,8 +43,8 @@ type Server struct {
 
 	conns frameconn.Registry
 	mu    sync.Mutex
-	cache *workerCache  //qfix:guarded-by mu
-	sem   chan struct{} //qfix:guarded-by mu — server-wide solve slots (MaxInflight)
+	cache *workerCache  // guarded by mu
+	sem   chan struct{} // guarded by mu — server-wide solve slots (MaxInflight)
 }
 
 // Serve accepts and handles connections on l until Close or a fatal
@@ -148,8 +148,11 @@ func (s *Server) workerCache() *workerCache {
 	return s.cache
 }
 
-// capLimits clamps the job's solver budgets to the server's policy.
+// capLimits clamps the job's solver budgets to the server's policy and
+// its solver parallelism to this machine's width: a repair is the same
+// at any width, and a job asking for 1<<20 LP workers would get them.
 func (s *Server) capLimits(job *Job) {
+	job.Options.SolverParallel = min(job.Options.SolverParallel, runtime.GOMAXPROCS(0))
 	if s.MaxTimeLimit <= 0 {
 		return
 	}

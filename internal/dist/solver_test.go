@@ -1,10 +1,14 @@
 package dist_test
 
 import (
+	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/obs"
 )
 
 // TestDistributedSolverConfigMatchesLocal pins the solver options' ride
@@ -46,4 +50,65 @@ func TestDistributedSolverConfigMatchesLocal(t *testing.T) {
 				tc.name, got.Stats.RemoteJobs, got.Stats.Partitions)
 		}
 	}
+}
+
+// TestServerClampsSolverParallel sends a loopback worker a job asking
+// for 1<<20 LP workers. It must answer with the local repair byte for
+// byte, on at most the worker's own width: each of at most GOMAXPROCS
+// concurrent solves runs at most GOMAXPROCS LP workers.
+func TestServerClampsSolverParallel(t *testing.T) {
+	d0, log, complaints := benchInstance(t, 2)
+	opts := core.Options{Algorithm: core.Basic, TupleSlicing: true, QuerySlicing: true, TimeLimit: 30 * time.Second}
+	want, err := core.Diagnose(d0, log, complaints, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.SolverParallel = 1 << 20
+	job, err := dist.EncodeJob(1, core.Subproblem{D0: d0, Log: log, Complaints: complaints, Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := dist.Dial(startWorker(t))
+	var res *dist.Result
+	peak := peakSchedWorkers(func() { res, err = worker.Do(context.Background(), job) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dist.DecodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := d0.Schema()
+	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+		t.Errorf("worker repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if w := int64(runtime.GOMAXPROCS(0)); peak > w*w {
+		t.Errorf("the job ran %d scheduler goroutines at once, want at most %d", peak, w*w)
+	}
+}
+
+// peakSchedWorkers runs f and returns the most scheduler goroutines
+// (pool workers and speculative LP workers: the qfix_sched_workers
+// gauge) alive at once while it ran, beyond those alive before.
+func peakSchedWorkers(f func()) int64 {
+	g := obs.Default().Gauge("qfix_sched_workers", "")
+	base := g.Value()
+	var peak int64
+	done, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			peak = max(peak, g.Value()-base)
+			runtime.Gosched()
+		}
+	}()
+	f()
+	close(done)
+	<-sampled
+	return peak
 }

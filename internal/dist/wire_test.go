@@ -11,7 +11,14 @@ import (
 	"repro/internal/dist"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/wirelock"
 )
+
+// TestWireLock diffs the job and result frames' schema against the
+// committed wire.lock; `go test -run TestWireLock -update` rewrites it.
+func TestWireLock(t *testing.T) {
+	wirelock.Check(t, dist.Job{}, dist.Result{})
+}
 
 // fixtureSubproblem builds a subproblem exercising every wire case:
 // a table with a deleted row (the ID counter must survive the trip),

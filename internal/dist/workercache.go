@@ -25,7 +25,7 @@ const DefaultWorkerCacheEntries = 8
 // too. Eviction is LRU over (d0, log) digest pairs.
 type workerCache struct {
 	mu      sync.Mutex
-	entries *lru.Map[wcKey, wcEntry] //qfix:guarded-by mu
+	entries *lru.Map[wcKey, wcEntry] // guarded by mu
 	impact  *core.ImpactCache
 }
 

@@ -36,9 +36,9 @@ const WriteTimeout = time.Minute
 // ready to use.
 type Registry struct {
 	mu     sync.Mutex
-	ln     net.Listener          //qfix:guarded-by mu
-	conns  map[net.Conn]struct{} //qfix:guarded-by mu
-	closed bool                  //qfix:guarded-by mu
+	ln     net.Listener          // guarded by mu
+	conns  map[net.Conn]struct{} // guarded by mu
+	closed bool                  // guarded by mu
 }
 
 // Serve accepts connections on l and runs handle on each in a goroutine
@@ -172,7 +172,7 @@ func (r *Reader) Decode(v any) error {
 type Writer struct {
 	conn net.Conn
 	mu   sync.Mutex
-	enc  *json.Encoder //qfix:guarded-by mu
+	enc  *json.Encoder // guarded by mu
 }
 
 // NewWriter writes frames to conn. escapeHTML is what Encode does with

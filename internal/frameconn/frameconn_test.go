@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -125,4 +126,74 @@ func TestRegistryClose(t *testing.T) {
 	if err := reg.Serve(l, nil); !errors.Is(err, net.ErrClosed) {
 		t.Fatalf("Serve on a closed registry: %v", err)
 	}
+}
+
+// TestRegistryRace runs, under -race, accept loops that register and
+// drop connections while clients dial in, and tear each one down from
+// three goroutines at once (two Closes and a StopAccepting): the
+// concurrent accesses of every field the registry's mutex guards.
+func TestRegistryRace(t *testing.T) {
+	for range 20 {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reg Registry
+		served := make(chan struct{}, 4) // one per client
+		done := make(chan error, 1)
+		go func() {
+			done <- reg.Serve(l, func(c net.Conn) {
+				served <- struct{}{}
+				c.Read(make([]byte, 1))
+			})
+		}()
+		var clients []net.Conn
+		for range cap(served) {
+			c, err := net.Dial("tcp", l.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			clients = append(clients, c)
+		}
+		<-served
+		var wg sync.WaitGroup
+		for _, stop := range []func() error{reg.Close, reg.Close, reg.StopAccepting} {
+			wg.Add(1)
+			go func() { defer wg.Done(); stop() }()
+		}
+		wg.Wait()
+		if err := <-done; err != nil {
+			t.Fatalf("Serve returned %v after Close", err)
+		}
+		for _, c := range clients {
+			c.Close()
+		}
+	}
+}
+
+// TestWriterRace encodes frames from several goroutines at once under
+// -race while the peer reads a few and hangs up, so writes start to
+// fail midway: concurrent uses of the encoder the writer's mutex
+// guards, its failure path included. Every frame that arrives is whole.
+func TestWriterRace(t *testing.T) {
+	a, b := net.Pipe()
+	w := NewWriter(a, false)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; w.Encode(map[string]int{"g": g, "i": i}) == nil; i++ {
+			}
+		}()
+	}
+	r := NewReader(b)
+	for range 32 {
+		var v map[string]int
+		if err := r.Decode(&v); err != nil || len(v) != 2 {
+			t.Fatalf("frame %v: %v", v, err)
+		}
+	}
+	b.Close()
+	wg.Wait()
 }

@@ -94,21 +94,21 @@ type Store struct {
 	mu     sync.RWMutex
 	dir    string
 	schema *relation.Schema
-	d0     *relation.Table //qfix:guarded-by mu
-	log    []query.Query   //qfix:guarded-by mu
+	d0     *relation.Table // guarded by mu
+	log    []query.Query   // guarded by mu
 	// text[i] is log[i].String(schema). It covers a prefix of the log
 	// and, like the log, only ever grows by appending within a
 	// generation: Append extends it when it covers the whole log,
 	// DiagnoseView renders whatever is missing (everything, the first
 	// time after Open).
-	text []string //qfix:guarded-by mu
-	logF *os.File //qfix:guarded-by mu
+	text []string // guarded by mu
+	logF *os.File // guarded by mu
 	// gen is the checkpoint generation (>= 1).
-	gen   int64 //qfix:guarded-by mu
+	gen   int64 // guarded by mu
 	cache *core.ImpactCache
 	// impact is the FullImpact closure covering log, once a diagnosis
 	// has materialized one; Append extends it incrementally.
-	impact []query.AttrSet //qfix:guarded-by mu
+	impact []query.AttrSet // guarded by mu
 }
 
 // Create initializes a new history directory with the given checkpoint

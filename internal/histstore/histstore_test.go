@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -672,4 +674,70 @@ func TestStoreTextUnderConcurrentAppends(t *testing.T) {
 		}
 	}
 	checkView(t, s, w.Log)
+}
+
+// TestStoreRace runs every Store method at once under -race: appends,
+// checkpoints and diagnoses with and without a view, each on its own
+// goroutine, while the readers (D0, Log, Current, Head) loop until they
+// are done; then diagnoses beside one appender, so a closure a
+// diagnosis adopts meets appends extending it; then a Close that lands
+// while appends still arrive. It makes
+// concurrent accesses of every field mu guards; what each call returns
+// is not its business (a checkpoint may leave the complaints
+// unresolvable, an append after Close fails).
+func TestStoreRace(t *testing.T) {
+	s, _ := newStore(t)
+	s.AppendSQL("UPDATE Taxes SET owed = income * 0.3 WHERE income >= 85700")
+	complaints := []core.Complaint{
+		{TupleID: 3, Exists: true, Values: []float64{86000, 21500, 64500}},
+		{TupleID: 4, Exists: true, Values: []float64{86500, 21625, 64875}},
+	}
+	opt := core.Options{Algorithm: core.Incremental, TupleSlicing: true, QuerySlicing: true, TimeLimit: 30 * time.Second}
+	appendOne := func() { s.AppendSQL("UPDATE Taxes SET pay = income - owed") }
+	diagnose := func() { s.Diagnose(complaints, opt) }
+	diagnoseView := func() { s.DiagnoseView(complaints, opt) }
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for _, read := range []func(){func() { s.D0() }, func() { s.Log() }, func() { s.Current() }, func() { s.Head() }} {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					read()
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	hammer(16, appendOne, func() { s.Checkpoint() }, diagnose, diagnoseView)
+	hammer(8, diagnose, diagnoseView, appendOne)
+	close(done)
+	readers.Wait()
+	hammer(8, appendOne, func() { s.Close() })
+}
+
+// hammer runs each op n times on a goroutine of its own, all starting
+// at once and yielding between runs so they interleave, and returns
+// when every one is done.
+func hammer(n int, ops ...func()) {
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for _, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for range n {
+				op()
+				runtime.Gosched()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

@@ -21,10 +21,15 @@ type jsonlSpan struct {
 
 // WriteJSONL writes the span tree as JSON Lines: one object per span in
 // depth-first order with id/parent linkage, suitable for jq-style
-// analysis. Times are microseconds relative to the root's start.
+// analysis. Times are microseconds relative to the root's start. A tree
+// holding a span that was never ended is refused (see checkEnded) and
+// nothing is written.
 func WriteJSONL(w io.Writer, root *Span) error {
 	if root == nil {
 		return nil
+	}
+	if err := checkEnded(root, ""); err != nil {
+		return err
 	}
 	enc := json.NewEncoder(w)
 	nextID := 0
@@ -76,16 +81,41 @@ type chromeEvent struct {
 // remote jobs) overlap in time, which the single-lane rendering would
 // collapse, so tids are assigned greedily: each span takes the lowest
 // lane whose previous occupant has already finished, giving parallel
-// work visually distinct rows.
+// work visually distinct rows. Like WriteJSONL, it refuses a tree
+// holding a span that was never ended.
 func WriteChromeTrace(w io.Writer, root *Span) error {
 	if root == nil {
 		_, err := io.WriteString(w, "[]\n")
+		return err
+	}
+	if err := checkEnded(root, ""); err != nil {
 		return err
 	}
 	var events []chromeEvent
 	placeSpan(root, 0, &events, root)
 	enc := json.NewEncoder(w)
 	return enc.Encode(events)
+}
+
+// checkEnded returns an error naming, by its path from the root (e.g.
+// "qfix/diagnose/batch"), the first span in depth-first order that was
+// never ended. Such a span's Duration is its live age, not a
+// measurement, and a call site that forgot its End leaves exactly that
+// behind; prefix is the path of s's parent plus a slash.
+func checkEnded(s *Span, prefix string) error {
+	path := prefix + s.Name()
+	s.mu.Lock()
+	ended := s.ended
+	s.mu.Unlock()
+	if !ended {
+		return fmt.Errorf("obs: span %s was never ended", path)
+	}
+	for _, c := range s.Children() {
+		if err := checkEnded(c, path+"/"); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // placeSpan emits s in the given lane and recurses into its children.

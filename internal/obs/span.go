@@ -14,7 +14,11 @@
 // export as JSONL (WriteJSONL) and as the Chrome trace_event format
 // (WriteChromeTrace, loadable in chrome://tracing and Perfetto), and
 // Structure renders the timing-free shape — the artifact the engine's
-// determinism tests pin across -solver-parallel settings.
+// determinism tests pin across -solver-parallel settings. Both exporters
+// refuse a tree that holds a span never ended, naming it by its path
+// from the root: a Start without its End is caught on every traced run
+// (the engine's trace tests, `qfix -trace`, qfixd's TraceDir) instead
+// of exporting the span's live age as its duration.
 //
 // Metrics: a Registry holds named counters, gauges, and fixed-bucket
 // log-scale histograms, rendered as Prometheus text exposition format

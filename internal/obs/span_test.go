@@ -90,6 +90,34 @@ func TestUnendedSpanFailsNesting(t *testing.T) {
 	}
 }
 
+// TestExportRefusesUnendedSpan: a grandchild that was never ended makes
+// both exporters fail, naming it by path, and write nothing.
+func TestExportRefusesUnendedSpan(t *testing.T) {
+	root := NewTrace("qfix")
+	d := root.Start("diagnose")
+	d.Start("plan").End()
+	d.Start("batch") // never ended
+	d.End()
+	root.End()
+	for name, export := range map[string]func(*bytes.Buffer) error{
+		"jsonl":  func(b *bytes.Buffer) error { return WriteJSONL(b, root) },
+		"chrome": func(b *bytes.Buffer) error { return WriteChromeTrace(b, root) },
+	} {
+		var buf bytes.Buffer
+		err := export(&buf)
+		if err == nil || !strings.Contains(err.Error(), "qfix/diagnose/batch") {
+			t.Errorf("%s: err = %v, want one naming qfix/diagnose/batch", name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: wrote %d bytes of a refused tree", name, buf.Len())
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, nil); err != nil || buf.String() != "[]\n" {
+		t.Errorf("nil WriteChromeTrace: err=%v out=%q", err, buf.String())
+	}
+}
+
 func TestEndIsIdempotent(t *testing.T) {
 	s := NewTrace("x")
 	d1 := s.End()

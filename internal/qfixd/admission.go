@@ -28,10 +28,10 @@ var ErrBusy = errors.New("qfixd: tenant queue full")
 // ring exactly while it has waiters.
 type admission struct {
 	mu     sync.Mutex
-	free   int                        //qfix:guarded-by mu — slots not currently held
-	queues map[string][]chan struct{} //qfix:guarded-by mu — per-tenant FIFO waiters
-	ring   []string                   //qfix:guarded-by mu — tenants with waiters, round-robin order
-	next   int                        //qfix:guarded-by mu — ring cursor: next tenant to grant
+	free   int                        // guarded by mu — slots not currently held
+	queues map[string][]chan struct{} // guarded by mu — per-tenant FIFO waiters
+	ring   []string                   // guarded by mu — tenants with waiters, round-robin order
+	next   int                        // guarded by mu — ring cursor: next tenant to grant
 	cap    int                        // per-tenant waiter cap (immutable after construction)
 }
 

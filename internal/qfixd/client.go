@@ -21,9 +21,9 @@ type Client struct {
 	w    *frameconn.Writer
 
 	mu      sync.Mutex
-	nextID  uint64                    //qfix:guarded-by mu
-	pending map[uint64]chan *Response //qfix:guarded-by mu
-	err     error                     //qfix:guarded-by mu — sticky: set once the connection fails
+	nextID  uint64                    // guarded by mu
+	pending map[uint64]chan *Response // guarded by mu
+	err     error                     // guarded by mu — sticky: set once the connection fails
 }
 
 // DialDaemon connects to a qfixd server.

@@ -135,8 +135,8 @@ type Service struct {
 	adm   *admission
 
 	mu      sync.Mutex
-	tenants map[string]*tenant //qfix:guarded-by mu
-	closed  bool               //qfix:guarded-by mu
+	tenants map[string]*tenant // guarded by mu
+	closed  bool               // guarded by mu
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -154,11 +154,11 @@ type Service struct {
 // eviction. Lock order is always s.mu before tn.mu.
 type tenant struct {
 	mu      sync.Mutex
-	store   *histstore.Store //qfix:guarded-by mu
-	staged  []core.Complaint //qfix:guarded-by mu
-	refs    int              //qfix:guarded-by mu — operations currently using the store
-	lastUse time.Time        //qfix:guarded-by mu — last pin or release
-	memo    *memo            //qfix:guarded-by mu — immutable once published; replaced, never edited
+	store   *histstore.Store // guarded by mu
+	staged  []core.Complaint // guarded by mu
+	refs    int              // guarded by mu — operations currently using the store
+	lastUse time.Time        // guarded by mu — last pin or release
+	memo    *memo            // guarded by mu — immutable once published; replaced, never edited
 }
 
 // memo is the last diagnosis a tenant answered over the wire: the
@@ -205,7 +205,11 @@ func NewService(cfg Config) *Service {
 // Drain marks the service as draining: new diagnoses (and other tenant
 // ops) fail with ErrDraining while in-flight diagnoses run to
 // completion. Wait blocks until they have.
-func (s *Service) Drain() { s.draining.Store(true) }
+func (s *Service) Drain() {
+	s.mu.Lock() // see run: a diagnosis registers in inflight under mu
+	s.draining.Store(true)
+	s.mu.Unlock()
+}
 
 // Wait blocks until every in-flight diagnosis has finished.
 func (s *Service) Wait() { s.inflight.Wait() }
@@ -620,11 +624,18 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 	defer s.adm.release()
 	// The drain flag is rechecked after the (possibly long) queue wait:
 	// a request admitted after Drain would otherwise extend the drain
-	// indefinitely under sustained load.
+	// indefinitely under sustained load. The check and the inflight
+	// registration share mu with Drain, so a diagnosis either counts
+	// before Drain returns, and Wait waits for it, or sees the flag; one
+	// that slipped between them would start after Wait and run on the
+	// pool Close is shutting down.
+	s.mu.Lock()
 	if s.draining.Load() {
+		s.mu.Unlock()
 		return nil, none, ErrDraining
 	}
 	s.inflight.Add(1)
+	s.mu.Unlock()
 	defer s.inflight.Done()
 	mInflight.Add(1)
 	defer mInflight.Add(-1)

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
@@ -249,6 +251,57 @@ func TestDaemonConcurrentMixedTenants(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
+}
+
+// TestDaemonClampsWidths sends a diagnose request asking for 1<<20
+// batch workers, partition workers and LP workers. The daemon must
+// answer with the CLI's repair byte for byte, on at most its own width:
+// each of at most GOMAXPROCS concurrent solves runs at most GOMAXPROCS
+// LP workers, beyond the resident pool.
+func TestDaemonClampsWidths(t *testing.T) {
+	_, addr := startDaemon(t, Config{})
+	c := dialDaemon(t, addr)
+	sc := taxScenario(0)
+	seedTenant(t, c, "wide", sc)
+	wantLog, wantChanged, wantDist := cliRepair(t, sc)
+	var resp *Response
+	var err error
+	peak := peakSchedWorkers(func() {
+		resp, err = c.Diagnose("wide", nil, &DiagnoseOptions{Parallel: 1 << 20, Partition: 1 << 20, SolverParallel: 1 << 20})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRepair(t, "wide", resp, wantLog, wantChanged, wantDist)
+	if w := int64(runtime.GOMAXPROCS(0)); peak > w*w {
+		t.Errorf("the request ran %d scheduler goroutines at once, want at most %d", peak, w*w)
+	}
+}
+
+// peakSchedWorkers runs f and returns the most scheduler goroutines
+// (pool workers and speculative LP workers: the qfix_sched_workers
+// gauge) alive at once while it ran, beyond those alive before.
+func peakSchedWorkers(f func()) int64 {
+	g := obs.Default().Gauge("qfix_sched_workers", "")
+	base := g.Value()
+	var peak int64
+	done, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			peak = max(peak, g.Value()-base)
+			runtime.Gosched()
+		}
+	}()
+	f()
+	close(done)
+	<-sampled
+	return peak
 }
 
 // Backpressure end to end: with one slot held and queueing disabled,

@@ -2,6 +2,7 @@ package qfixd
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -122,9 +123,13 @@ func (o *DiagnoseOptions) resolve() core.Options {
 	if o.K > 0 {
 		opt.K = o.K
 	}
-	opt.Parallel = o.Parallel
-	opt.Partition = o.Partition
-	opt.SolverParallel = o.SolverParallel
+	// Widths are clamped to the daemon's own: a repair is the same at
+	// any width, and a request asking for 1<<20 would get that many
+	// goroutines.
+	width := runtime.GOMAXPROCS(0)
+	opt.Parallel = min(o.Parallel, width)
+	opt.Partition = min(o.Partition, width)
+	opt.SolverParallel = min(o.SolverParallel, width)
 	opt.TupleSlicing = !o.NoTupleSlicing
 	opt.QuerySlicing = !o.NoQuerySlicing
 	opt.AttrSlicing = o.AttrSlicing
