@@ -16,10 +16,12 @@
 // concurrently and each result is written the moment its solve lands,
 // possibly out of submission order. Jobs from coordinators speaking any
 // other protocol version are rejected with an error result. -max-timelimit
-// caps the solver budget a coordinator may request. Repeat jobs
-// carrying the digests of an already-decoded D0/log reuse the worker's
-// decode cache and impact closure instead of re-decoding and
-// re-planning (-cache sizes the cache; 0 disables it).
+// caps the solver budget a coordinator may request. Every partition job
+// of a diagnosis shares one body, its D0 and log: a connection carries
+// each body once, the worker decodes it once into the connection's
+// table of the last eight bodies, and later jobs name it by ID. Jobs
+// over one decoded body also share the worker's impact closure, so they
+// skip re-planning too.
 package main
 
 import (
@@ -41,19 +43,13 @@ func main() {
 		maxTL = flag.Duration("max-timelimit", 0, "cap on per-job solver time limits (0 = trust the coordinator)")
 		inflt = flag.Int("max-inflight", 0,
 			"concurrent solves across the whole worker, however many connections (0 = GOMAXPROCS, <0 = one at a time)")
-		cache = flag.Int("cache", dist.DefaultWorkerCacheEntries,
-			"decode-cache entries: repeat jobs with the same D0/log skip decode and re-planning (0 disables)")
 		quiet     = flag.Bool("quiet", false, "suppress per-job logging")
 		telemetry = flag.String("telemetry", "",
 			"serve live telemetry on this HTTP address (/metrics Prometheus text, /debug/vars JSON, /debug/pprof/*); empty disables")
 	)
 	flag.Parse()
 
-	cacheSize := *cache
-	if cacheSize <= 0 {
-		cacheSize = -1 // Server treats negative as disabled, 0 as default
-	}
-	srv := &dist.Server{MaxTimeLimit: *maxTL, MaxInflight: *inflt, CacheSize: cacheSize}
+	srv := &dist.Server{MaxTimeLimit: *maxTL, MaxInflight: *inflt}
 	if !*quiet {
 		srv.Logf = log.Printf
 	}

@@ -77,7 +77,7 @@ func run(out *bufio.Writer) error {
 		partition = flag.String("partition", "0", "partition-parallel diagnosis workers (0 disables partitioning; 'auto' sizes from GOMAXPROCS)")
 		solverPar = flag.String("solver-parallel", "1", "concurrent branch-and-bound LP workers inside each MILP solve (or 'auto'); repairs are identical at any setting")
 		noPre     = flag.Bool("no-presolve", false, "disable the MILP root presolve (ablation)")
-		verbose   = flag.Bool("v", false, "print solver statistics (nodes, LP iterations, refactorizations, presolved rows)")
+		verbose   = flag.Bool("v", false, "print solver statistics (nodes, LP iterations, refactorizations, presolved rows, LP numerical and iteration-limit exits)")
 		workers   = flag.String("workers", "", "comma-separated qfix-worker addresses (host:port,...) for distributed diagnosis")
 		mux       = flag.Bool("mux", false, "multiplex jobs over one persistent connection per worker instead of dialing per job")
 		noTuple   = flag.Bool("no-tuple-slicing", false, "disable tuple slicing")

@@ -281,11 +281,7 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 	svp.sp.SetAttr("status", mres.Status.String())
 	svp.sp.SetAttr("nodes", mres.Nodes)
 	svp.sp.SetAttr("lp_iters", mres.LPIters)
-	st.Nodes += mres.Nodes
-	st.LPIters += mres.LPIters
-	st.Refactorizations += mres.Refactorizations
-	st.PresolvedRows += mres.PresolvedRows
-	st.LastStatus = mres.Status.String()
+	st.addSolve(mres)
 	if !mres.HasSolution {
 		return nil, false, nil
 	}
@@ -308,6 +304,17 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 		}
 	}
 	return repaired, true, nil
+}
+
+// addSolve folds one MILP solve's counters and status into st.
+func (st *Stats) addSolve(r milp.Result) {
+	st.Nodes += r.Nodes
+	st.LPIters += r.LPIters
+	st.Refactorizations += r.Refactorizations
+	st.PresolvedRows += r.PresolvedRows
+	st.LPNumFails += r.LPNumFails
+	st.LPIterLimits += r.LPIterLimits
+	st.LastStatus = r.Status.String()
 }
 
 // basic runs Algorithm 1: one MILP parameterizing every candidate query.

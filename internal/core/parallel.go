@@ -153,6 +153,8 @@ func (d *diagnoser) mergeStats(st Stats) {
 	d.stats.LPIters += st.LPIters
 	d.stats.Refactorizations += st.Refactorizations
 	d.stats.PresolvedRows += st.PresolvedRows
+	d.stats.LPNumFails += st.LPNumFails
+	d.stats.LPIterLimits += st.LPIterLimits
 	d.stats.EncodeTime += st.EncodeTime
 	d.stats.SolveTime += st.SolveTime
 	d.stats.PlanTime += st.PlanTime

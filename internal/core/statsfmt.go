@@ -24,8 +24,8 @@ func (s Stats) Format(verbose bool) []string {
 	}
 	if verbose {
 		out = append(out,
-			fmt.Sprintf("solver: %d nodes, %d LP iterations, %d refactorizations, %d presolved rows",
-				s.Nodes, s.LPIters, s.Refactorizations, s.PresolvedRows),
+			fmt.Sprintf("solver: %d nodes, %d LP iterations, %d refactorizations, %d presolved rows, LP exits: %d numerical failures, %d iteration limits",
+				s.Nodes, s.LPIters, s.Refactorizations, s.PresolvedRows, s.LPNumFails, s.LPIterLimits),
 			fmt.Sprintf("model: %d rows, %d vars (%d binary); %d batches tried",
 				s.Rows, s.Vars, s.Binaries, s.BatchesTried),
 			fmt.Sprintf("phases: plan %v (impact %v), encode %v, solve %v, verify %v (%d full replays), merge %v",

@@ -248,14 +248,14 @@ type Stats struct {
 	// from scratch — exact reuse and prefix extension both count. On the distributed path this aggregates worker-side hits
 	// too (each worker diagnosis plans with the worker's process
 	// cache), so a cold client run against a warm fleet reports them —
-	// distinct from WorkerCacheHits, which counts decode reuse.
+	// distinct from WorkerCacheHits, which counts body reuse.
 	ImpactCacheHits int
 	// ImpactCacheExtends counts the subset of hits that found a proper
 	// prefix and ran the incremental ExtendFullImpact update.
 	ImpactCacheExtends int
-	// WorkerCacheHits counts remote jobs whose worker reused its cached
-	// decode of the job's D0 and log (same-digest repeat jobs within or
-	// across runs) instead of re-decoding and re-planning.
+	// WorkerCacheHits counts remote jobs whose connection already held
+	// their body (D0 and log), so the job named it instead of carrying it
+	// and the worker reused its decode.
 	WorkerCacheHits int
 	// ImpactTime is the wall clock spent obtaining the FullImpact
 	// closure (cached, extended, or computed), part of planning.
@@ -267,6 +267,12 @@ type Stats struct {
 	// by the MILP root presolve (milp/presolve.go).
 	Refactorizations int
 	PresolvedRows    int
+	// LPNumFails and LPIterLimits total the branch-and-bound nodes whose
+	// LP relaxation ended in a numerical failure or at the LP iteration
+	// limit (milp.Result); such a node's subtree goes unexplored, so
+	// either being nonzero says why a solve stopped at "limit".
+	LPNumFails   int
+	LPIterLimits int
 	// PlanTime, EncodeTime, SolveTime, VerifyTime, and MergeTime split
 	// the wall clock by pipeline phase. PlanTime covers the log replay,
 	// the FullImpact closure (ImpactTime is the subset spent there), and

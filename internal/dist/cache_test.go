@@ -1,26 +1,11 @@
 package dist_test
 
 import (
-	"net"
 	"testing"
 	"time"
 
 	"repro/internal/dist"
 )
-
-// startWorkerWithCache serves diagnosis jobs with an explicit decode
-// cache size (negative disables caching).
-func startWorkerWithCache(t *testing.T, size int) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &dist.Server{CacheSize: size, Logf: t.Logf}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	return l.Addr().String()
-}
 
 // Regression (coordinator budget drain): with a TotalTimeLimit set, a
 // dispatch attempt used to wait out the *entire* remaining budget on a
@@ -66,73 +51,38 @@ func TestDispatchBudgetCappedOnHungWorker(t *testing.T) {
 	}
 }
 
-// E2E: repeat jobs hit the worker's decode cache — within one run
-// (every partition ships the identical D0/log) and across runs — while
-// the repairs stay byte-identical to the uncached local reference.
+// E2E: over a mux connection every partition job of a run but the
+// first names the body (D0 and log) the connection already holds
+// instead of carrying it, run after run (each diagnosis has a body of
+// its own), while the repairs stay byte-identical to the local
+// reference; the worker's impact cache serves the jobs that share a
+// decoded body.
 func TestWorkerCacheRepeatJobsByteIdentical(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 	sch := d0.Schema()
 
-	// One worker, so all four partition jobs land on the same cache.
-	coord := dist.Connect(dist.Config{Logf: t.Logf}, startWorker(t))
+	// One worker, so all four partition jobs share one connection.
+	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, startWorker(t))
 	defer coord.Close()
 
-	first, err := coord.Diagnose(d0, log, complaints, partitionOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, first); w != g {
-		t.Errorf("first distributed repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
-	}
-	if first.Stats.WorkerCacheHits == 0 {
-		t.Errorf("first run: WorkerCacheHits = 0, want repeat jobs of the run to hit " +
-			"(every partition carries the same D0/log)")
-	}
-	if first.Stats.WorkerCacheHits >= first.Stats.Partitions {
-		t.Errorf("first run: WorkerCacheHits = %d of %d jobs; the first job cannot hit a cold cache",
-			first.Stats.WorkerCacheHits, first.Stats.Partitions)
-	}
-
-	second, err := coord.Diagnose(d0, log, complaints, partitionOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, second); w != g {
-		t.Errorf("cached repeat repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
-	}
-	if second.Stats.WorkerCacheHits != second.Stats.Partitions {
-		t.Errorf("repeat run: WorkerCacheHits = %d, want every job (%d) to hit",
-			second.Stats.WorkerCacheHits, second.Stats.Partitions)
-	}
-	if second.Stats.ImpactCacheHits == 0 {
-		t.Error("repeat run: worker impact cache never hit; jobs re-planned from scratch")
-	}
-	if second.Stats.RemoteJobs != second.Stats.Partitions {
-		t.Errorf("repeat run: RemoteJobs = %d, want %d", second.Stats.RemoteJobs, second.Stats.Partitions)
-	}
-}
-
-// A worker with caching disabled must behave exactly like the v1 path:
-// no hits, identical repairs.
-func TestWorkerCacheDisabled(t *testing.T) {
-	d0, log, complaints := benchInstance(t, 4)
-	want := localReference(t, d0, log, complaints)
-
-	addr := startWorkerWithCache(t, -1)
-	coord := dist.Connect(dist.Config{Logf: t.Logf}, addr)
-	defer coord.Close()
-	for run := 0; run < 2; run++ {
+	for run := 1; run <= 2; run++ {
 		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Stats.WorkerCacheHits != 0 {
-			t.Errorf("run %d: WorkerCacheHits = %d with caching disabled", run, got.Stats.WorkerCacheHits)
-		}
-		sch := d0.Schema()
 		if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-			t.Errorf("run %d: cacheless repair differs from local:\n got:\n%s\nwant:\n%s", run, g, w)
+			t.Errorf("run %d: distributed repair differs from local:\n got:\n%s\nwant:\n%s", run, g, w)
+		}
+		if got.Stats.RemoteJobs != got.Stats.Partitions {
+			t.Errorf("run %d: RemoteJobs = %d, want %d", run, got.Stats.RemoteJobs, got.Stats.Partitions)
+		}
+		if got.Stats.WorkerCacheHits != got.Stats.RemoteJobs-1 {
+			t.Errorf("run %d: WorkerCacheHits = %d of %d jobs, want all but the one that carried the body",
+				run, got.Stats.WorkerCacheHits, got.Stats.RemoteJobs)
+		}
+		if got.Stats.ImpactCacheHits == 0 {
+			t.Errorf("run %d: worker impact cache never hit; jobs over one body re-planned from scratch", run)
 		}
 	}
 }

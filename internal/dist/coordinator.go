@@ -2,9 +2,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,25 +72,24 @@ type Coordinator struct {
 
 // encMemo memoizes the wire encodings of one diagnosis's D0 and log:
 // every partition job of a diagnosis carries the identical initial
-// state and log, so they are serialized once and shared read-only
-// across jobs, along with content digests of both (the workers' decode
-// cache keys). Keyed by identity plus cheap mutation witnesses (length,
-// next ID); a memo is scoped to one diagnosis by construction
+// state and log, so they are serialized once, named by one body ID and
+// shared read-only across jobs. A new body ID is minted whenever either
+// is re-encoded. Keyed by identity plus cheap mutation witnesses
+// (length, next ID); a memo is scoped to one diagnosis by construction
 // (Solver/Diagnose hand each run a fresh one), which is what makes a
 // single Coordinator safe to share across concurrent diagnoses of
 // different tenants — there is no per-run reset of shared state to
 // race on, and no cross-tenant eviction.
 type encMemo struct {
-	mu        sync.Mutex
-	d0        *relation.Table // guarded by mu
-	d0Len     int             // guarded by mu
-	nextID    int64           // guarded by mu
-	table     wireTable       // guarded by mu
-	d0Digest  uint64          // guarded by mu
-	logPtr    *query.Query    // guarded by mu
-	logLen    int             // guarded by mu
-	log       []wireQuery     // guarded by mu
-	logDigest uint64          // guarded by mu
+	mu     sync.Mutex
+	d0     *relation.Table // guarded by mu
+	d0Len  int             // guarded by mu
+	nextID int64           // guarded by mu
+	table  *wireTable      // guarded by mu
+	logPtr *query.Query    // guarded by mu
+	logLen int             // guarded by mu
+	log    []wireQuery     // guarded by mu
+	body   uint64          // guarded by mu — ID of (table, log); 0 once either is stale
 }
 
 // NewCoordinator builds a coordinator over the given transports. With no
@@ -203,7 +199,7 @@ func (c *Coordinator) solvePartition(sub core.Subproblem, enc *encMemo) (*core.R
 		mDistJobs.Inc()
 		job, err := enc.encodeJob(c.nextJobID.Add(1), sub)
 		if err == nil {
-			if rep, ok := c.dispatch(job, deadline, sp); ok {
+			if rep, ok := c.dispatch(job, sub.Log, deadline, sp); ok {
 				return rep, nil
 			}
 		} else {
@@ -231,10 +227,11 @@ func (c *Coordinator) solvePartition(sub core.Subproblem, enc *encMemo) (*core.R
 }
 
 // dispatch tries the job on up to 1+Retries distinct workers within the
-// job's deadline (zero = no budget, each attempt gets JobTimeout).
+// job's deadline (zero = no budget, each attempt gets JobTimeout); log
+// is the subproblem's own log, which a result's repair is rebuilt onto.
 // ok=false means every attempt failed and the caller should solve
 // locally.
-func (c *Coordinator) dispatch(job *Job, deadline time.Time, sp *obs.Span) (*core.Repair, bool) {
+func (c *Coordinator) dispatch(job *Job, log []query.Query, deadline time.Time, sp *obs.Span) (*core.Repair, bool) {
 	attempts := 1 + c.cfg.Retries
 	if attempts > len(c.transports) {
 		attempts = len(c.transports)
@@ -308,10 +305,7 @@ func (c *Coordinator) dispatch(job *Job, deadline time.Time, sp *obs.Span) (*cor
 				budgetLeft(deadline), err)
 			continue
 		}
-		rep, err := DecodeResult(res)
-		if err == nil {
-			err = checkRepairOf(rep, len(job.Log))
-		}
+		rep, err := repairOf(res, log)
 		if err != nil {
 			// Version mismatch, a worker-side solve error, or an answer
 			// that is not a repair of this job's log. A solve error would
@@ -352,22 +346,6 @@ func (c *Coordinator) dispatch(job *Job, deadline time.Time, sp *obs.Span) (*cor
 	return nil, false
 }
 
-// checkRepairOf rejects a decoded result that cannot be a repair of a
-// logLen-statement log: the engine's partition merge indexes the
-// repaired log by every Changed entry, so a short log or an index
-// outside it would panic the coordinator's process.
-func checkRepairOf(rep *core.Repair, logLen int) error {
-	if len(rep.Log) != logLen {
-		return fmt.Errorf("dist: result log has %d statements, the job's has %d", len(rep.Log), logLen)
-	}
-	for _, qi := range rep.Changed {
-		if qi < 0 || qi >= logLen {
-			return fmt.Errorf("dist: result changes statement %d of a %d-statement log", qi, logLen)
-		}
-	}
-	return nil
-}
-
 // budgetLeft renders what remains of the job's total budget for the
 // dispatch warnings ("none" when the job carries no budget).
 func budgetLeft(deadline time.Time) string {
@@ -405,18 +383,18 @@ func attemptTimeout(jobTimeout, remain time.Duration, attemptsLeft int) time.Dur
 }
 
 // encodeJob builds the wire job, memoizing the D0 and log encodings
-// (see encMemo). The identity+witness keying means a caller that
-// mutates a table in place between diagnoses against the SAME memo —
-// only possible by installing the Coordinator directly as the solver —
-// should use a per-run Solver() or Diagnose, both of which scope the
-// memo to one run.
+// and their body ID (see encMemo). The identity+witness keying means a
+// caller that mutates a table in place between diagnoses against the
+// SAME memo — only possible by installing the Coordinator directly as
+// the solver — should use a per-run Solver() or Diagnose, both of which
+// scope the memo to one run.
 func (m *encMemo) encodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.d0 != sub.D0 || m.d0Len != sub.D0.Len() || m.nextID != sub.D0.NextID() {
 		m.d0, m.d0Len, m.nextID = sub.D0, sub.D0.Len(), sub.D0.NextID()
-		m.table = encodeTable(sub.D0)
-		m.d0Digest = digestJSON(m.table)
+		t := encodeTable(sub.D0)
+		m.table, m.body = &t, 0
 	}
 	var logPtr *query.Query
 	if len(sub.Log) > 0 {
@@ -427,32 +405,20 @@ func (m *encMemo) encodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.logPtr, m.logLen, m.log = logPtr, len(sub.Log), logw
-		m.logDigest = digestJSON(logw)
+		m.logPtr, m.logLen, m.log, m.body = logPtr, len(sub.Log), logw, 0
+	}
+	if m.body == 0 {
+		m.body = bodyIDs.Add(1)
 	}
 	return &Job{
 		Version:    WireVersion,
 		ID:         id,
-		D0Digest:   m.d0Digest,
-		LogDigest:  m.logDigest,
+		Body:       m.body,
 		D0:         m.table,
 		Log:        m.log,
 		Complaints: sub.Complaints,
 		Options:    encodeOptions(sub.Options),
 	}, nil
-}
-
-// digestJSON fingerprints a wire structure by its serialized form (the
-// exact bytes the worker would otherwise re-decode). A zero return
-// (marshal failure) disables caching for the job rather than erring.
-func digestJSON(v any) uint64 {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
 }
 
 // Install points one diagnosis at this fleet: a per-run solver (Solver)

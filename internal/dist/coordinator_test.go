@@ -105,7 +105,7 @@ func TestDispatchStampsAttemptDeadline(t *testing.T) {
 	expired, cancel := context.WithDeadline(context.Background(),
 		time.Now().Add(-time.Second))
 	defer cancel()
-	res := solveJob(expired, &job, nil)
+	res := solveJob(expired, &job, decodeBody(&job), nil)
 	if res.Err == "" || res.Resolved {
 		t.Errorf("worker solved a job whose attempt window had closed: %+v", res)
 	}
@@ -114,8 +114,7 @@ func TestDispatchStampsAttemptDeadline(t *testing.T) {
 // TestClampBudget pins how the attempt window threads into a worker
 // solve: no deadline leaves the budget alone, a tighter ctx deadline
 // (on the server path, the job's TTL anchored at frame arrival) clamps
-// it, a looser one doesn't, and a dead attempt is refused (nil Options
-// = the cheap pre-decode liveness check).
+// it, a looser one doesn't, and a dead attempt is refused.
 func TestClampBudget(t *testing.T) {
 	bg := context.Background()
 
@@ -126,13 +125,13 @@ func TestClampBudget(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(bg)
 	cancel()
-	if clampBudget(canceled, &o) || clampBudget(canceled, nil) {
+	if clampBudget(canceled, &o) {
 		t.Error("canceled ctx accepted")
 	}
 
 	expired, cancelExp := context.WithDeadline(bg, time.Now().Add(-time.Second))
 	defer cancelExp()
-	if clampBudget(expired, &o) || clampBudget(expired, nil) {
+	if clampBudget(expired, &o) {
 		t.Error("expired ctx deadline accepted")
 	}
 

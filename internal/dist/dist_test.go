@@ -331,7 +331,7 @@ func TestDistributedUnresolvedWorkerNotTrusted(t *testing.T) {
 	// The identity log, unresolved: what a budget-capped worker returns
 	// when its solver gives up.
 	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, answerTransport(func(job *dist.Job) *dist.Result {
-		return &dist.Result{Version: dist.WireVersion, ID: job.ID, Log: job.Log, Resolved: false}
+		return &dist.Result{Version: dist.WireVersion, ID: job.ID, Resolved: false}
 	}))
 	defer coord.Close()
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
@@ -351,27 +351,30 @@ func TestDistributedUnresolvedWorkerNotTrusted(t *testing.T) {
 }
 
 // TestDistributedMalformedResultFallsBackLocal answers every job with a
-// resolved result that is no repair of the job's log, in each of the
-// three shapes that once panicked the coordinator in the partition
-// merge. Each must be rejected like a version skew: every partition
-// solves locally and the repair is the local one, byte for byte.
+// resolved result that is no repair of the job's log: a changed index
+// outside the log (either side), a parameter vector count that is not
+// the changed count, and a vector of the wrong arity for its statement.
+// Each must be rejected like a version skew: every partition solves
+// locally and the repair is the local one, byte for byte.
 func TestDistributedMalformedResultFallsBackLocal(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 	sch := d0.Schema()
+	arity := len(log[3].Params())
 
 	for _, tc := range []struct {
 		name    string
 		changed []int
-		logLen  int // statements of the job's log kept in the result
+		params  [][]float64
 	}{
-		{"changed past the log", []int{999}, len(log)},
-		{"negative changed", []int{-1}, len(log)},
-		{"one-statement log", []int{3}, 1},
+		{"changed past the log", []int{999}, [][]float64{make([]float64, arity)}},
+		{"negative changed", []int{-1}, [][]float64{make([]float64, arity)}},
+		{"params count", []int{3}, nil},
+		{"wrong arity", []int{3}, [][]float64{make([]float64, arity+1)}},
 	} {
 		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, answerTransport(func(job *dist.Job) *dist.Result {
 			return &dist.Result{Version: dist.WireVersion, ID: job.ID,
-				Log: job.Log[:tc.logLen], Changed: tc.changed, Resolved: true}
+				Changed: tc.changed, Params: tc.params, Resolved: true}
 		}))
 		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 		if err != nil {

@@ -133,9 +133,7 @@ func TestWorkerAnswersMalformedJobs(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 2)
 	want := localReference(t, d0, log, complaints)
 	sch := d0.Schema()
-	// No decode cache: a job whose digests name an earlier job's state
-	// would be served from that state, whatever its own frame says.
-	addr := startWorkerWithCache(t, -1)
+	addr := startWorker(t)
 
 	for name, f := range malformed {
 		var errs atomic.Int64

@@ -13,8 +13,9 @@ import (
 // then solve to a repair or fail with an error; no frame a peer sends
 // may panic the worker. The solve runs under tiny limits: what is
 // checked is that it ends cleanly, not what it finds. The seed corpus
-// holds a partition job of the loopback e2e fixture and the three
-// malformed shapes of it that once panicked a worker.
+// holds a partition job of the loopback e2e fixture, the three
+// malformed shapes of it that once panicked a worker, and the same job
+// naming its body instead of carrying it, which DecodeJob refuses.
 func FuzzDecodeJob(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var job dist.Job
@@ -42,8 +43,11 @@ func FuzzDecodeJob(f *testing.F) {
 // frame, json.Unmarshal'd into a Result. Diagnose must then return a
 // repair or an error; no frame a worker sends may panic the
 // coordinator. The seed corpus holds a result frame a loopback worker
-// sent for this instance and the three malformed shapes of it that once
-// panicked a coordinator in the partition merge.
+// sent for this instance — the parameters of the statements it changed
+// — and the malformed shapes of it the coordinator must reject before
+// the partition merge indexes them: a changed index past the log or
+// below it, a parameter vector count that is not the changed count, and
+// a vector of the wrong arity for its statement.
 func FuzzDecodeResult(f *testing.F) {
 	d0, log, complaints := benchInstance(f, 2)
 	f.Fuzz(func(t *testing.T, frame []byte) {

@@ -30,7 +30,7 @@ var (
 	mWorkerQueueDepth = obs.Default().Gauge("qfix_worker_queue_depth",
 		"Jobs read off a connection and waiting for a solve slot.")
 	mWorkerCacheHits = obs.Default().Counter("qfix_worker_cache_hits_total",
-		"Jobs whose D0/log decode was served from the worker's digest-keyed cache.")
+		"Jobs that named a body (D0 and log) their connection already held instead of carrying it.")
 	mWorkerCacheMisses = obs.Default().Counter("qfix_worker_cache_misses_total",
-		"Cache-eligible jobs that had to decode D0/log from the wire.")
+		"Jobs that carried their body (D0 and log), decoded once into their connection's table.")
 )

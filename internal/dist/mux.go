@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/frameconn"
+	"repro/internal/lru"
 )
 
 // Mux reconnect backoff: after a dial failure or broken connection the
@@ -86,8 +87,11 @@ type MuxTransport struct {
 	dialer  net.Dialer
 	oneShot *TCPTransport // dial-per-job fallback while the mux link is down
 
-	// writeMu serializes frame writes on the persistent connection. It
-	// is held only around Encode — never together with mu — so a write
+	// writeMu serializes frame writes on the persistent connection,
+	// together with the copy of the worker's body table they move: which
+	// bodies the connection holds decides whether a frame carries its
+	// job's body, so the check, the table update and the write form one
+	// step in frame order. It is never held together with mu, so a write
 	// stalled on a wedged worker's receive window cannot block the read
 	// loop's demultiplexing or other jobs' state transitions. Sibling
 	// writers do queue behind the stall until its deadline tears the
@@ -96,7 +100,7 @@ type MuxTransport struct {
 	writeMu sync.Mutex
 
 	mu       sync.Mutex
-	conn     net.Conn                // guarded by mu
+	conn     *muxConn                // guarded by mu
 	pending  map[uint64]chan *Result // guarded by mu
 	gen      uint64                  // guarded by mu — connection generation; guards stale teardowns
 	dialing  chan struct{}           // guarded by mu — non-nil while a dial is in flight; closed when it settles
@@ -104,6 +108,15 @@ type MuxTransport struct {
 	nextDial time.Time               // guarded by mu — earliest next persistent-connection dial
 	rng      *rand.Rand              // guarded by mu — backoff jitter, seeded from addr
 	closed   bool
+}
+
+// muxConn is one persistent connection together with the coordinator's
+// copy of its worker's body table. A new connection starts with both
+// tables empty; a submit still holding a replaced connection moves only
+// that connection's table, whose worker is gone.
+type muxConn struct {
+	net.Conn
+	bodies *lru.Map[uint64, struct{}] // guarded by MuxTransport.writeMu
 }
 
 // DialMux returns a persistent multiplexed transport for the worker at
@@ -187,14 +200,15 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 	if err != nil {
 		return nil, err
 	}
-	// Serialize the frame before taking any lock: the marshal (the full
-	// D0+log encoding) is the CPU-heavy part, and under writeMu it
-	// would run strictly one job at a time.
-	frame, err := json.Marshal(job)
+	// Serialize the body-less frame before taking any lock; only a frame
+	// that carries the body is marshaled under writeMu, once per body
+	// per connection.
+	ref := *job
+	ref.D0, ref.Log = nil, nil
+	frame, err := marshalFrame(&ref)
 	if err != nil {
 		return nil, fmt.Errorf("dist: marshal job %d for %s: %w", job.ID, t.addr, err)
 	}
-	frame = append(frame, '\n')
 
 	t.mu.Lock()
 	if t.closed {
@@ -224,6 +238,14 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 		t.forget(job.ID)
 		return nil, fmt.Errorf("%w: job %d on %s: %v", errMuxDown, job.ID, t.addr, ctxErr)
 	}
+	if _, held := conn.bodies.Get(job.Body); !held && job.D0 != nil {
+		if frame, err = marshalFrame(job); err != nil {
+			t.writeMu.Unlock()
+			t.forget(job.ID)
+			return nil, fmt.Errorf("dist: marshal job %d for %s: %w", job.ID, t.addr, err)
+		}
+		conn.bodies.Put(job.Body, struct{}{})
+	}
 	dl, ok := ctx.Deadline()
 	if !ok {
 		// Only direct users of the transport come here without a
@@ -248,6 +270,12 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 	return ch, nil
 }
 
+// marshalFrame serializes a job as one newline-terminated frame.
+func marshalFrame(job *Job) ([]byte, error) {
+	frame, err := json.Marshal(job)
+	return append(frame, '\n'), err
+}
+
 // connection returns the live persistent connection, dialing it first
 // when down. The dial itself runs outside the state mutex, so the read
 // loop and other state transitions never block behind it; concurrent
@@ -255,7 +283,7 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 // and then share its outcome, so the first wave of jobs all ride the
 // one new connection. When the reconnect backoff is in force the caller
 // gets errMuxDown and its job proceeds over the per-job path instead.
-func (t *MuxTransport) connection(ctx context.Context) (net.Conn, error) {
+func (t *MuxTransport) connection(ctx context.Context) (*muxConn, error) {
 	for {
 		t.mu.Lock()
 		if t.closed {
@@ -285,7 +313,7 @@ func (t *MuxTransport) connection(ctx context.Context) (net.Conn, error) {
 		t.dialing = settled
 		t.mu.Unlock()
 
-		conn, err := t.dialer.DialContext(ctx, "tcp", t.addr)
+		nc, err := t.dialer.DialContext(ctx, "tcp", t.addr)
 
 		t.mu.Lock()
 		t.dialing = nil
@@ -302,7 +330,7 @@ func (t *MuxTransport) connection(ctx context.Context) (net.Conn, error) {
 		}
 		if t.closed {
 			t.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			return nil, fmt.Errorf("dist: %s: %w", t.addr, net.ErrClosed)
 		}
 		if t.gen > 0 {
@@ -310,6 +338,7 @@ func (t *MuxTransport) connection(ctx context.Context) (net.Conn, error) {
 			// nonzero value here means this dial replaced a broken link.
 			mDistReconnects.Inc()
 		}
+		conn := &muxConn{Conn: nc, bodies: lru.New[uint64, struct{}](bodySlots)}
 		t.conn = conn
 		t.gen++
 		go t.readLoop(conn, t.gen)

@@ -6,10 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 )
 
-// TestDistributedMuxLoopback is the wire-v3 end-to-end acceptance
+// TestDistributedMuxLoopback is the mux wire's end-to-end acceptance
 // check: two real workers on loopback TCP served over persistent
 // multiplexed connections, and a repair byte-identical to local
 // partitioned diagnosis, with every result streamed (no per-job dial).
@@ -37,6 +38,13 @@ func TestDistributedMuxLoopback(t *testing.T) {
 	if got.Stats.StreamedResults != got.Stats.RemoteJobs {
 		t.Errorf("Stats.StreamedResults = %d, want %d (every result over the persistent connection)",
 			got.Stats.StreamedResults, got.Stats.RemoteJobs)
+	}
+	// Every LP of the fixture solves to optimality: no node's relaxation
+	// stopped on a numerical failure or the iteration limit, here or on
+	// the workers.
+	if got.Stats.LPNumFails != 0 || got.Stats.LPIterLimits != 0 {
+		t.Errorf("LP exits: %d numerical failures, %d iteration limits; want none",
+			got.Stats.LPNumFails, got.Stats.LPIterLimits)
 	}
 }
 
@@ -72,6 +80,9 @@ func TestDistributedMuxWorkerKilledMidRun(t *testing.T) {
 // between two diagnoses on one coordinator: the persistent connection
 // breaks with the old process, the transport reconnects (after its
 // backoff) to the new one, and both runs pin byte-identical repairs.
+// Both runs go through the coordinator itself, so they share one body;
+// the new connection starts with empty tables, so its first frame must
+// carry that body again, or the new worker would refuse every job.
 func TestDistributedMuxReconnectAfterWorkerRestart(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
@@ -87,8 +98,10 @@ func TestDistributedMuxReconnectAfterWorkerRestart(t *testing.T) {
 
 	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, addr)
 	defer coord.Close()
+	opts := partitionOpts()
+	opts.PartitionSolver = coord
 
-	got1, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+	got1, err := core.Diagnose(d0, log, complaints, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +129,7 @@ func TestDistributedMuxReconnectAfterWorkerRestart(t *testing.T) {
 	// first reconnect backoff so run 2 re-establishes the mux link.
 	time.Sleep(600 * time.Millisecond)
 
-	got2, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+	got2, err := core.Diagnose(d0, log, complaints, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +143,12 @@ func TestDistributedMuxReconnectAfterWorkerRestart(t *testing.T) {
 	if got2.Stats.StreamedResults != got2.Stats.Partitions {
 		t.Errorf("post-restart StreamedResults = %d, want %d (mux link must re-establish)",
 			got2.Stats.StreamedResults, got2.Stats.Partitions)
+	}
+	for run, got := range []*core.Repair{got1, got2} {
+		if got.Stats.WorkerCacheHits != got.Stats.RemoteJobs-1 {
+			t.Errorf("run %d: WorkerCacheHits = %d of %d jobs, want all but the first frame on its connection",
+				run+1, got.Stats.WorkerCacheHits, got.Stats.RemoteJobs)
+		}
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 // TestServerRace has three dial-per-job coordinators diagnose one
 // four-cluster history through a fresh worker at once under -race,
 // three times over: their connections arrive together, so the handlers
-// build the server's solve slots and decode cache concurrently, and the
-// partition jobs look up and store one cache entry.
+// build the server's solve slots and impact cache concurrently, and the
+// partition jobs share that impact cache.
 func TestServerRace(t *testing.T) {
 	d0, log, complaints := raceInstance(t, 4)
 	opt := core.Options{Algorithm: core.Basic, TupleSlicing: true, QuerySlicing: true, Partition: 4, TimeLimit: 30 * time.Second}
@@ -43,9 +43,12 @@ func TestServerRace(t *testing.T) {
 // TestEncMemoRace installs one coordinator itself as the partition
 // solver of two diagnoses of different histories running at once under
 // -race, so their concurrent partition jobs share, and keep replacing,
-// its encoding memo.
+// its encoding memo and the body ID it mints. A body ID must name one
+// encoding only: a job naming a body another job carried differently
+// would be solved over the wrong history on a mux worker.
 func TestEncMemoRace(t *testing.T) {
-	coord := NewCoordinator(Config{}, InProc{}, InProc{})
+	bt := &bodyTransport{t: t, bodies: make(map[uint64]bodyEncoding)}
+	coord := NewCoordinator(Config{}, bt, bt)
 	var ops []func()
 	for _, clusters := range []int{3, 4} {
 		d0, log, complaints := raceInstance(t, clusters)
@@ -54,7 +57,37 @@ func TestEncMemoRace(t *testing.T) {
 		ops = append(ops, func() { core.Diagnose(d0, log, complaints, opt) })
 	}
 	hammer(3, ops...)
+	if _, zero := bt.bodies[0]; zero || len(bt.bodies) < 2 {
+		t.Errorf("%d body IDs for two histories, zero among them: %v", len(bt.bodies), zero)
+	}
 }
+
+// bodyEncoding is the identity of one body's wire encoding.
+type bodyEncoding struct {
+	d0  *wireTable
+	log *wireQuery
+}
+
+// bodyTransport solves in process, recording the encoding every body
+// ID was carried with and failing the test when an ID comes with two.
+type bodyTransport struct {
+	t      *testing.T
+	mu     sync.Mutex
+	bodies map[uint64]bodyEncoding
+}
+
+func (b *bodyTransport) Do(ctx context.Context, job *Job) (*Result, error) {
+	enc := bodyEncoding{d0: job.D0, log: &job.Log[0]}
+	b.mu.Lock()
+	if prev, ok := b.bodies[job.Body]; ok && prev != enc {
+		b.t.Errorf("body %d carried with two encodings", job.Body)
+	}
+	b.bodies[job.Body] = enc
+	b.mu.Unlock()
+	return InProc{}.Do(ctx, job)
+}
+func (*bodyTransport) Addr() string { return "body-check" }
+func (*bodyTransport) Close() error { return nil }
 
 // raceInstance is the partition bench workload: `clusters` independent
 // complaint components, one corrupted query each.
@@ -77,15 +110,19 @@ func raceInstance(t *testing.T, clusters int) (*relation.Table, []query.Query, [
 // jobs give up after a millisecond. Then six goroutines send to a worker
 // that is not there, so dials fail and back off concurrently, and last,
 // ten times over, a transport is closed with results still streaming.
-// Together they make concurrent accesses of every field the transport's
-// mu guards.
+// The jobs carry bodies drawn from more than a connection's slots, so
+// each connection's body table is read, filled and evicted by
+// concurrent writers. Together they make concurrent accesses of every
+// field the transport's mu and writeMu guard.
 func TestMuxTransportRace(t *testing.T) {
 	var id atomic.Uint64
+	d0 := &wireTable{Name: "t", Attrs: []string{"a"}}
 	send := func(mt *MuxTransport, timeout time.Duration) func() {
 		return func() {
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
-			mt.Do(ctx, &Job{Version: WireVersion, ID: id.Add(1)})
+			n := id.Add(1)
+			mt.Do(ctx, &Job{Version: WireVersion, ID: n, Body: 1 + n%(bodySlots+2), D0: d0})
 		}
 	}
 	flaky := DialMux(echoWorker(t, 5))

@@ -3,13 +3,16 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/frameconn"
+	"repro/internal/lru"
 )
 
 // Server is the worker side of the protocol: it accepts connections,
@@ -19,7 +22,8 @@ import (
 // result is written the moment its solve lands — possibly out of
 // submission order: a mux coordinator matches results to jobs by ID,
 // and a dial-per-job coordinator only ever has one job in flight per
-// connection.
+// connection. Each connection holds the last bodySlots bodies its jobs
+// carried, decoded once, for the jobs that name them.
 type Server struct {
 	// MaxTimeLimit, when positive, caps the per-solve and total time
 	// limits of incoming jobs — a fleet operator's guard against a
@@ -33,18 +37,13 @@ type Server struct {
 	// slot frees. Zero picks runtime.GOMAXPROCS; negative forces one
 	// solve at a time server-wide.
 	MaxInflight int
-	// CacheSize bounds the decode cache: repeat jobs whose D0/log
-	// digests match a cached entry skip the wire decode and the
-	// planning closure (workercache.go). Zero picks
-	// DefaultWorkerCacheEntries; negative disables caching.
-	CacheSize int
 	// Logf, when set, receives one line per job and per protocol error.
 	Logf func(format string, args ...any)
 
-	conns frameconn.Registry
-	mu    sync.Mutex
-	cache *workerCache  // guarded by mu
-	sem   chan struct{} // guarded by mu — server-wide solve slots (MaxInflight)
+	conns  frameconn.Registry
+	mu     sync.Mutex
+	sem    chan struct{}     // guarded by mu — server-wide solve slots (MaxInflight)
+	impact *core.ImpactCache // guarded by mu — one impact cache for every job the server solves
 }
 
 // Serve accepts and handles connections on l until Close or a fatal
@@ -57,14 +56,16 @@ func (s *Server) Serve(l net.Listener) error { return s.conns.Serve(l, s.handle)
 // and fall back.
 func (s *Server) Close() error { return s.conns.Close() }
 
-// handle serves one connection: a read loop admits jobs into the
-// server-wide solver pool, and results stream back as they land. A line
-// past frameconn.MaxFrame ends the connection like any other bad frame;
-// its coordinator retries the job elsewhere or solves it locally.
+// handle serves one connection: a read loop resolves each job's body
+// and admits the job into the server-wide solver pool, and results
+// stream back as they land. A line past frameconn.MaxFrame ends the
+// connection like any other bad frame; its coordinator retries the job
+// elsewhere or solves it locally.
 func (s *Server) handle(conn net.Conn) {
 	var wg sync.WaitGroup
 	defer wg.Wait() // let in-flight solves write (or fail) before teardown
-	sem := s.solveSem()
+	sem, impact := s.solveSem(), s.impactCache()
+	bodies := lru.New[uint64, *body](bodySlots)
 	r := frameconn.NewReader(conn)
 	w := frameconn.NewWriter(conn, true)
 	for {
@@ -83,6 +84,7 @@ func (s *Server) handle(conn net.Conn) {
 		// the blocking read loop is deliberate backpressure, and the
 		// coordinator's write deadline bounds that side.)
 		arrival := time.Now()
+		b := resolveBody(bodies, job)
 		mWorkerQueueDepth.Add(1)
 		sem <- struct{}{} // admission: at most MaxInflight concurrent solves
 		mWorkerQueueDepth.Add(-1)
@@ -102,7 +104,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			start := time.Now()
 			s.capLimits(job)
-			res := solveJob(ctx, job, s.workerCache())
+			res := solveJob(ctx, job, b, impact)
 			elapsed := time.Since(start)
 			mWorkerJobSeconds.Observe(elapsed.Seconds())
 			s.logf("dist: job %d from %s: complaints=%d resolved=%v err=%q %s (%v)",
@@ -115,6 +117,29 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		}()
 	}
+}
+
+// resolveBody applies one frame to its connection's body table and
+// returns the job's body. It runs for every frame in read order,
+// before admission and before any refusal, because the coordinator
+// moves its copy of the table the same way in write order: a carried
+// body takes a slot (even one that fails to decode, so the next job
+// naming it gets the same error), and a named one is marked used. A
+// frame naming a body the connection does not hold gets an error body;
+// its coordinator retries the job elsewhere.
+func resolveBody(bodies *lru.Map[uint64, *body], job *Job) *body {
+	if job.D0 != nil {
+		mWorkerCacheMisses.Inc()
+		b := decodeBody(job)
+		bodies.Put(job.Body, b)
+		return b
+	}
+	if b, ok := bodies.Get(job.Body); ok {
+		mWorkerCacheHits.Inc()
+		return b
+	}
+	return &body{err: fmt.Errorf("dist: job %d names body %d, which this connection does not hold",
+		job.ID, job.Body)}
 }
 
 // solveSem lazily builds the server-wide solver-slot semaphore sized
@@ -135,17 +160,14 @@ func (s *Server) solveSem() chan struct{} {
 	return s.sem
 }
 
-// workerCache lazily builds the server's decode cache per CacheSize.
-func (s *Server) workerCache() *workerCache {
+// impactCache lazily builds the server's impact cache.
+func (s *Server) impactCache() *core.ImpactCache {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.CacheSize < 0 {
-		return nil
+	if s.impact == nil {
+		s.impact = core.NewImpactCache(0)
 	}
-	if s.cache == nil {
-		s.cache = newWorkerCache(s.CacheSize)
-	}
-	return s.cache
+	return s.impact
 }
 
 // capLimits clamps the job's solver budgets to the server's policy and

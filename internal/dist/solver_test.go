@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -74,13 +75,18 @@ func TestServerClampsSolverParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dist.DecodeResult(res)
+	if _, err := dist.DecodeResult(res); err != nil {
+		t.Fatal(err)
+	}
+	local, err := dist.EncodeResult(res.ID, want, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sch := d0.Schema()
-	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-		t.Errorf("worker repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
+	if res.Distance != local.Distance || res.Resolved != local.Resolved ||
+		!reflect.DeepEqual(res.Changed, local.Changed) || !reflect.DeepEqual(res.Params, local.Params) {
+		t.Errorf("worker repair differs from local: changed=%v params=%v distance=%v resolved=%v, want %v %v %v %v",
+			res.Changed, res.Params, res.Distance, res.Resolved,
+			local.Changed, local.Params, local.Distance, local.Resolved)
 	}
 	if w := int64(runtime.GOMAXPROCS(0)); peak > w*w {
 		t.Errorf("the job ran %d scheduler goroutines at once, want at most %d", peak, w*w)

@@ -54,7 +54,7 @@ func (InProc) Do(ctx context.Context, job *Job) (*Result, error) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		return nil, err
 	}
-	res := solveJob(ctx, &decoded, nil)
+	res := solveJob(ctx, &decoded, decodeBody(&decoded), nil)
 	rawRes, err := json.Marshal(res)
 	if err != nil {
 		return nil, err
@@ -90,8 +90,7 @@ func resultVersion(jobVersion int) int {
 // context), so a solve honors its dispatch share exactly as a remote
 // worker is cut off by its connection deadline — however long the job
 // queued first. false means the attempt is already dead and must be
-// refused without solving. o may be nil for a pure liveness check
-// before the job is decoded.
+// refused without solving.
 func clampBudget(ctx context.Context, o *core.Options) bool {
 	if ctx.Err() != nil {
 		return false
@@ -104,63 +103,40 @@ func clampBudget(ctx context.Context, o *core.Options) bool {
 	if remain <= 0 {
 		return false
 	}
-	if o != nil && (o.TotalTimeLimit <= 0 || o.TotalTimeLimit > remain) {
+	if o.TotalTimeLimit <= 0 || o.TotalTimeLimit > remain {
 		o.TotalTimeLimit = remain
 	}
 	return true
 }
 
 // solveJob is the worker-side job handler shared by the in-process
-// transport and the network server: decode (rejecting version
-// mismatches), solve on the local engine bounded by ctx, encode. With a
-// cache, jobs carrying digests reuse the decoded D0/log of earlier
-// same-digest jobs — skipping the decode — and solve with the cache's
-// impact closure installed — skipping the FullImpact pass of planning;
-// the reuse is reported back through Stats.WorkerCacheHits. InProc
-// stays cacheless so it remains the engine-equivalent reference path.
-func solveJob(ctx context.Context, job *Job, wc *workerCache) *Result {
+// transport and the network server: reject version mismatches and
+// bodies that failed to decode, then solve on the local engine bounded
+// by ctx and encode. b is the job's body, decoded from the frame or
+// held by its connection; a job that named a held body instead of
+// carrying it reports that through Stats.WorkerCacheHits. impact, when
+// non-nil, is the worker's impact cache: jobs over one held body hand
+// the engine the same statements, so all but the first skip the
+// FullImpact pass of planning. InProc passes none, so it remains the
+// engine-equivalent reference path.
+func solveJob(ctx context.Context, job *Job, b *body, impact *core.ImpactCache) *Result {
 	v := resultVersion(job.Version)
-	// Dead-on-arrival refusals come before the expensive decode: a job
-	// that sat in the admission queue past its attempt window (or whose
-	// context died) is refused for free, not after burning the D0/log
-	// decode inside its solve slot.
-	if !clampBudget(ctx, nil) {
-		return &Result{Version: v, ID: job.ID, Err: budgetDeadErr(ctx).Error()}
+	if err := checkVersion("job", job.Version); err != nil {
+		return &Result{Version: v, ID: job.ID, Err: err.Error()}
 	}
-	key := wcKey{d0: job.D0Digest, log: job.LogDigest}
-	cached := false
-	var sub core.Subproblem
-	if wc != nil && key.d0 != 0 && key.log != 0 && job.Version == WireVersion {
-		if d0, lg, ok := wc.lookup(key, len(job.D0.Rows), len(job.Log)); ok {
-			sub = core.Subproblem{D0: d0, Log: lg,
-				Complaints: job.Complaints, Options: decodeOptions(job.Options)}
-			cached = true
-			mWorkerCacheHits.Inc()
-		}
+	if b.err != nil {
+		return &Result{Version: v, ID: job.ID, Err: b.err.Error()}
 	}
-	if !cached {
-		var err error
-		sub, err = DecodeJob(job)
-		if err != nil {
-			return &Result{Version: v, ID: job.ID, Err: err.Error()}
-		}
-		if wc != nil && key.d0 != 0 && key.log != 0 {
-			mWorkerCacheMisses.Inc()
-			wc.store(key, sub.D0, sub.Log)
-		}
-	}
-	if wc != nil && sub.Options.ImpactCache == nil {
-		sub.Options.ImpactCache = wc.impact
-	}
-	// Re-check now that decoding is done (the window may have closed
-	// during a large decode) and clamp the solve budget to what is
-	// left, so a live job solves on exactly its attempt share however
-	// long it queued.
+	sub := b.subproblem(job)
+	sub.Options.ImpactCache = impact
+	// A job that sat in the admission queue past its attempt window (or
+	// whose context died) is refused; a live one solves on exactly what
+	// is left of its attempt share, however long it queued.
 	if !clampBudget(ctx, &sub.Options) {
 		return &Result{Version: v, ID: job.ID, Err: budgetDeadErr(ctx).Error()}
 	}
 	rep, err := sub.SolveLocal()
-	if err == nil && cached {
+	if err == nil && job.D0 == nil {
 		rep.Stats.WorkerCacheHits = 1
 	}
 	res, encErr := EncodeResult(job.ID, rep, err)

@@ -16,10 +16,20 @@
 // network transports and the worker's Server frame newline-delimited
 // JSON through internal/frameconn: one accept loop, one 64 MiB cap on
 // every frame read, one bounded frame write.
+//
+// Every partition job of a diagnosis shares one body, its D0 and log.
+// Both ends of a connection keep an equal table of the last bodySlots
+// bodies it carried, updated in frame order, so a job carries its body
+// only to a connection that does not hold it yet and otherwise names
+// it by ID. A result carries only the repaired parameters of the
+// statements it changed; the coordinator rebuilds the repair onto its
+// own copy of the log.
 package dist
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -28,27 +38,37 @@ import (
 )
 
 // WireVersion is the protocol generation this binary speaks: a
-// connection may carry any number of concurrent in-flight jobs, and the
+// connection may carry any number of concurrent in-flight jobs, the
 // worker streams each result frame as its solve lands — possibly out of
-// submission order, matched to its job by ID. Both sides reject frames
-// of any other version (the coordinator then solves the job locally),
-// so bump it on any incompatible change to the frame types below.
-const WireVersion = 3
+// submission order, matched to its job by ID — and a job names its body
+// instead of carrying it when its connection already holds it. Both
+// sides reject frames of any other version (the coordinator then solves
+// the job locally), so bump it on any incompatible change to the frame
+// types below.
+const WireVersion = 4
 
-// Job is one partition subproblem on the wire. It is self-contained:
-// the worker needs nothing but the job to solve it.
+// bodySlots is how many bodies each end of a connection holds. It is a
+// protocol constant, not a setting: the coordinator decides which jobs
+// carry their body by mirroring the worker's table, so both ends must
+// evict alike.
+const bodySlots = 8
+
+// bodyIDs mints body IDs. IDs are unique in the process, so no two
+// bodies share one on any connection, whichever coordinators share a
+// transport.
+var bodyIDs atomic.Uint64
+
+// Job is one partition subproblem on the wire. It is self-contained once
+// its body is resolved: the worker needs nothing but the job and the
+// body its connection holds under Body to solve it.
 //
-// D0Digest and LogDigest fingerprint the (identical) initial state and
-// log that every partition job of one diagnosis carries: workers key an
-// LRU of decoded state on them, so repeat jobs skip the decode and —
-// via the worker's impact cache — the planning closure. Zero digests
-// disable caching for the job; they are an optimization handle, never
-// load-bearing for correctness (the full state still rides along).
+// D0 and Log are the body. They are present only when the receiving
+// connection does not hold body Body yet; a frame carries its body iff
+// it has D0. Dial-per-job and in-process transports always carry it.
 type Job struct {
-	Version   int    `json:"version"`
-	ID        uint64 `json:"id"`
-	D0Digest  uint64 `json:"d0_digest,omitempty"`
-	LogDigest uint64 `json:"log_digest,omitempty"`
+	Version int    `json:"version"`
+	ID      uint64 `json:"id"`
+	Body    uint64 `json:"body,omitempty"`
 	// AttemptTTLNS, when nonzero, is the dispatching attempt's total
 	// window (nanoseconds, relative — deliberately not an absolute
 	// timestamp, so no cross-machine clock agreement is needed). The
@@ -62,21 +82,24 @@ type Job struct {
 	// that keeps unread frames on the coordinator's side, bounded by
 	// its write deadline. Advisory: correctness never depends on it.
 	AttemptTTLNS int64            `json:"attempt_ttl_ns,omitempty"`
-	D0           wireTable        `json:"d0"`
-	Log          []wireQuery      `json:"log"`
+	D0           *wireTable       `json:"d0,omitempty"`
+	Log          []wireQuery      `json:"log,omitempty"`
 	Complaints   []core.Complaint `json:"complaints"`
 	Options      wireOptions      `json:"options"`
 }
 
 // Result is a worker's answer. Err carries solver-level failures
-// (malformed job, version mismatch); transport-level failures surface as
-// Go errors from Transport.Do.
+// (malformed job, unknown body, version mismatch); transport-level
+// failures surface as Go errors from Transport.Do. Params holds, for
+// each Changed statement in order, its repaired parameters (query
+// canonical order); every other statement of the repair is the job's
+// own.
 type Result struct {
 	Version  int         `json:"version"`
 	ID       uint64      `json:"id"`
 	Err      string      `json:"err,omitempty"`
-	Log      []wireQuery `json:"log,omitempty"`
 	Changed  []int       `json:"changed,omitempty"`
+	Params   [][]float64 `json:"params,omitempty"`
 	Distance float64     `json:"distance"`
 	Resolved bool        `json:"resolved"`
 	Stats    core.Stats  `json:"stats"`
@@ -376,50 +399,87 @@ func decodeOptions(w wireOptions) core.Options {
 	}
 }
 
-// EncodeJob packages a partition subproblem for the wire.
+// EncodeJob packages a partition subproblem for the wire, carrying its
+// body under a freshly minted ID.
 func EncodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 	log, err := encodeLog(sub.Log)
 	if err != nil {
 		return nil, err
 	}
+	d0 := encodeTable(sub.D0)
 	return &Job{
 		Version:    WireVersion,
 		ID:         id,
-		D0:         encodeTable(sub.D0),
+		Body:       bodyIDs.Add(1),
+		D0:         &d0,
 		Log:        log,
 		Complaints: sub.Complaints,
 		Options:    encodeOptions(sub.Options),
 	}, nil
 }
 
-// DecodeJob reconstructs the subproblem, rejecting any protocol version
-// but WireVersion and any statement naming an attribute the table does
-// not have.
+// DecodeJob reconstructs the subproblem of a job that carries its body,
+// rejecting any protocol version but WireVersion and any statement
+// naming an attribute the table does not have.
 func DecodeJob(j *Job) (core.Subproblem, error) {
-	if j.Version != WireVersion {
-		return core.Subproblem{}, fmt.Errorf(
-			"dist: protocol version mismatch: job v%d, worker speaks v%d",
-			j.Version, WireVersion)
-	}
-	d0, err := decodeTable(j.D0)
-	if err != nil {
+	if err := checkVersion("job", j.Version); err != nil {
 		return core.Subproblem{}, err
+	}
+	b := decodeBody(j)
+	if b.err != nil {
+		return core.Subproblem{}, b.err
+	}
+	return b.subproblem(j), nil
+}
+
+// checkVersion rejects a frame of any protocol version but WireVersion.
+func checkVersion(frame string, v int) error {
+	if v != WireVersion {
+		return fmt.Errorf("dist: protocol version mismatch: %s v%d, this side speaks v%d",
+			frame, v, WireVersion)
+	}
+	return nil
+}
+
+// body is a decoded D0 and log, shared read-only by every job that
+// names it: the engine replays onto clones and repairs onto cloned
+// logs. err records a carried body that failed to decode; the jobs that
+// name it are answered with it.
+type body struct {
+	d0  *relation.Table
+	log []query.Query
+	err error
+}
+
+// decodeBody decodes the body a job carries.
+func decodeBody(j *Job) *body {
+	if j.D0 == nil {
+		return &body{err: fmt.Errorf("dist: job %d carries no body", j.ID)}
+	}
+	d0, err := decodeTable(*j.D0)
+	if err != nil {
+		return &body{err: err}
 	}
 	log, err := decodeLog(j.Log)
 	if err != nil {
-		return core.Subproblem{}, err
+		return &body{err: err}
 	}
 	for i, q := range log {
 		if err := checkAttrs(q, d0.Schema().Width()); err != nil {
-			return core.Subproblem{}, fmt.Errorf("query %d: %w", i, err)
+			return &body{err: fmt.Errorf("query %d: %w", i, err)}
 		}
 	}
+	return &body{d0: d0, log: log}
+}
+
+// subproblem is job j over this body.
+func (b *body) subproblem(j *Job) core.Subproblem {
 	return core.Subproblem{
-		D0:         d0,
-		Log:        log,
+		D0:         b.d0,
+		Log:        b.log,
 		Complaints: j.Complaints,
 		Options:    decodeOptions(j.Options),
-	}, nil
+	}
 }
 
 // checkAttrs rejects a statement that names an attribute outside the
@@ -444,18 +504,21 @@ func checkAttrs(q query.Query, width int) error {
 	return nil
 }
 
-// EncodeResult packages a solved repair (or a solver error) for the wire.
+// EncodeResult packages a solved repair (or a solver error) for the
+// wire: the parameters of each changed statement, not the log.
 func EncodeResult(id uint64, rep *core.Repair, solveErr error) (*Result, error) {
 	res := &Result{Version: WireVersion, ID: id}
 	if solveErr != nil {
 		res.Err = solveErr.Error()
 		return res, nil
 	}
-	log, err := encodeLog(rep.Log)
-	if err != nil {
-		return nil, err
+	res.Params = make([][]float64, len(rep.Changed))
+	for i, qi := range rep.Changed {
+		if qi < 0 || qi >= len(rep.Log) {
+			return nil, fmt.Errorf("dist: repair changes statement %d of a %d-statement log", qi, len(rep.Log))
+		}
+		res.Params[i] = rep.Log[qi].Params()
 	}
-	res.Log = log
 	res.Changed = append([]int(nil), rep.Changed...)
 	res.Distance = rep.Distance
 	res.Resolved = rep.Resolved
@@ -463,26 +526,49 @@ func EncodeResult(id uint64, rep *core.Repair, solveErr error) (*Result, error) 
 	return res, nil
 }
 
-// DecodeResult reconstructs the repair, rejecting any protocol version
-// but WireVersion and propagating worker-side solver errors.
+// DecodeResult reconstructs the repair's verdict — changed statements,
+// distance, resolution and stats — rejecting any protocol version but
+// WireVersion and propagating worker-side solver errors. Its Log is
+// nil: only the job's own log can carry the repair (repairOf).
 func DecodeResult(res *Result) (*core.Repair, error) {
-	if res.Version != WireVersion {
-		return nil, fmt.Errorf(
-			"dist: protocol version mismatch: result v%d, coordinator speaks v%d",
-			res.Version, WireVersion)
+	if err := checkVersion("result", res.Version); err != nil {
+		return nil, err
 	}
 	if res.Err != "" {
 		return nil, fmt.Errorf("dist: worker: %s", res.Err)
 	}
-	log, err := decodeLog(res.Log)
-	if err != nil {
-		return nil, err
-	}
 	return &core.Repair{
-		Log:      log,
 		Changed:  append([]int(nil), res.Changed...),
 		Distance: res.Distance,
 		Resolved: res.Resolved,
 		Stats:    res.Stats,
 	}, nil
+}
+
+// repairOf decodes a result and rebuilds its repair onto log, the job's
+// own log, copy-on-write: the repair shares every statement it did not
+// change. A result that cannot be a repair of log is rejected: a
+// parameter vector per changed statement, each index inside the log and
+// each vector of its statement's arity, or the partition merge would
+// index past the log or the statement.
+func repairOf(res *Result, log []query.Query) (*core.Repair, error) {
+	rep, err := DecodeResult(res)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Params) != len(rep.Changed) {
+		return nil, fmt.Errorf("dist: result has %d parameter vectors for %d changed statements",
+			len(res.Params), len(rep.Changed))
+	}
+	rep.Log = slices.Clone(log)
+	for i, qi := range rep.Changed {
+		if qi < 0 || qi >= len(log) {
+			return nil, fmt.Errorf("dist: result changes statement %d of a %d-statement log", qi, len(log))
+		}
+		rep.Log[qi] = log[qi].Clone()
+		if err := rep.Log[qi].SetParams(res.Params[i]); err != nil {
+			return nil, fmt.Errorf("dist: result changes statement %d: %w", qi, err)
+		}
+	}
+	return rep, nil
 }

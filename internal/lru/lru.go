@@ -1,6 +1,6 @@
 // Package lru provides the tiny least-recently-used map shared by the
 // caches in this repository (the impact cache in internal/core, the
-// worker decode cache in internal/dist). It is deliberately minimal: a
+// per-connection body tables in internal/dist). It is deliberately minimal: a
 // map plus a recency tick and a linear victim scan — right for the
 // single-digit-to-dozens entry counts those caches hold, with no
 // intrusive list to maintain.
