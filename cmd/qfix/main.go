@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -76,7 +77,6 @@ func run(out *bufio.Writer) error {
 		parallel  = flag.String("parallel", "1", "concurrent incremental batch workers (or 'auto' to size from GOMAXPROCS)")
 		partition = flag.String("partition", "0", "partition-parallel diagnosis workers (0 disables partitioning; 'auto' sizes from GOMAXPROCS)")
 		solverPar = flag.String("solver-parallel", "1", "concurrent branch-and-bound LP workers inside each MILP solve (or 'auto'); repairs are identical at any setting")
-		noPre     = flag.Bool("no-presolve", false, "disable the MILP root presolve (ablation)")
 		verbose   = flag.Bool("v", false, "print solver statistics (nodes, LP iterations, refactorizations, presolved rows, LP numerical and iteration-limit exits)")
 		workers   = flag.String("workers", "", "comma-separated qfix-worker addresses (host:port,...) for distributed diagnosis")
 		mux       = flag.Bool("mux", false, "multiplex jobs over one persistent connection per worker instead of dialing per job")
@@ -154,7 +154,6 @@ func run(out *bufio.Writer) error {
 		AttrSlicing:      *attrSlice,
 		SingleCorruption: *single,
 		SolverParallel:   spar,
-		NoPresolve:       *noPre,
 		TimeLimit:        *limit,
 	}
 	var fleet []string
@@ -341,7 +340,7 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 			return nil, nil, err
 		}
 		for i, cell := range rec {
-			v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+			v, err := parseCell(cell)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
 			}
@@ -351,6 +350,17 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 			return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
 		}
 	}
+}
+
+// parseCell parses one numeric cell of either file. NaN and the
+// infinities are refused: the encoder sizes its big-M from finite data,
+// and no repair can reach a non-finite target.
+func parseCell(cell string) (float64, error) {
+	v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("non-finite value %q", strings.TrimSpace(cell))
+	}
+	return v, err
 }
 
 // loadComplaints parses the complaint file.
@@ -380,7 +390,7 @@ func loadComplaints(path string, width int) ([]qfix.Complaint, error) {
 		}
 		vals := make([]float64, width)
 		for i, cell := range parts[1:] {
-			v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+			v, err := parseCell(cell)
 			if err != nil {
 				return nil, fmt.Errorf("%s line %d: %v", path, li+1, err)
 			}

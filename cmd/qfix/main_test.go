@@ -49,6 +49,15 @@ func TestLoadCSVErrors(t *testing.T) {
 	if _, _, err := loadCSV(filepath.Join(dir, "missing.csv"), "t", ""); err == nil {
 		t.Error("missing file accepted")
 	}
+	for _, cell := range []string{"NaN", "Inf", "-inf", "+Infinity"} {
+		if err := os.WriteFile(bad, []byte("a,b\n1,2\n3,"+cell+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := bad + " line 3: non-finite value " + strconv.Quote(cell)
+		if _, _, err := loadCSV(bad, "t", ""); err == nil || err.Error() != want {
+			t.Errorf("%s cell: error %v, want %s", cell, err, want)
+		}
+	}
 }
 
 // TestLoadCSVParity pins what the streaming loader owes the ReadAll one
@@ -177,6 +186,13 @@ func TestLoadComplaintsFormats(t *testing.T) {
 	write("# only comments\n")
 	if _, err := loadComplaints(path, 3); err == nil {
 		t.Error("empty complaint file accepted")
+	}
+	for _, cell := range []string{"NaN", "Inf", "-Inf"} {
+		write("# header\n3," + cell + ",21500,64500\n")
+		want := path + " line 2: non-finite value " + strconv.Quote(cell)
+		if _, err := loadComplaints(path, 3); err == nil || err.Error() != want {
+			t.Errorf("%s value: error %v, want %s", cell, err, want)
+		}
 	}
 }
 

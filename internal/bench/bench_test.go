@@ -12,8 +12,8 @@ import (
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 16 {
-		t.Errorf("expected 16 experiments (every figure + ex2 + ablation + solver), got %d", len(exps))
+	if len(exps) != 15 {
+		t.Errorf("expected 15 experiments (every figure + ex2 + solver), got %d", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {

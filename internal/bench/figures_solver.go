@@ -8,25 +8,17 @@ import (
 )
 
 // FigSolver measures the MILP solver stack — sparse revised simplex
-// with a factorized basis, the root presolve, and parallel
-// branch-and-bound — on the big-M-heavy configuration (encoder constant
-// folding disabled, so the raw indicator rows reach the solver). This
-// is no paper figure: it pins the solver rebuild's wall-clock claim the
-// way `ablation` pins the encoder's.
+// with a factorized basis, the root presolve, and speculative parallel
+// branch-and-bound — on the encoder's default models. This is no paper
+// figure: it is the record speculative search is judged by. At quick
+// scale every cell is a few milliseconds and ~21 nodes; at default
+// scale q15 is the long solve (~800 nodes, seconds) and q29 a short one.
 //
 // Series (x = corrupted query index, single-corruption incremental):
 //
-//	no-presolve-seq  root presolve off, sequential search: the raw
-//	                 big-M model, every node paying full-size LPs
-//	presolve-seq     presolve on, sequential search (the default)
-//	presolve-par     presolve on, one search worker per CPU
-//	                 (byte-identical repairs — see the determinism
-//	                 property tests)
-//
-// For the record: before the revised-simplex rebuild, the dense
-// tableau solver took 9784ms on this figure's quick-scale q7 cell
-// (no-folding ablation, seed 1); the sparse stack brought the same
-// cell to ~2300ms and presolve to ~10ms.
+//	presolve-seq  sequential search (the default)
+//	presolve-par  one search worker per CPU (byte-identical repairs and
+//	              counters — see the determinism property tests)
 func (r *Runner) FigSolver() (*Table, error) {
 	var nd, nq int
 	switch r.Scale {
@@ -37,19 +29,17 @@ func (r *Runner) FigSolver() (*Table, error) {
 	default:
 		nd, nq = 100, 30
 	}
-	base := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true,
-		NoFolding: true}
+	base := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}
 	variants := []struct {
 		name string
 		mod  func(o core.Options) core.Options
 	}{
-		{"no-presolve-seq", func(o core.Options) core.Options { o.NoPresolve = true; return o }},
 		{"presolve-seq", func(o core.Options) core.Options { return o }},
 		{"presolve-par", func(o core.Options) core.Options { o.SolverParallel = -1; return o }},
 	}
-	t := &Table{ID: "solver", Title: "MILP solver stack: presolve and parallel branch-and-bound on big-M models",
+	t := &Table{ID: "solver", Title: "MILP solver stack: sequential vs speculative parallel branch-and-bound",
 		XLabel: "corrupt",
-		Caption: fmt.Sprintf("ND=%d Nq=%d, inc1-tuple, encoder folding off (raw big-M rows); "+
+		Caption: fmt.Sprintf("ND=%d Nq=%d, inc1-tuple, default encoding; "+
 			"note shows mean branch-and-bound nodes / LP iterations / basis refactorizations / presolved rows", nd, nq)}
 	for _, idx := range []int{nq - 1, nq / 2} {
 		for _, v := range variants {

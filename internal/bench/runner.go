@@ -120,8 +120,7 @@ func Experiments() []Experiment {
 		{"fig9", "OLTP benchmarks (TPC-C, TATP): latency vs corruption age", (*Runner).Fig9OLTP},
 		{"fig10", "DecTree baseline vs QFix: performance and accuracy", (*Runner).Fig10DecTree},
 		{"ex2", "Figure 2 case study: end-to-end repair of the tax example", (*Runner).Example2},
-		{"ablation", "Implementation ablations: folding, param windows, warm LP starts", (*Runner).Ablation},
-		{"solver", "MILP solver stack: presolve and parallel branch-and-bound on big-M models", (*Runner).FigSolver},
+		{"solver", "MILP solver stack: sequential vs speculative parallel branch-and-bound", (*Runner).FigSolver},
 	}
 }
 

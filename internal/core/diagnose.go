@@ -29,6 +29,12 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 			return nil, fmt.Errorf("core: complaint on tuple %d has %d values for %d attributes",
 				c.TupleID, len(c.Values), width)
 		}
+		for a, v := range c.Values {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("core: complaint on tuple %d has non-finite value %v for attribute %d",
+					c.TupleID, v, a)
+			}
+		}
 	}
 
 	span := opt.Trace.Start("diagnose")
@@ -238,8 +244,6 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 		FixNonComplaints: !d.opt.TupleSlicing,
 		SoftTupleIDs:     soft,
 		DomainBound:      bound,
-		NoFolding:        d.opt.NoFolding,
-		NoParamWindows:   d.opt.NoParamWindows,
 	}
 
 	ep := startPhase(sp, "encode")
@@ -268,11 +272,9 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 		}
 	}
 	mopt := milp.Options{
-		TimeLimit:  limit,
-		MaxNodes:   d.opt.MaxNodes,
-		ColdLP:     d.opt.ColdLP,
-		Parallel:   d.opt.SolverParallel,
-		NoPresolve: d.opt.NoPresolve,
+		TimeLimit: limit,
+		MaxNodes:  d.opt.MaxNodes,
+		Parallel:  d.opt.SolverParallel,
 	}
 	svp := startPhase(sp, "solve")
 	mopt.Trace = svp.sp
@@ -533,7 +535,8 @@ func ComplaintsResolved(final *relation.Table, complaints []Complaint, eps float
 			continue
 		}
 		for a, want := range c.Values {
-			if math.Abs(t.Values[a]-want) > eps {
+			// Negated so a NaN or infinite difference counts as unresolved.
+			if !(math.Abs(t.Values[a]-want) <= eps) {
 				return false
 			}
 		}

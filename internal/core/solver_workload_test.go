@@ -1,21 +1,26 @@
 // External test: the solver rebuild against the paper's workload
 // generator. This is the acceptance property for the sparse
-// revised-simplex + presolve + parallel branch-and-bound stack: every
-// solver configuration — parallel node search on or off, presolve on or
-// off — returns a repair byte-identical to the sequential
-// presolve-enabled baseline, across the incremental batch scan and the
-// partition scan. Parallel search is additionally pinned to identical
-// solver statistics (nodes, LP iterations, refactorizations): the
-// speculation must be invisible in the accounting, not just the answer.
+// revised-simplex + presolve + parallel branch-and-bound stack: parallel
+// node search returns a repair byte-identical to the sequential
+// baseline, across the incremental batch scan and the partition scan,
+// and the root presolve returns the identity presolve's optimum on every
+// candidate batch the generator's instances encode. Parallel search is
+// additionally pinned to identical solver statistics (nodes, LP
+// iterations, refactorizations): the speculation must be invisible in
+// the accounting, not just the answer.
 package core_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/encode"
+	"repro/internal/milp"
 	"repro/internal/workload"
 )
 
@@ -80,21 +85,22 @@ func TestSolverParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestNoPresolveMatchesDefault pins the presolve ablation: presolve
-// changes the work (PresolvedRows > 0, usually fewer nodes), never the
-// repair.
+// TestNoPresolveMatchesDefault pins the root presolve against the
+// identity presolve (milp.Options.NoPresolve) on the encoder's own
+// models: every single-query candidate batch of each generator instance
+// is encoded the way the tuple-sliced scan encodes it and solved both
+// ways. Presolve changes the work (presolved rows, usually fewer nodes),
+// never the optimum or the repaired parameters.
 func TestNoPresolveMatchesDefault(t *testing.T) {
 	trials := 4
 	if testing.Short() {
 		trials = 2
 	}
-	// NoPresolve can be ~25x slower on big-M batches; the limit must be
-	// high enough that it still completes every solve, or the scans
-	// legitimately diverge (see TestSolverParallelMatchesSequential).
-	base := core.Options{Algorithm: core.Incremental, TupleSlicing: true,
-		QuerySlicing: true, TimeLimit: 600 * time.Second}
+	// The identity presolve can be ~25x slower on big-M batches; the
+	// limit must be high enough that both solves complete.
+	const limit = 600 * time.Second
 	rng := rand.New(rand.NewSource(71))
-	done := 0
+	done, solved := 0, 0
 	sawReduction := false
 	for trial := 0; trial < 30 && done < trials; trial++ {
 		w, err := workload.Generate(workload.Config{
@@ -110,31 +116,48 @@ func TestNoPresolveMatchesDefault(t *testing.T) {
 			continue
 		}
 		done++
-		want, err := core.Diagnose(in.W.D0, in.Dirty, in.Complaints, base)
-		if err != nil {
-			t.Fatal(err)
+		ids := make([]int64, len(in.Complaints))
+		complaints := make([]encode.Complaint, len(in.Complaints))
+		for i, c := range in.Complaints {
+			ids[i] = c.TupleID
+			complaints[i] = encode.Complaint{TupleID: c.TupleID, Exists: c.Exists, Values: c.Values}
 		}
-		if want.Stats.PresolvedRows > 0 {
-			sawReduction = true
-		}
-		off := base
-		off.NoPresolve = true
-		got, err := core.Diagnose(in.W.D0, in.Dirty, in.Complaints, off)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Stats.PresolvedRows != 0 {
-			t.Errorf("trial %d: NoPresolve run reported %d presolved rows", trial, got.Stats.PresolvedRows)
-		}
-		if gf, wf := diagFingerprint(in, got), diagFingerprint(in, want); gf != wf {
-			t.Errorf("trial %d: NoPresolve repair differs from default:\n got %s\nwant %s", trial, gf, wf)
+		for q := range in.Dirty {
+			enc, err := encode.Encode(in.W.D0, in.Dirty, complaints, encode.Options{
+				ParamQueries: map[int]bool{q: true}, TupleIDs: ids})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantVals := enc.SolveOpts(milp.Options{TimeLimit: limit})
+			got, gotVals := enc.SolveOpts(milp.Options{TimeLimit: limit, NoPresolve: true})
+			if want.PresolvedRows > 0 {
+				sawReduction = true
+			}
+			if got.PresolvedRows != 0 || got.PresolvedVars != 0 {
+				t.Errorf("trial %d query %d: identity presolve reported %d rows, %d vars",
+					trial, q, got.PresolvedRows, got.PresolvedVars)
+			}
+			if got.Status != want.Status || got.HasSolution != want.HasSolution {
+				t.Fatalf("trial %d query %d: status %v/%v, want %v/%v",
+					trial, q, got.Status, got.HasSolution, want.Status, want.HasSolution)
+			}
+			if !want.HasSolution {
+				continue
+			}
+			solved++
+			if math.Abs(got.Obj-want.Obj) > 1e-6*math.Max(1, math.Abs(want.Obj)) {
+				t.Errorf("trial %d query %d: objective %v, presolved %v", trial, q, got.Obj, want.Obj)
+			}
+			if !slices.Equal(gotVals, wantVals) {
+				t.Errorf("trial %d query %d: repaired parameters %v, presolved %v", trial, q, gotVals, wantVals)
+			}
 		}
 	}
-	if done == 0 {
-		t.Fatal("setup: no seed produced a complaint-carrying instance")
+	if done == 0 || solved == 0 {
+		t.Fatalf("setup: %d complaint-carrying instances, %d solvable batches", done, solved)
 	}
 	if !sawReduction {
-		t.Error("presolve never reduced a model across the sweep; the ablation is vacuous")
+		t.Error("presolve never reduced a model across the sweep; the comparison is vacuous")
 	}
 }
 
@@ -160,18 +183,13 @@ func TestSolverParallelPartitionScanMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wf := diagFingerprint(in, want)
-	for _, opt := range []core.Options{
-		func() core.Options { o := base; o.SolverParallel = 4; return o }(),
-		func() core.Options { o := base; o.SolverParallel = 4; o.NoPresolve = true; return o }(),
-	} {
-		got, err := core.Diagnose(in.W.D0, in.Dirty, in.Complaints, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gf := diagFingerprint(in, got); gf != wf {
-			t.Errorf("SolverParallel=%d NoPresolve=%v: partitioned repair differs:\n got %s\nwant %s",
-				opt.SolverParallel, opt.NoPresolve, gf, wf)
-		}
+	opt := base
+	opt.SolverParallel = 4
+	got, err := core.Diagnose(in.W.D0, in.Dirty, in.Complaints, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gf, wf := diagFingerprint(in, got), diagFingerprint(in, want); gf != wf {
+		t.Errorf("SolverParallel=4: partitioned repair differs:\n got %s\nwant %s", gf, wf)
 	}
 }

@@ -179,18 +179,6 @@ type Options struct {
 	// shipped to remote workers solve untraced, and the coordinator
 	// records their dispatch/wire segments client-side instead.
 	Trace *obs.Span
-
-	// Ablation switches (extensions beyond the paper; see encode.Options
-	// and README.md, "The solver"):
-	// NoFolding disables the encoder's constant-folding presolve,
-	// NoParamWindows disables predicate-parameter window tightening,
-	// ColdLP disables warm-started LP relaxations in branch-and-bound,
-	// NoPresolve disables the MILP root presolve (forced-variable
-	// fixing, implied big-M bound tightening, redundant row dropping).
-	NoFolding      bool
-	NoParamWindows bool
-	ColdLP         bool
-	NoPresolve     bool
 }
 
 func (o Options) withDefaults() Options {

@@ -12,14 +12,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestDistributedSolverConfigMatchesLocal pins the solver options' ride
+// TestDistributedSolverConfigMatchesLocal pins the solver option's ride
 // over the wire: a loopback-TCP fleet running parallel in-solve search
-// (and, separately, the presolve ablation) must return the repair
-// byte-identical to plain local sequential diagnosis. This is the
-// distributed leg of the solver-determinism property — SolverParallel
-// is byte-invisible by construction, and NoPresolve preserves the
-// feasible set, so neither may shift a partition's repair no matter
-// which process solves it.
+// must return the repair byte-identical to plain local sequential
+// diagnosis. This is the distributed leg of the solver-determinism
+// property — SolverParallel is byte-invisible by construction, so it may
+// not shift a partition's repair no matter which process solves it.
 func TestDistributedSolverConfigMatchesLocal(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
@@ -28,28 +26,18 @@ func TestDistributedSolverConfigMatchesLocal(t *testing.T) {
 	coord := dist.Connect(dist.Config{Logf: t.Logf}, startWorker(t), startWorker(t))
 	defer coord.Close()
 
-	for _, tc := range []struct {
-		name string
-		mod  func(*core.Options)
-	}{
-		{"solver-parallel", func(o *core.Options) { o.SolverParallel = 4 }},
-		{"no-presolve", func(o *core.Options) { o.NoPresolve = true }},
-		{"both", func(o *core.Options) { o.SolverParallel = 4; o.NoPresolve = true }},
-	} {
-		opts := partitionOpts()
-		tc.mod(&opts)
-		got, err := coord.Diagnose(d0, log, complaints, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-			t.Errorf("%s: distributed repair differs from local sequential:\n got:\n%s\nwant:\n%s",
-				tc.name, g, w)
-		}
-		if got.Stats.RemoteJobs != got.Stats.Partitions {
-			t.Errorf("%s: RemoteJobs = %d, want every partition (%d) solved remotely",
-				tc.name, got.Stats.RemoteJobs, got.Stats.Partitions)
-		}
+	opts := partitionOpts()
+	opts.SolverParallel = 4
+	got, err := coord.Diagnose(d0, log, complaints, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+		t.Errorf("distributed repair differs from local sequential:\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if got.Stats.RemoteJobs != got.Stats.Partitions {
+		t.Errorf("RemoteJobs = %d, want every partition (%d) solved remotely",
+			got.Stats.RemoteJobs, got.Stats.Partitions)
 	}
 }
 

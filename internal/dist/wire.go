@@ -345,16 +345,11 @@ type wireOptions struct {
 	TimeLimitNS      int64 `json:"time_limit_ns"`
 	TotalTimeLimitNS int64 `json:"total_time_limit_ns"`
 	MaxNodes         int   `json:"max_nodes"`
-	NoFolding        bool  `json:"no_folding"`
-	NoParamWindows   bool  `json:"no_param_windows"`
-	ColdLP           bool  `json:"cold_lp"`
-	// SolverParallel and NoPresolve configure the worker's MILP solver
-	// to match the coordinator's. -1 means one LP worker per worker-side
-	// CPU; repairs are byte-identical at any setting, so coordinators
-	// and workers may disagree on parallelism without disagreeing on
-	// output.
-	SolverParallel int  `json:"solver_parallel,omitempty"`
-	NoPresolve     bool `json:"no_presolve,omitempty"`
+	// SolverParallel configures the worker's MILP solver to match the
+	// coordinator's. -1 means one LP worker per worker-side CPU; repairs
+	// are byte-identical at any setting, so coordinators and workers may
+	// disagree on parallelism without disagreeing on output.
+	SolverParallel int `json:"solver_parallel,omitempty"`
 }
 
 func encodeOptions(o core.Options) wireOptions {
@@ -370,11 +365,7 @@ func encodeOptions(o core.Options) wireOptions {
 		TimeLimitNS:      int64(o.TimeLimit),
 		TotalTimeLimitNS: int64(o.TotalTimeLimit),
 		MaxNodes:         o.MaxNodes,
-		NoFolding:        o.NoFolding,
-		NoParamWindows:   o.NoParamWindows,
-		ColdLP:           o.ColdLP,
 		SolverParallel:   o.SolverParallel,
-		NoPresolve:       o.NoPresolve,
 	}
 }
 
@@ -391,11 +382,7 @@ func decodeOptions(w wireOptions) core.Options {
 		TimeLimit:        time.Duration(w.TimeLimitNS),
 		TotalTimeLimit:   time.Duration(w.TotalTimeLimitNS),
 		MaxNodes:         w.MaxNodes,
-		NoFolding:        w.NoFolding,
-		NoParamWindows:   w.NoParamWindows,
-		ColdLP:           w.ColdLP,
 		SolverParallel:   w.SolverParallel,
-		NoPresolve:       w.NoPresolve,
 	}
 }
 

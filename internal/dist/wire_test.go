@@ -74,9 +74,6 @@ func fixtureSubproblem(t *testing.T) core.Subproblem {
 			TimeLimit:        90 * time.Second,
 			TotalTimeLimit:   5 * time.Minute,
 			MaxNodes:         1234,
-			NoFolding:        true,
-			NoParamWindows:   true,
-			ColdLP:           true,
 		},
 	}
 }

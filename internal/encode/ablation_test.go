@@ -8,11 +8,11 @@ import (
 	"repro/internal/relation"
 )
 
-// The ablation switches must preserve answers while changing model sizes.
+// The reference switches must preserve answers while changing model sizes.
 
 func TestNoFoldingEquivalentButBigger(t *testing.T) {
 	// A log whose prefix folds away entirely under the default encoder:
-	// NoFolding must encode every predicate evaluation symbolically.
+	// noFolding must encode every predicate evaluation symbolically.
 	sch := relationSchemaAB(t)
 	d0 := relationTableAB(sch)
 	var log []query.Query
@@ -41,17 +41,17 @@ func TestNoFoldingEquivalentButBigger(t *testing.T) {
 	exhaustive, err := Encode(d0, log, complaints, Options{
 		ParamQueries: map[int]bool{9: true},
 		TupleIDs:     []int64{9},
-		NoFolding:    true,
+		noFolding:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exhaustive.Stats.Rows <= folded.Stats.Rows {
-		t.Errorf("NoFolding rows %d not larger than folded %d",
+		t.Errorf("noFolding rows %d not larger than folded %d",
 			exhaustive.Stats.Rows, folded.Stats.Rows)
 	}
 	if exhaustive.Stats.Binaries <= folded.Stats.Binaries {
-		t.Errorf("NoFolding binaries %d not larger than folded %d",
+		t.Errorf("noFolding binaries %d not larger than folded %d",
 			exhaustive.Stats.Binaries, folded.Stats.Binaries)
 	}
 
@@ -94,7 +94,7 @@ func TestNoParamWindowsEquivalent(t *testing.T) {
 		res, err := Encode(d0, log, complaints, Options{
 			ParamQueries:   map[int]bool{0: true},
 			TupleIDs:       []int64{3, 4},
-			NoParamWindows: noWin,
+			noParamWindows: noWin,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestWindowsShrinkParamBounds(t *testing.T) {
 	noWin, err := Encode(d0, log, complaints, Options{
 		ParamQueries:   map[int]bool{0: true},
 		TupleIDs:       []int64{3, 4},
-		NoParamWindows: true,
+		noParamWindows: true,
 	})
 	if err != nil {
 		t.Fatal(err)

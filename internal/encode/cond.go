@@ -20,7 +20,7 @@ func (e *encoder) evalCond(c query.Cond, t *tstate, pc pctx) bval {
 		var rhs aff
 		if pv, ok := pc.predVars[v]; ok {
 			rhs = varAff(e.m, pv)
-			if !e.opt.NoParamWindows {
+			if !e.opt.noParamWindows {
 				e.widenWindow(pv, lhs.lo, lhs.hi)
 			}
 		} else {
@@ -61,8 +61,8 @@ func (e *encoder) evalCond(c query.Cond, t *tstate, pc pctx) bval {
 // agree with plain replay whenever the operands are constants.
 func (e *encoder) predB(expr aff, op query.CmpOp) bval {
 	lo, hi := expr.lo, expr.hi
-	if e.opt.NoFolding {
-		// Ablation mode: always emit the symbolic encoding. The big-M
+	if e.opt.noFolding {
+		// Test reference: always emit the symbolic encoding. The big-M
 		// rows force the binary to the decided value when the interval
 		// is decisive, so this is equivalent but exhaustive.
 		return e.predBinary(expr, op, lo, hi)
@@ -113,7 +113,7 @@ func (e *encoder) predB(expr aff, op query.CmpOp) bval {
 func (e *encoder) predBinary(expr aff, op query.CmpOp, lo, hi float64) bval {
 	lo = finiteOr(lo, e.M*4)
 	hi = finiteOr(hi, e.M*4)
-	// Decisive intervals can reach here in NoFolding mode; big-M factors
+	// Decisive intervals can reach here only under noFolding; big-M factors
 	// of the wrong sign would corrupt the rows, so clamp to zero-width.
 	if hi < 0 {
 		hi = 0

@@ -53,13 +53,14 @@ type Options struct {
 	// auto-sizes from the data and log (2×max|value| + 10).
 	DomainBound float64
 
-	// NoFolding disables constant-folding presolve: every σ evaluation
-	// and value update is encoded symbolically, as in a literal reading
-	// of the paper's Algorithm 1. Ablation switch; see BenchmarkAblation.
-	NoFolding bool
-	// NoParamWindows disables the predicate-parameter window tightening
-	// (an engineering addition of this implementation). Ablation switch.
-	NoParamWindows bool
+	// noFolding and noParamWindows are the encoder tests' references:
+	// noFolding encodes every σ evaluation and value update symbolically,
+	// as in a literal reading of the paper's Algorithm 1, and
+	// noParamWindows skips the predicate-parameter window tightening.
+	// Both change model sizes, never answers. Only this package's tests
+	// set them.
+	noFolding      bool
+	noParamWindows bool
 }
 
 const (

@@ -328,10 +328,6 @@ func (s *search) obtain(n *node, env *probEnv) (simplex.Solution, *simplex.Snaps
 // before can leak in, which is what makes speculation exact.
 func (s *search) solveNode(n *node, env *probEnv) (simplex.Solution, *simplex.Snapshot) {
 	env.apply(n.fix)
-	if s.opt.ColdLP {
-		sol := env.prob.Solve(s.opt.LP)
-		return sol, nil
-	}
 	if n.basis == nil || !env.lp.Install(n.basis) {
 		env.lp.Reset()
 	}
@@ -551,15 +547,10 @@ func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEn
 		restore = append(restore, saved{j, lb, ub})
 		env.prob.SetBounds(j, v, v)
 	}
-	var sol simplex.Solution
-	if s.opt.ColdLP {
-		sol = env.prob.Solve(s.opt.LP)
-	} else {
-		if end == nil || !env.lp.Install(end) {
-			env.lp.Reset()
-		}
-		sol = env.lp.Solve()
+	if end == nil || !env.lp.Install(end) {
+		env.lp.Reset()
 	}
+	sol := env.lp.Solve()
 	s.lpIters += sol.Iters
 	s.refactors += sol.Refactors
 	for _, r := range restore {

@@ -166,10 +166,6 @@ type Options struct {
 	Gap float64
 	// LP passes options to the underlying simplex solves.
 	LP simplex.Options
-	// ColdLP solves every node's relaxation from a cold basis instead of
-	// warm-starting from the parent. Ablation switch; warm starts are
-	// typically 10-100x faster on the encoder's models.
-	ColdLP bool
 	// Parallel explores branch-and-bound nodes with this many concurrent
 	// LP workers (0 or 1 = sequential). Parallelism is speculative with
 	// sequential semantics: a single deterministic driver pops nodes in
@@ -180,9 +176,11 @@ type Options struct {
 	// byte-identical at any Parallel setting.
 	Parallel int
 	// NoPresolve disables the root presolve (forced-variable fixing,
-	// implied big-M bound tightening, redundant row dropping). Ablation
-	// switch; presolve preserves the feasible set exactly, so it changes
-	// which solve is performed, never which solutions exist.
+	// implied big-M bound tightening, redundant row dropping). It is the
+	// identity-presolve reference the package's tests compare the
+	// presolved search against: presolve preserves the feasible set
+	// exactly, so it changes which solve is performed, never which
+	// solutions exist. No engine path sets it.
 	NoPresolve bool
 
 	// Trace, when non-nil, is the parent span under which the solve
