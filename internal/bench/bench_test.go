@@ -1,9 +1,9 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
-
 	"time"
 
 	"repro/internal/core"
@@ -200,5 +200,37 @@ func TestAvgEmpty(t *testing.T) {
 	ms, acc, ok := avg(nil)
 	if ms != 0 || ok != 0 || acc.F1 != 0 {
 		t.Error("avg(nil) not zero")
+	}
+}
+
+// TestSolverFigureDeterministic runs the solver figure at quick scale
+// repeatedly and requires every deterministic column — series, cell,
+// accuracy, solved share and the solver counters in the note — to match
+// the first run's, row for row: a map order or a race that reaches a
+// figure's rows shows up as a diff. A map of up to eight keys starts its
+// iteration at a random one of eight slots, so a two-key map leaves
+// insertion order in only one run of eight; forty runs give such an
+// order a 0.5% chance of hiding.
+func TestSolverFigureDeterministic(t *testing.T) {
+	runs := 40
+	if testing.Short() {
+		runs = 10
+	}
+	var first []Row
+	for run := 0; run < runs; run++ {
+		table, err := (&Runner{Scale: Quick, Seed: 1}).FigSolver()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]Row, len(table.Rows))
+		for i, r := range table.Rows {
+			rows[i] = Row{Series: r.Series, X: r.X, Precision: r.Precision, Recall: r.Recall,
+				F1: r.F1, Solved: r.Solved, Note: r.Note}
+		}
+		if run == 0 {
+			first = rows
+		} else if !reflect.DeepEqual(rows, first) {
+			t.Fatalf("run %d: deterministic columns differ from run 0:\n got %+v\nwant %+v", run, rows, first)
+		}
 	}
 }

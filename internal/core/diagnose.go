@@ -316,6 +316,12 @@ func (st *Stats) addSolve(r milp.Result) {
 	st.PresolvedRows += r.PresolvedRows
 	st.LPNumFails += r.LPNumFails
 	st.LPIterLimits += r.LPIterLimits
+	if r.NodeLimitHit {
+		st.NodeLimitStops++
+	}
+	if r.TimeLimitHit {
+		st.TimeLimitStops++
+	}
 	st.LastStatus = r.Status.String()
 }
 

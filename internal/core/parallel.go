@@ -92,7 +92,7 @@ func (d *diagnoser) incrementalParallel() (*Repair, error) {
 	// 1-buffered channel, even when skipped, so each receive completes;
 	// cancellation lives in the jobs (stop flag + deadline checks) and
 	// the merge MUST drain all of them for deterministic stats.
-	//qfix:ctx-ok receives always complete: jobs deliver even when skipped; jobs own cancellation
+	// receives always complete: jobs deliver even when skipped; jobs own cancellation
 	for bi := range batches {
 		out := <-results[bi]
 		d.mergeStats(out.stats)
@@ -155,6 +155,8 @@ func (d *diagnoser) mergeStats(st Stats) {
 	d.stats.PresolvedRows += st.PresolvedRows
 	d.stats.LPNumFails += st.LPNumFails
 	d.stats.LPIterLimits += st.LPIterLimits
+	d.stats.NodeLimitStops += st.NodeLimitStops
+	d.stats.TimeLimitStops += st.TimeLimitStops
 	d.stats.EncodeTime += st.EncodeTime
 	d.stats.SolveTime += st.SolveTime
 	d.stats.PlanTime += st.PlanTime

@@ -261,6 +261,11 @@ type Stats struct {
 	// either being nonzero says why a solve stopped at "limit".
 	LPNumFails   int
 	LPIterLimits int
+	// NodeLimitStops and TimeLimitStops count the solves that stopped on
+	// the node limit (Options.MaxNodes) and on the solve time limit
+	// (Options.TimeLimit, clamped to what TotalTimeLimit leaves).
+	NodeLimitStops int
+	TimeLimitStops int
 	// PlanTime, EncodeTime, SolveTime, VerifyTime, and MergeTime split
 	// the wall clock by pipeline phase. PlanTime covers the log replay,
 	// the FullImpact closure (ImpactTime is the subset spent there), and

@@ -1,7 +1,12 @@
 package dist
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"net"
+	"runtime"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -93,4 +98,57 @@ func TestMuxTransportArmsJitteredBackoff(t *testing.T) {
 			t.Fatalf("failures=%d: armed delay ~%v, want %v", failures, gotDelay, d)
 		}
 	}
+}
+
+// TestMuxDialWaitHonorsCancel holds the mux transport's first dial
+// open, so a second job waits for it to settle: the waiting job must
+// leave when its own deadline passes, not when the dial does.
+func TestMuxDialWaitHonorsCancel(t *testing.T) {
+	base := runtime.NumGoroutine()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	mt := DialMux(l.Addr().String())
+	entered, release := make(chan struct{}), make(chan struct{})
+	mt.dialer.Control = func(string, string, syscall.RawConn) error {
+		close(entered)
+		<-release
+		return nil
+	}
+	job, err := EncodeJob(1, tinySubproblem(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstCtx, cancelFirst := context.WithCancel(context.Background())
+	first := make(chan error, 1)
+	go func() {
+		_, err := mt.Do(firstCtx, job)
+		first <- err
+	}()
+	<-entered
+
+	second := *job
+	second.ID = 2
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	waited := make(chan error, 1)
+	go func() {
+		_, err := mt.Do(ctx, &second)
+		waited <- err
+	}()
+	select {
+	case err := <-waited:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("job waiting on another's dial = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("job waiting on another's dial still waiting 10s after its deadline")
+	}
+	close(release)
+	cancelFirst()
+	<-first
+	mt.Close()
+	CheckGoroutines(t, base)
 }

@@ -1,9 +1,14 @@
 package dist_test
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 )
 
@@ -13,41 +18,58 @@ import (
 // the local fallback started broke. Each attempt must now be capped at
 // min(JobTimeout, remaining budget + slack): with one hung and one
 // healthy worker, every job reaches the healthy worker after at most
-// one JobTimeout, well inside the budget.
+// one JobTimeout, well inside the budget. Over both the dial-per-job
+// and the mux transport, the hung attempt must end when its context
+// does, and closing the coordinator and the workers leaves no goroutine
+// behind.
 func TestDispatchBudgetCappedOnHungWorker(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 2)
 	want := localReference(t, d0, log, complaints)
-
-	// JobTimeout is generous against race-detector-slowed solves yet a
-	// tiny fraction of the budget the old code would wait per attempt.
-	coord := dist.Connect(dist.Config{JobTimeout: 10 * time.Second, Retries: 1, Logf: t.Logf},
-		startBlackHoleWorker(t), startWorker(t))
-	defer coord.Close()
-
-	opts := partitionOpts()
-	opts.TotalTimeLimit = 5 * time.Minute // the budget a hung worker used to drain per attempt
-	start := time.Now()
-	got, err := coord.Diagnose(d0, log, complaints, opts)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Resolved {
-		t.Fatalf("diagnosis with a hung worker unresolved: %+v", got.Stats)
-	}
 	sch := d0.Schema()
-	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-		t.Errorf("hung-worker repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
-	}
-	if got.Stats.RemoteJobs != got.Stats.Partitions {
-		t.Errorf("RemoteJobs = %d, want %d (retry must reach the healthy worker)",
-			got.Stats.RemoteJobs, got.Stats.Partitions)
-	}
-	// Generous bound: 2 jobs × (one 10s hung attempt + solve + slack)
-	// stays under a minute; the uncapped behavior needed over 5 minutes
-	// per hung attempt.
-	if elapsed > 2*time.Minute {
-		t.Errorf("diagnosis took %v; the hung worker drained the budget", elapsed)
+
+	for _, mux := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		t.Run(fmt.Sprintf("mux=%v", mux), func(t *testing.T) {
+			coord := dist.Connect(dist.Config{Mux: mux, JobTimeout: 2 * time.Second, Retries: 1, Logf: t.Logf},
+				startBlackHoleWorker(t), startWorker(t))
+			defer coord.Close()
+
+			opts := partitionOpts()
+			opts.TotalTimeLimit = 5 * time.Minute // the budget a hung worker used to drain per attempt
+			type outcome struct {
+				rep *core.Repair
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				rep, err := coord.Diagnose(d0, log, complaints, opts)
+				done <- outcome{rep, err}
+			}()
+			var got *core.Repair
+			// 2 jobs × (one 2s hung attempt + solve + slack) stay far
+			// under the guard; a transport that ignores its attempt's
+			// context waits on the hung worker forever.
+			select {
+			case out := <-done:
+				if out.err != nil {
+					t.Fatal(out.err)
+				}
+				got = out.rep
+			case <-time.After(30 * time.Second):
+				t.Fatal("diagnosis still waiting on the hung worker after 30s; an attempt ignored its context")
+			}
+			if !got.Resolved {
+				t.Fatalf("diagnosis with a hung worker unresolved: %+v", got.Stats)
+			}
+			if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+				t.Errorf("hung-worker repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
+			}
+			if got.Stats.RemoteJobs != got.Stats.Partitions {
+				t.Errorf("RemoteJobs = %d, want %d (retry must reach the healthy worker)",
+					got.Stats.RemoteJobs, got.Stats.Partitions)
+			}
+		})
+		dist.CheckGoroutines(t, base)
 	}
 }
 
@@ -55,18 +77,27 @@ func TestDispatchBudgetCappedOnHungWorker(t *testing.T) {
 // first names the body (D0 and log) the connection already holds
 // instead of carrying it, run after run (each diagnosis has a body of
 // its own), while the repairs stay byte-identical to the local
-// reference; the worker's impact cache serves the jobs that share a
-// decoded body.
+// reference and every counter but the impact cache's equal to the first
+// run's, at GOMAXPROCS 1 and N; the worker's impact cache serves the
+// jobs that share a decoded body.
 func TestWorkerCacheRepeatJobsByteIdentical(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 	sch := d0.Schema()
+	runs := 6
+	if testing.Short() {
+		runs = 2
+	}
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 
 	// One worker, so all four partition jobs share one connection.
 	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, startWorker(t))
 	defer coord.Close()
 
-	for run := 1; run <= 2; run++ {
+	var first string
+	for run := 1; run <= runs; run++ {
+		runtime.GOMAXPROCS([]int{1, max(procs, 4)}[run%2])
 		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 		if err != nil {
 			t.Fatal(err)
@@ -83,6 +114,40 @@ func TestWorkerCacheRepeatJobsByteIdentical(t *testing.T) {
 		}
 		if got.Stats.ImpactCacheHits == 0 {
 			t.Errorf("run %d: worker impact cache never hit; jobs over one body re-planned from scratch", run)
+		}
+		// Jobs over one body solve concurrently on the worker, so how many
+		// of them found its impact closure already cached depends on timing.
+		st := got.Stats
+		st.ImpactCacheHits, st.ImpactCacheExtends = 0, 0
+		if c := counters(st); run == 1 {
+			first = c
+		} else if c != first {
+			t.Errorf("run %d: counters differ from run 1:\n got %s\nwant %s", run, c, first)
+		}
+	}
+}
+
+// counters renders every Stats field that is not a duration: what two
+// runs of one diagnosis must agree on.
+func counters(st core.Stats) string {
+	st.PartitionStats = slices.Clone(st.PartitionStats)
+	zeroDurations(reflect.ValueOf(&st).Elem())
+	return fmt.Sprintf("%+v", st)
+}
+
+func zeroDurations(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			zeroDurations(v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			zeroDurations(v.Index(i))
+		}
+	case reflect.Int64:
+		if v.Type() == reflect.TypeFor[time.Duration]() {
+			v.SetInt(0)
 		}
 	}
 }

@@ -74,7 +74,8 @@ func (e *encoder) widenWindow(pv milp.Var, lo, hi float64) {
 // flushWindows pins each parameter seen this query to its safe window.
 // Parameters are visited in variable order: bound updates are
 // independent per variable, but a sorted walk keeps the pass trivially
-// inside the detmap determinism contract.
+// deterministic, which core's TestSolverParallelMatchesSequential
+// checks by repetition.
 func (e *encoder) flushWindows() {
 	if len(e.windows) == 0 {
 		return

@@ -115,8 +115,9 @@ func (e *encoder) softObjective(t *tstate) {
 	// The map scan above yields the tuple's sigma variables in random
 	// order, and each one becomes a constraint row below: without this
 	// sort, MILP row order — and with it simplex pivoting and node/LP
-	// iteration counts — varied run to run on refinement paths. Found
-	// by detmap (qfix-vet).
+	// iteration counts — varies run to run on refinement paths, which
+	// core's TestSolverParallelMatchesSequential catches as a counter
+	// diff between repeated K=2 runs.
 	slices.Sort(sigmas)
 	for k := range e.sigmaTrue {
 		if k.Tuple == t.id {

@@ -57,7 +57,7 @@ func (r *Registry) Serve(l net.Listener, handle func(net.Conn)) error {
 	}
 	r.mu.Unlock()
 
-	//qfix:ctx-ok exits via StopAccepting/Close: the closed listener fails Accept
+	// exits via StopAccepting/Close: the closed listener fails Accept
 	for {
 		conn, err := l.Accept()
 		// Registration shares the critical section that checks for

@@ -158,6 +158,9 @@ type search struct {
 	lpIterLimits int
 	stopped      bool
 	unbounded    bool
+	// nodeLimit and timeLimit record which limit, if either, limitHit
+	// stopped the search on.
+	nodeLimit, timeLimit bool
 
 	// Tracing (driver-only). Node consumption is grouped into "nodes"
 	// spans of nodeBatch consumed nodes each — one span per node would
@@ -217,7 +220,7 @@ func (m *Model) Solve(opt Options) Result {
 		// Deadline enforcement is the one sanctioned wall-clock use in the
 		// solver: byte-identity is guaranteed for *completed* solves, and
 		// a time-limited stop is the documented divergence (ROADMAP PR 6).
-		s.deadline = time.Now().Add(opt.TimeLimit) //qfix:det-ok TimeLimit contract; divergence only on limit stops
+		s.deadline = time.Now().Add(opt.TimeLimit) // TimeLimit contract; divergence only on limit stops
 		s.hasDL = true
 	}
 
@@ -245,6 +248,8 @@ func (m *Model) Solve(opt Options) Result {
 		Refactorizations: s.refactors,
 		LPNumFails:       s.lpNumFails,
 		LPIterLimits:     s.lpIterLimits,
+		NodeLimitHit:     s.nodeLimit,
+		TimeLimitHit:     s.timeLimit,
 		PresolvedRows:    ps.rowsDropped,
 		PresolvedVars:    ps.varsFixed,
 	}
@@ -597,11 +602,11 @@ func (s *search) closeBatch() {
 
 func (s *search) limitHit() bool {
 	if s.nodes >= s.opt.MaxNodes {
-		s.stopped = true
+		s.stopped, s.nodeLimit = true, true
 		return true
 	}
-	if s.hasDL && time.Now().After(s.deadline) { //qfix:det-ok TimeLimit contract; divergence only on limit stops
-		s.stopped = true
+	if s.hasDL && time.Now().After(s.deadline) { // TimeLimit contract; divergence only on limit stops
+		s.stopped, s.timeLimit = true, true
 		return true
 	}
 	return false

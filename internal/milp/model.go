@@ -226,6 +226,11 @@ type Result struct {
 	// why an otherwise unlimited search reports Limit.
 	LPNumFails   int
 	LPIterLimits int
+	// NodeLimitHit and TimeLimitHit tell whether the search stopped on
+	// Options.MaxNodes or on Options.TimeLimit; a Limit status with
+	// neither set was caused by an LP exit.
+	NodeLimitHit bool
+	TimeLimitHit bool
 	// PresolvedRows and PresolvedVars count constraint rows dropped and
 	// variables fixed by the root presolve (zero under NoPresolve).
 	PresolvedRows int

@@ -46,7 +46,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 // frameconn.MaxFrame included), then fails whatever is still pending.
 func (c *Client) read() {
 	r := frameconn.NewReader(c.conn)
-	//qfix:ctx-ok exits via Close: the closed connection fails the read, failing all pending requests
+	// exits via Close: the closed connection fails the read, failing all pending requests
 	for {
 		resp := new(Response)
 		line, err := r.Next()

@@ -273,7 +273,7 @@ func (s *Service) lookup(name string) (*tenant, *histstore.Store, error) {
 	if !validTenant(name) {
 		return nil, nil, fmt.Errorf("qfixd: invalid tenant name %q", name)
 	}
-	now := time.Now() //qfix:det-ok eviction clock: decides cache residency only, never a diagnosis input
+	now := time.Now() // eviction clock: decides cache residency only, never a diagnosis input
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -301,7 +301,7 @@ func (s *Service) lookup(name string) (*tenant, *histstore.Store, error) {
 // release unpins a tenant after an operation; paired with every
 // successful lookup.
 func (s *Service) release(tn *tenant) {
-	now := time.Now() //qfix:det-ok eviction clock: decides cache residency only, never a diagnosis input
+	now := time.Now() // eviction clock: decides cache residency only, never a diagnosis input
 	tn.mu.Lock()
 	tn.refs--
 	tn.lastUse = now
@@ -402,7 +402,7 @@ func (s *Service) Create(name, table, key string, attrs []string, rows [][]float
 	if err != nil {
 		return err
 	}
-	//qfix:det-ok eviction clock: decides cache residency only, never a diagnosis input
+	// eviction clock: decides cache residency only, never a diagnosis input
 	s.tenants[name] = &tenant{store: store, lastUse: time.Now()}
 	mTenants.Set(int64(len(s.tenants)))
 	return nil
@@ -657,9 +657,9 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 		opt.Trace = root
 	}
 
-	start := time.Now() //qfix:det-ok latency metric and log line only; never a decision input
+	start := time.Now() // latency metric and log line only; never a decision input
 	rep, view, err := store.DiagnoseView(all, opt)
-	elapsed := time.Since(start) //qfix:det-ok latency metric and log line only; never a decision input
+	elapsed := time.Since(start) // latency metric and log line only; never a decision input
 	mDiagnoseSeconds.Observe(elapsed.Seconds())
 	if root != nil {
 		root.End()

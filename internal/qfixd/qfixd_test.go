@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -155,40 +156,82 @@ func checkRepair(t *testing.T, who string, resp *Response, wantLog []string, wan
 
 // The core acceptance test: a repair served by the daemon over the
 // network is byte-identical to the repair the qfix CLI computes on the
-// same history and complaints.
+// same history and complaints. It is also a determinism test: repeated
+// diagnoses, at GOMAXPROCS 1 and N, each on a fresh tenant so the engine
+// runs instead of the memo, carry the same repair and the same counters.
 func TestDaemonRepairMatchesCLI(t *testing.T) {
 	_, addr := startDaemon(t, Config{})
 	c := dialDaemon(t, addr)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-
 	sc := taxScenario(0)
-	seedTenant(t, c, "acme", sc)
 	wantLog, wantChanged, wantDist := cliRepair(t, sc)
+	repeats := 8
+	if testing.Short() {
+		repeats = 2
+	}
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
 
-	// Complaints staged via the complain op and complaints sent inline
-	// with the diagnose must answer identically.
-	resp, err := c.Diagnose("acme", nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	var first string
+	for r := 0; r < repeats; r++ {
+		runtime.GOMAXPROCS([]int{1, max(procs, 4)}[r%2])
+		// Complaints staged via the complain op and complaints sent
+		// inline with the diagnose must answer identically.
+		name, inline := fmt.Sprintf("acme%d", r), r/2%2 == 1
+		var resp *Response
+		var err error
+		if inline {
+			if err := c.Create(name, "Taxes", "", taxAttrs, sc.rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Append(name, sc.sql...); err != nil {
+				t.Fatal(err)
+			}
+			resp, err = c.Diagnose(name, sc.complaints, nil)
+		} else {
+			seedTenant(t, c, name, sc)
+			resp, err = c.Diagnose(name, nil, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRepair(t, fmt.Sprintf("repeat %d inline=%v", r, inline), resp, wantLog, wantChanged, wantDist)
+		if resp.Stats == nil {
+			t.Fatal("response carries no stats")
+		}
+		if cs := counters(*resp.Stats); r == 0 {
+			first = cs
+		} else if cs != first {
+			t.Errorf("repeat %d: counters differ from the first diagnosis:\n got %s\nwant %s", r, cs, first)
+		}
 	}
-	checkRepair(t, "staged", resp, wantLog, wantChanged, wantDist)
-	if resp.Stats == nil {
-		t.Error("response carries no stats")
-	}
+}
 
-	if err := c.Create("inline", "Taxes", "", taxAttrs, sc.rows); err != nil {
-		t.Fatal(err)
+// counters renders every Stats field that is not a duration: what two
+// runs of one diagnosis must agree on.
+func counters(st core.Stats) string {
+	st.PartitionStats = slices.Clone(st.PartitionStats)
+	zeroDurations(reflect.ValueOf(&st).Elem())
+	return fmt.Sprintf("%+v", st)
+}
+
+func zeroDurations(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			zeroDurations(v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			zeroDurations(v.Index(i))
+		}
+	case reflect.Int64:
+		if v.Type() == reflect.TypeFor[time.Duration]() {
+			v.SetInt(0)
+		}
 	}
-	if err := c.Append("inline", sc.sql...); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = c.Diagnose("inline", sc.complaints, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRepair(t, "inline", resp, wantLog, wantChanged, wantDist)
 }
 
 // Concurrent mixed-tenant load: several tenants with distinct

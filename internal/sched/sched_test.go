@@ -6,13 +6,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // pools returns the two inputs every OnPool contract test must hold
 // under: nil (a private pool per scan, closed by wait) and a shared
 // resident 2-worker pool. The determinism contract — results
 // adjudicated in submission order via per-job 1-buffered channels — is
-// the same code either way, and these tests pin it.
+// the same code either way; these tests pin it here, and core's
+// TestSolverParallelMatchesSequential end to end.
 func pools(t *testing.T) map[string]*Pool {
 	t.Helper()
 	p := NewPool(2)
@@ -172,5 +174,30 @@ func TestPoolCloseWaitsForAcceptedJobs(t *testing.T) {
 		if got := <-results[i]; got != i {
 			t.Errorf("results[%d] = %d, want %d", i, got, i)
 		}
+	}
+}
+
+// Close and wait end every goroutine the package started: a shared
+// pool's workers and feeders, a private pool's workers, and Workers'.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := NewPool(4)
+	results, wait := OnPool(p, 2, 16, nil, func(i int) int { return i })
+	wait()
+	for i := range results {
+		<-results[i]
+	}
+	_, wait = OnPool(nil, 3, 8, nil, func(i int) int { return i })
+	wait()
+	Workers(3, func(int) {})()
+	p.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines outlive Close (baseline %d):\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
