@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/testcheck"
 )
 
 // cancelSlack is how far past its budget a stopped diagnosis may
@@ -78,21 +79,5 @@ func TestDiagnoseHonorsTotalTimeLimit(t *testing.T) {
 	if st := rep.Stats; st.NodeLimitStops != 1 || st.TimeLimitStops != 0 {
 		t.Errorf("one-node limit: %d node and %d time limit stops, want 1 and 0", st.NodeLimitStops, st.TimeLimitStops)
 	}
-	checkGoroutines(t, base)
-}
-
-// checkGoroutines polls for up to 2 s until runtime.NumGoroutine is
-// back at base, then lists the survivors.
-func checkGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%d goroutines outlive the diagnoses (baseline %d):\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	testcheck.Goroutines(t, base)
 }

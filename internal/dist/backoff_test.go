@@ -9,6 +9,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/testcheck"
 )
 
 // unjittered is the capped exponential the jitter scales.
@@ -150,5 +152,5 @@ func TestMuxDialWaitHonorsCancel(t *testing.T) {
 	cancelFirst()
 	<-first
 	mt.Close()
-	CheckGoroutines(t, base)
+	testcheck.Goroutines(t, base)
 }

@@ -5,18 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/testcheck"
 )
 
-// The cancellation tests: a job stuck on a worker that never answers,
-// or in a worker's queue past its attempt window, ends when its context
-// does, within the budget plus slack, and whatever a transport or
-// server started is gone once it is closed.
+// The cancellation test: a job stuck on a worker that never answers
+// ends when its context does, within the budget plus slack, and
+// whatever the transport started is gone once it is closed. (A job that
+// reaches a worker past its attempt window is
+// TestDispatchStampsAttemptDeadline's.)
 
 // cancelGuard bounds how long a call under an ended context may take
 // before the test calls it hung.
@@ -64,28 +65,6 @@ func TestTransportHonorsCancel(t *testing.T) {
 				t.Fatalf("Do still waiting %v after its context was cancelled", cancelGuard)
 			}
 		})
-		dist.CheckGoroutines(t, base)
+		testcheck.Goroutines(t, base)
 	}
-}
-
-// TestWorkerRefusesExpiredAttempt sends a worker a job whose attempt
-// window has already closed when the frame arrives: the worker answers
-// at once with the deadline error instead of solving, and closing the
-// server leaves nothing behind.
-func TestWorkerRefusesExpiredAttempt(t *testing.T) {
-	base := runtime.NumGoroutine()
-	t.Run("expired", func(t *testing.T) {
-		job := oneJob(t)
-		job.AttemptTTLNS = 1
-		ctx, cancel := context.WithTimeout(context.Background(), cancelGuard)
-		defer cancel()
-		res, err := dist.Dial(startWorker(t)).Do(ctx, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(res.Err, context.DeadlineExceeded.Error()) {
-			t.Errorf("expired attempt answered err=%q resolved=%v, want the deadline error", res.Err, res.Resolved)
-		}
-	})
-	dist.CheckGoroutines(t, base)
 }

@@ -3,6 +3,9 @@ package dist
 import (
 	"context"
 	"math"
+	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/testcheck"
 )
 
 // tinySubproblem is a one-row, one-query instance the local engine
@@ -75,11 +79,13 @@ func (c *captureTransport) Close() error { return nil }
 // window: every shipped attempt carries its relative TTL plus a clamped
 // solve budget, and a worker that only dequeues a job past the window
 // (the server anchors the TTL at frame arrival and threads it through
-// the solve context) refuses it instead of solving dead work.
+// the solve context) refuses it instead of solving dead work, both in
+// the solve call and over a loopback connection. Closing the
+// coordinator, the transport and the server leaves no goroutine behind.
 func TestDispatchStampsAttemptDeadline(t *testing.T) {
+	base := runtime.NumGoroutine()
 	ct := &captureTransport{}
 	coord := NewCoordinator(Config{JobTimeout: time.Minute, Logf: t.Logf}, ct)
-	defer coord.Close()
 	rep, err := coord.SolvePartition(tinySubproblem(t))
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +115,35 @@ func TestDispatchStampsAttemptDeadline(t *testing.T) {
 	if res.Err == "" || res.Resolved {
 		t.Errorf("worker solved a job whose attempt window had closed: %+v", res)
 	}
+
+	// Over the wire: a window of 1 ns has closed by the time the server
+	// anchors it at frame arrival, so the worker answers the deadline
+	// error at once.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{Logf: t.Logf}
+	served := make(chan struct{})
+	go func() {
+		srv.Serve(l)
+		close(served)
+	}()
+	tr := Dial(l.Addr().String())
+	wire := job
+	wire.AttemptTTLNS = 1
+	ctx, cancelDo := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancelDo()
+	if res, err := tr.Do(ctx, &wire); err != nil {
+		t.Error(err)
+	} else if !strings.Contains(res.Err, context.DeadlineExceeded.Error()) {
+		t.Errorf("expired attempt answered err=%q resolved=%v, want the deadline error", res.Err, res.Resolved)
+	}
+	tr.Close()
+	srv.Close()
+	<-served
+	coord.Close()
+	testcheck.Goroutines(t, base)
 }
 
 // TestClampBudget pins how the attempt window threads into a worker

@@ -1,27 +1,4 @@
 package dist
 
-import (
-	"runtime"
-	"testing"
-	"time"
-)
-
 // BodySlots is bodySlots, for the external tests.
 const BodySlots = bodySlots
-
-// CheckGoroutines polls for up to 2 s until runtime.NumGoroutine is
-// back at base, then lists the survivors: whatever a transport, server
-// or coordinator started must be gone once it is closed.
-func CheckGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%d goroutines outlive Close (baseline %d):\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}

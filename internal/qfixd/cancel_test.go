@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/relation"
+	"repro/internal/testcheck"
 	"repro/internal/workload"
 )
 
@@ -22,22 +23,6 @@ import (
 // cancelGuard bounds how long a wait that should end with its context
 // may take before the test calls it hung.
 const cancelGuard = 10 * time.Second
-
-// checkGoroutines polls for up to 2 s until runtime.NumGoroutine is
-// back at base, then lists the survivors.
-func checkGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Errorf("%d goroutines outlive Close (baseline %d):\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
 
 // waitFor polls cond until it holds, failing the test after cancelGuard.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -71,9 +56,11 @@ func serve(t *testing.T, svc *Service) (srv *Server, addr string, stop func()) {
 	}
 }
 
-// heavyTenant creates a tenant over the first pinned solver instance
-// (core's TestSolverCountersPinned): Basic on it runs to its solve time
-// limit. It returns the instance's complaints.
+// heavyTenant creates a tenant over a generator instance whose joint
+// MILP Basic does not solve within seconds, so a diagnosis of it is
+// still in flight when the test acts; should the instance ever become
+// easy, the diagnosis answers first and the test fails. It returns the
+// instance's complaints.
 func heavyTenant(t *testing.T, svc *Service, name string) []core.Complaint {
 	t.Helper()
 	w, err := workload.Generate(workload.Config{ND: 118, Nq: 34, Range: 11, Seed: 1016})
@@ -144,7 +131,7 @@ func TestQueuedRequestLeavesWithItsClient(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	checkGoroutines(t, base)
+	testcheck.Goroutines(t, base)
 }
 
 // Shutdown under a context that has already ended returns that
@@ -190,5 +177,5 @@ func TestShutdownExpiredContextDoesNotWait(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	checkGoroutines(t, base)
+	testcheck.Goroutines(t, base)
 }

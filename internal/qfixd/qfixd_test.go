@@ -7,7 +7,6 @@ import (
 	"net"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -201,35 +200,17 @@ func TestDaemonRepairMatchesCLI(t *testing.T) {
 		if resp.Stats == nil {
 			t.Fatal("response carries no stats")
 		}
-		if cs := counters(*resp.Stats); r == 0 {
+		// The daemon resolves the solve options and runs the engine; the
+		// solver's work and how each solve ended must repeat. (Core's
+		// determinism test compares every counter of the engine.)
+		st := resp.Stats
+		cs := fmt.Sprintln(st.Rows, st.Vars, st.Binaries, st.BatchesTried, st.RelevantQueries, st.Nodes, st.LPIters,
+			st.Refactorizations, st.PresolvedRows, st.LPNumFails, st.LPIterLimits, st.NodeLimitStops, st.TimeLimitStops,
+			st.Replays, st.LastStatus)
+		if r == 0 {
 			first = cs
 		} else if cs != first {
 			t.Errorf("repeat %d: counters differ from the first diagnosis:\n got %s\nwant %s", r, cs, first)
-		}
-	}
-}
-
-// counters renders every Stats field that is not a duration: what two
-// runs of one diagnosis must agree on.
-func counters(st core.Stats) string {
-	st.PartitionStats = slices.Clone(st.PartitionStats)
-	zeroDurations(reflect.ValueOf(&st).Elem())
-	return fmt.Sprintf("%+v", st)
-}
-
-func zeroDurations(v reflect.Value) {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			zeroDurations(v.Field(i))
-		}
-	case reflect.Slice:
-		for i := 0; i < v.Len(); i++ {
-			zeroDurations(v.Index(i))
-		}
-	case reflect.Int64:
-		if v.Type() == reflect.TypeFor[time.Duration]() {
-			v.SetInt(0)
 		}
 	}
 }

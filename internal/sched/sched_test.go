@@ -6,7 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"repro/internal/testcheck"
 )
 
 // pools returns the two inputs every OnPool contract test must hold
@@ -191,13 +192,5 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	wait()
 	Workers(3, func(int) {})()
 	p.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines outlive Close (baseline %d):\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	testcheck.Goroutines(t, base)
 }
