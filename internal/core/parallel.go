@@ -92,7 +92,6 @@ func (d *diagnoser) incrementalParallel() (*Repair, error) {
 	// 1-buffered channel, even when skipped, so each receive completes;
 	// cancellation lives in the jobs (stop flag + deadline checks) and
 	// the merge MUST drain all of them for deterministic stats.
-	// receives always complete: jobs deliver even when skipped; jobs own cancellation
 	for bi := range batches {
 		out := <-results[bi]
 		d.mergeStats(out.stats)

@@ -310,7 +310,6 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 	// outcome (deadline-expired jobs deliver a "total-time-limit" stub),
 	// so the adjudication drain always completes; cancellation is the
 	// jobs' own deadline check.
-	// receives always complete: jobs deliver even on deadline expiry
 	for i := range parts {
 		out := <-results[i]
 		ps := PartitionStat{

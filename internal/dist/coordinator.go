@@ -43,12 +43,12 @@ type Config struct {
 const DefaultJobTimeout = 5 * time.Minute
 
 // Coordinator distributes partition subproblems over a set of worker
-// transports. It implements core.PartitionSolver: Install wires a
-// diagnosis's Options to it and the engine's partition scan ships every
-// subproblem through it. Planning, merging, conflict resolution, and
-// replay verification all stay in the engine — the coordinator is purely
-// a dispatch layer with retry and local fallback, so a diagnosis never
-// loses an instance the local engine can solve. The engine's scheduler
+// transports. Install wires a diagnosis's Options to a per-diagnosis
+// Solver and the engine's partition scan ships every subproblem through
+// it. Planning, merging, conflict resolution, and replay verification
+// all stay in the engine — the coordinator is purely a dispatch layer
+// with retry and local fallback, so a diagnosis never loses an instance
+// the local engine can solve. The engine's scheduler
 // starts partitions largest-first (see core's planPartitions size
 // estimate), so the coordinator ships the biggest MILPs to the fleet
 // first and the critical path is not a huge partition stuck at the back
@@ -61,13 +61,6 @@ type Coordinator struct {
 	nextJobID  atomic.Uint64
 	remoteJobs atomic.Int64
 	localJobs  atomic.Int64
-
-	// enc memoizes job encodings for callers that install the
-	// Coordinator itself as the PartitionSolver (one diagnosis at a
-	// time); concurrent diagnoses each get a private memo via Solver()
-	// so tenants sharing one coordinator never thrash or cross-read
-	// each other's encodings. See encMemo.
-	enc encMemo
 }
 
 // encMemo memoizes the wire encodings of one diagnosis's D0 and log:
@@ -143,6 +136,25 @@ func (c *Coordinator) LocalFallbacks() int { return int(c.localJobs.Load()) }
 // dispatch may wait on the wire before giving up on the fleet.
 const transportSlack = 10 * time.Second
 
+// Solver returns a per-diagnosis core.PartitionSolver over this
+// coordinator: it shares the coordinator's transports, round-robin
+// cursor, job IDs, and retry/fallback policy, but carries its own
+// encoding memo. It is the coordinator's only solver: Install and
+// Diagnose use it, and so do resident services (internal/qfixd) that
+// run many concurrent diagnoses — of different tenants, hence different
+// D0/log pairs — over one long-lived fleet: each diagnosis's partition
+// jobs share that diagnosis's encodings without evicting or racing any
+// other diagnosis's.
+func (c *Coordinator) Solver() core.PartitionSolver {
+	return &runSolver{c: c, enc: new(encMemo)}
+}
+
+// runSolver is one diagnosis's view of a shared Coordinator.
+type runSolver struct {
+	c   *Coordinator
+	enc *encMemo
+}
+
 // SolvePartition implements core.PartitionSolver: encode the subproblem,
 // offer it to workers round-robin with per-attempt timeouts, and fall
 // back to the in-process engine when every attempt fails. Remote repairs
@@ -154,39 +166,8 @@ const transportSlack = 10 * time.Second
 // same budget, not a fresh one each, and a fallback that starts with the
 // budget exhausted returns the engine's "total-time-limit" outcome
 // instead of solving on borrowed time.
-//
-// Installing the Coordinator itself runs all jobs against one shared
-// encoding memo, which is right for one diagnosis at a time; callers
-// multiplexing concurrent diagnoses over one coordinator should install
-// a per-diagnosis Solver() instead.
-func (c *Coordinator) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
-	return c.solvePartition(sub, &c.enc)
-}
-
-// Solver returns a per-diagnosis core.PartitionSolver over this
-// coordinator: it shares the coordinator's transports, round-robin
-// cursor, job IDs, and retry/fallback policy, but carries its own
-// encoding memo. This is the entry point for resident services
-// (internal/qfixd) that run many concurrent diagnoses — of different
-// tenants, hence different D0/log pairs — over one long-lived fleet:
-// each diagnosis's partition jobs share that diagnosis's encodings
-// without evicting or racing any other diagnosis's.
-func (c *Coordinator) Solver() core.PartitionSolver {
-	return &runSolver{c: c, enc: new(encMemo)}
-}
-
-// runSolver is one diagnosis's view of a shared Coordinator.
-type runSolver struct {
-	c   *Coordinator
-	enc *encMemo
-}
-
-// SolvePartition implements core.PartitionSolver.
 func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
-	return r.c.solvePartition(sub, r.enc)
-}
-
-func (c *Coordinator) solvePartition(sub core.Subproblem, enc *encMemo) (*core.Repair, error) {
+	c := r.c
 	// The engine hands each partition its own span via Options.Trace;
 	// dispatch attempts and the local fallback hang under it so a traced
 	// distributed run shows exactly where every partition's time went.
@@ -197,7 +178,7 @@ func (c *Coordinator) solvePartition(sub core.Subproblem, enc *encMemo) (*core.R
 	}
 	if len(c.transports) > 0 {
 		mDistJobs.Inc()
-		job, err := enc.encodeJob(c.nextJobID.Add(1), sub)
+		job, err := r.enc.encodeJob(c.nextJobID.Add(1), sub)
 		if err == nil {
 			if rep, ok := c.dispatch(job, sub.Log, deadline, sp); ok {
 				return rep, nil
@@ -383,11 +364,7 @@ func attemptTimeout(jobTimeout, remain time.Duration, attemptsLeft int) time.Dur
 }
 
 // encodeJob builds the wire job, memoizing the D0 and log encodings
-// and their body ID (see encMemo). The identity+witness keying means a
-// caller that mutates a table in place between diagnoses against the
-// SAME memo — only possible by installing the Coordinator directly as
-// the solver — should use a per-run Solver() or Diagnose, both of which
-// scope the memo to one run.
+// and their body ID (see encMemo).
 func (m *encMemo) encodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -448,5 +425,3 @@ func (c *Coordinator) logf(format string, args ...any) {
 		c.cfg.Logf(format, args...)
 	}
 }
-
-var _ core.PartitionSolver = (*Coordinator)(nil)

@@ -45,7 +45,7 @@ func TestDispatchCursorWraparound(t *testing.T) {
 	coord.next.Store(math.MaxUint64) // next Add(1) wraps the counter to 0
 
 	for i := 0; i < 3; i++ { // walk the cursor across the wrap boundary
-		rep, err := coord.SolvePartition(tinySubproblem(t))
+		rep, err := coord.Solver().SolvePartition(tinySubproblem(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestDispatchStampsAttemptDeadline(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ct := &captureTransport{}
 	coord := NewCoordinator(Config{JobTimeout: time.Minute, Logf: t.Logf}, ct)
-	rep, err := coord.SolvePartition(tinySubproblem(t))
+	rep, err := coord.Solver().SolvePartition(tinySubproblem(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,7 +250,7 @@ func TestDistributedExhaustedBudgetFallsThrough(t *testing.T) {
 	opts := partitionOpts()
 	opts.Candidates = []int{0}
 	opts.TotalTimeLimit = time.Nanosecond
-	rep, err := coord.SolvePartition(core.Subproblem{
+	rep, err := coord.Solver().SolvePartition(core.Subproblem{
 		D0: d0, Log: log, Complaints: complaints, Options: opts})
 	if err != nil {
 		t.Fatal(err)

@@ -355,7 +355,6 @@ func (t *MuxTransport) readLoop(conn net.Conn, gen uint64) {
 	// the conn closes (teardown or peer loss) or streams a line past
 	// frameconn.MaxFrame, and the pending-map send is 1-buffered, so the
 	// loop can neither outlive the link nor block.
-	// loop exits when the connection closes; sends are 1-buffered
 	for {
 		res := new(Result)
 		if err := r.Decode(res); err != nil {

@@ -80,9 +80,9 @@ func TestDistributedMuxWorkerKilledMidRun(t *testing.T) {
 // between two diagnoses on one coordinator: the persistent connection
 // breaks with the old process, the transport reconnects (after its
 // backoff) to the new one, and both runs pin byte-identical repairs.
-// Both runs go through the coordinator itself, so they share one body;
-// the new connection starts with empty tables, so its first frame must
-// carry that body again, or the new worker would refuse every job.
+// Both runs go through one Solver of the coordinator, so they share one
+// body; the new connection starts with empty tables, so its first frame
+// must carry that body again, or the new worker would refuse every job.
 func TestDistributedMuxReconnectAfterWorkerRestart(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
@@ -99,7 +99,7 @@ func TestDistributedMuxReconnectAfterWorkerRestart(t *testing.T) {
 	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, addr)
 	defer coord.Close()
 	opts := partitionOpts()
-	opts.PartitionSolver = coord
+	opts.PartitionSolver = coord.Solver()
 
 	got1, err := core.Diagnose(d0, log, complaints, opts)
 	if err != nil {

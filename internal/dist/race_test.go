@@ -40,12 +40,13 @@ func TestServerRace(t *testing.T) {
 	}
 }
 
-// TestEncMemoRace installs one coordinator itself as the partition
-// solver of two diagnoses of different histories running at once under
-// -race, so their concurrent partition jobs share, and keep replacing,
-// its encoding memo and the body ID it mints. A body ID must name one
-// encoding only: a job naming a body another job carried differently
-// would be solved over the wrong history on a mux worker.
+// TestEncMemoRace runs two diagnoses of different histories at once
+// under -race over one coordinator, each through its own per-diagnosis
+// Solver, so their concurrent partition jobs share the coordinator's
+// cursor and job IDs while each mints body IDs from its own encoding
+// memo. A body ID must name one encoding only: a job naming a body
+// another job carried differently would be solved over the wrong
+// history on a mux worker.
 func TestEncMemoRace(t *testing.T) {
 	bt := &bodyTransport{t: t, bodies: make(map[uint64]bodyEncoding)}
 	coord := NewCoordinator(Config{}, bt, bt)
@@ -53,8 +54,12 @@ func TestEncMemoRace(t *testing.T) {
 	for _, clusters := range []int{3, 4} {
 		d0, log, complaints := raceInstance(t, clusters)
 		opt := core.Options{Algorithm: core.Basic, TupleSlicing: true, QuerySlicing: true, Partition: 4,
-			TimeLimit: 30 * time.Second, PartitionSolver: coord}
-		ops = append(ops, func() { core.Diagnose(d0, log, complaints, opt) })
+			TimeLimit: 30 * time.Second}
+		ops = append(ops, func() {
+			opt := opt
+			opt.PartitionSolver = coord.Solver()
+			core.Diagnose(d0, log, complaints, opt)
+		})
 	}
 	hammer(3, ops...)
 	if _, zero := bt.bodies[0]; zero || len(bt.bodies) < 2 {

@@ -20,9 +20,7 @@ func (e *encoder) evalCond(c query.Cond, t *tstate, pc pctx) bval {
 		var rhs aff
 		if pv, ok := pc.predVars[v]; ok {
 			rhs = varAff(e.m, pv)
-			if !e.opt.noParamWindows {
-				e.widenWindow(pv, lhs.lo, lhs.hi)
-			}
+			e.widenWindow(pv, lhs.lo, lhs.hi)
 		} else {
 			rhs = constAff(v.RHS)
 		}
@@ -61,13 +59,6 @@ func (e *encoder) evalCond(c query.Cond, t *tstate, pc pctx) bval {
 // agree with plain replay whenever the operands are constants.
 func (e *encoder) predB(expr aff, op query.CmpOp) bval {
 	lo, hi := expr.lo, expr.hi
-	if e.opt.noFolding {
-		// Test reference: always emit the symbolic encoding. The big-M
-		// rows force the binary to the decided value when the interval
-		// is decisive, so this is equivalent but exhaustive.
-		return e.predBinary(expr, op, lo, hi)
-	}
-
 	// Constant folding on decisive intervals.
 	switch op {
 	case query.LE:
@@ -110,17 +101,11 @@ func (e *encoder) predB(expr aff, op query.CmpOp) bval {
 }
 
 // predBinary emits the big-M rows linking a fresh binary to "expr op 0".
+// predB folds every decisive interval first, so lo <= 0 <= hi here and
+// every big-M factor below has the sign its row needs.
 func (e *encoder) predBinary(expr aff, op query.CmpOp, lo, hi float64) bval {
 	lo = finiteOr(lo, e.M*4)
 	hi = finiteOr(hi, e.M*4)
-	// Decisive intervals can reach here only under noFolding; big-M factors
-	// of the wrong sign would corrupt the rows, so clamp to zero-width.
-	if hi < 0 {
-		hi = 0
-	}
-	if lo > 0 {
-		lo = 0
-	}
 	y := e.m.NewBinary()
 	yA := varAff(e.m, y)
 	switch op {

@@ -42,9 +42,8 @@ type encoder struct {
 
 	params    []ParamRef
 	paramOrig map[milp.Var]float64
-	sigma     map[SigmaKey]milp.Var
-	sigmaTrue map[SigmaKey]bool // folded-true σ of parameterized queries
-	affected  map[int64]milp.Var
+	sigma     map[sigmaKey]milp.Var
+	sigmaTrue map[sigmaKey]bool       // folded-true σ of parameterized queries
 	windows   map[milp.Var][2]float64 // predicate-parameter LHS ranges
 	stats     Stats
 }
@@ -133,13 +132,7 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 	e.stats.Vars = e.m.NumVars()
 	e.stats.Binaries = e.m.NumIntVars()
 	e.stats.TuplesTracked = len(e.order)
-	return &Result{
-		Model:    e.m,
-		Params:   e.params,
-		Sigma:    e.sigma,
-		Affected: e.affected,
-		Stats:    e.stats,
-	}, nil
+	return &Result{Model: e.m, Params: e.params, Stats: e.stats}, nil
 }
 
 // newEncoder sets up the encoder over the state before the first query:
@@ -153,9 +146,8 @@ func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, o
 		width:     d0.Schema().Width(),
 		tracked:   make(map[int64]*tstate),
 		paramOrig: make(map[milp.Var]float64),
-		sigma:     make(map[SigmaKey]milp.Var),
-		sigmaTrue: make(map[SigmaKey]bool),
-		affected:  make(map[int64]milp.Var),
+		sigma:     make(map[sigmaKey]milp.Var),
+		sigmaTrue: make(map[sigmaKey]bool),
 		windows:   make(map[milp.Var][2]float64),
 	}
 	e.M = opt.DomainBound
@@ -483,13 +475,19 @@ func (e *encoder) encodeInsert(qi int, q *query.Insert, pc pctx, newID int64) {
 	}
 }
 
-// noteSigma records σ literals of parameterized queries for diagnostics
-// and the refinement objective.
+// sigmaKey addresses the σ literal of (query index, tuple ID).
+type sigmaKey struct {
+	Query int
+	Tuple int64
+}
+
+// noteSigma records σ literals of parameterized queries for the
+// refinement objective.
 func (e *encoder) noteSigma(qi int, t *tstate, pc pctx, x bval) {
 	if !pc.on {
 		return
 	}
-	k := SigmaKey{Query: qi, Tuple: t.id}
+	k := sigmaKey{Query: qi, Tuple: t.id}
 	if x.known {
 		if x.b {
 			e.sigmaTrue[k] = true

@@ -60,7 +60,7 @@ func applyRepair(t *testing.T, log []query.Query, refs []ParamRef, vals []float6
 
 func solveEncoded(t *testing.T, res *Result) []float64 {
 	t.Helper()
-	mres, vals := res.Solve(30*time.Second, 0)
+	mres, vals := res.SolveOpts(milp.Options{TimeLimit: 30 * time.Second})
 	if !mres.HasSolution {
 		t.Fatalf("no solution: status=%v nodes=%d", mres.Status, mres.Nodes)
 	}
@@ -154,7 +154,7 @@ func TestIdentityRepairWhenNoComplaints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, vals := res.Solve(30*time.Second, 0)
+	mres, vals := res.SolveOpts(milp.Options{TimeLimit: 30 * time.Second})
 	if !mres.HasSolution {
 		t.Fatalf("status %v", mres.Status)
 	}
@@ -418,7 +418,7 @@ func TestInfeasibleComplaint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, _ := res.Solve(time.Second, 0)
+	mres, _ := res.SolveOpts(milp.Options{TimeLimit: time.Second})
 	if mres.Status != milp.Infeasible {
 		t.Errorf("status = %v, want infeasible", mres.Status)
 	}
@@ -437,7 +437,7 @@ func TestIncompleteComplaintSetBasicInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, _ := basicRes.Solve(10*time.Second, 0)
+	mres, _ := basicRes.SolveOpts(milp.Options{TimeLimit: 10 * time.Second})
 	if mres.Status != milp.Infeasible {
 		t.Errorf("basic with incomplete complaints: status = %v, want infeasible", mres.Status)
 	}
@@ -449,7 +449,7 @@ func TestIncompleteComplaintSetBasicInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, vals := slicedRes.Solve(10*time.Second, 0)
+	sres, vals := slicedRes.SolveOpts(milp.Options{TimeLimit: 10 * time.Second})
 	if !sres.HasSolution {
 		t.Fatalf("sliced: status = %v", sres.Status)
 	}
@@ -631,7 +631,7 @@ func TestQuickRepairResolvesComplaints(t *testing.T) {
 			t.Logf("seed %d: encode error: %v", seed, err)
 			return false
 		}
-		mres, vals := res.Solve(20*time.Second, 0)
+		mres, vals := res.SolveOpts(milp.Options{TimeLimit: 20 * time.Second})
 		if !mres.HasSolution {
 			// The true parameters are a feasible assignment, so this
 			// must not happen.
@@ -710,7 +710,7 @@ func TestQuickTrueParamsFeasible(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mres, _ := res.Solve(20*time.Second, 0)
+		mres, _ := res.SolveOpts(milp.Options{TimeLimit: 20 * time.Second})
 		if !mres.HasSolution {
 			t.Logf("seed %d: infeasible but truth is a witness", seed)
 			return false

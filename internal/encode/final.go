@@ -138,5 +138,4 @@ func (e *encoder) softObjective(t *tstate) {
 		e.m.AddGE([]milp.Term{{Var: aff, Coef: 1}, {Var: s, Coef: -1}}, 0)
 	}
 	e.m.SetObjCoef(aff, softWeight)
-	e.affected[t.id] = aff
 }

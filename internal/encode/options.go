@@ -2,7 +2,6 @@ package encode
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/milp"
 )
@@ -52,15 +51,6 @@ type Options struct {
 	// DomainBound M: bound on |values| and parameter deviation. Zero
 	// auto-sizes from the data and log (2×max|value| + 10).
 	DomainBound float64
-
-	// noFolding and noParamWindows are the encoder tests' references:
-	// noFolding encodes every σ evaluation and value update symbolically,
-	// as in a literal reading of the paper's Algorithm 1, and
-	// noParamWindows skips the predicate-parameter window tightening.
-	// Both change model sizes, never answers. Only this package's tests
-	// set them.
-	noFolding      bool
-	noParamWindows bool
 }
 
 const (
@@ -83,12 +73,6 @@ type ParamRef struct {
 	Var   milp.Var
 }
 
-// SigmaKey addresses the σ literal of (query index, tuple ID).
-type SigmaKey struct {
-	Query int
-	Tuple int64
-}
-
 // Stats summarizes encoding size, the quantities Figures 4–8 reason about.
 type Stats struct {
 	Rows          int // constraint rows
@@ -105,17 +89,11 @@ type Result struct {
 	// Params lists the repairable parameters in log order, those of one
 	// query together and in its canonical parameter order.
 	Params []ParamRef
-	// Sigma maps parameterized queries' symbolic σ literals; entries
-	// exist only where folding failed. Used by tests and diagnostics.
-	Sigma map[SigmaKey]milp.Var
-	// Affected holds, per soft tuple, the binary that indicates the
-	// repair touched it (refinement objective).
-	Affected map[int64]milp.Var
-	Stats    Stats
+	Stats  Stats
 }
 
-// Solve runs the model with the given limits and returns the repaired
-// parameter values (by Params order) when a solution exists.
+// SolveOpts runs the model with the given MILP options and returns the
+// repaired parameter values (by Params order) when a solution exists.
 //
 // Returned parameters are snapped: a value within 1e-6 of the original
 // parameter, an integer or a half-integer is rounded to it. LP solutions
@@ -123,11 +101,6 @@ type Result struct {
 // snapping, a repaired bound of 62.999999999999986 silently excludes a
 // tuple with value 63. Snapping is sound here because predicate sides
 // are separated by eps (0.5), far wider than the snap radius.
-func (r *Result) Solve(timeLimit time.Duration, maxNodes int) (milp.Result, []float64) {
-	return r.SolveOpts(milp.Options{TimeLimit: timeLimit, MaxNodes: maxNodes})
-}
-
-// SolveOpts is Solve with full control over the MILP options.
 func (r *Result) SolveOpts(opt milp.Options) (milp.Result, []float64) {
 	res := r.Model.Solve(opt)
 	if !res.HasSolution {

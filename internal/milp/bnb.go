@@ -382,9 +382,12 @@ func (s *search) bestPending() *node {
 	return best
 }
 
+// gap is the absolute objective gap for pruning.
+const gap = 1e-9
+
 // pruneLim is the objective value at or above which a node is pruned.
 func (s *search) pruneLim() float64 {
-	return s.incObj - s.opt.Gap
+	return s.incObj - gap
 }
 
 // process applies the driver's decision logic to a consumed node result.
@@ -435,7 +438,7 @@ func (s *search) process(n *node, sol simplex.Solution, end *simplex.Snapshot, e
 	if branch < 0 {
 		// Integer feasible within IntTol: snap, then re-vet the snapped
 		// point itself. The LP objective belongs to the unrounded
-		// iterate — rounding can move the objective past Gap (corrupting
+		// iterate — rounding can move the objective past gap (corrupting
 		// the stored bound and Result.Obj) and can violate a tight row by
 		// up to IntTol·‖row‖ — so the incumbent is re-priced on exactly
 		// the point being stored, and a point that snapping actually
@@ -471,9 +474,9 @@ func (s *search) process(n *node, sol simplex.Solution, end *simplex.Snapshot, e
 		// integer assignment infeasible here.
 		if px, ok := s.polish(n, x, end, env); ok {
 			s.admit(px)
-			if s.ps.prob.Objective(px)+s.fixedObj <= lpObj+s.opt.Gap {
+			if s.ps.prob.Objective(px)+s.fixedObj <= lpObj+gap {
 				// The polished point attains this subtree's LP bound:
-				// nothing below can beat it by more than Gap.
+				// nothing below can beat it by more than gap.
 				return true
 			}
 			// Absorbing the snap cost real objective: integer

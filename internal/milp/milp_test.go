@@ -429,7 +429,7 @@ func TestLPGiveUpsAreCounted(t *testing.T) {
 // Regression: the incumbent's objective must be recomputed from the
 // integer-snapped X, not copied from the unrounded LP iterate. Here the
 // LP optimum sits 1e-7 below an integer with a 1e6 objective weight, so
-// the rounding moves the true objective 0.1 past the default Gap (1e-9):
+// the rounding moves the true objective 0.1 past the pruning gap (1e-9):
 // the buggy path stored Obj = 1999999.9 for X = [2].
 func TestIncumbentObjectiveRecomputedFromSnappedX(t *testing.T) {
 	m := NewModel()

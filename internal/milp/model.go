@@ -162,8 +162,6 @@ type Options struct {
 	MaxNodes int
 	// IntTol is the integrality tolerance (default 1e-6).
 	IntTol float64
-	// Gap is the absolute objective gap for pruning (default 1e-9).
-	Gap float64
 	// LP passes options to the underlying simplex solves.
 	LP simplex.Options
 	// Parallel explores branch-and-bound nodes with this many concurrent
@@ -198,9 +196,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IntTol <= 0 {
 		o.IntTol = 1e-6
-	}
-	if o.Gap <= 0 {
-		o.Gap = 1e-9
 	}
 	return o
 }

@@ -52,7 +52,6 @@ func NewPool(n int) *Pool {
 			// Workers live until Close closes the queue. The pool's
 			// cancellation contract lives in the jobs, not the plumbing:
 			// jobs that should stop early check their own flag/deadline.
-			// exits via Close(): closed jobs channel ends the range
 			for f := range p.jobs {
 				f()
 			}
