@@ -219,7 +219,7 @@ func (d *diagnoser) partitioned() (*Repair, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	rep, err := d.mergePartitionRepairs(parts, reps)
+	rep, err := d.mergePartitionRepairs(reps)
 	return rep, true, err
 }
 
@@ -369,39 +369,29 @@ func (d *diagnoser) solveSub(cs []Complaint, o Options) (*Repair, error) {
 // disjoint query sets), Changed is unioned, and Stats were already
 // merged as results arrived. Safety nets, in order:
 //
-//   - conflicting parameter assignments to a shared query (impossible
-//     when partitions are true connected components, but checked
-//     defensively) → union the conflicting partitions and re-solve each
-//     union jointly; if conflicts somehow persist, solve everything
-//     jointly;
+//   - conflicting parameter assignments to a shared query → solve
+//     jointly. Partitions have disjoint candidate sets and each
+//     sub-diagnosis is pinned to its own (Options.Candidates), and the
+//     distributed coordinator rejects a result that changes a statement
+//     outside its job's candidates, so this is checked defensively;
 //   - a partition that failed to resolve → the joint outcome would be
 //     unresolved too, so return the identity repair unresolved, exactly
 //     like the sequential scan does;
 //   - the merged log fails full-complaint verification (cross-partition
 //     interference through tuples outside the complaint attributes) →
 //     fall back to a joint solve.
-func (d *diagnoser) mergePartitionRepairs(parts []partition, reps []*Repair) (*Repair, error) {
-	// The merge phase covers parameter stitching and conflict resolution;
-	// the merged log's verification replay is its own phase, and a
-	// fallback joint solve is charged to the phases it runs. The phase is
-	// stopped (exactly once per path) before any Stats snapshot.
+func (d *diagnoser) mergePartitionRepairs(reps []*Repair) (*Repair, error) {
+	// The merge phase covers parameter stitching; the merged log's
+	// verification replay is its own phase, and a fallback joint solve is
+	// charged to the phases it runs. The phase is stopped before any
+	// Stats snapshot.
 	mp := startPhase(d.span, "merge")
 	merged, conflicts := applyPartitionParams(d.log, reps)
+	d.stats.MergeTime += mp.stop()
 	if len(conflicts) > 0 {
 		d.stats.PartitionFallback = true
-		var err error
-		parts, reps, err = d.resolveConflicts(parts, reps, conflicts)
-		if err != nil {
-			d.stats.MergeTime += mp.stop()
-			return nil, err
-		}
-		merged, conflicts = applyPartitionParams(d.log, reps)
-		if len(conflicts) > 0 {
-			d.stats.MergeTime += mp.stop()
-			return d.solveJoint()
-		}
+		return d.solveJoint()
 	}
-	d.stats.MergeTime += mp.stop()
 
 	for _, rep := range reps {
 		if rep == nil || !rep.Resolved {
@@ -421,61 +411,6 @@ func (d *diagnoser) mergePartitionRepairs(parts []partition, reps []*Repair) (*R
 		return d.solveJoint()
 	}
 	return rep, nil
-}
-
-// resolveConflicts unions each group of partitions that fought over a
-// query's parameters and re-solves every union as one joint
-// sub-diagnosis; unconflicted partitions keep their existing repairs.
-func (d *diagnoser) resolveConflicts(parts []partition, reps []*Repair, conflicts [][2]int) ([]partition, []*Repair, error) {
-	uf := newUnionFind(len(parts))
-	for _, pr := range conflicts {
-		uf.union(pr[0], pr[1])
-	}
-	grouped := make(map[int][]int) // root -> member partition indices
-	var order []int
-	for i := range parts {
-		root := uf.find(i)
-		if len(grouped[root]) == 0 {
-			order = append(order, root)
-		}
-		grouped[root] = append(grouped[root], i)
-	}
-
-	var newParts []partition
-	var newReps []*Repair
-	var resolve []int // indices into newParts that need a fresh solve
-	for _, root := range order {
-		members := grouped[root]
-		if len(members) == 1 {
-			newParts = append(newParts, parts[members[0]])
-			newReps = append(newReps, reps[members[0]])
-			continue
-		}
-		var u partition
-		for _, mi := range members {
-			u.complaintIdx = append(u.complaintIdx, parts[mi].complaintIdx...)
-			u.candidates = append(u.candidates, parts[mi].candidates...)
-		}
-		sort.Ints(u.complaintIdx)
-		u.candidates = sortedUnique(u.candidates)
-		u.size = partitionSize(d.dirtyFinal.Len(), len(u.candidates), len(u.complaintIdx))
-		resolve = append(resolve, len(newParts))
-		newParts = append(newParts, u)
-		newReps = append(newReps, nil)
-	}
-
-	toSolve := make([]partition, len(resolve))
-	for i, pi := range resolve {
-		toSolve[i] = newParts[pi]
-	}
-	solved, err := d.solvePartitions(toSolve)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, pi := range resolve {
-		newReps[pi] = solved[i]
-	}
-	return newParts, newReps, nil
 }
 
 // applyPartitionParams overlays every partition repair's changed

@@ -263,9 +263,9 @@ func TestApplyPartitionParamsConflict(t *testing.T) {
 
 func TestMergeConflictFallsBackToJointSolve(t *testing.T) {
 	// Force the conflict path end-to-end: hand mergePartitionRepairs two
-	// fabricated repairs that disagree on query 0. resolveConflicts must
-	// union the partitions, re-solve jointly, and still produce a
-	// verified repair.
+	// fabricated repairs of the two partitions that disagree on query 0.
+	// The merge must give up on the partitions, solve jointly, and still
+	// produce a verified repair.
 	d0, dirty, _, complaints := clusterWorkload(t, 2, 4)
 	d := &diagnoser{
 		opt: Options{Algorithm: Basic, TupleSlicing: true,
@@ -292,7 +292,7 @@ func TestMergeConflictFallsBackToJointSolve(t *testing.T) {
 		}
 		return &Repair{Log: log, Changed: []int{0}, Resolved: true}
 	}
-	rep, err := d.mergePartitionRepairs(parts, []*Repair{bad(30), bad(50)})
+	rep, err := d.mergePartitionRepairs([]*Repair{bad(30), bad(50)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/frameconn"
-	"repro/internal/query"
 )
 
 // serveFrames writes frames, job frames one per line, to one
@@ -71,8 +70,8 @@ func serveFrames(t *testing.T, frames []byte) []Result {
 // to the worker's read loop. It must answer every job it reads and
 // never panic or hang (serveFrames). The seed corpus holds the frame
 // sequences of TestServeConnBodyTable: a job naming its body before any
-// frame carried it, a body named after eviction, and a body that fails
-// to decode.
+// frame carried it, a body named after eviction, a body that fails to
+// decode, and one nested past the parser's bound.
 func FuzzServeConn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frames []byte) { serveFrames(t, frames) })
 }
@@ -99,8 +98,12 @@ func bodySequences(t *testing.T) map[string]struct {
 		return job
 	}
 	malformed := carry(1, 3)
-	malformed.Log[0].Where = &wireCond{Op: "pred", Cmp: ">=", RHS: 1,
-		LHS: &wireExpr{Terms: []query.Term{{Attr: 5, Coef: 1}}}}
+	malformed.Log[0] = "UPDATE T SET a = 5 WHERE f >= 1"
+	// Nested past the parser's bound, which keeps a statement from
+	// recursing the worker off its stack.
+	nested := carry(1, 4)
+	nested.Log[0] = "UPDATE T SET a = 5 WHERE " +
+		strings.Repeat("(", 2000) + "a >= 200" + strings.Repeat(")", 2000)
 
 	var evict []*Job
 	for b := uint64(1); b <= bodySlots+1; b++ {
@@ -120,7 +123,10 @@ func bodySequences(t *testing.T) map[string]struct {
 		"reference-after-eviction": {evict, evictErrs},
 		"malformed-body": {
 			[]*Job{malformed, name(2, 3)},
-			[]string{"out of range", "out of range"}},
+			[]string{`unknown attribute "f"`, `unknown attribute "f"`}},
+		"nested-body": {
+			[]*Job{nested, name(2, 4), carry(3, 5)},
+			[]string{"nesting deeper than", "nesting deeper than", ""}},
 	}
 }
 

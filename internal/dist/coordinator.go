@@ -45,7 +45,7 @@ const DefaultJobTimeout = 5 * time.Minute
 // Coordinator distributes partition subproblems over a set of worker
 // transports. Install wires a diagnosis's Options to a per-diagnosis
 // Solver and the engine's partition scan ships every subproblem through
-// it. Planning, merging, conflict resolution, and replay verification
+// it. Planning, merging, conflict detection, and replay verification
 // all stay in the engine — the coordinator is purely a dispatch layer
 // with retry and local fallback, so a diagnosis never loses an instance
 // the local engine can solve. The engine's scheduler
@@ -66,8 +66,8 @@ type Coordinator struct {
 // encMemo memoizes the wire encodings of one diagnosis's D0 and log:
 // every partition job of a diagnosis carries the identical initial
 // state and log, so they are serialized once, named by one body ID and
-// shared read-only across jobs. A new body ID is minted whenever either
-// is re-encoded. Keyed by identity plus cheap mutation witnesses
+// shared read-only across jobs. A change to either re-encodes both under
+// a new body ID. Keyed by identity plus cheap mutation witnesses
 // (length, next ID); a memo is scoped to one diagnosis by construction
 // (Solver/Diagnose hand each run a fresh one), which is what makes a
 // single Coordinator safe to share across concurrent diagnoses of
@@ -81,8 +81,9 @@ type encMemo struct {
 	table  *wireTable      // guarded by mu
 	logPtr *query.Query    // guarded by mu
 	logLen int             // guarded by mu
-	log    []wireQuery     // guarded by mu
-	body   uint64          // guarded by mu — ID of (table, log); 0 once either is stale
+	log    []string        // guarded by mu
+	err    error           // guarded by mu — why log could not be encoded
+	body   uint64          // guarded by mu — ID of (table, log)
 }
 
 // NewCoordinator builds a coordinator over the given transports. With no
@@ -180,7 +181,7 @@ func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
 		mDistJobs.Inc()
 		job, err := r.enc.encodeJob(c.nextJobID.Add(1), sub)
 		if err == nil {
-			if rep, ok := c.dispatch(job, sub.Log, deadline, sp); ok {
+			if rep, ok := c.dispatch(job, sub, deadline, sp); ok {
 				return rep, nil
 			}
 		} else {
@@ -208,11 +209,11 @@ func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
 }
 
 // dispatch tries the job on up to 1+Retries distinct workers within the
-// job's deadline (zero = no budget, each attempt gets JobTimeout); log
-// is the subproblem's own log, which a result's repair is rebuilt onto.
-// ok=false means every attempt failed and the caller should solve
-// locally.
-func (c *Coordinator) dispatch(job *Job, log []query.Query, deadline time.Time, sp *obs.Span) (*core.Repair, bool) {
+// job's deadline (zero = no budget, each attempt gets JobTimeout); sub
+// is the subproblem the job encodes, whose own log a result's repair is
+// rebuilt onto. ok=false means every attempt failed and the caller
+// should solve locally.
+func (c *Coordinator) dispatch(job *Job, sub core.Subproblem, deadline time.Time, sp *obs.Span) (*core.Repair, bool) {
 	attempts := 1 + c.cfg.Retries
 	if attempts > len(c.transports) {
 		attempts = len(c.transports)
@@ -286,10 +287,10 @@ func (c *Coordinator) dispatch(job *Job, log []query.Query, deadline time.Time, 
 				budgetLeft(deadline), err)
 			continue
 		}
-		rep, err := repairOf(res, log)
+		rep, err := repairOf(res, sub.Log, sub.Options.Candidates)
 		if err != nil {
 			// Version mismatch, a worker-side solve error, or an answer
-			// that is not a repair of this job's log. A solve error would
+			// that is not a repair of this job. A solve error would
 			// hit the local engine too, but the local fallback keeps the
 			// no-lost-instances guarantee cheap to state, so take it
 			// rather than guessing.
@@ -363,29 +364,26 @@ func attemptTimeout(jobTimeout, remain time.Duration, attemptsLeft int) time.Dur
 	return timeout
 }
 
-// encodeJob builds the wire job, memoizing the D0 and log encodings
-// and their body ID (see encMemo).
+// encodeJob builds the wire job, memoizing the D0 and log encodings,
+// their body ID (see encMemo) and the error of a log that cannot be
+// encoded. The log prints over D0's schema, so a new D0 re-encodes both.
 func (m *encMemo) encodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.d0 != sub.D0 || m.d0Len != sub.D0.Len() || m.nextID != sub.D0.NextID() {
-		m.d0, m.d0Len, m.nextID = sub.D0, sub.D0.Len(), sub.D0.NextID()
-		t := encodeTable(sub.D0)
-		m.table, m.body = &t, 0
-	}
 	var logPtr *query.Query
 	if len(sub.Log) > 0 {
 		logPtr = &sub.Log[0]
 	}
-	if m.log == nil || m.logPtr != logPtr || m.logLen != len(sub.Log) {
-		logw, err := encodeLog(sub.Log)
-		if err != nil {
-			return nil, err
-		}
-		m.logPtr, m.logLen, m.log, m.body = logPtr, len(sub.Log), logw, 0
+	if m.d0 != sub.D0 || m.d0Len != sub.D0.Len() || m.nextID != sub.D0.NextID() ||
+		m.logPtr != logPtr || m.logLen != len(sub.Log) {
+		m.d0, m.d0Len, m.nextID = sub.D0, sub.D0.Len(), sub.D0.NextID()
+		m.logPtr, m.logLen = logPtr, len(sub.Log)
+		t := encodeTable(sub.D0)
+		m.table, m.body = &t, bodyIDs.Add(1)
+		m.log, m.err = encodeLog(sub.Log, sub.D0.Schema())
 	}
-	if m.body == 0 {
-		m.body = bodyIDs.Add(1)
+	if m.err != nil {
+		return nil, m.err
 	}
 	return &Job{
 		Version:    WireVersion,

@@ -59,6 +59,35 @@ func TestDispatchCursorWraparound(t *testing.T) {
 	}
 }
 
+// TestUnprintableNamesSolveLocally: the log crosses the wire as SQL
+// text, which names the table and its attributes bare. A schema with a
+// name that would not read back as itself is never dispatched: a
+// keyword, a name with a blank or a dash, or one that lexes as a number,
+// which would turn a SET from attribute 2024 into the constant 2024 on
+// the worker. EncodeJob refuses it and the partition solves locally.
+func TestUnprintableNamesSolveLocally(t *testing.T) {
+	for _, c := range []struct{ table, attr string }{
+		{"T", "2024"}, {"T", "1e3"}, {"T", "in"}, {"T", "net pay"}, {"T", "a-b"},
+		{"set", "a"}, {"", "a"},
+	} {
+		sub := tinySubproblem(t)
+		sub.D0 = relation.NewTable(relation.MustSchema(c.table, []string{c.attr}, ""))
+		sub.D0.MustInsert(100)
+		if _, err := EncodeJob(1, sub); err == nil || !strings.Contains(err.Error(), "not a plain SQL identifier") {
+			t.Errorf("table %q attribute %q: EncodeJob err = %v, want a refusal", c.table, c.attr, err)
+		}
+		coord := NewCoordinator(Config{Logf: t.Logf}, InProc{})
+		rep, err := coord.Solver().SolvePartition(sub)
+		if err != nil || !rep.Resolved {
+			t.Fatalf("table %q attribute %q: err=%v, want a local repair", c.table, c.attr, err)
+		}
+		if coord.RemoteJobs() != 0 || coord.LocalFallbacks() != 1 {
+			t.Errorf("table %q attribute %q: RemoteJobs=%d LocalFallbacks=%d, want 0 and 1",
+				c.table, c.attr, coord.RemoteJobs(), coord.LocalFallbacks())
+		}
+	}
+}
+
 // captureTransport records the jobs offered to it and answers like a
 // healthy remote worker (solving in process).
 type captureTransport struct {

@@ -351,9 +351,10 @@ func TestDistributedUnresolvedWorkerNotTrusted(t *testing.T) {
 }
 
 // TestDistributedMalformedResultFallsBackLocal answers every job with a
-// resolved result that is no repair of the job's log: a changed index
-// outside the log (either side), a parameter vector count that is not
-// the changed count, and a vector of the wrong arity for its statement.
+// resolved result that is no repair of the job: a changed index outside
+// the log (either side), a parameter vector count that is not the
+// changed count, a vector of the wrong arity for its statement, and a
+// changed statement outside the job's candidates (another partition's).
 // Each must be rejected like a version skew: every partition solves
 // locally and the repair is the local one, byte for byte.
 func TestDistributedMalformedResultFallsBackLocal(t *testing.T) {
@@ -366,15 +367,29 @@ func TestDistributedMalformedResultFallsBackLocal(t *testing.T) {
 		name    string
 		changed []int
 		params  [][]float64
+		// outside, when set, answers each job with a shifted repair of
+		// the last statement outside its candidates instead.
+		outside bool
 	}{
-		{"changed past the log", []int{999}, [][]float64{make([]float64, arity)}},
-		{"negative changed", []int{-1}, [][]float64{make([]float64, arity)}},
-		{"params count", []int{3}, nil},
-		{"wrong arity", []int{3}, [][]float64{make([]float64, arity+1)}},
+		{name: "changed past the log", changed: []int{999}, params: [][]float64{make([]float64, arity)}},
+		{name: "negative changed", changed: []int{-1}, params: [][]float64{make([]float64, arity)}},
+		{name: "params count", changed: []int{3}},
+		{name: "wrong arity", changed: []int{3}, params: [][]float64{make([]float64, arity+1)}},
+		{name: "changed outside the candidates", outside: true},
 	} {
 		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, answerTransport(func(job *dist.Job) *dist.Result {
+			changed, params := tc.changed, tc.params
+			if tc.outside {
+				q := len(log) - 1
+				for slices.Contains(job.Options.Candidates, q) {
+					q--
+				}
+				p := log[q].Params()
+				p[len(p)-1]++
+				changed, params = []int{q}, [][]float64{p}
+			}
 			return &dist.Result{Version: dist.WireVersion, ID: job.ID,
-				Changed: tc.changed, Params: tc.params, Resolved: true}
+				Changed: changed, Params: params, Resolved: true}
 		}))
 		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,47 +32,38 @@ var malformed = map[string]func(job map[string]any) bool{
 		return false
 	},
 	"where attribute": func(job map[string]any) bool {
-		for _, q := range job["log"].([]any) {
-			if w, ok := q.(map[string]any)["where"].(map[string]any); ok && widenPred(w, width(job)) {
-				return true
-			}
-		}
-		return false
+		return editLog(job, replaceOnce(" WHERE ", " WHERE "+unknownAttr+" + "))
 	},
 	"set expression attribute": func(job map[string]any) bool {
-		for _, q := range job["log"].([]any) {
-			if set, ok := q.(map[string]any)["set"].([]any); ok {
-				widenExpr(set[0].(map[string]any)["expr"].(map[string]any), width(job))
-				return true
+		return editLog(job, func(stmt string) string {
+			if !strings.HasPrefix(stmt, "UPDATE ") {
+				return stmt
 			}
-		}
-		return false
+			return strings.Replace(stmt, " = ", " = "+unknownAttr+" + ", 1)
+		})
 	},
 }
 
-func width(job map[string]any) int {
-	return len(job["d0"].(map[string]any)["attrs"].([]any))
-}
+// unknownAttr names an attribute no test table has.
+const unknownAttr = "zz"
 
-// widenExpr adds a term over attribute a to a wire expression.
-func widenExpr(expr map[string]any, a int) {
-	terms, _ := expr["terms"].([]any)
-	expr["terms"] = append(terms, map[string]any{"Attr": a, "Coef": 1})
-}
-
-// widenPred widens the first predicate of a wire condition tree.
-func widenPred(c map[string]any, a int) bool {
-	if c["op"] == "pred" {
-		widenExpr(c["lhs"].(map[string]any), a)
-		return true
-	}
-	kids, _ := c["kids"].([]any)
-	for _, k := range kids {
-		if widenPred(k.(map[string]any), a) {
+// editLog applies edit to the statements of a job frame's log, the SQL
+// text of each, and keeps the first one it changes; it reports whether
+// there was one.
+func editLog(job map[string]any, edit func(stmt string) string) bool {
+	log := job["log"].([]any)
+	for i, q := range log {
+		if stmt := edit(q.(string)); stmt != q {
+			log[i] = stmt
 			return true
 		}
 	}
 	return false
+}
+
+// replaceOnce is the statement edit that replaces the first old by new.
+func replaceOnce(old, new string) func(string) string {
+	return func(stmt string) string { return strings.Replace(stmt, old, new, 1) }
 }
 
 // rewriteJob applies f to a job frame.
@@ -88,9 +80,10 @@ func rewriteJob(raw []byte, f func(map[string]any) bool) ([]byte, error) {
 
 var errNothingToRewrite = &testError{}
 
-// DecodeJob refuses a statement over an attribute the table does not
-// have, wherever it names it; the SET target was already refused by
-// replay, the WHERE and the SET expression were indexed past the tuple.
+// DecodeJob refuses a statement the parser does not read back against
+// the table: one naming an attribute the table does not have, wherever
+// it names it, one that is not SQL of the grammar, and one over another
+// table.
 func TestDecodeJobRejectsAttributesOutsideTable(t *testing.T) {
 	job, err := dist.EncodeJob(1, fixtureSubproblem(t))
 	if err != nil {
@@ -100,27 +93,34 @@ func TestDecodeJobRejectsAttributesOutsideTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, f := range map[string]func(map[string]any) bool{
-		"where attribute":          malformed["where attribute"],
-		"set expression attribute": malformed["set expression attribute"],
-		"negative where attribute": func(job map[string]any) bool {
-			return widenPred(job["log"].([]any)[0].(map[string]any)["where"].(map[string]any), -1)
-		},
-		"set target": func(job map[string]any) bool {
-			job["log"].([]any)[0].(map[string]any)["set"].([]any)[0].(map[string]any)["attr"] = width(job)
-			return true
-		},
+	for _, tc := range []struct {
+		name, want string
+		edit       func(map[string]any) bool
+	}{
+		{"where attribute", `unknown attribute "zz"`, malformed["where attribute"]},
+		{"set expression attribute", `unknown attribute "zz"`, malformed["set expression attribute"]},
+		{"set target", `unknown attribute "zz"`, func(job map[string]any) bool {
+			return editLog(job, replaceOnce(" SET ", " SET "+unknownAttr+" = 1, "))
+		}},
+		{"syntax error", `found "SET"`, func(job map[string]any) bool {
+			return editLog(job, replaceOnce(" SET ", " SET SET "))
+		}},
+		{"table name", `unknown table "U"`, func(job map[string]any) bool {
+			return editLog(job, replaceOnce("UPDATE T ", "UPDATE U "))
+		}},
 	} {
-		bad, err := rewriteJob(raw, f)
+		bad, err := rewriteJob(raw, tc.edit)
 		if err != nil {
-			t.Fatal(name, err)
+			t.Fatal(tc.name, err)
 		}
 		var onWire dist.Job
 		if err := json.Unmarshal(bad, &onWire); err != nil {
-			t.Fatal(name, err)
+			t.Fatal(tc.name, err)
 		}
 		if _, err := dist.DecodeJob(&onWire); err == nil {
-			t.Errorf("%s: DecodeJob accepted the job", name)
+			t.Errorf("%s: DecodeJob accepted the job", tc.name)
+		} else if !strings.Contains(err.Error(), "query 0: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeJob error %q, want one on query 0 saying %q", tc.name, err, tc.want)
 		}
 	}
 }

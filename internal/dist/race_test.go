@@ -70,7 +70,7 @@ func TestEncMemoRace(t *testing.T) {
 // bodyEncoding is the identity of one body's wire encoding.
 type bodyEncoding struct {
 	d0  *wireTable
-	log *wireQuery
+	log *string
 }
 
 // bodyTransport solves in process, recording the encoding every body

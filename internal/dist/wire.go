@@ -2,12 +2,13 @@
 // processes. The engine in internal/core already decomposes a diagnosis
 // into independent partition subproblems; here a Coordinator runs
 // planning locally, serializes each partition as a self-contained Job
-// (initial state, log, complaint subset, pinned sub-Options), and
-// dispatches jobs to workers over a versioned wire protocol. Results
-// merge through the engine's conflict-detection and joint-fallback path,
-// so the final repair is always replay-verified, and any job whose
-// worker dies or times out mid-solve falls back to the local engine —
-// distribution never loses an instance local diagnosis can solve.
+// (initial state, the log as SQL text, complaint subset, pinned
+// sub-Options), and dispatches jobs to workers over a versioned wire
+// protocol. Results merge through the engine's conflict-detection and
+// joint-fallback path, so the final repair is always replay-verified,
+// and any job whose worker dies or times out mid-solve falls back to the
+// local engine — distribution never loses an instance local diagnosis
+// can solve.
 //
 // Three transports implement Transport: InProc (the zero-network case,
 // a harness for the codec round trip), TCP (one connection per job) and
@@ -35,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/sqlparse"
 )
 
 // WireVersion is the protocol generation this binary speaks: a
@@ -45,7 +47,7 @@ import (
 // sides reject frames of any other version (the coordinator then solves
 // the job locally), so bump it on any incompatible change to the frame
 // types below.
-const WireVersion = 4
+const WireVersion = 5
 
 // bodySlots is how many bodies each end of a connection holds. It is a
 // protocol constant, not a setting: the coordinator decides which jobs
@@ -65,6 +67,10 @@ var bodyIDs atomic.Uint64
 // D0 and Log are the body. They are present only when the receiving
 // connection does not hold body Body yet; a frame carries its body iff
 // it has D0. Dial-per-job and in-process transports always carry it.
+// Log is SQL text, one statement per entry as query.Query.String prints
+// it over D0's schema; the worker parses it back with internal/sqlparse,
+// the one statement format of the CLI log, histstore and qfixd. A schema
+// whose names that text cannot carry is not encoded (EncodeJob).
 type Job struct {
 	Version int    `json:"version"`
 	ID      uint64 `json:"id"`
@@ -83,7 +89,7 @@ type Job struct {
 	// its write deadline. Advisory: correctness never depends on it.
 	AttemptTTLNS int64            `json:"attempt_ttl_ns,omitempty"`
 	D0           *wireTable       `json:"d0,omitempty"`
-	Log          []wireQuery      `json:"log,omitempty"`
+	Log          []string         `json:"log,omitempty"`
 	Complaints   []core.Complaint `json:"complaints"`
 	Options      wireOptions      `json:"options"`
 }
@@ -134,197 +140,16 @@ func decodeTable(w wireTable) (*relation.Table, error) {
 	return relation.NewTableFromRows(s, w.Rows, w.NextID)
 }
 
-// wireQuery serializes one query.Query. Kind selects which fields apply.
-type wireQuery struct {
-	Kind   string    `json:"kind"` // "update" | "insert" | "delete"
-	Set    []wireSet `json:"set,omitempty"`
-	Where  *wireCond `json:"where,omitempty"`
-	Values []float64 `json:"values,omitempty"`
-}
-
-type wireSet struct {
-	Attr int      `json:"attr"`
-	Expr wireExpr `json:"expr"`
-}
-
-type wireExpr struct {
-	Terms []query.Term `json:"terms,omitempty"`
-	Const float64      `json:"const"`
-}
-
-func encodeExpr(e query.LinExpr) wireExpr {
-	return wireExpr{Terms: append([]query.Term(nil), e.Terms...), Const: e.Const}
-}
-
-func decodeExpr(w wireExpr) query.LinExpr {
-	return query.NewLinExpr(w.Const, w.Terms...)
-}
-
-// wireCond serializes the WHERE-condition tree.
-type wireCond struct {
-	Op   string     `json:"op"` // "true" | "pred" | "and" | "or"
-	LHS  *wireExpr  `json:"lhs,omitempty"`
-	Cmp  string     `json:"cmp,omitempty"` // "=" | "<=" | ">=" | "<" | ">"
-	RHS  float64    `json:"rhs,omitempty"`
-	Kids []wireCond `json:"kids,omitempty"`
-}
-
-func encodeCond(c query.Cond) (*wireCond, error) {
-	switch v := c.(type) {
-	case query.True:
-		return &wireCond{Op: "true"}, nil
-	case *query.Pred:
-		lhs := encodeExpr(v.LHS)
-		return &wireCond{Op: "pred", LHS: &lhs, Cmp: v.Op.String(), RHS: v.RHS}, nil
-	case *query.And:
-		kids, err := encodeConds(v.Kids)
-		if err != nil {
-			return nil, err
-		}
-		return &wireCond{Op: "and", Kids: kids}, nil
-	case *query.Or:
-		kids, err := encodeConds(v.Kids)
-		if err != nil {
-			return nil, err
-		}
-		return &wireCond{Op: "or", Kids: kids}, nil
+// encodeLog prints each statement as the SQL the worker parses back
+// against the body's table (decodeBody). It refuses a schema whose
+// names would not read back as the same names.
+func encodeLog(log []query.Query, sch *relation.Schema) ([]string, error) {
+	if err := sqlparse.CheckSchema(sch); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("dist: unsupported condition type %T", c)
-}
-
-func encodeConds(kids []query.Cond) ([]wireCond, error) {
-	out := make([]wireCond, len(kids))
-	for i, k := range kids {
-		w, err := encodeCond(k)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = *w
-	}
-	return out, nil
-}
-
-func decodeCond(w *wireCond) (query.Cond, error) {
-	if w == nil {
-		return query.True{}, nil
-	}
-	switch w.Op {
-	case "true":
-		return query.True{}, nil
-	case "pred":
-		if w.LHS == nil {
-			return nil, fmt.Errorf("dist: predicate without LHS")
-		}
-		op, err := decodeCmp(w.Cmp)
-		if err != nil {
-			return nil, err
-		}
-		return query.NewPred(decodeExpr(*w.LHS), op, w.RHS), nil
-	case "and":
-		kids, err := decodeConds(w.Kids)
-		if err != nil {
-			return nil, err
-		}
-		return query.NewAnd(kids...), nil
-	case "or":
-		kids, err := decodeConds(w.Kids)
-		if err != nil {
-			return nil, err
-		}
-		return query.NewOr(kids...), nil
-	}
-	return nil, fmt.Errorf("dist: unknown condition op %q", w.Op)
-}
-
-func decodeConds(ws []wireCond) ([]query.Cond, error) {
-	out := make([]query.Cond, len(ws))
-	for i := range ws {
-		k, err := decodeCond(&ws[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = k
-	}
-	return out, nil
-}
-
-func decodeCmp(s string) (query.CmpOp, error) {
-	for _, op := range []query.CmpOp{query.EQ, query.LE, query.GE, query.LT, query.GT} {
-		if op.String() == s {
-			return op, nil
-		}
-	}
-	return 0, fmt.Errorf("dist: unknown comparison operator %q", s)
-}
-
-func encodeQuery(q query.Query) (wireQuery, error) {
-	switch v := q.(type) {
-	case *query.Update:
-		set := make([]wireSet, len(v.Set))
-		for i, sc := range v.Set {
-			set[i] = wireSet{Attr: sc.Attr, Expr: encodeExpr(sc.Expr)}
-		}
-		where, err := encodeCond(v.Where)
-		if err != nil {
-			return wireQuery{}, err
-		}
-		return wireQuery{Kind: "update", Set: set, Where: where}, nil
-	case *query.Insert:
-		return wireQuery{Kind: "insert", Values: append([]float64(nil), v.Values...)}, nil
-	case *query.Delete:
-		where, err := encodeCond(v.Where)
-		if err != nil {
-			return wireQuery{}, err
-		}
-		return wireQuery{Kind: "delete", Where: where}, nil
-	}
-	return wireQuery{}, fmt.Errorf("dist: unsupported query type %T", q)
-}
-
-func decodeQuery(w wireQuery) (query.Query, error) {
-	switch w.Kind {
-	case "update":
-		set := make([]query.SetClause, len(w.Set))
-		for i, sc := range w.Set {
-			set[i] = query.SetClause{Attr: sc.Attr, Expr: decodeExpr(sc.Expr)}
-		}
-		where, err := decodeCond(w.Where)
-		if err != nil {
-			return nil, err
-		}
-		return query.NewUpdate(set, where), nil
-	case "insert":
-		return query.NewInsert(w.Values...), nil
-	case "delete":
-		where, err := decodeCond(w.Where)
-		if err != nil {
-			return nil, err
-		}
-		return query.NewDelete(where), nil
-	}
-	return nil, fmt.Errorf("dist: unknown query kind %q", w.Kind)
-}
-
-func encodeLog(log []query.Query) ([]wireQuery, error) {
-	out := make([]wireQuery, len(log))
+	out := make([]string, len(log))
 	for i, q := range log {
-		w, err := encodeQuery(q)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		out[i] = w
-	}
-	return out, nil
-}
-
-func decodeLog(ws []wireQuery) ([]query.Query, error) {
-	out := make([]query.Query, len(ws))
-	for i, w := range ws {
-		q, err := decodeQuery(w)
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-		out[i] = q
+		out[i] = q.String(sch)
 	}
 	return out, nil
 }
@@ -387,9 +212,10 @@ func decodeOptions(w wireOptions) core.Options {
 }
 
 // EncodeJob packages a partition subproblem for the wire, carrying its
-// body under a freshly minted ID.
+// body under a freshly minted ID. It fails when D0's schema has a name
+// the log's SQL text cannot carry (sqlparse.CheckSchema).
 func EncodeJob(id uint64, sub core.Subproblem) (*Job, error) {
-	log, err := encodeLog(sub.Log)
+	log, err := encodeLog(sub.Log, sub.D0.Schema())
 	if err != nil {
 		return nil, err
 	}
@@ -406,8 +232,9 @@ func EncodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 }
 
 // DecodeJob reconstructs the subproblem of a job that carries its body,
-// rejecting any protocol version but WireVersion and any statement
-// naming an attribute the table does not have.
+// rejecting any protocol version but WireVersion and any statement that
+// does not parse against the table's schema, such as one naming an
+// attribute the table does not have.
 func DecodeJob(j *Job) (core.Subproblem, error) {
 	if err := checkVersion("job", j.Version); err != nil {
 		return core.Subproblem{}, err
@@ -447,12 +274,9 @@ func decodeBody(j *Job) *body {
 	if err != nil {
 		return &body{err: err}
 	}
-	log, err := decodeLog(j.Log)
-	if err != nil {
-		return &body{err: err}
-	}
-	for i, q := range log {
-		if err := checkAttrs(q, d0.Schema().Width()); err != nil {
+	log := make([]query.Query, len(j.Log))
+	for i, stmt := range j.Log {
+		if log[i], err = sqlparse.Parse(d0.Schema(), stmt); err != nil {
 			return &body{err: fmt.Errorf("query %d: %w", i, err)}
 		}
 	}
@@ -467,28 +291,6 @@ func (b *body) subproblem(j *Job) core.Subproblem {
 		Complaints: j.Complaints,
 		Options:    decodeOptions(j.Options),
 	}
-}
-
-// checkAttrs rejects a statement that names an attribute outside the
-// table, in its WHERE, a SET target or a SET expression: replaying it
-// would index past the tuple.
-func checkAttrs(q query.Query, width int) error {
-	var attrs []int
-	switch v := q.(type) {
-	case *query.Update:
-		for _, sc := range v.Set {
-			attrs = append(sc.Expr.Attrs(attrs), sc.Attr)
-		}
-		attrs = query.CondAttrs(v.Where, attrs)
-	case *query.Delete:
-		attrs = query.CondAttrs(v.Where, nil)
-	}
-	for _, a := range attrs {
-		if a < 0 || a >= width {
-			return fmt.Errorf("dist: attribute %d out of range [0,%d)", a, width)
-		}
-	}
-	return nil
 }
 
 // EncodeResult packages a solved repair (or a solver error) for the
@@ -534,11 +336,13 @@ func DecodeResult(res *Result) (*core.Repair, error) {
 
 // repairOf decodes a result and rebuilds its repair onto log, the job's
 // own log, copy-on-write: the repair shares every statement it did not
-// change. A result that cannot be a repair of log is rejected: a
+// change. A result that cannot be a repair of the job is rejected: a
 // parameter vector per changed statement, each index inside the log and
 // each vector of its statement's arity, or the partition merge would
-// index past the log or the statement.
-func repairOf(res *Result, log []query.Query) (*core.Repair, error) {
+// index past the log or the statement; and each index among candidates,
+// the job's pinned repair candidates (nil: any statement), or two
+// partitions could both claim one statement.
+func repairOf(res *Result, log []query.Query, candidates []int) (*core.Repair, error) {
 	rep, err := DecodeResult(res)
 	if err != nil {
 		return nil, err
@@ -551,6 +355,9 @@ func repairOf(res *Result, log []query.Query) (*core.Repair, error) {
 	for i, qi := range rep.Changed {
 		if qi < 0 || qi >= len(log) {
 			return nil, fmt.Errorf("dist: result changes statement %d of a %d-statement log", qi, len(log))
+		}
+		if candidates != nil && !slices.Contains(candidates, qi) {
+			return nil, fmt.Errorf("dist: result changes statement %d outside the job's candidates", qi)
 		}
 		rep.Log[qi] = log[qi].Clone()
 		if err := rep.Log[qi].SetParams(res.Params[i]); err != nil {

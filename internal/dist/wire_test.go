@@ -11,6 +11,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/sqlparse"
 	"repro/internal/wirelock"
 )
 
@@ -23,7 +24,8 @@ func TestWireLock(t *testing.T) {
 // fixtureSubproblem builds a subproblem exercising every wire case:
 // a table with a deleted row (the ID counter must survive the trip),
 // all three statement kinds, nested AND/OR conditions with every
-// comparison operator, and a fully populated option set.
+// comparison operator, the AND shapes the parser flattens, and a fully
+// populated option set.
 func fixtureSubproblem(t *testing.T) core.Subproblem {
 	t.Helper()
 	sch := relation.MustSchema("T", []string{"a", "b", "c"}, "a")
@@ -53,6 +55,9 @@ func fixtureSubproblem(t *testing.T) core.Subproblem {
 		query.NewInsert(4, 40, 400),
 		query.NewDelete(query.AttrPred(1, query.GT, 1000)),
 		query.NewUpdate([]query.SetClause{{Attr: 0, Expr: query.AttrExpr(0)}}, nil), // no WHERE
+		// An AND of one predicate and an empty one parse back flattened.
+		query.NewDelete(query.NewAnd(query.AttrPred(2, query.LT, 0))),
+		query.NewUpdate([]query.SetClause{{Attr: 2, Expr: query.ConstExpr(-0.25)}}, query.NewAnd()),
 	}
 
 	return core.Subproblem{
@@ -113,11 +118,16 @@ func TestJobRoundTrip(t *testing.T) {
 		t.Errorf("schema key = %d, want %d", got.D0.Schema().Key(), sub.D0.Schema().Key())
 	}
 
-	// Log: same structure (rendered SQL) and same replay semantics.
+	// Log: each statement as the parser reads its SQL back, with the
+	// same parameters (so a result's vectors map back onto the job's
+	// own log), and the same replay semantics.
 	sch := sub.D0.Schema()
-	for i := range sub.Log {
-		if w, g := sub.Log[i].String(sch), got.Log[i].String(sch); w != g {
-			t.Errorf("query %d: %q != %q", i, g, w)
+	for i, q := range sub.Log {
+		if want := sqlparse.MustParse(sch, q.String(sch)); !reflect.DeepEqual(got.Log[i], want) {
+			t.Errorf("query %d: %s, want %s", i, tree(got.Log[i]), tree(want))
+		}
+		if g, w := got.Log[i].Params(), q.Params(); !reflect.DeepEqual(g, w) {
+			t.Errorf("query %d: params %v, want %v", i, g, w)
 		}
 	}
 	wantFinal, err := query.Replay(sub.Log, sub.D0)

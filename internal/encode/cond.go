@@ -16,7 +16,6 @@ func (e *encoder) evalCond(c query.Cond, t *tstate, pc pctx) bval {
 		for _, tm := range v.LHS.Terms {
 			lhs = lhs.add(e.valOf(t, tm.Attr).scale(tm.Coef))
 		}
-		lhs = lhs.add(constAff(v.LHS.Const))
 		var rhs aff
 		if pv, ok := pc.predVars[v]; ok {
 			rhs = varAff(e.m, pv)

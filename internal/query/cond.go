@@ -71,8 +71,13 @@ type Pred struct {
 	RHS float64
 }
 
-// NewPred builds a predicate.
+// NewPred builds a predicate in the canonical form the parser produces:
+// LHS's constant is folded into RHS, so "3*a - 2 <= -7" is stored as
+// "3*a <= -5". The printed SQL then parses back to the same predicate,
+// parameter included.
 func NewPred(lhs LinExpr, op CmpOp, rhs float64) *Pred {
+	rhs -= lhs.Const
+	lhs.Const = 0
 	return &Pred{LHS: lhs, Op: op, RHS: rhs}
 }
 

@@ -86,7 +86,7 @@ func newExecutor(log []Query, tb *relation.Table) *executor {
 // pointAttr reports the attribute p selects on when p is "attr = c"
 // over an attribute of the schema.
 func (x *executor) pointAttr(p *Pred) (int, bool) {
-	if p.Op != EQ || p.LHS.Const != 0 || len(p.LHS.Terms) != 1 || p.LHS.Terms[0].Coef != 1 {
+	if p.Op != EQ || len(p.LHS.Terms) != 1 || p.LHS.Terms[0].Coef != 1 {
 		return 0, false
 	}
 	a := p.LHS.Terms[0].Attr

@@ -20,6 +20,23 @@ type Parser struct {
 	// sees the end of the input, and the parse returns this error whatever
 	// the grammar made of that.
 	lexErr error
+	depth  int // open parentheses and unary minuses around the cursor
+}
+
+// maxNesting bounds how deeply parentheses and unary minuses may nest.
+// The parser recurses once per level, so without a bound a statement of
+// a few million "- " would exhaust the goroutine stack, which no recover
+// catches; past the bound the statement is an error like any other.
+const maxNesting = 1000
+
+// nest enters one more level of nesting, or reports the statement too
+// deep; each successful call is paired with a p.depth-- on the way out.
+func (p *Parser) nest() error {
+	if p.depth >= maxNesting {
+		return p.errf("nesting deeper than %d", maxNesting)
+	}
+	p.depth++
+	return nil
 }
 
 // Parse parses a single statement.
@@ -161,6 +178,21 @@ func (p *Parser) resolveAttr(name string) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// CheckSchema reports whether statements over s print as SQL that
+// parses back against s. query.Query.String prints names bare, so the
+// table name and every attribute name must each lex as one identifier
+// that is not a keyword: "in" or "net pay" would not parse, and "2024"
+// would read back as a number.
+func CheckSchema(s *relation.Schema) error {
+	for _, name := range append([]string{s.Name()}, s.Attrs()...) {
+		t, end, err := lex(name, 0)
+		if err != nil || t.kind != tokIdent || t.pos != 0 || end != len(name) {
+			return fmt.Errorf("sqlparse: name %q is not a plain SQL identifier", name)
+		}
+	}
+	return nil
 }
 
 func (p *Parser) tableName() error {
@@ -320,13 +352,18 @@ func (p *Parser) condUnit() (query.Cond, error) {
 		return query.NewOr(), nil
 	}
 	if p.at(tokSymbol, "(") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		tok, off := p.tok, p.off
 		p.next()
 		cond, err := p.orCond()
 		if err == nil {
-			if _, err2 := p.expect(tokSymbol, ")"); err2 == nil {
-				return cond, nil
-			}
+			_, err = p.expect(tokSymbol, ")")
+		}
+		p.depth--
+		if err == nil {
+			return cond, nil
 		}
 		p.tok, p.off = tok, off // reparse as arithmetic predicate
 	}
@@ -502,7 +539,19 @@ func (p *Parser) factor() (query.LinExpr, error) {
 			return query.LinExpr{}, fmt.Errorf("sqlparse: unknown attribute %q", t.text)
 		}
 		return query.AttrExpr(attr), nil
-	case p.accept(tokSymbol, "("):
+	case t.kind == tokSymbol && (t.text == "(" || t.text == "-"):
+		if err := p.nest(); err != nil {
+			return query.LinExpr{}, err
+		}
+		defer func() { p.depth-- }()
+		p.next()
+		if t.text == "-" {
+			e, err := p.factor()
+			if err != nil {
+				return query.LinExpr{}, err
+			}
+			return e.Scale(-1), nil
+		}
 		e, err := p.linExpr()
 		if err != nil {
 			return query.LinExpr{}, err
@@ -511,12 +560,6 @@ func (p *Parser) factor() (query.LinExpr, error) {
 			return query.LinExpr{}, err
 		}
 		return e, nil
-	case p.accept(tokSymbol, "-"):
-		e, err := p.factor()
-		if err != nil {
-			return query.LinExpr{}, err
-		}
-		return e.Scale(-1), nil
 	default:
 		return query.LinExpr{}, p.errf("expected expression, found %q", t.text)
 	}

@@ -162,6 +162,38 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseNestingBound pins the nesting bound: maxNesting levels of
+// parentheses or unary minus parse, one more is an error, and so is a
+// statement nested far deeper than the stack would bear unbounded.
+func TestParseNestingBound(t *testing.T) {
+	s := schema()
+	nest := func(n int, open, inner, close string) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	for _, c := range []struct {
+		name, sql string
+		ok        bool
+	}{
+		{"parens at bound", "UPDATE Taxes SET owed = " + nest(maxNesting, "(", "income", ")"), true},
+		{"minus at bound", "UPDATE Taxes SET owed = " + nest(maxNesting, "- ", "1", ""), true},
+		{"conditions at bound", "DELETE FROM Taxes WHERE " + nest(maxNesting, "(", "income >= 1", ")"), true},
+		{"arithmetic in WHERE at bound", "DELETE FROM Taxes WHERE " + nest(maxNesting, "(", "income", ")") + " >= 1", true},
+		{"parens past bound", "UPDATE Taxes SET owed = " + nest(maxNesting+1, "(", "income", ")"), false},
+		{"minus past bound", "UPDATE Taxes SET owed = " + nest(maxNesting+1, "- ", "1", ""), false},
+		{"conditions past bound", "DELETE FROM Taxes WHERE " + nest(maxNesting+1, "(", "income >= 1", ")"), false},
+		{"a million minuses", "UPDATE Taxes SET owed = " + nest(1_000_000, "- ", "1", ""), false},
+		{"a million parens in WHERE", "DELETE FROM Taxes WHERE " + nest(1_000_000, "(", "income >= 1", ")"), false},
+	} {
+		_, err := Parse(s, c.sql)
+		if c.ok && err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "nesting deeper than")) {
+			t.Errorf("%s: err = %v, want the nesting bound", c.name, err)
+		}
+	}
+}
+
 func TestCommentsAndCase(t *testing.T) {
 	q, err := Parse(schema(), "update taxes set OWED = 1 -- fix\n where INCOME >= 2")
 	if err != nil {
