@@ -30,6 +30,7 @@ type Model struct {
 	prob     *simplex.Problem
 	isInt    []bool
 	objConst float64
+	coefs    []simplex.Coef // AddConstr's argument, reused row to row
 }
 
 // NewModel returns an empty model.
@@ -84,22 +85,25 @@ func (m *Model) Bounds(v Var) (lb, ub float64) { return m.prob.Bounds(int(v)) }
 // SetBounds overrides the bounds of v.
 func (m *Model) SetBounds(v Var, lb, ub float64) { m.prob.SetBounds(int(v), lb, ub) }
 
-func toCoefs(terms []Term) []simplex.Coef {
-	cs := make([]simplex.Coef, len(terms))
-	for i, t := range terms {
-		cs[i] = simplex.Coef{Var: int(t.Var), Coef: t.Coef}
+// addConstr converts terms into the model's reusable coefficient buffer
+// and adds the row; AddConstr keeps no reference to its argument.
+func (m *Model) addConstr(terms []Term, op simplex.ConstrOp, rhs float64) {
+	cs := m.coefs[:0]
+	for _, t := range terms {
+		cs = append(cs, simplex.Coef{Var: int(t.Var), Coef: t.Coef})
 	}
-	return cs
+	m.coefs = cs
+	m.prob.AddConstr(cs, op, rhs)
 }
 
 // AddLE adds sum(terms) <= rhs.
-func (m *Model) AddLE(terms []Term, rhs float64) { m.prob.AddConstr(toCoefs(terms), simplex.LE, rhs) }
+func (m *Model) AddLE(terms []Term, rhs float64) { m.addConstr(terms, simplex.LE, rhs) }
 
 // AddGE adds sum(terms) >= rhs.
-func (m *Model) AddGE(terms []Term, rhs float64) { m.prob.AddConstr(toCoefs(terms), simplex.GE, rhs) }
+func (m *Model) AddGE(terms []Term, rhs float64) { m.addConstr(terms, simplex.GE, rhs) }
 
 // AddEQ adds sum(terms) = rhs.
-func (m *Model) AddEQ(terms []Term, rhs float64) { m.prob.AddConstr(toCoefs(terms), simplex.EQ, rhs) }
+func (m *Model) AddEQ(terms []Term, rhs float64) { m.addConstr(terms, simplex.EQ, rhs) }
 
 // NewAbsDeviation returns a fresh variable d constrained to satisfy
 // d >= |expr - center| where expr is a linear expression. Minimizing d

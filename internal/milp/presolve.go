@@ -108,12 +108,26 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 	}
 
 	// Row-major view, built once; fixing a variable folds its term into
-	// the row's rhs and drops the term.
+	// the row's rhs and drops the term. The nonzeros are counted per row
+	// first, so every row is a capped subslice of one flat array, filled
+	// in ascending variable order.
 	rows := make([][]rterm, m)
 	rhs := make([]float64, m)
 	ops := make([]simplex.ConstrOp, m)
 	for i := 0; i < m; i++ {
 		ops[i], rhs[i] = p.Row(i)
+	}
+	count := make([]int, m)
+	for j := 0; j < n; j++ {
+		p.Col(j, func(row int, _ float64) { count[row]++ })
+	}
+	total := 0
+	for _, c := range count {
+		total += c
+	}
+	flat := make([]rterm, total)
+	for i, c := range count {
+		rows[i], flat = flat[:0:c], flat[c:]
 	}
 	for j := 0; j < n; j++ {
 		p.Col(j, func(row int, coef float64) {

@@ -31,7 +31,9 @@ import (
 // E_t is an identity matrix whose column r_t is the FTRAN'd entering
 // column w_t. L is unit lower triangular and U upper triangular, both
 // stored column-wise in permuted row coordinates; the etas live entirely
-// in basis-position coordinates.
+// in basis-position coordinates, their entries packed end to end in one
+// arena that the next refactorization truncates, so a pivot allocates
+// nothing once the arena has grown to its working size.
 
 // fentry is one stored nonzero of an L/U column or an eta vector.
 type fentry struct {
@@ -63,11 +65,10 @@ const (
 	maxEtas = 64
 )
 
-// factor is a basis factorization. All storage but the eta vectors is
-// reused across refactorizations; newFactor sizes it once per solver
-// lifetime, and once the growable buffers have reached their working
-// size a refactorization allocates nothing. Each eta update still
-// allocates its own vector.
+// factor is a basis factorization. All storage, the eta vectors
+// included, is reused across refactorizations; newFactor sizes it once
+// per solver lifetime, and once the growable buffers have reached their
+// working size neither a refactorization nor an eta update allocates.
 type factor struct {
 	m     int
 	rowOf []int // permuted position -> original row
@@ -77,6 +78,7 @@ type factor struct {
 	ucols [][]fentry // U by column, strictly above-diagonal, permuted rows
 	udiag []float64  // U diagonal by column
 	etas  []feta
+	arena []fentry // backing store of every eta's ents; truncated with the eta file
 
 	work  []float64 // dense scratch, original-row space; all zero between refactorizations
 	work2 []float64 // dense scratch, permuted/position space
@@ -114,6 +116,7 @@ func (f *factor) identity() {
 		f.udiag[i] = 1
 	}
 	f.etas = f.etas[:0]
+	f.arena = f.arena[:0]
 }
 
 // refactorize factors the basis matrix whose k-th column is structural
@@ -127,6 +130,7 @@ func (f *factor) refactorize(cols [][]entry, n int, basis []int) bool {
 		f.pinv[i] = -1
 	}
 	f.etas = f.etas[:0]
+	f.arena = f.arena[:0]
 	x := f.work
 	for j := 0; j < m; j++ {
 		// Scatter column j, then eliminate against the already-factored
@@ -369,19 +373,23 @@ func (f *factor) btran(c []float64) {
 
 // update appends the product-form eta for a basis change at position r
 // with FTRAN'd entering column w. Reports false when the pivot is too
-// small to invert safely.
+// small to invert safely. The eta's entries go to the end of the arena
+// as a capped subslice; when the arena regrows, the older etas keep
+// reading the backing array they were written to.
 func (f *factor) update(r int, w []float64) bool {
 	piv := w[r]
 	if math.Abs(piv) < 1e-11 {
 		return false
 	}
-	ents := make([]fentry, 0, 8)
+	a := f.arena
+	start := len(a)
 	for i, v := range w {
 		if i != r && math.Abs(v) > factorDropTol {
-			ents = append(ents, fentry{i, v})
+			a = append(a, fentry{i, v})
 		}
 	}
-	f.etas = append(f.etas, feta{r: r, piv: piv, ents: ents})
+	f.arena = a
+	f.etas = append(f.etas, feta{r: r, piv: piv, ents: a[start:len(a):len(a)]})
 	return true
 }
 

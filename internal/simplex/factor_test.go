@@ -107,7 +107,10 @@ func TestFactorSolves(t *testing.T) {
 }
 
 // TestFactorEtaUpdate replaces basis columns one at a time via eta
-// updates and checks the solves still match the updated matrix.
+// updates and checks the solves still match the updated matrix. It runs
+// long enough for needsRefactor to fire at least twice, so the eta arena
+// is grown, truncated by a refactorization and written again while the
+// residual checks watch every update.
 func TestFactorEtaUpdate(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := 25
@@ -116,7 +119,8 @@ func TestFactorEtaUpdate(t *testing.T) {
 	if !refactorizeDenseCols(f, cols) {
 		t.Fatal("refactorize failed")
 	}
-	for step := 0; step < 40; step++ {
+	refactors := 0
+	for step := 0; step < 150; step++ {
 		// New column a, FTRAN it, then replace basis column r by a.
 		a := make([]float64, m)
 		r := rng.Intn(m)
@@ -154,7 +158,14 @@ func TestFactorEtaUpdate(t *testing.T) {
 			if !refactorizeDenseCols(f, cols) {
 				t.Fatal("refactorize failed mid-test")
 			}
+			if len(f.arena) != 0 {
+				t.Fatalf("step %d: refactorize left %d arena entries", step, len(f.arena))
+			}
+			refactors++
 		}
+	}
+	if refactors < 2 {
+		t.Fatalf("%d mid-test refactorizations, want at least 2", refactors)
 	}
 }
 

@@ -73,7 +73,10 @@ func (ws *Solver) Install(snap *Snapshot) bool {
 		ws.inner = s
 	}
 	s.opt = ws.opt.withDefaults(m, n)
-	s.init()
+	// The snapshot overwrites the whole iterate and basis, so only the
+	// bounds and buffers are reset; the basic values are computed once,
+	// by warmReset, after the clamp.
+	s.reset()
 	copy(s.xval, snap.xval)
 	for j := range s.basicPos {
 		s.basicPos[j] = -1
@@ -82,10 +85,12 @@ func (ws *Solver) Install(snap *Snapshot) bool {
 		s.basis[i] = b
 		s.basicPos[b] = i
 	}
-	if !s.refactorize() {
+	if !s.fac.refactorize(s.p.cols, s.n, s.basis) {
 		ws.initialized = false // singular basis: next Solve starts cold
 		return false
 	}
+	s.refactorCount++
+	mRefactorizations.Inc()
 	// Clamp nonbasic variables into the problem's current bounds and
 	// recompute the basic values under the fresh factorization.
 	s.warmReset()

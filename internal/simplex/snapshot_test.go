@@ -197,8 +197,9 @@ func TestObjective(t *testing.T) {
 }
 
 // Branch-and-bound installs a basis per node: with the solver's buffers
-// in place an Install allocates nothing, and a rejected snapshot leaves
-// the duplicate-check scratch clean for the next one.
+// in place an Install allocates nothing, a solve allocates only its
+// Solution.X, and a rejected snapshot leaves the duplicate-check scratch
+// clean for the next one.
 func TestInstallAllocatesNothing(t *testing.T) {
 	p, sn := loadEncoderNode(t)
 	ws := NewSolver(p, Options{})
@@ -207,6 +208,15 @@ func TestInstallAllocatesNothing(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { ws.Install(sn) }); a != 0 {
 		t.Errorf("Install allocated %v times per call, want 0", a)
+	}
+	// The child proves itself infeasible without a pivot, so its solve
+	// is the row check; the cold solve of the same node pivots through
+	// more than one eta file (119 basis changes, maxEtas 64).
+	if a := testing.AllocsPerRun(10, func() { ws.Install(sn); ws.Solve() }); a != 1 {
+		t.Errorf("Install+Solve allocated %v times per call, want 1 (Solution.X)", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { ws.Reset(); ws.Solve() }); a != 1 {
+		t.Errorf("cold Solve allocated %v times per call, want 1 (Solution.X)", a)
 	}
 	dup := &Snapshot{m: sn.m, n: sn.n, basis: append([]int(nil), sn.basis...), xval: sn.xval}
 	dup.basis[len(dup.basis)-1] = dup.basis[0]

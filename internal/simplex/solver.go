@@ -122,8 +122,9 @@ func (s *solver) solutionValid() bool {
 // catastrophic cancellation on large big-M rows leaves residuals
 // proportional to the summed magnitudes, not to the rhs.
 func (s *solver) rowsValid() bool {
-	lhs := make([]float64, s.m)
-	mag := make([]float64, s.m)
+	lhs, mag := s.rowLHS, s.rowMag
+	clear(lhs)
+	clear(mag)
 	for j := 0; j < s.N; j++ {
 		v := s.xval[j]
 		if v == 0 {
@@ -189,6 +190,8 @@ type solver struct {
 	y      []float64 // scratch: duals
 	dB     []float64 // scratch: phase-1 costs of basic vars
 	cB     []float64 // scratch: phase-2 costs of basic vars
+	rowLHS []float64 // scratch: rowsValid's row activities
+	rowMag []float64 // scratch: rowsValid's summed term magnitudes
 	iters  int
 	pivots int // lifetime basis changes
 
@@ -220,40 +223,9 @@ func (p *Problem) Solve(opt Options) Solution {
 
 // init resets the solver to the canonical cold state: bounds re-read,
 // nonbasic structural variables at their nearest finite bound, slack
-// basis with an identity factorization. Buffers are allocated on first
-// use and reused afterwards, so re-initializing a solver (warm retries,
-// basis installs) costs no allocation.
+// basis with an identity factorization.
 func (s *solver) init() {
-	N := s.N
-	if s.fac == nil || len(s.lb) != N {
-		s.lb = make([]float64, N)
-		s.ub = make([]float64, N)
-		s.obj = make([]float64, N)
-		s.basis = make([]int, s.m)
-		s.basicPos = make([]int, N)
-		s.xval = make([]float64, N)
-		s.w = make([]float64, s.m)
-		s.fx = make([]float64, s.m)
-		s.y = make([]float64, s.m)
-		s.dB = make([]float64, s.m)
-		s.cB = make([]float64, s.m)
-		s.fac = newFactor(s.m)
-	}
-	copy(s.lb, s.p.lb)
-	copy(s.ub, s.p.ub)
-	copy(s.obj, s.p.obj)
-	for i := 0; i < s.m; i++ {
-		j := s.n + i
-		switch s.p.ops[i] {
-		case LE:
-			s.lb[j], s.ub[j] = 0, Inf
-		case GE:
-			s.lb[j], s.ub[j] = math.Inf(-1), 0
-		case EQ:
-			s.lb[j], s.ub[j] = 0, 0
-		}
-	}
-
+	s.reset()
 	for j := range s.basicPos {
 		s.basicPos[j] = -1
 	}
@@ -272,6 +244,44 @@ func (s *solver) init() {
 	s.degen = 0
 	s.bland = false
 	s.computeBasics()
+}
+
+// reset re-reads the problem's bounds and objective and gives the slacks
+// the bounds of their row operators. Buffers are allocated on first use
+// and reused afterwards, so re-initializing a solver (warm retries,
+// basis installs) costs no allocation.
+func (s *solver) reset() {
+	N := s.N
+	if s.fac == nil || len(s.lb) != N {
+		s.lb = make([]float64, N)
+		s.ub = make([]float64, N)
+		s.obj = make([]float64, N)
+		s.basis = make([]int, s.m)
+		s.basicPos = make([]int, N)
+		s.xval = make([]float64, N)
+		s.w = make([]float64, s.m)
+		s.fx = make([]float64, s.m)
+		s.y = make([]float64, s.m)
+		s.dB = make([]float64, s.m)
+		s.cB = make([]float64, s.m)
+		s.rowLHS = make([]float64, s.m)
+		s.rowMag = make([]float64, s.m)
+		s.fac = newFactor(s.m)
+	}
+	copy(s.lb, s.p.lb)
+	copy(s.ub, s.p.ub)
+	copy(s.obj, s.p.obj)
+	for i := 0; i < s.m; i++ {
+		j := s.n + i
+		switch s.p.ops[i] {
+		case LE:
+			s.lb[j], s.ub[j] = 0, Inf
+		case GE:
+			s.lb[j], s.ub[j] = math.Inf(-1), 0
+		case EQ:
+			s.lb[j], s.ub[j] = 0, 0
+		}
+	}
 }
 
 func nearestFiniteBound(l, u float64) float64 {
