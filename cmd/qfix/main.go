@@ -74,7 +74,6 @@ func run(out *bufio.Writer) error {
 		keyAttr   = flag.String("key", "", "primary key attribute name (optional)")
 		algo      = flag.String("algorithm", "incremental", "basic | incremental")
 		k         = flag.Int("k", 1, "incremental batch size")
-		parallel  = flag.String("parallel", "1", "concurrent incremental batch workers (or 'auto' to size from GOMAXPROCS)")
 		partition = flag.String("partition", "0", "partition-parallel diagnosis workers (0 disables partitioning; 'auto' sizes from GOMAXPROCS)")
 		solverPar = flag.String("solver-parallel", "1", "concurrent branch-and-bound LP workers inside each MILP solve (or 'auto'); repairs are identical at any setting")
 		verbose   = flag.Bool("v", false, "print solver statistics (nodes, LP iterations, refactorizations, presolved rows, LP numerical and iteration-limit exits)")
@@ -132,10 +131,6 @@ func run(out *bufio.Writer) error {
 	if err != nil {
 		return err
 	}
-	par, err := parsePool("parallel", *parallel)
-	if err != nil {
-		return err
-	}
 	part, err := parsePool("partition", *partition)
 	if err != nil {
 		return err
@@ -147,7 +142,6 @@ func run(out *bufio.Writer) error {
 
 	opts := qfix.Options{
 		K:                *k,
-		Parallel:         par,
 		Partition:        part,
 		TupleSlicing:     !*noTuple,
 		QuerySlicing:     !*noQuery,

@@ -144,11 +144,11 @@ func TestIntegrationDenoiseParallelPipeline(t *testing.T) {
 		t.Fatalf("denoiser dropped %d, want %d: %v", len(cleaned.Dropped), added, cleaned.Reasons)
 	}
 	rep, err := core.Diagnose(w.D0, in.Dirty, cleaned.Kept, core.Options{
-		Algorithm:    core.Incremental,
-		TupleSlicing: true,
-		QuerySlicing: true,
-		Parallel:     2,
-		TimeLimit:    45 * time.Second,
+		Algorithm:      core.Incremental,
+		TupleSlicing:   true,
+		QuerySlicing:   true,
+		SolverParallel: 2,
+		TimeLimit:      45 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,8 @@ const cancelSlack = 2 * time.Second
 // TestDiagnoseHonorsTotalTimeLimit runs Basic on the first pinned
 // instance, a joint MILP that does not finish inside a 20 s solve
 // limit, under a 1 ms TotalTimeLimit, serially and with speculative
-// node workers, and the incremental scan with parallel batches. Each
-// returns within the budget plus slack with every stopped solve
+// node workers, and the incremental scan with speculative node workers.
+// Each returns within the budget plus slack with every stopped solve
 // counted as a time-limit stop. A node limit of one, with no clock in
 // play, is counted as a node-limit stop instead.
 func TestDiagnoseHonorsTotalTimeLimit(t *testing.T) {
@@ -32,14 +32,14 @@ func TestDiagnoseHonorsTotalTimeLimit(t *testing.T) {
 	basicPar := basic
 	basicPar.SolverParallel = 4
 	inc := pinnedOptions()
-	inc.Parallel, inc.SolverParallel = 4, 4
+	inc.SolverParallel = 4
 	cases := []struct {
 		name string
 		opt  core.Options
 	}{
 		{"basic", basic},
 		{"basic solver-parallel", basicPar},
-		{"incremental parallel", inc},
+		{"incremental solver-parallel", inc},
 	}
 	base := runtime.NumGoroutine()
 	for _, c := range cases {
@@ -63,9 +63,8 @@ func TestDiagnoseHonorsTotalTimeLimit(t *testing.T) {
 				c.name, st.NodeLimitStops, st.LPNumFails, st.LPIterLimits)
 		}
 		// Without a time-limit stop, the deadline must have ended the scan
-		// before a solve: a sequential scan says so, a parallel one skips
-		// every batch it had not started.
-		if st.TimeLimitStops == 0 && st.LastStatus != "total-time-limit" && st.LastStatus != "skipped" {
+		// before a solve, and the scan says so.
+		if st.TimeLimitStops == 0 && st.LastStatus != "total-time-limit" {
 			t.Errorf("%s: status %q with no time-limit stop counted", c.name, st.LastStatus)
 		}
 	}

@@ -110,9 +110,6 @@ func (d *diagnoser) dispatch() (*Repair, error) {
 func (d *diagnoser) solveJoint() (*Repair, error) {
 	switch d.opt.Algorithm {
 	case Incremental:
-		if d.opt.Parallel > 1 {
-			return d.incrementalParallel()
-		}
 		return d.incremental()
 	default:
 		return d.basic()
@@ -234,8 +231,8 @@ func (d *diagnoser) encComplaints() []encode.Complaint {
 // big-M is bound: encode.DomainBound over it and its final state, which
 // the caller has already replayed) and solves, returning the repaired
 // log when the solver finds a solution. Solver statistics accumulate
-// into st (shared for the sequential scan, per-worker under the parallel
-// scan); encode/solve spans hang under sp (typically a per-batch span).
+// into st (the diagnosis's own, or a partition's); encode/solve spans
+// hang under sp (typically a per-batch span).
 func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[int]bool, soft []int64, st *Stats, sp *obs.Span) ([]query.Query, bool, error) {
 	eo := encode.Options{
 		ParamQueries:     paramSet,
@@ -411,8 +408,7 @@ func (d *diagnoser) incremental() (*Repair, error) {
 // final state the log produces from D0 and that state's diff against the
 // dirty final state. Resolution, the damage gate and the refinement soft
 // set all read it, so a candidate costs one full-table replay however
-// many of them look. Never mutated once built: the parallel scan builds
-// it on a worker and reads it on the collector.
+// many of them look. Never mutated once built.
 type verified struct {
 	log   []query.Query
 	final *relation.Table // nil when the log does not replay

@@ -14,8 +14,8 @@ import (
 // Figure 2 encoding solved with one-iteration LPs stops on an iteration
 // limit, with a one-node limit on the node limit and with an expired
 // time limit on the time limit; attempt's fold of a solve counts each
-// by cause, mergeStats sums them across batches, partitions and remote
-// jobs, and the verbose solver line prints them.
+// by cause, mergeStats sums them across partitions and remote jobs, and
+// the verbose solver line prints them.
 func TestLPExitsCounted(t *testing.T) {
 	d0, dirty, truth := figure2()
 	d := diagnoser{complaints: completeComplaints(t, d0, dirty, truth)}

@@ -15,8 +15,8 @@ import (
 // of every statement of a returned repair leaves the input log as it
 // was, and a second diagnosis of it returns the repair the first one
 // did. Checked on every path that builds a repair: Basic, the
-// incremental scan, a refinement round, the parallel scan, a partition
-// merge, and the unresolved outcome.
+// incremental scan, a refinement round, a partition merge, and the
+// unresolved outcome.
 func TestRepairLogIsCallersOwn(t *testing.T) {
 	params := func(log []query.Query) [][]float64 {
 		out := make([][]float64, len(log))
@@ -47,9 +47,6 @@ func TestRepairLogIsCallersOwn(t *testing.T) {
 		{"refinement", f5d0, f5dirty, completeComplaints(t, f5d0, f5dirty, f5truth),
 			Options{Algorithm: Incremental, TupleSlicing: true},
 			func(r *Repair) bool { return r.Resolved && r.Stats.Refined }},
-		{"parallel", f2d0, f2dirty, completeComplaints(t, f2d0, f2dirty, f2truth),
-			Options{Algorithm: Incremental, TupleSlicing: true, Parallel: 3},
-			func(r *Repair) bool { return r.Resolved }},
 		{"partition", cd0, cdirty, ccs,
 			Options{Algorithm: Basic, TupleSlicing: true, QuerySlicing: true, Partition: 3},
 			func(r *Repair) bool { return r.Resolved && r.Stats.Partitions == 3 && !r.Stats.PartitionFallback }},

@@ -229,7 +229,7 @@ func (d *diagnoser) partitioned() (*Repair, bool, error) {
 // never sits at the back of the queue defining the critical path. Each
 // sub-diagnosis sees the full log and initial state but only its
 // partition's complaints, with repair candidates pinned to the
-// partition's candidate set; inner parallelism is disabled so the
+// partition's candidate set; nested partitioning is disabled so the
 // concurrency budget is spent at the partition level. Results are still
 // adjudicated in plan (index) order, so the chosen repair is
 // independent of the start order.
@@ -242,13 +242,12 @@ func (d *diagnoser) partitioned() (*Repair, bool, error) {
 func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 	sub := d.opt
 	sub.Partition = 0
-	sub.Parallel = 1
 	sub.TotalTimeLimit = 0 // the outer deadline is enforced per job below
 	sub.PartitionSolver = nil
 	// Partition jobs already run on the scan's scheduler; a sub-diagnosis
 	// scheduling nested scans from a pool worker could deadlock the pool,
-	// so subs never carry one (their Parallel=1/Partition=0 settings make
-	// this unreachable anyway — this pins the invariant).
+	// so subs never carry one (their Partition=0 setting makes this
+	// unreachable anyway — this pins the invariant).
 	sub.Scheduler = nil
 
 	// Partition spans are pre-created in plan (index) order by this
@@ -306,10 +305,9 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 
 	reps := make([]*Repair, len(parts))
 	var firstErr error
-	// As in the parallel batch scan: every partition job delivers one
-	// outcome (deadline-expired jobs deliver a "total-time-limit" stub),
-	// so the adjudication drain always completes; cancellation is the
-	// jobs' own deadline check.
+	// Every partition job delivers one outcome (deadline-expired jobs
+	// deliver a "total-time-limit" stub), so the adjudication drain always
+	// completes; cancellation is the jobs' own deadline check.
 	for i := range parts {
 		out := <-results[i]
 		ps := PartitionStat{
@@ -461,4 +459,46 @@ func sameParams(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// mergeStats folds a partition's statistics into the shared totals.
+// Called only from the adjudication goroutine.
+func (d *diagnoser) mergeStats(st Stats) {
+	d.stats.Rows += st.Rows
+	d.stats.Vars += st.Vars
+	d.stats.Binaries += st.Binaries
+	d.stats.BatchesTried += st.BatchesTried
+	d.stats.Nodes += st.Nodes
+	d.stats.LPIters += st.LPIters
+	d.stats.Refactorizations += st.Refactorizations
+	d.stats.PresolvedRows += st.PresolvedRows
+	d.stats.LPNumFails += st.LPNumFails
+	d.stats.LPIterLimits += st.LPIterLimits
+	d.stats.NodeLimitStops += st.NodeLimitStops
+	d.stats.TimeLimitStops += st.TimeLimitStops
+	d.stats.EncodeTime += st.EncodeTime
+	d.stats.SolveTime += st.SolveTime
+	d.stats.PlanTime += st.PlanTime
+	d.stats.MergeTime += st.MergeTime
+	d.stats.VerifyTime += st.VerifyTime
+	d.stats.Replays += st.Replays
+	d.stats.PlanPasses += st.PlanPasses
+	d.stats.RemoteJobs += st.RemoteJobs
+	d.stats.StreamedResults += st.StreamedResults
+	d.stats.ImpactCacheHits += st.ImpactCacheHits
+	d.stats.ImpactCacheExtends += st.ImpactCacheExtends
+	d.stats.WorkerCacheHits += st.WorkerCacheHits
+	d.stats.ImpactTime += st.ImpactTime
+	if st.Refined {
+		d.stats.Refined = true
+	}
+	if st.Partitions > d.stats.Partitions {
+		d.stats.Partitions = st.Partitions
+	}
+	if st.PartitionFallback {
+		d.stats.PartitionFallback = true
+	}
+	if st.LastStatus != "" {
+		d.stats.LastStatus = st.LastStatus
+	}
 }

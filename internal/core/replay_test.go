@@ -57,15 +57,6 @@ func TestReplayBudget(t *testing.T) {
 		t.Errorf("refined: Stats.Replays = %d, want 1 + %d solved attempts", st.Replays, st.BatchesTried)
 	}
 
-	// Parallel scan: verification happens on the workers, still once per
-	// solved attempt (BatchesTried also counts the unsolved ones).
-	f2d0, f2dirty, f2truth := figure2()
-	st = diagnose(f2d0, f2dirty, completeComplaints(t, f2d0, f2dirty, f2truth),
-		Options{Algorithm: Incremental, TupleSlicing: true, Parallel: 3})
-	if st.Replays < 2 || st.Replays > 1+st.BatchesTried {
-		t.Errorf("parallel: Stats.Replays = %d, want 2..%d", st.Replays, 1+st.BatchesTried)
-	}
-
 	// Partitioned: subproblems adopt the parent's planning replay, verify
 	// their own candidates, and the merged log is one more candidate.
 	cd0, cdirty, _, ccs := clusterWorkload(t, 3, 4)

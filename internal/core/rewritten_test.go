@@ -14,8 +14,8 @@ import (
 // holds a rendering of the input log: every statement outside it is the
 // input's own, parameter for parameter and bit for bit, and everything
 // the repair changed is inside it — on each path that builds a repaired
-// log (one MILP, the batch scan, a refinement round, the parallel scan,
-// the partition merge, and the merge over a PartitionSolver hook, which
+// log (one MILP, the batch scan, a refinement round, the batch scan
+// under parallel node search, the partition merge, and the merge over a PartitionSolver hook, which
 // is where a fleet's repairs enter).
 func TestRewrittenIsExact(t *testing.T) {
 	type inputs struct {
@@ -50,7 +50,7 @@ func TestRewrittenIsExact(t *testing.T) {
 		{"basic", fig2, with(func(o *Options) { o.Algorithm = Basic }), false},
 		{"incremental", fig2, with(func(o *Options) { o.Algorithm = Incremental }), false},
 		{"refinement", fig5b, with(func(o *Options) { o.Algorithm = Incremental; o.QuerySlicing = false }), true},
-		{"parallel", fig2, with(func(o *Options) { o.Algorithm = Incremental; o.Parallel = 2 }), false},
+		{"parallel", fig2, with(func(o *Options) { o.Algorithm = Incremental; o.SolverParallel = 2 }), false},
 		{"partition", clusters, with(func(o *Options) { o.Algorithm = Incremental; o.Partition = 3 }), false},
 		{"partition solver", clusters, with(func(o *Options) {
 			o.Algorithm = Basic

@@ -29,18 +29,15 @@ import (
 
 // TestSolverParallelMatchesSequential is the determinism test: every
 // case is diagnosed repeatedly in one process, at GOMAXPROCS 1 and N
-// and with Parallel and SolverParallel at 1 and 4, and every run must
-// return the sequential reference's repair and, wherever the batch scan
-// is sequential, its counters. Go randomizes map iteration order per
+// and with SolverParallel at 1 and 4, and every run must return the
+// sequential reference's repair and counters. Go randomizes map iteration order per
 // range and the scheduler interleaves goroutines differently run to
 // run, so a map order or a goroutine race that reaches a repair or a
 // counter shows up here as a diff between two runs.
 //
 // Runs that stopped on a wall clock (a solve's TimeLimit, the
 // diagnosis's TotalTimeLimit) are skipped: where such a stop lands is
-// the documented divergence. The parallel batch scan (Parallel > 1)
-// also solves batches the sequential scan never reaches, depending on
-// timing, so only its repair is compared.
+// the documented divergence.
 func TestSolverParallelMatchesSequential(t *testing.T) {
 	repeats := 2
 	if testing.Short() {
@@ -49,9 +46,8 @@ func TestSolverParallelMatchesSequential(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(procs)
 	n := max(procs, 4)
-	// {GOMAXPROCS, Parallel, SolverParallel}: every pair of values of
-	// any two of the three appears once.
-	configs := [][3]int{{1, 1, 1}, {1, 4, 4}, {n, 1, 4}, {n, 4, 1}}
+	// {GOMAXPROCS, SolverParallel}: every pair of values.
+	configs := [][2]int{{1, 1}, {1, 4}, {n, 1}, {n, 4}}
 	cases := determinismCases(t)
 	runs, skipped := 0, 0
 	for _, c := range cases {
@@ -68,12 +64,9 @@ func TestSolverParallelMatchesSequential(t *testing.T) {
 		wantRep, wantCounters := diagFingerprint(c.in, ref), counters(ref.Stats)
 		for r := 0; r < repeats; r++ {
 			for _, cfg := range configs {
-				if cfg[1] > 1 && c.sequentialScan {
-					continue
-				}
 				runtime.GOMAXPROCS(cfg[0])
 				opt := c.opt
-				opt.Parallel, opt.SolverParallel = cfg[1], cfg[2]
+				opt.SolverParallel = cfg[1]
 				got, err := core.Diagnose(c.in.W.D0, c.in.Dirty, c.in.Complaints, opt)
 				if err != nil {
 					t.Fatal(err)
@@ -84,12 +77,12 @@ func TestSolverParallelMatchesSequential(t *testing.T) {
 					continue
 				}
 				if g := diagFingerprint(c.in, got); g != wantRep {
-					t.Errorf("%s repeat %d GOMAXPROCS=%d Parallel=%d SolverParallel=%d: repair differs:\n got %s\nwant %s",
-						c.name, r, cfg[0], cfg[1], cfg[2], g, wantRep)
+					t.Errorf("%s repeat %d GOMAXPROCS=%d SolverParallel=%d: repair differs:\n got %s\nwant %s",
+						c.name, r, cfg[0], cfg[1], g, wantRep)
 				}
-				if g := counters(got.Stats); cfg[1] == 1 && g != wantCounters {
+				if g := counters(got.Stats); g != wantCounters {
 					t.Errorf("%s repeat %d GOMAXPROCS=%d SolverParallel=%d: counters differ:\n got %s\nwant %s",
-						c.name, r, cfg[0], cfg[2], g, wantCounters)
+						c.name, r, cfg[0], cfg[1], g, wantCounters)
 				}
 			}
 		}
@@ -104,10 +97,6 @@ type determinismCase struct {
 	name string
 	in   *workload.Instance
 	opt  core.Options
-	// sequentialScan keeps the case off the parallel batch scan, which
-	// would solve every one of its many batches (some take seconds) on
-	// every run while comparing only the repair.
-	sequentialScan bool
 }
 
 // determinismCases are the determinism test's instances: generator
@@ -142,7 +131,7 @@ func determinismCases(t *testing.T) []determinismCase {
 			continue // no-op corruption: nothing to diagnose
 		}
 		trials--
-		out = append(out, determinismCase{fmt.Sprintf("k1 trial %d", trial), in, k1, true})
+		out = append(out, determinismCase{fmt.Sprintf("k1 trial %d", trial), in, k1})
 	}
 	k2 := k1
 	k2.K = 2
@@ -157,12 +146,12 @@ func determinismCases(t *testing.T) []determinismCase {
 			t.Fatal(err)
 		}
 		if len(in.Complaints) > 0 {
-			out = append(out, determinismCase{fmt.Sprintf("k2 seed %d", seed), in, k2, false})
+			out = append(out, determinismCase{fmt.Sprintf("k2 seed %d", seed), in, k2})
 		}
 	}
 	if !testing.Short() {
 		for i, in := range pinnedInstances(t) {
-			out = append(out, determinismCase{fmt.Sprintf("pinned seed %d", pinnedGolden[i].seed), in, pinnedOptions(), true})
+			out = append(out, determinismCase{fmt.Sprintf("pinned seed %d", pinnedGolden[i].seed), in, pinnedOptions()})
 		}
 	}
 	if len(out) < 5 {

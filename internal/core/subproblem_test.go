@@ -21,7 +21,7 @@ func (s *countingSolver) SolvePartition(sub Subproblem) (*Repair, error) {
 	if s.fail {
 		return nil, errors.New("injected solver failure")
 	}
-	if sub.Options.Partition != 0 || sub.Options.Parallel > 1 ||
+	if sub.Options.Partition != 0 ||
 		sub.Options.PartitionSolver != nil ||
 		len(sub.Options.Candidates) == 0 || len(sub.Complaints) == 0 ||
 		sub.D0 == nil || len(sub.Log) == 0 {
@@ -118,8 +118,8 @@ func TestJointDiagnosisPlansOnce(t *testing.T) {
 	}
 }
 
-// TestAdaptivePoolSizes: Partition/Parallel = -1 size the pool from
-// GOMAXPROCS instead of a fixed constant. The pool size only affects
+// TestAdaptivePoolSizes: Partition/SolverParallel = -1 size the pool
+// from GOMAXPROCS instead of a fixed constant. The pool size only affects
 // concurrency, never the outcome, so the repair must match a fixed-size
 // run.
 func TestAdaptivePoolSizes(t *testing.T) {
@@ -151,13 +151,13 @@ func TestAdaptivePoolSizes(t *testing.T) {
 			got.Distance, want.Distance, got.Changed, want.Changed)
 	}
 
-	// Parallel = -1 on the incremental batch scan.
+	// SolverParallel = -1 on the incremental batch scan.
 	inc := Options{
-		Algorithm:    Incremental,
-		TupleSlicing: true,
-		QuerySlicing: true,
-		Parallel:     -1,
-		TimeLimit:    30 * time.Second,
+		Algorithm:      Incremental,
+		TupleSlicing:   true,
+		QuerySlicing:   true,
+		SolverParallel: -1,
+		TimeLimit:      30 * time.Second,
 	}
 	d0b, dirtyB, _, complaintsB := clusterWorkload(t, 1, 4)
 	rep, err := Diagnose(d0b, dirtyB, complaintsB, inc)
@@ -165,6 +165,6 @@ func TestAdaptivePoolSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Resolved {
-		t.Fatalf("adaptive parallel scan failed to resolve: %+v", rep.Stats)
+		t.Fatalf("adaptive node search failed to resolve: %+v", rep.Stats)
 	}
 }

@@ -36,8 +36,8 @@ func traceRun(t *testing.T, d0 *relation.Table, log []query.Query, complaints []
 	return root
 }
 
-// TestTraceSpanTreeWellNested traces the partition scan, the parallel
-// batch scan and the incremental scan with refinement, which between
+// TestTraceSpanTreeWellNested traces the partition scan, the K=3 batch
+// scan and the incremental scan with refinement, which between
 // them start every span the engine has: each tree must be well nested
 // and export in both formats, which the exporters refuse while any span
 // is left un-ended.
@@ -54,9 +54,9 @@ func TestTraceSpanTreeWellNested(t *testing.T) {
 				QuerySlicing: true, Partition: 3, TimeLimit: 30 * time.Second})
 		}, []string{"diagnose", "replay", "plan", "impact", "partition", "queue", "batch",
 			"encode", "solve", "presolve", "nodes", "verify", "merge"}},
-		{"parallel", func() *obs.Span {
+		{"k3", func() *obs.Span {
 			return traceRun(t, d0, dirty, complaints, Options{Algorithm: Incremental, K: 3,
-				TupleSlicing: true, QuerySlicing: true, Parallel: 2, TimeLimit: 30 * time.Second})
+				TupleSlicing: true, QuerySlicing: true, TimeLimit: 30 * time.Second})
 		}, []string{"diagnose", "batch", "encode", "solve", "verify"}},
 		{"refine", func() *obs.Span {
 			return traceRun(t, f0, fdirty, completeComplaints(t, f0, fdirty, ftruth), Options{

@@ -73,12 +73,6 @@ type Options struct {
 	// K is the incremental batch size (default 1; the paper finds k>1
 	// impractical, §7.2).
 	K int
-	// Parallel > 1 scans incremental batches with that many concurrent
-	// workers. The chosen repair is identical to the sequential scan
-	// (batches are adjudicated newest-first); only wall-clock time and
-	// wasted-work statistics differ. Parallel = -1 sizes the pool
-	// adaptively from runtime.GOMAXPROCS. Extension beyond the paper.
-	Parallel int
 	// Partition > 0 enables partition-parallel diagnosis with that many
 	// concurrent partition workers: planning splits the complaint set
 	// into connected components of the complaint–query interaction graph
@@ -99,11 +93,10 @@ type Options struct {
 	// constraint analysis" direction).
 	Partition int
 
-	// Scheduler, when non-nil, runs the engine's solve scans (the
-	// incremental batch scan and the partition scan) on this resident
-	// shared worker pool; when nil each scan runs on a private pool of
-	// its own width (sched.OnPool either way). Parallel/Partition still
-	// bound each scan's share of a shared pool; the pool's own size
+	// Scheduler, when non-nil, runs the engine's partition scan on this
+	// resident shared worker pool; when nil the scan runs on a private
+	// pool of its own width (sched.OnPool either way). Partition still
+	// bounds the scan's share of a shared pool; the pool's own size
 	// bounds the process total, which is what a resident multi-tenant
 	// service (internal/qfixd) needs when many diagnoses run
 	// concurrently. Process-local: never serialized, and partition
@@ -164,7 +157,7 @@ type Options struct {
 
 	// SolverParallel explores branch-and-bound nodes of each MILP with
 	// this many concurrent LP workers (0 or 1 = sequential, -1 = one per
-	// CPU). Independent of Parallel/Partition, which run whole encodings
+	// CPU). Independent of Partition, which runs whole sub-diagnoses
 	// concurrently; this parallelizes inside a single solve. The search
 	// is speculative with sequential semantics (milp.Options.Parallel):
 	// repairs and solver stats are byte-identical at any setting.
@@ -187,9 +180,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TimeLimit <= 0 {
 		o.TimeLimit = 60 * time.Second
-	}
-	if o.Parallel < 0 {
-		o.Parallel = runtime.GOMAXPROCS(0)
 	}
 	if o.Partition < 0 {
 		o.Partition = runtime.GOMAXPROCS(0)
@@ -354,7 +344,7 @@ type Repair struct {
 // solved anywhere: the full initial state and log (replay verification
 // needs both), the partition's complaint subset, and sub-Options with
 // the repair candidates pinned to the partition's candidate set and
-// partitioning/parallelism disabled. A Subproblem is self-contained —
+// partitioning disabled. A Subproblem is self-contained —
 // solving it requires nothing from the coordinating diagnosis.
 type Subproblem struct {
 	D0         *relation.Table

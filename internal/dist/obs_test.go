@@ -20,8 +20,8 @@ import (
 // produce a well-nested span tree whose remote segments name the worker
 // that solved them, the process metrics must count the jobs, and the
 // telemetry handler (what qfix-worker -telemetry serves) must expose
-// them as Prometheus text. A second traced run, with Parallel set, goes
-// to a worker that drops every job, so each partition ends in a "local"
+// them as Prometheus text. A second traced run goes to a worker that
+// drops every job, so each partition ends in a "local"
 // fallback span; both trees must export.
 func TestDistributedTraceAndTelemetry(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
@@ -71,9 +71,7 @@ func TestDistributedTraceAndTelemetry(t *testing.T) {
 
 	dead := dist.Connect(dist.Config{Retries: -1, Logf: t.Logf}, startCrashingWorker(t))
 	defer dead.Close()
-	opts := partitionOpts()
-	opts.Parallel = 2
-	fallback, frep := tracedDiagnose(t, dead, d0, log, complaints, opts)
+	fallback, frep := tracedDiagnose(t, dead, d0, log, complaints, partitionOpts())
 	locals := 0
 	fallback.Walk(func(sp *obs.Span, _ int) {
 		if sp.Name() == "local" {

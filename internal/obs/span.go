@@ -49,7 +49,7 @@ type Attr struct {
 // Concurrency: a span's children may be created from the goroutine that
 // owns the span; sibling subtrees may then be filled in concurrently by
 // different goroutines (each goroutine owning its own subtree), which is
-// exactly how the engine's partition and batch scans use it — spans for
+// exactly how the engine's partition scan uses it — spans for
 // concurrent work are pre-created in deterministic (index) order by the
 // coordinating goroutine, so the tree SHAPE never depends on scheduling.
 // SetAttr/End on one span and Start on the same span are safe to

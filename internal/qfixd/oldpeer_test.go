@@ -21,20 +21,7 @@ func TestOldPeerWarmFieldsIgnored(t *testing.T) {
 	wantLog, wantChanged, wantDist := cliRepair(t, sc)
 
 	raw := dialRaw(t, addr)
-	raw.id++
-	req, err := json.Marshal(&Request{Version: WireVersion, ID: raw.id, Op: OpDiagnose,
-		Tenant: "acme", Options: &DiagnoseOptions{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req = bytes.Replace(req, []byte(`"options":{`), []byte(`"options":{"warm":true`), 1)
-	if _, err := raw.conn.Write(append(req, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	line, err := raw.br.ReadBytes('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
+	line := raw.diagnoseWithMember("acme", `"warm":true`)
 	var old Response
 	if err := decodeResponse(bytes.Clone(line), &old); err != nil {
 		t.Fatal(err)
@@ -59,4 +46,60 @@ func TestOldPeerWarmFieldsIgnored(t *testing.T) {
 	if !reflect.DeepEqual(got.Stats, old.Stats) {
 		t.Errorf("stats with WarmSeeds decode to %+v, want %+v", got.Stats, old.Stats)
 	}
+}
+
+// The "parallel" request option is gone with the speculative batch
+// scan. A peer that still sends it asks the default question: the
+// answer carries the default answer's bytes, and asking again is a memo
+// hit. No WireVersion bump.
+func TestOldPeerParallelIgnored(t *testing.T) {
+	_, addr := startDaemon(t, Config{})
+	c := dialDaemon(t, addr)
+	sc := taxScenario(0)
+	seedTenant(t, c, "acme", sc)
+	wantLog, wantChanged, wantDist := cliRepair(t, sc)
+
+	raw := dialRaw(t, addr)
+	h0, m0 := memoCounts()
+	line := raw.diagnoseWithMember("acme", `"parallel":4`)
+	if h1, m1 := memoCounts(); h1 != h0 || m1 != m0+1 {
+		t.Fatalf(`"parallel":4 request: memo hits +%d, misses +%d; want one miss`, h1-h0, m1-m0)
+	}
+	var old Response
+	if err := decodeResponse(bytes.Clone(line), &old); err != nil {
+		t.Fatal(err)
+	}
+	checkRepair(t, `"parallel":4 request`, &old, wantLog, wantChanged, wantDist)
+
+	h0, m0 = memoCounts()
+	again := raw.diagnoseWithMember("acme", `"parallel":4`)
+	if h1, m1 := memoCounts(); h1 != h0+1 || m1 != m0 {
+		t.Fatalf(`repeated "parallel":4 request: memo hits +%d, misses +%d; want one hit`, h1-h0, m1-m0)
+	}
+	plain, _ := raw.expectMemo("same question without parallel", true, "acme", nil, nil)
+	if !bytes.HasSuffix(line, plain) || !bytes.HasSuffix(again, plain) {
+		t.Errorf("default answer differs from the \"parallel\":4 ones:\n default: %s\n first:   %s\n repeat:  %s", plain, line, again)
+	}
+}
+
+// diagnoseWithMember sends a diagnose request whose options object
+// opens with the raw member, as a peer built against an older wire
+// would send it, and returns the whole response frame.
+func (r *rawClient) diagnoseWithMember(tenant, member string) []byte {
+	r.t.Helper()
+	r.id++
+	req, err := json.Marshal(&Request{Version: WireVersion, ID: r.id, Op: OpDiagnose,
+		Tenant: tenant, Options: &DiagnoseOptions{}})
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	req = bytes.Replace(req, []byte(`"options":{`), []byte(`"options":{`+member), 1)
+	if _, err := r.conn.Write(append(req, '\n')); err != nil {
+		r.t.Fatal(err)
+	}
+	line, err := r.br.ReadBytes('\n')
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return line
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -278,7 +279,7 @@ func TestDaemonConcurrentMixedTenants(t *testing.T) {
 }
 
 // TestDaemonClampsWidths sends a diagnose request asking for 1<<20
-// batch workers, partition workers and LP workers. The daemon must
+// partition workers and LP workers. The daemon must
 // answer with the CLI's repair byte for byte, on at most its own width:
 // each of at most GOMAXPROCS concurrent solves runs at most GOMAXPROCS
 // LP workers, beyond the resident pool.
@@ -291,7 +292,7 @@ func TestDaemonClampsWidths(t *testing.T) {
 	var resp *Response
 	var err error
 	peak := peakSchedWorkers(func() {
-		resp, err = c.Diagnose("wide", nil, &DiagnoseOptions{Parallel: 1 << 20, Partition: 1 << 20, SolverParallel: 1 << 20})
+		resp, err = c.Diagnose("wide", nil, &DiagnoseOptions{Partition: 1 << 20, SolverParallel: 1 << 20})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +301,30 @@ func TestDaemonClampsWidths(t *testing.T) {
 	if w := int64(runtime.GOMAXPROCS(0)); peak > w*w {
 		t.Errorf("the request ran %d scheduler goroutines at once, want at most %d", peak, w*w)
 	}
+}
+
+// TestDaemonRejectsOverflowingTimeLimit: a time_limit_ms whose product
+// with time.Millisecond wraps int64 would become a 192 µs per-solve
+// limit (9223372036854776) or, at 1<<62, zero and so the 60 s default.
+// The daemon refuses both with an error naming the member and goes on
+// serving the connection.
+func TestDaemonRejectsOverflowingTimeLimit(t *testing.T) {
+	_, addr := startDaemon(t, Config{})
+	c := dialDaemon(t, addr)
+	sc := taxScenario(0)
+	seedTenant(t, c, "acme", sc)
+	wantLog, wantChanged, wantDist := cliRepair(t, sc)
+	for _, ms := range []int64{9223372036854776, 1 << 62} {
+		_, err := c.Diagnose("acme", nil, &DiagnoseOptions{TimeLimitMS: ms})
+		if err == nil || !strings.Contains(err.Error(), "time_limit_ms") {
+			t.Errorf("time_limit_ms %d: err = %v, want one naming time_limit_ms", ms, err)
+		}
+	}
+	resp, err := c.Diagnose("acme", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRepair(t, "after the refused limits", resp, wantLog, wantChanged, wantDist)
 }
 
 // peakSchedWorkers runs f and returns the most scheduler goroutines

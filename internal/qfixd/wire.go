@@ -2,6 +2,7 @@ package qfixd
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -95,7 +96,6 @@ type Response struct {
 type DiagnoseOptions struct {
 	Algorithm      string `json:"algorithm,omitempty"` // "incremental" (default) | "basic"
 	K              int    `json:"k,omitempty"`
-	Parallel       int    `json:"parallel,omitempty"`
 	Partition      int    `json:"partition,omitempty"`
 	SolverParallel int    `json:"solver_parallel,omitempty"`
 	NoTupleSlicing bool   `json:"no_tuple_slicing,omitempty"`
@@ -127,7 +127,6 @@ func (o *DiagnoseOptions) resolve() core.Options {
 	// any width, and a request asking for 1<<20 would get that many
 	// goroutines.
 	width := runtime.GOMAXPROCS(0)
-	opt.Parallel = min(o.Parallel, width)
 	opt.Partition = min(o.Partition, width)
 	opt.SolverParallel = min(o.SolverParallel, width)
 	opt.TupleSlicing = !o.NoTupleSlicing
@@ -148,6 +147,11 @@ func (r *Request) validate() error {
 	if o := r.Options; o != nil && o.Algorithm != "" &&
 		o.Algorithm != "basic" && o.Algorithm != "incremental" {
 		return fmt.Errorf("qfixd: unknown algorithm %q", o.Algorithm)
+	}
+	// resolve multiplies by time.Millisecond; a larger value would wrap
+	// to a tiny or zero per-solve limit.
+	if o := r.Options; o != nil && o.TimeLimitMS > math.MaxInt64/int64(time.Millisecond) {
+		return fmt.Errorf("qfixd: time_limit_ms %d out of range", o.TimeLimitMS)
 	}
 	return nil
 }

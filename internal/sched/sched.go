@@ -1,6 +1,6 @@
 // Package sched holds the worker-pool primitives shared by every layer
-// that fans work out over goroutines: the core solve scans (incremental
-// batches, partitions) and the milp parallel branch-and-bound. It is a
+// that fans work out over goroutines: the core partition scan and the
+// milp parallel branch-and-bound. It is a
 // leaf package — core imports encode imports milp, so the scheduler must
 // live below all of them.
 package sched
@@ -81,11 +81,10 @@ func (p *Pool) Close() {
 // while later jobs are still running — the property the callers rely on
 // for determinism: whichever job finishes first, whatever order the
 // pool started them in, whichever pool worker ran which job and however
-// batches from concurrent scans interleave on a shared queue, the
+// jobs from concurrent scans interleave on a shared queue, the
 // *choice* among results is made in a fixed order. Jobs that want to
-// short-circuit after a decision (e.g. batches older than an accepted
-// repair) check their own cancellation flag inside job; the scheduler
-// itself never drops a slot.
+// stop early (e.g. partitions past the diagnosis's deadline) check their
+// own cancellation inside job; the scheduler itself never drops a slot.
 //
 // wait blocks until every job has delivered its result. (A generic
 // method is not expressible on Pool, hence the package-level function.)
@@ -113,7 +112,7 @@ func OnPool[R any](p *Pool, workers, n int, order []int, job func(i int) R) (res
 	share := make(chan struct{}, workers)
 	mQueueDepth.Add(int64(n))
 	go func() {
-		// The feeder blocks on the batch's share semaphore, then on the
+		// The feeder blocks on the scan's share semaphore, then on the
 		// pool queue; both drain monotonically (every job releases its
 		// share token and every submitted job runs), so feeding cannot
 		// wedge. Jobs own cancellation, as everywhere in this package.

@@ -31,12 +31,11 @@
 // belong to the same partition iff their relevant-query candidate sets
 // (derived from the full-impact analysis of Definition 7) intersect.
 // Solving runs each partition concurrently on a shared worker pool and
-// merges the per-partition repairs; Options.Parallel likewise scans
-// incremental batches concurrently. Parallel batch scanning picks the
-// exact repair the sequential scan would; partitioned diagnosis always
-// returns a replay-verified repair and can resolve strictly more
-// instances than the joint path (see core.Options for the exact
-// guarantees).
+// merges the per-partition repairs; Algorithm 3's incremental batch
+// scan itself runs newest-first, one batch at a time. Partitioned
+// diagnosis always returns a replay-verified repair and can resolve
+// strictly more instances than the joint path (see core.Options for the
+// exact guarantees).
 //
 // Diagnosis also scales past one process: internal/dist's Coordinator
 // (dist.Connect over cmd/qfix-worker addresses, then Install or
