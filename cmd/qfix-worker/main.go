@@ -29,12 +29,12 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -43,8 +43,8 @@ func main() {
 		maxTL = flag.Duration("max-timelimit", 0, "cap on per-job solver time limits (0 = trust the coordinator)")
 		inflt = flag.Int("max-inflight", 0,
 			"concurrent solves across the whole worker, however many connections (0 = GOMAXPROCS, <0 = one at a time)")
-		quiet     = flag.Bool("quiet", false, "suppress per-job logging")
-		telemetry = flag.String("telemetry", "",
+		quiet         = flag.Bool("quiet", false, "suppress per-job logging")
+		telemetryAddr = flag.String("telemetry", "",
 			"serve live telemetry on this HTTP address (/metrics Prometheus text, /debug/vars JSON, /debug/pprof/*); empty disables")
 	)
 	flag.Parse()
@@ -54,18 +54,17 @@ func main() {
 		srv.Logf = log.Printf
 	}
 
-	if *telemetry != "" {
+	if *telemetryAddr != "" {
 		// The telemetry listener binds before the job listener so a
 		// misconfigured address fails fast instead of after jobs started.
-		tl, err := net.Listen("tcp", *telemetry)
+		tl, err := net.Listen("tcp", *telemetryAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qfix-worker: telemetry:", err)
 			os.Exit(1)
 		}
 		log.Printf("qfix-worker: telemetry on http://%s/metrics", tl.Addr())
 		go func() {
-			hs := &http.Server{Handler: obs.TelemetryMux(obs.Default())}
-			if err := hs.Serve(tl); err != nil {
+			if err := telemetry.Server(obs.Default()).Serve(tl); err != nil {
 				log.Printf("qfix-worker: telemetry server: %v", err)
 			}
 		}()

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -35,6 +34,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/qfixd"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -93,8 +93,7 @@ func main() {
 		}
 		log.Printf("qfixd: admin telemetry on http://%s/metrics", al.Addr())
 		go func() {
-			hs := &http.Server{Handler: obs.TelemetryMux(obs.Default())}
-			if err := hs.Serve(al); err != nil {
+			if err := telemetry.Server(obs.Default()).Serve(al); err != nil {
 				log.Printf("qfixd: admin server: %v", err)
 			}
 		}()

@@ -6,7 +6,7 @@
 // rows and diagnoses again. The store's impact cache makes that cheap —
 // the first diagnosis pays the FullImpact closure, every append extends
 // it incrementally, and every re-diagnosis reuses it instead of
-// recomputing the O(n²) closure from scratch.
+// recomputing the O(n·w) closure from scratch.
 //
 // The run also exercises the durability half of the store: a DELETE in
 // the history, then a checkpoint, then a reopen — tuple identities
@@ -102,7 +102,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Println("== audit 3: grown log (warm closure, no O(n²) recompute)")
+	fmt.Println("== audit 3: grown log (warm closure, no O(n·w) recompute)")
 	diagnose("diagnose+appends", []core.Complaint{
 		{TupleID: 3, Exists: true, Values: []float64{87000, 7500, 94500}},
 	})

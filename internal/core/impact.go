@@ -1,26 +1,75 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/query"
 	"repro/internal/relation"
 )
 
 // FullImpact computes F(q) for every query in the log (Definition 7,
 // Algorithm 2): the transitive closure of each query's written attributes
-// through later queries that read them. Computed back-to-front so each
-// F(qj) is final when earlier queries consult it, giving O(n²) set work
-// rather than the naive O(n³).
+// through later queries that read them.
+//
+// Algorithm 2's backward scan tests every later query, O(n²) set work.
+// Its step "if f ∩ P(qj) ≠ ∅ then f ∪= F(qj)" distributes over a union
+// of starting sets, so F(qi) = ∪_{a ∈ I(qi)} R_{i+1}(a), where R_p(a) is
+// the scan started from {a} at statement p. Going back to front,
+// R_p(a) = R_{p+1}(a) ∪ ∪_{b ∈ F(qp)} R_{p+1}(b) when a ∈ P(qp), and
+// R_{p+1}(a) otherwise. Keeping one reach set per attribute makes the
+// closure O(n·w) set unions for a width-w schema. Attributes outside
+// the schema (malformed input) start as singletons and get a reach set
+// when read. The returned sets share one backing array; treat them as
+// read-only.
 func FullImpact(log []query.Query, width int) []query.AttrSet {
 	n := len(log)
+	words := (width + 63) / 64
+	// One backing array: n closures, width reach sets and the scratch
+	// set. Each set is capped at its slot, so a set that grows past the
+	// schema width reallocates instead of spilling into its neighbour.
+	backing := make(query.AttrSet, (n+width+1)*words)
+	slot := func(k int) query.AttrSet { return backing[k*words : (k+1)*words : (k+1)*words] }
 	full := make([]query.AttrSet, n)
-	deps := make([]query.AttrSet, n)
-	for i, q := range log {
-		deps[i] = query.Dependency(q)
+	reach := make([]query.AttrSet, width)
+	for a := range reach {
+		reach[a] = slot(n + a)
+		reach[a].Add(a)
 	}
-	for i := n - 1; i >= 0; i-- {
-		full[i] = closureScan(log[i], deps, full, i, n, width)
+	scratch := slot(n + width)
+	for p := n - 1; p >= 0; p-- {
+		full[p] = slot(p)
+		unionReach(&full[p], query.DirectImpact(log[p], width), reach)
+		deps := query.Dependency(log[p])
+		if deps.Len() == 0 {
+			continue
+		}
+		clear(scratch)
+		unionReach(&scratch, full[p], reach)
+		for i, w := range deps {
+			for ; w != 0; w &= w - 1 {
+				a := i*64 + bits.TrailingZeros64(w)
+				for len(reach) <= a {
+					reach = append(reach, query.NewAttrSet(len(reach)))
+				}
+				reach[a].Union(scratch)
+			}
+		}
 	}
 	return full
+}
+
+// unionReach adds R(a) to dst for every member a of src. src must not
+// alias dst: the bits of src are read while dst grows.
+func unionReach(dst *query.AttrSet, src query.AttrSet, reach []query.AttrSet) {
+	for i, w := range src {
+		for ; w != 0; w &= w - 1 {
+			if a := i*64 + bits.TrailingZeros64(w); a < len(reach) {
+				dst.Union(reach[a])
+			} else {
+				dst.Add(a)
+			}
+		}
+	}
 }
 
 // ExtendFullImpact updates the FullImpact closure of a log prefix to
@@ -29,7 +78,7 @@ func FullImpact(log []query.Query, width int) []query.AttrSet {
 //
 // The closure is log-structural and complaint-independent, so repeated
 // diagnoses of a growing log can reuse the prefix instead of paying the
-// O(n²) recompute (the ROADMAP's impact-cache item). New suffix entries
+// O(n·w) recompute (the ROADMAP's impact-cache item). New suffix entries
 // are computed fresh — their backward scans only consult later entries,
 // all of which are new. A prefix entry i is recomputed only when its old
 // impact reaches the dependency set of a *dirty* later query (a new
@@ -46,7 +95,7 @@ func FullImpact(log []query.Query, width int) []query.AttrSet {
 // materialize lazily and the staleness scan walks the list of dirty
 // entries rather than the whole log, so appending one statement that
 // nothing upstream feeds into costs O(n) set-intersection checks — not
-// a rebuild of all n dependency sets or an O(n²) scan.
+// a rebuild of all n dependency sets or a cold closure.
 func ExtendFullImpact(prev []query.AttrSet, log []query.Query, width int) []query.AttrSet {
 	prevN := len(prev)
 	n := len(log)

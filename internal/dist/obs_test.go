@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
+	"repro/internal/telemetry"
 )
 
 // TestDistributedTraceAndTelemetry is the observability integration
@@ -92,8 +93,8 @@ func TestDistributedTraceAndTelemetry(t *testing.T) {
 		t.Errorf("qfix_dist_jobs_total rose by %d, want >= %d", d, wantJobs)
 	}
 
-	// Telemetry endpoint: the same mux qfix-worker mounts on -telemetry.
-	ts := httptest.NewServer(obs.TelemetryMux(obs.Default()))
+	// Telemetry endpoint: the same server qfix-worker runs on -telemetry.
+	ts := httptest.NewServer(telemetry.Server(obs.Default()).Handler)
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

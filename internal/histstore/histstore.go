@@ -457,7 +457,7 @@ func (s *Store) appendLocked(q query.Query) error {
 // once a diagnosis has materialized one, every append extends it
 // incrementally (touching only prefix entries whose impact reaches the
 // new statement) so the next Diagnose starts from a warm closure
-// instead of paying the update — let alone the full O(n²) recompute —
+// instead of paying the update — let alone the full O(n·w) recompute —
 // on the diagnosis path. Quiet appends (statements nothing upstream
 // feeds into) cost O(n) set-intersection checks; for a diagnose-rarely
 // bulk loader even that is wasted, but it is dwarfed by Append's

@@ -22,8 +22,10 @@
 //
 // Metrics: a Registry holds named counters, gauges, and fixed-bucket
 // log-scale histograms, rendered as Prometheus text exposition format
-// (WritePrometheus) and JSON (WriteJSON), and served over HTTP by
-// Handler/TelemetryMux (qfix-worker's -telemetry endpoint). Default()
+// (WritePrometheus) and JSON (WriteJSON). internal/telemetry serves
+// them over HTTP (qfixd's -admin and qfix-worker's -telemetry
+// endpoints); obs itself imports no HTTP stack, so the engine packages
+// that publish into it keep net/http out of the qfix CLI. Default()
 // is the process-wide registry every subsystem publishes into.
 package obs
 

@@ -1,20 +1,34 @@
-package obs
+package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/obs"
 )
 
+// serve starts Server(r) on a loopback httptest listener.
+func serve(t *testing.T, r *obs.Registry) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewUnstartedServer(nil)
+	srv.Config = Server(r)
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv
+}
+
 func TestTelemetryEndpoints(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Counter("qfix_test_total", "test counter").Add(9)
 	r.Histogram("qfix_test_seconds", "test hist", []float64{1}).Observe(0.25)
-	srv := httptest.NewServer(TelemetryMux(r))
-	defer srv.Close()
+	srv := serve(t, r)
 
 	get := func(path string) (string, string) {
 		resp, err := http.Get(srv.URL + path)
@@ -62,5 +76,38 @@ func TestTelemetryEndpoints(t *testing.T) {
 
 	if body, _ := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Fatalf("/debug/pprof/ index missing profiles:\n%s", body)
+	}
+}
+
+// A client that stalls must not hold its connection forever: the
+// server closes it once the stall timeout passes, whether the client
+// stopped halfway through a request line or went quiet on a keep-alive
+// connection after a complete request.
+func TestServerDropsStalledClients(t *testing.T) {
+	defer func(d time.Duration) { stallTimeout = d }(stallTimeout)
+	stallTimeout = 100 * time.Millisecond
+	srv := serve(t, obs.NewRegistry())
+
+	for _, sent := range []string{
+		"GET /metr",
+		"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n",
+	} {
+		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.WriteString(conn, sent); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		_, err = io.ReadAll(conn)
+		conn.Close()
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("after %q the server still held the connection 10s later", sent)
+			}
+			t.Fatal(err)
+		}
 	}
 }

@@ -56,7 +56,7 @@
 // statement's read and write attribute sets. Options.ImpactCache holds
 // it, keyed by the statements themselves, so a caller that keeps its
 // parsed log (internal/histstore, a dist worker) re-plans a repeat
-// without the O(n²) closure and a grown log at the cost of what the
+// without the O(n·w) closure and a grown log at the cost of what the
 // appends reach. Every MILP is solved cold; answering an exact repeat
 // of a whole question is left to whoever is asked it again
 // (internal/qfixd's answer memo).
@@ -112,7 +112,7 @@ type (
 	// ImpactCache caches FullImpact closures across diagnoses of the
 	// same (or a growing) log, keyed by the log's statements: hand it
 	// the same parsed statements again (a grown log may append to them)
-	// and exact repeats skip the O(n²) closure entirely
+	// and exact repeats skip the O(n·w) closure entirely
 	// (Stats.ImpactCacheHits) while diagnoses after appends pay only an
 	// incremental extension (Stats.ImpactCacheExtends); a re-parsed log
 	// is new statements and misses. Install one via Options.ImpactCache
