@@ -16,10 +16,8 @@
 //
 //	qfix -data taxes.csv -log history.sql -complaints bad.txt -table Taxes
 //
-// Alternatively, -hist points at a histstore directory (meta.txt +
-// snapshot.csv + log.sql, as written by internal/histstore): the
-// checkpoint state and log are loaded from the store, and repeat
-// diagnoses (-repeat) reuse the store's impact cache.
+// Each run is one local diagnosis. Diagnosing over a qfix-worker fleet,
+// from a history store, or again as the history grows is qfixd's job.
 package main
 
 import (
@@ -29,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"math"
 	"os"
 	"strconv"
@@ -37,8 +34,6 @@ import (
 	"time"
 
 	qfix "repro"
-	"repro/internal/dist"
-	"repro/internal/histstore"
 	"repro/internal/obs"
 )
 
@@ -67,8 +62,6 @@ func run(out *bufio.Writer) error {
 	var (
 		dataPath  = flag.String("data", "", "CSV file with header row: the initial state D0")
 		logPath   = flag.String("log", "", "SQL file with the query history")
-		histPath  = flag.String("hist", "", "history-store directory (alternative to -data/-log)")
-		repeat    = flag.Int("repeat", 1, "run the diagnosis this many times; repeats share an impact cache")
 		compPath  = flag.String("complaints", "", "complaint file (id,v1,v2,... or id,DELETED)")
 		tableName = flag.String("table", "t", "table name used in the SQL statements")
 		keyAttr   = flag.String("key", "", "primary key attribute name (optional)")
@@ -77,8 +70,6 @@ func run(out *bufio.Writer) error {
 		partition = flag.String("partition", "0", "partition-parallel diagnosis workers (0 disables partitioning; 'auto' sizes from GOMAXPROCS)")
 		solverPar = flag.String("solver-parallel", "1", "concurrent branch-and-bound LP workers inside each MILP solve (or 'auto'); repairs are identical at any setting")
 		verbose   = flag.Bool("v", false, "print solver statistics (nodes, LP iterations, refactorizations, presolved rows, LP numerical and iteration-limit exits)")
-		workers   = flag.String("workers", "", "comma-separated qfix-worker addresses (host:port,...) for distributed diagnosis")
-		mux       = flag.Bool("mux", false, "multiplex jobs over one persistent connection per worker instead of dialing per job")
 		noTuple   = flag.Bool("no-tuple-slicing", false, "disable tuple slicing")
 		noQuery   = flag.Bool("no-query-slicing", false, "disable query slicing")
 		attrSlice = flag.Bool("attr-slicing", false, "enable attribute slicing")
@@ -88,43 +79,23 @@ func run(out *bufio.Writer) error {
 		metrics   = flag.String("metrics", "", "after diagnosing, dump process metrics to this file ('-' = stdout; .json = JSON, otherwise Prometheus text)")
 	)
 	flag.Parse()
-	if *histPath != "" && (*dataPath != "" || *logPath != "") {
-		fmt.Fprintln(os.Stderr, "qfix: -hist and -data/-log are mutually exclusive")
-		os.Exit(2)
-	}
-	if *compPath == "" || (*histPath == "" && (*dataPath == "" || *logPath == "")) {
+	if *compPath == "" || *dataPath == "" || *logPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: qfix -data D0.csv -log history.sql -complaints bad.txt [flags]")
-		fmt.Fprintln(os.Stderr, "       qfix -hist storedir -complaints bad.txt [flags]")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
 
-	var (
-		sch     *qfix.Schema
-		d0      *qfix.Table
-		history []qfix.Query
-		store   *histstore.Store
-		err     error
-	)
-	if *histPath != "" {
-		if store, err = histstore.Open(*histPath); err != nil {
-			return err
-		}
-		defer store.Close()
-		// The store diagnoses from its own state; only the schema is
-		// needed up front (complaint parsing, output rendering).
-		sch = store.Schema()
-	} else {
-		if sch, d0, err = loadCSV(*dataPath, *tableName, *keyAttr); err != nil {
-			return err
-		}
-		sqlBytes, err := os.ReadFile(*logPath)
-		if err != nil {
-			return err
-		}
-		if history, err = qfix.ParseLog(sch, string(sqlBytes)); err != nil {
-			return err
-		}
+	sch, d0, err := loadCSV(*dataPath, *tableName, *keyAttr)
+	if err != nil {
+		return err
+	}
+	sqlBytes, err := os.ReadFile(*logPath)
+	if err != nil {
+		return err
+	}
+	history, err := qfix.ParseLog(sch, string(sqlBytes))
+	if err != nil {
+		return err
 	}
 
 	complaints, err := loadComplaints(*compPath, sch.Width())
@@ -150,27 +121,6 @@ func run(out *bufio.Writer) error {
 		SolverParallel:   spar,
 		TimeLimit:        *limit,
 	}
-	var fleet []string
-	for _, addr := range strings.Split(*workers, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			fleet = append(fleet, addr)
-		}
-	}
-	if len(fleet) > 0 {
-		cfg := dist.Config{Mux: *mux}
-		if *verbose {
-			// Same log.Printf sink qfix-worker uses, so coordinator warnings
-			// (slow jobs, retries, fallbacks) read identically on both sides.
-			cfg.Logf = log.Printf
-		}
-		// One coordinator for the whole run: -repeat reuses its
-		// connections instead of dialing per diagnosis.
-		coord := dist.Connect(cfg, fleet...)
-		defer coord.Close()
-		coord.Install(&opts)
-	} else if *mux {
-		fmt.Fprintln(os.Stderr, "qfix: -mux has no effect without -workers; diagnosing locally")
-	}
 	var root *obs.Span
 	if *tracePath != "" {
 		root = obs.NewTrace("qfix")
@@ -185,32 +135,12 @@ func run(out *bufio.Writer) error {
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 
-	if *repeat < 1 {
-		*repeat = 1
+	start := time.Now()
+	rep, err := qfix.Diagnose(d0, history, complaints, opts)
+	if err != nil {
+		return err
 	}
-	if store == nil && *repeat > 1 {
-		// The store brings its own cache; standalone repeats share one.
-		opts.ImpactCache = qfix.NewImpactCache(0)
-	}
-	var rep *qfix.Repair
-	var elapsed time.Duration
-	for n := 1; n <= *repeat; n++ {
-		start := time.Now()
-		if store != nil {
-			rep, err = store.Diagnose(complaints, opts)
-		} else {
-			rep, err = qfix.Diagnose(d0, history, complaints, opts)
-		}
-		if err != nil {
-			return err
-		}
-		elapsed = time.Since(start)
-		if *repeat > 1 {
-			fmt.Fprintf(out, "-- run %d/%d: %v (impact cache hits: %d; %d nodes)\n",
-				n, *repeat, elapsed.Round(time.Millisecond), rep.Stats.ImpactCacheHits,
-				rep.Stats.Nodes)
-		}
-	}
+	elapsed := time.Since(start)
 
 	if root != nil {
 		root.End()

@@ -107,10 +107,7 @@ func TestLoadCSVParity(t *testing.T) {
 // for a diagnosis without a verified repair the WARNING last, exit
 // status 1 and a silent standard error.
 func TestCLIOutputGoldens(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "qfix")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
 	firstLine := regexp.MustCompile(`^-- diagnosis completed in \S+$`)
 	for _, c := range []struct {
 		complaints, golden string
@@ -146,6 +143,36 @@ func TestCLIOutputGoldens(t *testing.T) {
 			t.Errorf("%s: printed\n%s\nwant\n%s", c.complaints, rest, want)
 		}
 	}
+}
+
+// TestRemovedFlagsRefused pins the CLI to one local diagnosis per
+// process: the fleet, history-store and repeat flags are gone (qfixd
+// serves those), and naming one is a usage error, exit status 2.
+func TestRemovedFlagsRefused(t *testing.T) {
+	bin := buildCLI(t)
+	for _, args := range [][]string{{"-workers", "x"}, {"-mux"}, {"-hist", "d"}, {"-repeat", "2"}} {
+		cmd := exec.Command(bin, append(args, "-data", "testdata/taxes.csv", "-log", "testdata/history.sql",
+			"-complaints", "testdata/complaints.txt", "-table", "Taxes")...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%v: %v, want exit status 2", args, err)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(stderr.String(), want) {
+			t.Errorf("%v: stderr %q does not say %q", args, stderr.String(), want)
+		}
+	}
+}
+
+func buildCLI(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "qfix")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 func TestLoadComplaints(t *testing.T) {

@@ -13,8 +13,9 @@
 // The fleet is exercised twice: once dialing a fresh connection per job
 // and once with dist.Config.Mux, which keeps one persistent multiplexed
 // connection per worker and streams each result back the moment its
-// solve lands (Stats.StreamedResults) — what `qfix -mux` enables from
-// the CLI. All three runs produce the identical repair.
+// solve lands (Stats.StreamedResults) — what `qfixd -workers … -mux`
+// holds for every diagnosis it runs. All three runs produce the
+// identical repair.
 //
 // In production the two goroutines are `qfix-worker -addr :7433` style
 // processes on other machines and dist.Connect is given their addresses.

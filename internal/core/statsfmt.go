@@ -6,22 +6,17 @@ import (
 	"time"
 )
 
-// This file is the single renderer of Stats for humans. `qfix` (both
-// the default and -v output), the dist worker's per-job log lines, and
-// anything else that wants to narrate a diagnosis all format through
-// here, so the same statistic never prints two different ways.
+// This file is the single renderer of Stats for humans: Format for the
+// qfix CLI's report (its only caller), Brief for the dist worker's
+// per-job log lines.
 
-// Format renders the stats as report lines (no prefix, no trailing
-// newline; the CLI adds its "-- " marker). Non-verbose output includes
-// only the lines a casual run cares about — impact-cache wins,
-// partition/remote shape; verbose adds solver totals, model sizes, the
-// per-phase time split, and per-partition breakdowns.
+// Format renders the stats of a local diagnosis as report lines (no
+// prefix, no trailing newline; the CLI adds its "-- " marker).
+// Non-verbose output carries only the partition shape; verbose adds
+// solver totals, model sizes, the per-phase time split, and
+// per-partition breakdowns.
 func (s Stats) Format(verbose bool) []string {
 	var out []string
-	if s.ImpactCacheHits > 0 {
-		out = append(out, fmt.Sprintf("impact cache: %d hits (%d incremental extends)",
-			s.ImpactCacheHits, s.ImpactCacheExtends))
-	}
 	if verbose {
 		out = append(out,
 			fmt.Sprintf("solver: %d nodes, %d LP iterations, %d refactorizations, %d presolved rows, LP exits: %d numerical failures, %d iteration limits; limit stops: %d node, %d time",
@@ -40,17 +35,9 @@ func (s Stats) Format(verbose bool) []string {
 	}
 	if verbose {
 		for _, p := range s.PartitionStats {
-			line := fmt.Sprintf("partition[%d]: complaints=%d candidates=%d queue=%v solve=%v status=%s",
-				p.Index, p.Complaints, p.Candidates, fmtDur(p.QueueWait), fmtDur(p.Solve), orDash(p.Status))
-			if p.Remote || p.Attempts > 0 {
-				line += fmt.Sprintf(" worker=%s attempts=%d", orDash(p.Worker), p.Attempts)
-			}
-			out = append(out, line)
+			out = append(out, fmt.Sprintf("partition[%d]: complaints=%d candidates=%d queue=%v solve=%v status=%s",
+				p.Index, p.Complaints, p.Candidates, fmtDur(p.QueueWait), fmtDur(p.Solve), orDash(p.Status)))
 		}
-	}
-	if s.RemoteJobs > 0 || s.StreamedResults > 0 || s.WorkerCacheHits > 0 {
-		out = append(out, fmt.Sprintf("remote jobs: %d of %d partitions (%d streamed over mux; rest solved locally; worker cache hits: %d)",
-			s.RemoteJobs, s.Partitions, s.StreamedResults, s.WorkerCacheHits))
 	}
 	return out
 }

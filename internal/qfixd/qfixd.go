@@ -103,7 +103,8 @@ type Config struct {
 	// Mux selects persistent multiplexed worker connections (wire v3).
 	Mux bool
 	// Partition is the default Options.Partition for diagnoses that do
-	// not request one (0 lets each request's options decide).
+	// not request one. Zero leaves them unpartitioned locally and, over
+	// a fleet, at one partition per worker.
 	Partition int
 	// PoolWorkers sizes the resident scheduler pool shared by every
 	// diagnosis's scans. Zero picks runtime.GOMAXPROCS.
@@ -640,15 +641,7 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 	mInflight.Add(1)
 	defer mInflight.Add(-1)
 
-	opt := wopt.resolve()
-	opt.Scheduler = s.pool
-	if s.coord != nil {
-		s.coord.Install(&opt)
-	}
-	if opt.Partition == 0 {
-		opt.Partition = s.cfg.Partition
-	}
-
+	opt := s.options(wopt)
 	var root *obs.Span
 	if s.cfg.TraceDir != "" {
 		root = obs.NewTrace("qfixd")
@@ -672,6 +665,21 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 	s.logf("qfixd: %s: diagnosed %d complaints in %v: resolved=%v changed=%d memo=miss",
 		name, len(all), elapsed.Round(time.Millisecond), rep.Resolved, len(rep.Changed))
 	return rep, view, nil
+}
+
+// options resolves a request's engine options against the service.
+// The partition width comes from the request, else Config.Partition,
+// else (over a fleet) Install's default of one partition per worker.
+func (s *Service) options(wopt *DiagnoseOptions) core.Options {
+	opt := wopt.resolve()
+	opt.Scheduler = s.pool
+	if opt.Partition == 0 {
+		opt.Partition = s.cfg.Partition
+	}
+	if s.coord != nil {
+		s.coord.Install(&opt)
+	}
+	return opt
 }
 
 // writeTrace exports one request's finished span tree, best-effort: a

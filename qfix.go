@@ -61,6 +61,12 @@
 // of a whole question is left to whoever is asked it again
 // (internal/qfixd's answer memo).
 //
+// Two commands wrap the engine. cmd/qfix runs one local diagnosis per
+// process from a CSV, a SQL log and a complaint file, and links no
+// network code. cmd/qfixd is resident: it keeps tenants' history stores
+// and their caches open across requests, and it is the one command that
+// diagnoses over a qfix-worker fleet (-workers, -mux).
+//
 // The subpackages are exposed for advanced use: internal/encode (the MILP
 // encoder), internal/milp and internal/simplex (the solver stack),
 // internal/dist (the coordinator/worker distribution layer),
