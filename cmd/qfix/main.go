@@ -29,6 +29,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -163,13 +164,13 @@ func run(out *bufio.Writer) error {
 		fmt.Fprintln(out, "-- no queries needed repair")
 	}
 	for i, q := range rep.Log {
-		marker := "  "
-		for _, c := range rep.Changed {
-			if c == i {
-				marker = "*>"
-			}
+		marker := "   "
+		if slices.Contains(rep.Changed, i) {
+			marker = "*> "
 		}
-		fmt.Fprintf(out, "%s %s;\n", marker, q.String(sch))
+		out.WriteString(marker)
+		out.WriteString(q.String(sch))
+		out.WriteString(";\n")
 	}
 	if !rep.Resolved {
 		fmt.Fprintln(out, "-- WARNING: no verified repair found (infeasible or time limit)")
@@ -238,7 +239,16 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 	defer f.Close()
 	r := csv.NewReader(bufio.NewReaderSize(f, 64<<10))
 	r.ReuseRecord = true
-	rec, err := r.Read()
+	// Every error names the file and the physical line, blank lines
+	// counted, as loadComplaints does; encoding/csv's name no file.
+	read := func() ([]string, error) {
+		rec, err := r.Read()
+		if pe, ok := err.(*csv.ParseError); ok {
+			err = fmt.Errorf("%s line %d: %v", path, pe.Line, pe.Err)
+		}
+		return rec, err
+	}
+	rec, err := read()
 	if err == io.EOF {
 		return nil, nil, fmt.Errorf("%s: empty file", path)
 	}
@@ -255,8 +265,8 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 	}
 	tb := qfix.NewTable(sch)
 	vals := make([]float64, len(header)) // Insert copies it; the reader holds every record to the header's width
-	for line := 2; ; line++ {            // counts records, the header being the first
-		rec, err := r.Read()
+	for {
+		rec, err := read()
 		if err == io.EOF {
 			return sch, tb, nil
 		}
@@ -266,11 +276,13 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 		for i, cell := range rec {
 			v, err := parseCell(cell)
 			if err != nil {
+				line, _ := r.FieldPos(i)
 				return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
 			}
 			vals[i] = v
 		}
 		if _, err := tb.Insert(vals); err != nil {
+			line, _ := r.FieldPos(0)
 			return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
 		}
 	}

@@ -62,8 +62,9 @@ func TestLoadCSVErrors(t *testing.T) {
 
 // TestLoadCSVParity pins what the streaming loader owes the ReadAll one
 // it replaced: quoted and padded cells load, and a ragged row, a bad
-// number and a bad quote are reported in the same words with the same
-// line numbers.
+// number and a bad quote are each reported with the file's path and the
+// physical line, blank lines counted, so a short row and a bad cell on
+// the same line name the same number.
 func TestLoadCSVParity(t *testing.T) {
 	dir := t.TempDir()
 	load := func(content string) (*qfix.Table, error) {
@@ -86,11 +87,12 @@ func TestLoadCSVParity(t *testing.T) {
 		t.Errorf("tuple 2 = %v, want [3 40]", tp.Values)
 	}
 	for content, want := range map[string]string{
-		"a,b\n1,2\n3\n":     "record on line 3: wrong number of fields",
-		"a,b\n1,2\n3,4,5\n": "record on line 3: wrong number of fields",
+		"a,b\n1,2\n3\n":     filepath.Join(dir, "d.csv") + " line 3: wrong number of fields",
+		"a,b\n1,2\n3,4,5\n": filepath.Join(dir, "d.csv") + " line 3: wrong number of fields",
 		"a,b\n1,2\n3,x\n":   filepath.Join(dir, "d.csv") + ` line 3: strconv.ParseFloat: parsing "x": invalid syntax`,
-		"a,b\n1,2\n\n3,\n":  filepath.Join(dir, "d.csv") + ` line 3: strconv.ParseFloat: parsing "": invalid syntax`,
-		"a,b\n1,2\n\"3,4\n": `parse error on line 3, column 6: extraneous or missing " in quoted-field`,
+		"a,b\n1,2\n\n3,\n":  filepath.Join(dir, "d.csv") + ` line 4: strconv.ParseFloat: parsing "": invalid syntax`,
+		"a,b\n1,2\n\n3\n":   filepath.Join(dir, "d.csv") + " line 4: wrong number of fields",
+		"a,b\n1,2\n\"3,4\n": filepath.Join(dir, "d.csv") + ` line 3: extraneous or missing " in quoted-field`,
 		"a,a\n1,2\n":        `relation: schema "t" has duplicate attribute "a"`,
 		"":                  filepath.Join(dir, "d.csv") + ": empty file",
 	} {

@@ -400,8 +400,8 @@ func (m *encMemo) encodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 // becomes opt.PartitionSolver, so concurrent diagnoses on one shared
 // coordinator never cross-pollute encoding memos, and Partition
 // defaults to the worker count when unset so the dispatch pipeline is
-// as wide as the fleet. It is the one wiring rule every entry point
-// (Diagnose, the qfix CLI, qfixd) shares.
+// as wide as the fleet. It is the one wiring rule both entry points
+// (Coordinator.Diagnose and qfixd) share.
 func (c *Coordinator) Install(opt *core.Options) {
 	if opt.Partition == 0 {
 		opt.Partition = max(len(c.transports), 1)

@@ -3,8 +3,8 @@ package histstore
 import "repro/internal/obs"
 
 // Process-wide counters on obs.Default(): store lifecycle and write
-// traffic, surfaced by qfix-worker's -telemetry endpoint and
-// `qfix -metrics` alongside the engine's own metrics.
+// traffic, surfaced by qfixd's -admin endpoint alongside the engine's
+// own metrics.
 var (
 	mOpens = obs.Default().Counter("qfix_histstore_opens_total",
 		"History-store directories opened or created by this process.")

@@ -1,10 +1,6 @@
 package query
 
-import (
-	"strings"
-
-	"repro/internal/relation"
-)
+import "repro/internal/relation"
 
 // CmpOp is a comparison operator in a predicate.
 type CmpOp int
@@ -108,9 +104,7 @@ func (p *Pred) Eval(values []float64) bool {
 func (p *Pred) Clone() Cond { return &Pred{LHS: p.LHS.Clone(), Op: p.Op, RHS: p.RHS} }
 
 // String implements Cond.
-func (p *Pred) String(s *relation.Schema) string {
-	return p.LHS.String(s) + " " + p.Op.String() + " " + fmtNum(p.RHS)
-}
+func (p *Pred) String(s *relation.Schema) string { return string(appendCond(nil, p, s)) }
 
 // And is a conjunction of conditions.
 type And struct{ Kids []Cond }
@@ -138,16 +132,7 @@ func (a *And) Clone() Cond {
 }
 
 // String implements Cond.
-func (a *And) String(s *relation.Schema) string {
-	if len(a.Kids) == 0 {
-		return "TRUE"
-	}
-	parts := make([]string, len(a.Kids))
-	for i, k := range a.Kids {
-		parts[i] = condChildString(k, s)
-	}
-	return strings.Join(parts, " AND ")
-}
+func (a *And) String(s *relation.Schema) string { return string(appendCond(nil, a, s)) }
 
 // Or is a disjunction of conditions.
 type Or struct{ Kids []Cond }
@@ -176,26 +161,43 @@ func (o *Or) Clone() Cond {
 }
 
 // String implements Cond.
-func (o *Or) String(s *relation.Schema) string {
-	if len(o.Kids) == 0 {
-		return "FALSE"
+func (o *Or) String(s *relation.Schema) string { return string(appendCond(nil, o, s)) }
+
+// appendCond appends what c.String(s) returns to b.
+func appendCond(b []byte, c Cond, s *relation.Schema) []byte {
+	switch c := c.(type) {
+	case True:
+		return append(b, "TRUE"...)
+	case *Pred:
+		b = append(append(c.LHS.appendSQL(b, s), ' '), c.Op.String()...)
+		return appendNum(append(b, ' '), c.RHS)
+	case *And:
+		return appendJunction(b, c.Kids, " AND ", "TRUE", s)
+	case *Or:
+		return appendJunction(b, c.Kids, " OR ", "FALSE", s)
 	}
-	parts := make([]string, len(o.Kids))
-	for i, k := range o.Kids {
-		parts[i] = condChildString(k, s)
-	}
-	return strings.Join(parts, " OR ")
+	return append(b, c.String(s)...)
 }
 
-// condChildString parenthesizes composite children so the printed SQL
-// parses back to the same tree.
-func condChildString(c Cond, s *relation.Schema) string {
-	switch c.(type) {
-	case *And, *Or:
-		return "(" + c.String(s) + ")"
-	default:
-		return c.String(s)
+// appendJunction appends kids joined by sep, or empty when there are
+// none. Composite kids are parenthesized so the printed SQL parses back
+// to the same tree.
+func appendJunction(b []byte, kids []Cond, sep, empty string, s *relation.Schema) []byte {
+	if len(kids) == 0 {
+		return append(b, empty...)
 	}
+	for i, k := range kids {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		switch k.(type) {
+		case *And, *Or:
+			b = append(appendCond(append(b, '('), k, s), ')')
+		default:
+			b = appendCond(b, k, s)
+		}
+	}
+	return b
 }
 
 // CondAttrs appends all attribute indices referenced anywhere in the

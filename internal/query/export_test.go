@@ -5,7 +5,7 @@ import "repro/internal/relation"
 // ReplayIndexed is Replay with every attribute indexed whatever the
 // log's size, so that tests reach the indexed paths on tiny inputs.
 func ReplayIndexed(log []Query, d0 *relation.Table) (*relation.Table, error) {
-	x := newExecutor(log, d0.Clone())
+	x := newExecutor(log, d0)
 	for a := range x.index {
 		x.index[a].want = true
 	}

@@ -11,10 +11,9 @@
 package query
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/relation"
 )
@@ -115,47 +114,54 @@ func (e LinExpr) Equal(o LinExpr, eps float64) bool {
 }
 
 // String renders the expression using the schema's attribute names.
-func (e LinExpr) String(s *relation.Schema) string {
-	var b strings.Builder
-	first := true
-	for _, t := range e.Terms {
-		name := fmt.Sprintf("a%d", t.Attr)
-		if s != nil {
-			name = s.Attr(t.Attr)
-		}
+func (e LinExpr) String(s *relation.Schema) string { return string(e.appendSQL(nil, s)) }
+
+// appendSQL appends what String returns to b.
+func (e LinExpr) appendSQL(b []byte, s *relation.Schema) []byte {
+	for i, t := range e.Terms {
 		switch {
-		case first && t.Coef == 1:
-			b.WriteString(name)
-		case first && t.Coef == -1:
-			b.WriteString("-" + name)
-		case first:
-			fmt.Fprintf(&b, "%s * %s", fmtNum(t.Coef), name)
+		case i == 0 && t.Coef == 1:
+		case i == 0 && t.Coef == -1:
+			b = append(b, '-')
+		case i == 0:
+			b = append(appendNum(b, t.Coef), " * "...)
 		case t.Coef == 1:
-			b.WriteString(" + " + name)
+			b = append(b, " + "...)
 		case t.Coef == -1:
-			b.WriteString(" - " + name)
+			b = append(b, " - "...)
 		case t.Coef < 0:
-			fmt.Fprintf(&b, " - %s * %s", fmtNum(-t.Coef), name)
+			b = append(appendNum(append(b, " - "...), -t.Coef), " * "...)
 		default:
-			fmt.Fprintf(&b, " + %s * %s", fmtNum(t.Coef), name)
+			b = append(appendNum(append(b, " + "...), t.Coef), " * "...)
 		}
-		first = false
+		b = appendAttr(b, s, t.Attr)
 	}
 	switch {
-	case first:
-		b.WriteString(fmtNum(e.Const))
+	case len(e.Terms) == 0:
+		b = appendNum(b, e.Const)
 	case e.Const > 0:
-		b.WriteString(" + " + fmtNum(e.Const))
+		b = appendNum(append(b, " + "...), e.Const)
 	case e.Const < 0:
-		b.WriteString(" - " + fmtNum(-e.Const))
+		b = appendNum(append(b, " - "...), -e.Const)
 	}
-	return b.String()
+	return b
 }
 
-// fmtNum renders a float without a trailing ".0" for integral values.
-func fmtNum(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
+// appendAttr appends the name of attribute a: the schema's, or "a<a>"
+// without one.
+func appendAttr(b []byte, s *relation.Schema, a int) []byte {
+	if s != nil {
+		return append(b, s.Attr(a)...)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.AppendInt(append(b, 'a'), int64(a), 10)
+}
+
+// appendNum appends v without a trailing ".0" for integral values: in
+// fmt's terms %d of int64(v) when v is an integer below 1e15 in
+// magnitude, %g otherwise.
+func appendNum(b []byte, v float64) []byte {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

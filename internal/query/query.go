@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/relation"
 )
@@ -78,7 +77,11 @@ func (u *Update) Apply(tb *relation.Table) error {
 		return err
 	}
 	newVals := make([]float64, len(u.Set))
-	tb.Update(func(t *relation.Tuple) { u.applyTo(t, newVals) })
+	tb.Update(func(t relation.Tuple) {
+		if u.Where.Eval(t.Values) {
+			u.assign(t.Values, newVals)
+		}
+	})
 	return nil
 }
 
@@ -92,20 +95,16 @@ func (u *Update) checkSet(width int) error {
 	return nil
 }
 
-// applyTo runs the statement on one tuple, reporting whether it matched.
-// newVals is scratch of len(u.Set): every SET expression is evaluated
-// over the old values before any is assigned.
-func (u *Update) applyTo(t *relation.Tuple, newVals []float64) bool {
-	if !u.Where.Eval(t.Values) {
-		return false
+// assign applies the SET clauses to the values of a tuple the WHERE
+// matched. newVals is scratch of len(u.Set): every SET expression is
+// evaluated over the old values before any is assigned.
+func (u *Update) assign(values, newVals []float64) {
+	for i, sc := range u.Set {
+		newVals[i] = sc.Expr.Eval(values)
 	}
 	for i, sc := range u.Set {
-		newVals[i] = sc.Expr.Eval(t.Values)
+		values[sc.Attr] = newVals[i]
 	}
-	for i, sc := range u.Set {
-		t.Values[sc.Attr] = newVals[i]
-	}
-	return true
 }
 
 // Clone implements Query.
@@ -119,23 +118,31 @@ func (u *Update) Clone() Query {
 
 // String implements Query.
 func (u *Update) String(s *relation.Schema) string {
-	name := "t"
-	if s != nil {
-		name = s.Name()
-	}
-	parts := make([]string, len(u.Set))
+	var buf [160]byte
+	b := append(appendTable(append(buf[:0], "UPDATE "...), s), " SET "...)
 	for i, sc := range u.Set {
-		an := fmt.Sprintf("a%d", sc.Attr)
-		if s != nil {
-			an = s.Attr(sc.Attr)
+		if i > 0 {
+			b = append(b, ", "...)
 		}
-		parts[i] = an + " = " + sc.Expr.String(s)
+		b = sc.Expr.appendSQL(append(appendAttr(b, s, sc.Attr), " = "...), s)
 	}
-	out := "UPDATE " + name + " SET " + strings.Join(parts, ", ")
-	if _, isTrue := u.Where.(True); !isTrue {
-		out += " WHERE " + u.Where.String(s)
+	return string(appendWhere(b, u.Where, s))
+}
+
+// appendTable appends the schema's table name, or "t" without one.
+func appendTable(b []byte, s *relation.Schema) []byte {
+	if s != nil {
+		return append(b, s.Name()...)
 	}
-	return out
+	return append(b, 't')
+}
+
+// appendWhere appends " WHERE " and the condition unless it is True.
+func appendWhere(b []byte, where Cond, s *relation.Schema) []byte {
+	if _, isTrue := where.(True); isTrue {
+		return b
+	}
+	return appendCond(append(b, " WHERE "...), where, s)
 }
 
 // Insert is an INSERT statement adding one tuple with constant values.
@@ -164,15 +171,15 @@ func (q *Insert) Clone() Query {
 
 // String implements Query.
 func (q *Insert) String(s *relation.Schema) string {
-	name := "t"
-	if s != nil {
-		name = s.Name()
-	}
-	parts := make([]string, len(q.Values))
+	var buf [160]byte
+	b := append(appendTable(append(buf[:0], "INSERT INTO "...), s), " VALUES ("...)
 	for i, v := range q.Values {
-		parts[i] = fmtNum(v)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendNum(b, v)
 	}
-	return "INSERT INTO " + name + " VALUES (" + strings.Join(parts, ", ") + ")"
+	return string(append(b, ')'))
 }
 
 // Delete is a DELETE statement removing all tuples matching Where.
@@ -208,15 +215,8 @@ func (q *Delete) Clone() Query { return &Delete{Where: q.Where.Clone()} }
 
 // String implements Query.
 func (q *Delete) String(s *relation.Schema) string {
-	name := "t"
-	if s != nil {
-		name = s.Name()
-	}
-	out := "DELETE FROM " + name
-	if _, isTrue := q.Where.(True); !isTrue {
-		out += " WHERE " + q.Where.String(s)
-	}
-	return out
+	var buf [128]byte
+	return string(appendWhere(appendTable(append(buf[:0], "DELETE FROM "...), s), q.Where, s))
 }
 
 // ReplayAll returns every intermediate state [D0, D1, ..., Dn]. Used by

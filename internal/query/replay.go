@@ -10,7 +10,7 @@ import (
 // Replay clones d0 and applies every query in the log, returning the
 // final state Dn = Q(D0).
 func Replay(log []Query, d0 *relation.Table) (*relation.Table, error) {
-	return newExecutor(log, d0.Clone()).run(log)
+	return newExecutor(log, d0).run(log)
 }
 
 // Whether a replay indexes an attribute is a matter of cost. With p
@@ -43,7 +43,7 @@ type executor struct {
 	any   bool        // some attribute is indexed
 
 	// Scratch of the statement being applied.
-	newVals []float64 // SET values (Update.applyTo)
+	newVals []float64 // SET values (Update.assign)
 	written []int     // indexed attributes the UPDATE sets
 	old     []float64 // their values in the row at hand, before it ran
 	ids     []int64   // the rows to visit (UPDATE) or remove (DELETE)
@@ -59,12 +59,11 @@ type attrIndex struct {
 	rows   map[float64][]int64 // nil until first used, and after a scanning UPDATE wrote the attribute
 }
 
-func newExecutor(log []Query, tb *relation.Table) *executor {
-	x := &executor{tb: tb, index: make([]attrIndex, tb.Schema().Width())}
-	if len(log) <= buildEvals {
-		return x
-	}
-	rows := tb.Len() // the table can grow to this many
+// newExecutor prepares a replay of log over a clone of d0, sized for the
+// log's INSERTs up front so that the replay never regrows it.
+func newExecutor(log []Query, d0 *relation.Table) *executor {
+	x := &executor{index: make([]attrIndex, d0.Schema().Width())}
+	inserts := 0
 	for _, q := range log {
 		switch q := q.(type) {
 		case *Update:
@@ -72,12 +71,14 @@ func newExecutor(log []Query, tb *relation.Table) *executor {
 		case *Delete:
 			x.countPoints(q.Where)
 		case *Insert:
-			rows++
+			inserts++
 		}
 	}
+	x.tb = d0.CloneWithRoom(inserts)
+	rows := x.tb.Len() + inserts // the table can grow to this many
 	for a := range x.index {
 		ix := &x.index[a]
-		ix.want = ix.points*(rows-lookupRows) > buildEvals*rows
+		ix.want = len(log) > buildEvals && ix.points*(rows-lookupRows) > buildEvals*rows
 		x.any = x.any || ix.want
 	}
 	return x
@@ -205,13 +206,14 @@ func (x *executor) update(u *Update, p *Pred) error {
 	}
 	x.newVals = slices.Grow(x.newVals[:0], len(u.Set))[:len(u.Set)]
 	x.old = slices.Grow(x.old[:0], len(x.written))[:len(x.written)]
-	row := func(t *relation.Tuple) {
+	row := func(t relation.Tuple) {
 		for k, a := range x.written {
 			x.old[k] = t.Values[a]
 		}
-		if !u.applyTo(t, x.newVals) {
+		if !u.Where.Eval(t.Values) {
 			return
 		}
+		u.assign(t.Values, x.newVals)
 		for k, a := range x.written {
 			if v := t.Values[a]; v != x.old[k] {
 				x.index[a].move(t.ID, x.old[k], v)
@@ -226,7 +228,7 @@ func (x *executor) update(u *Update, p *Pred) error {
 
 func (x *executor) delete(q *Delete, p *Pred) {
 	x.ids = x.ids[:0]
-	row := func(t *relation.Tuple) {
+	row := func(t relation.Tuple) {
 		if q.Where.Eval(t.Values) {
 			x.ids = append(x.ids, t.ID)
 		}

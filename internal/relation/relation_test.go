@@ -296,7 +296,7 @@ func TestUpdateRow(t *testing.T) {
 	tb := newTestTable(t)
 	a := tb.MustInsert(1, 2)
 	b := tb.MustInsert(4, 5)
-	if !tb.UpdateRow(b.ID, func(tp *Tuple) { tp.Values[0] = 40 }) {
+	if !tb.UpdateRow(b.ID, func(tp Tuple) { tp.Values[0] = 40 }) {
 		t.Fatal("live tuple not found")
 	}
 	if got, _ := tb.Get(b.ID); got.Values[0] != 40 {
@@ -306,7 +306,7 @@ func TestUpdateRow(t *testing.T) {
 		t.Errorf("UpdateRow touched another tuple: %v", got.Values)
 	}
 	tb.Delete(b.ID)
-	if tb.UpdateRow(b.ID, func(*Tuple) { t.Error("f called for a deleted tuple") }) {
+	if tb.UpdateRow(b.ID, func(Tuple) { t.Error("f called for a deleted tuple") }) {
 		t.Error("deleted tuple reported live")
 	}
 }

@@ -6,6 +6,13 @@
 // A1..Am; database states D0..Dn are produced by replaying the query log.
 // Only D0 and Dn need to be materialized by callers, but tables are cheap
 // to clone so intermediate states can be kept when useful (tests do).
+//
+// A Table is flat: all rows' values in one row-major []float64, their IDs
+// in one []int64. IDs ascend strictly in storage order (an insert takes
+// the counter, above every live ID; a delete keeps order), so a row is
+// found by ID with no map, two states diff in one merge, and Clone is two
+// copies. Rows, Update, UpdateRow and Insert hand out views of that
+// storage (see Tuple for how long one stays valid); Get and At copy.
 package relation
 
 import (
