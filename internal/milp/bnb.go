@@ -37,6 +37,16 @@ import (
 // The explicit heap also removes the old recursive DFS and its
 // goroutine-stack depth guard: a branching chain of any depth is just
 // more nodes in the pool.
+//
+// Bases are recycled, not rebuilt. A node's end basis is shared by its
+// two children with a reference count of two, kept under search.mu. A
+// child drops its reference once it has installed the basis
+// (solveNode), or when the driver prunes it still pending (run). At zero
+// the storage goes on the search's free list for the next end basis; a
+// node that does not branch returns its own once process is done with
+// it. Every Install still reads exactly the parent's basis, so the
+// search is the same at any Parallel setting. At the end Model.Solve
+// releases every goroutine's LP workspace for the next search.
 
 type nodeState int32
 
@@ -58,16 +68,22 @@ type boundFix struct {
 	prevLB, prevUB float64
 }
 
+// nodeBasis is a node's end basis as its children share it.
+type nodeBasis struct {
+	snap *simplex.Snapshot
+	refs int // children yet to install it; guarded by search.mu
+}
+
 // node is one branch-and-bound subproblem.
 type node struct {
 	id    int64
 	bound float64 // parent relaxation objective: a lower bound on this subtree
 	fix   *boundFix
-	basis *simplex.Snapshot // parent's end basis (shared, immutable)
+	basis *nodeBasis // parent's end basis (shared, read-only while referenced)
 
 	state nodeState // guarded by search.mu
 	sol   simplex.Solution
-	end   *simplex.Snapshot
+	end   *nodeBasis
 }
 
 // nodeHeap orders by (bound asc, id desc): best bound first, newest
@@ -184,6 +200,7 @@ type search struct {
 	incumbent []float64 // reduced space
 	incObj    float64   // reduced objective + fixedObj (excludes objConst)
 	hasInc    bool
+	free      []*nodeBasis // end bases no node references any more
 }
 
 // Solve runs presolve then branch-and-bound to optimality or a limit.
@@ -233,6 +250,7 @@ func (m *Model) Solve(opt Options) Result {
 	}
 	env := s.newEnv()
 	s.run(env)
+	env.lp.Release()
 	s.closeBatch()
 	s.mu.Lock()
 	s.done = true
@@ -289,12 +307,21 @@ func (s *search) run(env *probEnv) {
 			return
 		}
 		n := heap.Pop(&s.nheap).(*node)
-		s.mu.Unlock()
 		// Prune on the parent bound before spending an LP: the node's
 		// relaxation can only be weaker than (or equal to) its parent's.
+		// A pending node will never install its basis, so its reference
+		// goes now; a solved one's end basis will never be read.
 		if s.hasInc && n.bound >= s.pruneLim() {
+			switch n.state {
+			case nodePending:
+				s.unref(n.basis)
+			case nodeSolved:
+				s.free = append(s.free, n.end)
+			}
+			s.mu.Unlock()
 			continue
 		}
+		s.mu.Unlock()
 		if s.span != nil && (s.batchSp == nil || s.nodes-s.batchFrom >= nodeBatch) {
 			s.rollBatch()
 		}
@@ -310,7 +337,7 @@ func (s *search) run(env *probEnv) {
 
 // obtain returns the node's LP result: the speculative one when a worker
 // already produced (or is producing) it, otherwise solved inline.
-func (s *search) obtain(n *node, env *probEnv) (simplex.Solution, *simplex.Snapshot) {
+func (s *search) obtain(n *node, env *probEnv) (simplex.Solution, *nodeBasis) {
 	s.mu.Lock()
 	for n.state == nodeRunning {
 		s.cond.Wait()
@@ -331,13 +358,40 @@ func (s *search) obtain(n *node, env *probEnv) (simplex.Solution, *simplex.Snaps
 // installed at the node's recorded parent basis (a canonical fresh
 // factorization) or reset cold. No residue from whatever env solved
 // before can leak in, which is what makes speculation exact.
-func (s *search) solveNode(n *node, env *probEnv) (simplex.Solution, *simplex.Snapshot) {
+func (s *search) solveNode(n *node, env *probEnv) (simplex.Solution, *nodeBasis) {
 	env.apply(n.fix)
-	if n.basis == nil || !env.lp.Install(n.basis) {
+	if n.basis == nil || !env.lp.Install(n.basis.snap) {
 		env.lp.Reset()
 	}
+	s.mu.Lock()
+	if n.basis != nil {
+		s.unref(n.basis)
+	}
+	end := s.takeBasis()
+	s.mu.Unlock()
 	sol := env.lp.Solve()
-	return sol, env.lp.Snapshot()
+	end.snap = env.lp.Snapshot(end.snap)
+	return sol, end
+}
+
+// unref drops one child's reference to a shared basis, freeing it at
+// zero. Called with mu held.
+func (s *search) unref(b *nodeBasis) {
+	if b.refs--; b.refs == 0 {
+		s.free = append(s.free, b)
+	}
+}
+
+// takeBasis returns free storage for a node's end basis, or new storage
+// when none is free. Called with mu held.
+func (s *search) takeBasis() *nodeBasis {
+	k := len(s.free)
+	if k == 0 {
+		return &nodeBasis{}
+	}
+	b := s.free[k-1]
+	s.free = s.free[:k-1]
+	return b
 }
 
 // speculate is the worker loop: claim the best pending heap node, solve
@@ -360,6 +414,7 @@ func (s *search) speculate() {
 		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
+	env.lp.Release()
 }
 
 // bestPending picks the most promising unclaimed node under mu: best
@@ -391,8 +446,18 @@ func (s *search) pruneLim() float64 {
 }
 
 // process applies the driver's decision logic to a consumed node result.
-// Returns false to halt the search (unbounded relaxation).
-func (s *search) process(n *node, sol simplex.Solution, end *simplex.Snapshot, env *probEnv) bool {
+// Returns false to halt the search (unbounded relaxation). The node's end
+// basis goes to its children when it branches and back to the free list
+// otherwise.
+func (s *search) process(n *node, sol simplex.Solution, end *nodeBasis, env *probEnv) bool {
+	branched := false
+	defer func() {
+		if !branched {
+			s.mu.Lock()
+			s.free = append(s.free, end)
+			s.mu.Unlock()
+		}
+	}()
 	switch sol.Status {
 	case simplex.Infeasible:
 		return true
@@ -514,6 +579,7 @@ func (s *search) process(n *node, sol simplex.Solution, end *simplex.Snapshot, e
 		first, second = up, down
 	}
 	s.mu.Lock()
+	branched, end.refs = true, 2
 	heap.Push(&s.nheap, &node{id: s.nextID, bound: lpObj, fix: second, basis: end})
 	heap.Push(&s.nheap, &node{id: s.nextID + 1, bound: lpObj, fix: first, basis: end})
 	s.nextID += 2
@@ -539,7 +605,7 @@ func (s *search) admit(x []float64) {
 // variables absorb the snap. ok means the restricted LP certified a
 // feasible point with exact integer coordinates; the node's bounds are
 // restored either way. Driver-only.
-func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEnv) ([]float64, bool) {
+func (s *search) polish(n *node, x []float64, end *nodeBasis, env *probEnv) ([]float64, bool) {
 	env.apply(n.fix)
 	type saved struct {
 		j      int
@@ -555,7 +621,7 @@ func (s *search) polish(n *node, x []float64, end *simplex.Snapshot, env *probEn
 		restore = append(restore, saved{j, lb, ub})
 		env.prob.SetBounds(j, v, v)
 	}
-	if end == nil || !env.lp.Install(end) {
+	if !env.lp.Install(end.snap) {
 		env.lp.Reset()
 	}
 	sol := env.lp.Solve()

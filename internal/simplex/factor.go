@@ -34,6 +34,11 @@ import (
 // in basis-position coordinates, their entries packed end to end in one
 // arena that the next refactorization truncates, so a pivot allocates
 // nothing once the arena has grown to its working size.
+//
+// Most positions of an encoder basis hold a unit slack: empty L and U
+// columns, diagonal exactly 1. The triangular solves walk only the
+// positions refactorize listed as not such (lpos, upos); every step they
+// skip would divide by 1 or subtract nothing, so no bit changes.
 
 // fentry is one stored nonzero of an L/U column or an eta vector.
 type fentry struct {
@@ -66,17 +71,22 @@ const (
 )
 
 // factor is a basis factorization. All storage, the eta vectors
-// included, is reused across refactorizations; newFactor sizes it once
-// per solver lifetime, and once the growable buffers have reached their
-// working size neither a refactorization nor an eta update allocates.
+// included, is reused across refactorizations and, through the solver
+// workspace that owns it, across solvers: size fits it to a basis
+// dimension, and once the growable buffers have reached their working
+// size neither a refactorization nor an eta update allocates.
 type factor struct {
 	m     int
 	rowOf []int // permuted position -> original row
 	pinv  []int // original row -> permuted position (-1 while factoring)
 
+	// lcols and ucols may be longer than m: the columns past m keep their
+	// storage for a later, larger basis.
 	lcols [][]fentry // L by column, strictly below-diagonal, permuted rows
 	ucols [][]fentry // U by column, strictly above-diagonal, permuted rows
 	udiag []float64  // U diagonal by column
+	lpos  []int      // ascending positions whose L column is non-empty
+	upos  []int      // ascending positions whose U column is non-empty or diagonal is not 1
 	etas  []feta
 	arena []fentry // backing store of every eta's ents; truncated with the eta file
 
@@ -91,18 +101,28 @@ type factor struct {
 	lrows []int  // rows of the L column being emitted
 }
 
-func newFactor(m int) *factor {
-	return &factor{
-		m:     m,
-		rowOf: make([]int, m),
-		pinv:  make([]int, m),
-		lcols: make([][]fentry, m),
-		ucols: make([][]fentry, m),
-		udiag: make([]float64, m),
-		work:  make([]float64, m),
-		work2: make([]float64, m),
-		mark:  make([]bool, m),
+// size fits the factor to an m-row basis, reusing its storage. Dense
+// buffers come back cleared; identity or refactorize truncates every L
+// and U column before a solve reads it.
+func (f *factor) size(m int) {
+	f.m = m
+	f.rowOf, f.pinv, f.udiag = resize(f.rowOf, m), resize(f.pinv, m), resize(f.udiag, m)
+	f.work, f.work2, f.mark = resize(f.work, m), resize(f.work2, m), resize(f.mark, m)
+	if k := m - len(f.lcols); k > 0 {
+		f.lcols = append(f.lcols, make([][]fentry, k)...)
+		f.ucols = append(f.ucols, make([][]fentry, k)...)
 	}
+}
+
+// resize returns b with length n and every element zero, reusing b's
+// storage when it is large enough.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // identity resets the factorization to the identity basis (the cold
@@ -115,6 +135,7 @@ func (f *factor) identity() {
 		f.ucols[i] = f.ucols[i][:0]
 		f.udiag[i] = 1
 	}
+	f.lpos, f.upos = f.lpos[:0], f.upos[:0]
 	f.etas = f.etas[:0]
 	f.arena = f.arena[:0]
 }
@@ -129,6 +150,7 @@ func (f *factor) refactorize(cols [][]entry, n int, basis []int) bool {
 	for i := 0; i < m; i++ {
 		f.pinv[i] = -1
 	}
+	f.lpos, f.upos = f.lpos[:0], f.upos[:0]
 	f.etas = f.etas[:0]
 	f.arena = f.arena[:0]
 	x := f.work
@@ -204,6 +226,9 @@ func (f *factor) refactorize(cols [][]entry, n int, basis []int) bool {
 		f.udiag[j] = piv
 		f.pinv[best] = j
 		f.rowOf[j] = best
+		if len(ucol) > 0 || piv != 1 {
+			f.upos = append(f.upos, j)
+		}
 		// L's entries go out in ascending row order: btran accumulates in
 		// entry order, so the order is part of the result.
 		lrows, sorted := f.lrows[:0], true
@@ -230,6 +255,9 @@ func (f *factor) refactorize(cols [][]entry, n int, basis []int) bool {
 		}
 		f.lcols[j] = lcol
 		f.lrows = lrows
+		if len(lcol) > 0 {
+			f.lpos = append(f.lpos, j)
+		}
 	}
 	// The permutation is complete: rewrite L's row indices into permuted
 	// coordinates so the triangular solves index one dense scratch.
@@ -305,7 +333,7 @@ func (f *factor) ftran(x []float64) {
 	for t := 0; t < m; t++ {
 		w[t] = x[f.rowOf[t]]
 	}
-	for t := 0; t < m; t++ { // L solve, unit diagonal, forward
+	for _, t := range f.lpos { // L solve, unit diagonal, forward
 		v := w[t]
 		if v == 0 {
 			continue
@@ -314,7 +342,8 @@ func (f *factor) ftran(x []float64) {
 			w[e.i] -= e.v * v
 		}
 	}
-	for j := m - 1; j >= 0; j-- { // U solve, backward
+	for k := len(f.upos) - 1; k >= 0; k-- { // U solve, backward
+		j := f.upos[k]
 		v := w[j]
 		if v == 0 {
 			continue
@@ -350,14 +379,15 @@ func (f *factor) btran(c []float64) {
 		}
 		c[e.r] = s / e.piv
 	}
-	for j := 0; j < m; j++ { // U^T solve, forward
+	for _, j := range f.upos { // U^T solve, forward
 		s := c[j]
 		for _, e := range f.ucols[j] {
 			s -= e.v * c[e.i]
 		}
 		c[j] = s / f.udiag[j]
 	}
-	for j := m - 1; j >= 0; j-- { // L^T solve, backward
+	for k := len(f.lpos) - 1; k >= 0; k-- { // L^T solve, backward
+		j := f.lpos[k]
 		s := c[j]
 		for _, e := range f.lcols[j] {
 			s -= e.v * c[e.i]

@@ -3,8 +3,15 @@ package simplex
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+func newFactor(m int) *factor {
+	f := &factor{}
+	f.size(m)
+	return f
+}
 
 // randBasis builds a random m×m matrix with the encoder's sparsity shape
 // (a few nonzeros per column, diagonal bumped to keep it comfortably
@@ -321,6 +328,19 @@ func compareRefactorize(t testing.TB, got *factor, b *testBasis) bool {
 		sameEntries(t, "lcols", i, got.lcols[i], want.lcols[i])
 		sameEntries(t, "ucols", i, got.ucols[i], want.ucols[i])
 	}
+	// The solves skip exactly the identity positions.
+	var lpos, upos []int
+	for j := 0; j < b.m; j++ {
+		if len(want.lcols[j]) > 0 {
+			lpos = append(lpos, j)
+		}
+		if len(want.ucols[j]) > 0 || want.udiag[j] != 1 {
+			upos = append(upos, j)
+		}
+	}
+	if !slices.Equal(got.lpos, lpos) || !slices.Equal(got.upos, upos) {
+		t.Fatalf("lpos %v upos %v, want %v and %v", got.lpos, got.upos, lpos, upos)
+	}
 	return true
 }
 
@@ -530,7 +550,8 @@ func fuzzBasis(data []byte) *testBasis {
 }
 
 // FuzzRefactorize: any small sparse basis factors to exactly what the
-// dense reference produces, and when it factors, FTRAN inverts it.
+// dense reference produces, and when it factors, FTRAN solves B w = a and
+// BTRAN solves B^T y = c, bit for bit as a walk over every position does.
 func FuzzRefactorize(f *testing.F) {
 	// More seeds, with fill and with singular bases, are in
 	// testdata/fuzz/FuzzRefactorize.
@@ -543,26 +564,43 @@ func FuzzRefactorize(f *testing.F) {
 		if !compareRefactorize(t, fac, b) {
 			return
 		}
-		// B·ftran(a) = a for a drawn from the same bytes. LU with partial
-		// pivoting is backward stable, so the residual is held to the
-		// scale of |B|·|x|, not to a's — provided no pivot is so small
-		// that an entry under the absolute factorDropTol mattered next to
-		// it (a 2e-10 pivot beside a dropped 1e-13 is a 5e-4 error, in the
-		// reference as here).
+		// a and c are drawn from the bytes, c read backwards.
+		a, c := make([]float64, b.m), make([]float64, b.m)
+		for i := range a {
+			a[i], c[i] = 1, 1
+			if i < len(data) {
+				a[i] = fuzzCoefs[data[i]&0x0f]
+				c[i] = fuzzCoefs[data[len(data)-1-i]&0x0f]
+			}
+		}
+		x, y := append([]float64(nil), a...), append([]float64(nil), c...)
+		fac.ftran(x)
+		fac.btran(y)
+		// Walking every position instead of lpos and upos changes no bit.
+		full := *fac
+		full.work2 = make([]float64, b.m)
+		full.lpos, full.upos = make([]int, b.m), make([]int, b.m)
+		for j := range full.lpos {
+			full.lpos[j], full.upos[j] = j, j
+		}
+		xf, yf := append([]float64(nil), a...), append([]float64(nil), c...)
+		full.ftran(xf)
+		full.btran(yf)
+		for i := range x {
+			if math.Float64bits(xf[i]) != math.Float64bits(x[i]) || math.Float64bits(yf[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("index %d: full walk ftran %v btran %v, listed walk %v and %v", i, xf[i], yf[i], x[i], y[i])
+			}
+		}
+		// B·ftran(a) = a. LU with partial pivoting is backward stable, so
+		// the residual is held to the scale of |B|·|x|, not to a's —
+		// provided no pivot is so small that an entry under the absolute
+		// factorDropTol mattered next to it (a 2e-10 pivot beside a dropped
+		// 1e-13 is a 5e-4 error, in the reference as here).
 		for _, d := range fac.udiag {
 			if math.Abs(d) < 1e-3 {
 				return
 			}
 		}
-		a := make([]float64, b.m)
-		for i := range a {
-			a[i] = 1
-			if i < len(data) {
-				a[i] = fuzzCoefs[data[i]&0x0f]
-			}
-		}
-		x := append([]float64(nil), a...)
-		fac.ftran(x)
 		res := make([]float64, b.m)
 		scale := 1.0
 		for k, xv := range x {
@@ -574,6 +612,39 @@ func FuzzRefactorize(f *testing.F) {
 		for i := range res {
 			if d := math.Abs(res[i] - a[i]); !(d <= 1e-9*scale) {
 				t.Fatalf("row %d: B·ftran(a) = %g, a = %g (scale %g)", i, res[i], a[i], scale)
+			}
+		}
+		// B^T·btran(c) = c: position k's residual is column k against y.
+		// It is held to the larger of two scales: the backward error of a
+		// solve through the factors, |U^T||L^T||P y| (a basis whose U grew
+		// large next to a small pivot solves no better, in the reference
+		// as here), and the residual's own terms |v·y|, which cancel when a
+		// column repeats a row.
+		lt := make([]float64, b.m) // |L^T|·|P y|
+		for j := range lt {
+			lt[j] = math.Abs(y[fac.rowOf[j]])
+			for _, e := range fac.lcols[j] {
+				lt[j] += math.Abs(e.v * y[fac.rowOf[e.i]])
+			}
+		}
+		scale = 1.0
+		for k := range lt {
+			sk := math.Abs(fac.udiag[k] * lt[k])
+			for _, e := range fac.ucols[k] {
+				sk += math.Abs(e.v * lt[e.i])
+			}
+			scale = math.Max(scale, sk)
+		}
+		resT := make([]float64, b.m)
+		for k := range resT {
+			b.emit(k, func(row int, v float64) {
+				resT[k] += v * y[row]
+				scale = math.Max(scale, math.Abs(v*y[row]))
+			})
+		}
+		for k := range resT {
+			if d := math.Abs(resT[k] - c[k]); !(d <= 1e-9*scale) {
+				t.Fatalf("position %d: (B^T·btran(c)) = %g, c = %g (scale %g)", k, resT[k], c[k], scale)
 			}
 		}
 	})

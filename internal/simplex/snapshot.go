@@ -23,18 +23,21 @@ type Snapshot struct {
 func (sn *Snapshot) Vars() (m, n int) { return sn.m, sn.n }
 
 // Snapshot captures the solver's current basis and iterate, or nil when
-// the solver has never solved (there is no basis to export yet).
-func (ws *Solver) Snapshot() *Snapshot {
+// the solver has never solved (there is no basis to export yet). A
+// non-nil reuse, a snapshot its owner no longer needs, is overwritten and
+// returned instead of allocating a new one.
+func (ws *Solver) Snapshot(reuse *Snapshot) *Snapshot {
 	if !ws.initialized {
 		return nil
 	}
-	s := ws.inner
-	return &Snapshot{
-		m:     s.m,
-		n:     s.n,
-		basis: append([]int(nil), s.basis...),
-		xval:  append([]float64(nil), s.xval...),
+	s, sn := ws.inner, reuse
+	if sn == nil {
+		sn = &Snapshot{}
 	}
+	sn.m, sn.n = s.m, s.n
+	sn.basis = append(sn.basis[:0], s.basis...)
+	sn.xval = append(sn.xval[:0], s.xval...)
+	return sn
 }
 
 // Install seeds the solver with a previously exported basis so its next
@@ -45,32 +48,26 @@ func (ws *Solver) Snapshot() *Snapshot {
 // (returning false) and the solver is left cold. Rejection is always
 // safe — warm starts are positioning, not answers.
 func (ws *Solver) Install(snap *Snapshot) bool {
+	ws.initialized = false
 	m, n := len(ws.p.rhs), len(ws.p.obj)
 	if snap == nil || snap.m != m || snap.n != n ||
 		len(snap.basis) != m || len(snap.xval) != n+m {
 		return false
 	}
 	// Branch-and-bound installs a basis per node, so from here on nothing
-	// may allocate once the retained buffers have the problem's shape.
-	if len(ws.inBasis) != n+m {
-		ws.inBasis = make([]bool, n+m)
-	}
+	// may allocate once the workspace has the problem's shape.
+	s := ws.workspace(m, n)
 	valid := true
 	for _, b := range snap.basis {
-		if b < 0 || b >= n+m || ws.inBasis[b] {
+		if b < 0 || b >= n+m || s.inBasis[b] {
 			valid = false
 			break
 		}
-		ws.inBasis[b] = true
+		s.inBasis[b] = true
 	}
-	clear(ws.inBasis)
+	clear(s.inBasis)
 	if !valid {
 		return false
-	}
-	s := ws.inner
-	if s == nil || s.m != m || s.n != n {
-		s = &solver{p: ws.p, m: m, n: n, N: n + m}
-		ws.inner = s
 	}
 	s.opt = ws.opt.withDefaults(m, n)
 	// The snapshot overwrites the whole iterate and basis, so only the
@@ -86,8 +83,7 @@ func (ws *Solver) Install(snap *Snapshot) bool {
 		s.basicPos[b] = i
 	}
 	if !s.fac.refactorize(s.p.cols, s.n, s.basis) {
-		ws.initialized = false // singular basis: next Solve starts cold
-		return false
+		return false // singular basis: next Solve starts cold
 	}
 	s.refactorCount++
 	mRefactorizations.Inc()

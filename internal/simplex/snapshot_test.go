@@ -3,6 +3,7 @@ package simplex
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -23,7 +24,7 @@ func TestSnapshotInstallRoundTrip(t *testing.T) {
 	if cold.Status != Optimal {
 		t.Fatalf("cold solve: %+v", cold)
 	}
-	snap := ws.Snapshot()
+	snap := ws.Snapshot(nil)
 	if snap == nil {
 		t.Fatal("Snapshot returned nil after a solve")
 	}
@@ -60,7 +61,7 @@ func TestInstallRejectsMismatchedShapes(t *testing.T) {
 	p.AddConstr([]Coef{{x, 1}}, LE, 3)
 	ws := NewSolver(p, Options{})
 	ws.Solve()
-	snap := ws.Snapshot()
+	snap := ws.Snapshot(nil)
 
 	// More variables.
 	p2 := NewProblem()
@@ -94,28 +95,59 @@ func TestInstallRejectsMismatchedShapes(t *testing.T) {
 	p4.AddConstr([]Coef{{c, 1}}, GE, 0)
 	ws4 := NewSolver(p4, Options{})
 	ws4.Solve()
-	dup := ws4.Snapshot()
+	dup := ws4.Snapshot(nil)
 	dup.basis[1] = dup.basis[0]
 	if NewSolver(p4, Options{}).Install(dup) {
 		t.Error("Install accepted a duplicate basis entry")
 	}
 }
 
-// A rejected Install must leave the solver fully functional (cold).
+// A rejected Install must leave the solver fully functional and cold,
+// also when it had solved before: a solver that kept its old basis would
+// warm-start from a basis nobody installed.
 func TestInstallRejectionLeavesSolverCold(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(0, 5, -1)
-	p.AddConstr([]Coef{{x, 1}}, LE, 3)
+	y := p.AddVar(0, 5, -2)
+	p.AddConstr([]Coef{{x, 1}, {y, 1}}, LE, 4)
+	p.AddConstr([]Coef{{y, 1}}, LE, 3)
+	const want = -7 // x = 1, y = 3
 	ws := NewSolver(p, Options{})
 	if ws.Install(&Snapshot{m: 7, n: 7}) {
 		t.Fatal("Install accepted a wrong-shape snapshot")
 	}
-	if ws.Snapshot() != nil {
+	if ws.Snapshot(nil) != nil {
 		t.Fatal("rejected Install left a basis behind")
 	}
 	sol := ws.Solve()
-	if sol.Status != Optimal || math.Abs(sol.Obj-(-3)) > 1e-9 {
+	if sol.Status != Optimal || math.Abs(sol.Obj-want) > 1e-9 {
 		t.Fatalf("solve after rejected Install: %+v", sol)
+	}
+	good := ws.Snapshot(nil)
+	dup := ws.Snapshot(nil)
+	dup.basis[1] = dup.basis[0]
+	outside := ws.Snapshot(nil)
+	outside.basis[0] = 99
+	for _, c := range []struct {
+		name string
+		snap *Snapshot
+	}{
+		{"wrong shape", &Snapshot{m: 7, n: 7}},
+		{"duplicate entry", dup},
+		{"out-of-range entry", outside},
+	} {
+		if !ws.Install(good) {
+			t.Fatalf("%s: Install rejected the solver's own basis", c.name)
+		}
+		if ws.Install(c.snap) {
+			t.Fatalf("%s: Install accepted it", c.name)
+		}
+		if ws.Snapshot(nil) != nil {
+			t.Fatalf("%s: a solver that had solved kept its basis after the rejection", c.name)
+		}
+		if sol := ws.Solve(); sol.Status != Optimal || math.Abs(sol.Obj-want) > 1e-9 {
+			t.Fatalf("%s: solve after rejected Install: %+v", c.name, sol)
+		}
 	}
 }
 
@@ -129,7 +161,7 @@ func TestQuickInstallEqualsCold(t *testing.T) {
 		p := randomLP(rng, nv, nc)
 		ws := NewSolver(p, Options{})
 		first := ws.Solve()
-		snap := ws.Snapshot()
+		snap := ws.Snapshot(nil)
 
 		// Shift some bounds, then compare warm-from-snapshot vs cold.
 		rng2 := rand.New(rand.NewSource(seed + 1000))
@@ -225,5 +257,60 @@ func TestInstallAllocatesNothing(t *testing.T) {
 	}
 	if !ws.Install(sn) {
 		t.Fatal("a rejected snapshot poisoned the next Install")
+	}
+}
+
+// heldSolver keeps the last Solver a test made reachable, so it lives on
+// the heap as branch-and-bound's do.
+var heldSolver *Solver
+
+// A released workspace is the next Solver's: a new Solver over the
+// captured node, or over a smaller problem, allocates only itself and its
+// Solution.X, and a snapshot taken into a recycled one allocates nothing.
+func TestReleasedWorkspaceIsReused(t *testing.T) {
+	p, sn := loadEncoderNode(t)
+	small := NewProblem()
+	x := small.AddVar(0, 5, -1)
+	y := small.AddVar(0, 5, -2)
+	small.AddConstr([]Coef{{x, 1}, {y, 1}}, LE, 4)
+	solve := func(p *Problem, sn *Snapshot) Solution {
+		ws := NewSolver(p, Options{})
+		heldSolver = ws
+		defer ws.Release()
+		if sn != nil && !ws.Install(sn) {
+			t.Fatal("Install rejected the captured basis")
+		}
+		return ws.Solve()
+	}
+	node := func() Solution { return solve(p, sn) }
+	want := node()
+	if a := testing.AllocsPerRun(10, func() { node() }); a != 2 {
+		t.Errorf("new Solver + Install + Solve allocated %v times per call, want 2 (the Solver, Solution.X)", a)
+	}
+	if a := testing.AllocsPerRun(10, func() { node(); solve(small, nil) }); a != 4 {
+		t.Errorf("a captured node then a smaller problem allocated %v times, want 4 (two Solvers, two Solution.X)", a)
+	}
+	// Reuse changes storage, never results.
+	if got := node(); got.Status != want.Status || got.Iters != want.Iters ||
+		math.Float64bits(got.Obj) != math.Float64bits(want.Obj) {
+		t.Fatalf("recycled workspace solved to %+v, first solve %+v", got, want)
+	}
+
+	ws := NewSolver(p, Options{})
+	defer ws.Release()
+	if !ws.Install(sn) {
+		t.Fatal("Install rejected the captured basis")
+	}
+	ws.Solve()
+	snap := ws.Snapshot(nil)
+	if a := testing.AllocsPerRun(10, func() { snap = ws.Snapshot(snap) }); a != 0 {
+		t.Errorf("Snapshot into a recycled snapshot allocated %v times, want 0", a)
+	}
+	// A recycled snapshot of another shape reads exactly as a fresh one.
+	sw := NewSolver(small, Options{})
+	defer sw.Release()
+	sw.Solve()
+	if got, fresh := sw.Snapshot(snap), sw.Snapshot(nil); !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("snapshot into recycled storage %+v, fresh %+v", got, fresh)
 	}
 }

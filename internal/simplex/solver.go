@@ -1,12 +1,18 @@
 package simplex
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Solver carries simplex state that survives across re-optimizations.
-// Branch-and-bound creates one Solver per model and calls Solve after
-// each bound change: the basis, its inverse, and the nonbasic positions
-// are retained, so a child node typically re-optimizes in a handful of
-// pivots instead of hundreds from a cold slack basis.
+// Branch-and-bound gives each goroutine of a search one Solver and
+// installs a node's parent basis before every Solve: the basis, its
+// factorization, and the nonbasic positions are retained, so a child
+// node typically re-optimizes in a handful of pivots instead of hundreds
+// from a cold slack basis. The state lives in a workspace taken from a
+// package-wide free list on first use and handed back by Release, so
+// the next Solver reuses every buffer instead of growing its own.
 //
 // A Solver assumes the problem's rows and variables are fixed after
 // creation; only bounds and objective coefficients may change between
@@ -14,14 +20,66 @@ import "math"
 type Solver struct {
 	p           *Problem
 	opt         Options
-	inner       *solver
+	inner       *solver // the workspace; nil before first use and after Release
 	initialized bool
-	inBasis     []bool // Install's duplicate check, all false between calls
 }
 
 // NewSolver prepares a reusable solver for the problem.
 func NewSolver(p *Problem, opt Options) *Solver {
 	return &Solver{p: p, opt: opt}
+}
+
+// Workspaces are recycled through a plain capped list, not a sync.Pool:
+// every garbage collection empties a sync.Pool, and a diagnosis runs
+// several.
+var workspaces struct {
+	sync.Mutex
+	free []*solver
+}
+
+// maxFreeWorkspaces caps the free list; a workspace released into a full
+// list is dropped.
+const maxFreeWorkspaces = 8
+
+// workspace returns the solver's workspace fitted to the problem's
+// current shape (m rows, n structural variables), taking one from the
+// free list on first use. Fitting a workspace to a new shape discards
+// its basis, so the solver is cold afterwards.
+func (ws *Solver) workspace(m, n int) *solver {
+	s := ws.inner
+	if s == nil {
+		workspaces.Lock()
+		if k := len(workspaces.free); k > 0 {
+			s, workspaces.free = workspaces.free[k-1], workspaces.free[:k-1]
+		}
+		workspaces.Unlock()
+		if s == nil {
+			s = &solver{fac: &factor{}}
+		}
+		ws.inner = s
+	}
+	if s.p != ws.p || s.m != m || s.n != n {
+		s.size(ws.p, m, n)
+		ws.initialized = false
+	}
+	return s
+}
+
+// Release hands the solver's workspace back for the next Solver to
+// reuse. The Solver must not be used afterwards; the Solutions and
+// Snapshots it returned stay valid.
+func (ws *Solver) Release() {
+	s := ws.inner
+	ws.inner, ws.initialized = nil, false
+	if s == nil {
+		return
+	}
+	s.p = nil
+	workspaces.Lock()
+	if len(workspaces.free) < maxFreeWorkspaces {
+		workspaces.free = append(workspaces.free, s)
+	}
+	workspaces.Unlock()
 }
 
 // Reset discards any retained basis so the next Solve starts cold. Used
@@ -33,20 +91,15 @@ func (ws *Solver) Reset() { ws.initialized = false }
 // the previous basis when one exists.
 func (ws *Solver) Solve() Solution {
 	m, n := len(ws.p.rhs), len(ws.p.obj)
-	opt := ws.opt.withDefaults(m, n)
+	s := ws.workspace(m, n)
+	s.opt = ws.opt.withDefaults(m, n)
 	warm := ws.initialized
-	if !warm {
-		if ws.inner == nil || ws.inner.m != m || ws.inner.n != n {
-			ws.inner = &solver{p: ws.p, m: m, n: n, N: n + m}
-		}
-		ws.inner.opt = opt
-		ws.inner.init()
-		ws.initialized = true
+	if warm {
+		s.warmReset()
 	} else {
-		ws.inner.opt = opt
-		ws.inner.warmReset()
+		s.init()
+		ws.initialized = true
 	}
-	s := ws.inner
 	s.iters = 0
 	st := s.optimize()
 	if warm && st == Infeasible && !s.rowsValid() {
@@ -167,9 +220,10 @@ func (s *solver) warmReset() {
 	s.computeBasics()
 }
 
-// solver carries the working state of one Solve call. Variables are
-// indexed 0..n-1 (structural) and n..n+m-1 (one slack per row, coefficient
-// +1, with bounds encoding the row operator).
+// solver is a Solver's workspace: the working state of its solves and
+// every buffer they use. Variables are indexed 0..n-1 (structural) and
+// n..n+m-1 (one slack per row, coefficient +1, with bounds encoding the
+// row operator).
 type solver struct {
 	p   *Problem
 	opt Options
@@ -185,15 +239,16 @@ type solver struct {
 	xval     []float64 // length N: current value of every variable
 	fac      *factor   // sparse LU + eta file of the basis
 
-	w      []float64 // scratch: B^{-1} A_enter (basis-position space)
-	fx     []float64 // scratch: FTRAN input (original-row space)
-	y      []float64 // scratch: duals
-	dB     []float64 // scratch: phase-1 costs of basic vars
-	cB     []float64 // scratch: phase-2 costs of basic vars
-	rowLHS []float64 // scratch: rowsValid's row activities
-	rowMag []float64 // scratch: rowsValid's summed term magnitudes
-	iters  int
-	pivots int // lifetime basis changes
+	w       []float64 // scratch: B^{-1} A_enter (basis-position space)
+	fx      []float64 // scratch: FTRAN input (original-row space)
+	y       []float64 // scratch: duals
+	dB      []float64 // scratch: phase-1 costs of basic vars
+	cB      []float64 // scratch: phase-2 costs of basic vars
+	rowLHS  []float64 // scratch: rowsValid's row activities
+	rowMag  []float64 // scratch: rowsValid's summed term magnitudes
+	inBasis []bool    // Install's duplicate check, all false between calls
+	iters   int
+	pivots  int // basis changes since the workspace was fitted
 
 	refactorCount int // refactorizations since last reported Solution
 
@@ -218,7 +273,24 @@ func (s *solver) refactorize() bool {
 // For repeated solves under changing bounds (branch-and-bound), use
 // NewSolver to retain the basis between calls.
 func (p *Problem) Solve(opt Options) Solution {
-	return NewSolver(p, opt).Solve()
+	ws := NewSolver(p, opt)
+	defer ws.Release()
+	return ws.Solve()
+}
+
+// size fits the workspace to problem p with m rows and n structural
+// variables: every buffer is reused when large enough and comes back
+// cleared, and the counters restart.
+func (s *solver) size(p *Problem, m, n int) {
+	N := n + m
+	s.p, s.m, s.n, s.N = p, m, n, N
+	s.lb, s.ub, s.obj, s.xval = resize(s.lb, N), resize(s.ub, N), resize(s.obj, N), resize(s.xval, N)
+	s.basicPos, s.inBasis = resize(s.basicPos, N), resize(s.inBasis, N)
+	s.basis, s.w, s.fx, s.y = resize(s.basis, m), resize(s.w, m), resize(s.fx, m), resize(s.y, m)
+	s.dB, s.cB = resize(s.dB, m), resize(s.cB, m)
+	s.rowLHS, s.rowMag = resize(s.rowLHS, m), resize(s.rowMag, m)
+	s.fac.size(m)
+	s.iters, s.pivots, s.refactorCount = 0, 0, 0
 }
 
 // init resets the solver to the canonical cold state: bounds re-read,
@@ -247,27 +319,10 @@ func (s *solver) init() {
 }
 
 // reset re-reads the problem's bounds and objective and gives the slacks
-// the bounds of their row operators. Buffers are allocated on first use
-// and reused afterwards, so re-initializing a solver (warm retries,
-// basis installs) costs no allocation.
+// the bounds of their row operators. The buffers are the workspace's, so
+// re-initializing a solver (warm retries, basis installs) costs no
+// allocation.
 func (s *solver) reset() {
-	N := s.N
-	if s.fac == nil || len(s.lb) != N {
-		s.lb = make([]float64, N)
-		s.ub = make([]float64, N)
-		s.obj = make([]float64, N)
-		s.basis = make([]int, s.m)
-		s.basicPos = make([]int, N)
-		s.xval = make([]float64, N)
-		s.w = make([]float64, s.m)
-		s.fx = make([]float64, s.m)
-		s.y = make([]float64, s.m)
-		s.dB = make([]float64, s.m)
-		s.cB = make([]float64, s.m)
-		s.rowLHS = make([]float64, s.m)
-		s.rowMag = make([]float64, s.m)
-		s.fac = newFactor(s.m)
-	}
 	copy(s.lb, s.p.lb)
 	copy(s.ub, s.p.ub)
 	copy(s.obj, s.p.obj)
