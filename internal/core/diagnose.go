@@ -249,6 +249,7 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 	if err != nil {
 		return nil, false, err
 	}
+	defer res.Model.Release()
 	ep.sp.SetAttr("rows", res.Stats.Rows)
 	ep.sp.SetAttr("vars", res.Stats.Vars)
 	ep.sp.SetAttr("bound", bound)

@@ -34,13 +34,8 @@ import (
 // relaxations tight and the numerics sane.
 type aff struct {
 	c      float64
-	terms  []vterm // sorted by Var
+	terms  []milp.Term // sorted by Var
 	lo, hi float64
-}
-
-type vterm struct {
-	v milp.Var
-	c float64
 }
 
 // constAff builds a constant expression.
@@ -49,7 +44,7 @@ func constAff(c float64) aff { return aff{c: c, lo: c, hi: c} }
 // varAff builds an expression holding one model variable.
 func varAff(m *milp.Model, v milp.Var) aff {
 	lb, ub := m.Bounds(v)
-	return aff{terms: []vterm{{v, 1}}, lo: lb, hi: ub}
+	return aff{terms: []milp.Term{{Var: v, Coef: 1}}, lo: lb, hi: ub}
 }
 
 // isConst reports whether the expression has no variable terms.
@@ -71,9 +66,9 @@ func (a aff) scale(k float64) aff {
 		return constAff(0)
 	}
 	out := aff{c: k * a.c}
-	out.terms = make([]vterm, len(a.terms))
+	out.terms = make([]milp.Term, len(a.terms))
 	for i, t := range a.terms {
-		out.terms[i] = vterm{t.v, k * t.c}
+		out.terms[i] = milp.Term{Var: t.Var, Coef: k * t.Coef}
 	}
 	if k > 0 {
 		out.lo, out.hi = k*a.lo, k*a.hi
@@ -84,20 +79,20 @@ func (a aff) scale(k float64) aff {
 }
 
 // mergeTerms merges two sorted term lists, dropping cancelled terms.
-func mergeTerms(a, b []vterm) []vterm {
-	out := make([]vterm, 0, len(a)+len(b))
+func mergeTerms(a, b []milp.Term) []milp.Term {
+	out := make([]milp.Term, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
-		case a[i].v < b[j].v:
+		case a[i].Var < b[j].Var:
 			out = append(out, a[i])
 			i++
-		case a[i].v > b[j].v:
+		case a[i].Var > b[j].Var:
 			out = append(out, b[j])
 			j++
 		default:
-			if c := a[i].c + b[j].c; c != 0 {
-				out = append(out, vterm{a[i].v, c})
+			if c := a[i].Coef + b[j].Coef; c != 0 {
+				out = append(out, milp.Term{Var: a[i].Var, Coef: c})
 			}
 			i++
 			j++
@@ -108,29 +103,19 @@ func mergeTerms(a, b []vterm) []vterm {
 	return out
 }
 
-// milpTerms converts the variable part to model terms, optionally
-// appending extras.
-func (a aff) milpTerms(extra ...milp.Term) []milp.Term {
-	ts := make([]milp.Term, 0, len(a.terms)+len(extra))
-	for _, t := range a.terms {
-		ts = append(ts, milp.Term{Var: t.v, Coef: t.c})
-	}
-	return append(ts, extra...)
-}
-
 // normTerms validates term ordering (used by tests).
 func (a aff) normalized() bool {
-	return sort.SliceIsSorted(a.terms, func(i, j int) bool { return a.terms[i].v < a.terms[j].v })
+	return sort.SliceIsSorted(a.terms, func(i, j int) bool { return a.terms[i].Var < a.terms[j].Var })
 }
 
 // rowLE adds the constraint a <= rhs.
-func rowLE(m *milp.Model, a aff, rhs float64) { m.AddLE(a.milpTerms(), rhs-a.c) }
+func rowLE(m *milp.Model, a aff, rhs float64) { m.AddLE(a.terms, rhs-a.c) }
 
 // rowGE adds the constraint a >= rhs.
-func rowGE(m *milp.Model, a aff, rhs float64) { m.AddGE(a.milpTerms(), rhs-a.c) }
+func rowGE(m *milp.Model, a aff, rhs float64) { m.AddGE(a.terms, rhs-a.c) }
 
 // rowEQ adds the constraint a = rhs.
-func rowEQ(m *milp.Model, a aff, rhs float64) { m.AddEQ(a.milpTerms(), rhs-a.c) }
+func rowEQ(m *milp.Model, a aff, rhs float64) { m.AddEQ(a.terms, rhs-a.c) }
 
 // bval is a (possibly symbolic) boolean: either a known constant or a
 // binary model variable. It represents σ_q(t) and predicate outcomes.

@@ -57,6 +57,7 @@ import (
 	"bufio"
 	"encoding/csv"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -128,12 +129,11 @@ func Create(dir string, d0 *relation.Table) (*Store, error) {
 		fmt.Fprintf(&meta, "key %s\n", sch.Attr(sch.Key()))
 	}
 	fmt.Fprintf(&meta, "attrs %s\n", strings.Join(sch.Attrs(), ","))
-	if err := os.WriteFile(filepath.Join(dir, "meta.txt"), []byte(meta.String()), 0o644); err != nil {
-		return nil, err
-	}
-
 	const gen = 1
 	if err := writeSnapshot(filepath.Join(dir, "snapshot.csv"), d0, gen); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(dir, "meta.txt"), []byte(meta.String()), 0o644); err != nil {
 		return nil, err
 	}
 	logF, err := freshLog(dir, gen)
@@ -160,6 +160,10 @@ func writeSnapshot(path string, tb *relation.Table, gen int64) error {
 		rec := make([]string, 1+len(t.Values))
 		rec[0] = strconv.FormatInt(t.ID, 10)
 		for i, v := range t.Values {
+			if (math.IsNaN(v) || math.IsInf(v, 0)) && werr == nil {
+				// Open refuses such a cell, so the file is never committed.
+				werr = fmt.Errorf("histstore: tuple %d: non-finite value %g", t.ID, v)
+			}
 			rec[i+1] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := w.Write(rec); err != nil && werr == nil {
@@ -273,12 +277,18 @@ func readSnapshot(path string, sch *relation.Schema) (*relation.Table, int64, er
 	return tb, gen, nil
 }
 
+// parseValues parses one snapshot row's value cells. NaN and the
+// infinities are refused, as the qfix CLI refuses them in its D0: the
+// encoder sizes its big-M from finite data.
 func parseValues(cells []string, line int) ([]float64, error) {
 	vals := make([]float64, len(cells))
 	for i, cell := range cells {
 		v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
 		if err != nil {
 			return nil, fmt.Errorf("histstore: snapshot line %d: %w", line, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("histstore: snapshot line %d: non-finite value %q", line, strings.TrimSpace(cell))
 		}
 		vals[i] = v
 	}

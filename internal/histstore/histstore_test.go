@@ -2,6 +2,7 @@ package histstore
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -131,6 +132,67 @@ func TestOpenErrors(t *testing.T) {
 	os.WriteFile(logp, []byte("-- qfixlog gen 1\nNOT SQL;\n"), 0o644)
 	if _, err := Open(dir); err == nil {
 		t.Error("bad log accepted")
+	}
+}
+
+// A snapshot cell holding NaN or an infinity is refused with the line it
+// sits on, as the CLI refuses it in its D0; it is never opened as data.
+func TestOpenRefusesNonFiniteSnapshotCell(t *testing.T) {
+	dir := t.TempDir()
+	os.WriteFile(filepath.Join(dir, "meta.txt"), []byte("table t\nattrs a,b\n"), 0o644)
+	for _, cell := range []string{"NaN", "Inf", "-Inf", "+inf"} {
+		body := "qfixsnap,2,3,1\n1,1,2\n2," + cell + ",3\n"
+		os.WriteFile(filepath.Join(dir, "snapshot.csv"), []byte(body), 0o644)
+		s, err := Open(dir)
+		if err == nil {
+			s.Close()
+			t.Errorf("snapshot cell %s: Open accepted it", cell)
+			continue
+		}
+		if !strings.Contains(err.Error(), "snapshot line 3") || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("snapshot cell %s: err = %v, want a non-finite value on snapshot line 3", cell, err)
+		}
+	}
+}
+
+// Nothing non-finite is ever written as a snapshot either: Create
+// refuses such a D0 and leaves no store behind, and a Checkpoint whose
+// replay overflows fails before its commit point, so the store still
+// opens at its old generation with its log intact.
+func TestNonFiniteSnapshotNeverWritten(t *testing.T) {
+	sch := relation.MustSchema("t", []string{"a"}, "")
+	d0 := relation.NewTable(sch)
+	d0.MustInsert(math.NaN())
+	dir := t.TempDir()
+	if s, err := Create(dir, d0); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("Create with a NaN cell: err = %v", err)
+	} else if s != nil {
+		s.Close()
+	}
+	for _, name := range []string{"meta.txt", "snapshot.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("refused Create left %s behind (stat err %v)", name, err)
+		}
+	}
+
+	s, _ := newStore(t)
+	dir = s.dir
+	for i := 0; i < 2; i++ {
+		if _, err := s.AppendSQL("UPDATE Taxes SET owed = owed + 1e308"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("Checkpoint of an overflowed state: err = %v", err)
+	}
+	s.Close()
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatalf("store no longer opens after the refused Checkpoint: %v", err)
+	}
+	defer re.Close()
+	if re.gen != 1 || len(re.log) != 2 {
+		t.Errorf("reopened at generation %d with %d statements, want 1 and 2", re.gen, len(re.log))
 	}
 }
 

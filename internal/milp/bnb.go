@@ -46,7 +46,10 @@ import (
 // node that does not branch returns its own once process is done with
 // it. Every Install still reads exactly the parent's basis, so the
 // search is the same at any Parallel setting. At the end Model.Solve
-// releases every goroutine's LP workspace for the next search.
+// releases every goroutine's LP workspace for the next search and, once
+// every worker has joined (their clones share its rows and columns), the
+// reduced problem presolve built; under NoPresolve that problem is the
+// model's own, which only Model.Release hands back.
 
 type nodeState int32
 
@@ -204,6 +207,9 @@ type search struct {
 }
 
 // Solve runs presolve then branch-and-bound to optimality or a limit.
+// It may build the column view of the model's own problem (simplex
+// BuildCols: under NoPresolve, or when presolve fixes a variable), so
+// one Model must not be solved from two goroutines at once.
 func (m *Model) Solve(opt Options) Result {
 	opt = opt.withDefaults()
 
@@ -225,6 +231,9 @@ func (m *Model) Solve(opt Options) Result {
 		}
 	}
 
+	// Built once here, before any goroutine starts, the searched problem's
+	// column view is shared by every clone instead of built by each.
+	ps.prob.BuildCols()
 	s := &search{ps: ps, opt: opt, fixedObj: ps.fixedObj, incObj: math.Inf(1), span: opt.Trace}
 	s.cond = sync.NewCond(&s.mu)
 	n := ps.prob.NumVars()
@@ -258,6 +267,9 @@ func (m *Model) Solve(opt Options) Result {
 	s.mu.Unlock()
 	if wait != nil {
 		wait()
+	}
+	if ps.prob != m.prob {
+		ps.prob.Release() // every clone of it is gone with its goroutine
 	}
 
 	res := Result{

@@ -38,6 +38,14 @@ func NewModel() *Model {
 	return &Model{prob: simplex.NewProblem()}
 }
 
+// Release hands the model's storage back for the next model to reuse.
+// The model must not be used afterwards; the Results it returned stay
+// valid.
+func (m *Model) Release() {
+	m.prob.Release()
+	m.prob = nil
+}
+
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return m.prob.NumVars() }
 

@@ -22,6 +22,12 @@ import (
 // solver promise byte-identical repairs with presolve on or off whenever
 // the optimum is unique, and deterministic output either way.
 //
+// Presolve makes no copy of the model: it reads the rows where the
+// Problem stores them (Terms, ascending variable order) and folds a
+// fixed variable into a private right-hand side through its column. The
+// reduced problem is built into storage NewProblem recycles, and Solve
+// releases it when the search is over.
+//
 // postsolve is a projection map: solutions of the reduced problem are
 // scattered back into full-length vectors with the fixed variables at
 // their forced values.
@@ -43,12 +49,6 @@ type presolved struct {
 	rowsDropped int
 	varsFixed   int
 	infeasible  bool // a row was proven unsatisfiable; no search needed
-}
-
-// rterm is one row-major nonzero.
-type rterm struct {
-	v int
-	c float64
 }
 
 const (
@@ -76,7 +76,8 @@ func contWidthOK(lo, hi float64) bool {
 	return hi-lo >= minCWidth*(1+math.Abs(lo)+math.Abs(hi))
 }
 
-// presolve runs the reduction fixpoint. It never mutates p.
+// presolve runs the reduction fixpoint. It changes nothing of p but its
+// column view, which fix reads and so builds on first use.
 func presolve(p *simplex.Problem, isInt []bool) *presolved {
 	n, m := p.NumVars(), p.NumRows()
 	ps := &presolved{
@@ -107,42 +108,27 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 		}
 	}
 
-	// Row-major view, built once; fixing a variable folds its term into
-	// the row's rhs and drops the term. The nonzeros are counted per row
-	// first, so every row is a capped subslice of one flat array, filled
-	// in ascending variable order.
-	rows := make([][]rterm, m)
+	// fix folds a fixed variable's terms into this private rhs; the rows
+	// skip its terms from then on.
 	rhs := make([]float64, m)
 	ops := make([]simplex.ConstrOp, m)
 	for i := 0; i < m; i++ {
 		ops[i], rhs[i] = p.Row(i)
 	}
-	count := make([]int, m)
-	for j := 0; j < n; j++ {
-		p.Col(j, func(row int, _ float64) { count[row]++ })
-	}
-	total := 0
-	for _, c := range count {
-		total += c
-	}
-	flat := make([]rterm, total)
-	for i, c := range count {
-		rows[i], flat = flat[:0:c], flat[c:]
-	}
-	for j := 0; j < n; j++ {
-		p.Col(j, func(row int, coef float64) {
-			rows[row] = append(rows[row], rterm{j, coef})
-		})
-	}
 	dropped := make([]bool, m)
 	isFixed := make([]bool, n)
 
+	colsBuilt := false
 	fix := func(j int, val float64) {
 		isFixed[j] = true
 		ps.fixed[j] = val
 		ps.varsFixed++
 		ps.fixedObj += obj[j] * val
 		if val != 0 {
+			if !colsBuilt {
+				p.BuildCols()
+				colsBuilt = true
+			}
 			p.Col(j, func(row int, coef float64) { rhs[row] -= coef * val })
 		}
 	}
@@ -167,33 +153,33 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 			minS, maxS := 0.0, 0.0
 			minInf, maxInf := 0, 0
 			nAct := 0
-			for _, t := range rows[i] {
-				if isFixed[t.v] {
+			for _, t := range p.Terms(i) {
+				if isFixed[t.Var] {
 					continue
 				}
 				nAct++
-				l, u := lb[t.v], ub[t.v]
-				if t.c > 0 {
+				l, u := lb[t.Var], ub[t.Var]
+				if t.Coef > 0 {
 					if math.IsInf(l, -1) {
 						minInf++
 					} else {
-						minS += t.c * l
+						minS += t.Coef * l
 					}
 					if math.IsInf(u, 1) {
 						maxInf++
 					} else {
-						maxS += t.c * u
+						maxS += t.Coef * u
 					}
 				} else {
 					if math.IsInf(u, 1) {
 						minInf++
 					} else {
-						minS += t.c * u
+						minS += t.Coef * u
 					}
 					if math.IsInf(l, -1) {
 						maxInf++
 					} else {
-						maxS += t.c * l
+						maxS += t.Coef * l
 					}
 				}
 			}
@@ -247,8 +233,8 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 			// rest of the row bounds how far this variable can go.
 			tightenLE := op == simplex.LE || op == simplex.EQ
 			tightenGE := op == simplex.GE || op == simplex.EQ
-			for _, t := range rows[i] {
-				j := t.v
+			for _, t := range p.Terms(i) {
+				j := t.Var
 				if isFixed[j] {
 					continue
 				}
@@ -257,22 +243,22 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 					// absorb what remains.
 					var ex float64
 					exOK := false
-					if t.c > 0 {
+					if t.Coef > 0 {
 						if minInf == 0 {
-							ex, exOK = minS-t.c*lb[j], !math.IsInf(lb[j], -1)
+							ex, exOK = minS-t.Coef*lb[j], !math.IsInf(lb[j], -1)
 						} else if minInf == 1 && math.IsInf(lb[j], -1) {
 							ex, exOK = minS, true
 						}
 					} else {
 						if minInf == 0 {
-							ex, exOK = minS-t.c*ub[j], !math.IsInf(ub[j], 1)
+							ex, exOK = minS-t.Coef*ub[j], !math.IsInf(ub[j], 1)
 						} else if minInf == 1 && math.IsInf(ub[j], 1) {
 							ex, exOK = minS, true
 						}
 					}
 					if exOK {
-						lim := (b - ex) / t.c
-						if t.c > 0 {
+						lim := (b - ex) / t.Coef
+						if t.Coef > 0 {
 							if nu := impliedUB(lim, isInt[j]); nu < ub[j] &&
 								(isInt[j] || contWidthOK(lb[j], nu)) {
 								ub[j] = nu
@@ -291,22 +277,22 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 					// sum >= b: exclude j from maxS.
 					var ex float64
 					exOK := false
-					if t.c > 0 {
+					if t.Coef > 0 {
 						if maxInf == 0 {
-							ex, exOK = maxS-t.c*ub[j], !math.IsInf(ub[j], 1)
+							ex, exOK = maxS-t.Coef*ub[j], !math.IsInf(ub[j], 1)
 						} else if maxInf == 1 && math.IsInf(ub[j], 1) {
 							ex, exOK = maxS, true
 						}
 					} else {
 						if maxInf == 0 {
-							ex, exOK = maxS-t.c*lb[j], !math.IsInf(lb[j], -1)
+							ex, exOK = maxS-t.Coef*lb[j], !math.IsInf(lb[j], -1)
 						} else if maxInf == 1 && math.IsInf(lb[j], -1) {
 							ex, exOK = maxS, true
 						}
 					}
 					if exOK {
-						lim := (b - ex) / t.c
-						if t.c > 0 {
+						lim := (b - ex) / t.Coef
+						if t.Coef > 0 {
 							if nl := impliedLB(lim, isInt[j]); nl > lb[j] &&
 								(isInt[j] || contWidthOK(nl, ub[j])) {
 								lb[j] = nl
@@ -351,7 +337,8 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 		}
 	}
 
-	// Build the reduced problem.
+	// Build the reduced problem in recycled storage. toRed is monotone, so
+	// every row arrives in ascending variable order and needs no sort.
 	red := simplex.NewProblem()
 	for j := 0; j < n; j++ {
 		if isFixed[j] {
@@ -367,9 +354,9 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 			continue
 		}
 		terms = terms[:0]
-		for _, t := range rows[i] {
-			if !isFixed[t.v] {
-				terms = append(terms, simplex.Coef{Var: ps.toRed[t.v], Coef: t.c})
+		for _, t := range p.Terms(i) {
+			if !isFixed[t.Var] {
+				terms = append(terms, simplex.Coef{Var: ps.toRed[t.Var], Coef: t.Coef})
 			}
 		}
 		red.AddConstr(terms, ops[i], rhs[i])

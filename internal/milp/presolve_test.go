@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -311,5 +312,42 @@ func TestPresolveMatchesOff(t *testing.T) {
 				t.Fatalf("trial %d: X[%d] on=%v off=%v", trial, j, on.X[j], off.X[j])
 			}
 		}
+	}
+}
+
+// Model storage is recycled: Solve releases the reduced problem it built
+// once every worker has joined, and Release hands back the model's own.
+// Solving a model again (its reduced problem now built in storage the
+// previous solve released), solving it without presolve (which searches
+// the model's own problem and must not release it), and building it anew
+// in storage another model of another shape left behind all give the
+// first solve's result and counters, at Parallel 1 and 4.
+func TestReleasedModelIsReused(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		seed := rng.Int63()
+		build := func() *Model { return randomMILP2(rand.New(rand.NewSource(seed))) }
+		same := func(label string, want, got Result) {
+			t.Helper()
+			sameResult(t, fmt.Sprintf("trial %d %s", trial, label), want, got)
+			if got.Nodes != want.Nodes || got.LPIters != want.LPIters || got.Refactorizations != want.Refactorizations {
+				t.Fatalf("trial %d %s: nodes %d/%d iters %d/%d refac %d/%d", trial, label,
+					got.Nodes, want.Nodes, got.LPIters, want.LPIters, got.Refactorizations, want.Refactorizations)
+			}
+		}
+		m := build()
+		want := m.Solve(Options{})
+		same("solved again", want, m.Solve(Options{Parallel: 4}))
+		off := m.Solve(Options{NoPresolve: true})
+		same("no presolve, again", off, m.Solve(Options{NoPresolve: true, Parallel: 4}))
+		m.Release()
+
+		other := randomMILP(rand.New(rand.NewSource(seed)))
+		other.Solve(Options{Parallel: 4})
+		other.Release()
+		m = build()
+		same("rebuilt", want, m.Solve(Options{Parallel: 4}))
+		same("rebuilt, no presolve", off, m.Solve(Options{NoPresolve: true}))
+		m.Release()
 	}
 }

@@ -11,8 +11,9 @@
 package query
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/relation"
@@ -41,19 +42,26 @@ func ConstExpr(c float64) LinExpr { return LinExpr{Const: c} }
 func AttrExpr(attr int) LinExpr { return LinExpr{Terms: []Term{{Attr: attr, Coef: 1}}} }
 
 // NewLinExpr builds a normalized LinExpr from possibly unsorted,
-// possibly duplicated terms.
+// possibly duplicated terms: a stable sort by attribute, then each run
+// of one attribute summed in argument order, zero sums dropped.
 func NewLinExpr(c float64, terms ...Term) LinExpr {
-	m := make(map[int]float64, len(terms))
-	for _, t := range terms {
-		m[t.Attr] += t.Coef
-	}
 	e := LinExpr{Const: c}
-	for a, cf := range m {
-		if cf != 0 {
-			e.Terms = append(e.Terms, Term{Attr: a, Coef: cf})
+	ts := slices.Clone(terms)
+	slices.SortStableFunc(ts, func(a, b Term) int { return cmp.Compare(a.Attr, b.Attr) })
+	w := 0
+	for k := 0; k < len(ts); {
+		t := ts[k]
+		for k++; k < len(ts) && ts[k].Attr == t.Attr; k++ {
+			t.Coef += ts[k].Coef
+		}
+		if t.Coef != 0 {
+			ts[w] = t
+			w++
 		}
 	}
-	sort.Slice(e.Terms, func(i, j int) bool { return e.Terms[i].Attr < e.Terms[j].Attr })
+	if w > 0 {
+		e.Terms = ts[:w]
+	}
 	return e
 }
 

@@ -11,9 +11,11 @@ import (
 // child captured mid-search (node 20, depth 10) from a diagnosis of the
 // synthetic instance nd=104 nq=39 seed 1137 — the presolved 593-row,
 // 218-variable big-M model under the child's bounds, and the parent's
-// end basis the child installs. The format is the Problem's fields in
-// order: "m n"; per variable "lb ub obj k" and k "row coef" pairs; per
-// row "op rhs"; the m basis entries; the n+m iterate values.
+// end basis the child installs. The format is column-major: "m n"; per
+// variable "lb ub obj k" and k "row coef" pairs; per row "op rhs"; the m
+// basis entries; the n+m iterate values. The rows are gathered from the
+// columns and added in order, and the column view is built, so p.cols
+// reads as the file does.
 func loadEncoderNode(tb testing.TB) (*Problem, *Snapshot) {
 	tb.Helper()
 	f, err := os.Open("testdata/encoder_node.txt")
@@ -29,23 +31,27 @@ func loadEncoderNode(tb testing.TB) (*Problem, *Snapshot) {
 	}
 	var m, n int
 	scan(&m, &n)
-	p := &Problem{
-		obj: make([]float64, n), lb: make([]float64, n), ub: make([]float64, n),
-		cols: make([][]entry, n), rhs: make([]float64, m), ops: make([]ConstrOp, m),
-	}
+	p := NewProblem()
+	rows := make([][]Coef, m)
 	for j := 0; j < n; j++ {
+		var lb, ub, obj float64
 		var k int
-		scan(&p.lb[j], &p.ub[j], &p.obj[j], &k)
-		p.cols[j] = make([]entry, k)
-		for i := range p.cols[j] {
-			scan(&p.cols[j][i].row, &p.cols[j][i].coef)
+		scan(&lb, &ub, &obj, &k)
+		p.AddVar(lb, ub, obj)
+		for ; k > 0; k-- {
+			var row int
+			var coef float64
+			scan(&row, &coef)
+			rows[row] = append(rows[row], Coef{Var: j, Coef: coef})
 		}
 	}
 	for i := 0; i < m; i++ {
 		var op int
-		scan(&op, &p.rhs[i])
-		p.ops[i] = ConstrOp(op)
+		var rhs float64
+		scan(&op, &rhs)
+		p.AddConstr(rows[i], ConstrOp(op), rhs)
 	}
+	p.BuildCols()
 	sn := &Snapshot{m: m, n: n, basis: make([]int, m), xval: make([]float64, n+m)}
 	for i := range sn.basis {
 		scan(&sn.basis[i])

@@ -10,6 +10,10 @@
 // the QFix paper. Bounds are handled natively (no bound rows), which is
 // what makes branch-and-bound cheap: a branch only tightens one bound.
 //
+// A Problem stores its rows once, flat and row-major; the sparse columns
+// the solver reads are a view built from them once, and the storage of
+// both is recycled from one Problem to the next (NewProblem, Release).
+//
 // The implementation is a revised simplex over sparse columns with a
 // factorized basis: a sparse LU factorization (partial pivoting) plus a
 // product-form eta file answers FTRAN/BTRAN, so no dense inverse is ever
@@ -22,8 +26,10 @@
 package simplex
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Inf is the bound value representing +infinity; use -Inf for free lower
@@ -85,20 +91,51 @@ type entry struct {
 	coef float64
 }
 
-// Problem accumulates a linear program. The zero value is unusable; use
-// NewProblem.
+// Problem accumulates a linear program. NewProblem returns one in
+// recycled storage.
+//
+// The rows are stored once, flat and row-major: row i's terms are
+// terms[rowEnd[i-1]:rowEnd[i]], in ascending variable order. The solver
+// reads columns, so once the last row is added BuildCols builds the
+// column view (cols) from the rows: one flat entry array with a subslice
+// per column, each listing its rows in ascending order. NewProblem takes
+// all of this storage from a free list and Release returns it, so a
+// program that builds one model after another stops allocating once the
+// storage has grown to the largest.
 type Problem struct {
-	obj  []float64
-	lb   []float64
-	ub   []float64
-	cols [][]entry
+	obj, lb, ub []float64
 
-	rhs []float64
-	ops []ConstrOp
+	rhs    []float64
+	ops    []ConstrOp
+	rowEnd []int
+	terms  []Coef
+
+	cols   [][]entry // the column view: subslices of colBuf
+	colBuf []entry
+	colLen []int // per-column counts while the view is built
 }
 
+// problems is the free list NewProblem takes its storage from.
+var problems freeList[Problem]
+
 // NewProblem returns an empty problem.
-func NewProblem() *Problem { return &Problem{} }
+func NewProblem() *Problem {
+	p := problems.get()
+	return &p
+}
+
+// Release hands the problem's storage back for the next NewProblem to
+// reuse. Neither the problem nor a clone of it may be used afterwards,
+// and a clone itself must never be released: it shares the rows and the
+// column view of the problem it was cloned from.
+func (p *Problem) Release() {
+	st := *p
+	*p = Problem{}
+	st.obj, st.lb, st.ub = st.obj[:0], st.lb[:0], st.ub[:0]
+	st.rhs, st.ops, st.rowEnd, st.terms = st.rhs[:0], st.ops[:0], st.rowEnd[:0], st.terms[:0]
+	st.cols = st.cols[:0]
+	problems.put(st)
+}
 
 // NumVars returns the number of structural variables added so far.
 func (p *Problem) NumVars() int { return len(p.obj) }
@@ -115,7 +152,6 @@ func (p *Problem) AddVar(lb, ub, obj float64) int {
 	p.obj = append(p.obj, obj)
 	p.lb = append(p.lb, lb)
 	p.ub = append(p.ub, ub)
-	p.cols = append(p.cols, nil)
 	return len(p.obj) - 1
 }
 
@@ -140,52 +176,110 @@ func (p *Problem) Obj(v int) float64 { return p.obj[v] }
 // Row returns row i's relational operator and right-hand side.
 func (p *Problem) Row(i int) (ConstrOp, float64) { return p.ops[i], p.rhs[i] }
 
-// Col iterates variable v's nonzero constraint coefficients in row-index
-// insertion order. It is the read surface presolve and other analyses
-// build their row-major views from.
+// Terms returns row i's nonzero terms in ascending variable order. The
+// slice is the problem's own storage: read it, never write it.
+func (p *Problem) Terms(i int) []Coef {
+	start := 0
+	if i > 0 {
+		start = p.rowEnd[i-1]
+	}
+	return p.terms[start:p.rowEnd[i]]
+}
+
+// Col iterates variable v's nonzero constraint coefficients in ascending
+// row order. It reads the column view (BuildCols).
 func (p *Problem) Col(v int, f func(row int, coef float64)) {
 	for _, e := range p.cols[v] {
 		f(e.row, e.coef)
 	}
 }
 
-// Clone returns a problem sharing this one's immutable structure (columns,
-// row operators, right-hand sides) with private copies of the mutable
-// per-variable state (bounds and objective). It exists for parallel
-// branch-and-bound: each worker owns a clone so bound changes on one
-// node's path never race another worker's. Neither the clone nor the
-// original may gain variables or rows afterwards — added columns would
-// alias the shared row structure.
+// BuildCols builds the column view from the rows and variables added so
+// far: a counting pass sizes every column, then a pass over the rows in
+// ascending order fills them. Col, Clone and a Solver read the view;
+// NewSolver builds it for a problem that has none, and a problem that
+// is cloned or solved concurrently must have it built before, by one
+// goroutine. A row or variable added later is missing from the view
+// until the next BuildCols, which rebuilds in place and so must not run
+// while anything reads p.
+func (p *Problem) BuildCols() {
+	n := len(p.obj)
+	count := resize(p.colLen, n)
+	for _, t := range p.terms {
+		count[t.Var]++
+	}
+	buf := resize(p.colBuf, len(p.terms))
+	cols := resize(p.cols, n)
+	off := 0
+	for j, c := range count {
+		cols[j] = buf[off : off : off+c]
+		off += c
+	}
+	start := 0
+	for i, end := range p.rowEnd {
+		for _, t := range p.terms[start:end] {
+			cols[t.Var] = append(cols[t.Var], entry{row: i, coef: t.Coef})
+		}
+		start = end
+	}
+	p.colLen, p.colBuf, p.cols = count, buf, cols
+}
+
+// Clone returns a problem sharing this one's immutable structure (rows,
+// column view, row operators, right-hand sides) with private copies of
+// the mutable per-variable state (bounds and objective). It exists for
+// parallel branch-and-bound: each worker owns a clone so bound changes
+// on one node's path never race another worker's. Clone only reads p,
+// so any number of goroutines may clone it at once; the clone shares p's
+// column view, so build that first (BuildCols). Neither the clone nor
+// the original may gain variables or rows afterwards.
 func (p *Problem) Clone() *Problem {
 	return &Problem{
-		obj:  append([]float64(nil), p.obj...),
-		lb:   append([]float64(nil), p.lb...),
-		ub:   append([]float64(nil), p.ub...),
-		cols: p.cols,
-		rhs:  p.rhs,
-		ops:  p.ops,
+		obj:    append([]float64(nil), p.obj...),
+		lb:     append([]float64(nil), p.lb...),
+		ub:     append([]float64(nil), p.ub...),
+		rhs:    p.rhs,
+		ops:    p.ops,
+		rowEnd: p.rowEnd,
+		terms:  p.terms,
+		// Capped, so a clone of a problem without a view builds its own
+		// instead of writing into p's storage.
+		cols: p.cols[:len(p.cols):len(p.cols)],
 	}
 }
 
-// AddConstr adds the row terms op rhs and returns its index. Terms with
-// duplicate variables are summed; zero coefficients are dropped.
+// AddConstr adds the row terms op rhs and returns its index. The terms
+// are stored in ascending variable order (a stable sort, so duplicate
+// variables keep their argument order); duplicates are summed in that
+// order and zero sums are dropped.
 func (p *Problem) AddConstr(terms []Coef, op ConstrOp, rhs float64) int {
-	row := len(p.rhs)
-	sum := make(map[int]float64, len(terms))
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(p.obj) {
 			panic(fmt.Sprintf("simplex: constraint references unknown variable %d", t.Var))
 		}
-		sum[t.Var] += t.Coef
 	}
-	for v, c := range sum {
-		if c != 0 {
-			p.cols[v] = append(p.cols[v], entry{row: row, coef: c})
+	start := len(p.terms)
+	p.terms = append(p.terms, terms...)
+	row := p.terms[start:]
+	if byVar := func(a, b Coef) int { return cmp.Compare(a.Var, b.Var) }; !slices.IsSortedFunc(row, byVar) {
+		slices.SortStableFunc(row, byVar)
+	}
+	w := start
+	for k := 0; k < len(row); {
+		t := row[k]
+		for k++; k < len(row) && row[k].Var == t.Var; k++ {
+			t.Coef += row[k].Coef
+		}
+		if t.Coef != 0 {
+			p.terms[w] = t
+			w++
 		}
 	}
+	p.terms = p.terms[:w]
+	p.rowEnd = append(p.rowEnd, w)
 	p.rhs = append(p.rhs, rhs)
 	p.ops = append(p.ops, op)
-	return row
+	return len(p.rhs) - 1
 }
 
 // Options tunes the solver.

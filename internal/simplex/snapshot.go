@@ -112,18 +112,14 @@ func (p *Problem) PointFeasible(x []float64) bool {
 			return false
 		}
 	}
-	lhs := make([]float64, m)
-	mag := make([]float64, m)
-	for j, v := range x {
-		if v == 0 {
-			continue
-		}
-		for _, e := range p.cols[j] {
-			lhs[e.row] += e.coef * v
-			mag[e.row] += math.Abs(e.coef * v)
-		}
-	}
 	for i := 0; i < m; i++ {
+		lhs, mag := 0.0, 0.0
+		for _, t := range p.Terms(i) {
+			if v := x[t.Var]; v != 0 {
+				lhs += t.Coef * v
+				mag += math.Abs(t.Coef * v)
+			}
+		}
 		// The solver enforces row operators through slack bounds, so its
 		// effective op tolerance is the slack bound tolerance (1e-5 scale,
 		// see solutionValid) plus the row residual tolerance (1e-7 per
@@ -131,8 +127,8 @@ func (p *Problem) PointFeasible(x []float64) bool {
 		// gate exactly as strict as the solver is with its own iterates —
 		// tighter would reject valid LP optima, looser would admit points
 		// the LP itself calls infeasible.
-		tol := 1.1e-5 + 1e-7*math.Max(mag[i], math.Abs(p.rhs[i]))
-		r := lhs[i] - p.rhs[i]
+		tol := 1.1e-5 + 1e-7*math.Max(mag, math.Abs(p.rhs[i]))
+		r := lhs - p.rhs[i]
 		switch p.ops[i] {
 		case LE:
 			if r > tol {

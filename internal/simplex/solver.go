@@ -24,36 +24,58 @@ type Solver struct {
 	initialized bool
 }
 
-// NewSolver prepares a reusable solver for the problem.
+// NewSolver prepares a reusable solver for the problem, first building
+// its column view (BuildCols) if it has none.
 func NewSolver(p *Problem, opt Options) *Solver {
+	if len(p.cols) != len(p.obj) {
+		p.BuildCols()
+	}
 	return &Solver{p: p, opt: opt}
 }
 
-// Workspaces are recycled through a plain capped list, not a sync.Pool:
+// freeList is a capped list of recycled storage: the workspaces here and
+// the problems' rows and columns. It is a plain list, not a sync.Pool:
 // every garbage collection empties a sync.Pool, and a diagnosis runs
 // several.
-var workspaces struct {
-	sync.Mutex
-	free []*solver
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []T
 }
 
-// maxFreeWorkspaces caps the free list; a workspace released into a full
-// list is dropped.
-const maxFreeWorkspaces = 8
+// maxFree caps every free list; what is put into a full list is dropped.
+const maxFree = 8
+
+// get takes the most recently put element, or the zero value when the
+// list is empty.
+func (l *freeList[T]) get() (t T) {
+	l.mu.Lock()
+	if k := len(l.free) - 1; k >= 0 {
+		t, l.free = l.free[k], l.free[:k]
+	}
+	l.mu.Unlock()
+	return t
+}
+
+// put hands t back unless the list is full.
+func (l *freeList[T]) put(t T) {
+	l.mu.Lock()
+	if len(l.free) < maxFree {
+		l.free = append(l.free, t)
+	}
+	l.mu.Unlock()
+}
+
+// workspaces is the free list Solvers take their workspaces from.
+var workspaces freeList[*solver]
 
 // workspace returns the solver's workspace fitted to the problem's
 // current shape (m rows, n structural variables), taking one from the
-// free list on first use. Fitting a workspace to a new shape discards
-// its basis, so the solver is cold afterwards.
+// free list on first use. Fitting a workspace to a new shape discards its basis, so the
+// solver is cold afterwards.
 func (ws *Solver) workspace(m, n int) *solver {
 	s := ws.inner
 	if s == nil {
-		workspaces.Lock()
-		if k := len(workspaces.free); k > 0 {
-			s, workspaces.free = workspaces.free[k-1], workspaces.free[:k-1]
-		}
-		workspaces.Unlock()
-		if s == nil {
+		if s = workspaces.get(); s == nil {
 			s = &solver{fac: &factor{}}
 		}
 		ws.inner = s
@@ -75,11 +97,7 @@ func (ws *Solver) Release() {
 		return
 	}
 	s.p = nil
-	workspaces.Lock()
-	if len(workspaces.free) < maxFreeWorkspaces {
-		workspaces.free = append(workspaces.free, s)
-	}
-	workspaces.Unlock()
+	workspaces.put(s)
 }
 
 // Reset discards any retained basis so the next Solve starts cold. Used
