@@ -4,12 +4,12 @@
 //
 //	qfix-worker -addr :7433 &
 //	qfix-worker -addr :7434 &
-//	qfixd -partition 4 -mux -workers localhost:7433,localhost:7434
+//	qfixd -partition 4 -workers localhost:7433,localhost:7434
 //
 // Each job is a self-contained partition subproblem (initial state, query
 // log, complaint subset, solver options) framed as newline-delimited JSON
 // over TCP; the worker solves it with the in-process engine and streams
-// the repair back. A mux coordinator (qfixd -mux) keeps one persistent
+// the repair back. A coordinator (qfixd -workers) keeps one persistent
 // connection and multiplexes jobs over it: up to -max-inflight jobs (a
 // server-wide bound, whatever mix of connections they arrive on) solve
 // concurrently and each result is written the moment its solve lands,

@@ -46,7 +46,6 @@ func main() {
 		inflt     = flag.Int("max-inflight", 0, "concurrent diagnoses across all tenants (0 = GOMAXPROCS, <0 = one at a time)")
 		tq        = flag.Int("tenant-queue", 0, "per-tenant cap on queued diagnoses; beyond it requests get a busy error (0 = default, <0 = no queueing)")
 		workers   = flag.String("workers", "", "comma-separated qfix-worker addresses for a shared diagnosis fleet")
-		mux       = flag.Bool("mux", false, "multiplex fleet jobs over persistent connections (wire v3)")
 		part      = flag.Int("partition", 0, "default partition width for diagnoses that do not request one")
 		pool      = flag.Int("pool", 0, "resident scheduler pool size shared by all diagnoses (0 = GOMAXPROCS)")
 		maxStores = flag.Int("max-stores", 0, "resident tenant stores before LRU eviction of idle ones (0 = default, <0 = unlimited)")
@@ -61,7 +60,6 @@ func main() {
 		Dir:           *dir,
 		MaxInflight:   *inflt,
 		TenantQueue:   *tq,
-		Mux:           *mux,
 		Partition:     *part,
 		PoolWorkers:   *pool,
 		MaxOpenStores: *maxStores,

@@ -10,12 +10,10 @@
 // repair is identical to the local run; Stats.RemoteJobs records how
 // much of the solving left the process.
 //
-// The fleet is exercised twice: once dialing a fresh connection per job
-// and once with dist.Config.Mux, which keeps one persistent multiplexed
-// connection per worker and streams each result back the moment its
-// solve lands (Stats.StreamedResults) — what `qfixd -workers … -mux`
-// holds for every diagnosis it runs. All three runs produce the
-// identical repair.
+// The coordinator keeps one persistent multiplexed connection per
+// worker and streams each result back the moment its solve lands
+// (Stats.StreamedResults) — what `qfixd -workers …` holds for every
+// diagnosis it runs. Both runs produce the identical repair.
 //
 // In production the two goroutines are `qfix-worker -addr :7433` style
 // processes on other machines and dist.Connect is given their addresses.
@@ -86,7 +84,7 @@ func main() {
 
 	// diagnose is qfix.Diagnose for the in-process run and a
 	// coordinator's Diagnose — which plans locally and ships every
-	// partition to its workers — for the fleet runs.
+	// partition to its workers — for the fleet run.
 	run := func(name string, diagnose func(*qfix.Table, []qfix.Query, []qfix.Complaint, qfix.Options) (*qfix.Repair, error)) *qfix.Repair {
 		start := time.Now()
 		rep, err := diagnose(d0, history, complaints, opts)
@@ -102,21 +100,16 @@ func main() {
 
 	local := run("local", qfix.Diagnose)
 
-	dial := dist.Connect(dist.Config{}, workers...)
-	defer dial.Close()
-	remote := run("dial-per-job", dial.Diagnose)
+	coord := dist.Connect(dist.Config{}, workers...)
+	defer coord.Close()
+	remote := run("fleet", coord.Diagnose)
 
-	// One persistent multiplexed connection per worker.
-	mux := dist.Connect(dist.Config{Mux: true}, workers...)
-	defer mux.Close()
-	muxed := run("mux", mux.Diagnose)
-
-	fmt.Println("\nrepaired history (mux):")
-	for i, q := range muxed.Log {
+	fmt.Println("\nrepaired history (fleet):")
+	for i, q := range remote.Log {
 		fmt.Printf("  q%d: %s\n", i+1, q.String(sch))
 	}
-	if qfix.Distance(local.Log, remote.Log) == 0 && qfix.Distance(local.Log, muxed.Log) == 0 {
-		fmt.Println("\ndial-per-job and mux repairs are identical to the local repair ✓")
+	if qfix.Distance(local.Log, remote.Log) == 0 {
+		fmt.Println("\nthe fleet repair is identical to the local repair ✓")
 	} else {
 		fmt.Println("\nWARNING: distributed and local repairs differ")
 	}

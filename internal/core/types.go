@@ -216,10 +216,9 @@ type Stats struct {
 	// (via Options.PartitionSolver / internal/dist). Jobs that fell back
 	// to the local engine are not counted.
 	RemoteJobs int
-	// StreamedResults counts the subset of RemoteJobs whose result
-	// streamed back over a persistent multiplexed worker connection
-	// (dist.Config.Mux) — written by the worker the moment the solve
-	// landed rather than over a per-job dialed connection.
+	// StreamedResults counts the remote results that streamed back over
+	// a persistent multiplexed worker connection. Every remote result
+	// does now, so it equals RemoteJobs; ROADMAP 2(d) deletes it.
 	StreamedResults int
 	// ImpactCacheHits counts planning passes that reused a cached
 	// FullImpact closure (Options.ImpactCache) instead of computing one

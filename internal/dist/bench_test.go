@@ -13,8 +13,7 @@ import (
 
 // BenchmarkFleetDiagnose times one diagnosis of a fixed
 // fleet_partitioned instance (19 clusters of 4 rows, two UPDATEs each:
-// 18 partitions) through a coordinator over two loopback workers, with
-// the mux transport and with one dialed connection per job, and
+// 18 partitions) through a coordinator over two loopback workers and
 // reports the bytes both ways on the workers' connections per
 // diagnosis (wire-B/op). Workers and coordinator share the process, so
 // B/op counts both sides' allocations.
@@ -29,38 +28,31 @@ func BenchmarkFleetDiagnose(b *testing.B) {
 	}
 	opts := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true, QuerySlicing: true,
 		TimeLimit: time.Minute, Partition: 2}
-	for _, tc := range []struct {
-		name string
-		mux  bool
-	}{{"mux", true}, {"dial", false}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var wire atomic.Int64
-			var addrs []string
-			for range 2 {
-				l, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv := &dist.Server{}
-				go srv.Serve(countingListener{l, &wire})
-				defer srv.Close()
-				addrs = append(addrs, l.Addr().String())
-			}
-			coord := dist.Connect(dist.Config{Mux: tc.mux}, addrs...)
-			defer coord.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for range b.N {
-				rep, err := coord.Diagnose(in.W.D0, in.Dirty, in.Complaints, opts)
-				if err != nil || !rep.Resolved || rep.Stats.RemoteJobs != rep.Stats.Partitions {
-					b.Fatalf("err=%v resolved=%v remote jobs %d of %d", err, rep != nil && rep.Resolved,
-						rep.Stats.RemoteJobs, rep.Stats.Partitions)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(wire.Load())/float64(b.N), "wire-B/op")
-		})
+	var wire atomic.Int64
+	var addrs []string
+	for range 2 {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv := &dist.Server{}
+		go srv.Serve(countingListener{l, &wire})
+		defer srv.Close()
+		addrs = append(addrs, l.Addr().String())
 	}
+	coord := dist.Connect(dist.Config{}, addrs...)
+	defer coord.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		rep, err := coord.Diagnose(in.W.D0, in.Dirty, in.Complaints, opts)
+		if err != nil || !rep.Resolved || rep.Stats.RemoteJobs != rep.Stats.Partitions {
+			b.Fatalf("err=%v resolved=%v remote jobs %d of %d", err, rep != nil && rep.Resolved,
+				rep.Stats.RemoteJobs, rep.Stats.Partitions)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(wire.Load())/float64(b.N), "wire-B/op")
 }
 
 // countingListener counts every byte read or written on the

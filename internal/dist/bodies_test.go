@@ -48,7 +48,7 @@ func TestBodyTablesRace(t *testing.T) {
 		t.Fatalf("%d bodies fit the %d slots; nothing would be evicted", len(hs)*perHistory, dist.BodySlots)
 	}
 
-	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, startWorker(t))
+	coord := dist.Connect(dist.Config{Logf: t.Logf}, startWorker(t))
 	defer coord.Close()
 	before := carriedFrames()
 	var remote, hits atomic.Int64
@@ -178,39 +178,24 @@ func (c carryCheck) Do(ctx context.Context, job *dist.Job) (*dist.Result, error)
 	return c.Transport.Do(ctx, job)
 }
 
-// A dial-per-job or in-process transport starts every job on an empty
-// table, so every job carries its body and no job counts a hit; the
-// repairs are the local ones.
+// The in-process transport starts every job on an empty table, so
+// every job carries its body and no job counts a hit; the repairs are
+// the local ones.
 func TestDialAndInProcCarryEveryBody(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := repairFingerprint(d0.Schema(), localReference(t, d0, log, complaints))
-	for _, tc := range []struct {
-		name       string
-		transports []dist.Transport
-		worker     bool // a real worker counts the frames it reads
-	}{
-		{"dial", []dist.Transport{dist.Dial(startWorker(t)), dist.Dial(startWorker(t))}, true},
-		{"inproc", []dist.Transport{dist.InProc{}, dist.InProc{}}, false},
-	} {
-		for i, tr := range tc.transports {
-			tc.transports[i] = carryCheck{tr, t, len(log)}
-		}
-		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, tc.transports...)
-		before := carriedFrames()
-		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
-		coord.Close()
-		if err != nil {
-			t.Fatal(tc.name, err)
-		}
-		if g := repairFingerprint(d0.Schema(), got); g != want {
-			t.Errorf("%s: repair differs from local:\n got:\n%s\nwant:\n%s", tc.name, g, want)
-		}
-		if got.Stats.RemoteJobs != got.Stats.Partitions || got.Stats.WorkerCacheHits != 0 {
-			t.Errorf("%s: %d remote jobs of %d partitions, %d hits; want all remote, no hits",
-				tc.name, got.Stats.RemoteJobs, got.Stats.Partitions, got.Stats.WorkerCacheHits)
-		}
-		if carried := carriedFrames() - before; tc.worker && carried != int64(got.Stats.RemoteJobs) {
-			t.Errorf("%s: %d frames carried a body for %d jobs", tc.name, carried, got.Stats.RemoteJobs)
-		}
+	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf},
+		carryCheck{dist.InProc{}, t, len(log)}, carryCheck{dist.InProc{}, t, len(log)})
+	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+	coord.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := repairFingerprint(d0.Schema(), got); g != want {
+		t.Errorf("repair differs from local:\n got:\n%s\nwant:\n%s", g, want)
+	}
+	if got.Stats.RemoteJobs != got.Stats.Partitions || got.Stats.WorkerCacheHits != 0 {
+		t.Errorf("%d remote jobs of %d partitions, %d hits; want all remote, no hits",
+			got.Stats.RemoteJobs, got.Stats.Partitions, got.Stats.WorkerCacheHits)
 	}
 }

@@ -17,59 +17,58 @@ import (
 // the local fallback started broke. Each attempt must now be capped at
 // min(JobTimeout, remaining budget + slack): with one hung and one
 // healthy worker, every job reaches the healthy worker after at most
-// one JobTimeout, well inside the budget. Over both the dial-per-job
-// and the mux transport, the hung attempt must end when its context
-// does, and closing the coordinator and the workers leaves no goroutine
-// behind.
+// one JobTimeout, well inside the budget. The hung attempt must end
+// when its context does, and closing the coordinator and the workers
+// leaves no goroutine behind.
 func TestDispatchBudgetCappedOnHungWorker(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 2)
 	want := localReference(t, d0, log, complaints)
 	sch := d0.Schema()
 
-	for _, mux := range []bool{false, true} {
-		base := runtime.NumGoroutine()
-		t.Run(fmt.Sprintf("mux=%v", mux), func(t *testing.T) {
-			coord := dist.Connect(dist.Config{Mux: mux, JobTimeout: 2 * time.Second, Retries: 1, Logf: t.Logf},
-				startBlackHoleWorker(t), startWorker(t))
-			defer coord.Close()
+	base := runtime.NumGoroutine()
+	// The subtest keeps the name it had when the fleet also had a
+	// dial-per-job transport; it runs over the multiplexed one.
+	t.Run("mux=true", func(t *testing.T) {
+		coord := dist.Connect(dist.Config{JobTimeout: 2 * time.Second, Logf: t.Logf},
+			startBlackHoleWorker(t), startWorker(t))
+		defer coord.Close()
 
-			opts := partitionOpts()
-			opts.TotalTimeLimit = 5 * time.Minute // the budget a hung worker used to drain per attempt
-			type outcome struct {
-				rep *core.Repair
-				err error
+		opts := partitionOpts()
+		opts.TotalTimeLimit = 5 * time.Minute // the budget a hung worker used to drain per attempt
+		type outcome struct {
+			rep *core.Repair
+			err error
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			rep, err := coord.Diagnose(d0, log, complaints, opts)
+			done <- outcome{rep, err}
+		}()
+		var got *core.Repair
+		// 2 jobs × (one 2s hung attempt + solve + slack) stay far
+		// under the guard; a transport that ignores its attempt's
+		// context waits on the hung worker forever.
+		select {
+		case out := <-done:
+			if out.err != nil {
+				t.Fatal(out.err)
 			}
-			done := make(chan outcome, 1)
-			go func() {
-				rep, err := coord.Diagnose(d0, log, complaints, opts)
-				done <- outcome{rep, err}
-			}()
-			var got *core.Repair
-			// 2 jobs × (one 2s hung attempt + solve + slack) stay far
-			// under the guard; a transport that ignores its attempt's
-			// context waits on the hung worker forever.
-			select {
-			case out := <-done:
-				if out.err != nil {
-					t.Fatal(out.err)
-				}
-				got = out.rep
-			case <-time.After(30 * time.Second):
-				t.Fatal("diagnosis still waiting on the hung worker after 30s; an attempt ignored its context")
-			}
-			if !got.Resolved {
-				t.Fatalf("diagnosis with a hung worker unresolved: %+v", got.Stats)
-			}
-			if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-				t.Errorf("hung-worker repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
-			}
-			if got.Stats.RemoteJobs != got.Stats.Partitions {
-				t.Errorf("RemoteJobs = %d, want %d (retry must reach the healthy worker)",
-					got.Stats.RemoteJobs, got.Stats.Partitions)
-			}
-		})
-		testcheck.Goroutines(t, base)
-	}
+			got = out.rep
+		case <-time.After(30 * time.Second):
+			t.Fatal("diagnosis still waiting on the hung worker after 30s; an attempt ignored its context")
+		}
+		if !got.Resolved {
+			t.Fatalf("diagnosis with a hung worker unresolved: %+v", got.Stats)
+		}
+		if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+			t.Errorf("hung-worker repair differs from local:\n got:\n%s\nwant:\n%s", g, w)
+		}
+		if got.Stats.RemoteJobs != got.Stats.Partitions {
+			t.Errorf("RemoteJobs = %d, want %d (retry must reach the healthy worker)",
+				got.Stats.RemoteJobs, got.Stats.Partitions)
+		}
+	})
+	testcheck.Goroutines(t, base)
 }
 
 // E2E: over a mux connection every partition job of a run but the
@@ -91,7 +90,7 @@ func TestWorkerCacheRepeatJobsByteIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(procs)
 
 	// One worker, so all four partition jobs share one connection.
-	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, startWorker(t))
+	coord := dist.Connect(dist.Config{Logf: t.Logf}, startWorker(t))
 	defer coord.Close()
 
 	var first string

@@ -22,17 +22,10 @@ type Config struct {
 	// that cap no retry would ever run and the local fallback would
 	// start broke. Zero picks DefaultJobTimeout.
 	JobTimeout time.Duration
-	// Retries is how many additional workers a failed job is offered
-	// before falling back to the local engine. Negative disables
-	// retries; zero picks one retry per remaining worker, capped at
-	// len(workers)-1.
-	Retries int
-	// Mux keeps one persistent multiplexed connection per worker
-	// (MuxTransport) instead of dialing a fresh connection per job:
-	// concurrent jobs share the connection and results stream back as
-	// each solve lands (Stats.StreamedResults). Only Connect consults
-	// it; explicit transports passed to NewCoordinator choose for
-	// themselves.
+	// Mux is ignored: every connection Connect makes is multiplexed
+	// (MuxTransport).
+	//
+	// Deprecated: ROADMAP 2(d) deletes the field.
 	Mux bool
 	// Logf, when set, receives one line per dispatch failure/fallback.
 	Logf func(format string, args ...any)
@@ -52,8 +45,8 @@ const DefaultJobTimeout = 5 * time.Minute
 // starts partitions largest-first (see core's planPartitions size
 // estimate), so the coordinator ships the biggest MILPs to the fleet
 // first and the critical path is not a huge partition stuck at the back
-// of the queue; with Config.Mux the per-partition results stream back
-// over persistent connections as each solve lands.
+// of the queue; the per-partition results stream back over persistent
+// connections as each solve lands.
 type Coordinator struct {
 	cfg        Config
 	transports []Transport
@@ -92,26 +85,15 @@ func NewCoordinator(cfg Config, transports ...Transport) *Coordinator {
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = DefaultJobTimeout
 	}
-	if cfg.Retries == 0 {
-		cfg.Retries = len(transports) - 1
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
 	return &Coordinator{cfg: cfg, transports: transports}
 }
 
-// Connect builds a coordinator with one transport per worker address:
-// persistent multiplexed connections with cfg.Mux, one dialed
-// connection per job otherwise.
+// Connect builds a coordinator with one persistent multiplexed
+// connection (DialMux) per worker address.
 func Connect(cfg Config, workers ...string) *Coordinator {
 	ts := make([]Transport, len(workers))
 	for i, addr := range workers {
-		if cfg.Mux {
-			ts[i] = DialMux(addr)
-		} else {
-			ts[i] = Dial(addr)
-		}
+		ts[i] = DialMux(addr)
 	}
 	return NewCoordinator(cfg, ts...)
 }
@@ -208,16 +190,13 @@ func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
 	return rep, err
 }
 
-// dispatch tries the job on up to 1+Retries distinct workers within the
-// job's deadline (zero = no budget, each attempt gets JobTimeout); sub
-// is the subproblem the job encodes, whose own log a result's repair is
-// rebuilt onto. ok=false means every attempt failed and the caller
-// should solve locally.
+// dispatch offers the job once to each worker, in round-robin order,
+// within the job's deadline (zero = no budget, each attempt gets
+// JobTimeout); sub is the subproblem the job encodes, whose own log a
+// result's repair is rebuilt onto. ok=false means every attempt failed
+// and the caller should solve locally.
 func (c *Coordinator) dispatch(job *Job, sub core.Subproblem, deadline time.Time, sp *obs.Span) (*core.Repair, bool) {
-	attempts := 1 + c.cfg.Retries
-	if attempts > len(c.transports) {
-		attempts = len(c.transports)
-	}
+	attempts := len(c.transports)
 	// Advance the shared round-robin cursor once per job, then walk
 	// consecutive transports, so retries always land on a different
 	// worker than the one that just failed. The cursor is reduced

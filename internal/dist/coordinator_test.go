@@ -158,7 +158,7 @@ func TestDispatchStampsAttemptDeadline(t *testing.T) {
 		srv.Serve(l)
 		close(served)
 	}()
-	tr := Dial(l.Addr().String())
+	tr := DialMux(l.Addr().String())
 	wire := job
 	wire.AttemptTTLNS = 1
 	ctx, cancelDo := context.WithTimeout(context.Background(), 10*time.Second)

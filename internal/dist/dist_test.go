@@ -216,7 +216,7 @@ func TestDistributedWorkerKilledMidRun(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 
-	coord := dist.Connect(dist.Config{Retries: 1, Logf: t.Logf},
+	coord := dist.Connect(dist.Config{Logf: t.Logf},
 		startWorker(t), startCrashingWorker(t))
 	defer coord.Close()
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
@@ -230,9 +230,9 @@ func TestDistributedWorkerKilledMidRun(t *testing.T) {
 	if !got.Resolved {
 		t.Fatalf("crashing worker lost the instance: %+v", got.Stats)
 	}
-	// Retries must land on a *different* worker than the one that
-	// failed: with one healthy and one crashing worker and Retries=1,
-	// every job reaches the healthy worker, so nothing falls back local.
+	// A retry must land on a *different* worker than the one that
+	// failed: with one healthy and one crashing worker, every job
+	// reaches the healthy worker, so nothing falls back local.
 	if got.Stats.RemoteJobs != got.Stats.Partitions {
 		t.Errorf("RemoteJobs = %d, want %d (retry should reach the healthy worker)",
 			got.Stats.RemoteJobs, got.Stats.Partitions)
@@ -270,7 +270,7 @@ func TestDistributedTimeoutFallsBackLocal(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 
-	coord := dist.Connect(dist.Config{JobTimeout: 300 * time.Millisecond, Retries: -1, Logf: t.Logf},
+	coord := dist.Connect(dist.Config{JobTimeout: 300 * time.Millisecond, Logf: t.Logf},
 		startBlackHoleWorker(t))
 	defer coord.Close()
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())

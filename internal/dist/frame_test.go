@@ -137,7 +137,7 @@ func TestWorkerAnswersMalformedJobs(t *testing.T) {
 
 	for name, f := range malformed {
 		var errs atomic.Int64
-		coord := dist.NewCoordinator(dist.Config{Retries: -1, Logf: t.Logf}, rawTransport{
+		coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, rawTransport{
 			addr: addr,
 			job:  func(raw []byte) ([]byte, error) { return rewriteJob(raw, f) },
 			result: func(line []byte) ([]byte, error) {
@@ -205,7 +205,7 @@ func TestServerBoundsJobFrame(t *testing.T) {
 		pad := bytes.Repeat([]byte{' '}, frameconn.MaxFrame)
 		return append(append(raw[:len(raw)-1:len(raw)-1], pad...), '}'), nil
 	}}}
-	coord := dist.NewCoordinator(dist.Config{Retries: -1, Logf: t.Logf}, padded)
+	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, padded)
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 	coord.Close()
 	if err != nil {
@@ -295,7 +295,7 @@ func TestMuxBoundsResultFrame(t *testing.T) {
 	want := localReference(t, d0, log, complaints)
 	bad, endless := startEndlessWorker(t)
 
-	coord := dist.Connect(dist.Config{Mux: true, Retries: 1, Logf: t.Logf}, startWorker(t), bad)
+	coord := dist.Connect(dist.Config{Logf: t.Logf}, startWorker(t), bad)
 	defer coord.Close()
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 	if err != nil {

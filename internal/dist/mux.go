@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -23,10 +22,11 @@ import (
 // slamming the path at the exact same instants every cycle; the jitter
 // de-synchronizes the fleet. It is seeded per-transport from the worker
 // address, so a given transport's schedule is reproducible (tests pin
-// it) while distinct workers never share one. Jobs that arrive while
-// the persistent connection is down are not delayed and not lost: they
-// fall back to one dialed connection per job, so a recovering worker
-// keeps serving the fleet while the mux link heals.
+// it) while distinct workers never share one. A job that arrives while
+// the persistent connection is down or backing off is not delayed and
+// not lost: its attempt fails at once as a transport error, without a
+// dial, and the coordinator offers it to the next worker and then to
+// the local engine.
 const (
 	muxBackoffBase   = 250 * time.Millisecond
 	muxBackoffMax    = 10 * time.Second
@@ -59,18 +59,13 @@ func backoffSeed(addr string) int64 {
 	return int64(h)
 }
 
-// errMuxDown marks a job that never reached the persistent connection
-// (dial failed, backoff in force, or transport closed): the attempt is
-// still fresh and may be retried on the per-job path.
-var errMuxDown = errors.New("dist: persistent connection unavailable")
-
 // MuxTransport keeps one long-lived connection to a worker and
 // multiplexes concurrent jobs over it: each frame carries its
 // job ID, a single reader goroutine demultiplexes result frames to the
 // in-flight callers as the worker streams them back — possibly out of
 // submission order — and the connection persists across jobs and
-// diagnoses, so the per-job dial/teardown of TCPTransport disappears
-// from the critical path.
+// diagnoses, so no dial or teardown sits on a job's critical path. It
+// is the fleet's one network transport.
 //
 // Failure semantics preserve the coordinator's no-lost-instances
 // guarantee:
@@ -78,14 +73,13 @@ var errMuxDown = errors.New("dist: persistent connection unavailable")
 //   - a broken connection fails every in-flight job with a transport
 //     error (the coordinator retries each on another worker and
 //     ultimately solves locally) and arms a reconnect backoff;
-//   - while the persistent connection is down, jobs fall back to
-//     dial-per-job against the same worker instead of erroring, so a
-//     restarted worker serves again immediately and the mux link is
-//     re-dialed once the backoff expires.
+//   - while the persistent connection is down or backing off, a job's
+//     attempt fails at once without dialing (the coordinator moves it
+//     to the next worker or the local engine), and the first job after
+//     the backoff expires re-dials the link.
 type MuxTransport struct {
-	addr    string
-	dialer  net.Dialer
-	oneShot *TCPTransport // dial-per-job fallback while the mux link is down
+	addr   string
+	dialer net.Dialer
 
 	// writeMu serializes frame writes on the persistent connection,
 	// together with the copy of the worker's body table they move: which
@@ -124,7 +118,6 @@ type muxConn struct {
 func DialMux(addr string) *MuxTransport {
 	return &MuxTransport{
 		addr:    addr,
-		oneShot: Dial(addr),
 		pending: make(map[uint64]chan *Result),
 		rng:     rand.New(rand.NewSource(backoffSeed(addr))),
 	}
@@ -140,38 +133,20 @@ func (t *MuxTransport) Close() error {
 	t.closed = true
 	t.teardownLocked(t.gen)
 	t.mu.Unlock()
-	return t.oneShot.Close()
+	return nil
 }
 
-// Do implements Transport.
+// Do implements Transport: it writes the job's frame on the persistent
+// connection and waits for the result frame the read loop hands over.
 func (t *MuxTransport) Do(ctx context.Context, job *Job) (*Result, error) {
-	res, err := t.doMux(ctx, job)
-	if err != nil {
-		if !errors.Is(err, errMuxDown) {
-			return nil, err
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			// errMuxDown caused by the caller's own expired context
-			// (e.g. it died queued behind a writer or awaiting the
-			// dial): a fallback dial would fail instantly and blame the
-			// dial — surface the real cause instead.
-			return nil, fmt.Errorf("dist: job %d on %s: %w", job.ID, t.addr, ctxErr)
-		}
-		// The persistent connection is down (dial failed or backing
-		// off). The job hasn't been sent anywhere yet, so spend the
-		// attempt on a per-job dial rather than failing it.
-		return t.oneShot.Do(ctx, job)
-	}
-	// The result streamed back over the persistent connection; mark it
-	// so the engine's stats distinguish mux results from per-job dials.
-	res.Stats.StreamedResults = 1
-	return res, nil
-}
-
-// doMux runs one job over the persistent connection.
-func (t *MuxTransport) doMux(ctx context.Context, job *Job) (*Result, error) {
 	ch, err := t.submit(ctx, job)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			// The caller's own context ended while the job awaited a
+			// dial or queued behind another writer: report that, not
+			// the link.
+			return nil, fmt.Errorf("dist: job %d on %s: %w", job.ID, t.addr, ctxErr)
+		}
 		return nil, err
 	}
 	select {
@@ -180,6 +155,9 @@ func (t *MuxTransport) doMux(ctx context.Context, job *Job) (*Result, error) {
 			return nil, fmt.Errorf("dist: %s: connection broke with job %d in flight",
 				t.addr, job.ID)
 		}
+		// Every remote result streams back this way, so StreamedResults
+		// equals RemoteJobs; the field goes with ROADMAP 2(d).
+		res.Stats.StreamedResults = 1
 		return res, nil
 	case <-ctx.Done():
 		t.forget(job.ID)
@@ -193,9 +171,8 @@ func (t *MuxTransport) doMux(ctx context.Context, job *Job) (*Result, error) {
 // connection breaks). All network I/O happens outside the state mutex.
 func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, error) {
 	// Resolve the connection first — a cheap mutex check when it is
-	// live, and an immediate errMuxDown during an outage/backoff window
-	// so the job falls back to dial-per-job without having marshaled a
-	// frame it would only throw away.
+	// live, and an immediate error during an outage or backoff window,
+	// before the job marshals a frame it would only throw away.
 	conn, err := t.connection(ctx)
 	if err != nil {
 		return nil, err
@@ -216,10 +193,9 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 		return nil, fmt.Errorf("dist: %s: %w", t.addr, net.ErrClosed)
 	}
 	if t.conn != conn {
-		// The connection broke between lookup and registration; the
-		// frame was never sent, so the attempt is still fresh.
+		// The connection broke between lookup and registration.
 		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s connection replaced before send", errMuxDown, t.addr)
+		return nil, fmt.Errorf("dist: %s: connection replaced before send", t.addr)
 	}
 	ch := make(chan *Result, 1)
 	t.pending[job.ID] = ch
@@ -236,7 +212,7 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 		// demands, leaving sibling in-flight jobs untouched.
 		t.writeMu.Unlock()
 		t.forget(job.ID)
-		return nil, fmt.Errorf("%w: job %d on %s: %v", errMuxDown, job.ID, t.addr, ctxErr)
+		return nil, ctxErr
 	}
 	if _, held := conn.bodies.Get(job.Body); !held && job.D0 != nil {
 		if frame, err = marshalFrame(job); err != nil {
@@ -265,7 +241,7 @@ func (t *MuxTransport) submit(ctx context.Context, job *Job) (chan *Result, erro
 			t.teardownLocked(t.gen)
 		}
 		t.mu.Unlock()
-		return nil, fmt.Errorf("%w: send job %d to %s: %v", errMuxDown, job.ID, t.addr, err)
+		return nil, fmt.Errorf("dist: send job %d to %s: %w", job.ID, t.addr, err)
 	}
 	return ch, nil
 }
@@ -281,8 +257,8 @@ func marshalFrame(job *Job) ([]byte, error) {
 // loop and other state transitions never block behind it; concurrent
 // callers wait for the in-flight dial (escaping on their own context)
 // and then share its outcome, so the first wave of jobs all ride the
-// one new connection. When the reconnect backoff is in force the caller
-// gets errMuxDown and its job proceeds over the per-job path instead.
+// one new connection. While the reconnect backoff is in force the
+// caller gets an error at once.
 func (t *MuxTransport) connection(ctx context.Context) (*muxConn, error) {
 	for {
 		t.mu.Lock()
@@ -302,12 +278,12 @@ func (t *MuxTransport) connection(ctx context.Context) (*muxConn, error) {
 			case <-settled:
 				continue // re-evaluate: conn live, backoff armed, or closed
 			case <-ctx.Done():
-				return nil, fmt.Errorf("%w: %s awaiting dial: %v", errMuxDown, t.addr, ctx.Err())
+				return nil, ctx.Err()
 			}
 		}
 		if time.Now().Before(t.nextDial) {
 			t.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s reconnect backing off", errMuxDown, t.addr)
+			return nil, fmt.Errorf("dist: %s: reconnect backing off", t.addr)
 		}
 		settled := make(chan struct{})
 		t.dialing = settled
@@ -326,7 +302,7 @@ func (t *MuxTransport) connection(ctx context.Context) (*muxConn, error) {
 				t.backoffLocked()
 			}
 			t.mu.Unlock()
-			return nil, fmt.Errorf("%w: dial %s: %v", errMuxDown, t.addr, err)
+			return nil, fmt.Errorf("dist: dial %s: %w", t.addr, err)
 		}
 		if t.closed {
 			t.mu.Unlock()

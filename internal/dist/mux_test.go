@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,12 +14,26 @@ import (
 // TestDistributedMuxLoopback is the mux wire's end-to-end acceptance
 // check: two real workers on loopback TCP served over persistent
 // multiplexed connections, and a repair byte-identical to local
-// partitioned diagnosis, with every result streamed (no per-job dial).
+// partitioned diagnosis, with every result streamed and each worker
+// accepting one connection for all of its jobs (no per-job dial).
 func TestDistributedMuxLoopback(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 
-	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, startWorker(t), startWorker(t))
+	var accepts [2]atomic.Int64
+	var addrs []string
+	for i := range accepts {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := &dist.Server{Logf: t.Logf}
+		go srv.Serve(acceptCounter{l, &accepts[i]})
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, l.Addr().String())
+	}
+
+	coord := dist.Connect(dist.Config{Logf: t.Logf}, addrs...)
 	defer coord.Close()
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
 	if err != nil {
@@ -46,6 +61,11 @@ func TestDistributedMuxLoopback(t *testing.T) {
 		t.Errorf("LP exits: %d numerical failures, %d iteration limits; want none",
 			got.Stats.LPNumFails, got.Stats.LPIterLimits)
 	}
+	for i := range accepts {
+		if n := accepts[i].Load(); n != 1 {
+			t.Errorf("worker %s accepted %d connections, want 1 for all its jobs", addrs[i], n)
+		}
+	}
 }
 
 // TestDistributedMuxWorkerKilledMidRun kills one of two mux-served
@@ -56,7 +76,7 @@ func TestDistributedMuxWorkerKilledMidRun(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 
-	coord := dist.Connect(dist.Config{Mux: true, Retries: 1, Logf: t.Logf},
+	coord := dist.Connect(dist.Config{Logf: t.Logf},
 		startWorker(t), startCrashingWorker(t))
 	defer coord.Close()
 	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
@@ -74,6 +94,72 @@ func TestDistributedMuxWorkerKilledMidRun(t *testing.T) {
 		t.Errorf("RemoteJobs = %d, want %d (retry should reach the healthy worker)",
 			got.Stats.RemoteJobs, got.Stats.Partitions)
 	}
+}
+
+// TestBackingOffWorkerFailsOver holds one of two workers' reconnect
+// backoff, as a broken link arms it: every job whose attempt reaches
+// that worker must fail at once without a connection to it, then solve
+// on the other worker, so the repair is the local one and nothing falls
+// back to the local engine.
+func TestBackingOffWorkerFailsOver(t *testing.T) {
+	d0, log, complaints := benchInstance(t, 4)
+	want := localReference(t, d0, log, complaints)
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepts atomic.Int64
+	srv := &dist.Server{Logf: t.Logf}
+	go srv.Serve(acceptCounter{l, &accepts})
+	t.Cleanup(func() { srv.Close() })
+	down := dist.DialMux(l.Addr().String())
+	dist.HoldBackoff(down, time.Minute)
+	healthy := startWorker(t)
+
+	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}, down, dist.DialMux(healthy))
+	defer coord.Close()
+	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := accepts.Load(); n != 0 {
+		t.Errorf("the backing-off worker accepted %d connections, want none", n)
+	}
+	sch := d0.Schema()
+	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+		t.Errorf("repair with a backing-off worker differs from local:\n got:\n%s\nwant:\n%s", g, w)
+	}
+	if got.Stats.RemoteJobs != got.Stats.Partitions {
+		t.Errorf("RemoteJobs = %d, want %d (the healthy worker takes every job)",
+			got.Stats.RemoteJobs, got.Stats.Partitions)
+	}
+	failedOver := 0
+	for _, p := range got.Stats.PartitionStats {
+		if p.Worker != healthy {
+			t.Errorf("partition %d solved on %q, want the healthy worker %s", p.Index, p.Worker, healthy)
+		}
+		if p.Attempts == 2 {
+			failedOver++
+		}
+	}
+	if failedOver == 0 {
+		t.Error("no job's first attempt went to the backing-off worker; the test checks nothing")
+	}
+}
+
+// acceptCounter counts the connections its listener accepts.
+type acceptCounter struct {
+	net.Listener
+	n *atomic.Int64
+}
+
+func (l acceptCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return c, err
 }
 
 // TestDistributedMuxReconnectAfterWorkerRestart restarts the worker
@@ -96,7 +182,7 @@ func TestDistributedMuxReconnectAfterWorkerRestart(t *testing.T) {
 	srv := &dist.Server{Logf: t.Logf}
 	go srv.Serve(l)
 
-	coord := dist.Connect(dist.Config{Mux: true, Logf: t.Logf}, addr)
+	coord := dist.Connect(dist.Config{Logf: t.Logf}, addr)
 	defer coord.Close()
 	opts := partitionOpts()
 	opts.PartitionSolver = coord.Solver()

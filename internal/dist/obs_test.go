@@ -70,7 +70,7 @@ func TestDistributedTraceAndTelemetry(t *testing.T) {
 			attempts, got.Stats.RemoteJobs)
 	}
 
-	dead := dist.Connect(dist.Config{Retries: -1, Logf: t.Logf}, startCrashingWorker(t))
+	dead := dist.Connect(dist.Config{Logf: t.Logf}, startCrashingWorker(t))
 	defer dead.Close()
 	fallback, frep := tracedDiagnose(t, dead, d0, log, complaints, partitionOpts())
 	locals := 0

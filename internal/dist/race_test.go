@@ -17,11 +17,11 @@ import (
 	"repro/internal/relation"
 )
 
-// TestServerRace has three dial-per-job coordinators diagnose one
-// four-cluster history through a fresh worker at once under -race,
-// three times over: their connections arrive together, so the handlers
-// build the server's solve slots and impact cache concurrently, and the
-// partition jobs share that impact cache.
+// TestServerRace has three coordinators, each with its own multiplexed
+// connection, diagnose one four-cluster history through a fresh worker
+// at once under -race, three times over: their connections arrive
+// together, so the handlers build the server's solve slots and impact
+// cache concurrently, and the partition jobs share that impact cache.
 func TestServerRace(t *testing.T) {
 	d0, log, complaints := raceInstance(t, 4)
 	opt := core.Options{Algorithm: core.Basic, TupleSlicing: true, QuerySlicing: true, Partition: 4, TimeLimit: 30 * time.Second}
@@ -32,10 +32,17 @@ func TestServerRace(t *testing.T) {
 		}
 		srv := &Server{}
 		go srv.Serve(l)
-		coord := Connect(Config{}, l.Addr().String())
-		diagnose := func() { coord.Diagnose(d0, log, complaints, opt) }
-		hammer(1, diagnose, diagnose, diagnose)
-		coord.Close()
+		var coords []*Coordinator
+		var ops []func()
+		for range 3 {
+			coord := Connect(Config{}, l.Addr().String())
+			coords = append(coords, coord)
+			ops = append(ops, func() { coord.Diagnose(d0, log, complaints, opt) })
+		}
+		hammer(1, ops...)
+		for _, coord := range coords {
+			coord.Close()
+		}
 		srv.Close()
 	}
 }

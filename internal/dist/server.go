@@ -20,9 +20,8 @@ import (
 // and writes results. A connection may carry any number of jobs; up to
 // MaxInflight jobs across the whole server solve concurrently and each
 // result is written the moment its solve lands — possibly out of
-// submission order: a mux coordinator matches results to jobs by ID,
-// and a dial-per-job coordinator only ever has one job in flight per
-// connection. Each connection holds the last bodySlots bodies its jobs
+// submission order: the coordinator's MuxTransport matches results to
+// jobs by ID. Each connection holds the last bodySlots bodies its jobs
 // carried, decoded once, for the jobs that name them.
 type Server struct {
 	// MaxTimeLimit, when positive, caps the per-solve and total time
@@ -31,8 +30,8 @@ type Server struct {
 	MaxTimeLimit time.Duration
 	// MaxInflight bounds how many jobs solve concurrently across the
 	// whole server — one shared pool, however many connections the
-	// jobs arrive on — so the operator's bound holds for mux
-	// coordinators, dial-per-job coordinators, and mixtures alike.
+	// jobs arrive on — so the operator's bound holds however many
+	// coordinators connect.
 	// Admission stops reading a connection's further frames until a
 	// slot frees. Zero picks runtime.GOMAXPROCS; negative forces one
 	// solve at a time server-wide.

@@ -57,7 +57,8 @@ func TestServerClampsSolverParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worker := dist.Dial(startWorker(t))
+	worker := dist.DialMux(startWorker(t))
+	defer worker.Close()
 	var res *dist.Result
 	peak := peakSchedWorkers(func() { res, err = worker.Do(context.Background(), job) })
 	if err != nil {

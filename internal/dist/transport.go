@@ -4,16 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/frameconn"
 )
 
 // Transport delivers one job to a solver and returns its result. A
-// transport error (dial failure, deadline, broken frame) means the
-// worker's answer is unknown; the Coordinator responds by retrying on
+// transport error (dial failure, link backing off, deadline, broken
+// frame) means the worker's answer is unknown; the Coordinator responds by retrying on
 // another worker and, ultimately, solving locally. Implementations must
 // be safe for concurrent use: the engine dispatches partitions from
 // multiple goroutines.
@@ -40,7 +38,7 @@ type InProc struct{}
 // past its attemptTimeout and voiding the coordinator's budget caps.
 func (InProc) Do(ctx context.Context, job *Job) (*Result, error) {
 	// A dead-on-arrival attempt is refused before the codec round trip,
-	// mirroring the network path, which fails the dial before encoding.
+	// mirroring the network path, which fails before marshaling a frame.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dist: job %d on inproc: %w", job.ID, err)
 	}
@@ -157,65 +155,4 @@ func budgetDeadErr(ctx context.Context) error {
 	return context.DeadlineExceeded
 }
 
-// TCPTransport ships jobs to one worker address, one connection per job,
-// framed as newline-delimited JSON. Per-job deadlines come from the
-// context; a worker that dies mid-solve surfaces as a read error.
-type TCPTransport struct {
-	addr   string
-	dialer net.Dialer
-}
-
-// Dial returns a transport for the worker at addr ("host:port"). No
-// connection is made until the first job.
-func Dial(addr string) *TCPTransport {
-	return &TCPTransport{addr: addr}
-}
-
-// Addr implements Transport.
-func (t *TCPTransport) Addr() string { return t.addr }
-
-// Close implements Transport. Connections are per-job, so there is
-// nothing to tear down.
-func (t *TCPTransport) Close() error { return nil }
-
-// Do implements Transport: one dial-solve-read round trip.
-func (t *TCPTransport) Do(ctx context.Context, job *Job) (*Result, error) {
-	conn, err := t.dialer.DialContext(ctx, "tcp", t.addr)
-	if err != nil {
-		return nil, fmt.Errorf("dist: dial %s: %w", t.addr, err)
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(dl); err != nil {
-			return nil, err
-		}
-	}
-	// Close the connection when the context is canceled so a hung worker
-	// cannot outlive its job budget.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-
-	if err := json.NewEncoder(conn).Encode(job); err != nil {
-		return nil, fmt.Errorf("dist: send job to %s: %w", t.addr, err)
-	}
-	var res Result
-	if err := frameconn.NewReader(conn).Decode(&res); err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("dist: job %d on %s: %w", job.ID, t.addr, ctxErr)
-		}
-		return nil, fmt.Errorf("dist: read result from %s: %w", t.addr, err)
-	}
-	return &res, nil
-}
-
-var (
-	_ Transport = InProc{}
-	_ Transport = (*TCPTransport)(nil)
-)
+var _ Transport = InProc{}

@@ -10,13 +10,15 @@
 // local engine — distribution never loses an instance local diagnosis
 // can solve.
 //
-// Three transports implement Transport: InProc (the zero-network case,
-// a harness for the codec round trip), TCP (one connection per job) and
-// Mux (one persistent connection per worker carrying many concurrent
-// jobs, results demultiplexed by job ID as they stream back). Both
-// network transports and the worker's Server frame newline-delimited
-// JSON through internal/frameconn: one accept loop, one 64 MiB cap on
-// every frame read, one bounded frame write.
+// The fleet's one network transport is MuxTransport: one persistent
+// connection per worker carrying many concurrent jobs, results
+// demultiplexed by job ID as they stream back. While a worker's link is
+// down or backing off, a job's attempt on it fails at once and the
+// coordinator moves on to the next worker, then the local engine.
+// InProc implements Transport without a network, a harness for the
+// codec round trip. MuxTransport and the worker's Server frame
+// newline-delimited JSON through internal/frameconn: one accept loop,
+// one 64 MiB cap on every frame read, one bounded frame write.
 //
 // Every partition job of a diagnosis shares one body, its D0 and log.
 // Both ends of a connection keep an equal table of the last bodySlots
@@ -66,7 +68,7 @@ var bodyIDs atomic.Uint64
 //
 // D0 and Log are the body. They are present only when the receiving
 // connection does not hold body Body yet; a frame carries its body iff
-// it has D0. Dial-per-job and in-process transports always carry it.
+// it has D0. The in-process transport always carries it.
 // Log is SQL text, one statement per entry as query.Query.String prints
 // it over D0's schema; the worker parses it back with internal/sqlparse,
 // the one statement format of the CLI log, histstore and qfixd. A schema

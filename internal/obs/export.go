@@ -165,20 +165,6 @@ func WriteTrace(w io.Writer, root *Span, filename string) error {
 	return WriteChromeTrace(w, root)
 }
 
-// FindChild returns the first direct child with the given name, or nil.
-// A convenience for tests and for deriving Stats from a trace.
-func (s *Span) FindChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	for _, c := range s.Children() {
-		if c.Name() == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // Walk visits every span in the tree depth-first, calling fn with each
 // span and its depth. Nil-safe.
 func (s *Span) Walk(fn func(sp *Span, depth int)) {

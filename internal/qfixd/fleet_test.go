@@ -93,7 +93,7 @@ func TestDaemonFleetRepairMatchesLocal(t *testing.T) {
 		workers = append(workers, srv)
 		addrs = append(addrs, l.Addr().String())
 	}
-	svc := NewService(Config{Dir: t.TempDir(), Workers: addrs, Mux: true, Partition: 2, Logf: t.Logf})
+	svc := NewService(Config{Dir: t.TempDir(), Workers: addrs, Partition: 2, Logf: t.Logf})
 	_, addr, stop := serve(t, svc)
 	c, err := DialDaemon(addr)
 	if err != nil {

@@ -98,10 +98,9 @@ type Config struct {
 	// DefaultTenantQueue; negative disables waiting entirely.
 	TenantQueue int
 	// Workers lists qfix-worker addresses; when non-empty the service
-	// holds one shared coordinator over them for its whole lifetime.
+	// holds one shared coordinator over them for its whole lifetime,
+	// with one persistent multiplexed connection per worker.
 	Workers []string
-	// Mux selects persistent multiplexed worker connections (wire v3).
-	Mux bool
 	// Partition is the default Options.Partition for diagnoses that do
 	// not request one. Zero leaves them unpartitioned locally and, over
 	// a fleet, at one partition per worker.
@@ -198,7 +197,7 @@ func NewService(cfg Config) *Service {
 		tenants: make(map[string]*tenant),
 	}
 	if len(cfg.Workers) > 0 {
-		s.coord = dist.Connect(dist.Config{Mux: cfg.Mux, Logf: cfg.Logf}, cfg.Workers...)
+		s.coord = dist.Connect(dist.Config{Logf: cfg.Logf}, cfg.Workers...)
 	}
 	return s
 }

@@ -99,15 +99,6 @@ func MustParse(schema *relation.Schema, sql string) query.Query {
 	return q
 }
 
-// MustParseLog is ParseLog that panics on error.
-func MustParseLog(schema *relation.Schema, sql string) []query.Query {
-	log, err := ParseLog(schema, sql)
-	if err != nil {
-		panic(err)
-	}
-	return log
-}
-
 func newParser(schema *relation.Schema, sql string) *Parser {
 	p := &Parser{schema: schema, src: sql}
 	p.advance()

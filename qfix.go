@@ -43,7 +43,7 @@
 // fleet over a versioned wire protocol, falling back to the local
 // engine per job when a worker fails — a distributed diagnosis never
 // loses an instance the local engine can solve, and its merged repair
-// goes through the same replay verification. dist.Config.Mux keeps one
+// goes through the same replay verification. The coordinator keeps one
 // persistent multiplexed connection per worker: concurrent jobs share
 // the connection and each result streams back the moment its solve
 // lands (Stats.StreamedResults). Partitions are dispatched
@@ -65,7 +65,7 @@
 // process from a CSV, a SQL log and a complaint file, and links no
 // network code. cmd/qfixd is resident: it keeps tenants' history stores
 // and their caches open across requests, and it is the one command that
-// diagnoses over a qfix-worker fleet (-workers, -mux).
+// diagnoses over a qfix-worker fleet (-workers).
 //
 // The subpackages are exposed for advanced use: internal/encode (the MILP
 // encoder), internal/milp and internal/simplex (the solver stack),
