@@ -209,10 +209,14 @@ func TestDistributedLoopbackTCP(t *testing.T) {
 }
 
 // TestDistributedWorkerKilledMidRun kills one of two workers mid-solve
-// (it reads each job, then drops the connection). Retry moves the job to
-// the healthy worker, so the repair must still be byte-identical to the
-// local reference and nothing may be lost.
-func TestDistributedWorkerKilledMidRun(t *testing.T) {
+// (it reads each job, then drops the connection).
+func TestDistributedWorkerKilledMidRun(t *testing.T) { checkWorkerKilledMidRun(t) }
+
+// checkWorkerKilledMidRun diagnoses over one healthy and one crashing
+// worker. Retry moves each job the crashing worker drops to the healthy
+// one, so the repair must still be byte-identical to the local
+// reference and nothing may be lost.
+func checkWorkerKilledMidRun(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
 

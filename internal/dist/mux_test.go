@@ -71,30 +71,10 @@ func TestDistributedMuxLoopback(t *testing.T) {
 // TestDistributedMuxWorkerKilledMidRun kills one of two mux-served
 // workers mid-solve. In-flight jobs on the broken connection fail as
 // transport errors, retry on the healthy worker, and the repair stays
-// byte-identical — the no-lost-instances guarantee over wire v3.
-func TestDistributedMuxWorkerKilledMidRun(t *testing.T) {
-	d0, log, complaints := benchInstance(t, 4)
-	want := localReference(t, d0, log, complaints)
-
-	coord := dist.Connect(dist.Config{Logf: t.Logf},
-		startWorker(t), startCrashingWorker(t))
-	defer coord.Close()
-	got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sch := d0.Schema()
-	if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
-		t.Errorf("mux repair with a crashing worker differs from local:\n got:\n%s\nwant:\n%s", g, w)
-	}
-	if !got.Resolved {
-		t.Fatalf("crashing mux worker lost the instance: %+v", got.Stats)
-	}
-	if got.Stats.RemoteJobs != got.Stats.Partitions {
-		t.Errorf("RemoteJobs = %d, want %d (retry should reach the healthy worker)",
-			got.Stats.RemoteJobs, got.Stats.Partitions)
-	}
-}
+// byte-identical — the no-lost-instances guarantee over wire v3. With
+// one transport left it is the same check as
+// TestDistributedWorkerKilledMidRun; both names are kept.
+func TestDistributedMuxWorkerKilledMidRun(t *testing.T) { checkWorkerKilledMidRun(t) }
 
 // TestBackingOffWorkerFailsOver holds one of two workers' reconnect
 // backoff, as a broken link arms it: every job whose attempt reaches

@@ -18,12 +18,18 @@
 //     fail. That is unsound for predicates like "a >= c", so instead each
 //     tuple carries an explicit liveness literal that gates every later
 //     condition (see encodeDelete).
+//
+// An encoding allocates per model, not per expression. A constraint row
+// is built in one scratch slice; the terms of values that outlive a row
+// come from a term arena, and tracked tuples' state from slabs. Encode
+// takes its encoder, all this storage included, from a capped free list
+// and hands it back when it returns. milp's TestEncodedRowsMatchGolden
+// pins every row it builds, bit for bit.
 package encode
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/milp"
 )
@@ -32,6 +38,7 @@ import (
 // an interval bound [lo, hi] maintained by interval arithmetic. Interval
 // bounds provide the per-constraint big-M constants, keeping the LP
 // relaxations tight and the numerics sane.
+// Its terms are never written once built, so values share them freely.
 type aff struct {
 	c      float64
 	terms  []milp.Term // sorted by Var
@@ -50,72 +57,96 @@ func varAff(m *milp.Model, v milp.Var) aff {
 // isConst reports whether the expression has no variable terms.
 func (a aff) isConst() bool { return len(a.terms) == 0 }
 
-// add returns a + b with merged terms and summed intervals.
-func (a aff) add(b aff) aff {
-	out := aff{c: a.c + b.c, lo: a.lo + b.lo, hi: a.hi + b.hi}
-	out.terms = mergeTerms(a.terms, b.terms)
+// addScaled returns a + k·b, its terms merged into the term arena with
+// cancelled terms dropped. Each product with k is rounded on its own
+// before it is added (the float64 conversions forbid fusing the two),
+// so every float is the one scaling b, then adding it to a, gives.
+func (e *encoder) addScaled(a aff, k float64, b aff) aff {
+	if k == 0 {
+		b = aff{} // 0·b is the constant 0
+	}
+	blo, bhi := b.lo, b.hi
+	if k < 0 {
+		blo, bhi = bhi, blo
+	}
+	out := aff{c: a.c + float64(k*b.c), lo: a.lo + float64(k*blo), hi: a.hi + float64(k*bhi), terms: a.terms}
+	if len(b.terms) > 0 {
+		ts := e.terms.take(len(a.terms) + len(b.terms))[:0]
+		i := 0
+		for _, bt := range b.terms {
+			for ; i < len(a.terms) && a.terms[i].Var < bt.Var; i++ {
+				ts = append(ts, a.terms[i])
+			}
+			t := milp.Term{Var: bt.Var, Coef: k * bt.Coef}
+			if i < len(a.terms) && a.terms[i].Var == bt.Var {
+				t.Coef = a.terms[i].Coef + float64(k*bt.Coef)
+				i++
+				if t.Coef == 0 {
+					continue // cancelled
+				}
+			}
+			ts = append(ts, t)
+		}
+		ts = append(ts, a.terms[i:]...)
+		e.terms.unTake(cap(ts) - len(ts))
+		out.terms = ts[:len(ts):len(ts)]
+	}
 	if len(out.terms) == 0 {
 		out.lo, out.hi = out.c, out.c
 	}
 	return out
 }
 
-// scale returns k*a.
-func (a aff) scale(k float64) aff {
+// A constraint row is built in the encoder's row scratch: row starts
+// it, plus appends k·a, and le, ge or eq hands it to the model. Terms go
+// in as appended, duplicates and all; milp sorts each row stably and sums
+// a variable's terms in argument order, so the stored row, constant
+// included, is the one a chain of merged affs would give.
+
+// row starts a row with a.
+func (e *encoder) row(a aff) *encoder {
+	e.rowTerms = append(e.rowTerms[:0], a.terms...)
+	e.rowC = a.c
+	return e
+}
+
+// plus appends k·a to the row.
+func (e *encoder) plus(k float64, a aff) *encoder {
 	if k == 0 {
-		return constAff(0)
+		a = aff{} // 0·a is the constant 0, which still turns a -0 into 0
 	}
-	out := aff{c: k * a.c}
-	out.terms = make([]milp.Term, len(a.terms))
-	for i, t := range a.terms {
-		out.terms[i] = milp.Term{Var: t.Var, Coef: k * t.Coef}
+	e.rowC += float64(k * a.c)
+	for _, t := range a.terms {
+		e.rowTerms = append(e.rowTerms, milp.Term{Var: t.Var, Coef: k * t.Coef})
 	}
-	if k > 0 {
-		out.lo, out.hi = k*a.lo, k*a.hi
-	} else {
-		out.lo, out.hi = k*a.hi, k*a.lo
+	return e
+}
+
+// le, ge and eq add the row <= rhs, >= rhs and = rhs.
+func (e *encoder) le(rhs float64) { e.m.AddLE(e.rowTerms, rhs-e.rowC) }
+func (e *encoder) ge(rhs float64) { e.m.AddGE(e.rowTerms, rhs-e.rowC) }
+func (e *encoder) eq(rhs float64) { e.m.AddEQ(e.rowTerms, rhs-e.rowC) }
+
+// slab hands out slices of one growing array until reset. A slice taken
+// stays put: when the array grows, what was taken keeps the old one.
+type slab[T any] []T
+
+// take returns n zeroed elements.
+func (s *slab[T]) take(n int) []T {
+	if len(*s)+n > cap(*s) {
+		*s = make([]T, 0, max(2*cap(*s), n, 256))
 	}
+	*s = (*s)[:len(*s)+n]
+	out := (*s)[len(*s)-n : len(*s) : len(*s)]
+	clear(out)
 	return out
 }
 
-// mergeTerms merges two sorted term lists, dropping cancelled terms.
-func mergeTerms(a, b []milp.Term) []milp.Term {
-	out := make([]milp.Term, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Var < b[j].Var:
-			out = append(out, a[i])
-			i++
-		case a[i].Var > b[j].Var:
-			out = append(out, b[j])
-			j++
-		default:
-			if c := a[i].Coef + b[j].Coef; c != 0 {
-				out = append(out, milp.Term{Var: a[i].Var, Coef: c})
-			}
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
+// unTake hands back the last n elements of the latest take.
+func (s *slab[T]) unTake(n int) { *s = (*s)[:len(*s)-n] }
 
-// normTerms validates term ordering (used by tests).
-func (a aff) normalized() bool {
-	return sort.SliceIsSorted(a.terms, func(i, j int) bool { return a.terms[i].Var < a.terms[j].Var })
-}
-
-// rowLE adds the constraint a <= rhs.
-func rowLE(m *milp.Model, a aff, rhs float64) { m.AddLE(a.terms, rhs-a.c) }
-
-// rowGE adds the constraint a >= rhs.
-func rowGE(m *milp.Model, a aff, rhs float64) { m.AddGE(a.terms, rhs-a.c) }
-
-// rowEQ adds the constraint a = rhs.
-func rowEQ(m *milp.Model, a aff, rhs float64) { m.AddEQ(a.terms, rhs-a.c) }
+// reset hands every element back.
+func (s *slab[T]) reset() { *s = (*s)[:0] }
 
 // bval is a (possibly symbolic) boolean: either a known constant or a
 // binary model variable. It represents σ_q(t) and predicate outcomes.
@@ -136,15 +167,17 @@ func (b bval) String() string {
 	return fmt.Sprintf("var(%d)", b.v)
 }
 
-// asAff views the boolean as a 0/1 affine expression.
+// asAff views the boolean as a 0/1 affine expression. It must stay
+// inlinable, or the slice of a varAff it returns escapes to the heap.
 func (b bval) asAff(m *milp.Model) aff {
-	if b.known {
-		if b.b {
-			return constAff(1)
-		}
-		return constAff(0)
+	if !b.known {
+		return varAff(m, b.v)
 	}
-	return varAff(m, b.v)
+	c := 0.0
+	if b.b {
+		c = 1
+	}
+	return constAff(c)
 }
 
 // finiteOr clamps infinities to ±fallback (safety net; encoder intervals

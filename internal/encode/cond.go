@@ -14,18 +14,15 @@ func (e *encoder) evalCond(c query.Cond, t *tstate, pc pctx) bval {
 	case *query.Pred:
 		lhs := constAff(0)
 		for _, tm := range v.LHS.Terms {
-			lhs = lhs.add(e.valOf(t, tm.Attr).scale(tm.Coef))
+			lhs = e.addScaled(lhs, tm.Coef, e.valOf(t, tm.Attr))
 		}
-		var rhs aff
 		if pv, ok := pc.predVars[v]; ok {
-			rhs = varAff(e.m, pv)
 			e.widenWindow(pv, lhs.lo, lhs.hi)
-		} else {
-			rhs = constAff(v.RHS)
+			return e.predB(e.addScaled(lhs, -1, varAff(e.m, pv)), v.Op)
 		}
-		return e.predB(lhs.add(rhs.scale(-1)), v.Op)
+		return e.predB(e.addScaled(lhs, -1, constAff(v.RHS)), v.Op)
 	case *query.And:
-		kids := make([]bval, 0, len(v.Kids))
+		kids := make([]bval, 0, 8) // on the stack unless it outgrows 8
 		for _, k := range v.Kids {
 			b := e.evalCond(k, t, pc)
 			if b.isFalse() {
@@ -37,7 +34,7 @@ func (e *encoder) evalCond(c query.Cond, t *tstate, pc pctx) bval {
 		}
 		return e.andAll(kids)
 	case *query.Or:
-		kids := make([]bval, 0, len(v.Kids))
+		kids := make([]bval, 0, 8)
 		for _, k := range v.Kids {
 			b := e.evalCond(k, t, pc)
 			if b.isTrue() {
@@ -109,28 +106,28 @@ func (e *encoder) predBinary(expr aff, op query.CmpOp, lo, hi float64) bval {
 	yA := varAff(e.m, y)
 	switch op {
 	case query.LE: // y=1 ⇔ expr <= 0
-		rowLE(e.m, expr.add(yA.scale(hi)), hi)      // y=1 ⇒ expr <= 0
-		rowGE(e.m, expr.add(yA.scale(eps-lo)), eps) // y=0 ⇒ expr >= eps
+		e.row(expr).plus(hi, yA).le(hi)      // y=1 ⇒ expr <= 0
+		e.row(expr).plus(eps-lo, yA).ge(eps) // y=0 ⇒ expr >= eps
 	case query.GE: // y=1 ⇔ expr >= 0
-		rowGE(e.m, expr.add(yA.scale(lo)), lo)        // y=1 ⇒ expr >= 0
-		rowLE(e.m, expr.add(yA.scale(-eps-hi)), -eps) // y=0 ⇒ expr <= -eps
+		e.row(expr).plus(lo, yA).ge(lo)        // y=1 ⇒ expr >= 0
+		e.row(expr).plus(-eps-hi, yA).le(-eps) // y=0 ⇒ expr <= -eps
 	case query.LT: // y=1 ⇔ expr <= -eps
-		rowLE(e.m, expr.add(yA.scale(hi+eps)), hi) // y=1 ⇒ expr <= -eps
-		rowGE(e.m, expr.add(yA.scale(-lo)), 0)     // y=0 ⇒ expr >= 0
+		e.row(expr).plus(hi+eps, yA).le(hi) // y=1 ⇒ expr <= -eps
+		e.row(expr).plus(-lo, yA).ge(0)     // y=0 ⇒ expr >= 0
 	case query.GT: // y=1 ⇔ expr >= eps
-		rowGE(e.m, expr.add(yA.scale(lo-eps)), lo) // y=1 ⇒ expr >= eps
-		rowLE(e.m, expr.add(yA.scale(-hi)), 0)     // y=0 ⇒ expr <= 0
+		e.row(expr).plus(lo-eps, yA).ge(lo) // y=1 ⇒ expr >= eps
+		e.row(expr).plus(-hi, yA).le(0)     // y=0 ⇒ expr <= 0
 	case query.EQ: // y=1 ⇔ expr = 0, with a side selector for y=0
-		rowLE(e.m, expr.add(yA.scale(hi)), hi) // y=1 ⇒ expr <= 0
-		rowGE(e.m, expr.add(yA.scale(lo)), lo) // y=1 ⇒ expr >= 0
+		e.row(expr).plus(hi, yA).le(hi) // y=1 ⇒ expr <= 0
+		e.row(expr).plus(lo, yA).ge(lo) // y=1 ⇒ expr >= 0
 		w := e.m.NewBinary()
 		wA := varAff(e.m, w)
 		// y=0 ∧ w=1 ⇒ expr >= eps:
 		//   expr >= eps + (lo-eps)·(y + (1-w))
-		rowGE(e.m, expr.add(yA.scale(eps-lo)).add(wA.scale(lo-eps)), lo)
+		e.row(expr).plus(eps-lo, yA).plus(lo-eps, wA).ge(lo)
 		// y=0 ∧ w=0 ⇒ expr <= -eps:
 		//   expr <= -eps + (hi+eps)·(y + w)
-		rowLE(e.m, expr.add(yA.scale(-eps-hi)).add(wA.scale(-eps-hi)), -eps)
+		e.row(expr).plus(-eps-hi, yA).plus(-eps-hi, wA).le(-eps)
 	}
 	return varB(y)
 }
@@ -146,14 +143,15 @@ func (e *encoder) andAll(kids []bval) bval {
 	}
 	x := e.m.NewBinary()
 	xA := varAff(e.m, x)
-	sum := xA
 	for _, k := range kids {
-		kA := k.asAff(e.m)
-		rowLE(e.m, xA.add(kA.scale(-1)), 0)
-		sum = sum.add(kA.scale(-1))
+		e.row(xA).plus(-1, k.asAff(e.m)).le(0)
 	}
 	// x - Σy_i >= -(k-1)
-	rowGE(e.m, sum, -float64(len(kids)-1))
+	e.row(xA)
+	for _, k := range kids {
+		e.plus(-1, k.asAff(e.m))
+	}
+	e.ge(-float64(len(kids) - 1))
 	return varB(x)
 }
 
@@ -167,14 +165,15 @@ func (e *encoder) orAll(kids []bval) bval {
 	}
 	x := e.m.NewBinary()
 	xA := varAff(e.m, x)
-	sum := xA
 	for _, k := range kids {
-		kA := k.asAff(e.m)
-		rowGE(e.m, xA.add(kA.scale(-1)), 0)
-		sum = sum.add(kA.scale(-1))
+		e.row(xA).plus(-1, k.asAff(e.m)).ge(0)
 	}
 	// x - Σy_i <= 0
-	rowLE(e.m, sum, 0)
+	e.row(xA)
+	for _, k := range kids {
+		e.plus(-1, k.asAff(e.m))
+	}
+	e.le(0)
 	return varB(x)
 }
 

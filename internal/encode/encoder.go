@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/freelist"
 	"repro/internal/milp"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -21,7 +22,7 @@ type tstate struct {
 	dirtyAlive  bool
 	alive       bval
 	soft        bool
-	isComplaint bool
+	complaint   int // 1 + the index of the tuple's complaint; 0 for none
 }
 
 type encoder struct {
@@ -33,19 +34,60 @@ type encoder struct {
 	M     float64
 
 	dirty    *relation.Table
-	tracked  map[int64]*tstate
-	order    []*tstate
 	trackAll bool
-	wantIDs  map[int64]bool
-	softIDs  map[int64]bool
 	attrSeed []bool // nil = track all attributes
 
-	params    []ParamRef
+	params []ParamRef
+	stats  Stats
+
+	storage
+}
+
+// storage is what an encoder keeps from one Encode to the next, so that
+// an encoding grown no larger than the last allocates none of it. Its
+// zero value is ready for use but for the maps, which newEncoder makes.
+type storage struct {
+	tracked   map[int64]*tstate
+	order     []*tstate
+	wantIDs   map[int64]bool // unused when trackAll
+	softIDs   map[int64]bool
 	paramOrig map[milp.Var]float64
 	sigma     map[sigmaKey]milp.Var
 	sigmaTrue map[sigmaKey]bool       // folded-true σ of parameterized queries
 	windows   map[milp.Var][2]float64 // predicate-parameter LHS ranges
-	stats     Stats
+
+	tuples   slab[tstate] // the tracked tuples; then their per-attribute state
+	affs     slab[aff]
+	bools    slab[bool]
+	floats   slab[float64]
+	terms    slab[milp.Term] // of every aff built; rows live in rowTerms
+	rowTerms []milp.Term     // the row being built
+	rowC     float64         // its constant
+	vals     []aff           // encodeUpdate's new and assigned values
+}
+
+// encoders is the free list Encode takes its encoders from.
+var encoders freelist.List[*encoder]
+
+// release hands the encoder back for the next Encode. Nothing returned
+// points into it: the model copies each row, Params is handed over.
+func (e *encoder) release() {
+	st := e.storage
+	clear(st.tracked)
+	clear(st.wantIDs)
+	clear(st.softIDs)
+	clear(st.paramOrig)
+	clear(st.sigma)
+	clear(st.sigmaTrue)
+	clear(st.windows)
+	st.order = st.order[:0]
+	st.tuples.reset()
+	st.affs.reset()
+	st.bools.reset()
+	st.floats.reset()
+	st.terms.reset()
+	*e = encoder{storage: st}
+	encoders.Put(e)
 }
 
 // widenWindow grows the observed LHS range of a predicate parameter. A
@@ -119,6 +161,7 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 	if err != nil {
 		return nil, err
 	}
+	defer e.release()
 	for i := range e.log {
 		if err := e.step(i); err != nil {
 			return nil, err
@@ -138,18 +181,20 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 // newEncoder sets up the encoder over the state before the first query:
 // the slicing scopes, the domain bound, and the tracked tuples of D0.
 func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, opt Options) (*encoder, error) {
-	e := &encoder{
-		m:         milp.NewModel(),
-		opt:       opt,
-		log:       log,
-		sch:       d0.Schema(),
-		width:     d0.Schema().Width(),
-		tracked:   make(map[int64]*tstate),
-		paramOrig: make(map[milp.Var]float64),
-		sigma:     make(map[sigmaKey]milp.Var),
-		sigmaTrue: make(map[sigmaKey]bool),
-		windows:   make(map[milp.Var][2]float64),
+	e := encoders.Get()
+	if e == nil {
+		e = &encoder{storage: storage{
+			tracked:   make(map[int64]*tstate),
+			wantIDs:   make(map[int64]bool),
+			softIDs:   make(map[int64]bool),
+			paramOrig: make(map[milp.Var]float64),
+			sigma:     make(map[sigmaKey]milp.Var),
+			sigmaTrue: make(map[sigmaKey]bool),
+			windows:   make(map[milp.Var][2]float64),
+		}}
 	}
+	e.m, e.opt, e.log = milp.NewModel(), opt, log
+	e.sch, e.width = d0.Schema(), d0.Schema().Width()
 	e.M = opt.DomainBound
 	if e.M <= 0 {
 		// Callers that hold the log's final state pass DomainBound(d0,
@@ -158,18 +203,13 @@ func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, o
 		final, _ := query.Replay(log, d0)
 		e.M = DomainBound(d0, log, final)
 	}
-	if opt.TupleIDs == nil {
-		e.trackAll = true
-	} else {
-		e.wantIDs = make(map[int64]bool, len(opt.TupleIDs))
-		for _, id := range opt.TupleIDs {
-			e.wantIDs[id] = true
-		}
+	e.trackAll = opt.TupleIDs == nil
+	for _, id := range opt.TupleIDs {
+		e.wantIDs[id] = true
 	}
-	e.softIDs = make(map[int64]bool, len(opt.SoftTupleIDs))
 	for _, id := range opt.SoftTupleIDs {
 		e.softIDs[id] = true
-		if e.wantIDs != nil {
+		if !e.trackAll {
 			e.wantIDs[id] = true
 		}
 	}
@@ -189,7 +229,7 @@ func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, o
 			return nil, fmt.Errorf("encode: complaint on tuple %d has arity %d, want %d",
 				c.TupleID, len(c.Values), e.width)
 		}
-		if e.wantIDs != nil {
+		if !e.trackAll {
 			e.wantIDs[c.TupleID] = true
 		}
 	}
@@ -280,15 +320,17 @@ func DomainBound(d0 *relation.Table, log []query.Query, final *relation.Table) f
 // newTstate registers a tracked tuple whose current values are known
 // constants (a D0 row or a non-parameterized insert).
 func (e *encoder) newTstate(id int64, values []float64) *tstate {
-	t := &tstate{
+	t := &e.tuples.take(1)[0]
+	*t = tstate{
 		id:          id,
-		vals:        make([]aff, e.width),
-		trackedAttr: make([]bool, e.width),
-		dirtyVals:   append([]float64(nil), values...),
+		vals:        e.affs.take(e.width),
+		trackedAttr: e.bools.take(e.width),
+		dirtyVals:   e.floats.take(e.width),
 		dirtyAlive:  true,
 		alive:       knownB(true),
 		soft:        e.softIDs[id],
 	}
+	copy(t.dirtyVals, values)
 	for a := 0; a < e.width; a++ {
 		if e.attrSeed == nil || e.attrSeed[a] {
 			t.trackedAttr[a] = true
@@ -371,14 +413,12 @@ func (e *encoder) paramize(i int, q query.Query) (pctx, error) {
 func (e *encoder) combineSet(t *tstate, sc query.SetClause, pv milp.Var, on bool) aff {
 	out := constAff(0)
 	for _, tm := range sc.Expr.Terms {
-		out = out.add(e.valOf(t, tm.Attr).scale(tm.Coef))
+		out = e.addScaled(out, tm.Coef, e.valOf(t, tm.Attr))
 	}
 	if on {
-		out = out.add(varAff(e.m, pv))
-	} else {
-		out = out.add(constAff(sc.Expr.Const))
+		return e.addScaled(out, 1, varAff(e.m, pv))
 	}
-	return out
+	return e.addScaled(out, 1, constAff(sc.Expr.Const))
 }
 
 // encodeUpdate walks all tracked tuples through an UPDATE (Eq. 1–4).
@@ -394,7 +434,8 @@ func (e *encoder) encodeUpdate(qi int, q *query.Update, pc pctx) {
 			continue
 		}
 		// Compute all µ values before assigning (simultaneous SET).
-		newVals := make([]aff, len(q.Set))
+		e.vals = slices.Grow(e.vals[:0], 2*len(q.Set))[:2*len(q.Set)]
+		newVals, assigned := e.vals[:len(q.Set)], e.vals[len(q.Set):]
 		for si, sc := range q.Set {
 			var pv milp.Var
 			if pc.on {
@@ -413,7 +454,6 @@ func (e *encoder) encodeUpdate(qi int, q *query.Update, pc pctx) {
 			continue
 		}
 		// Symbolic σ: values become x·µ + (1−x)·old.
-		assigned := make([]aff, len(q.Set))
 		for si, sc := range q.Set {
 			e.promote(t, sc.Attr)
 			assigned[si] = e.choose(x, newVals[si], t.vals[sc.Attr])
@@ -443,19 +483,18 @@ func (e *encoder) encodeDelete(qi int, q *query.Delete, pc pctx) {
 		}
 		// alive' = alive AND NOT x.
 		na := e.m.NewBinary()
-		e.stats.Binaries++
 		xA := x.asAff(e.m)
 		naA := varAff(e.m, na)
 		// na <= 1 - x
-		rowLE(e.m, naA.add(xA), 1)
+		e.row(naA).plus(1, xA).le(1)
 		if t.alive.isTrue() {
 			// na = 1 - x exactly.
-			rowGE(e.m, naA.add(xA), 1)
+			e.row(naA).plus(1, xA).ge(1)
 		} else {
 			aA := t.alive.asAff(e.m)
 			// na <= alive ; na >= alive - x
-			rowLE(e.m, naA.add(aA.scale(-1)), 0)
-			rowGE(e.m, naA.add(aA.scale(-1)).add(xA), 0)
+			e.row(naA).plus(-1, aA).le(0)
+			e.row(naA).plus(-1, aA).plus(1, xA).ge(0)
 		}
 		t.alive = varB(na)
 	}
@@ -509,24 +548,25 @@ func (e *encoder) choose(x bval, aTrue, aFalse aff) aff {
 	u := e.m.NewContinuous(math.Min(tl, 0), math.Max(th, 0))
 	uA := varAff(e.m, u)
 	// u <= aTrue - tl(1-x)   <=>  u - aTrue - tl·x <= -tl
-	rowLE(e.m, uA.add(aTrue.scale(-1)).add(xA.scale(-tl)), -tl)
+	e.row(uA).plus(-1, aTrue).plus(-tl, xA).le(-tl)
 	// u >= aTrue - th(1-x)
-	rowGE(e.m, uA.add(aTrue.scale(-1)).add(xA.scale(-th)), -th)
+	e.row(uA).plus(-1, aTrue).plus(-th, xA).ge(-th)
 	// u <= th·x ; u >= tl·x
-	rowLE(e.m, uA.add(xA.scale(-th)), 0)
-	rowGE(e.m, uA.add(xA.scale(-tl)), 0)
+	e.row(uA).plus(-th, xA).le(0)
+	e.row(uA).plus(-tl, xA).ge(0)
 
 	v := e.m.NewContinuous(math.Min(fl, 0), math.Max(fh, 0))
 	vA := varAff(e.m, v)
 	// v <= aFalse - fl·x ; v >= aFalse - fh·x
-	rowLE(e.m, vA.add(aFalse.scale(-1)).add(xA.scale(fl)), 0)
-	rowGE(e.m, vA.add(aFalse.scale(-1)).add(xA.scale(fh)), 0)
+	e.row(vA).plus(-1, aFalse).plus(fl, xA).le(0)
+	e.row(vA).plus(-1, aFalse).plus(fh, xA).ge(0)
 	// v <= fh(1-x) ; v >= fl(1-x)
-	rowLE(e.m, vA.add(xA.scale(fh)), fh)
-	rowGE(e.m, vA.add(xA.scale(fl)), fl)
+	e.row(vA).plus(fh, xA).le(fh)
+	e.row(vA).plus(fl, xA).ge(fl)
 
-	out := uA.add(vA)
-	out.lo = math.Min(aTrue.lo, aFalse.lo)
-	out.hi = math.Max(aTrue.hi, aFalse.hi)
+	// u + v, over the union of both sides' ranges (u < v: made first).
+	out := aff{terms: e.terms.take(2), lo: math.Min(aTrue.lo, aFalse.lo), hi: math.Max(aTrue.hi, aFalse.hi)}
+	out.terms[0] = milp.Term{Var: u, Coef: 1}
+	out.terms[1] = milp.Term{Var: v, Coef: 1}
 	return out
 }

@@ -3,6 +3,7 @@ package encode
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -742,6 +743,11 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
+// normalized reports whether the terms are sorted by variable.
+func (a aff) normalized() bool {
+	return sort.SliceIsSorted(a.terms, func(i, j int) bool { return a.terms[i].Var < a.terms[j].Var })
+}
+
 func TestAffHelpers(t *testing.T) {
 	a := constAff(3)
 	if !a.isConst() || a.lo != 3 || a.hi != 3 {
@@ -753,18 +759,19 @@ func TestAffHelpers(t *testing.T) {
 	if av.lo != -2 || av.hi != 5 {
 		t.Errorf("varAff bounds = %v %v", av.lo, av.hi)
 	}
-	sum := a.add(av)
+	e := &encoder{m: m}
+	sum := e.addScaled(a, 1, av)
 	if sum.lo != 1 || sum.hi != 8 || sum.c != 3 {
 		t.Errorf("add = %+v", sum)
 	}
-	neg := sum.scale(-2)
+	neg := e.addScaled(constAff(0), -2, sum)
 	if neg.lo != -16 || neg.hi != -2 {
 		t.Errorf("scale = %+v", neg)
 	}
 	if !neg.normalized() {
 		t.Error("terms not sorted")
 	}
-	cancel := av.add(av.scale(-1))
+	cancel := e.addScaled(av, -1, av)
 	if !cancel.isConst() || cancel.lo != 0 || cancel.hi != 0 {
 		t.Errorf("cancel = %+v", cancel)
 	}

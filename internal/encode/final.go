@@ -16,21 +16,20 @@ import (
 //   - soft tuples instead contribute an "affected" indicator to the
 //     objective (tuple-slicing refinement, §5.1 step 2).
 func (e *encoder) assignFinals(complaints []Complaint) error {
-	byID := make(map[int64]*Complaint, len(complaints))
-	for i := range complaints {
-		c := &complaints[i]
-		if byID[c.TupleID] != nil {
-			return fmt.Errorf("encode: duplicate complaint for tuple %d", c.TupleID)
-		}
-		if _, ok := e.tracked[c.TupleID]; !ok {
+	for i, c := range complaints {
+		t, ok := e.tracked[c.TupleID]
+		if !ok {
 			return fmt.Errorf("encode: complaint tuple %d never existed in the replayed log", c.TupleID)
 		}
-		byID[c.TupleID] = c
+		if t.complaint != 0 {
+			return fmt.Errorf("encode: duplicate complaint for tuple %d", c.TupleID)
+		}
+		t.complaint = i + 1
 	}
 
 	for _, t := range e.order {
-		if c, ok := byID[t.id]; ok {
-			t.isComplaint = true
+		if t.complaint != 0 {
+			c := &complaints[t.complaint-1]
 			if err := e.pinTuple(t, c.Exists, c.Values); err != nil {
 				return err
 			}
@@ -69,7 +68,7 @@ func (e *encoder) pinTuple(t *tstate, exists bool, values []float64) error {
 			return nil
 		}
 	} else {
-		rowEQ(e.m, varAff(e.m, t.alive.v), want)
+		e.row(varAff(e.m, t.alive.v)).eq(want)
 	}
 	if !exists {
 		return nil
@@ -92,7 +91,7 @@ func (e *encoder) pinTuple(t *tstate, exists bool, values []float64) error {
 			}
 			continue
 		}
-		rowEQ(e.m, v, target)
+		e.row(v).eq(target)
 	}
 	return nil
 }

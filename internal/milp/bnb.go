@@ -216,9 +216,9 @@ func (m *Model) Solve(opt Options) Result {
 	psp := opt.Trace.Start("presolve")
 	var ps *presolved
 	if opt.NoPresolve {
-		ps = identityPresolve(m.prob, m.isInt)
+		ps = identityPresolve(m.prob, m.isInt, &m.pre)
 	} else {
-		ps = presolve(m.prob, m.isInt)
+		ps = presolve(m.prob, m.isInt, &m.pre)
 	}
 	psp.SetAttr("rows_dropped", ps.rowsDropped)
 	psp.SetAttr("vars_fixed", ps.varsFixed)

@@ -12,6 +12,7 @@ package milp
 import (
 	"time"
 
+	"repro/internal/freelist"
 	"repro/internal/obs"
 	"repro/internal/simplex"
 )
@@ -31,19 +32,30 @@ type Model struct {
 	isInt    []bool
 	objConst float64
 	coefs    []simplex.Coef // AddConstr's argument, reused row to row
+	terms    []Term         // NewAbsDeviation's rows, reused
+	pre      presolveBufs   // reused from one Solve to the next
 }
+
+// models is the free list NewModel takes its models from.
+var models freelist.List[*Model]
 
 // NewModel returns an empty model.
 func NewModel() *Model {
-	return &Model{prob: simplex.NewProblem()}
+	m := models.Get()
+	if m == nil {
+		m = &Model{}
+	}
+	m.prob = simplex.NewProblem()
+	return m
 }
 
-// Release hands the model's storage back for the next model to reuse.
-// The model must not be used afterwards; the Results it returned stay
-// valid.
+// Release hands the model and its storage back for the next NewModel to
+// reuse. The model must not be used afterwards; the Results it returned
+// stay valid.
 func (m *Model) Release() {
 	m.prob.Release()
-	m.prob = nil
+	*m = Model{isInt: m.isInt[:0], coefs: m.coefs[:0], terms: m.terms[:0], pre: m.pre}
+	models.Put(m)
 }
 
 // NumVars returns the number of variables.
@@ -120,17 +132,15 @@ func (m *Model) AddEQ(terms []Term, rhs float64) { m.addConstr(terms, simplex.EQ
 func (m *Model) NewAbsDeviation(expr []Term, center float64) Var {
 	d := m.NewContinuous(0, simplex.Inf)
 	// d - expr >= -center  (d >= expr - center)
-	t1 := make([]Term, 0, len(expr)+1)
-	t1 = append(t1, Term{d, 1})
+	ts := append(m.terms[:0], Term{d, 1})
 	for _, t := range expr {
-		t1 = append(t1, Term{t.Var, -t.Coef})
+		ts = append(ts, Term{t.Var, -t.Coef})
 	}
-	m.AddGE(t1, -center)
+	m.AddGE(ts, -center)
 	// d + expr >= center   (d >= center - expr)
-	t2 := make([]Term, 0, len(expr)+1)
-	t2 = append(t2, Term{d, 1})
-	t2 = append(t2, expr...)
-	m.AddGE(t2, center)
+	ts = append(ts[:1], expr...)
+	m.AddGE(ts, center)
+	m.terms = ts
 	return d
 }
 

@@ -2,6 +2,7 @@ package milp
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/simplex"
 )
@@ -24,9 +25,10 @@ import (
 //
 // Presolve makes no copy of the model: it reads the rows where the
 // Problem stores them (Terms, ascending variable order) and folds a
-// fixed variable into a private right-hand side through its column. The
-// reduced problem is built into storage NewProblem recycles, and Solve
-// releases it when the search is over.
+// fixed variable into a private right-hand side through its column. Its
+// working arrays are the model's (presolveBufs), reused by every Solve
+// and kept across Release. The reduced problem is built into storage
+// NewProblem recycles, and Solve releases it when the search is over.
 //
 // postsolve is a projection map: solutions of the reduced problem are
 // scattered back into full-length vectors with the fixed variables at
@@ -49,6 +51,22 @@ type presolved struct {
 	rowsDropped int
 	varsFixed   int
 	infeasible  bool // a row was proven unsatisfiable; no search needed
+}
+
+// presolveBufs is the storage of a presolved and of presolve's working
+// arrays (bounds, objective, folded right-hand sides, drop/fix marks).
+type presolveBufs struct {
+	toRed                   []int
+	fixed, lb, ub, obj, rhs []float64
+	dropped, isFixed, isInt []bool
+	terms                   []simplex.Coef
+}
+
+// grow makes *buf n zeroed elements, reusing its storage, and returns it.
+func grow[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	clear(*buf)
+	return *buf
 }
 
 const (
@@ -76,18 +94,14 @@ func contWidthOK(lo, hi float64) bool {
 	return hi-lo >= minCWidth*(1+math.Abs(lo)+math.Abs(hi))
 }
 
-// presolve runs the reduction fixpoint. It changes nothing of p but its
-// column view, which fix reads and so builds on first use.
-func presolve(p *simplex.Problem, isInt []bool) *presolved {
+// presolve runs the reduction fixpoint in buf's storage. It changes
+// nothing of p but its column view, which fix reads and so builds on
+// first use.
+func presolve(p *simplex.Problem, isInt []bool, buf *presolveBufs) *presolved {
 	n, m := p.NumVars(), p.NumRows()
-	ps := &presolved{
-		toRed: make([]int, n),
-		fixed: make([]float64, n),
-	}
+	ps := &presolved{toRed: grow(&buf.toRed, n), fixed: grow(&buf.fixed, n)}
 
-	lb := make([]float64, n)
-	ub := make([]float64, n)
-	obj := make([]float64, n)
+	lb, ub, obj := grow(&buf.lb, n), grow(&buf.ub, n), grow(&buf.obj, n)
 	for j := 0; j < n; j++ {
 		lb[j], ub[j] = p.Bounds(j)
 		obj[j] = p.Obj(j)
@@ -110,13 +124,11 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 
 	// fix folds a fixed variable's terms into this private rhs; the rows
 	// skip its terms from then on.
-	rhs := make([]float64, m)
-	ops := make([]simplex.ConstrOp, m)
+	rhs := grow(&buf.rhs, m)
 	for i := 0; i < m; i++ {
-		ops[i], rhs[i] = p.Row(i)
+		_, rhs[i] = p.Row(i)
 	}
-	dropped := make([]bool, m)
-	isFixed := make([]bool, n)
+	dropped, isFixed := grow(&buf.dropped, m), grow(&buf.isFixed, n)
 
 	colsBuilt := false
 	fix := func(j int, val float64) {
@@ -183,7 +195,8 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 					}
 				}
 			}
-			op, b := ops[i], rhs[i]
+			op, _ := p.Row(i)
+			b := rhs[i]
 			ptol := 1e-7 * (1 + math.Abs(b))
 
 			// Infeasible / redundant rows. Infeasibility needs slack (only
@@ -340,6 +353,7 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 	// Build the reduced problem in recycled storage. toRed is monotone, so
 	// every row arrives in ascending variable order and needs no sort.
 	red := simplex.NewProblem()
+	ps.isInt = buf.isInt[:0]
 	for j := 0; j < n; j++ {
 		if isFixed[j] {
 			ps.toRed[j] = -1
@@ -348,7 +362,8 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 		ps.toRed[j] = red.AddVar(lb[j], ub[j], obj[j])
 		ps.isInt = append(ps.isInt, isInt[j])
 	}
-	terms := make([]simplex.Coef, 0, 8)
+	buf.isInt = ps.isInt
+	terms := buf.terms
 	for i := 0; i < m; i++ {
 		if dropped[i] {
 			continue
@@ -359,8 +374,10 @@ func presolve(p *simplex.Problem, isInt []bool) *presolved {
 				terms = append(terms, simplex.Coef{Var: ps.toRed[t.Var], Coef: t.Coef})
 			}
 		}
-		red.AddConstr(terms, ops[i], rhs[i])
+		op, _ := p.Row(i)
+		red.AddConstr(terms, op, rhs[i])
 	}
+	buf.terms = terms
 	ps.prob = red
 	return ps
 }
@@ -385,14 +402,9 @@ func impliedLB(lim float64, isInt bool) float64 {
 
 // identityPresolve wraps p unreduced (NoPresolve, or models with nothing
 // to reduce share the same code path downstream).
-func identityPresolve(p *simplex.Problem, isInt []bool) *presolved {
+func identityPresolve(p *simplex.Problem, isInt []bool, buf *presolveBufs) *presolved {
 	n := p.NumVars()
-	ps := &presolved{
-		prob:  p,
-		isInt: isInt,
-		toRed: make([]int, n),
-		fixed: make([]float64, n),
-	}
+	ps := &presolved{prob: p, isInt: isInt, toRed: grow(&buf.toRed, n), fixed: grow(&buf.fixed, n)}
 	for j := 0; j < n; j++ {
 		ps.toRed[j] = j
 	}

@@ -71,8 +71,8 @@ func (q *Delete) SetParams(p []float64) error {
 	return nil
 }
 
-// LogParams concatenates the parameter vectors of all queries in a log.
-func LogParams(log []Query) []float64 {
+// logParams concatenates the parameter vectors of all queries in a log.
+func logParams(log []Query) []float64 {
 	var p []float64
 	for _, q := range log {
 		p = append(p, q.Params()...)
@@ -84,7 +84,7 @@ func LogParams(log []Query) []float64 {
 // structurally identical logs (§4.3). It panics if the logs have
 // different parameter arities, which indicates structural mismatch.
 func Distance(a, b []Query) float64 {
-	pa, pb := LogParams(a), LogParams(b)
+	pa, pb := logParams(a), logParams(b)
 	if len(pa) != len(pb) {
 		panic(fmt.Sprintf("query: Distance on structurally different logs (%d vs %d params)",
 			len(pa), len(pb)))

@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+
+	"repro/internal/freelist"
 )
 
 // Inf is the bound value representing +infinity; use -Inf for free lower
@@ -116,11 +118,11 @@ type Problem struct {
 }
 
 // problems is the free list NewProblem takes its storage from.
-var problems freeList[Problem]
+var problems freelist.List[Problem]
 
 // NewProblem returns an empty problem.
 func NewProblem() *Problem {
-	p := problems.get()
+	p := problems.Get()
 	return &p
 }
 
@@ -134,7 +136,7 @@ func (p *Problem) Release() {
 	st.obj, st.lb, st.ub = st.obj[:0], st.lb[:0], st.ub[:0]
 	st.rhs, st.ops, st.rowEnd, st.terms = st.rhs[:0], st.ops[:0], st.rowEnd[:0], st.terms[:0]
 	st.cols = st.cols[:0]
-	problems.put(st)
+	problems.Put(st)
 }
 
 // NumVars returns the number of structural variables added so far.

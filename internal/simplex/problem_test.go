@@ -3,6 +3,8 @@ package simplex
 import (
 	"math"
 	"testing"
+
+	"repro/internal/freelist"
 )
 
 // refProblem is the column store Problem replaced, kept as the reference
@@ -153,7 +155,7 @@ func FuzzProblemMatchesReference(f *testing.F) {
 		}
 		// Start from an empty free list, so which buffers an input makes
 		// grow depends on the input alone.
-		problems = freeList[Problem]{}
+		problems = freelist.List[Problem]{}
 		p, r := buildScript(t, data)
 		sameAsReference(t, p, r)
 		p.Release()

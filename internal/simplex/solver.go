@@ -2,7 +2,8 @@ package simplex
 
 import (
 	"math"
-	"sync"
+
+	"repro/internal/freelist"
 )
 
 // Solver carries simplex state that survives across re-optimizations.
@@ -33,40 +34,8 @@ func NewSolver(p *Problem, opt Options) *Solver {
 	return &Solver{p: p, opt: opt}
 }
 
-// freeList is a capped list of recycled storage: the workspaces here and
-// the problems' rows and columns. It is a plain list, not a sync.Pool:
-// every garbage collection empties a sync.Pool, and a diagnosis runs
-// several.
-type freeList[T any] struct {
-	mu   sync.Mutex
-	free []T
-}
-
-// maxFree caps every free list; what is put into a full list is dropped.
-const maxFree = 8
-
-// get takes the most recently put element, or the zero value when the
-// list is empty.
-func (l *freeList[T]) get() (t T) {
-	l.mu.Lock()
-	if k := len(l.free) - 1; k >= 0 {
-		t, l.free = l.free[k], l.free[:k]
-	}
-	l.mu.Unlock()
-	return t
-}
-
-// put hands t back unless the list is full.
-func (l *freeList[T]) put(t T) {
-	l.mu.Lock()
-	if len(l.free) < maxFree {
-		l.free = append(l.free, t)
-	}
-	l.mu.Unlock()
-}
-
 // workspaces is the free list Solvers take their workspaces from.
-var workspaces freeList[*solver]
+var workspaces freelist.List[*solver]
 
 // workspace returns the solver's workspace fitted to the problem's
 // current shape (m rows, n structural variables), taking one from the
@@ -75,7 +44,7 @@ var workspaces freeList[*solver]
 func (ws *Solver) workspace(m, n int) *solver {
 	s := ws.inner
 	if s == nil {
-		if s = workspaces.get(); s == nil {
+		if s = workspaces.Get(); s == nil {
 			s = &solver{fac: &factor{}}
 		}
 		ws.inner = s
@@ -97,7 +66,7 @@ func (ws *Solver) Release() {
 		return
 	}
 	s.p = nil
-	workspaces.put(s)
+	workspaces.Put(s)
 }
 
 // Reset discards any retained basis so the next Solve starts cold. Used
@@ -759,8 +728,9 @@ func (s *solver) pivot(j, dir int, phase1 bool) Status {
 }
 
 func (s *solver) result(st Status) Solution {
-	// A fresh X per solve: branch-and-bound keeps a node's Solution while
-	// the same solver goes on to the next node.
+	// A fresh X per solve: branch-and-bound keeps a speculated node's
+	// Solution while the same solver goes on to the next node, and reads
+	// a node's X again after polishing it on the same solver.
 	x := make([]float64, s.n)
 	copy(x, s.xval[:s.n])
 	obj := 0.0
