@@ -160,7 +160,7 @@ func run(out *bufio.Writer) error {
 		fmt.Fprintf(out, "-- %s\n", line)
 	}
 	fmt.Fprintf(out, "-- complaints resolved: %v; repair distance: %.3f\n", rep.Resolved, rep.Distance)
-	if len(rep.Changed) == 0 {
+	if rep.Resolved && len(rep.Changed) == 0 {
 		fmt.Fprintln(out, "-- no queries needed repair")
 	}
 	for i, q := range rep.Log {

@@ -1,20 +1,21 @@
 package qfix_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	qfix "repro"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/denoise"
 	"repro/internal/oltp"
 	"repro/internal/workload"
 )
 
 // Integration scenarios that cross module boundaries: generator →
-// corruption → (denoise) → diagnosis → replay scoring.
+// corruption → diagnosis → replay scoring.
 
 func TestIntegrationMixedWorkloadOldCorruption(t *testing.T) {
 	w := workload.MustGenerate(workload.Config{
@@ -110,7 +111,10 @@ func TestIntegrationPartitionedThroughFacade(t *testing.T) {
 	}
 }
 
-func TestIntegrationDenoiseParallelPipeline(t *testing.T) {
+// TestIntegrationIncrementalSolverParallel runs the incremental scan
+// with two in-solve workers on a generator instance whose corruption
+// sits late in the log.
+func TestIntegrationIncrementalSolverParallel(t *testing.T) {
 	w := workload.MustGenerate(workload.Config{
 		ND: 100, Na: 5, Nq: 25, Vd: 200, Range: 20, Seed: 31,
 	})
@@ -121,29 +125,7 @@ func TestIntegrationDenoiseParallelPipeline(t *testing.T) {
 	if len(in.Complaints) < 3 {
 		t.Skip("not enough complaints")
 	}
-	// Poison the inbox with two absurd fabricated complaints.
-	rng := rand.New(rand.NewSource(9))
-	noisy := append([]core.Complaint(nil), in.Complaints...)
-	seen := map[int64]bool{}
-	for _, c := range noisy {
-		seen[c.TupleID] = true
-	}
-	added := 0
-	for _, id := range in.DirtyFinal.IDs() {
-		if seen[id] || added >= 2 {
-			continue
-		}
-		tp, _ := in.DirtyFinal.Get(id)
-		vals := append([]float64(nil), tp.Values...)
-		vals[1+rng.Intn(len(vals)-1)] = 1e7
-		noisy = append(noisy, core.Complaint{TupleID: id, Exists: true, Values: vals})
-		added++
-	}
-	cleaned := denoise.Clean(in.DirtyFinal, noisy, denoise.Options{})
-	if len(cleaned.Dropped) != added {
-		t.Fatalf("denoiser dropped %d, want %d: %v", len(cleaned.Dropped), added, cleaned.Reasons)
-	}
-	rep, err := core.Diagnose(w.D0, in.Dirty, cleaned.Kept, core.Options{
+	rep, err := core.Diagnose(w.D0, in.Dirty, in.Complaints, core.Options{
 		Algorithm:      core.Incremental,
 		TupleSlicing:   true,
 		QuerySlicing:   true,
@@ -215,5 +197,82 @@ func TestIntegrationDeleteInsertChains(t *testing.T) {
 		if !rep.Resolved {
 			t.Errorf("mix %v unresolved: %+v", mix, rep.Stats)
 		}
+	}
+}
+
+// TestPaperExample1Wireless is the paper's Example 1: a wireless
+// provider's discount policies run as UPDATEs over 150 accounts, and two
+// of them were configured wrong (a credit keyed to plan 3 instead of 2,
+// a discount of 21 instead of 12). A tenth of the wrongly billed
+// accounts complain, and the basic algorithm repairs both queries
+// jointly. The node limit, not a time limit, bounds the search, so the
+// outcome is the same on every machine. The §5.1 refinement MILP stops
+// at that limit, so the repair is not proven minimal; NodeLimitStops
+// pins that.
+func TestPaperExample1Wireless(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver-bound: 0.7 s, about 15 s under -race")
+	}
+	sch, err := qfix.NewSchema("Accounts", []string{"plan", "balance", "fee", "discount"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	d0 := qfix.NewTable(sch)
+	for i := 0; i < 150; i++ {
+		d0.MustInsert(float64(rng.Intn(6)+1), float64(40+rng.Intn(80)), 15, 0)
+	}
+	// Intended: plan 2 gets a $20 credit, plan 5's fee is waived, plans
+	// >= 4 get a $12 discount applied to the balance.
+	truthLog, err := qfix.ParseLog(sch, `
+		UPDATE Accounts SET balance = balance - 20 WHERE plan = 2;
+		UPDATE Accounts SET fee = 0 WHERE plan = 5;
+		UPDATE Accounts SET discount = 12 WHERE plan >= 4;
+		UPDATE Accounts SET balance = balance - discount WHERE plan >= 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirtyLog, err := qfix.ParseLog(sch, `
+		UPDATE Accounts SET balance = balance - 20 WHERE plan = 3;
+		UPDATE Accounts SET fee = 0 WHERE plan = 5;
+		UPDATE Accounts SET discount = 21 WHERE plan >= 4;
+		UPDATE Accounts SET balance = balance - discount WHERE plan >= 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirtyFinal, _ := qfix.Replay(dirtyLog, d0)
+	truthFinal, _ := qfix.Replay(truthLog, d0)
+	var reported []qfix.Complaint
+	for i, c := range qfix.ComplaintsFromDiff(dirtyFinal, truthFinal, 1e-9) {
+		if i%10 == 0 {
+			reported = append(reported, c)
+		}
+	}
+
+	rep, err := qfix.Diagnose(d0, dirtyLog, reported, qfix.Options{
+		Algorithm:    qfix.Basic,
+		TupleSlicing: true,
+		QuerySlicing: true,
+		AttrSlicing:  true,
+		MaxNodes:     500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.Changed, []int{0, 2}) || math.Abs(rep.Distance-10) > 1e-6 {
+		t.Errorf("changed %v at distance %v, want [0 2] at 10", rep.Changed, rep.Distance)
+	}
+	repairedFinal, err := qfix.Replay(rep.Log, d0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrong := qfix.DiffTables(repairedFinal, truthFinal, 1e-6); len(wrong) != 0 {
+		t.Errorf("%d accounts still wrong after the repair", len(wrong))
+	}
+	if !rep.Stats.Refined {
+		t.Error("Stats.Refined = false, want the §5.1 refinement to run")
+	}
+	if rep.Stats.NodeLimitStops != 1 {
+		t.Errorf("Stats.NodeLimitStops = %d, want 1 (the refinement MILP)", rep.Stats.NodeLimitStops)
 	}
 }

@@ -68,14 +68,6 @@ func TestDistributedMuxLoopback(t *testing.T) {
 	}
 }
 
-// TestDistributedMuxWorkerKilledMidRun kills one of two mux-served
-// workers mid-solve. In-flight jobs on the broken connection fail as
-// transport errors, retry on the healthy worker, and the repair stays
-// byte-identical — the no-lost-instances guarantee over wire v3. With
-// one transport left it is the same check as
-// TestDistributedWorkerKilledMidRun; both names are kept.
-func TestDistributedMuxWorkerKilledMidRun(t *testing.T) { checkWorkerKilledMidRun(t) }
-
 // TestBackingOffWorkerFailsOver holds one of two workers' reconnect
 // backoff, as a broken link arms it: every job whose attempt reaches
 // that worker must fail at once without a connection to it, then solve

@@ -16,7 +16,7 @@ import (
 // methods or fields) in the module's non-test files. The budget may
 // only be lowered: a new export has to retire an old one.
 func TestExportedSurfaceBudget(t *testing.T) {
-	const budget = 263
+	const budget = 260
 	n := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -43,10 +43,11 @@ func TestExportedSurfaceBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("%d top-level exported identifiers, budget is %d", n, budget)
 	if n > budget {
-		t.Errorf("%d top-level exported identifiers, budget is %d", n, budget)
+		t.Error("over budget: retire an export for each new one")
 	} else if n < budget {
-		t.Logf("%d top-level exported identifiers; lower the budget from %d", n, budget)
+		t.Logf("lower the budget to %d", n)
 	}
 }
 
