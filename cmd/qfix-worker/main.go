@@ -1,26 +1,17 @@
-// Command qfix-worker serves partition-diagnosis jobs to a qfix
-// coordinator. Run one per core across a fleet, then point the
-// coordinator at them — qfixd, or a dist.Connect caller:
+// Command qfix-worker serves partition solves to a qfix coordinator
+// (qfixd -workers, or a dist.Connect caller). Run one per core across a
+// fleet:
 //
 //	qfix-worker -addr :7433 &
 //	qfix-worker -addr :7434 &
 //	qfixd -partition 4 -workers localhost:7433,localhost:7434
 //
-// Each job is a self-contained partition subproblem (initial state, query
-// log, complaint subset, solver options) framed as newline-delimited JSON
-// over TCP; the worker solves it with the in-process engine and streams
-// the repair back. A coordinator (qfixd -workers) keeps one persistent
-// connection and multiplexes jobs over it: up to -max-inflight jobs (a
-// server-wide bound, whatever mix of connections they arrive on) solve
-// concurrently and each result is written the moment its solve lands,
-// possibly out of submission order. Jobs from coordinators speaking any
-// other protocol version are rejected with an error result. -max-timelimit
-// caps the solver budget a coordinator may request. Every partition job
-// of a diagnosis shares one body, its D0 and log: a connection carries
-// each body once, the worker decodes it once into the connection's
-// table of the last eight bodies, and later jobs name it by ID. Jobs
-// over one decoded body also share the worker's impact closure, so they
-// skip re-planning too.
+// It speaks the daemon's wire (internal/dist) and answers its solve op:
+// a partition subproblem over a body (D0 and log) that its connection
+// carries once and later solves name by ID. Up to -max-inflight solves
+// run at once across the worker, each answer written as it lands;
+// -max-timelimit caps the solver budget a coordinator may request.
+// Frames of another protocol version are answered with an error.
 package main
 
 import (
@@ -54,8 +45,7 @@ func main() {
 	}
 
 	if *telemetryAddr != "" {
-		// The telemetry listener binds before the job listener so a
-		// misconfigured address fails fast instead of after jobs started.
+		// Bind telemetry first, so a bad address fails before any job.
 		tl, err := net.Listen("tcp", *telemetryAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qfix-worker: telemetry:", err)
@@ -74,7 +64,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qfix-worker:", err)
 		os.Exit(1)
 	}
-	log.Printf("qfix-worker: serving diagnosis jobs on %s (protocol v%d)", l.Addr(), dist.WireVersion)
+	log.Printf("qfix-worker: serving solves on %s (protocol v%d)", l.Addr(), dist.WireVersion)
 	if *maxTL > 0 {
 		log.Printf("qfix-worker: per-job solver budget capped at %v", maxTL.Round(time.Second))
 	}

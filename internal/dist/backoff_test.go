@@ -83,14 +83,14 @@ func TestMuxBackoffDesynchronizedAcrossAddrs(t *testing.T) {
 	}
 }
 
-// The transport must arm nextDial with the jittered schedule.
+// The client must arm nextDial with the jittered schedule.
 func TestMuxTransportArmsJitteredBackoff(t *testing.T) {
 	tr := DialMux("w1:9000")
 	want := rand.New(rand.NewSource(backoffSeed("w1:9000")))
 	for failures := 1; failures <= 4; failures++ {
 		before := time.Now()
 		tr.mu.Lock()
-		tr.backoffLocked()
+		tr.backoffLocked(nil)
 		next := tr.nextDial
 		tr.mu.Unlock()
 		d := muxBackoff(failures, want)

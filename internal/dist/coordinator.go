@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,41 +14,46 @@ import (
 	"repro/internal/relation"
 )
 
+// Transport delivers one solve to a solver and returns its answer. A
+// transport error (dial failure, link backing off, deadline, broken
+// frame) means the answer is unknown; the Coordinator responds by
+// retrying on another worker and, ultimately, solving locally.
+// Implementations must be safe for concurrent use: the engine
+// dispatches partitions from multiple goroutines.
+type Transport interface {
+	Do(ctx context.Context, job *Job) (*Result, error)
+	// Addr names the endpoint for logs and stats.
+	Addr() string
+	Close() error
+}
+
 // Config tunes a Coordinator.
 type Config struct {
-	// JobTimeout bounds one dispatch attempt (dial + solve + result).
+	// JobTimeout bounds one dispatch attempt (dial + solve + answer).
 	// When the job carries a TotalTimeLimit, each attempt is further
-	// bounded by an equal share of the remaining budget reserved across
+	// bounded by an equal share of what is left of it, reserved across
 	// the planned attempts plus the local fallback (attemptTimeout), so
-	// a hung worker can't absorb the whole diagnosis budget — without
-	// that cap no retry would ever run and the local fallback would
-	// start broke. Zero picks DefaultJobTimeout.
+	// a hung worker can neither absorb the whole budget nor leave the
+	// fallback broke. Zero picks defaultJobTimeout.
 	JobTimeout time.Duration
-	// Mux is ignored: every connection Connect makes is multiplexed
-	// (MuxTransport).
-	//
-	// Deprecated: ROADMAP 2(d) deletes the field.
+	// Mux is ignored: every connection Connect makes is multiplexed.
+	// Kept for benchmark/; ROADMAP 2(d) deletes.
 	Mux bool
 	// Logf, when set, receives one line per dispatch failure/fallback.
 	Logf func(format string, args ...any)
 }
 
-// DefaultJobTimeout bounds a dispatch attempt when neither the job's
+// defaultJobTimeout bounds a dispatch attempt when neither the job's
 // Options nor the Config say otherwise.
-const DefaultJobTimeout = 5 * time.Minute
+const defaultJobTimeout = 5 * time.Minute
 
 // Coordinator distributes partition subproblems over a set of worker
 // transports. Install wires a diagnosis's Options to a per-diagnosis
-// Solver and the engine's partition scan ships every subproblem through
-// it. Planning, merging, conflict detection, and replay verification
-// all stay in the engine — the coordinator is purely a dispatch layer
-// with retry and local fallback, so a diagnosis never loses an instance
-// the local engine can solve. The engine's scheduler
-// starts partitions largest-first (see core's planPartitions size
-// estimate), so the coordinator ships the biggest MILPs to the fleet
-// first and the critical path is not a huge partition stuck at the back
-// of the queue; the per-partition results stream back over persistent
-// connections as each solve lands.
+// Solver, through which the engine's partition scan ships every
+// subproblem. Planning, merging, conflict detection and replay
+// verification stay in the engine: the coordinator only dispatches,
+// with retry and local fallback. The engine starts partitions
+// largest-first, so the biggest MILPs reach the fleet first.
 type Coordinator struct {
 	cfg        Config
 	transports []Transport
@@ -57,15 +64,12 @@ type Coordinator struct {
 }
 
 // encMemo memoizes the wire encodings of one diagnosis's D0 and log:
-// every partition job of a diagnosis carries the identical initial
-// state and log, so they are serialized once, named by one body ID and
-// shared read-only across jobs. A change to either re-encodes both under
-// a new body ID. Keyed by identity plus cheap mutation witnesses
-// (length, next ID); a memo is scoped to one diagnosis by construction
-// (Solver/Diagnose hand each run a fresh one), which is what makes a
-// single Coordinator safe to share across concurrent diagnoses of
-// different tenants — there is no per-run reset of shared state to
-// race on, and no cross-tenant eviction.
+// every partition job of a diagnosis carries the same body, so it is
+// serialized once, named by one body ID and shared read-only across
+// jobs. A change to either re-encodes both under a new ID. Keyed by
+// identity plus cheap mutation witnesses (length, next ID). A memo
+// belongs to one diagnosis (Solver makes a fresh one), which is what
+// makes one Coordinator safe to share across concurrent diagnoses.
 type encMemo struct {
 	mu     sync.Mutex
 	d0     *relation.Table // guarded by mu
@@ -80,16 +84,16 @@ type encMemo struct {
 }
 
 // NewCoordinator builds a coordinator over the given transports. With no
-// transports every job solves locally (the degenerate case).
+// transports every job solves locally.
 func NewCoordinator(cfg Config, transports ...Transport) *Coordinator {
 	if cfg.JobTimeout <= 0 {
-		cfg.JobTimeout = DefaultJobTimeout
+		cfg.JobTimeout = defaultJobTimeout
 	}
 	return &Coordinator{cfg: cfg, transports: transports}
 }
 
-// Connect builds a coordinator with one persistent multiplexed
-// connection (DialMux) per worker address.
+// Connect builds a coordinator with one Client (DialMux) per worker
+// address.
 func Connect(cfg Config, workers ...string) *Coordinator {
 	ts := make([]Transport, len(workers))
 	for i, addr := range workers {
@@ -100,13 +104,11 @@ func Connect(cfg Config, workers ...string) *Coordinator {
 
 // Close releases every transport.
 func (c *Coordinator) Close() error {
-	var first error
+	var errs []error
 	for _, t := range c.transports {
-		if err := t.Close(); err != nil && first == nil {
-			first = err
-		}
+		errs = append(errs, t.Close())
 	}
-	return first
+	return errors.Join(errs...)
 }
 
 // RemoteJobs reports how many jobs were solved remotely since creation.
@@ -120,14 +122,10 @@ func (c *Coordinator) LocalFallbacks() int { return int(c.localJobs.Load()) }
 const transportSlack = 10 * time.Second
 
 // Solver returns a per-diagnosis core.PartitionSolver over this
-// coordinator: it shares the coordinator's transports, round-robin
-// cursor, job IDs, and retry/fallback policy, but carries its own
-// encoding memo. It is the coordinator's only solver: Install and
-// Diagnose use it, and so do resident services (internal/qfixd) that
-// run many concurrent diagnoses — of different tenants, hence different
-// D0/log pairs — over one long-lived fleet: each diagnosis's partition
-// jobs share that diagnosis's encodings without evicting or racing any
-// other diagnosis's.
+// coordinator: it shares the transports, round-robin cursor, job IDs
+// and retry policy, but has its own encoding memo, so concurrent
+// diagnoses of different tenants (qfixd) never evict or race each
+// other's encodings.
 func (c *Coordinator) Solver() core.PartitionSolver {
 	return &runSolver{c: c, enc: new(encMemo)}
 }
@@ -142,18 +140,12 @@ type runSolver struct {
 // offer it to workers round-robin with per-attempt timeouts, and fall
 // back to the in-process engine when every attempt fails. Remote repairs
 // are marked with Stats.RemoteJobs=1 so the engine's stats merge counts
-// them.
-//
-// The job's Options.TotalTimeLimit bounds the whole of dispatch plus
-// fallback, exactly as it bounds the in-process path: retries spend the
-// same budget, not a fresh one each, and a fallback that starts with the
-// budget exhausted returns the engine's "total-time-limit" outcome
-// instead of solving on borrowed time.
+// them. The job's TotalTimeLimit bounds dispatch and fallback together:
+// a fallback that starts with the budget spent returns the engine's
+// "total-time-limit" outcome instead of solving on borrowed time.
 func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
 	c := r.c
-	// The engine hands each partition its own span via Options.Trace;
-	// dispatch attempts and the local fallback hang under it so a traced
-	// distributed run shows exactly where every partition's time went.
+	// Attempts and the local fallback hang under the partition's span.
 	sp := sub.Options.Trace
 	var deadline time.Time
 	if sub.Options.TotalTimeLimit > 0 {
@@ -174,7 +166,7 @@ func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
 	c.localJobs.Add(1)
 	lsp := sp.Start("local")
 	defer lsp.End()
-	sub.Options.Trace = lsp // the fallback solve's own spans nest under it
+	sub.Options.Trace = lsp
 	if !deadline.IsZero() {
 		remain := time.Until(deadline)
 		if remain <= 0 {
@@ -191,18 +183,15 @@ func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
 }
 
 // dispatch offers the job once to each worker, in round-robin order,
-// within the job's deadline (zero = no budget, each attempt gets
-// JobTimeout); sub is the subproblem the job encodes, whose own log a
-// result's repair is rebuilt onto. ok=false means every attempt failed
+// within the job's deadline (zero: no budget, each attempt gets
+// JobTimeout); sub is the subproblem the job encodes, whose own log an
+// answer's repair is rebuilt onto. ok=false means every attempt failed
 // and the caller should solve locally.
 func (c *Coordinator) dispatch(job *Job, sub core.Subproblem, deadline time.Time, sp *obs.Span) (*core.Repair, bool) {
 	attempts := len(c.transports)
-	// Advance the shared round-robin cursor once per job, then walk
-	// consecutive transports, so retries always land on a different
-	// worker than the one that just failed. The cursor is reduced
-	// modulo the fleet size while still unsigned: a raw int conversion
-	// goes negative when the uint64 counter wraps, and a negative
-	// modulo index would panic.
+	// One cursor step per job, then consecutive transports, so a retry
+	// never lands on the worker that just failed. The cursor is reduced
+	// while unsigned: a wrapped counter must not index negatively.
 	start := int((c.next.Add(1) - 1) % uint64(len(c.transports)))
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
@@ -217,36 +206,27 @@ func (c *Coordinator) dispatch(job *Job, sub core.Subproblem, deadline time.Time
 			}
 			timeout = attemptTimeout(c.cfg.JobTimeout, remain, attempts-a)
 		}
-		// Ship the attempt with its solve budget clamped to the attempt
-		// window (minus the wire slack, floored at the window itself for
-		// windows within one slack): the wire has no cancel frame, so
-		// without the clamp a worker keeps solving — pinning one of its
-		// MaxInflight slots — long after this coordinator timed out and
-		// moved on. The shallow copy leaves the shared job (and its
-		// D0/log slices, which it aliases) untouched for later attempts.
-		budget := int64(timeout - transportSlack)
+		// The wire has no cancel frame, so the attempt's solve budget is
+		// clamped to its window (less the wire slack, but never below a
+		// window within one slack): otherwise a worker keeps solving,
+		// pinning a slot, long after this attempt gave up. The attempt
+		// TTL also lets the worker refuse a job it only dequeues past
+		// the window. The copy leaves the shared job untouched.
+		budget := timeout - transportSlack
 		if budget <= 0 {
-			budget = int64(timeout)
+			budget = timeout
 		}
 		attempt := *job
-		if o := job.Options; o.TotalTimeLimitNS <= 0 || o.TotalTimeLimitNS > budget {
-			o.TotalTimeLimitNS = budget
-			attempt.Options = o
+		if ms := ceilMS(budget); attempt.TotalTimeLimitMS <= 0 || attempt.TotalTimeLimitMS > ms {
+			attempt.TotalTimeLimitMS = ms
 		}
-		// The attempt TTL additionally lets the worker refuse the
-		// attempt if it only DEQUEUES past the window (the budget above
-		// bounds solve time from solve start, so it can't cover the
-		// admission-queue wait, which the worker measures on its own
-		// clock from frame arrival).
 		attempt.AttemptTTLNS = int64(timeout)
 		asp := sp.Start("attempt")
 		asp.SetAttr("worker", t.Addr())
 		asp.SetAttr("attempt", a+1)
 		attemptStart := time.Now()
-		// Arm the slow-job warning: half the attempt window gone with no
-		// result yet is worth a line NOW, while the operator can still see
-		// which worker is sitting on the job — not after the timeout has
-		// already burned a retry share of the budget.
+		// Half the window gone with no answer is worth a line now, while
+		// the operator can still see which worker sits on the job.
 		warn := time.AfterFunc(timeout/2, func() {
 			mDistSlowJobs.Inc()
 			c.logf("dist: warn slow-job job=%d worker=%s attempt=%d/%d elapsed=%v budget_left=%s",
@@ -258,40 +238,29 @@ func (c *Coordinator) dispatch(job *Job, sub core.Subproblem, deadline time.Time
 		cancel()
 		warn.Stop()
 		wire := time.Since(attemptStart)
-		if err != nil {
-			asp.SetAttr("outcome", "transport-error")
+		retry := func(outcome, why string) {
+			asp.SetAttr("outcome", outcome)
 			asp.End()
-			c.logf("dist: warn retry job=%d worker=%s attempt=%d/%d elapsed=%v budget_left=%s err=%q",
-				job.ID, t.Addr(), a+1, attempts, wire.Round(time.Millisecond),
-				budgetLeft(deadline), err)
+			c.logf("dist: warn retry job=%d worker=%s attempt=%d/%d elapsed=%v budget_left=%s %s",
+				job.ID, t.Addr(), a+1, attempts, wire.Round(time.Millisecond), budgetLeft(deadline), why)
+		}
+		if err != nil {
+			retry("transport-error", fmt.Sprintf("err=%q", err))
 			continue
 		}
 		rep, err := repairOf(res, sub.Log, sub.Options.Candidates)
 		if err != nil {
-			// Version mismatch, a worker-side solve error, or an answer
-			// that is not a repair of this job. A solve error would
-			// hit the local engine too, but the local fallback keeps the
-			// no-lost-instances guarantee cheap to state, so take it
-			// rather than guessing.
-			asp.SetAttr("outcome", "rejected")
-			asp.End()
-			c.logf("dist: warn retry job=%d worker=%s attempt=%d/%d elapsed=%v budget_left=%s rejected=%q",
-				job.ID, t.Addr(), a+1, attempts, wire.Round(time.Millisecond),
-				budgetLeft(deadline), err)
+			// Version mismatch, a worker-side error, or an answer that is
+			// not a repair of this job: the local fallback keeps the
+			// no-lost-instances guarantee cheap to state.
+			retry("rejected", fmt.Sprintf("rejected=%q", err))
 			continue
 		}
 		if !rep.Resolved {
-			// An unresolved remote result is not trusted as final: the
-			// worker may be degraded or capped (-max-timelimit) below
-			// what the instance needs, and accepting it would lose an
-			// instance the local engine can solve. Try elsewhere, then
-			// re-solve locally; a genuinely unsolvable partition costs
-			// one redundant local attempt under the same budget.
-			asp.SetAttr("outcome", "unresolved")
-			asp.End()
-			c.logf("dist: warn retry job=%d worker=%s attempt=%d/%d elapsed=%v budget_left=%s unresolved=%s",
-				job.ID, t.Addr(), a+1, attempts, wire.Round(time.Millisecond),
-				budgetLeft(deadline), rep.Stats.LastStatus)
+			// Not trusted as final: the worker may be degraded or capped
+			// (-max-timelimit) below what the instance needs. A truly
+			// unsolvable partition costs one redundant local attempt.
+			retry("unresolved", "unresolved="+rep.Stats.LastStatus)
 			continue
 		}
 		mDistWireSeconds.Observe(wire.Seconds())
@@ -316,36 +285,22 @@ func budgetLeft(deadline time.Time) string {
 	return time.Until(deadline).Round(time.Millisecond).String()
 }
 
-// attemptTimeout bounds one dispatch attempt against the job's budget.
-// The remaining budget is split into equal shares for this attempt,
-// each later attempt, and a local-fallback reserve — so a worker that
-// accepts the job and then hangs can neither starve the promised retry
-// on a distinct worker nor leave the fallback broke, whatever the
-// TotalTimeLimit. transportSlack rides on top for wire overhead (the
-// worker enforces the solve budget itself); the result never exceeds
-// JobTimeout, nor what is left of the budget plus slack. Budgets within
-// a few transportSlacks are degenerate: the slack floor dominates and
-// the reserve is best-effort. attemptsLeft below 1 cannot come from
-// dispatch (it always has the current attempt left); it is clamped to 1
-// defensively so the local-fallback reserve survives a miscounting
-// caller rather than collapsing to zero.
+// attemptTimeout bounds one dispatch attempt against the job's budget:
+// what remains is split into equal shares for this attempt, each later
+// one and a local-fallback reserve, plus transportSlack for the wire,
+// and never more than JobTimeout nor what remains plus slack. Budgets
+// within a few slacks are degenerate: the slack dominates and the
+// reserve is best-effort. attemptsLeft below 1 is taken as 1, so the
+// reserve survives a miscounting caller.
 func attemptTimeout(jobTimeout, remain time.Duration, attemptsLeft int) time.Duration {
-	if attemptsLeft < 1 {
-		attemptsLeft = 1
-	}
-	timeout := jobTimeout
-	if share := remain/time.Duration(attemptsLeft+1) + transportSlack; share < timeout {
-		timeout = share
-	}
-	if all := remain + transportSlack; all < timeout {
-		timeout = all
-	}
-	return timeout
+	attemptsLeft = max(attemptsLeft, 1)
+	share := remain/time.Duration(attemptsLeft+1) + transportSlack
+	return min(jobTimeout, share, remain+transportSlack)
 }
 
-// encodeJob builds the wire job, memoizing the D0 and log encodings,
-// their body ID (see encMemo) and the error of a log that cannot be
-// encoded. The log prints over D0's schema, so a new D0 re-encodes both.
+// encodeJob builds the job, memoizing the D0 and log encodings, their
+// body ID and the error of a log that cannot be encoded. The log prints
+// over D0's schema, so a new D0 re-encodes both.
 func (m *encMemo) encodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -357,30 +312,19 @@ func (m *encMemo) encodeJob(id uint64, sub core.Subproblem) (*Job, error) {
 		m.logPtr != logPtr || m.logLen != len(sub.Log) {
 		m.d0, m.d0Len, m.nextID = sub.D0, sub.D0.Len(), sub.D0.NextID()
 		m.logPtr, m.logLen = logPtr, len(sub.Log)
-		t := encodeTable(sub.D0)
-		m.table, m.body = &t, bodyIDs.Add(1)
+		m.table, m.body = encodeTable(sub.D0), bodyIDs.Add(1)
 		m.log, m.err = encodeLog(sub.Log, sub.D0.Schema())
 	}
 	if m.err != nil {
 		return nil, m.err
 	}
-	return &Job{
-		Version:    WireVersion,
-		ID:         id,
-		Body:       m.body,
-		D0:         m.table,
-		Log:        m.log,
-		Complaints: sub.Complaints,
-		Options:    encodeOptions(sub.Options),
-	}, nil
+	return newSolve(id, m.body, m.table, m.log, sub), nil
 }
 
-// Install points one diagnosis at this fleet: a per-run solver (Solver)
-// becomes opt.PartitionSolver, so concurrent diagnoses on one shared
-// coordinator never cross-pollute encoding memos, and Partition
-// defaults to the worker count when unset so the dispatch pipeline is
-// as wide as the fleet. It is the one wiring rule both entry points
-// (Coordinator.Diagnose and qfixd) share.
+// Install points one diagnosis at this fleet: a per-run Solver becomes
+// opt.PartitionSolver, and Partition defaults to the worker count so
+// the dispatch pipeline is as wide as the fleet. It is the one wiring
+// rule Coordinator.Diagnose and qfixd share.
 func (c *Coordinator) Install(opt *core.Options) {
 	if opt.Partition == 0 {
 		opt.Partition = max(len(c.transports), 1)

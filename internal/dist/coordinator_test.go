@@ -130,9 +130,9 @@ func TestDispatchStampsAttemptDeadline(t *testing.T) {
 		t.Errorf("attempt TTL = %v, want within (0, JobTimeout]",
 			time.Duration(job.AttemptTTLNS))
 	}
-	if job.Options.TotalTimeLimitNS <= 0 || job.Options.TotalTimeLimitNS > int64(time.Minute) {
+	if ms := job.TotalTimeLimitMS; ms <= 0 || ms > time.Minute.Milliseconds() {
 		t.Errorf("attempt solve budget = %v, want clamped into (0, JobTimeout]",
-			time.Duration(job.Options.TotalTimeLimitNS))
+			time.Duration(ms)*time.Millisecond)
 	}
 
 	// Worker side: a job whose attempt window closed while it queued

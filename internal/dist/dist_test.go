@@ -382,7 +382,7 @@ func TestDistributedMalformedResultFallsBackLocal(t *testing.T) {
 			changed, params := tc.changed, tc.params
 			if tc.outside {
 				q := len(log) - 1
-				for slices.Contains(job.Options.Candidates, q) {
+				for slices.Contains(job.Candidates, q) {
 					q--
 				}
 				p := log[q].Params()

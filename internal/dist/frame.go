@@ -1,4 +1,4 @@
-package qfixd
+package dist
 
 import (
 	"bytes"
@@ -9,26 +9,32 @@ import (
 	"repro/internal/core"
 )
 
-// The diagnose response is the one frame of the protocol that is big
-// (the whole repaired log as SQL, tens of kilobytes) and hot (every
-// audit gets one), so both ends handle its "log" member by hand: the
+// The diagnose response is the one frame of the wire that is big (the
+// whole repaired log as SQL) and hot (every audit gets one), so the
 // server appends the statements' text instead of reflecting over a
-// []string, the client slices them out of the line instead of
-// unquoting each into its own allocation. Everything else about the
-// frame — member order, omitempty, number formats, the stats object —
-// is still encoding/json's doing, and a statement that is not plain
-// printable ASCII goes through encoding/json too, so the frame means
-// what json.Marshal of the same Response means. Every other frame stays
-// on encoding/json entirely.
+// []string, and the client slices them out of the line instead of
+// unquoting each into an allocation of its own. Everything else about
+// the frame, and any statement that is not plain printable ASCII, is
+// encoding/json's doing: the frame means what json.Marshal of the same
+// Response means. Every other frame is encoding/json's.
 
 // frameHead opens every hand-written frame; the request's ID and then
-// an answerTail follow it.
+// an AnswerTail follow it.
 var frameHead = `{"v":` + strconv.Itoa(WireVersion) + `,"id":`
 
-// answerTail encodes a successful diagnose Response from its "id" value
+// plain marks the bytes that stand for themselves inside a JSON string
+// and are one byte of UTF-8.
+var plain = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// AnswerTail encodes a successful diagnose Response from its "id" value
 // on — `,"log":[...],"changed":...}` and the newline — which is the part
-// that does not depend on the request and is what a tenant's memo keeps.
-func answerTail(log []string, rep *core.Repair) ([]byte, error) {
+// that does not depend on the request and is what a daemon's memo keeps.
+func AnswerTail(log []string, rep *core.Repair) ([]byte, error) {
 	// The small members are rendered by encoding/json from a Response
 	// without a log, and the log spliced in where it belongs: between
 	// "id" and whatever follows.
@@ -39,7 +45,7 @@ func answerTail(log []string, rep *core.Repair) ([]byte, error) {
 	}
 	rest, ok := bytes.CutPrefix(rest, []byte(frameHead+"0"))
 	if !ok {
-		panic("qfixd: Response does not open with v and id")
+		panic("dist: Response does not open with v and id")
 	}
 	size := len(rest) + 16
 	for _, s := range log {
@@ -52,9 +58,7 @@ func answerTail(log []string, rep *core.Repair) ([]byte, error) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			if b, err = appendString(b, s); err != nil {
-				return nil, err
-			}
+			b = appendString(b, s)
 		}
 		b = append(b, ']')
 	}
@@ -62,51 +66,37 @@ func answerTail(log []string, rep *core.Repair) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// plain marks the bytes that stand for themselves inside a JSON string
-// and are one byte of UTF-8: what both ends of the frame copy without
-// looking closer.
-var plain = func() (t [256]bool) {
-	for c := 0x20; c < 0x80; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
 // appendString appends s as a JSON string. `<`, `>` and `&` stay raw:
 // the frame is SQL on a socket, not script in a page.
-func appendString(b []byte, s string) ([]byte, error) {
+func appendString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if !plain[s[i]] {
 			var buf bytes.Buffer
 			enc := json.NewEncoder(&buf)
 			enc.SetEscapeHTML(false)
-			if err := enc.Encode(s); err != nil {
-				return nil, err
-			}
-			return append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...), nil
+			_ = enc.Encode(s) // a string always encodes, and a bytes.Buffer never fails
+			return append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
 		}
 	}
 	b = append(b, '"')
 	b = append(b, s...)
-	return append(b, '"'), nil
+	return append(b, '"')
 }
 
-// decodeResponse is json.Unmarshal(line, resp) for a zero resp, with a
-// shortcut for the frame answerTail writes: `{"v":N,"id":N,"log":[` and
-// an array of strings. Plain strings are cut out of one copy of the
-// array's bytes; a string with an escape or a non-ASCII byte, and
-// whatever members follow the array, are encoding/json's. Anything that
-// is not exactly that shape — other members first, whitespace, an empty
-// or non-string array — is handed to json.Unmarshal whole, which is
-// also what reports every syntax error. line is scratch: the shortcut
-// overwrites a byte of it.
-func decodeResponse(line []byte, resp *Response) error {
-	rest, ok := scanAnswer(line, resp)
+// Decode is json.Unmarshal(line, r) for a zero r, with a shortcut for
+// the diagnose answer: `{"v":N,"id":N,"log":[` and an array of strings.
+// Plain strings are cut out of one copy of the array's bytes; a string
+// with an escape or a non-ASCII byte, and whatever members follow the
+// array, are encoding/json's. Anything not exactly that shape is handed
+// to json.Unmarshal whole, which also reports every syntax error. line
+// is scratch: the shortcut overwrites a byte of it.
+func (r *Response) Decode(line []byte) error {
+	rest, ok := scanAnswer(line, r)
 	if !ok {
-		*resp = Response{}
-		return json.Unmarshal(line, resp)
+		*r = Response{}
+		return json.Unmarshal(line, r)
 	}
-	return json.Unmarshal(rest, resp)
+	return json.Unmarshal(rest, r)
 }
 
 // scanAnswer decodes the leading `{"v":N,"id":N,"log":[...]` of line
@@ -116,19 +106,19 @@ func decodeResponse(line []byte, resp *Response) error {
 func scanAnswer(line []byte, resp *Response) (rest []byte, ok bool) {
 	p := line
 	var v uint64
-	if p, ok = cutLiteral(p, `{"v":`); !ok {
+	if p, ok = bytes.CutPrefix(p, []byte(`{"v":`)); !ok {
 		return nil, false
 	}
 	if p, v, ok = cutUint(p); !ok || v > math.MaxInt32 {
 		return nil, false
 	}
-	if p, ok = cutLiteral(p, `,"id":`); !ok {
+	if p, ok = bytes.CutPrefix(p, []byte(`,"id":`)); !ok {
 		return nil, false
 	}
 	if p, resp.ID, ok = cutUint(p); !ok {
 		return nil, false
 	}
-	if p, ok = cutLiteral(p, `,"log":[`); !ok {
+	if p, ok = bytes.CutPrefix(p, []byte(`,"log":[`)); !ok {
 		return nil, false
 	}
 	resp.Version = int(v)
@@ -193,14 +183,6 @@ func scanAnswer(line []byte, resp *Response) (rest []byte, ok bool) {
 		return after, true
 	}
 	return nil, false
-}
-
-// cutLiteral strips lit off the front of p.
-func cutLiteral(p []byte, lit string) ([]byte, bool) {
-	if len(p) < len(lit) || string(p[:len(lit)]) != lit {
-		return nil, false
-	}
-	return p[len(lit):], true
 }
 
 // cutUint strips a JSON non-negative integer (no sign, fraction,

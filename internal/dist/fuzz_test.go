@@ -9,13 +9,14 @@ import (
 )
 
 // FuzzDecodeJob feeds arbitrary bytes to the worker's side of the wire:
-// json.Unmarshal into a Job, then DecodeJob. A job that decodes must
-// then solve to a repair or fail with an error; no frame a peer sends
-// may panic the worker. The solve runs under tiny limits: what is
-// checked is that it ends cleanly, not what it finds. The seed corpus
-// holds a partition job of the loopback e2e fixture, the three
-// malformed shapes of it that once panicked a worker, and the same job
-// naming its body instead of carrying it, which DecodeJob refuses.
+// json.Unmarshal into a Job (a solve request), then DecodeJob. A job
+// that decodes must then solve to a repair or fail with an error; no
+// frame a peer sends may panic the worker. The solve runs under tiny
+// limits: what is checked is that it ends cleanly, not what it finds.
+// The seed corpus holds a partition solve of the loopback e2e fixture,
+// the three malformed shapes of it that once panicked a worker, and the
+// same solve naming its body instead of carrying it, which DecodeJob
+// refuses.
 func FuzzDecodeJob(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var job dist.Job

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
+	"repro/internal/frameconn"
 )
 
 // rawTransport speaks to a real worker over a raw socket, one dial per
@@ -151,4 +154,48 @@ func TestDistributedOldOptionMembersIgnored(t *testing.T) {
 			return withMembers(raw, "options", old)
 		},
 	})
+}
+
+// A coordinator of the retired job protocol (v5, which named its
+// generation "version") that sends a job frame is answered with one
+// error frame naming both generations, under the job's ID, which that
+// coordinator decodes as a failed result and solves locally; the
+// connection then serves a ping.
+func TestV5JobFrameAnsweredWithVersionError(t *testing.T) {
+	conn, err := net.Dial("tcp", startWorker(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	v5 := `{"version":5,"id":7,"body":1,"d0":{"name":"T","attrs":["a"],"rows":[{"ID":1,"Values":[100]}],"next_id":2},` +
+		`"log":["UPDATE T SET a = 5 WHERE a >= 200"],"complaints":[{"TupleID":1,"Exists":true,"Values":[5]}],` +
+		`"options":{"algorithm":0,"k":0,"time_limit_ns":30000000000}}` + "\n"
+	if _, err := conn.Write([]byte(v5 + `{"v":1,"id":8,"op":"ping"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r := frameconn.NewReader(conn)
+	line, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct { // the v5 coordinator's result frame
+		Version int    `json:"version"`
+		ID      uint64 `json:"id"`
+		Err     string `json:"err"`
+	}
+	if err := json.Unmarshal(line, &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.ID != 7 || old.Version == 5 || !strings.Contains(old.Err, "v5") || !strings.Contains(old.Err, "v1") {
+		t.Errorf("v5 job answered with %s, want an error under id 7 naming v5 and v1", line)
+	}
+	line, err = r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pong dist.Response
+	if err := json.Unmarshal(line, &pong); err != nil || pong.ID != 8 || pong.Err != "" {
+		t.Errorf("ping after the v5 frame answered %s (%v), want the ping's answer", line, err)
+	}
 }

@@ -129,7 +129,7 @@ func raceInstance(t *testing.T, clusters int) (*relation.Table, []query.Query, [
 func TestMuxTransportRace(t *testing.T) {
 	var id atomic.Uint64
 	d0 := &wireTable{Name: "t", Attrs: []string{"a"}}
-	send := func(mt *MuxTransport, timeout time.Duration) func() {
+	send := func(mt *Client, timeout time.Duration) func() {
 		return func() {
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
@@ -171,7 +171,7 @@ func echoWorker(t *testing.T, every int) string {
 	}
 	var reg frameconn.Registry
 	go reg.Serve(l, func(conn net.Conn) {
-		r, w := frameconn.NewReader(conn), frameconn.NewWriter(conn, true)
+		r, w := frameconn.NewReader(conn), frameconn.NewWriter(conn)
 		for range every {
 			var job Job
 			if r.Decode(&job) != nil || w.Encode(&Result{Version: WireVersion, ID: job.ID}) != nil {

@@ -1,12 +1,15 @@
 package dist
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -15,118 +18,247 @@ import (
 	"repro/internal/lru"
 )
 
-// Server is the worker side of the protocol: it accepts connections,
-// reads jobs (newline-delimited JSON), solves them on the local engine,
-// and writes results. A connection may carry any number of jobs; up to
-// MaxInflight jobs across the whole server solve concurrently and each
-// result is written the moment its solve lands — possibly out of
-// submission order: the coordinator's MuxTransport matches results to
-// jobs by ID. Each connection holds the last bodySlots bodies its jobs
-// carried, decoded once, for the jobs that name them.
+// Server is the serving end of the wire. Serve makes it a worker, which
+// answers ping and solve: up to MaxInflight solves run at once across
+// the server, each answered as it lands, and each connection holds the
+// last bodySlots bodies its solves carried, decoded once. ServeOps
+// makes it a daemon, which answers ping and its tenant ops (diagnose
+// runs concurrently, the others in the read loop) and refuses solve:
+// the daemon's own admission bounds the work it takes on.
 type Server struct {
 	// MaxTimeLimit, when positive, caps the per-solve and total time
-	// limits of incoming jobs — a fleet operator's guard against a
-	// coordinator requesting unbounded solves.
+	// limits of incoming solves.
 	MaxTimeLimit time.Duration
-	// MaxInflight bounds how many jobs solve concurrently across the
-	// whole server — one shared pool, however many connections the
-	// jobs arrive on — so the operator's bound holds however many
-	// coordinators connect.
-	// Admission stops reading a connection's further frames until a
-	// slot frees. Zero picks runtime.GOMAXPROCS; negative forces one
-	// solve at a time server-wide.
+	// MaxInflight bounds the solves running at once across the server;
+	// a connection's read loop waits for a slot. Zero picks
+	// runtime.GOMAXPROCS; negative forces one at a time.
 	MaxInflight int
-	// Logf, when set, receives one line per job and per protocol error.
+	// Logf, when set, receives one line per solve and per protocol error.
 	Logf func(format string, args ...any)
 
 	conns  frameconn.Registry
 	mu     sync.Mutex
 	sem    chan struct{}     // guarded by mu — server-wide solve slots (MaxInflight)
-	impact *core.ImpactCache // guarded by mu — one impact cache for every job the server solves
+	impact *core.ImpactCache // set with sem, never after — one impact cache for every solve
+}
+
+// Ops are a daemon's tenant operations (internal/qfixd's Service).
+// Answer returns a diagnose's answer frame from its "id" value on.
+type Ops interface {
+	Create(tenant, table, key string, attrs []string, rows [][]float64) error
+	Append(tenant string, sql []string) (int, error)
+	Complain(tenant string, complaints []core.Complaint) (int, error)
+	Checkpoint(tenant string) error
+	Stats(tenant string) (int, *TenantStats, error)
+	Answer(ctx context.Context, req *Request) ([]byte, error)
 }
 
 // Serve accepts and handles connections on l until Close or a fatal
-// listener error. It blocks; run it in a goroutine to serve in the
-// background.
-func (s *Server) Serve(l net.Listener) error { return s.conns.Serve(l, s.handle) }
+// listener error. It blocks.
+func (s *Server) Serve(l net.Listener) error { return s.ServeOps(l, nil) }
 
-// Close stops accepting and tears down in-flight connections. Jobs being
-// solved are abandoned; their coordinators observe a broken connection
-// and fall back.
+// ServeOps is Serve for a daemon: the tenant ops go to ops.
+func (s *Server) ServeOps(l net.Listener, ops Ops) error {
+	return s.conns.Serve(l, func(conn net.Conn) { s.handle(conn, ops) })
+}
+
+// StopAccepting closes the listener and leaves the connections being
+// served alone.
+func (s *Server) StopAccepting() error { return s.conns.StopAccepting() }
+
+// Close stops accepting and tears down every connection, abandoning
+// the work in flight (a coordinator falls back).
 func (s *Server) Close() error { return s.conns.Close() }
 
-// handle serves one connection: a read loop resolves each job's body
-// and admits the job into the server-wide solver pool, and results
-// stream back as they land. A line past frameconn.MaxFrame ends the
-// connection like any other bad frame; its coordinator retries the job
-// elsewhere or solves it locally.
-func (s *Server) handle(conn net.Conn) {
+// handle serves one connection: its read loop answers each frame or
+// starts the goroutine that will. A line past frameconn.MaxFrame, or
+// one that is not JSON, ends the connection, and with it the context
+// of its queued diagnoses.
+func (s *Server) handle(conn net.Conn, ops Ops) {
+	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	defer wg.Wait() // let in-flight solves write (or fail) before teardown
-	sem, impact := s.solveSem(), s.impactCache()
+	defer func() {
+		cancel()
+		wg.Wait() // work in flight writes (or fails) before teardown
+	}()
 	bodies := lru.New[uint64, *body](bodySlots)
-	r := frameconn.NewReader(conn)
-	w := frameconn.NewWriter(conn, true)
+	r, w := frameconn.NewReader(conn), frameconn.NewWriter(conn)
+	// A failed write has closed the connection, ending this loop too.
+	logFailed := func(err error) {
+		if err != nil {
+			s.logf("dist: %s: writing response: %v", conn.RemoteAddr(), err)
+		}
+	}
+	write := func(resp *Response) {
+		resp.Version = WireVersion
+		logFailed(w.Encode(resp))
+	}
 	for {
-		job := new(Job)
-		if err := r.Decode(job); err != nil {
+		req := new(Request)
+		line, err := r.Next()
+		if err == nil {
+			err = json.Unmarshal(line, req)
+		}
+		// A frame of another generation may not fit a Request; validate
+		// answers it with its version error all the same.
+		if _, ok := err.(*json.UnmarshalTypeError); ok && req.Version != WireVersion {
+			err = nil
+		}
+		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.logf("dist: %s: bad frame: %v", conn.RemoteAddr(), err)
 			}
 			return
 		}
-		// The attempt window anchors ON THIS CLOCK at the moment the
-		// frame was read, so the slot wait below counts against it
-		// without any cross-machine clock agreement; solveJob refuses
-		// the job if the window has closed by the time a slot frees.
-		// (Time a frame spent unread in the socket buffer is uncounted:
-		// the blocking read loop is deliberate backpressure, and the
-		// coordinator's write deadline bounds that side.)
-		arrival := time.Now()
-		b := resolveBody(bodies, job)
-		mWorkerQueueDepth.Add(1)
-		sem <- struct{}{} // admission: at most MaxInflight concurrent solves
-		mWorkerQueueDepth.Add(-1)
-		mWorkerJobs.Inc()
-		mWorkerInflight.Add(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer mWorkerInflight.Add(-1)
-			defer func() { <-sem }()
-			ctx := context.Background()
-			if job.AttemptTTLNS > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithDeadline(ctx,
-					arrival.Add(time.Duration(job.AttemptTTLNS)))
-				defer cancel()
-			}
-			start := time.Now()
-			s.capLimits(job)
-			res := solveJob(ctx, job, b, impact)
-			elapsed := time.Since(start)
-			mWorkerJobSeconds.Observe(elapsed.Seconds())
-			s.logf("dist: job %d from %s: complaints=%d resolved=%v err=%q %s (%v)",
-				job.ID, conn.RemoteAddr(), len(job.Complaints), res.Resolved,
-				res.Err, res.Stats.Brief(), elapsed.Round(time.Millisecond))
-			// A failed write has closed the connection: the coordinator
-			// retries now instead of waiting out its attempt timeout.
-			if err := w.Encode(res); err != nil {
-				s.logf("dist: %s: writing result %d: %v", conn.RemoteAddr(), job.ID, err)
-			}
-		}()
+		if err := req.validate(line); err != nil {
+			write(&Response{ID: req.ID, Err: err.Error()})
+			continue
+		}
+		switch {
+		case req.Op == opSolve && ops == nil:
+			s.solve(req, resolveBody(bodies, req), conn.RemoteAddr(), &wg, write)
+		case req.Op == opPing:
+			write(&Response{ID: req.ID})
+		case ops != nil && req.Op == opDiagnose:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tail, err := ops.Answer(ctx, req)
+				if err != nil {
+					write(&Response{ID: req.ID, Err: err.Error(), Busy: errors.Is(err, ErrBusy)})
+					return
+				}
+				// The answer is already encoded (a memo hit shares it): only
+				// the ID in front is this request's.
+				logFailed(w.Write(strconv.AppendUint([]byte(frameHead), req.ID, 10), tail))
+			}()
+		default:
+			write(inline(ops, req))
+		}
 	}
 }
 
-// resolveBody applies one frame to its connection's body table and
-// returns the job's body. It runs for every frame in read order,
-// before admission and before any refusal, because the coordinator
-// moves its copy of the table the same way in write order: a carried
-// body takes a slot (even one that fails to decode, so the next job
-// naming it gets the same error), and a named one is marked used. A
-// frame naming a body the connection does not hold gets an error body;
-// its coordinator retries the job elsewhere.
-func resolveBody(bodies *lru.Map[uint64, *body], job *Job) *body {
+// inline answers a daemon's cheap ops directly in the read loop.
+func inline(ops Ops, req *Request) *Response {
+	resp := &Response{ID: req.ID}
+	err := fmt.Errorf("qfixd: unknown op %q", req.Op)
+	switch {
+	case ops == nil:
+	case req.Op == opCreate:
+		err = ops.Create(req.Tenant, req.Table, req.Key, req.Attrs, req.Rows)
+	case req.Op == opAppend:
+		resp.N, err = ops.Append(req.Tenant, req.SQL)
+	case req.Op == opComplain:
+		resp.N, err = ops.Complain(req.Tenant, req.Complaints)
+	case req.Op == opCheckpoint:
+		err = ops.Checkpoint(req.Tenant)
+	case req.Op == opStats:
+		resp.Tenants, resp.Tenant, err = ops.Stats(req.Tenant)
+	}
+	if err != nil {
+		resp.Err = err.Error()
+	}
+	return resp
+}
+
+// solve admits one solve into the server-wide pool, blocking the read
+// loop until a slot frees, and answers it from a goroutine of its own.
+func (s *Server) solve(job *Request, b *body, from net.Addr, wg *sync.WaitGroup, write func(*Response)) {
+	// The attempt window anchors on this clock at the frame's arrival,
+	// so the slot wait counts against it.
+	arrival := time.Now()
+	sem := s.solveSem()
+	mWorkerQueueDepth.Add(1)
+	sem <- struct{}{}
+	mWorkerQueueDepth.Add(-1)
+	mWorkerJobs.Inc()
+	mWorkerInflight.Add(1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer mWorkerInflight.Add(-1)
+		defer func() { <-sem }()
+		ctx := context.Background()
+		if job.AttemptTTLNS > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, arrival.Add(time.Duration(job.AttemptTTLNS)))
+			defer cancel()
+		}
+		start := time.Now()
+		s.capLimits(job)
+		res := solveJob(ctx, job, b, s.impact)
+		elapsed := time.Since(start)
+		mWorkerJobSeconds.Observe(elapsed.Seconds())
+		var st core.Stats
+		if res.Stats != nil {
+			st = *res.Stats
+		}
+		s.logf("dist: job %d from %s: complaints=%d resolved=%v err=%q %s (%v)",
+			job.ID, from, len(job.Complaints), res.Resolved, res.Err, st.Brief(), elapsed.Round(time.Millisecond))
+		write(res)
+	}()
+}
+
+// clampBudget bounds the solve's total budget by the context deadline
+// (the job's attempt TTL, anchored at frame arrival), however long the
+// job queued first. false means the attempt is already dead and must be
+// refused without solving.
+func clampBudget(ctx context.Context, o *core.Options) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return true
+	}
+	remain := time.Until(dl)
+	if remain <= 0 {
+		return false
+	}
+	if o.TotalTimeLimit <= 0 || o.TotalTimeLimit > remain {
+		o.TotalTimeLimit = remain
+	}
+	return true
+}
+
+// solveJob answers one solve (for the server, and for the tests'
+// in-process transport): it refuses other versions, bodies that failed
+// to decode and dead attempts, and solves the rest on the local engine
+// bounded by ctx. b is the job's body, carried or held by its
+// connection; a job that named a held body reports it through
+// Stats.WorkerCacheHits. impact, when non-nil, is the server's impact
+// cache: jobs over one body hand the engine the same statements, so all
+// but the first skip planning's FullImpact pass.
+func solveJob(ctx context.Context, job *Request, b *body, impact *core.ImpactCache) *Response {
+	fail := func(err error) *Response { return &Response{Version: WireVersion, ID: job.ID, Err: err.Error()} }
+	if err := job.validate(nil); err != nil {
+		return fail(err)
+	}
+	if b.err != nil {
+		return fail(b.err)
+	}
+	sub := b.subproblem(job)
+	sub.Options.ImpactCache = impact
+	if !clampBudget(ctx, &sub.Options) {
+		return fail(cmp.Or(ctx.Err(), context.DeadlineExceeded))
+	}
+	rep, err := sub.SolveLocal()
+	if err == nil && job.D0 == nil {
+		rep.Stats.WorkerCacheHits = 1
+	}
+	res, encErr := EncodeResult(job.ID, rep, err)
+	if encErr != nil {
+		return fail(encErr)
+	}
+	return res
+}
+
+// resolveBody applies one solve frame to its connection's body table
+// and returns the solve's body. It runs for every solve in read order,
+// before admission, as the client moves its copy in write order: a
+// carried body takes a slot (even one that fails to decode), a named one
+// is marked used, and one the connection does not hold is an error.
+func resolveBody(bodies *lru.Map[uint64, *body], job *Request) *body {
 	if job.D0 != nil {
 		mWorkerCacheMisses.Inc()
 		b := decodeBody(job)
@@ -141,8 +273,8 @@ func resolveBody(bodies *lru.Map[uint64, *body], job *Job) *body {
 		job.ID, job.Body)}
 }
 
-// solveSem lazily builds the server-wide solver-slot semaphore sized
-// per MaxInflight.
+// solveSem lazily builds the server-wide solve-slot semaphore sized
+// per MaxInflight, and with it the server's impact cache.
 func (s *Server) solveSem() chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,35 +286,28 @@ func (s *Server) solveSem() chan struct{} {
 		case n == 0:
 			n = runtime.GOMAXPROCS(0)
 		}
-		s.sem = make(chan struct{}, n)
+		s.sem, s.impact = make(chan struct{}, n), core.NewImpactCache(0)
 	}
 	return s.sem
 }
 
-// impactCache lazily builds the server's impact cache.
-func (s *Server) impactCache() *core.ImpactCache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.impact == nil {
-		s.impact = core.NewImpactCache(0)
+// capLimits clamps the solve's budgets to MaxTimeLimit and its solver
+// parallelism to this machine's width (a repair is the same at any).
+func (s *Server) capLimits(job *Request) {
+	if job.Options == nil {
+		job.Options = new(DiagnoseOptions)
 	}
-	return s.impact
-}
-
-// capLimits clamps the job's solver budgets to the server's policy and
-// its solver parallelism to this machine's width: a repair is the same
-// at any width, and a job asking for 1<<20 LP workers would get them.
-func (s *Server) capLimits(job *Job) {
-	job.Options.SolverParallel = min(job.Options.SolverParallel, runtime.GOMAXPROCS(0))
+	o := job.Options
+	o.SolverParallel = min(o.SolverParallel, runtime.GOMAXPROCS(0))
 	if s.MaxTimeLimit <= 0 {
 		return
 	}
-	max := int64(s.MaxTimeLimit)
-	if job.Options.TimeLimitNS <= 0 || job.Options.TimeLimitNS > max {
-		job.Options.TimeLimitNS = max
+	limit := ceilMS(s.MaxTimeLimit)
+	if o.TimeLimitMS <= 0 || o.TimeLimitMS > limit {
+		o.TimeLimitMS = limit
 	}
-	if job.Options.TotalTimeLimitNS <= 0 || job.Options.TotalTimeLimitNS > max {
-		job.Options.TotalTimeLimitNS = max
+	if job.TotalTimeLimitMS <= 0 || job.TotalTimeLimitMS > limit {
+		job.TotalTimeLimitMS = limit
 	}
 }
 

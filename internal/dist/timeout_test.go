@@ -21,30 +21,30 @@ func TestAttemptTimeoutSharesBudget(t *testing.T) {
 	}{
 		// Budget below the default JobTimeout: the share, not the whole
 		// remain, bounds the attempt (the old bug gave it remain+slack).
-		{"small budget two attempts", DefaultJobTimeout, 60 * time.Second, 2,
+		{"small budget two attempts", defaultJobTimeout, 60 * time.Second, 2,
 			20*time.Second + transportSlack},
-		{"small budget last attempt", DefaultJobTimeout, 40 * time.Second, 1,
+		{"small budget last attempt", defaultJobTimeout, 40 * time.Second, 1,
 			20*time.Second + transportSlack},
 		// Large budget: JobTimeout caps the attempt.
-		{"large budget", DefaultJobTimeout, 60 * m, 2, DefaultJobTimeout},
+		{"large budget", defaultJobTimeout, 60 * m, 2, defaultJobTimeout},
 		{"explicit job timeout", 10 * time.Second, 5 * m, 2, 10 * time.Second},
 		// Nearly spent budget: never wait longer than what is left plus
 		// wire slack (the slack floor; proportionality is best-effort).
-		{"spent budget", DefaultJobTimeout, time.Second, 1,
+		{"spent budget", defaultJobTimeout, time.Second, 1,
 			time.Second/2 + transportSlack},
 		// Degenerate budgets within a few transportSlacks: the slack
 		// floor dominates the share, but the attempt still never gets
 		// more than remain+slack.
-		{"degenerate one-slack budget", DefaultJobTimeout, transportSlack, 2,
+		{"degenerate one-slack budget", defaultJobTimeout, transportSlack, 2,
 			transportSlack/3 + transportSlack},
-		{"degenerate two-slack budget last attempt", DefaultJobTimeout, 2 * transportSlack, 1,
+		{"degenerate two-slack budget last attempt", defaultJobTimeout, 2 * transportSlack, 1,
 			transportSlack + transportSlack},
-		{"degenerate three-slack budget", DefaultJobTimeout, 3 * transportSlack, 2,
+		{"degenerate three-slack budget", defaultJobTimeout, 3 * transportSlack, 2,
 			transportSlack + transportSlack},
 		// attemptsLeft=0 cannot come from dispatch; the guard treats it
 		// as 1 so the fallback reserve survives instead of the share
 		// collapsing to the whole remaining budget.
-		{"attemptsLeft=0 guarded", DefaultJobTimeout, 40 * time.Second, 0,
+		{"attemptsLeft=0 guarded", defaultJobTimeout, 40 * time.Second, 0,
 			20*time.Second + transportSlack},
 	}
 	for _, c := range cases {
@@ -66,7 +66,7 @@ func TestAttemptTimeoutSharesBudget(t *testing.T) {
 	remain := 60 * time.Second
 	var spent time.Duration
 	for left := 2; left >= 1; left-- {
-		w := attemptTimeout(DefaultJobTimeout, remain-spent, left)
+		w := attemptTimeout(defaultJobTimeout, remain-spent, left)
 		spent += w
 	}
 	if reserve := remain - spent; reserve <= 0 {

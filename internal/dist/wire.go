@@ -1,36 +1,32 @@
-// Package dist distributes partition-parallel diagnosis across
-// processes. The engine in internal/core already decomposes a diagnosis
-// into independent partition subproblems; here a Coordinator runs
-// planning locally, serializes each partition as a self-contained Job
-// (initial state, the log as SQL text, complaint subset, pinned
-// sub-Options), and dispatches jobs to workers over a versioned wire
-// protocol. Results merge through the engine's conflict-detection and
-// joint-fallback path, so the final repair is always replay-verified,
-// and any job whose worker dies or times out mid-solve falls back to the
-// local engine — distribution never loses an instance local diagnosis
-// can solve.
+// Package dist owns the repository's one wire and distributes
+// partition-parallel diagnosis over it.
 //
-// The fleet's one network transport is MuxTransport: one persistent
-// connection per worker carrying many concurrent jobs, results
-// demultiplexed by job ID as they stream back. While a worker's link is
-// down or backing off, a job's attempt on it fails at once and the
-// coordinator moves on to the next worker, then the local engine.
-// InProc implements Transport without a network, a harness for the
-// codec round trip. MuxTransport and the worker's Server frame
-// newline-delimited JSON through internal/frameconn: one accept loop,
-// one 64 MiB cap on every frame read, one bounded frame write.
+// The wire is newline-delimited JSON over TCP (internal/frameconn): one
+// Request per line from a Client, one Response per line back, matched
+// by ID and possibly out of order. A worker's Server answers ping and
+// solve; a qfixd daemon's (internal/qfixd) answers ping and its
+// tenants' ops (Ops) and refuses solve.
 //
-// Every partition job of a diagnosis shares one body, its D0 and log.
-// Both ends of a connection keep an equal table of the last bodySlots
-// bodies it carried, updated in frame order, so a job carries its body
-// only to a connection that does not hold it yet and otherwise names
-// it by ID. A result carries only the repaired parameters of the
-// statements it changed; the coordinator rebuilds the repair onto its
-// own copy of the log.
+// A solve is one partition subproblem. A Coordinator plans locally,
+// ships each partition as a solve (complaints and pinned options over a
+// body: D0 and the log as SQL text) and merges the answers through the
+// engine's conflict-detection and joint-fallback path, so the repair is
+// always replay-verified. A job whose worker dies, times out or answers
+// something that is not a repair of it solves on the local engine.
+//
+// A body is a small, unnamed, in-memory tenant of its connection: both
+// ends keep an equal table of the last bodySlots bodies the connection
+// carried, updated in frame order, so a solve carries its body only to
+// a connection that does not hold it yet and otherwise names it by ID.
+// An answer carries only the parameters of the statements it changed.
 package dist
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -41,110 +37,229 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// WireVersion is the protocol generation this binary speaks: a
-// connection may carry any number of concurrent in-flight jobs, the
-// worker streams each result frame as its solve lands — possibly out of
-// submission order, matched to its job by ID — and a job names its body
-// instead of carrying it when its connection already holds it. Both
-// sides reject frames of any other version (the coordinator then solves
-// the job locally), so bump it on any incompatible change to the frame
-// types below.
-const WireVersion = 5
+// WireVersion is the protocol generation this binary speaks; frames of
+// any other version are answered with an error naming both.
+const WireVersion = 1
 
-// bodySlots is how many bodies each end of a connection holds. It is a
-// protocol constant, not a setting: the coordinator decides which jobs
-// carry their body by mirroring the worker's table, so both ends must
-// evict alike.
+// Ops.
+const (
+	opPing       = "ping"
+	opCreate     = "create"
+	opAppend     = "append"
+	opComplain   = "complain"
+	opDiagnose   = "diagnose"
+	opCheckpoint = "checkpoint"
+	opStats      = "stats"
+	opSolve      = "solve"
+)
+
+// ErrBusy is the daemon's backpressure: the tenant already has its full
+// queue of diagnoses waiting. It is retryable (Response.Busy).
+var ErrBusy = errors.New("qfixd: tenant queue full")
+
+// bodySlots is how many bodies each end of a connection holds: a
+// protocol constant, since both ends must evict alike.
 const bodySlots = 8
 
-// bodyIDs mints body IDs. IDs are unique in the process, so no two
-// bodies share one on any connection, whichever coordinators share a
-// transport.
+// bodyIDs mints body IDs, unique in the process.
 var bodyIDs atomic.Uint64
 
-// Job is one partition subproblem on the wire. It is self-contained once
-// its body is resolved: the worker needs nothing but the job and the
-// body its connection holds under Body to solve it.
-//
-// D0 and Log are the body. They are present only when the receiving
-// connection does not hold body Body yet; a frame carries its body iff
-// it has D0. The in-process transport always carries it.
-// Log is SQL text, one statement per entry as query.Query.String prints
-// it over D0's schema; the worker parses it back with internal/sqlparse,
-// the one statement format of the CLI log, histstore and qfixd. A schema
-// whose names that text cannot carry is not encoded (EncodeJob).
-type Job struct {
-	Version int    `json:"version"`
+// Request is one client frame.
+type Request struct {
+	Version int    `json:"v"`
 	ID      uint64 `json:"id"`
-	Body    uint64 `json:"body,omitempty"`
-	// AttemptTTLNS, when nonzero, is the dispatching attempt's total
-	// window (nanoseconds, relative — deliberately not an absolute
-	// timestamp, so no cross-machine clock agreement is needed). The
-	// server anchors it, on its own clock, at the moment the frame is
-	// read off the connection: a job that then waits for a MaxInflight
-	// slot past its window — its coordinator long gone — is refused
-	// instead of solved as dead work, and a live one has its solve
-	// budget clamped to what is left. Time spent BEFORE the read (in
-	// socket buffers while the saturated worker isn't reading) is
-	// uncounted by design — the blocking read loop is the backpressure
-	// that keeps unread frames on the coordinator's side, bounded by
-	// its write deadline. Advisory: correctness never depends on it.
-	AttemptTTLNS int64            `json:"attempt_ttl_ns,omitempty"`
-	D0           *wireTable       `json:"d0,omitempty"`
-	Log          []string         `json:"log,omitempty"`
-	Complaints   []core.Complaint `json:"complaints"`
-	Options      wireOptions      `json:"options"`
+	Op      string `json:"op"`
+	// Tenant names the histstore a daemon op targets (a tenant-less
+	// stats request stats the service).
+	Tenant string `json:"tenant,omitempty"`
+
+	// create: schema and initial rows of the new tenant's checkpoint.
+	Table string      `json:"table,omitempty"`
+	Key   string      `json:"key,omitempty"`
+	Attrs []string    `json:"attrs,omitempty"`
+	Rows  [][]float64 `json:"rows,omitempty"`
+
+	// append: SQL statements to append to the tenant's log, in order.
+	SQL []string `json:"sql,omitempty"`
+
+	// complain (staged), diagnose (inline, after the staged) and solve.
+	Complaints []core.Complaint `json:"complaints,omitempty"`
+
+	// diagnose and solve: engine options; nil on a diagnose means the
+	// CLI defaults.
+	Options *DiagnoseOptions `json:"options,omitempty"`
+
+	// solve: Body names the body; D0 and Log carry it when the
+	// connection does not hold it yet (a frame carries its body iff it
+	// has D0). Log is one statement per entry as query.Query.String
+	// prints it over D0's schema. Candidates pins the repair candidates.
+	Body       uint64     `json:"body,omitempty"`
+	D0         *wireTable `json:"d0,omitempty"`
+	Log        []string   `json:"log,omitempty"`
+	Candidates []int      `json:"candidates,omitempty"`
+	// The subproblem's engine limits that a diagnose has no say over.
+	TotalTimeLimitMS int64 `json:"total_time_limit_ms,omitempty"`
+	MaxNodes         int   `json:"max_nodes,omitempty"`
+	SingleCorruption bool  `json:"single_corruption,omitempty"`
+	SkipRefine       bool  `json:"skip_refine,omitempty"`
+	// AttemptTTLNS, when nonzero, is the dispatching attempt's window
+	// (relative nanoseconds, so no clock agreement is needed), anchored
+	// on the server's clock when it reads the frame: a solve that waits
+	// for a slot past it is refused, a live one has its budget clamped
+	// to what is left. Advisory: correctness never depends on it.
+	AttemptTTLNS int64 `json:"attempt_ttl_ns,omitempty"`
 }
 
-// Result is a worker's answer. Err carries solver-level failures
-// (malformed job, unknown body, version mismatch); transport-level
-// failures surface as Go errors from Transport.Do. Params holds, for
-// each Changed statement in order, its repaired parameters (query
-// canonical order); every other statement of the repair is the job's
-// own.
-type Result struct {
-	Version  int         `json:"version"`
-	ID       uint64      `json:"id"`
-	Err      string      `json:"err,omitempty"`
+// Response is one server frame, answering the Request with the same ID.
+type Response struct {
+	Version int    `json:"v"`
+	ID      uint64 `json:"id"`
+	// Err carries the failure; empty means success.
+	Err string `json:"err,omitempty"`
+	// Busy marks an Err as backpressure (ErrBusy): retryable.
+	Busy bool `json:"busy,omitempty"`
+
+	// append/complain: statements appended / complaints now staged.
+	N int `json:"n,omitempty"`
+
+	// diagnose: the repair, Log the whole repaired history as the qfix
+	// CLI prints it (the byte-identity surface). A solve answers
+	// Changed, Distance, Resolved and Stats too.
+	Log      []string    `json:"log,omitempty"`
 	Changed  []int       `json:"changed,omitempty"`
-	Params   [][]float64 `json:"params,omitempty"`
-	Distance float64     `json:"distance"`
-	Resolved bool        `json:"resolved"`
-	Stats    core.Stats  `json:"stats"`
+	Distance float64     `json:"distance,omitempty"`
+	Resolved bool        `json:"resolved,omitempty"`
+	Stats    *core.Stats `json:"stats,omitempty"`
+
+	// stats.
+	Tenants int          `json:"tenants,omitempty"`
+	Tenant  *TenantStats `json:"tenant,omitempty"`
+
+	// solve: each Changed statement's repaired parameters, in order;
+	// every other statement of the repair is the solve's own.
+	Params [][]float64 `json:"params,omitempty"`
 }
 
-// wireTable serializes a relation.Table, preserving tuple identities and
-// the ID counter so replay on the worker allocates identical IDs.
+// TenantStats is the stats op's answer for one tenant.
+type TenantStats struct {
+	LogLen int `json:"log_len"`
+	Staged int `json:"staged"`
+}
+
+// Job and Result: kept for benchmark/; ROADMAP 2(d) deletes.
+type (
+	Job    = Request
+	Result = Response
+)
+
+// DiagnoseOptions is the wire subset of core.Options a diagnose may
+// set. The zero value resolves (Resolve) to the qfix CLI's defaults
+// (incremental, K=1, tuple and query slicing on, 60s per-solve limit).
+// Process-local machinery (pool, partition solver, caches, trace) is
+// the server's to wire.
+type DiagnoseOptions struct {
+	Algorithm      string `json:"algorithm,omitempty"` // "incremental" (default) | "basic"
+	K              int    `json:"k,omitempty"`
+	Partition      int    `json:"partition,omitempty"`
+	SolverParallel int    `json:"solver_parallel,omitempty"`
+	NoTupleSlicing bool   `json:"no_tuple_slicing,omitempty"`
+	NoQuerySlicing bool   `json:"no_query_slicing,omitempty"`
+	AttrSlicing    bool   `json:"attr_slicing,omitempty"`
+	TimeLimitMS    int64  `json:"time_limit_ms,omitempty"`
+}
+
+// Resolve maps the options onto core.Options with CLI-identical
+// defaults (a nil receiver is all defaults), widths clamped to this
+// machine's: a repair is the same at any width.
+func (o *DiagnoseOptions) Resolve() core.Options {
+	opt := o.engine()
+	if o == nil || o.Algorithm == "" {
+		opt.Algorithm = core.Incremental
+	}
+	opt.K = max(opt.K, 1)
+	if opt.TimeLimit <= 0 {
+		opt.TimeLimit = 60 * time.Second
+	}
+	width := runtime.GOMAXPROCS(0)
+	opt.Partition = min(opt.Partition, width)
+	opt.SolverParallel = min(opt.SolverParallel, width)
+	return opt
+}
+
+// engine maps the options onto core.Options member for member, as a
+// solve needs them: its subproblem's own.
+func (o *DiagnoseOptions) engine() core.Options {
+	if o == nil {
+		o = new(DiagnoseOptions)
+	}
+	opt := core.Options{K: o.K, Partition: o.Partition, SolverParallel: o.SolverParallel,
+		TupleSlicing: !o.NoTupleSlicing, QuerySlicing: !o.NoQuerySlicing, AttrSlicing: o.AttrSlicing,
+		TimeLimit: time.Duration(o.TimeLimitMS) * time.Millisecond}
+	if o.Algorithm == core.Incremental.String() {
+		opt.Algorithm = core.Incremental
+	}
+	return opt
+}
+
+// ceilMS is d in milliseconds, rounded up.
+func ceilMS(d time.Duration) int64 { return int64((d + time.Millisecond - 1) / time.Millisecond) }
+
+// validate rejects frames this generation cannot serve. line, when
+// given, is the frame: an old job-protocol peer named its generation
+// "version", and the error names it.
+func (r *Request) validate(line []byte) error {
+	if r.Version != WireVersion {
+		v := r.Version
+		var old struct {
+			V int `json:"version"`
+		}
+		if v == 0 && json.Unmarshal(line, &old) == nil {
+			v = old.V
+		}
+		return fmt.Errorf("qfixd: protocol v%d not supported (this daemon speaks v%d)", v, WireVersion)
+	}
+	if r.TotalTimeLimitMS > math.MaxInt64/int64(time.Millisecond) { // as time_limit_ms below
+		return fmt.Errorf("qfixd: total_time_limit_ms %d out of range", r.TotalTimeLimitMS)
+	}
+	o := r.Options
+	if o == nil {
+		return nil
+	}
+	if o.Algorithm != "" && o.Algorithm != "basic" && o.Algorithm != "incremental" {
+		return fmt.Errorf("qfixd: unknown algorithm %q", o.Algorithm)
+	}
+	// engine multiplies by time.Millisecond; a larger value would wrap
+	// to a tiny or zero limit.
+	const limit = math.MaxInt64 / int64(time.Millisecond)
+	if o.TimeLimitMS > limit {
+		return fmt.Errorf("qfixd: time_limit_ms %d out of range", o.TimeLimitMS)
+	}
+	return nil
+}
+
+// wireTable is a relation.Table with its tuple IDs and ID counter, so
+// replay on the worker allocates identical IDs.
 type wireTable struct {
-	Name   string           `json:"name"`
-	Attrs  []string         `json:"attrs"`
+	Name   string           `json:"name,omitempty"`
+	Attrs  []string         `json:"attrs,omitempty"`
 	Key    string           `json:"key,omitempty"`
-	Rows   []relation.Tuple `json:"rows"`
-	NextID int64            `json:"next_id"`
+	Rows   []relation.Tuple `json:"rows,omitempty"`
+	NextID int64            `json:"next_id,omitempty"`
 }
 
-func encodeTable(tb *relation.Table) wireTable {
+func encodeTable(tb *relation.Table) *wireTable {
 	s := tb.Schema()
 	key := ""
 	if s.Key() >= 0 {
 		key = s.Attr(s.Key())
 	}
-	w := wireTable{Name: s.Name(), Attrs: s.Attrs(), Key: key, NextID: tb.NextID()}
+	w := &wireTable{Name: s.Name(), Attrs: s.Attrs(), Key: key, NextID: tb.NextID()}
 	tb.Rows(func(t relation.Tuple) { w.Rows = append(w.Rows, t.Clone()) })
 	return w
 }
 
-func decodeTable(w wireTable) (*relation.Table, error) {
-	s, err := relation.NewSchema(w.Name, w.Attrs, w.Key)
-	if err != nil {
-		return nil, err
-	}
-	return relation.NewTableFromRows(s, w.Rows, w.NextID)
-}
-
 // encodeLog prints each statement as the SQL the worker parses back
-// against the body's table (decodeBody). It refuses a schema whose
-// names would not read back as the same names.
+// (decodeBody), refusing a schema whose names would not read back.
 func encodeLog(log []query.Query, sch *relation.Schema) ([]string, error) {
 	if err := sqlparse.CheckSchema(sch); err != nil {
 		return nil, err
@@ -156,89 +271,36 @@ func encodeLog(log []query.Query, sch *relation.Schema) ([]string, error) {
 	return out, nil
 }
 
-// wireOptions is the serializable subset of core.Options: everything a
-// worker needs to reproduce the sub-diagnosis, excluding process-local
-// concerns (pool sizes, solver hooks, worker lists — the worker always
-// solves its job jointly, single-threaded).
-type wireOptions struct {
-	Algorithm        int   `json:"algorithm"`
-	K                int   `json:"k"`
-	TupleSlicing     bool  `json:"tuple_slicing"`
-	QuerySlicing     bool  `json:"query_slicing"`
-	AttrSlicing      bool  `json:"attr_slicing"`
-	SingleCorruption bool  `json:"single_corruption"`
-	SkipRefine       bool  `json:"skip_refine"`
-	Candidates       []int `json:"candidates,omitempty"`
-	TimeLimitNS      int64 `json:"time_limit_ns"`
-	TotalTimeLimitNS int64 `json:"total_time_limit_ns"`
-	MaxNodes         int   `json:"max_nodes"`
-	// SolverParallel configures the worker's MILP solver to match the
-	// coordinator's. -1 means one LP worker per worker-side CPU; repairs
-	// are byte-identical at any setting, so coordinators and workers may
-	// disagree on parallelism without disagreeing on output.
-	SolverParallel int `json:"solver_parallel,omitempty"`
-}
-
-func encodeOptions(o core.Options) wireOptions {
-	return wireOptions{
-		Algorithm:        int(o.Algorithm),
-		K:                o.K,
-		TupleSlicing:     o.TupleSlicing,
-		QuerySlicing:     o.QuerySlicing,
-		AttrSlicing:      o.AttrSlicing,
-		SingleCorruption: o.SingleCorruption,
-		SkipRefine:       o.SkipRefine,
-		Candidates:       append([]int(nil), o.Candidates...),
-		TimeLimitNS:      int64(o.TimeLimit),
-		TotalTimeLimitNS: int64(o.TotalTimeLimit),
-		MaxNodes:         o.MaxNodes,
-		SolverParallel:   o.SolverParallel,
-	}
-}
-
-func decodeOptions(w wireOptions) core.Options {
-	return core.Options{
-		Algorithm:        core.Algorithm(w.Algorithm),
-		K:                w.K,
-		TupleSlicing:     w.TupleSlicing,
-		QuerySlicing:     w.QuerySlicing,
-		AttrSlicing:      w.AttrSlicing,
-		SingleCorruption: w.SingleCorruption,
-		SkipRefine:       w.SkipRefine,
-		Candidates:       append([]int(nil), w.Candidates...),
-		TimeLimit:        time.Duration(w.TimeLimitNS),
-		TotalTimeLimit:   time.Duration(w.TotalTimeLimitNS),
-		MaxNodes:         w.MaxNodes,
-		SolverParallel:   w.SolverParallel,
-	}
-}
-
-// EncodeJob packages a partition subproblem for the wire, carrying its
+// EncodeJob packages a partition subproblem as a solve, carrying its
 // body under a freshly minted ID. It fails when D0's schema has a name
 // the log's SQL text cannot carry (sqlparse.CheckSchema).
-func EncodeJob(id uint64, sub core.Subproblem) (*Job, error) {
+func EncodeJob(id uint64, sub core.Subproblem) (*Request, error) {
 	log, err := encodeLog(sub.Log, sub.D0.Schema())
 	if err != nil {
 		return nil, err
 	}
-	d0 := encodeTable(sub.D0)
-	return &Job{
-		Version:    WireVersion,
-		ID:         id,
-		Body:       bodyIDs.Add(1),
-		D0:         &d0,
-		Log:        log,
-		Complaints: sub.Complaints,
-		Options:    encodeOptions(sub.Options),
-	}, nil
+	return newSolve(id, bodyIDs.Add(1), encodeTable(sub.D0), log, sub), nil
 }
 
-// DecodeJob reconstructs the subproblem of a job that carries its body,
-// rejecting any protocol version but WireVersion and any statement that
-// does not parse against the table's schema, such as one naming an
-// attribute the table does not have.
-func DecodeJob(j *Job) (core.Subproblem, error) {
-	if err := checkVersion("job", j.Version); err != nil {
+// newSolve is the solve of sub over the encoded body, with every
+// option but Partition (a solve is solved jointly). Time limits round
+// up to whole milliseconds, so no budget becomes "none".
+func newSolve(id, body uint64, d0 *wireTable, log []string, sub core.Subproblem) *Request {
+	o := sub.Options
+	return &Request{Version: WireVersion, ID: id, Op: opSolve, Complaints: sub.Complaints,
+		Options: &DiagnoseOptions{Algorithm: o.Algorithm.String(), K: o.K, SolverParallel: o.SolverParallel,
+			NoTupleSlicing: !o.TupleSlicing, NoQuerySlicing: !o.QuerySlicing, AttrSlicing: o.AttrSlicing,
+			TimeLimitMS: ceilMS(o.TimeLimit)},
+		TotalTimeLimitMS: ceilMS(o.TotalTimeLimit), MaxNodes: o.MaxNodes,
+		SingleCorruption: o.SingleCorruption, SkipRefine: o.SkipRefine,
+		Body: body, D0: d0, Log: log, Candidates: o.Candidates}
+}
+
+// DecodeJob reconstructs the subproblem of a solve that carries its
+// body, rejecting another version and any statement that does not parse
+// against the table's schema.
+func DecodeJob(j *Request) (core.Subproblem, error) {
+	if err := j.validate(nil); err != nil {
 		return core.Subproblem{}, err
 	}
 	b := decodeBody(j)
@@ -248,57 +310,51 @@ func DecodeJob(j *Job) (core.Subproblem, error) {
 	return b.subproblem(j), nil
 }
 
-// checkVersion rejects a frame of any protocol version but WireVersion.
-func checkVersion(frame string, v int) error {
-	if v != WireVersion {
-		return fmt.Errorf("dist: protocol version mismatch: %s v%d, this side speaks v%d",
-			frame, v, WireVersion)
-	}
-	return nil
-}
-
-// body is a decoded D0 and log, shared read-only by every job that
-// names it: the engine replays onto clones and repairs onto cloned
-// logs. err records a carried body that failed to decode; the jobs that
-// name it are answered with it.
+// body is a decoded D0 and log, shared read-only by every solve that
+// names it. err records a carried body that failed to decode; the
+// solves that name it are answered with it.
 type body struct {
 	d0  *relation.Table
 	log []query.Query
 	err error
 }
 
-// decodeBody decodes the body a job carries.
-func decodeBody(j *Job) *body {
+// decodeBody decodes the body a solve carries.
+func decodeBody(j *Request) *body {
 	if j.D0 == nil {
 		return &body{err: fmt.Errorf("dist: job %d carries no body", j.ID)}
 	}
-	d0, err := decodeTable(*j.D0)
+	s, err := relation.NewSchema(j.D0.Name, j.D0.Attrs, j.D0.Key)
+	if err != nil {
+		return &body{err: err}
+	}
+	d0, err := relation.NewTableFromRows(s, j.D0.Rows, j.D0.NextID)
 	if err != nil {
 		return &body{err: err}
 	}
 	log := make([]query.Query, len(j.Log))
 	for i, stmt := range j.Log {
-		if log[i], err = sqlparse.Parse(d0.Schema(), stmt); err != nil {
+		if log[i], err = sqlparse.Parse(s, stmt); err != nil {
 			return &body{err: fmt.Errorf("query %d: %w", i, err)}
 		}
 	}
 	return &body{d0: d0, log: log}
 }
 
-// subproblem is job j over this body.
-func (b *body) subproblem(j *Job) core.Subproblem {
-	return core.Subproblem{
-		D0:         b.d0,
-		Log:        b.log,
-		Complaints: j.Complaints,
-		Options:    decodeOptions(j.Options),
-	}
+// subproblem is solve j over this body, solved jointly whatever
+// partition width the frame names.
+func (b *body) subproblem(j *Request) core.Subproblem {
+	opt := j.Options.engine()
+	opt.Partition, opt.Candidates = 0, slices.Clone(j.Candidates)
+	opt.TotalTimeLimit = time.Duration(j.TotalTimeLimitMS) * time.Millisecond
+	opt.MaxNodes, opt.SingleCorruption, opt.SkipRefine = j.MaxNodes, j.SingleCorruption, j.SkipRefine
+	return core.Subproblem{D0: b.d0, Log: b.log, Complaints: j.Complaints, Options: opt}
 }
 
-// EncodeResult packages a solved repair (or a solver error) for the
-// wire: the parameters of each changed statement, not the log.
-func EncodeResult(id uint64, rep *core.Repair, solveErr error) (*Result, error) {
-	res := &Result{Version: WireVersion, ID: id}
+// EncodeResult packages a solved repair (or a solver error) as a
+// solve's answer: the parameters of each changed statement, not the log.
+func EncodeResult(id uint64, rep *core.Repair, solveErr error) (*Response, error) {
+	res := &Response{Version: WireVersion, ID: id}
 	if solveErr != nil {
 		res.Err = solveErr.Error()
 		return res, nil
@@ -310,41 +366,36 @@ func EncodeResult(id uint64, rep *core.Repair, solveErr error) (*Result, error) 
 		}
 		res.Params[i] = rep.Log[qi].Params()
 	}
-	res.Changed = append([]int(nil), rep.Changed...)
-	res.Distance = rep.Distance
-	res.Resolved = rep.Resolved
-	res.Stats = rep.Stats
+	st := rep.Stats
+	res.Changed, res.Distance, res.Resolved, res.Stats = slices.Clone(rep.Changed), rep.Distance, rep.Resolved, &st
 	return res, nil
 }
 
-// DecodeResult reconstructs the repair's verdict — changed statements,
-// distance, resolution and stats — rejecting any protocol version but
-// WireVersion and propagating worker-side solver errors. Its Log is
-// nil: only the job's own log can carry the repair (repairOf).
-func DecodeResult(res *Result) (*core.Repair, error) {
-	if err := checkVersion("result", res.Version); err != nil {
-		return nil, err
+// DecodeResult reconstructs a solve answer's verdict, rejecting another
+// version and propagating worker-side errors. Its Log is nil: only the
+// job's own log can carry the repair (repairOf).
+func DecodeResult(res *Response) (*core.Repair, error) {
+	if res.Version != WireVersion {
+		return nil, fmt.Errorf("dist: protocol version mismatch: answer v%d, this side speaks v%d",
+			res.Version, WireVersion)
 	}
 	if res.Err != "" {
 		return nil, fmt.Errorf("dist: worker: %s", res.Err)
 	}
-	return &core.Repair{
-		Changed:  append([]int(nil), res.Changed...),
-		Distance: res.Distance,
-		Resolved: res.Resolved,
-		Stats:    res.Stats,
-	}, nil
+	rep := &core.Repair{Changed: slices.Clone(res.Changed), Distance: res.Distance, Resolved: res.Resolved}
+	if res.Stats != nil {
+		rep.Stats = *res.Stats
+	}
+	return rep, nil
 }
 
-// repairOf decodes a result and rebuilds its repair onto log, the job's
-// own log, copy-on-write: the repair shares every statement it did not
-// change. A result that cannot be a repair of the job is rejected: a
-// parameter vector per changed statement, each index inside the log and
-// each vector of its statement's arity, or the partition merge would
-// index past the log or the statement; and each index among candidates,
-// the job's pinned repair candidates (nil: any statement), or two
-// partitions could both claim one statement.
-func repairOf(res *Result, log []query.Query, candidates []int) (*core.Repair, error) {
+// repairOf decodes an answer and rebuilds its repair onto log, the
+// job's own, copy-on-write. An answer that cannot be a repair of the
+// job is rejected: it needs one parameter vector per changed statement,
+// each index inside the log and among candidates (nil: any), each
+// vector of its statement's arity — or the merge would index past the
+// log, or two partitions could claim one statement.
+func repairOf(res *Response, log []query.Query, candidates []int) (*core.Repair, error) {
 	rep, err := DecodeResult(res)
 	if err != nil {
 		return nil, err

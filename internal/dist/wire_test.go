@@ -15,9 +15,12 @@ import (
 	"repro/internal/wirelock"
 )
 
-// TestWireLock diffs the job and result frames' schema against the
-// committed wire.lock; `go test -run TestWireLock -update` rewrites it.
+// TestWireLock diffs the schema of the job and result frames, the
+// wire's Request and Response, against the wire's one wire.lock, kept
+// beside the daemon that first spoke it (qfixd's TestWireLock checks
+// the same file); `go test -run TestWireLock -update` rewrites it.
 func TestWireLock(t *testing.T) {
+	t.Chdir("../qfixd")
 	wirelock.Check(t, dist.Job{}, dist.Result{})
 }
 

@@ -1,9 +1,8 @@
-// Package frameconn carries newline-delimited frames over TCP for both of
-// the repository's wires, the dist job protocol and the qfixd daemon
-// protocol. It owns what their servers and clients share: the accept
-// loop and its teardown (Registry), one size cap on every frame read
-// (Reader), and one lock-and-deadline frame write (Writer). What a frame
-// means, and which version of it a peer speaks, stays with the caller.
+// Package frameconn carries newline-delimited frames over TCP for the
+// repository's one wire (internal/dist). It owns the accept loop and its
+// teardown (Registry), one size cap on every frame read (Reader), and
+// one lock-and-deadline frame write (Writer). What a frame means, and
+// which version of it a peer speaks, stays with the caller.
 package frameconn
 
 import (
@@ -16,19 +15,16 @@ import (
 	"time"
 )
 
-// MaxFrame bounds one frame. A job or a repaired log of a million
-// statements is well under it; a peer that streams more without a
-// newline is broken or hostile, and the reader gives up on it rather
-// than buffer without limit.
+// MaxFrame bounds one frame: a repaired log of a million statements is
+// well under it, and a peer that streams more without a newline is
+// given up on rather than buffered without limit.
 const MaxFrame = 64 << 20
 
 // ErrFrameTooLong is what Reader.Next returns past MaxFrame.
 var ErrFrameTooLong = fmt.Errorf("frame longer than %d MiB", MaxFrame>>20)
 
-// WriteTimeout bounds one frame write. A frame normally lands in the
-// socket buffer at once; a write this slow means the peer stopped
-// draining without closing the connection, and it costs the connection
-// rather than wedging the writer's lock for good.
+// WriteTimeout bounds one frame write: a peer that stopped draining
+// without closing costs its connection, not the writer's lock for good.
 const WriteTimeout = time.Minute
 
 // Registry runs a server's accept loop and tracks the connections it
@@ -60,10 +56,8 @@ func (r *Registry) Serve(l net.Listener, handle func(net.Conn)) error {
 	// exits via StopAccepting/Close: the closed listener fails Accept
 	for {
 		conn, err := l.Accept()
-		// Registration shares the critical section that checks for
-		// shutdown: a connection accepted just as Close runs would
-		// otherwise land in conns after Close's teardown iteration and
-		// never be closed.
+		// Registration shares the shutdown check's critical section, or
+		// a connection accepted as Close runs would never be closed.
 		r.mu.Lock()
 		if r.closed {
 			r.mu.Unlock()
@@ -166,21 +160,19 @@ func (r *Reader) Decode(v any) error {
 }
 
 // Writer writes whole frames to one connection, one at a time, each
-// within WriteTimeout. A failed write closes the connection: a frame
-// cut short would leave the peer waiting on an answer that never comes,
-// and the closed connection breaks the reading side's loop too.
+// within WriteTimeout. A failed write closes the connection, so a peer
+// never waits on a frame cut short.
 type Writer struct {
 	conn net.Conn
 	mu   sync.Mutex
 	enc  *json.Encoder // guarded by mu
 }
 
-// NewWriter writes frames to conn. escapeHTML is what Encode does with
-// `<`, `>` and `&` in strings: json.Marshal escapes them, a wire whose
-// strings are SQL may keep `<=` as two bytes.
-func NewWriter(conn net.Conn, escapeHTML bool) *Writer {
+// NewWriter writes frames to conn. Encode leaves `<`, `>` and `&` in
+// strings raw: the strings are SQL, so `<=` travels as two bytes.
+func NewWriter(conn net.Conn) *Writer {
 	enc := json.NewEncoder(conn)
-	enc.SetEscapeHTML(escapeHTML)
+	enc.SetEscapeHTML(false)
 	return &Writer{conn: conn, enc: enc}
 }
 

@@ -63,31 +63,28 @@ func TestReaderDecode(t *testing.T) {
 	}
 }
 
-// Encode writes one line with `<` escaped or not as asked, Write sends
-// its pieces as one frame, and a write that fails closes the connection.
+// Encode writes one line with `<` unescaped, Write sends its pieces as
+// one frame, and a write that fails closes the connection.
 func TestWriter(t *testing.T) {
-	for _, escape := range []bool{true, false} {
-		a, b := net.Pipe()
-		w := NewWriter(a, escape)
-		go func() {
-			w.Encode(map[string]string{"sql": "a <= 1"})
-			w.Write([]byte(`{"id":`), []byte("2}\n"))
-		}()
-		r := NewReader(b)
-		first, _ := r.Next()
-		if want := map[bool]string{true: `{"sql":"a \u003c= 1"}`, false: `{"sql":"a <= 1"}`}[escape]; string(first) != want {
-			t.Errorf("escapeHTML=%v: %s, want %s", escape, first, want)
-		}
-		if second, _ := r.Next(); string(second) != `{"id":2}` {
-			t.Errorf("gathered frame: %s", second)
-		}
-		b.Close()
-		if err := w.Encode(1); err == nil {
-			t.Fatal("a write to a closed peer succeeded")
-		}
-		if _, err := a.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
-			t.Errorf("after a failed write the connection reads %v, want it closed", err)
-		}
+	a, b := net.Pipe()
+	w := NewWriter(a)
+	go func() {
+		w.Encode(map[string]string{"sql": "a <= 1"})
+		w.Write([]byte(`{"id":`), []byte("2}\n"))
+	}()
+	r := NewReader(b)
+	if first, _ := r.Next(); string(first) != `{"sql":"a <= 1"}` {
+		t.Errorf("%s, want %s", first, `{"sql":"a <= 1"}`)
+	}
+	if second, _ := r.Next(); string(second) != `{"id":2}` {
+		t.Errorf("gathered frame: %s", second)
+	}
+	b.Close()
+	if err := w.Encode(1); err == nil {
+		t.Fatal("a write to a closed peer succeeded")
+	}
+	if _, err := a.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("after a failed write the connection reads %v, want it closed", err)
 	}
 }
 
@@ -177,7 +174,7 @@ func TestRegistryRace(t *testing.T) {
 // guards, its failure path included. Every frame that arrives is whole.
 func TestWriterRace(t *testing.T) {
 	a, b := net.Pipe()
-	w := NewWriter(a, false)
+	w := NewWriter(a)
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)

@@ -2,25 +2,16 @@ package qfixd
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync"
 )
 
-// ErrBusy is the clean backpressure signal: the tenant already has its
-// full queue of diagnoses waiting, so this one is refused immediately
-// instead of queueing unboundedly (or hanging). Clients see it as a
-// retryable condition (Response.Busy on the wire).
-var ErrBusy = errors.New("qfixd: tenant queue full")
-
-// admission is the coordinator-side admission controller: a fixed
-// number of global diagnosis slots, and per-tenant FIFO queues for
-// requests that arrive while every slot is busy. Freed slots drain the
-// queues round-robin ACROSS tenants (one waiter per tenant per turn),
-// so a tenant flooding its queue gets at most its fair rotation and can
-// never starve another tenant's single request — the fairness the
-// multi-tenant daemon is built around. Per-tenant queues are bounded
-// (queueCap); beyond that acquire fails fast with ErrBusy.
+// admission is the daemon's admission controller: a fixed number of
+// diagnosis slots, and per-tenant FIFO queues for requests that arrive
+// while every slot is busy. Freed slots drain the queues round-robin
+// across tenants (one waiter per tenant per turn), so a flooding tenant
+// cannot starve another's single request. Beyond queueCap waiters
+// acquire fails fast with ErrBusy.
 //
 // Invariant: free > 0 implies no waiters anywhere — release hands a
 // freed slot directly to a waiter and only banks it when every queue is
@@ -37,7 +28,7 @@ type admission struct {
 
 // newAdmission sizes the controller: slots as Config.MaxInflight
 // (0 = GOMAXPROCS, <0 = 1), queueCap as Config.TenantQueue
-// (0 = DefaultTenantQueue, <0 = no waiting).
+// (0 = defaultTenantQueue, <0 = no waiting).
 func newAdmission(slots, queueCap int) *admission {
 	switch {
 	case slots < 0:
@@ -49,7 +40,7 @@ func newAdmission(slots, queueCap int) *admission {
 	case queueCap < 0:
 		queueCap = 0
 	case queueCap == 0:
-		queueCap = DefaultTenantQueue
+		queueCap = defaultTenantQueue
 	}
 	return &admission{free: slots, queues: make(map[string][]chan struct{}), cap: queueCap}
 }

@@ -3,6 +3,7 @@ package qfixd
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"reflect"
@@ -13,7 +14,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/frameconn"
+	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
 )
@@ -165,7 +168,7 @@ func TestSQLTextRoundTrip(t *testing.T) {
 }
 
 // What the encoding/json encoders of both ends put on the wire for `<`,
-// `>` and `&`: the bytes themselves.
+// `>` and `&`: the bytes themselves, in tenant ops and solves alike.
 func TestWireDoesNotEscapeHTML(t *testing.T) {
 	stmt := "UPDATE t SET a = 1 WHERE b <= 2 AND c >= 3"
 	got := make(chan []byte, 1)
@@ -177,6 +180,24 @@ func TestWireDoesNotEscapeHTML(t *testing.T) {
 	go c.Append("acme", stmt) // fails when the fake daemon hangs up; only the request matters
 	if line := <-got; !bytes.Contains(line, []byte(stmt)) {
 		t.Errorf("append request does not carry the statement verbatim: %s", line)
+	}
+
+	// A solve carries its body's log as the same SQL text.
+	sch := relation.MustSchema("t", []string{"a", "b", "c"}, "")
+	job, err := dist.EncodeJob(1, core.Subproblem{D0: relation.NewTable(sch),
+		Log: []query.Query{sqlparse.MustParse(sch, stmt)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := dist.DialMux(fakeDaemon(t, func(conn net.Conn) {
+		line, _ := bufio.NewReader(conn).ReadBytes('\n')
+		got <- line
+	}))
+	defer solver.Close()
+	go solver.Do(context.Background(), job)
+	if line := <-got; !bytes.Contains(line, []byte(`"op":"solve"`)) || !bytes.Contains(line, []byte(job.Log[0])) ||
+		!strings.Contains(job.Log[0], "<=") {
+		t.Errorf("solve frame does not carry %q verbatim: %s", job.Log[0], line)
 	}
 
 	_, addr = startDaemon(t, Config{})

@@ -6,21 +6,24 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 )
+
+// decodeResponse is the client's decoder of a response frame.
+func decodeResponse(line []byte, resp *Response) error { return resp.Decode(line) }
 
 // handFrame is the diagnose response as the server writes it.
 func handFrame(t testing.TB, id uint64, log []string, rep *core.Repair) []byte {
 	t.Helper()
-	tail, err := answerTail(log, rep)
+	tail, err := dist.AnswerTail(log, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(strconv.AppendUint([]byte(frameHead), id, 10), tail...)
+	return append(fmt.Appendf(nil, `{"v":%d,"id":%d`, WireVersion, id), tail...)
 }
 
 // jsonFrame is the same response as encoding/json wrote it before the
@@ -133,7 +136,7 @@ func TestFrameMatchesEncodingJSON(t *testing.T) {
 	}
 
 	// A distance encoding/json refuses is refused, not written wrong.
-	if _, err := answerTail(stmts(1), &core.Repair{Distance: math.Inf(1)}); err == nil {
+	if _, err := dist.AnswerTail(stmts(1), &core.Repair{Distance: math.Inf(1)}); err == nil {
 		t.Error("an infinite distance was encoded")
 	}
 }

@@ -1,50 +1,31 @@
 // Package qfixd is the resident diagnosis service: one long-lived
 // process owning many histstore directories (one per tenant), a shared
-// scheduler pool, and an optional shared worker fleet, multiplexing
-// concurrent append/complain/diagnose requests from many clients onto
-// them.
+// scheduler pool and an optional shared worker fleet, serving
+// concurrent append/complain/diagnose requests from many clients.
 //
 // The one-shot entry points (qfix.Diagnose, the qfix CLI) wire the
-// whole engine up per call: a scheduler's goroutines, a coordinator's
-// connections, and a store's caches all live exactly as long as one
-// diagnosis. That is the right shape for a batch audit and the wrong
-// one for a deployment that diagnoses continuously: every call re-dials
-// the fleet, re-materializes impact closures, and fights other calls
-// for cores without any admission policy. qfixd inverts the ownership —
+// engine up per call; a deployment that diagnoses continuously would
+// re-dial the fleet, re-materialize impact closures and fight for
+// cores on every call. qfixd owns them instead:
 //
-//   - one sched.Pool (Config.PoolWorkers) runs every diagnosis's batch
-//     and partition scans via core.Options.Scheduler, so concurrent
-//     diagnoses share cores instead of over-subscribing them;
+//   - one sched.Pool (Config.PoolWorkers) runs every diagnosis's scans
+//     (core.Options.Scheduler), so concurrent diagnoses share cores;
 //   - one dist.Coordinator (Config.Workers) holds the fleet
-//     connections; each diagnosis gets a private encoding memo via
-//     Coordinator.Solver, so tenants never thrash each other's
-//     encodings;
+//     connections, with a private encoding memo per diagnosis;
 //   - one histstore.Store per tenant stays open with its impact cache
-//     warm across requests (the stores are themselves
-//     concurrency-safe: appends keep landing while diagnoses run);
-//   - admission control bounds concurrent diagnoses globally
-//     (Config.MaxInflight) and queues excess per tenant, draining the
-//     queues round-robin so a flooding tenant cannot starve the rest,
-//     and rejecting beyond Config.TenantQueue with ErrBusy instead of
-//     queueing unboundedly;
-//   - each tenant keeps the last answer it sent over the wire (memo):
-//     a diagnose request that repeats the question exactly — same
-//     store, same history, same complaints, same options — costs a
-//     lookup and one write of the bytes already encoded, with no engine
-//     run and no admission slot. An append, a checkpoint, a complaint,
-//     another option value or an eviction each change the question and
-//     run the engine, whose answer is rendered from the store's own SQL
-//     text except for the statements the repair rewrote.
+//     warm (appends keep landing while diagnoses run);
+//   - admission bounds concurrent diagnoses (Config.MaxInflight) and
+//     queues excess per tenant, drained round-robin so a flooding
+//     tenant cannot starve the rest, refusing beyond Config.TenantQueue
+//     with ErrBusy;
+//   - each tenant keeps the last answer it sent (memo): a diagnose that
+//     repeats the question exactly costs a lookup and one write of the
+//     bytes already encoded, with no engine run and no slot.
 //
-// The determinism guarantee survives residency: a diagnosis adjudicates
-// its scans in submission order whether jobs run on the shared pool or
-// on per-call goroutines (see internal/sched), so a repair computed by
-// qfixd is byte-identical to the same diagnosis run by the qfix CLI.
-// The e2e tests pin exactly that.
-//
-// Server (server.go) speaks a newline-delimited JSON protocol over TCP
-// (wire.go), framed by internal/frameconn as the dist worker protocol
-// is; Client (client.go) is the matching Go client.
+// A diagnosis adjudicates its scans in submission order on the shared
+// pool too (internal/sched), so a qfixd repair is byte-identical to the
+// qfix CLI's; the e2e tests pin that. Server speaks internal/dist's
+// wire, the one protocol of tenants and fleet solves alike.
 package qfixd
 
 import (
@@ -70,53 +51,44 @@ import (
 	"repro/internal/sched"
 )
 
-// DefaultTenantQueue is the per-tenant cap on diagnoses waiting for an
-// inflight slot when Config.TenantQueue is zero.
-const DefaultTenantQueue = 16
-
-// DefaultMaxOpenStores is the resident tenant-store cap when
-// Config.MaxOpenStores is zero.
-const DefaultMaxOpenStores = 64
-
-// DefaultStoreIdle is how long an unused tenant store stays resident
-// when Config.StoreIdle is zero.
-const DefaultStoreIdle = 15 * time.Minute
+// What the zero values of Config.TenantQueue, MaxOpenStores and
+// StoreIdle pick.
+const (
+	defaultTenantQueue   = 16
+	defaultMaxOpenStores = 64
+	defaultStoreIdle     = 15 * time.Minute
+)
 
 // ErrDraining is returned for new work while the service shuts down.
 var ErrDraining = errors.New("qfixd: draining")
 
 // Config configures a Service.
 type Config struct {
-	// Dir is the root data directory; each tenant's histstore lives in
-	// a subdirectory named after the tenant.
+	// Dir is the root data directory, one histstore per tenant in it.
 	Dir string
 	// MaxInflight bounds concurrent diagnoses across all tenants.
 	// Zero picks runtime.GOMAXPROCS; negative forces one at a time.
 	MaxInflight int
-	// TenantQueue caps how many diagnoses per tenant may wait for a
-	// slot; requests beyond it fail fast with ErrBusy. Zero picks
-	// DefaultTenantQueue; negative disables waiting entirely.
+	// TenantQueue caps the diagnoses per tenant waiting for a slot;
+	// beyond it they fail fast with ErrBusy. Zero picks
+	// defaultTenantQueue; negative disables waiting.
 	TenantQueue int
 	// Workers lists qfix-worker addresses; when non-empty the service
-	// holds one shared coordinator over them for its whole lifetime,
-	// with one persistent multiplexed connection per worker.
+	// holds one coordinator over them for its whole lifetime.
 	Workers []string
-	// Partition is the default Options.Partition for diagnoses that do
-	// not request one. Zero leaves them unpartitioned locally and, over
-	// a fleet, at one partition per worker.
+	// Partition is the width of diagnoses that request none; zero is
+	// unpartitioned locally, one partition per worker over a fleet.
 	Partition int
-	// PoolWorkers sizes the resident scheduler pool shared by every
-	// diagnosis's scans. Zero picks runtime.GOMAXPROCS.
+	// PoolWorkers sizes the scheduler pool every diagnosis shares.
+	// Zero picks runtime.GOMAXPROCS.
 	PoolWorkers int
-	// MaxOpenStores bounds how many tenant stores stay resident at
-	// once. Lookups evict least-recently-used idle stores (no request
-	// pinning them, no staged complaints) over the cap. Zero picks
-	// DefaultMaxOpenStores; negative removes the cap.
+	// MaxOpenStores bounds the resident tenant stores; lookups evict
+	// least-recently-used idle ones (unpinned, nothing staged) over it.
+	// Zero picks defaultMaxOpenStores; negative removes the cap.
 	MaxOpenStores int
-	// StoreIdle is how long an unused tenant store stays resident
-	// before a lookup may evict it regardless of the cap. Zero picks
-	// DefaultStoreIdle; negative disables idle-based eviction (stores
-	// are evicted only over the MaxOpenStores cap).
+	// StoreIdle is how long an unused store stays resident before a
+	// lookup may evict it regardless of the cap. Zero picks
+	// defaultStoreIdle; negative disables idle eviction.
 	StoreIdle time.Duration
 	// TraceDir, when set, roots a span tree per diagnose request and
 	// writes it to <TraceDir>/<tenant>-<seq>.jsonl.
@@ -125,9 +97,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Service owns the resident state and serves tenant operations. It is
-// safe for concurrent use; Server exposes it over TCP, and tests and
-// embedded deployments may call it directly.
+// Service owns the resident state and serves tenant operations, safe
+// for concurrent use; Server exposes it over TCP.
 type Service struct {
 	cfg   Config
 	pool  *sched.Pool
@@ -144,14 +115,10 @@ type Service struct {
 }
 
 // tenant is one tenant's resident state: its open store, the
-// complaints staged (via the complain op) for its next diagnosis, and
-// the last answer it sent over the wire.
-//
-// refs pins the store against eviction: lookup increments it (under
-// the service mutex, so a pin and an eviction cannot interleave) and
-// every operation releases it when done, so the store a request is
-// using can never be closed under it. lastUse drives LRU and idle
-// eviction. Lock order is always s.mu before tn.mu.
+// complaints staged for its next diagnosis, and its last answer. refs
+// pins the store against eviction: lookup takes a pin under s.mu, so a
+// pin and an eviction cannot interleave, and every operation releases
+// it. Lock order is always s.mu before tn.mu.
 type tenant struct {
 	mu      sync.Mutex
 	store   *histstore.Store // guarded by mu
@@ -162,29 +129,24 @@ type tenant struct {
 }
 
 // memo is the last diagnosis a tenant answered over the wire: the
-// question — which store, which history of it (histstore.View: the
-// generation and length name a log exactly), the whole complaint list
-// (staged then inline) and the request's options — and the answer as
-// the wire carries it. A diagnosis is a deterministic function of
-// exactly those, so a request that asks the same question again gets
-// the same bytes without running the engine or waiting for a slot.
-// The comparison is on the values themselves, floats bit for bit, never
-// on a digest; an append (length), a checkpoint (generation), another
-// complaint, another option or a reopened store all differ somewhere
-// and run the engine. One entry per tenant: the case it serves is the
-// audit repeated until something changes.
+// question — which store, which history of it (generation and length
+// name a log exactly), the complaints (staged then inline) and the
+// options — and the answer as the wire carries it. A diagnosis is a
+// deterministic function of exactly those, compared by value (floats
+// bit for bit), so the same question gets the same bytes without the
+// engine; an append, a checkpoint, another complaint or option or a
+// reopened store differs somewhere and runs it.
 type memo struct {
 	store      *histstore.Store
 	gen        int64
 	n          int
 	complaints []core.Complaint
 	opt        DiagnoseOptions
-	tail       []byte // answerTail: the frame from its "id" value on
+	tail       []byte // dist.AnswerTail: the frame from its "id" value on
 }
 
-// NewService builds the resident state: the scheduler pool starts
-// immediately, the coordinator dials lazily on first dispatch (dist
-// transports are lazy), stores open on first use per tenant.
+// NewService builds the resident state: the pool starts now, the
+// fleet's connections and the tenants' stores open on first use.
 func NewService(cfg Config) *Service {
 	pw := cfg.PoolWorkers
 	if pw <= 0 {
@@ -202,9 +164,8 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// Drain marks the service as draining: new diagnoses (and other tenant
-// ops) fail with ErrDraining while in-flight diagnoses run to
-// completion. Wait blocks until they have.
+// Drain makes new tenant ops fail with ErrDraining while in-flight
+// diagnoses run to completion (Wait).
 func (s *Service) Drain() {
 	s.mu.Lock() // see run: a diagnosis registers in inflight under mu
 	s.draining.Store(true)
@@ -228,26 +189,21 @@ func (s *Service) Close() error {
 	tenants := s.tenants
 	s.tenants = make(map[string]*tenant)
 	s.mu.Unlock()
-	var first error
+	var errs []error
 	for _, tn := range tenants {
 		tn.mu.Lock()
 		store := tn.store
 		tn.store = nil
 		tn.mu.Unlock()
-		if store == nil {
-			continue
-		}
-		if err := store.Close(); err != nil && first == nil {
-			first = err
+		if store != nil {
+			errs = append(errs, store.Close())
 		}
 	}
 	if s.coord != nil {
-		if err := s.coord.Close(); err != nil && first == nil {
-			first = err
-		}
+		errs = append(errs, s.coord.Close())
 	}
 	s.pool.Close()
-	return first
+	return errors.Join(errs...)
 }
 
 // validTenant reports whether name is usable as a tenant (and thus a
@@ -260,15 +216,12 @@ func validTenant(name string) bool {
 }
 
 // tenantDir is the tenant's histstore directory.
-func (s *Service) tenantDir(name string) string {
-	return filepath.Join(s.cfg.Dir, name)
-}
+func (s *Service) tenantDir(name string) string { return filepath.Join(s.cfg.Dir, name) }
 
 // lookup returns the tenant's resident state and its open store,
-// opening the store from disk on first use (or after an eviction). The
-// store is pinned against eviction until the caller's release. Each
-// lookup also sweeps the tenant table for evictable stores, so the
-// resident set stays bounded without a background goroutine.
+// opening the store on first use (or after an eviction), pinned until
+// the caller's release. Each lookup also sweeps for evictable stores,
+// so no background goroutine is needed.
 func (s *Service) lookup(name string) (*tenant, *histstore.Store, error) {
 	if !validTenant(name) {
 		return nil, nil, fmt.Errorf("qfixd: invalid tenant name %q", name)
@@ -298,8 +251,7 @@ func (s *Service) lookup(name string) (*tenant, *histstore.Store, error) {
 	return tn, store, nil
 }
 
-// release unpins a tenant after an operation; paired with every
-// successful lookup.
+// release unpins a tenant after the operation of a successful lookup.
 func (s *Service) release(tn *tenant) {
 	now := time.Now() // eviction clock: decides cache residency only, never a diagnosis input
 	tn.mu.Lock()
@@ -308,22 +260,19 @@ func (s *Service) release(tn *tenant) {
 	tn.mu.Unlock()
 }
 
-// evictLocked closes and drops tenant stores that are over the
-// configured residency bounds: every idle store (unpinned, nothing
-// staged) past the idle deadline goes, then the least recently used
-// idle stores until the open-store cap holds. Requires s.mu; pins
-// cannot race the sweep because they are taken under s.mu too, and a
-// tenant with staged complaints is never evicted (its staged state is
-// memory-only). Evicted tenants transparently reopen from disk on
-// their next lookup — warm caches are the only loss.
+// evictLocked closes idle stores (unpinned, nothing staged: staged
+// complaints live in memory only) past the idle deadline, then the
+// least recently used ones until the open-store cap holds. Requires
+// s.mu. Evicted tenants reopen from disk on their next lookup; warm
+// caches are the only loss.
 func (s *Service) evictLocked(now time.Time) {
 	max := s.cfg.MaxOpenStores
 	if max == 0 {
-		max = DefaultMaxOpenStores
+		max = defaultMaxOpenStores
 	}
 	idle := s.cfg.StoreIdle
 	if idle == 0 {
-		idle = DefaultStoreIdle
+		idle = defaultStoreIdle
 	}
 	if (max < 0 || len(s.tenants) <= max) && idle < 0 {
 		return
@@ -427,9 +376,8 @@ func (s *Service) Append(name string, sql []string) (int, error) {
 	return len(sql), nil
 }
 
-// Complain stages complaints for the tenant's next diagnosis; repeated
-// calls accumulate. Staged complaints survive diagnoses (repeat audits
-// reuse them warm) and clear on Checkpoint, which commits the state
+// Complain stages complaints for the tenant's next diagnoses; repeated
+// calls accumulate. They clear on Checkpoint, which commits the state
 // they complained about.
 func (s *Service) Complain(name string, complaints []core.Complaint) (int, error) {
 	if s.draining.Load() {
@@ -447,8 +395,8 @@ func (s *Service) Complain(name string, complaints []core.Complaint) (int, error
 	return n, nil
 }
 
-// Checkpoint commits the tenant's current state as the new D0 and
-// clears its staged complaints (and the answer memoised over them).
+// Checkpoint commits the tenant's current state as the new D0,
+// clearing its staged complaints and memo.
 func (s *Service) Checkpoint(name string) error {
 	if s.draining.Load() {
 		return ErrDraining
@@ -468,15 +416,9 @@ func (s *Service) Checkpoint(name string) error {
 	return nil
 }
 
-// TenantStats is the stats op's answer for one tenant.
-type TenantStats struct {
-	LogLen int `json:"log_len"`
-	Staged int `json:"staged"`
-}
-
 // Stats reports a tenant's resident state (nil name stats the service:
 // only the tenant count).
-func (s *Service) Stats(name string) (tenants int, ts *TenantStats, err error) {
+func (s *Service) Stats(name string) (tenants int, ts *dist.TenantStats, err error) {
 	s.mu.Lock()
 	tenants = len(s.tenants)
 	s.mu.Unlock()
@@ -491,16 +433,14 @@ func (s *Service) Stats(name string) (tenants int, ts *TenantStats, err error) {
 	tn.mu.Lock()
 	staged := len(tn.staged)
 	tn.mu.Unlock()
-	return tenants, &TenantStats{LogLen: len(store.Log()), Staged: staged}, nil
+	return tenants, &dist.TenantStats{LogLen: len(store.Log()), Staged: staged}, nil
 }
 
 // Diagnose runs one admission-controlled diagnosis for the tenant over
-// its staged complaints plus the inline ones, on the shared pool (and
-// fleet, when configured). ctx bounds the wait for an inflight slot —
-// cancel it (e.g. when the requesting connection drops) and a queued
-// request leaves the queue; requests beyond the tenant's queue cap
-// fail fast with ErrBusy. It always runs the engine: the answer memo
-// belongs to the wire path (answer).
+// its staged complaints plus the inline ones. ctx bounds the wait for a
+// slot (a canceled request leaves the queue); beyond the tenant's queue
+// cap it fails fast with ErrBusy. It always runs the engine: the memo
+// belongs to the wire path (Answer).
 func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.Complaint,
 	wopt *DiagnoseOptions) (*core.Repair, error) {
 	if s.draining.Load() {
@@ -510,9 +450,7 @@ func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.C
 	if err != nil {
 		return nil, err
 	}
-	// The pin spans the whole diagnosis (including the admission wait):
-	// the store cannot be evicted and closed under a running solve.
-	defer s.release(tn)
+	defer s.release(tn) // the pin spans the admission wait and the solve
 	tn.mu.Lock()
 	all := append(cloneComplaints(tn.staged), complaints...)
 	tn.mu.Unlock()
@@ -520,13 +458,12 @@ func (s *Service) Diagnose(ctx context.Context, name string, complaints []core.C
 	return rep, err
 }
 
-// answer serves one diagnose request of the wire: the rest of its
-// response frame after the "id" value (see answerTail). A request that
-// repeats the tenant's last answered question is served from the memo;
-// anything else runs the engine like Diagnose, renders the answer while
-// the store is still pinned — only the statements the repair rewrote,
-// the store's own text for the rest — and becomes the new memo.
-func (s *Service) answer(ctx context.Context, req *Request) ([]byte, error) {
+// Answer serves one diagnose request of the wire: its response frame
+// from the "id" value on (dist.AnswerTail). A repeat of the tenant's last
+// question is served from the memo; anything else runs the engine,
+// renders the answer from the store's own SQL text but for the
+// statements the repair rewrote, and becomes the new memo.
+func (s *Service) Answer(ctx context.Context, req *Request) ([]byte, error) {
 	if s.draining.Load() {
 		return nil, ErrDraining
 	}
@@ -539,9 +476,8 @@ func (s *Service) answer(ctx context.Context, req *Request) ([]byte, error) {
 	if req.Options != nil {
 		opt = *req.Options
 	}
-	// The store's head is read before tn.mu is taken (an append holds
-	// the store's lock across its fsync). If an append lands right
-	// after, the request raced it and may be answered either way.
+	// The head is read before tn.mu (an append holds the store's lock
+	// across its fsync); a request racing an append may see either.
 	head := store.Head()
 	var all []core.Complaint
 	tn.mu.Lock()
@@ -575,7 +511,7 @@ func (s *Service) answer(ctx context.Context, req *Request) ([]byte, error) {
 	for _, i := range rep.Rewritten {
 		log[i] = rep.Log[i].String(store.Schema())
 	}
-	tail, err := answerTail(log, rep)
+	tail, err := dist.AnswerTail(log, rep)
 	if err != nil {
 		return nil, fmt.Errorf("qfixd: encoding the repair: %w", err)
 	}
@@ -622,13 +558,10 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 		return nil, none, err
 	}
 	defer s.adm.release()
-	// The drain flag is rechecked after the (possibly long) queue wait:
-	// a request admitted after Drain would otherwise extend the drain
-	// indefinitely under sustained load. The check and the inflight
-	// registration share mu with Drain, so a diagnosis either counts
-	// before Drain returns, and Wait waits for it, or sees the flag; one
-	// that slipped between them would start after Wait and run on the
-	// pool Close is shutting down.
+	// The drain flag is rechecked after the queue wait, under mu as
+	// Drain sets it: a diagnosis either counts before Drain returns (and
+	// Wait waits for it) or sees the flag, never starting on the pool
+	// Close is shutting down.
 	s.mu.Lock()
 	if s.draining.Load() {
 		s.mu.Unlock()
@@ -666,11 +599,10 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 	return rep, view, nil
 }
 
-// options resolves a request's engine options against the service.
-// The partition width comes from the request, else Config.Partition,
-// else (over a fleet) Install's default of one partition per worker.
+// options resolves a request's engine options against the service:
+// the width is the request's, else Config.Partition, else Install's.
 func (s *Service) options(wopt *DiagnoseOptions) core.Options {
-	opt := wopt.resolve()
+	opt := wopt.Resolve()
 	opt.Scheduler = s.pool
 	if opt.Partition == 0 {
 		opt.Partition = s.cfg.Partition
@@ -681,20 +613,15 @@ func (s *Service) options(wopt *DiagnoseOptions) core.Options {
 	return opt
 }
 
-// writeTrace exports one request's finished span tree, best-effort: a
-// failed trace write must not fail the diagnosis it describes.
+// writeTrace exports one request's span tree, best-effort.
 func (s *Service) writeTrace(root *obs.Span, tenant string) {
 	name := fmt.Sprintf("%s-%d.jsonl", tenant, s.traceSeq.Add(1))
 	path := filepath.Join(s.cfg.TraceDir, name)
 	f, err := os.Create(path)
+	if err == nil {
+		err = errors.Join(obs.WriteTrace(f, root, name), f.Close())
+	}
 	if err != nil {
-		s.logf("qfixd: trace %s: %v", path, err)
-		return
-	}
-	if err := obs.WriteTrace(f, root, name); err != nil {
-		s.logf("qfixd: trace %s: %v", path, err)
-	}
-	if err := f.Close(); err != nil {
 		s.logf("qfixd: trace %s: %v", path, err)
 	}
 }
@@ -706,13 +633,9 @@ func (s *Service) logf(format string, args ...any) {
 }
 
 func cloneComplaints(cs []core.Complaint) []core.Complaint {
-	if len(cs) == 0 {
-		return nil
-	}
-	out := make([]core.Complaint, len(cs))
-	for i, c := range cs {
-		out[i] = core.Complaint{TupleID: c.TupleID, Exists: c.Exists,
-			Values: append([]float64(nil), c.Values...)}
+	out := slices.Clone(cs)
+	for i := range out {
+		out[i].Values = slices.Clone(out[i].Values)
 	}
 	return out
 }

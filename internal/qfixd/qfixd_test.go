@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
@@ -448,17 +449,35 @@ func TestDaemonRestartServesSameRepair(t *testing.T) {
 // Protocol hygiene: bad versions, unknown ops, and invalid tenants
 // answer errors without killing the connection.
 func TestDaemonProtocolErrors(t *testing.T) {
-	_, addr := startDaemon(t, Config{})
+	_, addr := startDaemon(t, Config{MaxInflight: 1})
 	c := dialDaemon(t, addr)
+	do := func(req *Request) error {
+		resp, err := c.Do(context.Background(), req)
+		if err == nil && resp.Err != "" {
+			err = errors.New(resp.Err)
+		}
+		return err
+	}
 
-	if _, err := c.Do(&Request{Op: "explode"}); err == nil {
+	if err := do(&Request{Op: "explode"}); err == nil {
 		t.Error("unknown op accepted")
 	}
-	if _, err := c.Do(&Request{Op: OpAppend, Tenant: "../escape", SQL: []string{"x"}}); err == nil {
+	if err := do(&Request{Op: "append", Tenant: "../escape", SQL: []string{"x"}}); err == nil {
 		t.Error("path-traversal tenant name accepted")
 	}
-	if _, err := c.Do(&Request{Op: OpDiagnose, Tenant: "nosuch"}); err == nil {
+	if err := do(&Request{Op: OpDiagnose, Tenant: "nosuch"}); err == nil {
 		t.Error("diagnose of a missing tenant succeeded")
+	}
+	// A daemon does not solve: a solve would run beside the diagnoses
+	// its admission bounds (here one at a time), unadmitted.
+	sch := relation.MustSchema("t", []string{"a"}, "")
+	job, err := dist.EncodeJob(1, core.Subproblem{D0: relation.NewTable(sch),
+		Log: []query.Query{sqlparse.MustParse(sch, "UPDATE t SET a = 1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := do(job); err == nil || !strings.Contains(err.Error(), `unknown op "solve"`) {
+		t.Errorf("solve on a daemon: %v, want an unknown-op error", err)
 	}
 	// The connection still works after every error.
 	if err := c.Ping(); err != nil {

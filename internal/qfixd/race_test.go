@@ -36,7 +36,7 @@ func TestServiceRace(t *testing.T) {
 			if _, err := svc.Complain(name, sc.complaints); err != nil {
 				t.Fatal(err)
 			}
-			answer := func() { svc.answer(context.Background(), &Request{Op: OpDiagnose, Tenant: name}) }
+			answer := func() { svc.Answer(context.Background(), &Request{Op: OpDiagnose, Tenant: name}) }
 			ops = append(ops,
 				func() { svc.Append(name, sc.sql[2:]) },
 				func() { svc.Stats(name) },

@@ -2,50 +2,65 @@ package qfixd
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"io"
 	"net"
-	"strconv"
-	"sync"
 
-	"repro/internal/frameconn"
+	"repro/internal/dist"
 )
 
-// Server exposes a Service over TCP: newline-delimited JSON requests in,
-// responses out (see wire.go), framed by internal/frameconn as the dist
-// worker protocol is. A connection carries any number of requests;
-// diagnoses run concurrently under the service's admission control and
-// answer out of order, cheap ops answer inline. A diagnose response is
-// written from the service's pre-encoded answer (frame.go); every other
-// frame is encoding/json's. A request line past frameconn.MaxFrame drops
-// that connection only.
-type Server struct {
-	svc   *Service
-	conns frameconn.Registry
+// DiagnoseOptions is the wire subset of core.Options a client may set.
+type DiagnoseOptions = dist.DiagnoseOptions
+
+// The names of internal/dist's wire, the daemon's protocol; kept for
+// benchmark/; ROADMAP 2(d) deletes.
+type (
+	Request  = dist.Request
+	Response = dist.Response
+	Client   = dist.Client
+)
+
+// Kept for benchmark/; ROADMAP 2(d) deletes.
+const (
+	WireVersion = dist.WireVersion
+	OpDiagnose  = "diagnose"
+)
+
+// ErrBusy refuses a diagnosis whose tenant already has its full queue
+// waiting: retryable backpressure (Response.Busy on the wire).
+var ErrBusy = dist.ErrBusy
+
+// DialDaemon connects to a qfixd server; kept for benchmark/; ROADMAP
+// 2(d) deletes.
+func DialDaemon(addr string) (*Client, error) {
+	c := dist.DialMux(addr)
+	if err := c.Dial(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// NewServer serves svc. The service's lifecycle stays the caller's: a
-// server shutdown does not close the service (several listeners may
-// share one).
+// Server exposes a Service over TCP on dist's wire (dist.Server, which
+// refuses a daemon's solves).
+type Server struct {
+	svc  *Service
+	wire dist.Server
+}
+
+// NewServer serves svc, whose lifecycle stays the caller's.
 func NewServer(svc *Service) *Server { return &Server{svc: svc} }
 
 // Serve accepts and handles connections on l until Close/Shutdown or a
-// fatal listener error. It blocks; run it in a goroutine.
-func (s *Server) Serve(l net.Listener) error { return s.conns.Serve(l, s.handle) }
+// fatal listener error. It blocks.
+func (s *Server) Serve(l net.Listener) error { return s.wire.ServeOps(l, s.svc) }
 
-// Close stops accepting and tears down connections immediately;
-// diagnoses already running are abandoned mid-solve (their responses
-// have nowhere to go). Use Shutdown for the graceful path.
-func (s *Server) Close() error { return s.conns.Close() }
+// Close stops accepting and tears down connections immediately,
+// abandoning diagnoses mid-solve. Shutdown is the graceful path.
+func (s *Server) Close() error { return s.wire.Close() }
 
-// Shutdown is the graceful drain: stop accepting, mark the service
-// draining (new requests answer ErrDraining), let in-flight diagnoses
-// finish and write their responses, then tear the connections down.
-// ctx bounds the wait; on expiry the remaining connections are cut
-// Close-style.
+// Shutdown stops accepting, drains the service (new requests answer
+// ErrDraining), lets in-flight diagnoses finish and answer, then tears
+// the connections down; ctx bounds the wait.
 func (s *Server) Shutdown(ctx context.Context) error {
-	err := s.conns.StopAccepting()
+	err := s.wire.StopAccepting()
 	s.svc.Drain()
 
 	done := make(chan struct{})
@@ -57,89 +72,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = ctx.Err()
 		}
 	}
-	s.conns.Close()
+	s.wire.Close()
 	return err
-}
-
-// handle serves one connection: a read loop answers cheap ops inline
-// and spawns a goroutine per diagnose, each response one frame of the
-// connection's writer. The connection's context ends with the
-// connection, so queued admissions of a dropped client leave the queue
-// instead of holding their tenant's place.
-func (s *Server) handle(conn net.Conn) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	defer func() {
-		cancel()
-		wg.Wait() // in-flight diagnoses write (or fail) before teardown
-	}()
-	r := frameconn.NewReader(conn)
-	w := frameconn.NewWriter(conn, false) // the strings are SQL: `<=` travels as two bytes, not seven
-	// A failed write has closed the connection, which also ends this read
-	// loop: a dropped response would leave the client waiting forever on
-	// its ID.
-	logFailed := func(err error) {
-		if err != nil {
-			s.svc.logf("qfixd: %s: writing response: %v", conn.RemoteAddr(), err)
-		}
-	}
-	write := func(resp *Response) {
-		resp.Version = WireVersion
-		logFailed(w.Encode(resp))
-	}
-	for {
-		req := new(Request)
-		if err := r.Decode(req); err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				s.svc.logf("qfixd: %s: bad frame: %v", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		if err := req.validate(); err != nil {
-			write(&Response{ID: req.ID, Err: err.Error()})
-			continue
-		}
-		if req.Op == OpDiagnose {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				tail, err := s.svc.answer(ctx, req)
-				if err != nil {
-					write(&Response{ID: req.ID, Err: err.Error(), Busy: errors.Is(err, ErrBusy)})
-					return
-				}
-				// The answer is already encoded (and, on a memo hit, shared
-				// with other requests): only the ID in front of it is this
-				// request's, and the two go out in one gathered write.
-				logFailed(w.Write(strconv.AppendUint([]byte(frameHead), req.ID, 10), tail))
-			}()
-			continue
-		}
-		write(s.inline(req))
-	}
-}
-
-// inline answers the cheap ops directly in the read loop.
-func (s *Server) inline(req *Request) *Response {
-	resp := &Response{ID: req.ID}
-	var err error
-	switch req.Op {
-	case OpPing:
-	case OpCreate:
-		err = s.svc.Create(req.Tenant, req.Table, req.Key, req.Attrs, req.Rows)
-	case OpAppend:
-		resp.N, err = s.svc.Append(req.Tenant, req.SQL)
-	case OpComplain:
-		resp.N, err = s.svc.Complain(req.Tenant, req.Complaints)
-	case OpCheckpoint:
-		err = s.svc.Checkpoint(req.Tenant)
-	case OpStats:
-		resp.Tenants, resp.Tenant, err = s.svc.Stats(req.Tenant)
-	default:
-		err = fmt.Errorf("qfixd: unknown op %q", req.Op)
-	}
-	if err != nil {
-		resp.Err = err.Error()
-	}
-	return resp
 }
