@@ -105,10 +105,27 @@ func main() {
 // machine describes this run for the JSON record: core count,
 // GOMAXPROCS, toolchain and the commit of the checkout.
 func machine() bench.Machine {
-	commit := "unknown"
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		commit = strings.TrimSpace(string(out))
-	}
 	return bench.Machine{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion: runtime.Version(), Commit: commit}
+		GoVersion: runtime.Version(), Commit: commit("")}
+}
+
+// commit names the checkout at dir ("" = the working directory): the
+// short hash of HEAD, suffixed "-dirty" when the tree has changes or
+// untracked files that HEAD does not hold (or git cannot tell), or
+// "unknown" outside git.
+func commit(dir string) string {
+	git := func(args ...string) (string, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		return strings.TrimSpace(string(out)), err
+	}
+	sha, err := git("rev-parse", "--short", "HEAD")
+	if err != nil {
+		return "unknown"
+	}
+	if status, err := git("status", "--porcelain"); err != nil || status != "" {
+		sha += "-dirty"
+	}
+	return sha
 }

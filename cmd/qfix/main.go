@@ -156,10 +156,22 @@ func run(out *bufio.Writer) error {
 	}
 
 	fmt.Fprintf(out, "-- diagnosis completed in %v\n", elapsed.Round(time.Millisecond))
-	for _, line := range rep.Stats.Format(*verbose) {
+	return report(out, rep, sch, *verbose)
+}
+
+// report prints a finished diagnosis: the statistics lines, the outcome,
+// and the repaired log with each changed statement marked "*>". A
+// repaired log that some solve reached without proving its optimum is
+// flagged as not proven minimal; a run without a verified repair ends
+// with a warning and errUnresolved.
+func report(out *bufio.Writer, rep *qfix.Repair, sch *qfix.Schema, verbose bool) error {
+	for _, line := range rep.Stats.Format(verbose) {
 		fmt.Fprintf(out, "-- %s\n", line)
 	}
 	fmt.Fprintf(out, "-- complaints resolved: %v; repair distance: %.3f\n", rep.Resolved, rep.Distance)
+	if st := rep.Stats; rep.Resolved && st.NodeLimitStops+st.TimeLimitStops+st.LPIterLimits+st.LPNumFails > 0 {
+		fmt.Fprintln(out, "-- WARNING: not proven minimal: a solve stopped at a limit")
+	}
 	if rep.Resolved && len(rep.Changed) == 0 {
 		fmt.Fprintln(out, "-- no queries needed repair")
 	}

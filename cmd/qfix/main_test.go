@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"os"
@@ -143,6 +144,49 @@ func TestCLIOutputGoldens(t *testing.T) {
 		}
 		if rest != string(want) {
 			t.Errorf("%s: printed\n%s\nwant\n%s", c.complaints, rest, want)
+		}
+	}
+}
+
+// TestReportFlagsLimitStops pins what a resolved repair that a solve
+// reached at a limit prints: the not-proven-minimal warning right after
+// the outcome line, which an optimal repair does not carry and an
+// unresolved run leaves to its own warning.
+func TestReportFlagsLimitStops(t *testing.T) {
+	sch, err := qfix.NewSchema("t", []string{"a"}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := qfix.ParseLog(sch, "UPDATE t SET a = 1 WHERE a >= 2;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warning = "-- WARNING: not proven minimal: a solve stopped at a limit\n"
+	for _, c := range []struct {
+		resolved, stopped bool
+		want              string
+	}{
+		{true, true, "-- complaints resolved: true; repair distance: 1.000\n" + warning +
+			"*> UPDATE t SET a = 1 WHERE a >= 2;\n"},
+		{true, false, "-- complaints resolved: true; repair distance: 1.000\n" +
+			"*> UPDATE t SET a = 1 WHERE a >= 2;\n"},
+		{false, true, "-- complaints resolved: false; repair distance: 1.000\n" +
+			"*> UPDATE t SET a = 1 WHERE a >= 2;\n" +
+			"-- WARNING: no verified repair found (infeasible or time limit)\n"},
+	} {
+		rep := &qfix.Repair{Log: log, Changed: []int{0}, Distance: 1, Resolved: c.resolved}
+		if c.stopped {
+			rep.Stats.TimeLimitStops = 1
+		}
+		var buf bytes.Buffer
+		out := bufio.NewWriter(&buf)
+		err := report(out, rep, sch, false)
+		out.Flush()
+		if (err == nil) != c.resolved {
+			t.Errorf("resolved=%v: report returned %v", c.resolved, err)
+		}
+		if buf.String() != c.want {
+			t.Errorf("resolved=%v stopped=%v: printed\n%s\nwant\n%s", c.resolved, c.stopped, buf.String(), c.want)
 		}
 	}
 }

@@ -197,8 +197,8 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestAvgEmpty(t *testing.T) {
-	ms, acc, ok := avg(nil)
-	if ms != 0 || ok != 0 || acc.F1 != 0 {
+	row := avg(nil)
+	if row.TimeMS != 0 || row.Solved != 0 || row.F1 != 0 {
 		t.Error("avg(nil) not zero")
 	}
 }

@@ -12,99 +12,58 @@ import (
 // as the log grows. The paper's basic collapses around 50–80 queries on
 // CPLEX; without CPLEX the collapse arrives proportionally earlier.
 func (r *Runner) Fig4() (*Table, error) {
-	var nd int
-	var logSizes []int
-	switch r.Scale {
-	case Quick:
-		nd, logSizes = 12, []int{2, 3}
-	case Large:
-		nd, logSizes = 30, []int{2, 4, 6, 8, 10}
-	default:
-		nd, logSizes = 20, []int{2, 3, 4, 6}
-	}
+	nd := pick(r.Scale, 12, 20, 30)
+	logSizes := pick(r.Scale, []int{2, 3}, []int{2, 3, 4, 6}, []int{2, 4, 6, 8, 10})
 	t := &Table{ID: "fig4", Title: "log size vs execution time over " + fmt.Sprint(nd) + " records",
 		XLabel:  "Nq",
 		Caption: "series basic = all queries parameterized (Algorithm 1); single = only the corrupted query parameterized"}
-	for _, nq := range logSizes {
-		for _, series := range []string{"basic", "single"} {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: 5, Nq: nq, Vd: 200, Range: 40,
-					Seed: r.Seed + int64(rep)*101 + int64(nq),
-				})
-				in, err := w.MakeInstance(0) // corrupt the oldest query
-				if err != nil {
-					return nil, err
-				}
-				opts := core.Options{Algorithm: core.Basic}
-				if series == "single" {
-					opts.Candidates = []int{0}
-				}
-				pts = append(pts, r.measure(in, in.Complaints, opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: series, X: fmt.Sprint(nq),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig4 %s Nq=%d: %.1fms solved=%.2f", series, nq, ms, ok)
+	return r.sweep(t, labels("%d", logSizes), []string{"basic", "single"}, func(x, s, rep int) (point, error) {
+		nq := logSizes[x]
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 5, Nq: nq, Vd: 200, Range: 40,
+			Seed: r.Seed + int64(rep)*101 + int64(nq),
+		})
+		opts := core.Options{Algorithm: core.Basic}
+		if s == 1 {
+			opts.Candidates = []int{0}
 		}
-	}
-	return t, nil
+		return r.repair(w, opts, 0) // corrupt the oldest query
+	}, nil)
 }
 
 // Fig6Multi reproduces Figures 6a/6d: multiple corruptions (every third
 // query) repaired by basic and its slicing variants; performance and
 // accuracy.
 func (r *Runner) Fig6Multi() (*Table, error) {
-	var nd int
-	var logSizes []int
-	switch r.Scale {
-	case Quick:
-		nd, logSizes = 12, []int{3}
-	case Large:
-		nd, logSizes = 30, []int{3, 6, 9, 12}
-	default:
-		nd, logSizes = 20, []int{3, 6, 9}
+	nd := pick(r.Scale, 12, 20, 30)
+	logSizes := pick(r.Scale, []int{3}, []int{3, 6, 9}, []int{3, 6, 9, 12})
+	series := []string{"basic", "basic-tuple", "basic-query", "basic-attr", "basic-all"}
+	opts := []core.Options{
+		{Algorithm: core.Basic},
+		{Algorithm: core.Basic, TupleSlicing: true},
+		{Algorithm: core.Basic, QuerySlicing: true},
+		{Algorithm: core.Basic, AttrSlicing: true},
+		{Algorithm: core.Basic, TupleSlicing: true, QuerySlicing: true, AttrSlicing: true},
 	}
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"basic", core.Options{Algorithm: core.Basic}},
-		{"basic-tuple", core.Options{Algorithm: core.Basic, TupleSlicing: true}},
-		{"basic-query", core.Options{Algorithm: core.Basic, QuerySlicing: true}},
-		{"basic-attr", core.Options{Algorithm: core.Basic, AttrSlicing: true}},
-		{"basic-all", core.Options{Algorithm: core.Basic, TupleSlicing: true, QuerySlicing: true, AttrSlicing: true}},
+	corrupt := func(nq int) (idx []int) {
+		for i := 0; i < nq; i += 3 {
+			idx = append(idx, i)
+		}
+		return idx
 	}
 	t := &Table{ID: "fig6a/6d", Title: "multiple corruptions: basic and slicing variants",
 		XLabel:  "Nq",
 		Caption: fmt.Sprintf("ND=%d; every 3rd query corrupted, oldest first", nd)}
-	for _, nq := range logSizes {
-		var corrupt []int
-		for i := 0; i < nq; i += 3 {
-			corrupt = append(corrupt, i)
-		}
-		for _, v := range variants {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 30,
-					Seed: r.Seed + int64(rep)*131 + int64(nq),
-				})
-				in, err := w.MakeInstance(corrupt...)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, v.opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: v.name, X: fmt.Sprint(nq),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok,
-				Note: fmt.Sprintf("%d corruptions", len(corrupt))})
-			r.logf("fig6multi %s Nq=%d: %.1fms f1=%.2f solved=%.2f", v.name, nq, ms, acc.F1, ok)
-		}
-	}
-	return t, nil
+	return r.sweep(t, labels("%d", logSizes), series, func(x, s, rep int) (point, error) {
+		nq := logSizes[x]
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 30,
+			Seed: r.Seed + int64(rep)*131 + int64(nq),
+		})
+		return r.repair(w, opts[s], corrupt(nq)...)
+	}, func(x int, _ []point) string {
+		return fmt.Sprintf("%d corruptions", len(corrupt(logSizes[x])))
+	})
 }
 
 // Fig6Single reproduces Figures 6b/6e: a single corruption in the oldest
@@ -112,96 +71,46 @@ func (r *Runner) Fig6Multi() (*Table, error) {
 // batch sizes k ∈ {1, 2, 8}. The paper finds k=1 with tuple slicing is
 // the only configuration that scales with high accuracy.
 func (r *Runner) Fig6Single() (*Table, error) {
-	var nd int
-	var logSizes []int
-	switch r.Scale {
-	case Quick:
-		nd, logSizes = 20, []int{5, 10}
-	case Large:
-		nd, logSizes = 100, []int{10, 25, 50, 100}
-	default:
-		nd, logSizes = 50, []int{10, 20, 40}
-	}
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"inc1", core.Options{Algorithm: core.Incremental, K: 1}},
-		{"inc1-tuple", core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}},
-		{"inc2-tuple", core.Options{Algorithm: core.Incremental, K: 2, TupleSlicing: true}},
-		{"inc8-tuple", core.Options{Algorithm: core.Incremental, K: 8, TupleSlicing: true}},
+	nd := pick(r.Scale, 20, 50, 100)
+	logSizes := pick(r.Scale, []int{5, 10}, []int{10, 20, 40}, []int{10, 25, 50, 100})
+	series := []string{"inc1", "inc1-tuple", "inc2-tuple", "inc8-tuple"}
+	opts := []core.Options{
+		{Algorithm: core.Incremental, K: 1},
+		{Algorithm: core.Incremental, K: 1, TupleSlicing: true},
+		{Algorithm: core.Incremental, K: 2, TupleSlicing: true},
+		{Algorithm: core.Incremental, K: 8, TupleSlicing: true},
 	}
 	t := &Table{ID: "fig6b/6e", Title: "single corruption: incremental variants",
 		XLabel:  "Nq",
 		Caption: fmt.Sprintf("ND=%d; oldest query corrupted (worst case for newest-first scanning)", nd)}
-	for _, nq := range logSizes {
-		for _, v := range variants {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 20,
-					Seed: r.Seed + int64(rep)*151 + int64(nq),
-				})
-				in, err := w.MakeInstance(0)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, v.opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: v.name, X: fmt.Sprint(nq),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig6single %s Nq=%d: %.1fms f1=%.2f", v.name, nq, ms, acc.F1)
-		}
-	}
-	return t, nil
+	return r.sweep(t, labels("%d", logSizes), series, func(x, s, rep int) (point, error) {
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 10, Nq: logSizes[x], Vd: 200, Range: 20,
+			Seed: r.Seed + int64(rep)*151 + int64(logSizes[x]),
+		})
+		return r.repair(w, opts[s], 0)
+	}, nil)
 }
 
 // Fig6QueryType reproduces Figures 6c/6f: inc1-tuple on INSERT-only,
 // DELETE-only, and UPDATE-only logs with the oldest query corrupted.
 // UPDATE repairs dominate cost; INSERT repairs stay nearly flat.
 func (r *Runner) Fig6QueryType() (*Table, error) {
-	var nd int
-	var logSizes []int
-	switch r.Scale {
-	case Quick:
-		nd, logSizes = 20, []int{5, 10}
-	case Large:
-		nd, logSizes = 100, []int{10, 25, 50, 100}
-	default:
-		nd, logSizes = 50, []int{10, 25, 50}
-	}
-	mixes := []struct {
-		name string
-		mix  workload.QueryMix
-	}{
-		{"INSERT", workload.InsertOnly},
-		{"DELETE", workload.DeleteOnly},
-		{"UPDATE", workload.UpdateOnly},
-	}
+	nd := pick(r.Scale, 20, 50, 100)
+	logSizes := pick(r.Scale, []int{5, 10}, []int{10, 25, 50}, []int{10, 25, 50, 100})
+	mixes := []workload.QueryMix{workload.InsertOnly, workload.DeleteOnly, workload.UpdateOnly}
 	t := &Table{ID: "fig6c/6f", Title: "query-type workloads under inc1-tuple",
 		XLabel:  "Nq",
 		Caption: fmt.Sprintf("ND=%d; oldest query corrupted", nd)}
-	opts := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}
-	for _, nq := range logSizes {
-		for _, m := range mixes {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 10, Mix: m.mix,
-					Seed: r.Seed + int64(rep)*171 + int64(nq),
-				})
-				in, err := w.MakeInstance(0)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: m.name, X: fmt.Sprint(nq),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig6type %s Nq=%d: %.1fms f1=%.2f", m.name, nq, ms, acc.F1)
-		}
-	}
-	return t, nil
+	return r.sweep(t, labels("%d", logSizes), []string{"INSERT", "DELETE", "UPDATE"}, func(x, s, rep int) (point, error) {
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 10, Nq: logSizes[x], Vd: 200, Range: 10, Mix: mixes[s],
+			Seed: r.Seed + int64(rep)*171 + int64(logSizes[x]),
+		})
+		return r.repair(w, inc1Tuple, 0)
+	}, nil)
 }
+
+// inc1Tuple is the incremental configuration the paper settles on
+// (k=1 with tuple slicing) and most later figures measure.
+var inc1Tuple = core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}

@@ -8,327 +8,152 @@ import (
 	"repro/internal/workload"
 )
 
-// incVariants are the slicing combinations compared in Figure 7.
-func incVariants() []struct {
-	name string
-	opts core.Options
-} {
-	return []struct {
-		name string
-		opts core.Options
-	}{
-		{"inc1-tuple", core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}},
-		{"inc1-tuple+query", core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true,
-			QuerySlicing: true, SingleCorruption: true}},
-		{"inc1-tuple+attr", core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true,
-			AttrSlicing: true}},
-		{"inc1-all", core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true,
-			QuerySlicing: true, AttrSlicing: true, SingleCorruption: true}},
+// incSeries and incOpts are the slicing combinations compared in
+// Figure 7.
+var (
+	incSeries = []string{"inc1-tuple", "inc1-tuple+query", "inc1-tuple+attr", "inc1-all"}
+	incOpts   = []core.Options{
+		inc1Tuple,
+		{Algorithm: core.Incremental, K: 1, TupleSlicing: true, QuerySlicing: true, SingleCorruption: true},
+		{Algorithm: core.Incremental, K: 1, TupleSlicing: true, AttrSlicing: true},
+		{Algorithm: core.Incremental, K: 1, TupleSlicing: true,
+			QuerySlicing: true, AttrSlicing: true, SingleCorruption: true},
 	}
-}
+)
 
 // Fig7Attrs reproduces Figure 7a: repair latency as the table widens;
 // query and attribute slicing pay off on wide tables.
 func (r *Runner) Fig7Attrs() (*Table, error) {
-	var nd, nq int
-	var attrs []int
-	switch r.Scale {
-	case Quick:
-		nd, nq, attrs = 20, 10, []int{5, 15}
-	case Large:
-		nd, nq, attrs = 50, 40, []int{10, 25, 50, 100}
-	default:
-		nd, nq, attrs = 40, 25, []int{10, 25, 50}
-	}
+	nd, nq := pick(r.Scale, 20, 40, 50), pick(r.Scale, 10, 25, 40)
+	attrs := pick(r.Scale, []int{5, 15}, []int{10, 25, 50}, []int{10, 25, 50, 100})
 	t := &Table{ID: "fig7a", Title: "number of attributes vs time",
 		XLabel:  "Na",
 		Caption: fmt.Sprintf("ND=%d Nq=%d; single corruption mid-log", nd, nq)}
-	for _, na := range attrs {
-		for _, v := range incVariants() {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: na, Nq: nq, Vd: 200, Range: 30,
-					Seed: r.Seed + int64(rep)*191 + int64(na),
-				})
-				in, err := w.MakeInstance(nq / 2)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, v.opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: v.name, X: fmt.Sprint(na),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig7a %s Na=%d: %.1fms", v.name, na, ms)
-		}
-	}
-	return t, nil
+	return r.sweep(t, labels("%d", attrs), incSeries, func(x, s, rep int) (point, error) {
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: attrs[x], Nq: nq, Vd: 200, Range: 30,
+			Seed: r.Seed + int64(rep)*191 + int64(attrs[x]),
+		})
+		return r.repair(w, incOpts[s], nq/2)
+	}, nil)
 }
 
 // Fig7DBSize reproduces Figure 7b: database size on a wide table, with
 // query selectivity shrunk in proportion so the complaint count stays
 // fixed.
 func (r *Runner) Fig7DBSize() (*Table, error) {
-	var na, nq int
-	var sizes []int
-	switch r.Scale {
-	case Quick:
-		na, nq, sizes = 15, 10, []int{50, 200}
-	case Large:
-		na, nq, sizes = 50, 40, []int{100, 500, 1000, 2000}
-	default:
-		na, nq, sizes = 30, 25, []int{100, 300, 1000}
-	}
+	na, nq := pick(r.Scale, 15, 30, 50), pick(r.Scale, 10, 25, 40)
+	sizes := pick(r.Scale, []int{50, 200}, []int{100, 300, 1000}, []int{100, 500, 1000, 2000})
 	t := &Table{ID: "fig7b", Title: "database size vs time (wide table)",
 		XLabel:  "ND",
 		Caption: fmt.Sprintf("Na=%d Nq=%d; selectivity ∝ 1/ND keeps complaints fixed", na, nq)}
-	for _, nd := range sizes {
-		// Constant expected matches per query: Range scales inversely.
-		rng := math.Max(1, 6000/float64(nd))
-		for _, v := range incVariants() {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: na, Nq: nq, Vd: 200, Range: rng,
-					Seed: r.Seed + int64(rep)*211 + int64(nd),
-				})
-				in, err := w.MakeInstance(5) // old corruption
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, v.opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: v.name, X: fmt.Sprint(nd),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig7b %s ND=%d: %.1fms", v.name, nd, ms)
-		}
-	}
-	return t, nil
+	return r.sweep(t, labels("%d", sizes), incSeries, func(x, s, rep int) (point, error) {
+		nd := sizes[x]
+		w := workload.MustGenerate(workload.Config{
+			// Constant expected matches per query: Range scales inversely.
+			ND: nd, Na: na, Nq: nq, Vd: 200, Range: math.Max(1, 6000/float64(nd)),
+			Seed: r.Seed + int64(rep)*211 + int64(nd),
+		})
+		return r.repair(w, incOpts[s], 5) // old corruption
+	}, nil)
 }
 
 // Fig8DBSize reproduces Figure 8a: database size on a narrow table with
 // recent vs old corruptions under inc1-tuple.
 func (r *Runner) Fig8DBSize() (*Table, error) {
-	var nq int
-	var sizes []int
-	switch r.Scale {
-	case Quick:
-		nq, sizes = 20, []int{100, 500}
-	case Large:
-		nq, sizes = 100, []int{100, 1000, 10000, 50000}
-	default:
-		nq, sizes = 60, []int{100, 1000, 5000}
-	}
+	nq := pick(r.Scale, 20, 60, 100)
+	sizes := pick(r.Scale, []int{100, 500}, []int{100, 1000, 5000}, []int{100, 1000, 10000, 50000})
+	corrupt := []int{nq - 5, 5}
 	t := &Table{ID: "fig8a", Title: "database size vs time (narrow table)",
 		XLabel:  "ND",
 		Caption: fmt.Sprintf("Na=10 Nq=%d; selectivity ∝ 1/ND; recent vs old corruption", nq)}
-	opts := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}
-	for _, nd := range sizes {
-		rng := math.Max(1, 6000/float64(nd))
-		for _, series := range []struct {
-			name string
-			idx  int
-		}{
-			{"recent", nq - 5},
-			{"old", 5},
-		} {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: 10, Nq: nq, Vd: 200, Range: rng,
-					Seed: r.Seed + int64(rep)*231 + int64(nd),
-				})
-				in, err := w.MakeInstance(series.idx)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: series.name, X: fmt.Sprint(nd),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig8a %s ND=%d: %.1fms", series.name, nd, ms)
-		}
-	}
-	return t, nil
+	return r.sweep(t, labels("%d", sizes), []string{"recent", "old"}, func(x, s, rep int) (point, error) {
+		nd := sizes[x]
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 10, Nq: nq, Vd: 200, Range: math.Max(1, 6000/float64(nd)),
+			Seed: r.Seed + int64(rep)*231 + int64(nd),
+		})
+		return r.repair(w, inc1Tuple, corrupt[s])
+	}, nil)
 }
 
 // Fig8ClauseType reproduces Figure 8b: Constant vs Relative SET crossed
 // with Point vs Range WHERE, as the corruption moves deeper into the log.
 func (r *Runner) Fig8ClauseType() (*Table, error) {
-	var nd, nq int
-	var ages []int
-	switch r.Scale {
-	case Quick:
-		nd, nq, ages = 30, 20, []int{5, 15}
-	case Large:
-		nd, nq, ages = 100, 100, []int{10, 40, 70, 100}
-	default:
-		nd, nq, ages = 60, 60, []int{10, 30, 60}
-	}
-	combos := []struct {
-		name  string
-		set   workload.SetKind
-		where workload.WhereKind
-	}{
-		{"const/point", workload.ConstantSet, workload.PointWhere},
-		{"const/range", workload.ConstantSet, workload.RangeWhere},
-		{"rel/point", workload.RelativeSet, workload.PointWhere},
-		{"rel/range", workload.RelativeSet, workload.RangeWhere},
-	}
+	nd, nq := pick(r.Scale, 30, 60, 100), pick(r.Scale, 20, 60, 100)
+	ages := pick(r.Scale, []int{5, 15}, []int{10, 30, 60}, []int{10, 40, 70, 100})
+	series := []string{"const/point", "const/range", "rel/point", "rel/range"}
+	sets := []workload.SetKind{workload.ConstantSet, workload.ConstantSet, workload.RelativeSet, workload.RelativeSet}
+	wheres := []workload.WhereKind{workload.PointWhere, workload.RangeWhere, workload.PointWhere, workload.RangeWhere}
 	t := &Table{ID: "fig8b", Title: "query clause types vs time",
 		XLabel:  "age",
 		Caption: fmt.Sprintf("ND=%d Nq=%d; age = how many queries ago the corruption happened", nd, nq)}
-	opts := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}
-	for _, age := range ages {
-		for _, cb := range combos {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 10,
-					Set: cb.set, Where: cb.where,
-					Seed: r.Seed + int64(rep)*251 + int64(age),
-				})
-				in, err := w.MakeInstance(nq - age)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: cb.name, X: fmt.Sprint(age),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig8b %s age=%d: %.1fms", cb.name, age, ms)
-		}
-	}
-	return t, nil
+	return r.sweep(t, labels("%d", ages), series, func(x, s, rep int) (point, error) {
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 10,
+			Set: sets[s], Where: wheres[s],
+			Seed: r.Seed + int64(rep)*251 + int64(ages[x]),
+		})
+		return r.repair(w, inc1Tuple, nq-ages[x])
+	}, nil)
 }
 
 // Fig8Incomplete reproduces Figures 8c/8f: the complaint set loses 0–75%
 // of its entries; latency improves (smaller encodings) while accuracy
 // suffers for old corruptions.
 func (r *Runner) Fig8Incomplete() (*Table, error) {
-	var nd, nq int
-	switch r.Scale {
-	case Quick:
-		nd, nq = 30, 16
-	case Large:
-		nd, nq = 100, 60
-	default:
-		nd, nq = 60, 40
-	}
+	nd, nq := pick(r.Scale, 30, 60, 100), pick(r.Scale, 16, 40, 60)
 	rates := []float64{0, 0.25, 0.5, 0.75}
+	corrupt := []int{nq - 5, 2}
 	t := &Table{ID: "fig8c/8f", Title: "incomplete complaint sets",
 		XLabel:  "fn-rate",
 		Caption: fmt.Sprintf("ND=%d Nq=%d; accuracy scored against the full complaint set", nd, nq)}
-	opts := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}
-	for _, rate := range rates {
-		for _, series := range []struct {
-			name string
-			idx  int
-		}{
-			{"recent", nq - 5},
-			{"old", 2},
-		} {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 25,
-					Seed: r.Seed + int64(rep)*271 + int64(rate*100),
-				})
-				in, err := w.MakeInstance(series.idx)
-				if err != nil {
-					return nil, err
-				}
-				complaints := in.Incomplete(rate, r.Seed+int64(rep))
-				pts = append(pts, r.measure(in, complaints, opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: series.name, X: fmt.Sprintf("%.2f", rate),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig8incomplete %s rate=%.2f: %.1fms f1=%.2f", series.name, rate, ms, acc.F1)
+	return r.sweep(t, labels("%.2f", rates), []string{"recent", "old"}, func(x, s, rep int) (point, error) {
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 25,
+			Seed: r.Seed + int64(rep)*271 + int64(rates[x]*100),
+		})
+		in, err := w.MakeInstance(corrupt[s])
+		if err != nil {
+			return point{}, err
 		}
-	}
-	return t, nil
+		return r.measure(in, in.Incomplete(rates[x], r.Seed+int64(rep)), inc1Tuple), nil
+	}, nil)
 }
 
 // Fig8Skew reproduces Figure 8d: zipfian attribute skew concentrates
 // predicates on few attributes and lowers latency.
 func (r *Runner) Fig8Skew() (*Table, error) {
-	var nd, nq int
-	switch r.Scale {
-	case Quick:
-		nd, nq = 30, 16
-	case Large:
-		nd, nq = 100, 60
-	default:
-		nd, nq = 60, 40
-	}
+	nd, nq := pick(r.Scale, 30, 60, 100), pick(r.Scale, 16, 40, 60)
+	skews := []float64{0, 0.5, 1}
 	t := &Table{ID: "fig8d", Title: "attribute skew vs time",
 		XLabel:  "skew",
 		Caption: fmt.Sprintf("ND=%d Nq=%d Na=10; old corruption", nd, nq)}
-	opts := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}
-	for _, skew := range []float64{0, 0.5, 1} {
-		var pts []point
-		for rep := 0; rep < r.reps(); rep++ {
-			w := workload.MustGenerate(workload.Config{
-				ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 15, Skew: skew,
-				Seed: r.Seed + int64(rep)*291 + int64(skew*10),
-			})
-			in, err := w.MakeInstance(3)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, r.measure(in, in.Complaints, opts))
-		}
-		ms, acc, ok := avg(pts)
-		t.Rows = append(t.Rows, Row{Series: "inc1-tuple", X: fmt.Sprintf("%.1f", skew),
-			TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-		r.logf("fig8d skew=%.1f: %.1fms", skew, ms)
-	}
-	return t, nil
+	return r.sweep(t, labels("%.1f", skews), []string{"inc1-tuple"}, func(x, _, rep int) (point, error) {
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 10, Nq: nq, Vd: 200, Range: 15, Skew: skews[x],
+			Seed: r.Seed + int64(rep)*291 + int64(skews[x]*10),
+		})
+		return r.repair(w, inc1Tuple, 3)
+	}, nil)
 }
 
 // Fig8Dims reproduces Figure 8e: WHERE-clause dimensionality with query
 // cardinality held constant (per-predicate selectivity is the d-th root
 // of the target selectivity).
 func (r *Runner) Fig8Dims() (*Table, error) {
-	var nd, nq int
-	var dims []int
-	switch r.Scale {
-	case Quick:
-		nd, nq, dims = 30, 12, []int{1, 2}
-	case Large:
-		nd, nq, dims = 100, 50, []int{1, 2, 3, 4}
-	default:
-		nd, nq, dims = 60, 30, []int{1, 2, 3}
-	}
+	nd, nq := pick(r.Scale, 30, 60, 100), pick(r.Scale, 12, 30, 50)
+	dims := pick(r.Scale, []int{1, 2}, []int{1, 2, 3}, []int{1, 2, 3, 4})
 	const vd, target = 200.0, 0.10 // overall match probability
+	rng := func(x int) float64 { return math.Floor((vd+1)*math.Pow(target, 1/float64(dims[x]))) - 1 }
 	t := &Table{ID: "fig8e", Title: "predicate dimensionality vs time",
 		XLabel:  "dims",
 		Caption: fmt.Sprintf("ND=%d Nq=%d; per-predicate range widened to keep cardinality fixed", nd, nq)}
-	opts := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}
-	for _, d := range dims {
-		rng := math.Floor((vd+1)*math.Pow(target, 1/float64(d))) - 1
-		var pts []point
-		for rep := 0; rep < r.reps(); rep++ {
-			w := workload.MustGenerate(workload.Config{
-				ND: nd, Na: 10, Nq: nq, Vd: vd, Range: rng, NumPreds: d,
-				Seed: r.Seed + int64(rep)*311 + int64(d),
-			})
-			in, err := w.MakeInstance(nq / 2)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, r.measure(in, in.Complaints, opts))
-		}
-		ms, acc, ok := avg(pts)
-		t.Rows = append(t.Rows, Row{Series: "inc1-tuple", X: fmt.Sprint(d),
-			TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok,
-			Note: fmt.Sprintf("range=%g", rng)})
-		r.logf("fig8e dims=%d: %.1fms", d, ms)
-	}
-	return t, nil
+	return r.sweep(t, labels("%d", dims), []string{"inc1-tuple"}, func(x, _, rep int) (point, error) {
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 10, Nq: nq, Vd: vd, Range: rng(x), NumPreds: dims[x],
+			Seed: r.Seed + int64(rep)*311 + int64(dims[x]),
+		})
+		return r.repair(w, inc1Tuple, nq/2)
+	}, func(x int, _ []point) string { return fmt.Sprintf("range=%g", rng(x)) })
 }

@@ -19,87 +19,44 @@ import (
 // are tiny (1–2 tuples) and tuple+query slicing shrinks the encodings to
 // under ~100 constraints, giving near-interactive repairs (§7.4).
 func (r *Runner) Fig9OLTP() (*Table, error) {
-	var orders, tpccQ, subs, tatpQ int
-	var ages []int
-	switch r.Scale {
-	case Quick:
-		orders, tpccQ, subs, tatpQ, ages = 200, 100, 200, 100, []int{1, 50}
-	case Large:
-		orders, tpccQ, subs, tatpQ, ages = 6000, 2000, 5000, 2000, []int{1, 100, 500, 1500}
-	default:
-		orders, tpccQ, subs, tatpQ, ages = 600, 300, 500, 300, []int{1, 50, 150, 300}
-	}
+	orders, tpccQ := pick(r.Scale, 200, 600, 6000), pick(r.Scale, 100, 300, 2000)
+	subs, tatpQ := pick(r.Scale, 200, 500, 5000), pick(r.Scale, 100, 300, 2000)
+	ages := pick(r.Scale, []int{1, 50}, []int{1, 50, 150, 300}, []int{1, 100, 500, 1500})
 	t := &Table{ID: "fig9", Title: "OLTP benchmarks: latency vs corruption age",
 		XLabel:  "age",
 		Caption: fmt.Sprintf("TPC-C: %d orders/%d queries; TATP: %d subscribers/%d queries", orders, tpccQ, subs, tatpQ)}
 	opts := core.Options{Algorithm: core.Incremental, K: 1,
 		TupleSlicing: true, QuerySlicing: true, SingleCorruption: true}
-
-	for _, age := range ages {
-		// TPC-C
-		if age <= tpccQ {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := oltp.TPCC(oltp.TPCCConfig{Orders: orders, Queries: tpccQ,
-					Seed: r.Seed + int64(rep)*331})
-				in, err := w.MakeInstance(tpccQ - age)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: "tpcc", X: fmt.Sprint(age),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok,
-				Note: modelSizeNote(pts)})
-			r.logf("fig9 tpcc age=%d: %.1fms", age, ms)
+	return r.sweep(t, labels("%d", ages), []string{"tpcc", "tatp"}, func(x, s, rep int) (point, error) {
+		if s == 0 {
+			w := oltp.TPCC(oltp.TPCCConfig{Orders: orders, Queries: tpccQ, Seed: r.Seed + int64(rep)*331})
+			return r.repair(w, opts, tpccQ-ages[x])
 		}
-		// TATP
-		if age <= tatpQ {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := oltp.TATP(oltp.TATPConfig{Subscribers: subs, Queries: tatpQ,
-					Seed: r.Seed + int64(rep)*351})
-				in, err := w.MakeInstance(tatpQ - age)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, opts))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, Row{Series: "tatp", X: fmt.Sprint(age),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok,
-				Note: modelSizeNote(pts)})
-			r.logf("fig9 tatp age=%d: %.1fms", age, ms)
-		}
-	}
-	return t, nil
+		w := oltp.TATP(oltp.TATPConfig{Subscribers: subs, Queries: tatpQ, Seed: r.Seed + int64(rep)*351})
+		return r.repair(w, opts, tatpQ-ages[x])
+	}, func(_ int, pts []point) string { return modelSizeNote(pts) })
 }
 
 // Fig10DecTree reproduces Figure 10 (Appendix A): the decision-tree
 // baseline against QFix on a single corrupted UPDATE with a complete
 // complaint set. DecTree stays fast but its F1 starts near 0.5 and
-// degrades; QFix repairs exactly.
+// degrades; QFix repairs exactly. It is written out rather than swept:
+// a repetition whose corruption changes no tuple is left out of every
+// series.
 func (r *Runner) Fig10DecTree() (*Table, error) {
-	var sizes []int
-	switch r.Scale {
-	case Quick:
-		sizes = []int{100, 300}
-	case Large:
-		sizes = []int{100, 500, 1000, 2000, 5000}
-	default:
-		sizes = []int{100, 300, 1000}
-	}
+	sizes := pick(r.Scale, []int{100, 300}, []int{100, 300, 1000}, []int{100, 500, 1000, 2000, 5000})
 	t := &Table{ID: "fig10", Title: "DecTree baseline vs QFix (single corrupted UPDATE)",
 		XLabel:  "ND",
 		Caption: "constant SET, range WHERE, complete complaint set; selectivity ∝ 1/ND"}
 	qfixOpts := core.Options{Algorithm: core.Basic, TupleSlicing: true}
+	dectreeFix := func(d0 *relation.Table, q *query.Update, truth *relation.Table) (*query.Update, error) {
+		return dectree.RepairQuery(d0, q, truth, dectree.Options{})
+	}
 	for _, nd := range sizes {
-		rng := math.Max(4, 4000/float64(nd))
 		var qpts, dpts, lpts []point
 		for rep := 0; rep < r.reps(); rep++ {
 			w := workload.MustGenerate(workload.Config{
-				ND: nd, Na: 5, Nq: 1, Vd: 200, Range: rng,
+				ND: nd, Na: 5, Nq: 1, Vd: 200, Range: math.Max(4, 4000/float64(nd)),
 				Seed: r.Seed + int64(rep)*371 + int64(nd),
 			})
 			in, err := w.MakeInstance(0)
@@ -110,31 +67,27 @@ func (r *Runner) Fig10DecTree() (*Table, error) {
 				continue
 			}
 			qpts = append(qpts, r.measure(in, in.Complaints, qfixOpts))
-			dpts = append(dpts, r.measureDecTree(in))
-			lpts = append(lpts, r.measureLinFit(in))
+			dpts = append(dpts, measureBaseline(in, dectreeFix))
+			lpts = append(lpts, measureBaseline(in, linfit.Repair))
 		}
-		for _, s := range []struct {
-			name string
-			pts  []point
-		}{{"qfix", qpts}, {"dectree", dpts}, {"linfit", lpts}} {
-			ms, acc, ok := avg(s.pts)
-			t.Rows = append(t.Rows, Row{Series: s.name, X: fmt.Sprint(nd),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok})
-			r.logf("fig10 %s ND=%d: %.1fms f1=%.2f", s.name, nd, ms, acc.F1)
-		}
+		r.addRow(t, "qfix", fmt.Sprint(nd), qpts, "")
+		r.addRow(t, "dectree", fmt.Sprint(nd), dpts, "")
+		r.addRow(t, "linfit", fmt.Sprint(nd), lpts, "")
 	}
 	return t, nil
 }
 
-// measureDecTree runs the Appendix A baseline on a single-query instance.
-func (r *Runner) measureDecTree(in *workload.Instance) point {
+// measureBaseline runs a single-query repair baseline (Appendix A's
+// decision tree, or the technical report's linear system) and scores it.
+func measureBaseline(in *workload.Instance,
+	fix func(d0 *relation.Table, q *query.Update, truth *relation.Table) (*query.Update, error)) point {
 	start := time.Now()
 	dirtyQ, ok := in.Dirty[0].(*query.Update)
 	if !ok {
 		return point{}
 	}
-	repaired, err := dectree.RepairQuery(in.W.D0, dirtyQ, in.TruthFinal, dectree.Options{})
-	p := point{ms: float64(time.Since(start).Microseconds()) / 1000}
+	repaired, err := fix(in.W.D0, dirtyQ, in.TruthFinal)
+	p := point{ms: ms(time.Since(start))}
 	if err != nil {
 		return p
 	}
@@ -158,25 +111,6 @@ func modelSizeNote(pts []point) string {
 		return ""
 	}
 	return fmt.Sprintf("~%d rows/solve", rows/batches)
-}
-
-// measureLinFit runs the technical report's linear-system baseline.
-func (r *Runner) measureLinFit(in *workload.Instance) point {
-	start := time.Now()
-	dirtyQ, ok := in.Dirty[0].(*query.Update)
-	if !ok {
-		return point{}
-	}
-	repaired, err := linfit.Repair(in.W.D0, dirtyQ, in.TruthFinal)
-	p := point{ms: float64(time.Since(start).Microseconds()) / 1000}
-	if err != nil {
-		return p
-	}
-	p.resolved = true
-	if acc, err := in.Evaluate([]query.Query{repaired}); err == nil {
-		p.acc = acc
-	}
-	return p
 }
 
 // Example2 reproduces the §7.4 case study: the Figure 2 tax-bracket
@@ -229,17 +163,7 @@ func (r *Runner) Example2() (*Table, error) {
 	t := &Table{ID: "ex2", Title: "Figure 2 tax example, end-to-end repair",
 		XLabel:  "case",
 		Caption: "paper: fully repaired in 35 ms (CPLEX)"}
-	t.Rows = append(t.Rows, Row{Series: "qfix", X: "figure2",
-		TimeMS:    float64(elapsed.Microseconds()) / 1000,
-		Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1,
-		Solved: b2f(rep.Resolved),
-		Note:   fmt.Sprintf("repaired q%v, distance %.1f", rep.Changed, rep.Distance)})
+	r.addRow(t, "qfix", "figure2", []point{{ms: ms(elapsed), acc: acc, resolved: rep.Resolved, stats: rep.Stats}},
+		fmt.Sprintf("repaired q%v, distance %.1f", rep.Changed, rep.Distance))
 	return t, nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -20,49 +19,23 @@ import (
 //	presolve-par  one search worker per CPU (byte-identical repairs and
 //	              counters — see the determinism property tests)
 func (r *Runner) FigSolver() (*Table, error) {
-	var nd, nq int
-	switch r.Scale {
-	case Quick:
-		nd, nq = 50, 15
-	case Large:
-		nd, nq = 100, 60
-	default:
-		nd, nq = 100, 30
-	}
-	base := core.Options{Algorithm: core.Incremental, K: 1, TupleSlicing: true}
-	variants := []struct {
-		name string
-		mod  func(o core.Options) core.Options
-	}{
-		{"presolve-seq", func(o core.Options) core.Options { return o }},
-		{"presolve-par", func(o core.Options) core.Options { o.SolverParallel = -1; return o }},
-	}
+	nd, nq := pick(r.Scale, 50, 100, 100), pick(r.Scale, 15, 30, 60)
+	cells := []int{nq - 1, nq / 2}
 	t := &Table{ID: "solver", Title: "MILP solver stack: sequential vs speculative parallel branch-and-bound",
 		XLabel: "corrupt",
 		Caption: fmt.Sprintf("ND=%d Nq=%d, inc1-tuple, default encoding; "+
 			"note shows mean branch-and-bound nodes / LP iterations / basis refactorizations / presolved rows", nd, nq)}
-	for _, idx := range []int{nq - 1, nq / 2} {
-		for _, v := range variants {
-			var pts []point
-			for rep := 0; rep < r.reps(); rep++ {
-				w := workload.MustGenerate(workload.Config{
-					ND: nd, Na: 5, Nq: nq, Vd: 200, Range: 20,
-					Seed: r.Seed + int64(rep)*401 + int64(idx),
-				})
-				in, err := w.MakeInstance(idx)
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, r.measure(in, in.Complaints, v.mod(base)))
-			}
-			ms, acc, ok := avg(pts)
-			t.Rows = append(t.Rows, withPhases(Row{Series: v.name, X: fmt.Sprintf("q%d", idx),
-				TimeMS: ms, Precision: acc.Precision, Recall: acc.Recall, F1: acc.F1, Solved: ok,
-				Note: solverNote(pts)}, pts))
-			r.logf("solver %s idx=%d: %.1fms %s", v.name, idx, ms, solverNote(pts))
+	return r.sweep(t, labels("q%d", cells), []string{"presolve-seq", "presolve-par"}, func(x, s, rep int) (point, error) {
+		w := workload.MustGenerate(workload.Config{
+			ND: nd, Na: 5, Nq: nq, Vd: 200, Range: 20,
+			Seed: r.Seed + int64(rep)*401 + int64(cells[x]),
+		})
+		opts := inc1Tuple
+		if s == 1 {
+			opts.SolverParallel = -1
 		}
-	}
-	return t, nil
+		return r.repair(w, opts, cells[x])
+	}, func(_ int, pts []point) string { return solverNote(pts) })
 }
 
 // solverNote summarizes the solver work behind a series of points.

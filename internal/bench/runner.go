@@ -62,32 +62,23 @@ type Runner struct {
 	Out io.Writer
 }
 
+// pick returns the sizing of scale s: quick, def or large.
+func pick[T any](s Scale, quick, def, large T) T {
+	return [...]T{quick, def, large}[s]
+}
+
 func (r *Runner) reps() int {
 	if r.Reps > 0 {
 		return r.Reps
 	}
-	switch r.Scale {
-	case Quick:
-		return 1
-	case Large:
-		return 5
-	default:
-		return 3
-	}
+	return pick(r.Scale, 1, 3, 5)
 }
 
 func (r *Runner) timeLimit() time.Duration {
 	if r.TimeLimit > 0 {
 		return r.TimeLimit
 	}
-	switch r.Scale {
-	case Quick:
-		return 10 * time.Second
-	case Large:
-		return 120 * time.Second
-	default:
-		return 30 * time.Second
-	}
+	return pick(r.Scale, 10*time.Second, 30*time.Second, 120*time.Second)
 }
 
 func (r *Runner) logf(format string, args ...interface{}) {
@@ -142,6 +133,58 @@ type point struct {
 	stats    core.Stats
 }
 
+// sweep fills t with one row per x label and series name, x-major: the
+// mean of r.reps() points from at(x, s, rep), where x indexes xs and s
+// indexes series. note, when set, gives each row its Note.
+func (r *Runner) sweep(t *Table, xs, series []string, at func(x, s, rep int) (point, error),
+	note func(x int, pts []point) string) (*Table, error) {
+	for x, xl := range xs {
+		for s, name := range series {
+			var pts []point
+			for rep := 0; rep < r.reps(); rep++ {
+				p, err := at(x, s, rep)
+				if err != nil {
+					return nil, err
+				}
+				pts = append(pts, p)
+			}
+			var n string
+			if note != nil {
+				n = note(x, pts)
+			}
+			r.addRow(t, name, xl, pts, n)
+		}
+	}
+	return t, nil
+}
+
+// addRow appends the mean of pts to t as the row (series, x) and logs it.
+func (r *Runner) addRow(t *Table, series, x string, pts []point, note string) {
+	row := avg(pts)
+	row.Series, row.X, row.Note = series, x, note
+	t.Rows = append(t.Rows, row)
+	r.logf("%s %s %s=%s: %.1fms f1=%.2f solved=%.2f %s", t.ID, series, t.XLabel, x, row.TimeMS, row.F1, row.Solved, note)
+}
+
+// labels formats each x value of a sweep as its row label.
+func labels[X any](format string, xs []X) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprintf(format, x)
+	}
+	return out
+}
+
+// repair corrupts the queries at corrupt in w, diagnoses the instance
+// with its full complaint set, and scores the repair.
+func (r *Runner) repair(w *workload.Workload, opts core.Options, corrupt ...int) (point, error) {
+	in, err := w.MakeInstance(corrupt...)
+	if err != nil {
+		return point{}, err
+	}
+	return r.measure(in, in.Complaints, opts), nil
+}
+
 // measure runs one diagnosis and scores it. Unresolved runs score zero
 // accuracy (the paper's treatment of timeouts/infeasibility in §7.2).
 func (r *Runner) measure(in *workload.Instance, complaints []core.Complaint, opts core.Options) point {
@@ -153,8 +196,7 @@ func (r *Runner) measure(in *workload.Instance, complaints []core.Complaint, opt
 	}
 	start := time.Now()
 	rep, err := core.Diagnose(in.W.D0, in.Dirty, complaints, opts)
-	elapsed := time.Since(start)
-	p := point{ms: float64(elapsed.Microseconds()) / 1000}
+	p := point{ms: ms(time.Since(start))}
 	if err != nil || rep == nil {
 		return p
 	}
@@ -168,48 +210,39 @@ func (r *Runner) measure(in *workload.Instance, complaints []core.Complaint, opt
 	return p
 }
 
-// phases aggregates the mean per-phase milliseconds across points —
-// the same Stats timers the CLI's -v breakdown prints, so a BENCH row
-// and a qfix run describe one diagnosis the same way.
-func phases(points []point) (plan, encode, solve, merge float64) {
-	if len(points) == 0 {
-		return 0, 0, 0, 0
-	}
-	n := float64(len(points))
-	for _, p := range points {
-		plan += float64(p.stats.PlanTime.Microseconds()) / 1000
-		encode += float64(p.stats.EncodeTime.Microseconds()) / 1000
-		solve += float64(p.stats.SolveTime.Microseconds()) / 1000
-		merge += float64(p.stats.MergeTime.Microseconds()) / 1000
-	}
-	return plan / n, encode / n, solve / n, merge / n
-}
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// withPhases stamps a row with the mean phase breakdown of its points.
-func withPhases(row Row, points []point) Row {
-	row.PlanMS, row.EncodeMS, row.SolveMS, row.MergeMS = phases(points)
-	return row
-}
-
-// avg aggregates repetition points into a table row.
-func avg(points []point) (ms float64, acc workload.Accuracy, okFrac float64) {
+// avg is the mean row of points: latency, accuracy, solved share, and
+// the per-phase milliseconds from the same Stats timers the CLI's -v
+// breakdown prints, so a BENCH row and a qfix run describe one
+// diagnosis the same way.
+func avg(points []point) Row {
+	var row Row
 	if len(points) == 0 {
-		return 0, workload.Accuracy{}, 0
+		return row
 	}
-	n := float64(len(points))
 	for _, p := range points {
-		ms += p.ms
-		acc.Precision += p.acc.Precision
-		acc.Recall += p.acc.Recall
-		acc.F1 += p.acc.F1
+		row.TimeMS += p.ms
+		row.Precision += p.acc.Precision
+		row.Recall += p.acc.Recall
+		row.F1 += p.acc.F1
 		if p.resolved {
-			okFrac++
+			row.Solved++
 		}
+		row.PlanMS += ms(p.stats.PlanTime)
+		row.EncodeMS += ms(p.stats.EncodeTime)
+		row.SolveMS += ms(p.stats.SolveTime)
+		row.MergeMS += ms(p.stats.MergeTime)
 	}
-	ms /= n
-	acc.Precision /= n
-	acc.Recall /= n
-	acc.F1 /= n
-	okFrac /= n
-	return ms, acc, okFrac
+	n := float64(len(points))
+	row.TimeMS /= n
+	row.Precision /= n
+	row.Recall /= n
+	row.F1 /= n
+	row.Solved /= n
+	row.PlanMS /= n
+	row.EncodeMS /= n
+	row.SolveMS /= n
+	row.MergeMS /= n
+	return row
 }

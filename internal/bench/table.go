@@ -34,7 +34,7 @@ type Machine struct {
 	Cores      int
 	GOMAXPROCS int
 	GoVersion  string
-	Commit     string // git rev-parse --short HEAD, or "unknown"
+	Commit     string // git rev-parse --short HEAD, "-dirty" if the tree has changes; or "unknown"
 }
 
 // Table is the reproduction of one paper figure.
