@@ -212,6 +212,61 @@ func TestRemovedFlagsRefused(t *testing.T) {
 	}
 }
 
+// TestRefusesDataFinerThanEpsilon: values a WHERE clause compares that
+// lie less than 1 apart are finer than the encoding's fixed ε = 0.5
+// separates, and the diagnosis refuses them naming the attribute, in
+// both slicing modes (without the check the first printed a wrong
+// repair, WHERE a >= 0.9000000000000009 at distance 0.750, and the
+// second found none). The same instance scaled by 10 still repairs to
+// a >= 2.5, with the constant 1.5 lying between its data values.
+func TestRefusesDataFinerThanEpsilon(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	run := func(data, log, complaints string, extra ...string) (string, string, int) {
+		args := append([]string{"-data", data, "-log", log, "-complaints", complaints,
+			"-table", "t", "-key", "id", "-algorithm", "basic"}, extra...)
+		cmd := exec.Command(bin, args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			return stdout.String(), stderr.String(), ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		return stdout.String(), stderr.String(), 0
+	}
+
+	data := write("d0.csv", "id,a,b\n1,0.1,0\n2,0.2,0\n3,0.3,0\n4,0.4,0\n")
+	log := write("log.sql", "UPDATE t SET b = 1 WHERE a >= 0.15;\n")
+	complaints := write("c.txt", "2,2,0.2,0\n")
+	const refusal = "qfix: core: attribute a has values 0.1 and 0.2 less than 1 apart"
+	for _, extra := range [][]string{nil, {"-no-tuple-slicing"}} {
+		stdout, stderr, exit := run(data, log, complaints, extra...)
+		if exit != 1 || !strings.HasPrefix(stderr, refusal) || stdout != "" {
+			t.Errorf("%v: exit %d, stderr %q, stdout %q; want exit 1 and stderr starting %q",
+				extra, exit, stderr, stdout, refusal)
+		}
+	}
+
+	data = write("d10.csv", "id,a,b\n1,1,0\n2,2,0\n3,3,0\n4,4,0\n")
+	log = write("log10.sql", "UPDATE t SET b = 1 WHERE a >= 1.5;\n")
+	complaints = write("c10.txt", "2,2,2,0\n")
+	stdout, stderr, exit := run(data, log, complaints)
+	const want = "-- complaints resolved: true; repair distance: 1.000\n*> UPDATE t SET b = 1 WHERE a >= 2.5;\n"
+	if _, rest, _ := strings.Cut(stdout, "\n"); exit != 0 || stderr != "" || rest != want {
+		t.Errorf("scaled by 10: exit %d, stderr %q, printed\n%s\nwant\n%s", exit, stderr, rest, want)
+	}
+}
+
 func buildCLI(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "qfix")

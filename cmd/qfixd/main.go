@@ -1,9 +1,9 @@
 // Command qfixd runs QFix as a resident multi-tenant diagnosis service.
 //
-// It owns a directory of history stores (one subdirectory per tenant),
-// a shared scheduler pool, and optionally a shared worker fleet, and
-// serves append/complain/diagnose requests over a newline-delimited
-// JSON protocol (internal/qfixd):
+// It owns a directory of history stores (one subdirectory per tenant)
+// and optionally a shared worker fleet, and serves
+// append/complain/diagnose requests over a newline-delimited JSON
+// protocol (internal/qfixd):
 //
 //	qfixd -addr :7460 -dir /var/lib/qfix &
 //	# then, from any client connection:
@@ -43,11 +43,10 @@ func main() {
 		admin = flag.String("admin", "",
 			"serve admin telemetry on this HTTP address (/metrics Prometheus text, /debug/vars JSON, /debug/pprof/*); empty disables")
 		dir       = flag.String("dir", ".", "root data directory; each tenant's history store is a subdirectory")
-		inflt     = flag.Int("max-inflight", 0, "concurrent diagnoses across all tenants (0 = GOMAXPROCS, <0 = one at a time)")
+		inflt     = flag.Int("max-inflight", 0, "concurrent diagnoses across all tenants, each running up to its partition width of MILPs (0 = GOMAXPROCS, <0 = one at a time)")
 		tq        = flag.Int("tenant-queue", 0, "per-tenant cap on queued diagnoses; beyond it requests get a busy error (0 = default, <0 = no queueing)")
 		workers   = flag.String("workers", "", "comma-separated qfix-worker addresses for a shared diagnosis fleet")
 		part      = flag.Int("partition", 0, "default partition width for diagnoses that do not request one")
-		pool      = flag.Int("pool", 0, "resident scheduler pool size shared by all diagnoses (0 = GOMAXPROCS)")
 		maxStores = flag.Int("max-stores", 0, "resident tenant stores before LRU eviction of idle ones (0 = default, <0 = unlimited)")
 		storeIdle = flag.Duration("store-idle", 0, "close tenant stores unused this long (0 = default, <0 = never)")
 		traces    = flag.String("trace-dir", "", "write one span-tree trace per diagnosis into this directory; empty disables")
@@ -61,7 +60,6 @@ func main() {
 		MaxInflight:   *inflt,
 		TenantQueue:   *tq,
 		Partition:     *part,
-		PoolWorkers:   *pool,
 		MaxOpenStores: *maxStores,
 		StoreIdle:     *storeIdle,
 		TraceDir:      *traces,

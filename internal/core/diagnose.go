@@ -49,6 +49,9 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 	if err != nil {
 		return nil, fmt.Errorf("core: replaying log: %w", err)
 	}
+	if err := checkResolution(log, d0, dirtyFinal); err != nil {
+		return nil, err
+	}
 	if len(complaints) == 0 {
 		// Nothing to diagnose: the identity repair is optimal.
 		mDiagnoses.Inc()
@@ -90,6 +93,56 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 		mSolveSeconds.Observe(rep.Stats.SolveTime.Seconds())
 	}
 	return rep, err
+}
+
+// checkResolution refuses data finer than the encoding separates. The
+// encoder's strict comparisons and equality complements sit ε = 0.5
+// from a WHERE constant, so two distinct values less than 2ε = 1 apart
+// on an attribute a WHERE clause compares may get no boundary between
+// them, and the MILP's repair can be wrong about the data (ROADMAP
+// direction 13 makes ε follow the data instead). Only the tables'
+// values count: a constant between two values a unit apart is repaired
+// correctly. Whole-valued data passes in one pass, without a sort.
+func checkResolution(log []query.Query, tables ...*relation.Table) error {
+	var compared query.AttrSet
+	var attrs []int
+	for _, q := range log {
+		switch v := q.(type) {
+		case *query.Update:
+			attrs = query.CondAttrs(v.Where, attrs[:0])
+		case *query.Delete:
+			attrs = query.CondAttrs(v.Where, attrs[:0])
+		default:
+			continue
+		}
+		compared.Add(attrs...)
+	}
+	cols := compared.Sorted()
+	whole := true
+	for _, tb := range tables {
+		tb.Rows(func(t relation.Tuple) {
+			for _, a := range cols {
+				whole = whole && t.Values[a] == math.Trunc(t.Values[a])
+			}
+		})
+	}
+	if whole {
+		return nil
+	}
+	for _, a := range cols {
+		var vals []float64
+		for _, tb := range tables {
+			tb.Rows(func(t relation.Tuple) { vals = append(vals, t.Values[a]) })
+		}
+		slices.Sort(vals)
+		for i := 1; i < len(vals); i++ {
+			if gap := vals[i] - vals[i-1]; gap > 0 && gap < 1 {
+				return fmt.Errorf("core: attribute %s has values %v and %v less than 1 apart, "+
+					"finer than the encoding's ε = 0.5 separates", tables[0].Schema().Attr(a), vals[i-1], vals[i])
+			}
+		}
+	}
+	return nil
 }
 
 // dispatch routes the planned diagnosis to the partitioned or joint

@@ -57,7 +57,7 @@ func partitionSize(rows, candidates, complaints int) int {
 
 // largestFirst returns the dispatch order that starts the biggest
 // partitions first, shortening the critical path: with more partitions
-// than pool slots, round-robin start order can leave the one huge MILP
+// than scan workers, round-robin start order can leave the one huge MILP
 // at the back of the queue, making wall-clock ≈ queue wait + its solve.
 // Ties keep index order (stable sort), so the order — and therefore the
 // scheduler's start sequence — is deterministic for a given plan.
@@ -244,17 +244,12 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 	sub.Partition = 0
 	sub.TotalTimeLimit = 0 // the outer deadline is enforced per job below
 	sub.PartitionSolver = nil
-	// Partition jobs already run on the scan's scheduler; a sub-diagnosis
-	// scheduling nested scans from a pool worker could deadlock the pool,
-	// so subs never carry one (their Partition=0 setting makes this
-	// unreachable anyway — this pins the invariant).
-	sub.Scheduler = nil
 
 	// Partition spans are pre-created in plan (index) order by this
 	// goroutine, so the trace's partition list is deterministic
 	// regardless of the largest-first start order or which worker slot
 	// runs which job; each job fills in only its own subtree. The queue
-	// child measures how long the partition waited for a pool slot.
+	// child measures how long the partition waited for a scan worker.
 	pspans := make([]*obs.Span, len(parts))
 	qspans := make([]*obs.Span, len(parts))
 	created := make([]time.Time, len(parts))
@@ -272,7 +267,7 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 		queueWait time.Duration
 		solve     time.Duration
 	}
-	results, wait := sched.OnPool(d.opt.Scheduler, d.opt.Partition, len(parts), largestFirst(parts), func(i int) outcome {
+	results, wait := sched.OnPool(nil, d.opt.Partition, len(parts), largestFirst(parts), func(i int) outcome {
 		jobStart := time.Now()
 		qspans[i].End()
 		defer pspans[i].End()

@@ -16,7 +16,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/relation"
-	"repro/internal/sched"
 )
 
 // Complaint identifies one tuple of the final state together with its
@@ -78,9 +77,9 @@ type Options struct {
 	// into connected components of the complaint–query interaction graph
 	// (two complaints are connected iff their relevant-query candidate
 	// sets, derived from FullImpact, intersect), solves each component as
-	// an independent sub-diagnosis on a shared worker pool, and merges
-	// the per-partition repairs. The merged repair is re-verified against
-	// the full complaint set; on cross-partition interference or
+	// an independent sub-diagnosis on the scan's own goroutines, and
+	// merges the per-partition repairs. The merged repair is re-verified
+	// against the full complaint set; on cross-partition interference or
 	// conflicting parameter assignments the engine falls back to a joint
 	// solve. A resolved partitioned diagnosis is therefore always a
 	// replay-verified repair, and it matches the unpartitioned outcome
@@ -88,22 +87,10 @@ type Options struct {
 	// partitioning can resolve strictly more: each partition reduces to
 	// a single-corruption subproblem, so Incremental with K=1 repairs
 	// multi-cluster corruptions the joint scan cannot. Partition = -1
-	// sizes the pool adaptively from runtime.GOMAXPROCS. Extension
+	// sizes the scan adaptively from runtime.GOMAXPROCS. Extension
 	// beyond the paper (its closing "additional methods of scaling the
 	// constraint analysis" direction).
 	Partition int
-
-	// Scheduler, when non-nil, runs the engine's partition scan on this
-	// resident shared worker pool; when nil the scan runs on a private
-	// pool of its own width (sched.OnPool either way). Partition still
-	// bounds the scan's share of a shared pool; the pool's own size
-	// bounds the process total, which is what a resident multi-tenant
-	// service (internal/qfixd) needs when many diagnoses run
-	// concurrently. Process-local: never serialized, and partition
-	// subproblems shipped to workers solve without it. The chosen repair
-	// is identical with or without a Scheduler (results are adjudicated
-	// in submission order either way).
-	Scheduler *sched.Pool
 
 	// PartitionSolver, when non-nil, dispatches each partition
 	// subproblem instead of the in-process engine — the hook behind

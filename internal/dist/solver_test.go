@@ -83,7 +83,7 @@ func TestServerClampsSolverParallel(t *testing.T) {
 }
 
 // peakSchedWorkers runs f and returns the most scheduler goroutines
-// (pool workers and speculative LP workers: the qfix_sched_workers
+// (scan workers and speculative LP workers: the qfix_sched_workers
 // gauge) alive at once while it ran, beyond those alive before.
 func peakSchedWorkers(f func()) int64 {
 	g := obs.Default().Gauge("qfix_sched_workers", "")

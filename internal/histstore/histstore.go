@@ -105,11 +105,10 @@ type Store struct {
 	text []string // guarded by mu
 	logF *os.File // guarded by mu
 	// gen is the checkpoint generation (>= 1).
-	gen   int64 // guarded by mu
+	gen int64 // guarded by mu
+	// cache holds the store's FullImpact closures, keyed by the
+	// statements they cover; Append extends the one covering the log.
 	cache *core.ImpactCache
-	// impact is the FullImpact closure covering log, once a diagnosis
-	// has materialized one; Append extends it incrementally.
-	impact []query.AttrSet // guarded by mu
 }
 
 // Create initializes a new history directory with the given checkpoint
@@ -464,7 +463,7 @@ func (s *Store) appendLocked(q query.Query) error {
 }
 
 // extendImpactLocked keeps the cached FullImpact closure covering the log:
-// once a diagnosis has materialized one, every append extends it
+// once a diagnosis has cached one, every append extends it
 // incrementally (touching only prefix entries whose impact reaches the
 // new statement) so the next Diagnose starts from a warm closure
 // instead of paying the update — let alone the full O(n·w) recompute —
@@ -474,11 +473,9 @@ func (s *Store) appendLocked(q query.Query) error {
 // per-statement fsync, and a store that never diagnoses never
 // materializes a closure to maintain in the first place.
 func (s *Store) extendImpactLocked() {
-	if s.impact == nil {
-		return
+	if full, ok := s.cache.Cached(s.log[:len(s.log)-1]); ok {
+		s.cache.Put(s.log, core.ExtendFullImpact(full, s.log, s.schema.Width()))
 	}
-	s.impact = core.ExtendFullImpact(s.impact, s.log, s.schema.Width())
-	s.cache.Put(s.log, s.impact)
 }
 
 // AppendSQL parses and durably adds a statement written in SQL. The
@@ -580,21 +577,7 @@ func (s *Store) diagnose(h history, complaints []core.Complaint, opt core.Option
 		opt.ImpactCache = s.cache
 	}
 	mDiagnoses.Inc()
-	rep, err := core.Diagnose(h.d0, h.log, complaints, opt)
-	if err == nil && opt.ImpactCache == s.cache {
-		// Adopt the closure the diagnosis (or a predecessor) cached so
-		// future Appends extend it eagerly — but only if the store still
-		// holds the history this diagnosis saw (see View): a closure of a
-		// stale log must not seed eager extension of a different one.
-		s.mu.Lock()
-		if s.gen == h.gen && len(s.log) == len(h.log) {
-			if full, ok := s.cache.Cached(h.log); ok {
-				s.impact = full
-			}
-		}
-		s.mu.Unlock()
-	}
-	return rep, err
+	return core.Diagnose(h.d0, h.log, complaints, opt)
 }
 
 // Checkpoint rewrites the snapshot to the current state and truncates
@@ -650,7 +633,6 @@ func (s *Store) Checkpoint() error {
 	s.text = nil
 	s.logF = logF
 	s.gen = gen
-	s.impact = nil
 	mCheckpoints.Inc()
 	return nil
 }

@@ -443,8 +443,8 @@ func TestStoreDiagnoseUsesImpactCache(t *testing.T) {
 	if !first.Resolved || first.Stats.ImpactCacheHits != 0 {
 		t.Fatalf("first diagnosis: resolved=%v hits=%d", first.Resolved, first.Stats.ImpactCacheHits)
 	}
-	if s.impact == nil {
-		t.Fatal("store did not adopt the diagnosis closure")
+	if _, ok := s.cache.Cached(s.log); !ok {
+		t.Fatal("the diagnosis did not cache its closure in the store")
 	}
 
 	second, err := s.Diagnose(complaints, opts)
@@ -460,14 +460,15 @@ func TestStoreDiagnoseUsesImpactCache(t *testing.T) {
 	// exact hit, not an on-path extension, and the extended closure is
 	// exactly the fresh one.
 	s.AppendSQL("UPDATE Taxes SET pay = pay - 100 WHERE income >= 90000")
-	if got, want := len(s.impact), len(s.log); got != want {
-		t.Fatalf("eager extension covers %d of %d queries", got, want)
+	extended, ok := s.cache.Cached(s.log)
+	if !ok {
+		t.Fatalf("no eager extension covers the %d queries", len(s.log))
 	}
 	fresh := core.FullImpact(s.log, s.schema.Width())
 	for i := range fresh {
-		if !s.impact[i].ContainsAll(fresh[i]) || !fresh[i].ContainsAll(s.impact[i]) {
+		if !extended[i].ContainsAll(fresh[i]) || !fresh[i].ContainsAll(extended[i]) {
 			t.Fatalf("eagerly extended closure wrong at %d: %v want %v",
-				i, s.impact[i].Sorted(), fresh[i].Sorted())
+				i, extended[i].Sorted(), fresh[i].Sorted())
 		}
 	}
 	third, err := s.Diagnose(complaints, opts)
@@ -482,12 +483,14 @@ func TestStoreDiagnoseUsesImpactCache(t *testing.T) {
 		t.Error("post-append diagnosis unresolved")
 	}
 
-	// Checkpoint resets the log and the closure state.
+	// Checkpoint resets the log: no closure of the old one is extended
+	// onto the new one.
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if s.impact != nil {
-		t.Error("checkpoint did not reset the impact state")
+	s.AppendSQL("UPDATE Taxes SET pay = pay - 100 WHERE income >= 90000")
+	if _, ok := s.cache.Cached(s.log); ok {
+		t.Error("an append after the checkpoint extended a closure of the old log")
 	}
 }
 

@@ -53,7 +53,7 @@ func FuzzServeRequest(f *testing.F) {
 			return // the connection ends at its first frame
 		}
 
-		svc := NewService(Config{Dir: t.TempDir(), PoolWorkers: 1})
+		svc := NewService(Config{Dir: t.TempDir()})
 		defer svc.Close()
 		if err := svc.Create("smoke", "Taxes", "", taxAttrs, sc.rows); err != nil {
 			t.Fatal(err)

@@ -1,30 +1,30 @@
 // Package qfixd is the resident diagnosis service: one long-lived
-// process owning many histstore directories (one per tenant), a shared
-// scheduler pool and an optional shared worker fleet, serving
-// concurrent append/complain/diagnose requests from many clients.
+// process owning many histstore directories (one per tenant) and an
+// optional shared worker fleet, serving concurrent
+// append/complain/diagnose requests from many clients.
 //
 // The one-shot entry points (qfix.Diagnose, the qfix CLI) wire the
 // engine up per call; a deployment that diagnoses continuously would
-// re-dial the fleet, re-materialize impact closures and fight for
-// cores on every call. qfixd owns them instead:
+// re-dial the fleet and re-materialize impact closures on every call.
+// qfixd owns them instead:
 //
-//   - one sched.Pool (Config.PoolWorkers) runs every diagnosis's scans
-//     (core.Options.Scheduler), so concurrent diagnoses share cores;
 //   - one dist.Coordinator (Config.Workers) holds the fleet
 //     connections, with a private encoding memo per diagnosis;
 //   - one histstore.Store per tenant stays open with its impact cache
 //     warm (appends keep landing while diagnoses run);
-//   - admission bounds concurrent diagnoses (Config.MaxInflight) and
-//     queues excess per tenant, drained round-robin so a flooding
-//     tenant cannot starve the rest, refusing beyond Config.TenantQueue
-//     with ErrBusy;
+//   - admission bounds concurrent diagnoses (Config.MaxInflight), the
+//     service's only process-wide bound (each diagnosis runs its
+//     partition scan on goroutines of its own, as the CLI does, and the
+//     Go runtime caps CPU at GOMAXPROCS), and queues excess per tenant,
+//     drained round-robin so a flooding tenant cannot starve the rest,
+//     refusing beyond Config.TenantQueue with ErrBusy;
 //   - each tenant keeps the last answer it sent (memo): a diagnose that
 //     repeats the question exactly costs a lookup and one write of the
 //     bytes already encoded, with no engine run and no slot.
 //
-// A diagnosis adjudicates its scans in submission order on the shared
-// pool too (internal/sched), so a qfixd repair is byte-identical to the
-// qfix CLI's; the e2e tests pin that. Server speaks internal/dist's
+// A diagnosis runs and adjudicates its scans exactly as the qfix CLI
+// does (internal/sched), so a qfixd repair is byte-identical to the
+// CLI's; the e2e tests pin that. Server speaks internal/dist's
 // wire, the one protocol of tenants and fleet solves alike.
 package qfixd
 
@@ -35,7 +35,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -48,7 +47,6 @@ import (
 	"repro/internal/histstore"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/sched"
 )
 
 // What the zero values of Config.TenantQueue, MaxOpenStores and
@@ -66,8 +64,10 @@ var ErrDraining = errors.New("qfixd: draining")
 type Config struct {
 	// Dir is the root data directory, one histstore per tenant in it.
 	Dir string
-	// MaxInflight bounds concurrent diagnoses across all tenants.
-	// Zero picks runtime.GOMAXPROCS; negative forces one at a time.
+	// MaxInflight bounds the diagnoses running at once across all
+	// tenants, each running up to its partition width of MILPs (local
+	// or on the fleet). Zero picks runtime.GOMAXPROCS; negative forces
+	// one at a time.
 	MaxInflight int
 	// TenantQueue caps the diagnoses per tenant waiting for a slot;
 	// beyond it they fail fast with ErrBusy. Zero picks
@@ -79,9 +79,6 @@ type Config struct {
 	// Partition is the width of diagnoses that request none; zero is
 	// unpartitioned locally, one partition per worker over a fleet.
 	Partition int
-	// PoolWorkers sizes the scheduler pool every diagnosis shares.
-	// Zero picks runtime.GOMAXPROCS.
-	PoolWorkers int
 	// MaxOpenStores bounds the resident tenant stores; lookups evict
 	// least-recently-used idle ones (unpinned, nothing staged) over it.
 	// Zero picks defaultMaxOpenStores; negative removes the cap.
@@ -101,7 +98,6 @@ type Config struct {
 // for concurrent use; Server exposes it over TCP.
 type Service struct {
 	cfg   Config
-	pool  *sched.Pool
 	coord *dist.Coordinator
 	adm   *admission
 
@@ -145,16 +141,11 @@ type memo struct {
 	tail       []byte // dist.AnswerTail: the frame from its "id" value on
 }
 
-// NewService builds the resident state: the pool starts now, the
-// fleet's connections and the tenants' stores open on first use.
+// NewService builds the resident state; the fleet's connections and
+// the tenants' stores open on first use.
 func NewService(cfg Config) *Service {
-	pw := cfg.PoolWorkers
-	if pw <= 0 {
-		pw = runtime.GOMAXPROCS(0)
-	}
 	s := &Service{
 		cfg:     cfg,
-		pool:    sched.NewPool(pw),
 		adm:     newAdmission(cfg.MaxInflight, cfg.TenantQueue),
 		tenants: make(map[string]*tenant),
 	}
@@ -176,7 +167,7 @@ func (s *Service) Drain() {
 func (s *Service) Wait() { s.inflight.Wait() }
 
 // Close drains, waits for in-flight diagnoses, and releases everything:
-// tenant stores, the fleet coordinator, and the scheduler pool.
+// tenant stores and the fleet coordinator.
 func (s *Service) Close() error {
 	s.Drain()
 	s.Wait()
@@ -202,7 +193,6 @@ func (s *Service) Close() error {
 	if s.coord != nil {
 		errs = append(errs, s.coord.Close())
 	}
-	s.pool.Close()
 	return errors.Join(errs...)
 }
 
@@ -560,8 +550,8 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 	defer s.adm.release()
 	// The drain flag is rechecked after the queue wait, under mu as
 	// Drain sets it: a diagnosis either counts before Drain returns (and
-	// Wait waits for it) or sees the flag, never starting on the pool
-	// Close is shutting down.
+	// Wait waits for it) or sees the flag, never starting on the stores
+	// and coordinator Close is shutting down.
 	s.mu.Lock()
 	if s.draining.Load() {
 		s.mu.Unlock()
@@ -603,7 +593,6 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 // the width is the request's, else Config.Partition, else Install's.
 func (s *Service) options(wopt *DiagnoseOptions) core.Options {
 	opt := wopt.Resolve()
-	opt.Scheduler = s.pool
 	if opt.Partition == 0 {
 		opt.Partition = s.cfg.Partition
 	}

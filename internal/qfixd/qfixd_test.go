@@ -218,10 +218,10 @@ func TestDaemonRepairMatchesCLI(t *testing.T) {
 }
 
 // Concurrent mixed-tenant load: several tenants with distinct
-// histories, several clients, diagnoses in flight simultaneously on the
-// shared pool — every response must still be byte-identical to its
-// tenant's CLI oracle. (Run under -race in CI, this is also the data
-// race proof for the resident sharing.)
+// histories, several clients, diagnoses in flight simultaneously —
+// every response must still be byte-identical to its tenant's CLI
+// oracle. (Run under -race in CI, this is also the data race proof for
+// the resident sharing.)
 func TestDaemonConcurrentMixedTenants(t *testing.T) {
 	_, addr := startDaemon(t, Config{MaxInflight: 4})
 	seedClient := dialDaemon(t, addr)
@@ -283,7 +283,7 @@ func TestDaemonConcurrentMixedTenants(t *testing.T) {
 // partition workers and LP workers. The daemon must
 // answer with the CLI's repair byte for byte, on at most its own width:
 // each of at most GOMAXPROCS concurrent solves runs at most GOMAXPROCS
-// LP workers, beyond the resident pool.
+// LP workers.
 func TestDaemonClampsWidths(t *testing.T) {
 	_, addr := startDaemon(t, Config{})
 	c := dialDaemon(t, addr)
@@ -329,7 +329,7 @@ func TestDaemonRejectsOverflowingTimeLimit(t *testing.T) {
 }
 
 // peakSchedWorkers runs f and returns the most scheduler goroutines
-// (pool workers and speculative LP workers: the qfix_sched_workers
+// (scan workers and speculative LP workers: the qfix_sched_workers
 // gauge) alive at once while it ran, beyond those alive before.
 func peakSchedWorkers(f func()) int64 {
 	g := obs.Default().Gauge("qfix_sched_workers", "")

@@ -1,4 +1,4 @@
-// Package sched holds the worker-pool primitives shared by every layer
+// Package sched holds the worker primitives shared by every layer
 // that fans work out over goroutines: the core partition scan and the
 // milp parallel branch-and-bound. It is a
 // leaf package — core imports encode imports milp, so the scheduler must
@@ -7,134 +7,67 @@ package sched
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // Process-wide gauges on obs.Default(): how many scheduler jobs are
-// waiting in feeds and how many pool goroutines are live right now.
-// Updated with one atomic op per job/worker transition — invisible next
-// to the MILP solves the jobs carry.
+// waiting to start and how many scheduler goroutines are live right
+// now. Updated with one atomic op per job/worker transition — invisible
+// next to the MILP solves the jobs carry.
 var (
 	mQueueDepth = obs.Default().Gauge("qfix_sched_queue_depth",
-		"Scheduler jobs submitted but not yet started, across all active pools.")
+		"Scheduler jobs submitted but not yet started, across all active scans.")
 	mWorkers = obs.Default().Gauge("qfix_sched_workers",
-		"Live scheduler goroutines (Pool workers and Workers).")
+		"Live scheduler goroutines (scan workers and Workers).")
 )
 
-// Pool is a worker pool: a fixed set of goroutines draining one shared
-// run queue until Close. A resident service (internal/qfixd) creates
-// one, shares it via core.Options.Scheduler, and thereby bounds the
-// process's total solve concurrency at its worker count while each
-// scan's OnPool call still bounds that scan's share; a one-shot
-// diagnosis lets OnPool make a private pool for the scan.
-//
-// Close-after-drain contract: Submit after Close panics. Owners stop
-// feeding work (drain their in-flight diagnoses) before closing; the
-// qfixd server's graceful drain is exactly that sequence.
-type Pool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
-}
+// Pool is kept for benchmark/; ROADMAP 2(d) deletes it. Every scan runs
+// on goroutines of its own (OnPool), so a Pool holds nothing.
+type Pool struct{}
 
-// NewPool starts a pool of n workers (n < 1 picks 1).
-func NewPool(n int) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	p := &Pool{jobs: make(chan func())}
-	for w := 0; w < n; w++ {
-		p.wg.Add(1)
-		mWorkers.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer mWorkers.Add(-1)
-			// Workers live until Close closes the queue. The pool's
-			// cancellation contract lives in the jobs, not the plumbing:
-			// jobs that should stop early check their own flag/deadline.
-			for f := range p.jobs {
-				f()
-			}
-		}()
-	}
-	return p
-}
+// NewPool is kept for benchmark/; ROADMAP 2(d) deletes it.
+func NewPool(int) *Pool { return &Pool{} }
 
-// Close stops the pool: no further submissions are accepted and the
-// call blocks until every queued job has run. Callers must have stopped
-// feeding scans first (see the type comment).
-func (p *Pool) Close() {
-	close(p.jobs)
-	p.wg.Wait()
-}
+// Close is kept for benchmark/; ROADMAP 2(d) deletes it.
+func (*Pool) Close() {}
 
-// OnPool fans jobs 0..n-1 out over p with at most `workers` of them in
-// flight at once (the scan's share of the pool). order[k] is the k-th
-// job index handed to the pool (nil means 0..n-1; otherwise it must be
-// a permutation of 0..n-1): the partition scan passes its largest-first
-// order here so the biggest MILP is never stuck behind the queue
-// defining the critical path. A nil p runs the scan on a private pool
-// of min(workers, n) goroutines that wait closes.
+// OnPool runs jobs 0..n-1 on min(workers, n) goroutines of the scan's
+// own, which claim jobs in `order` from one shared cursor (nil means
+// 0..n-1; otherwise it must be a permutation of 0..n-1): the partition
+// scan passes its largest-first order here so the biggest MILP is never
+// stuck behind the others defining the critical path. The pool argument
+// is ignored (kept for benchmark/; ROADMAP 2(d) deletes it).
 //
 // Every job gets its own 1-buffered result channel, so the consumer can
 // adjudicate results in SUBMISSION order (index order, not start order)
 // while later jobs are still running — the property the callers rely on
 // for determinism: whichever job finishes first, whatever order the
-// pool started them in, whichever pool worker ran which job and however
-// jobs from concurrent scans interleave on a shared queue, the
+// scan started them in and whichever goroutine ran which job, the
 // *choice* among results is made in a fixed order. Jobs that want to
 // stop early (e.g. partitions past the diagnosis's deadline) check their
 // own cancellation inside job; the scheduler itself never drops a slot.
 //
-// wait blocks until every job has delivered its result. (A generic
-// method is not expressible on Pool, hence the package-level function.)
-func OnPool[R any](p *Pool, workers, n int, order []int, job func(i int) R) (results []chan R, wait func()) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
+// wait blocks until every job has delivered its result and the scan's
+// goroutines are gone.
+func OnPool[R any](_ *Pool, workers, n int, order []int, job func(i int) R) (results []chan R, wait func()) {
 	results = make([]chan R, n)
 	for i := range results {
 		results[i] = make(chan R, 1)
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	wait = wg.Wait
-	if p == nil {
-		p = NewPool(workers)
-		wait = func() {
-			wg.Wait()
-			p.Close()
-		}
-	}
-	share := make(chan struct{}, workers)
+	var next atomic.Int64
 	mQueueDepth.Add(int64(n))
-	go func() {
-		// The feeder blocks on the scan's share semaphore, then on the
-		// pool queue; both drain monotonically (every job releases its
-		// share token and every submitted job runs), so feeding cannot
-		// wedge. Jobs own cancellation, as everywhere in this package.
-		feed := func(i int) {
-			share <- struct{}{}
-			p.jobs <- func() {
-				mQueueDepth.Add(-1)
-				results[i] <- job(i)
-				<-share
-				wg.Done()
+	wait = Workers(min(max(workers, 1), n), func(int) {
+		for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
+			i := k
+			if order != nil {
+				i = order[k]
 			}
+			mQueueDepth.Add(-1)
+			results[i] <- job(i)
 		}
-		if order == nil {
-			for i := 0; i < n; i++ {
-				feed(i)
-			}
-		} else {
-			for _, i := range order {
-				feed(i)
-			}
-		}
-	}()
+	})
 	return results, wait
 }
 

@@ -289,21 +289,17 @@ type Options struct {
 	// MaxIters bounds total simplex iterations (phases 1+2).
 	// Zero means a size-derived default.
 	MaxIters int
-	// FeasTol is the bound/row feasibility tolerance (default 1e-7).
-	FeasTol float64
-	// OptTol is the reduced-cost optimality tolerance (default 1e-9).
-	OptTol float64
 }
+
+// The bound/row feasibility and reduced-cost optimality tolerances.
+const (
+	feasTol = 1e-7
+	optTol  = 1e-9
+)
 
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 200 * (m + n + 10)
-	}
-	if o.FeasTol <= 0 {
-		o.FeasTol = 1e-7
-	}
-	if o.OptTol <= 0 {
-		o.OptTol = 1e-9
 	}
 	return o
 }

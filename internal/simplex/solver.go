@@ -376,7 +376,7 @@ func (s *solver) computeBasics() {
 // fills s.dB with the phase-1 cost of each basis position (-1 below
 // lower, +1 above upper, 0 feasible).
 func (s *solver) infeasibility() float64 {
-	tol := s.opt.FeasTol
+	tol := feasTol
 	total := 0.0
 	for i := 0; i < s.m; i++ {
 		v := s.xval[s.basis[i]]
@@ -415,7 +415,7 @@ func (s *solver) reducedCost(j int, structuralCost bool) float64 {
 // phase1 drives the basis to feasibility, minimizing total bound
 // violation with the composite (piecewise-linear) phase-1 objective.
 func (s *solver) phase1() Status {
-	tol := s.opt.FeasTol
+	tol := feasTol
 	refactors := 0
 	for {
 		if s.iters >= s.opt.MaxIters {
@@ -510,8 +510,8 @@ func (s *solver) dualsConsistent(phase1 bool) bool {
 // (-1, 0) if no improving variable exists. structuralCost selects
 // phase-2 pricing (phase 1 uses zero costs for nonbasic variables).
 func (s *solver) chooseEntering(structuralCost bool) (int, int) {
-	tol := s.opt.OptTol
-	ftol := s.opt.FeasTol
+	tol := optTol
+	ftol := feasTol
 	best, bestScore, bestDir := -1, tol, 0
 	for j := 0; j < s.N; j++ {
 		if s.basicPos[j] >= 0 {
@@ -549,7 +549,7 @@ func (s *solver) chooseEntering(structuralCost bool) (int, int) {
 // variables travel to (and stop at) their violated bound.
 func (s *solver) pivot(j, dir int, phase1 bool) Status {
 	s.iters++
-	ftol := s.opt.FeasTol
+	ftol := feasTol
 	ptol := 1e-9
 
 	// w = B^{-1} A_j: scatter the sparse column, one FTRAN.
