@@ -12,7 +12,17 @@ import (
 	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
+	"repro/internal/wirelock"
 )
+
+// TestWireLock diffs the schema of the job and result frames, the
+// wire's Request and Response, against the wire's one wire.lock, kept
+// beside the daemon that first spoke it (qfixd's TestWireLock checks
+// the same file); `go test -run TestWireLock -update` rewrites it.
+func TestWireLock(t *testing.T) {
+	t.Chdir("../qfixd")
+	wirelock.Check(t, dist.Job{}, dist.Result{})
+}
 
 // fixtureSubproblem builds a subproblem exercising every wire case:
 // a table with a deleted row (the ID counter must survive the trip),
