@@ -22,6 +22,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"flag"
@@ -90,11 +91,11 @@ func run(out *bufio.Writer) error {
 	if err != nil {
 		return err
 	}
-	sqlBytes, err := os.ReadFile(*logPath)
+	sql, err := readText(*logPath)
 	if err != nil {
 		return err
 	}
-	history, err := qfix.ParseLog(sch, string(sqlBytes))
+	history, err := qfix.ParseLog(sch, sql)
 	if err != nil {
 		return err
 	}
@@ -175,14 +176,15 @@ func report(out *bufio.Writer, rep *qfix.Repair, sch *qfix.Schema, verbose bool)
 	if rep.Resolved && len(rep.Changed) == 0 {
 		fmt.Fprintln(out, "-- no queries needed repair")
 	}
+	// Each statement is rendered straight into out's free space, not into
+	// a string of its own first.
 	for i, q := range rep.Log {
 		marker := "   "
 		if slices.Contains(rep.Changed, i) {
 			marker = "*> "
 		}
-		out.WriteString(marker)
-		out.WriteString(q.String(sch))
-		out.WriteString(";\n")
+		line := q.AppendSQL(append(out.AvailableBuffer(), marker...), sch)
+		out.Write(append(line, ";\n"...))
 	}
 	if !rep.Resolved {
 		fmt.Fprintln(out, "-- WARNING: no verified repair found (infeasible or time limit)")
@@ -242,14 +244,40 @@ func parsePool(name, s string) (int, error) {
 
 // loadCSV reads the initial state: header row of attribute names, then
 // one row of numeric values per tuple. Records are streamed, not
-// collected: the table is the only copy of the data this keeps.
+// collected: the table is the only copy of the data this keeps, and it is
+// allocated once. A regular file is read twice, first to count its lines,
+// which bounds its rows, so that the table is grown to that many before
+// the first Insert; Insert's appends would otherwise regrow its storage
+// to about twice what it keeps, and a one-shot qfix never collects what
+// they leave behind. Another kind of file (a pipe) is read once and the
+// table grows as it goes.
 func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	r := csv.NewReader(bufio.NewReaderSize(f, 64<<10))
+	st, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	// A pipe stats with size 0, so only a regular file's size may
+	// shrink the buffer below bufio's default.
+	size, lines := 64<<10, 0
+	if st.Mode().IsRegular() {
+		size = int(min(st.Size()+1, int64(size)))
+	}
+	buf := bufio.NewReaderSize(f, size)
+	if st.Mode().IsRegular() {
+		if lines, err = countLines(buf); err != nil {
+			return nil, nil, err
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, nil, err
+		}
+		buf.Reset(f)
+	}
+	r := csv.NewReader(buf)
 	r.ReuseRecord = true
 	// Every error names the file and the physical line, blank lines
 	// counted, as loadComplaints does; encoding/csv's name no file.
@@ -276,6 +304,8 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 		return nil, nil, err
 	}
 	tb := qfix.NewTable(sch)
+	// Every line but the header's may be a row.
+	tb.Grow(lines - 1)
 	vals := make([]float64, len(header)) // Insert copies it; the reader holds every record to the header's width
 	for {
 		rec, err := read()
@@ -296,6 +326,55 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 		if _, err := tb.Insert(vals); err != nil {
 			line, _ := r.FieldPos(0)
 			return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
+		}
+	}
+}
+
+// countLines reads r to its end and returns how many lines it held: its
+// newlines, and one more for a last line without one.
+func countLines(r *bufio.Reader) (int, error) {
+	lines, last := 0, byte('\n')
+	for {
+		chunk, err := r.Peek(r.Size())
+		if len(chunk) > 0 {
+			lines += bytes.Count(chunk, []byte{'\n'})
+			last = chunk[len(chunk)-1]
+			r.Discard(len(chunk))
+		}
+		if err == io.EOF {
+			if last != '\n' {
+				lines++
+			}
+			return lines, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+}
+
+// readText returns a file's contents as one string, allocated once at
+// the file's size: the bytes go from the file straight into the string
+// that sqlparse reads, with no []byte copy of them in between.
+func readText(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	var text strings.Builder
+	if st, err := f.Stat(); err == nil {
+		text.Grow(int(st.Size()))
+	}
+	var chunk [8 << 10]byte
+	for {
+		n, err := f.Read(chunk[:])
+		text.Write(chunk[:n])
+		if err == io.EOF {
+			return text.String(), nil
+		}
+		if err != nil {
+			return "", err
 		}
 	}
 }

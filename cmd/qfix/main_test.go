@@ -4,10 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -58,6 +62,100 @@ func TestLoadCSVErrors(t *testing.T) {
 		if _, _, err := loadCSV(bad, "t", ""); err == nil || err.Error() != want {
 			t.Errorf("%s cell: error %v, want %s", cell, err, want)
 		}
+	}
+}
+
+// TestLoadCSVAllocatesOnce: loading N rows allocates the table's
+// storage once, sized from the file, not regrown by Insert's appends.
+// What the load allocates in all, the reader's buffer and the schema
+// included, stays under 1.5 times what the table keeps plus the size of
+// the file; left to regrow, the table alone allocates about twice what
+// it keeps.
+func TestLoadCSVAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts bytes allocated, which the race detector inflates")
+	}
+	const rows, width = 5000, 6
+	var data bytes.Buffer
+	data.WriteString("a,b,c,d,e,f\n")
+	for i := range rows {
+		fmt.Fprintf(&data, "%d,%d,%d.5,%d,-%d,%d\n", i, i%7, i, i*3, i%11, 100000+i)
+	}
+	path := filepath.Join(t.TempDir(), "d0.csv")
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	kept := uint64(rows * (1 + width) * 8) // an ID and the values per row
+	limit := kept*3/2 + uint64(data.Len())
+	var least uint64
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, tb, err := loadCSV(path, "t", "")
+		runtime.ReadMemStats(&after)
+		if err != nil || tb.Len() != rows {
+			t.Fatalf("loaded %v rows, error %v", tb, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; least == 0 || n < least {
+			least = n
+		}
+	}
+	if least > limit {
+		t.Errorf("loading %d rows of %d values allocated %d bytes, want at most %d (1.5 × the %d the table keeps, plus the %d-byte file)",
+			rows, width, least, limit, kept, data.Len())
+	}
+}
+
+// TestLoadCSVFromPipe: a pipe, which stats with size 0 and cannot be
+// read twice, loads the rows a regular file of the same bytes loads and
+// reports a bad row at the same line.
+func TestLoadCSVFromPipe(t *testing.T) {
+	if _, err := os.Stat("/dev/fd"); err != nil {
+		t.Skip("no /dev/fd to name a pipe by")
+	}
+	var data bytes.Buffer
+	data.WriteString("a,b,c\n")
+	for i := range 3000 { // past one 64 KiB buffer
+		fmt.Fprintf(&data, "%d,%d.25,%d\n", i, i%13, 1000000+i)
+	}
+	viaPipe := func(content []byte) (*qfix.Table, error) {
+		t.Helper()
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		go func() {
+			w.Write(content)
+			w.Close()
+		}()
+		_, tb, err := loadCSV(fmt.Sprintf("/dev/fd/%d", r.Fd()), "t", "")
+		return tb, err
+	}
+	path := filepath.Join(t.TempDir(), "d0.csv")
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := loadCSV(path, "t", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := viaPipe(data.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("pipe loaded %d rows, file %d", got.Len(), want.Len())
+	}
+	for i := range want.Len() {
+		if g, w := got.At(i), want.At(i); g.ID != w.ID || !slices.Equal(g.Values, w.Values) {
+			t.Fatalf("row %d: pipe %v, file %v", i, g, w)
+		}
+	}
+	data.WriteString("1,2\n")
+	_, err = viaPipe(data.Bytes())
+	if want := " line 3002: wrong number of fields"; err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("ragged last row through a pipe: error %v, want one ending %q", err, want)
 	}
 }
 
@@ -384,5 +482,21 @@ func BenchmarkLoadCSV(b *testing.B) {
 		if _, tb, err := loadCSV(path, "subscriber", "s_id"); err != nil || tb.Len() != d0.Len() {
 			b.Fatalf("%d rows, error %v", tb.Len(), err)
 		}
+	}
+}
+
+// TestReportRendersInPlace: printing a repaired log renders each
+// statement into the output's buffer, with no string per statement.
+func TestReportRendersInPlace(t *testing.T) {
+	w := oltp.TPCC(oltp.TPCCConfig{Orders: 2500, Queries: 1200, Seed: 7})
+	rep := &qfix.Repair{Log: w.Log, Changed: []int{3}, Resolved: true}
+	out := bufio.NewWriter(io.Discard)
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := report(out, rep, w.Schema, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > float64(len(w.Log))/10 {
+		t.Errorf("printing %d statements allocated %.0f times, want at most %d", len(w.Log), allocs, len(w.Log)/10)
 	}
 }

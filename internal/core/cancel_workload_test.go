@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/testcheck"
+	"repro/internal/workload"
 )
 
 // cancelSlack is how far past its budget a stopped diagnosis may
@@ -79,4 +80,40 @@ func TestDiagnoseHonorsTotalTimeLimit(t *testing.T) {
 		t.Errorf("one-node limit: %d node and %d time limit stops, want 1 and 0", st.NodeLimitStops, st.TimeLimitStops)
 	}
 	testcheck.Goroutines(t, base)
+}
+
+// TestTimeLimitBoundsOneLP: a solve's time limit bounds the LP it is
+// inside, not only the gaps between branch-and-bound nodes. Basic
+// without tuple slicing on a 60-row, 30-statement generator log (seed 7,
+// statement 0 corrupted) encodes every row against every candidate, and
+// the root LP of that model runs for about 4 s on two cores: a solver
+// that looks at the clock only between nodes returned after 4.2 s. Under
+// a 1 s TimeLimit the diagnosis returns within 1.5 s, and the stop is
+// counted as a time-limit stop.
+func TestTimeLimitBoundsOneLP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver-bound")
+	}
+	w, err := workload.Generate(workload.Config{ND: 60, Nq: 30, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := w.MakeInstance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = time.Second
+	start := time.Now()
+	rep, err := core.Diagnose(in.W.D0, in.Dirty, in.Complaints, core.Options{
+		Algorithm: core.Basic, QuerySlicing: true, TimeLimit: limit})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed > limit+limit/2 {
+		t.Errorf("a %v solve limit returned after %v", limit, elapsed)
+	}
+	if st := rep.Stats; st.TimeLimitStops != 1 {
+		t.Errorf("%d time-limit stops (%d node-limit), want 1", st.TimeLimitStops, st.NodeLimitStops)
+	}
 }

@@ -169,8 +169,10 @@ type DiagnoseOptions struct {
 }
 
 // Resolve maps the options onto core.Options with CLI-identical
-// defaults (a nil receiver is all defaults), widths clamped to this
-// machine's: a repair is the same at any width.
+// defaults (a nil receiver is all defaults), the solver width clamped to
+// this machine's: a repair is the same at any width. The partition width
+// is left as asked, since the partitions may run elsewhere; whoever runs
+// them here clamps it.
 func (o *DiagnoseOptions) Resolve() core.Options {
 	opt := o.engine()
 	if o == nil || o.Algorithm == "" {
@@ -180,9 +182,7 @@ func (o *DiagnoseOptions) Resolve() core.Options {
 	if opt.TimeLimit <= 0 {
 		opt.TimeLimit = 60 * time.Second
 	}
-	width := runtime.GOMAXPROCS(0)
-	opt.Partition = min(opt.Partition, width)
-	opt.SolverParallel = min(opt.SolverParallel, width)
+	opt.SolverParallel = min(opt.SolverParallel, runtime.GOMAXPROCS(0))
 	return opt
 }
 

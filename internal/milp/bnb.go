@@ -304,6 +304,11 @@ func (m *Model) Solve(opt Options) Result {
 func (s *search) newEnv() *probEnv {
 	e := &probEnv{prob: s.ps.prob.Clone()}
 	e.lp = simplex.NewSolver(e.prob, s.opt.LP)
+	if s.hasDL {
+		// One LP can outlast the whole limit on a large model, so the
+		// deadline goes into every LP, not only between nodes.
+		e.lp.SetDeadline(s.deadline)
+	}
 	return e
 }
 
@@ -458,7 +463,8 @@ func (s *search) pruneLim() float64 {
 }
 
 // process applies the driver's decision logic to a consumed node result.
-// Returns false to halt the search (unbounded relaxation). The node's end
+// Returns false to halt the search (unbounded relaxation, or the time
+// limit reached inside the node's LP). The node's end
 // basis goes to its children when it branches and back to the free list
 // otherwise.
 func (s *search) process(n *node, sol simplex.Solution, end *nodeBasis, env *probEnv) bool {
@@ -478,6 +484,11 @@ func (s *search) process(n *node, sol simplex.Solution, end *nodeBasis, env *pro
 		// an unbounded relaxation means the MILP itself is unbounded
 		// (or empty; either way the search cannot conclude optimality).
 		s.unbounded = true
+		return false
+	case simplex.TimeLimit:
+		// The deadline passed inside this LP: stop as limitHit would have
+		// before the next node, keeping whatever incumbent there is.
+		s.stopped, s.timeLimit = true, true
 		return false
 	case simplex.IterLimit, simplex.NumFail:
 		// Treat as unexplorable; conservatively drop this subtree but

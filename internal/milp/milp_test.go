@@ -3,9 +3,12 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/simplex"
 )
 
 func TestKnapsack(t *testing.T) {
@@ -175,6 +178,36 @@ func TestTimeLimit(t *testing.T) {
 		t.Errorf("time limit ignored")
 	}
 	_ = res // status may be Optimal if solved within the limit
+}
+
+// TestLPTimeLimitEndsSearch: a node whose LP the deadline stopped ends
+// the search as a time-limit stop, and its last iterate, which no solver
+// certified, is neither branched on nor admitted as an incumbent —
+// whether it looks fractional or integral.
+func TestLPTimeLimitEndsSearch(t *testing.T) {
+	m := NewModel()
+	x, y := m.NewBinary(), m.NewBinary()
+	m.SetObjCoef(x, -1)
+	m.SetObjCoef(y, -1)
+	m.AddLE([]Term{{x, 1}, {y, 1}}, 1.5)
+	ps := identityPresolve(m.prob, m.isInt, &m.pre)
+	for _, last := range [][]float64{{0.5, 1}, {1, 0}} {
+		s := &search{ps: ps, opt: Options{}.withDefaults(), incObj: math.Inf(1)}
+		s.cond = sync.NewCond(&s.mu)
+		s.rootLB, s.rootUB = []float64{0, 0}, []float64{1, 1}
+		sol := simplex.Solution{Status: simplex.TimeLimit, X: last, Obj: -1.5}
+		if s.process(&node{}, sol, &nodeBasis{}, nil) {
+			t.Errorf("last iterate %v: the search went on", last)
+		}
+		if !s.stopped || !s.timeLimit || s.nodeLimit {
+			t.Errorf("last iterate %v: stopped %v, time limit %v, node limit %v; want a time-limit stop",
+				last, s.stopped, s.timeLimit, s.nodeLimit)
+		}
+		if s.hasInc || len(s.nheap) != 0 {
+			t.Errorf("last iterate %v: incumbent %v (%v), %d children queued; want neither",
+				last, s.incumbent, s.hasInc, len(s.nheap))
+		}
+	}
 }
 
 func TestUnboundedMILP(t *testing.T) {

@@ -140,10 +140,11 @@ func TestDaemonFleetRepairMatchesLocal(t *testing.T) {
 // hold a local slot. Every worker sits behind a gate that holds each
 // solve's answer until the gate has seen all of the diagnosis's solves
 // arrive (or a deadline passes), so they all arrive only if they were
-// all in flight at once.
+// all in flight at once. That holds for the fleet's own width and for a
+// width the request names, which is the daemon's to clamp only when it
+// solves the partitions itself.
 func TestDaemonFleetSolvesEveryPartitionAtOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	base := runtime.NumGoroutine()
 	const fleetSize = 4
 	w, corrupt, err := bench.PartitionClusters(fleetSize, 5, 2, 1)
 	if err != nil {
@@ -173,73 +174,84 @@ func TestDaemonFleetSolvesEveryPartitionAtOnce(t *testing.T) {
 	for i, q := range want.Log {
 		wantLog[i] = q.String(sch)
 	}
+	for _, c := range []struct {
+		name string
+		opts *DiagnoseOptions
+	}{
+		// No Config.Partition and no width in the request: the width is
+		// the fleet's, one partition per worker, four times the daemon's
+		// GOMAXPROCS.
+		{"fleet width", nil},
+		{"requested width", &DiagnoseOptions{Partition: fleetSize}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			g := &solveGate{want: fleetSize, all: make(chan struct{}), timeout: make(chan struct{})}
+			timer := time.AfterFunc(10*time.Second, func() { close(g.timeout) })
+			defer timer.Stop()
+			var workers []*dist.Server
+			var addrs []string
+			var stops []func()
+			for range fleetSize {
+				l, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := &dist.Server{MaxInflight: fleetSize, Logf: t.Logf}
+				go srv.Serve(l)
+				workers = append(workers, srv)
+				addr, stop := g.front(t, l.Addr().String())
+				addrs = append(addrs, addr)
+				stops = append(stops, stop)
+			}
+			svc := NewService(Config{Dir: t.TempDir(), Workers: addrs, Logf: t.Logf})
+			_, addr, stop := serve(t, svc)
+			cl, err := DialDaemon(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows [][]float64
+			in.W.D0.Rows(func(tp relation.Tuple) { rows = append(rows, tp.Values) })
+			sql := make([]string, len(in.Dirty))
+			for i, q := range in.Dirty {
+				sql[i] = q.String(sch)
+			}
+			if err := cl.Create("fleet", sch.Name(), "", sch.Attrs(), rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Append("fleet", sql...); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := cl.Diagnose("fleet", in.Complaints, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRepair(t, "fleet", resp, wantLog, want.Changed, want.Distance)
+			if st := resp.Stats; st == nil || st.RemoteJobs != fleetSize {
+				t.Errorf("stats %+v: want %d remote jobs", st, fleetSize)
+			}
+			g.mu.Lock()
+			peak := g.peak
+			g.mu.Unlock()
+			if peak != fleetSize {
+				t.Errorf("at most %d of the %d partition solves were in flight at once at GOMAXPROCS %d, want all of them",
+					peak, fleetSize, runtime.GOMAXPROCS(0))
+			}
 
-	g := &solveGate{want: fleetSize, all: make(chan struct{}), timeout: make(chan struct{})}
-	timer := time.AfterFunc(10*time.Second, func() { close(g.timeout) })
-	defer timer.Stop()
-	var workers []*dist.Server
-	var addrs []string
-	var stops []func()
-	for range fleetSize {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := &dist.Server{MaxInflight: fleetSize, Logf: t.Logf}
-		go srv.Serve(l)
-		workers = append(workers, srv)
-		addr, stop := g.front(t, l.Addr().String())
-		addrs = append(addrs, addr)
-		stops = append(stops, stop)
+			cl.Close()
+			stop()
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, stop := range stops {
+				stop()
+			}
+			for _, srv := range workers {
+				srv.Close()
+			}
+			testcheck.Goroutines(t, base)
+		})
 	}
-	// No Config.Partition: the width is the fleet's, one partition per
-	// worker, four times the daemon's GOMAXPROCS.
-	svc := NewService(Config{Dir: t.TempDir(), Workers: addrs, Logf: t.Logf})
-	_, addr, stop := serve(t, svc)
-	c, err := DialDaemon(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows [][]float64
-	in.W.D0.Rows(func(tp relation.Tuple) { rows = append(rows, tp.Values) })
-	sql := make([]string, len(in.Dirty))
-	for i, q := range in.Dirty {
-		sql[i] = q.String(sch)
-	}
-	if err := c.Create("fleet", sch.Name(), "", sch.Attrs(), rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Append("fleet", sql...); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := c.Diagnose("fleet", in.Complaints, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRepair(t, "fleet", resp, wantLog, want.Changed, want.Distance)
-	if st := resp.Stats; st == nil || st.RemoteJobs != fleetSize {
-		t.Errorf("stats %+v: want %d remote jobs", st, fleetSize)
-	}
-	g.mu.Lock()
-	peak := g.peak
-	g.mu.Unlock()
-	if peak != fleetSize {
-		t.Errorf("at most %d of the %d partition solves were in flight at once at GOMAXPROCS %d, want all of them",
-			peak, fleetSize, runtime.GOMAXPROCS(0))
-	}
-
-	c.Close()
-	stop()
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for _, stop := range stops {
-		stop()
-	}
-	for _, srv := range workers {
-		srv.Close()
-	}
-	testcheck.Goroutines(t, base)
 }
 
 // solveGate fronts workers with loopback proxies that forward every

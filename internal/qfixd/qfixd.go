@@ -35,6 +35,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -324,6 +325,7 @@ func (s *Service) Create(name, table, key string, attrs []string, rows [][]float
 		return err
 	}
 	d0 := relation.NewTable(sch)
+	d0.Grow(len(rows))
 	for i, row := range rows {
 		if _, err := d0.Insert(row); err != nil {
 			return fmt.Errorf("qfixd: row %d: %w", i+1, err)
@@ -591,8 +593,13 @@ func (s *Service) run(ctx context.Context, name string, store *histstore.Store, 
 
 // options resolves a request's engine options against the service:
 // the width is the request's, else Config.Partition, else Install's.
+// A width the request names is clamped to this machine's only when the
+// partitions run here: a fleet solves each on a worker of its own.
 func (s *Service) options(wopt *DiagnoseOptions) core.Options {
 	opt := wopt.Resolve()
+	if s.coord == nil {
+		opt.Partition = min(opt.Partition, runtime.GOMAXPROCS(0))
+	}
 	if opt.Partition == 0 {
 		opt.Partition = s.cfg.Partition
 	}

@@ -45,8 +45,12 @@ func AttrExpr(attr int) LinExpr { return LinExpr{Terms: []Term{{Attr: attr, Coef
 // possibly duplicated terms: a stable sort by attribute, then each run
 // of one attribute summed in argument order, zero sums dropped.
 func NewLinExpr(c float64, terms ...Term) LinExpr {
+	return normalized(c, slices.Clone(terms))
+}
+
+// normalized is NewLinExpr over terms it may sort and overwrite in place.
+func normalized(c float64, ts []Term) LinExpr {
 	e := LinExpr{Const: c}
-	ts := slices.Clone(terms)
 	slices.SortStableFunc(ts, func(a, b Term) int { return cmp.Compare(a.Attr, b.Attr) })
 	w := 0
 	for k := 0; k < len(ts); {
@@ -92,8 +96,8 @@ func (e LinExpr) Attrs(dst []int) []int {
 
 // Add returns e + o.
 func (e LinExpr) Add(o LinExpr) LinExpr {
-	terms := append(append([]Term(nil), e.Terms...), o.Terms...)
-	return NewLinExpr(e.Const+o.Const, terms...)
+	terms := make([]Term, 0, len(e.Terms)+len(o.Terms))
+	return normalized(e.Const+o.Const, append(append(terms, e.Terms...), o.Terms...))
 }
 
 // Scale returns k*e.

@@ -41,6 +41,9 @@ type Query interface {
 	Params() []float64
 	SetParams(p []float64) error
 	String(s *relation.Schema) string
+	// AppendSQL appends what String returns to b and returns the
+	// extended buffer, for a caller that prints many statements into one.
+	AppendSQL(b []byte, s *relation.Schema) []byte
 }
 
 // SetClause assigns a linear expression to one attribute, e.g.
@@ -76,7 +79,13 @@ func (u *Update) Apply(tb *relation.Table) error {
 	if err := u.checkSet(tb.Schema().Width()); err != nil {
 		return err
 	}
-	newVals := make([]float64, len(u.Set))
+	// The SET values of the row at hand: on the stack for the few clauses
+	// a statement has, so that a replay allocates nothing per UPDATE.
+	var scratch [8]float64
+	newVals := scratch[:]
+	if len(u.Set) > len(scratch) {
+		newVals = make([]float64, len(u.Set))
+	}
 	tb.Update(func(t relation.Tuple) {
 		if u.Where.Eval(t.Values) {
 			u.assign(t.Values, newVals)
@@ -96,8 +105,8 @@ func (u *Update) checkSet(width int) error {
 }
 
 // assign applies the SET clauses to the values of a tuple the WHERE
-// matched. newVals is scratch of len(u.Set): every SET expression is
-// evaluated over the old values before any is assigned.
+// matched. newVals is scratch of at least len(u.Set): every SET
+// expression is evaluated over the old values before any is assigned.
 func (u *Update) assign(values, newVals []float64) {
 	for i, sc := range u.Set {
 		newVals[i] = sc.Expr.Eval(values)
@@ -119,14 +128,19 @@ func (u *Update) Clone() Query {
 // String implements Query.
 func (u *Update) String(s *relation.Schema) string {
 	var buf [160]byte
-	b := append(appendTable(append(buf[:0], "UPDATE "...), s), " SET "...)
+	return string(u.AppendSQL(buf[:0], s))
+}
+
+// AppendSQL implements Query.
+func (u *Update) AppendSQL(b []byte, s *relation.Schema) []byte {
+	b = append(appendTable(append(b, "UPDATE "...), s), " SET "...)
 	for i, sc := range u.Set {
 		if i > 0 {
 			b = append(b, ", "...)
 		}
 		b = sc.Expr.appendSQL(append(appendAttr(b, s, sc.Attr), " = "...), s)
 	}
-	return string(appendWhere(b, u.Where, s))
+	return appendWhere(b, u.Where, s)
 }
 
 // appendTable appends the schema's table name, or "t" without one.
@@ -172,14 +186,19 @@ func (q *Insert) Clone() Query {
 // String implements Query.
 func (q *Insert) String(s *relation.Schema) string {
 	var buf [160]byte
-	b := append(appendTable(append(buf[:0], "INSERT INTO "...), s), " VALUES ("...)
+	return string(q.AppendSQL(buf[:0], s))
+}
+
+// AppendSQL implements Query.
+func (q *Insert) AppendSQL(b []byte, s *relation.Schema) []byte {
+	b = append(appendTable(append(b, "INSERT INTO "...), s), " VALUES ("...)
 	for i, v := range q.Values {
 		if i > 0 {
 			b = append(b, ", "...)
 		}
 		b = appendNum(b, v)
 	}
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 // Delete is a DELETE statement removing all tuples matching Where.
@@ -216,7 +235,12 @@ func (q *Delete) Clone() Query { return &Delete{Where: q.Where.Clone()} }
 // String implements Query.
 func (q *Delete) String(s *relation.Schema) string {
 	var buf [128]byte
-	return string(appendWhere(appendTable(append(buf[:0], "DELETE FROM "...), s), q.Where, s))
+	return string(q.AppendSQL(buf[:0], s))
+}
+
+// AppendSQL implements Query.
+func (q *Delete) AppendSQL(b []byte, s *relation.Schema) []byte {
+	return appendWhere(appendTable(append(b, "DELETE FROM "...), s), q.Where, s)
 }
 
 // ReplayAll returns every intermediate state [D0, D1, ..., Dn]. Used by

@@ -256,6 +256,9 @@ func FuzzRenderMatchesFmt(f *testing.F) {
 				if got != want {
 					t.Fatalf("rendering %#v\n got %q\nwant %q", q, got, want)
 				}
+				if app := q.AppendSQL([]byte("*> "), s); string(app) != "*> "+want {
+					t.Fatalf("appending %#v\n got %q\nwant %q", q, app, "*> "+want)
+				}
 				if !finite(q) {
 					continue
 				}
@@ -286,24 +289,30 @@ func FuzzRenderMatchesFmt(f *testing.F) {
 	})
 }
 
-// BenchmarkRenderLog prints a TPC-C log of 1,200 statements as the CLI
-// prints a repaired log, through String and, for reference, through the
-// fmt-based rendering it replaced.
+// BenchmarkRenderLog prints a TPC-C log of 1,200 statements into one
+// buffer: through AppendSQL, as the CLI prints a repaired log, and, for
+// reference, through String, a string per statement, and through the
+// fmt-based rendering String replaced.
 func BenchmarkRenderLog(b *testing.B) {
 	w := oltp.TPCC(oltp.TPCCConfig{Orders: 2500, Queries: 1200, Seed: 7})
 	s := w.D0.Schema()
 	for _, r := range []struct {
 		name   string
-		render func(query.Query, *relation.Schema) string
-	}{{"buffer", query.Query.String}, {"fmt", refStmt}} {
+		render func([]byte, query.Query, *relation.Schema) []byte
+	}{
+		{"append", func(buf []byte, q query.Query, s *relation.Schema) []byte { return q.AppendSQL(buf, s) }},
+		{"buffer", func(buf []byte, q query.Query, s *relation.Schema) []byte { return append(buf, q.String(s)...) }},
+		{"fmt", func(buf []byte, q query.Query, s *relation.Schema) []byte { return append(buf, refStmt(q, s)...) }},
+	} {
 		b.Run(r.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var buf []byte
 			for b.Loop() {
-				n := 0
+				buf = buf[:0]
 				for _, q := range w.Log {
-					n += len(r.render(q, s))
+					buf = r.render(buf, q, s)
 				}
-				if n == 0 {
+				if len(buf) == 0 {
 					b.Fatal("empty rendering")
 				}
 			}

@@ -16,9 +16,9 @@ func Replay(log []Query, d0 *relation.Table) (*relation.Table, error) {
 // Whether a replay indexes an attribute is a matter of cost. With p
 // point statements on it and a table of r rows, scanning for them costs
 // p·r predicate evaluations; the index costs about buildEvals
-// evaluations' worth per row to build (a map insert, a bucket) and each
-// statement about lookupRows rows' worth to find its bucket and rows
-// (two map lookups, a call per row). It is built when
+// evaluations' worth per row to build (a map update, an entry) and each
+// statement about lookupRows rows' worth to find its chain and rows
+// (a map lookup, a call per row). It is built when
 // p·(r − lookupRows) > buildEvals·r: never for a table of a dozen rows,
 // from about thirty statements on a table of 30 rows, from about fifteen
 // on a large one. The constants are where BenchmarkReplayOLTP's two
@@ -34,13 +34,14 @@ const (
 // conjunct of its top-level AND, "attr = c". Such a statement can match
 // only rows holding c in attr, so for each attribute the log selects on
 // often enough the executor keeps a hash index value → row IDs and hands
-// the statement that one bucket. The index is only a prefilter — the
+// the statement that one chain. The index is only a prefilter — the
 // whole WHERE still decides every candidate row — and every other
 // statement goes through q.Apply.
 type executor struct {
-	tb    *relation.Table
-	index []attrIndex // per attribute of the schema
-	any   bool        // some attribute is indexed
+	tb      *relation.Table
+	index   []attrIndex // per attribute of the schema
+	any     bool        // some attribute is indexed
+	inserts int         // INSERTs of the log not yet applied
 
 	// Scratch of the statement being applied.
 	newVals []float64 // SET values (Update.assign)
@@ -49,21 +50,38 @@ type executor struct {
 	ids     []int64   // the rows to visit (UPDATE) or remove (DELETE)
 }
 
-// attrIndex is the point-lookup index of one attribute. A bucket lists
-// the ID of every live row holding the value (NaN, which equals nothing,
-// is not listed), each once, and possibly IDs of rows deleted since:
-// IDs are never reused, so those resolve to no row and are skipped.
+// attrIndex is the point-lookup index of one attribute, flat: one map
+// from a value to the first entry of its chain, and every chain's entries
+// in one slice. An entry names a row and links to the next entry of its
+// chain. A chain lists the ID of every live row holding its value (NaN,
+// which equals nothing, has none), each once, and possibly IDs of rows
+// deleted since: IDs are never reused, so those resolve to no row and are
+// skipped. A row whose value changes takes its entry to the other chain,
+// so an index holds about one entry per row it ever listed and is built
+// in a handful of allocations, where a slice per value took one each.
+// Chains list their rows in no particular order: an UPDATE's rows are
+// independent of one another, and a DELETE removes its rows in table
+// order whatever order it found them in.
 type attrIndex struct {
-	points int                 // statements of the log with an equality conjunct on it
-	want   bool                // which are enough to index it
-	rows   map[float64][]int64 // nil until first used, and after a scanning UPDATE wrote the attribute
+	points int               // statements of the log with an equality conjunct on it
+	want   bool              // which are enough to index it
+	built  bool              // false until first used, and after a scanning UPDATE wrote the attribute
+	head   map[float64]int32 // value → its chain's first entry, as an entry link
+	ents   []indexEntry
+}
+
+// indexEntry is one row on a chain. Links to entries are their position
+// in attrIndex.ents plus one, so that zero, a map's and a slice's zero
+// value, ends a chain.
+type indexEntry struct {
+	id   int64
+	next int32
 }
 
 // newExecutor prepares a replay of log over a clone of d0, sized for the
 // log's INSERTs up front so that the replay never regrows it.
 func newExecutor(log []Query, d0 *relation.Table) *executor {
 	x := &executor{index: make([]attrIndex, d0.Schema().Width())}
-	inserts := 0
 	for _, q := range log {
 		switch q := q.(type) {
 		case *Update:
@@ -71,11 +89,11 @@ func newExecutor(log []Query, d0 *relation.Table) *executor {
 		case *Delete:
 			x.countPoints(q.Where)
 		case *Insert:
-			inserts++
+			x.inserts++
 		}
 	}
-	x.tb = d0.CloneWithRoom(inserts)
-	rows := x.tb.Len() + inserts // the table can grow to this many
+	x.tb = d0.CloneWithRoom(x.inserts)
+	rows := x.tb.Len() + x.inserts // the table can grow to this many
 	for a := range x.index {
 		ix := &x.index[a]
 		ix.want = len(log) > buildEvals && ix.points*(rows-lookupRows) > buildEvals*rows
@@ -141,6 +159,9 @@ func (x *executor) run(log []Query) (*relation.Table, error) {
 
 // apply runs one statement.
 func (x *executor) apply(q Query) error {
+	if _, ok := q.(*Insert); ok {
+		x.inserts--
+	}
 	if !x.any {
 		return q.Apply(x.tb)
 	}
@@ -153,7 +174,7 @@ func (x *executor) apply(q Query) error {
 			return err
 		}
 		for _, sc := range q.Set {
-			x.index[sc.Attr].rows = nil // rewritten behind the index's back
+			x.index[sc.Attr].built = false // rewritten behind the index's back
 		}
 		return nil
 	case *Delete:
@@ -168,7 +189,7 @@ func (x *executor) apply(q Query) error {
 			return err
 		}
 		for a := range x.index {
-			if x.index[a].rows != nil {
+			if x.index[a].built {
 				x.index[a].add(q.Values[a], id)
 			}
 		}
@@ -176,31 +197,42 @@ func (x *executor) apply(q Query) error {
 	}
 	// A statement kind this file does not know may write anything.
 	for a := range x.index {
-		x.index[a].rows = nil
+		x.index[a].built = false
 	}
 	return q.Apply(x.tb)
 }
 
-// bucket returns the rows a statement with conjunct p can match, building
-// the attribute's index if it is not there.
-func (x *executor) bucket(p *Pred) []int64 {
+// chain returns the index of the attribute p selects on, building it if
+// it is not built, and the link to the first entry of the chain of p's
+// value. A build sizes the entries for every row the table has and every
+// INSERT still to come, and reuses what an earlier build of the
+// attribute allocated.
+func (x *executor) chain(p *Pred) (*attrIndex, int32) {
 	a := p.LHS.Terms[0].Attr
 	ix := &x.index[a]
-	if ix.rows == nil {
-		ix.rows = make(map[float64][]int64, x.tb.Len())
+	if !ix.built {
+		if ix.head == nil {
+			ix.head = make(map[float64]int32, x.tb.Len())
+		}
+		clear(ix.head)
+		ix.ents = slices.Grow(ix.ents[:0], x.tb.Len()+x.inserts)
 		x.tb.Rows(func(t relation.Tuple) { ix.add(t.Values[a], t.ID) })
+		ix.built = true
 	}
-	return ix.rows[p.RHS]
+	return ix, ix.head[p.RHS]
 }
 
 func (x *executor) update(u *Update, p *Pred) error {
 	if err := u.checkSet(len(x.index)); err != nil {
 		return err
 	}
-	x.ids = append(x.ids[:0], x.bucket(p)...) // a copy: a row that moves leaves its bucket
+	x.ids = x.ids[:0] // a copy of the chain: a row that moves leaves it
+	for ix, e := x.chain(p); e != 0; e = ix.ents[e-1].next {
+		x.ids = append(x.ids, ix.ents[e-1].id)
+	}
 	x.written = x.written[:0]
 	for _, sc := range u.Set {
-		if x.index[sc.Attr].rows != nil && !slices.Contains(x.written, sc.Attr) {
+		if x.index[sc.Attr].built && !slices.Contains(x.written, sc.Attr) {
 			x.written = append(x.written, sc.Attr)
 		}
 	}
@@ -233,24 +265,51 @@ func (x *executor) delete(q *Delete, p *Pred) {
 			x.ids = append(x.ids, t.ID)
 		}
 	}
-	for _, id := range x.bucket(p) {
-		x.tb.UpdateRow(id, row)
+	for ix, e := x.chain(p); e != 0; e = ix.ents[e-1].next {
+		x.tb.UpdateRow(ix.ents[e-1].id, row)
 	}
-	x.tb.DeleteBatch(x.ids) // their IDs stay listed, and resolve to nothing
+	x.tb.DeleteBatch(x.ids) // their entries stay, and resolve to nothing
 }
 
+// add lists row id on the chain of v, in a new entry.
 func (ix *attrIndex) add(v float64, id int64) {
 	if v == v {
-		ix.rows[v] = append(ix.rows[v], id)
+		ix.ents = append(ix.ents, indexEntry{id: id, next: ix.head[v]})
+		ix.head[v] = int32(len(ix.ents))
 	}
 }
 
+// move takes row id from the chain of from to the chain of to, in the
+// entry it had.
 func (ix *attrIndex) move(id int64, from, to float64) {
-	if b := ix.rows[from]; len(b) > 0 {
-		if i := slices.Index(b, id); i >= 0 {
-			b[i] = b[len(b)-1]
-			ix.rows[from] = b[:len(b)-1]
-		}
+	e := ix.unlink(id, from)
+	switch {
+	case to != to: // NaN: on no chain
+	case e == 0:
+		ix.add(to, id)
+	default:
+		ix.ents[e-1].next = ix.head[to]
+		ix.head[to] = e
 	}
-	ix.add(to, id)
+}
+
+// unlink takes row id off the chain of v and returns the link to its
+// entry, or zero when the chain does not list it.
+func (ix *attrIndex) unlink(id int64, v float64) int32 {
+	if v != v {
+		return 0
+	}
+	var prev int32
+	for e := ix.head[v]; e != 0; prev, e = e, ix.ents[e-1].next {
+		if ix.ents[e-1].id != id {
+			continue
+		}
+		if next := ix.ents[e-1].next; prev == 0 {
+			ix.head[v] = next
+		} else {
+			ix.ents[prev-1].next = next
+		}
+		return e
+	}
+	return 0
 }

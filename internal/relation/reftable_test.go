@@ -223,15 +223,23 @@ func (b *opBytes) values(width int) []float64 {
 // it replaced, and after every operation requires the two to agree on
 // everything a caller can observe: Len, NextID, IDs, Get, ReadValues, At,
 // the order Rows visits, and DiffTables against the state the pair began
-// in. Clone starts a new pair from the current one; later operations
-// pick the pair they mutate, so originals and copies both move, and every
-// pair is checked every time.
+// in. Grow is applied to the Table alone, since it changes only where the
+// rows live, never what a caller reads; it rides on a byte the extra
+// Insert already reads, so every saved input decodes to the operations
+// it was saved for. Clone starts a new pair from the current one; later
+// operations pick the pair they mutate, so originals and copies both
+// move, and every pair is checked every time.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{2})
 	f.Add([]byte{3, 0, 1, 2, 0, 3, 4, 0, 5, 6, 1, 7, 2, 3, 1, 1, 9, 1, 2})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 6, 1, 2, 3, 3, 9, 4})
 	f.Add([]byte{2, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 6, 0, 4, 1, 0, 1, 3, 5, 2, 7, 1, 8, 2, 9, 0})
 	f.Add([]byte{3, 0, 1, 2, 3, 0, 4, 5, 6, 0, 7, 8, 9, 10, 1, 8, 0, 3, 10, 0, 4, 11, 1, 12, 2})
+	// Grow before inserts, on a clone, after a delete and by a negative
+	// count: rows written into grown storage, views handed out before it
+	// moved.
+	f.Add([]byte{2, 0, 1, 2, 3, 10, 1, 2, 3, 25, 0, 4, 5, 6, 7, 11, 0, 1, 2, 33,
+		2, 1, 10, 1, 1, 1, 1, 8, 0, 10, 6, 6, 6, 13, 0, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := opBytes(data)
 		width := in.next()%3 + 1
@@ -333,10 +341,13 @@ func FuzzTableOps(f *testing.F) {
 				case mode == 2 && rerr == nil:
 					t.Fatalf("step %d: reference accepted duplicate ids %v", step, idsOf(rows))
 				}
-			default: // another Insert, at the wrong arity now and then
+			default: // another Insert, at the wrong arity or into grown storage now and then
 				vals := in.values(width)
-				if in.next()%4 == 0 {
+				switch k := in.next(); k % 4 {
+				case 0:
 					vals = append(vals, 1)
+				case 1: // Grow, by a negative count now and then: the reference has nothing to match
+					cur.flat.Grow(k/4%9 - 2)
 				}
 				got, err := cur.flat.Insert(vals)
 				want, rerr := cur.ref.Insert(vals)

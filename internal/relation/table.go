@@ -14,8 +14,8 @@ import (
 // A Tuple handed out by a Table (Rows, Update, UpdateRow, Insert) is a
 // view: Values aliases the table's storage, so writing through it writes
 // the table, and it stays the row's values until the next Insert, Delete
-// or DeleteBatch moves or reallocates that storage. Get and At return
-// copies.
+// or DeleteBatch moves or reallocates that storage, or Grow
+// reallocates it. Get and At return copies.
 type Tuple struct {
 	ID     int64
 	Values []float64
@@ -138,6 +138,18 @@ func (tb *Table) Insert(values []float64) (Tuple, error) {
 	tb.ids = append(tb.ids, id)
 	tb.vals = append(tb.vals, values...)
 	return Tuple{ID: id, Values: tb.row(len(tb.ids) - 1)}, nil
+}
+
+// Grow makes room for n more rows, so that the next n Inserts neither
+// reallocate nor copy the table's storage. A loader that knows how many
+// rows it will insert calls it once: left to Insert's appends, a table
+// of r rows allocates about twice r rows' storage over its regrowths to
+// keep r. Grow never shrinks the table and ignores n ≤ 0.
+func (tb *Table) Grow(n int) {
+	if n > 0 {
+		tb.ids = slices.Grow(tb.ids, n)
+		tb.vals = slices.Grow(tb.vals, n*tb.width)
+	}
 }
 
 // MustInsert is Insert that panics on arity mismatch.

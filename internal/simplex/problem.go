@@ -53,6 +53,9 @@ const (
 	IterLimit
 	// NumFail: the basis became numerically unusable.
 	NumFail
+	// TimeLimit: the Solver's deadline (SetDeadline) passed before
+	// optimality.
+	TimeLimit
 )
 
 // String names the status.
@@ -68,6 +71,8 @@ func (s Status) String() string {
 		return "iteration-limit"
 	case NumFail:
 		return "numerical-failure"
+	case TimeLimit:
+		return "time-limit"
 	}
 	return "unknown"
 }
@@ -308,7 +313,8 @@ func (o Options) withDefaults(m, n int) Options {
 type Solution struct {
 	Status Status
 	// X holds the values of the structural variables (valid for Optimal;
-	// for IterLimit it holds the last iterate, which may be infeasible).
+	// for IterLimit and TimeLimit it holds the last iterate, which may be
+	// infeasible).
 	X []float64
 	// Obj is the objective value c·X.
 	Obj float64

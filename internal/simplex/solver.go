@@ -2,6 +2,7 @@ package simplex
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/freelist"
 )
@@ -21,7 +22,8 @@ import (
 type Solver struct {
 	p           *Problem
 	opt         Options
-	inner       *solver // the workspace; nil before first use and after Release
+	deadline    time.Time // zero: none
+	inner       *solver   // the workspace; nil before first use and after Release
 	initialized bool
 }
 
@@ -69,6 +71,18 @@ func (ws *Solver) Release() {
 	workspaces.Put(s)
 }
 
+// SetDeadline makes every later Solve stop with status TimeLimit once
+// the clock passes t, which it checks every deadlineEvery iterations
+// beside the iteration budget; the zero time removes the deadline. A
+// solve that ends before t never sees the check fire, so its pivots are
+// those of a solve without one.
+func (ws *Solver) SetDeadline(t time.Time) { ws.deadline = t }
+
+// deadlineEvery is how many iterations pass between two looks at the
+// clock: a small fraction of one iteration's cost on any model large
+// enough to run past a deadline.
+const deadlineEvery = 64
+
 // Reset discards any retained basis so the next Solve starts cold. Used
 // where a warm start was rejected and the caller needs a deterministic
 // fallback state rather than "whatever the solver held before".
@@ -80,6 +94,7 @@ func (ws *Solver) Solve() Solution {
 	m, n := len(ws.p.rhs), len(ws.p.obj)
 	s := ws.workspace(m, n)
 	s.opt = ws.opt.withDefaults(m, n)
+	s.deadline = ws.deadline
 	warm := ws.initialized
 	if warm {
 		s.warmReset()
@@ -241,6 +256,8 @@ type solver struct {
 
 	degen int  // consecutive (near-)degenerate pivots
 	bland bool // anti-cycling mode
+
+	deadline time.Time // the Solver's, for the solve in progress
 }
 
 // refactorize rebuilds the sparse LU factorization from the basis
@@ -412,14 +429,27 @@ func (s *solver) reducedCost(j int, structuralCost bool) float64 {
 	return rc
 }
 
+// budgetSpent reports whether the solve must stop before its next
+// iteration, and with which status: the iteration budget is spent, or
+// the deadline has passed (looked at every deadlineEvery iterations).
+func (s *solver) budgetSpent() (Status, bool) {
+	if s.iters >= s.opt.MaxIters {
+		return IterLimit, true
+	}
+	if s.iters%deadlineEvery == 0 && !s.deadline.IsZero() && time.Now().After(s.deadline) {
+		return TimeLimit, true
+	}
+	return Optimal, false
+}
+
 // phase1 drives the basis to feasibility, minimizing total bound
 // violation with the composite (piecewise-linear) phase-1 objective.
 func (s *solver) phase1() Status {
 	tol := feasTol
 	refactors := 0
 	for {
-		if s.iters >= s.opt.MaxIters {
-			return IterLimit
+		if st, stop := s.budgetSpent(); stop {
+			return st
 		}
 		if s.infeasibility() <= tol {
 			return Optimal
@@ -451,8 +481,8 @@ func (s *solver) phase2() Status {
 	cB := s.cB
 	refactors := 0
 	for {
-		if s.iters >= s.opt.MaxIters {
-			return IterLimit
+		if st, stop := s.budgetSpent(); stop {
+			return st
 		}
 		for i := 0; i < s.m; i++ {
 			cB[i] = s.obj[s.basis[i]]

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func solveOK(t *testing.T, p *Problem) Solution {
@@ -411,4 +412,30 @@ func TestBoundsAPIs(t *testing.T) {
 		}()
 		p.AddConstr([]Coef{{99, 1}}, LE, 0)
 	}()
+}
+
+// TestDeadline: a Solver whose deadline has passed stops with TimeLimit
+// at its first look at the clock, before any pivot, and one whose
+// deadline is far off pivots and answers bit for bit as a Solver with
+// none (a captured encoder node of 119 basis changes).
+func TestDeadline(t *testing.T) {
+	p, _ := loadEncoderNode(t)
+	want := NewSolver(p, Options{}).Solve()
+	ws := NewSolver(p, Options{})
+	ws.SetDeadline(time.Now().Add(-time.Second))
+	if sol := ws.Solve(); sol.Status != TimeLimit || sol.Iters != 0 {
+		t.Fatalf("past deadline: status %v after %d iterations, want %v after 0", sol.Status, sol.Iters, TimeLimit)
+	}
+	ws.Reset()
+	ws.SetDeadline(time.Now().Add(time.Hour))
+	got := ws.Solve()
+	if got.Status != want.Status || got.Iters != want.Iters || math.Float64bits(got.Obj) != math.Float64bits(want.Obj) {
+		t.Fatalf("far deadline: %v after %d iterations, objective %v; without one %v after %d, %v",
+			got.Status, got.Iters, got.Obj, want.Status, want.Iters, want.Obj)
+	}
+	for j := range want.X {
+		if math.Float64bits(got.X[j]) != math.Float64bits(want.X[j]) {
+			t.Fatalf("far deadline: x[%d] = %v, without one %v", j, got.X[j], want.X[j])
+		}
+	}
 }

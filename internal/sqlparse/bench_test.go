@@ -1,10 +1,12 @@
 package sqlparse_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/oltp"
+	"repro/internal/relation"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
@@ -32,5 +34,30 @@ func BenchmarkParseLog(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestParseLogAllocsPerInsert pins what an INSERT costs the parser: the
+// Insert and its values, one allocation each, the values in a slice of
+// the schema's width that the Insert keeps as it is, and the log sized
+// once from the semicolons. The count covers positive, negative,
+// fractional and exponent constants, which all lex to one number token.
+func TestParseLogAllocsPerInsert(t *testing.T) {
+	sch := relation.MustSchema("t", []string{"a", "b", "c", "d", "e"}, "")
+	const n = 500
+	var sql strings.Builder
+	for i := range n {
+		fmt.Fprintf(&sql, "INSERT INTO t VALUES (%d, -%d, %d.25, 1e%d, -(%d));\n", i, i, i, i%5, i)
+	}
+	text := sql.String()
+	allocs := testing.AllocsPerRun(5, func() {
+		log, err := sqlparse.ParseLog(sch, text)
+		if err != nil || len(log) != n {
+			t.Fatalf("%d statements, error %v", len(log), err)
+		}
+	})
+	// The parser itself and the log are the two allocations not per INSERT.
+	if allocs > 2*n+2 {
+		t.Errorf("ParseLog of %d INSERTs: %.0f allocations, want at most %d (two per INSERT, two per log)", n, allocs, 2*n+2)
 	}
 }

@@ -8,10 +8,10 @@ import (
 	"repro/internal/relation"
 )
 
-// Parser parses statements against a fixed schema, which resolves
+// parser parses statements against a fixed schema, which resolves
 // attribute names to positions. It holds one token of lookahead and
 // scans the source as it goes.
-type Parser struct {
+type parser struct {
 	schema *relation.Schema
 	src    string
 	tok    token // the current token
@@ -31,7 +31,7 @@ const maxNesting = 1000
 
 // nest enters one more level of nesting, or reports the statement too
 // deep; each successful call is paired with a p.depth-- on the way out.
-func (p *Parser) nest() error {
+func (p *parser) nest() error {
 	if p.depth >= maxNesting {
 		return p.errf("nesting deeper than %d", maxNesting)
 	}
@@ -56,10 +56,12 @@ func Parse(schema *relation.Schema, sql string) (query.Query, error) {
 }
 
 // ParseLog parses a sequence of statements separated by semicolons or
-// newlines into a query log.
+// newlines into a query log. The log is allocated once, at the number of
+// semicolons plus one: a log that separates its statements with them
+// (every log this module prints) never regrows it.
 func ParseLog(schema *relation.Schema, sql string) ([]query.Query, error) {
 	p := newParser(schema, sql)
-	var log []query.Query
+	log := make([]query.Query, 0, strings.Count(sql, ";")+1)
 	for !p.at(tokEOF, "") {
 		if p.accept(tokSymbol, ";") {
 			continue
@@ -80,7 +82,7 @@ func ParseLog(schema *relation.Schema, sql string) ([]query.Query, error) {
 // outside the supported subset anywhere in the input is reported before
 // anything the grammar objects to, so what is left of a rejected input
 // is scanned for one.
-func (p *Parser) scanned(err error) error {
+func (p *parser) scanned(err error) error {
 	for err != nil && !p.at(tokEOF, "") {
 		p.advance()
 	}
@@ -99,14 +101,14 @@ func MustParse(schema *relation.Schema, sql string) query.Query {
 	return q
 }
 
-func newParser(schema *relation.Schema, sql string) *Parser {
-	p := &Parser{schema: schema, src: sql}
+func newParser(schema *relation.Schema, sql string) *parser {
+	p := &parser{schema: schema, src: sql}
 	p.advance()
 	return p
 }
 
 // advance makes the next token of the source the current one.
-func (p *Parser) advance() {
+func (p *parser) advance() {
 	if p.lexErr == nil {
 		p.tok, p.off, p.lexErr = lex(p.src, p.off)
 	}
@@ -115,15 +117,15 @@ func (p *Parser) advance() {
 	}
 }
 
-func (p *Parser) cur() token  { return p.tok }
-func (p *Parser) next() token { t := p.tok; p.advance(); return t }
+func (p *parser) cur() token  { return p.tok }
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
 
-func (p *Parser) at(kind tokKind, text string) bool {
+func (p *parser) at(kind tokKind, text string) bool {
 	t := p.cur()
 	return t.kind == kind && (text == "" || t.text == text)
 }
 
-func (p *Parser) accept(kind tokKind, text string) bool {
+func (p *parser) accept(kind tokKind, text string) bool {
 	if p.at(kind, text) {
 		p.advance()
 		return true
@@ -131,19 +133,19 @@ func (p *Parser) accept(kind tokKind, text string) bool {
 	return false
 }
 
-func (p *Parser) expect(kind tokKind, text string) (token, error) {
+func (p *parser) expect(kind tokKind, text string) (token, error) {
 	if p.at(kind, text) {
 		return p.next(), nil
 	}
 	return token{}, p.errf("expected %q, found %q", text, p.cur().text)
 }
 
-func (p *Parser) errf(format string, args ...interface{}) error {
+func (p *parser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("sqlparse: %s (at offset %d)", fmt.Sprintf(format, args...), p.cur().pos)
 }
 
 // statement := update | insert | delete
-func (p *Parser) statement() (query.Query, error) {
+func (p *parser) statement() (query.Query, error) {
 	switch {
 	case p.accept(tokKeyword, "UPDATE"):
 		return p.update()
@@ -159,7 +161,7 @@ func (p *Parser) statement() (query.Query, error) {
 // resolveAttr resolves an attribute name, preferring an exact match and
 // falling back to case-insensitive comparison (SQL identifiers are
 // conventionally case-insensitive).
-func (p *Parser) resolveAttr(name string) (int, bool) {
+func (p *parser) resolveAttr(name string) (int, bool) {
 	if i, ok := p.schema.Index(name); ok {
 		return i, true
 	}
@@ -186,7 +188,7 @@ func CheckSchema(s *relation.Schema) error {
 	return nil
 }
 
-func (p *Parser) tableName() error {
+func (p *parser) tableName() error {
 	t, err := p.expect(tokIdent, "")
 	if err != nil {
 		return err
@@ -197,7 +199,7 @@ func (p *Parser) tableName() error {
 	return nil
 }
 
-func (p *Parser) update() (query.Query, error) {
+func (p *parser) update() (query.Query, error) {
 	if err := p.tableName(); err != nil {
 		return nil, err
 	}
@@ -233,7 +235,7 @@ func (p *Parser) update() (query.Query, error) {
 	return query.NewUpdate(set, cond), nil
 }
 
-func (p *Parser) insert() (query.Query, error) {
+func (p *parser) insert() (query.Query, error) {
 	if _, err := p.expect(tokKeyword, "INTO"); err != nil {
 		return nil, err
 	}
@@ -246,7 +248,9 @@ func (p *Parser) insert() (query.Query, error) {
 	if _, err := p.expect(tokSymbol, "("); err != nil {
 		return nil, err
 	}
-	var vals []float64
+	// The values go straight into the Insert, in a slice of the schema's
+	// width: a well-formed statement fills it without regrowing it.
+	vals := make([]float64, 0, p.schema.Width())
 	for {
 		e, err := p.linExpr()
 		if err != nil {
@@ -267,10 +271,10 @@ func (p *Parser) insert() (query.Query, error) {
 		return nil, fmt.Errorf("sqlparse: INSERT arity %d != schema width %d",
 			len(vals), p.schema.Width())
 	}
-	return query.NewInsert(vals...), nil
+	return &query.Insert{Values: vals}, nil
 }
 
-func (p *Parser) delete() (query.Query, error) {
+func (p *parser) delete() (query.Query, error) {
 	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
 		return nil, err
 	}
@@ -284,7 +288,7 @@ func (p *Parser) delete() (query.Query, error) {
 	return query.NewDelete(cond), nil
 }
 
-func (p *Parser) optionalWhere() (query.Cond, error) {
+func (p *parser) optionalWhere() (query.Cond, error) {
 	if !p.accept(tokKeyword, "WHERE") {
 		return query.True{}, nil
 	}
@@ -292,10 +296,13 @@ func (p *Parser) optionalWhere() (query.Cond, error) {
 }
 
 // orCond := andCond (OR andCond)*
-func (p *Parser) orCond() (query.Cond, error) {
+func (p *parser) orCond() (query.Cond, error) {
 	first, err := p.andCond()
 	if err != nil {
 		return nil, err
+	}
+	if !p.at(tokKeyword, "OR") {
+		return first, nil
 	}
 	kids := []query.Cond{first}
 	for p.accept(tokKeyword, "OR") {
@@ -305,17 +312,17 @@ func (p *Parser) orCond() (query.Cond, error) {
 		}
 		kids = append(kids, k)
 	}
-	if len(kids) == 1 {
-		return kids[0], nil
-	}
 	return query.NewOr(kids...), nil
 }
 
 // andCond := condUnit (AND condUnit)*
-func (p *Parser) andCond() (query.Cond, error) {
+func (p *parser) andCond() (query.Cond, error) {
 	first, err := p.condUnit()
 	if err != nil {
 		return nil, err
+	}
+	if !p.at(tokKeyword, "AND") {
+		return first, nil
 	}
 	kids := []query.Cond{first}
 	for p.accept(tokKeyword, "AND") {
@@ -325,9 +332,6 @@ func (p *Parser) andCond() (query.Cond, error) {
 		}
 		kids = append(kids, k)
 	}
-	if len(kids) == 1 {
-		return kids[0], nil
-	}
 	return query.NewAnd(kids...), nil
 }
 
@@ -335,7 +339,7 @@ func (p *Parser) andCond() (query.Cond, error) {
 // Parenthesized conditions are disambiguated from parenthesized
 // arithmetic by lookahead: after the ')' a comparison operator or
 // BETWEEN/IN means the parens were part of an expression.
-func (p *Parser) condUnit() (query.Cond, error) {
+func (p *parser) condUnit() (query.Cond, error) {
 	if p.accept(tokKeyword, "TRUE") {
 		return query.True{}, nil
 	}
@@ -362,7 +366,7 @@ func (p *Parser) condUnit() (query.Cond, error) {
 }
 
 // predicate := expr cmp expr | expr BETWEEN expr AND expr | expr IN [lo, hi]
-func (p *Parser) predicate() (query.Cond, error) {
+func (p *parser) predicate() (query.Cond, error) {
 	lhs, err := p.linExpr()
 	if err != nil {
 		return nil, err
@@ -456,7 +460,7 @@ func normalizePred(lhs query.LinExpr, op query.CmpOp, rhs query.LinExpr) (query.
 }
 
 // linExpr := mulTerm (('+'|'-') mulTerm)*
-func (p *Parser) linExpr() (query.LinExpr, error) {
+func (p *parser) linExpr() (query.LinExpr, error) {
 	e, err := p.mulTerm()
 	if err != nil {
 		return query.LinExpr{}, err
@@ -482,7 +486,7 @@ func (p *Parser) linExpr() (query.LinExpr, error) {
 
 // mulTerm := factor (('*'|'/') factor)* with the linearity restriction
 // that at least one side of '*' is constant and divisors are constant.
-func (p *Parser) mulTerm() (query.LinExpr, error) {
+func (p *parser) mulTerm() (query.LinExpr, error) {
 	e, err := p.factor()
 	if err != nil {
 		return query.LinExpr{}, err
@@ -517,7 +521,7 @@ func (p *Parser) mulTerm() (query.LinExpr, error) {
 }
 
 // factor := NUMBER | IDENT | '(' linExpr ')' | '-' factor
-func (p *Parser) factor() (query.LinExpr, error) {
+func (p *parser) factor() (query.LinExpr, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokNumber:
