@@ -19,6 +19,7 @@ import (
 
 	qfix "repro"
 	"repro/internal/oltp"
+	"repro/internal/workload"
 )
 
 func TestLoadCSV(t *testing.T) {
@@ -320,27 +321,10 @@ func TestRemovedFlagsRefused(t *testing.T) {
 func TestRefusesDataFinerThanEpsilon(t *testing.T) {
 	bin := buildCLI(t)
 	dir := t.TempDir()
-	write := func(name, body string) string {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
+	write := func(name, body string) string { return writeFile(t, dir, name, body) }
 	run := func(data, log, complaints string, extra ...string) (string, string, int) {
-		args := append([]string{"-data", data, "-log", log, "-complaints", complaints,
-			"-table", "t", "-key", "id", "-algorithm", "basic"}, extra...)
-		cmd := exec.Command(bin, args...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		var ee *exec.ExitError
-		if errors.As(err, &ee) {
-			return stdout.String(), stderr.String(), ee.ExitCode()
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		return stdout.String(), stderr.String(), 0
+		return runCLI(t, bin, append([]string{"-data", data, "-log", log, "-complaints", complaints,
+			"-table", "t", "-key", "id", "-algorithm", "basic"}, extra...)...)
 	}
 
 	data := write("d0.csv", "id,a,b\n1,0.1,0\n2,0.2,0\n3,0.3,0\n4,0.4,0\n")
@@ -363,6 +347,120 @@ func TestRefusesDataFinerThanEpsilon(t *testing.T) {
 	if _, rest, _ := strings.Cut(stdout, "\n"); exit != 0 || stderr != "" || rest != want {
 		t.Errorf("scaled by 10: exit %d, stderr %q, printed\n%s\nwant\n%s", exit, stderr, rest, want)
 	}
+}
+
+// TestSatisfiedComplaintsNeedNoRepair: complaints the dirty final state
+// already satisfies leave query slicing no candidate, and the log as it
+// stands is the repair. Both algorithms print it as resolved with
+// nothing changed and exit 0.
+func TestSatisfiedComplaintsNeedNoRepair(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	data := writeFile(t, dir, "d.csv", "a,b\n1,10\n2,20\n")
+	log := writeFile(t, dir, "h.sql", "UPDATE t SET b = 5 WHERE a >= 2;\n")
+	complaints := writeFile(t, dir, "c.txt", "2,2,5\n")
+	const want = "-- complaints resolved: true; repair distance: 0.000\n" +
+		"-- no queries needed repair\n" +
+		"   UPDATE t SET b = 5 WHERE a >= 2;\n"
+	for _, algo := range []string{"incremental", "basic"} {
+		stdout, stderr, exit := runCLI(t, bin, "-data", data, "-log", log, "-complaints", complaints, "-algorithm", algo)
+		if _, rest, _ := strings.Cut(stdout, "\n"); exit != 0 || stderr != "" || rest != want {
+			t.Errorf("%s: exit %d, stderr %q, printed\n%s\nwant\n%s", algo, exit, stderr, rest, want)
+		}
+	}
+}
+
+// TestTimeLimitBoundsCLISolve: the CLI's -timelimit bounds a solve that
+// sits inside one long LP. Basic without tuple slicing on the 60-row,
+// 30-statement generator log (seed 7, statement 0 corrupted; the root
+// LP alone runs for about 4 s on two cores) returns within the limit
+// plus a second for the process, and says that its repair is not proven
+// minimal or that it found none.
+func TestTimeLimitBoundsCLISolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver-bound")
+	}
+	w, err := workload.Generate(workload.Config{ND: 60, Nq: 30, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := w.MakeInstance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sql, complaints strings.Builder
+	for _, q := range in.Dirty {
+		sql.WriteString(q.String(w.Schema) + ";\n")
+	}
+	for _, c := range in.Complaints {
+		complaints.WriteString(strconv.FormatInt(c.TupleID, 10))
+		if !c.Exists {
+			complaints.WriteString(",DELETED")
+		}
+		for _, v := range c.Values {
+			complaints.WriteString("," + strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		complaints.WriteByte('\n')
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	const limit = time.Second
+	start := time.Now()
+	stdout, stderr, _ := runCLI(t, bin, "-data", writeFile(t, dir, "d0.csv", csvText(w.D0)),
+		"-log", writeFile(t, dir, "h.sql", sql.String()),
+		"-complaints", writeFile(t, dir, "c.txt", complaints.String()),
+		"-table", w.Schema.Name(), "-key", "id",
+		"-algorithm", "basic", "-no-tuple-slicing", "-timelimit", limit.String())
+	if elapsed := time.Since(start); elapsed > limit+time.Second {
+		t.Errorf("a %v solve limit returned after %v", limit, elapsed)
+	}
+	if !strings.Contains(stdout, "not proven minimal") && !strings.Contains(stdout, "no verified repair found") {
+		t.Errorf("output flags neither a limit-stopped repair nor a missing one; stderr %q, printed\n%s", stderr, stdout)
+	}
+}
+
+// runCLI runs the built binary and returns what it printed on standard
+// output and standard error, and its exit status.
+func runCLI(t *testing.T, bin string, args ...string) (string, string, int) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if errors.As(err, &ee) {
+		return stdout.String(), stderr.String(), ee.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return stdout.String(), stderr.String(), 0
+}
+
+// csvText renders a table as the CSV loadCSV reads: a header row of
+// attribute names, then one row per tuple in ID order.
+func csvText(tb *qfix.Table) string {
+	var b strings.Builder
+	b.WriteString(strings.Join(tb.Schema().Attrs(), ",") + "\n")
+	for i := 0; i < tb.Len(); i++ {
+		for a, v := range tb.At(i).Values {
+			if a > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// writeFile writes body to dir/name and returns the path.
+func writeFile(t *testing.T, dir, name, body string) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 func buildCLI(t *testing.T) string {
@@ -462,19 +560,8 @@ func TestEndToEndFromFiles(t *testing.T) {
 // harness writes them.
 func BenchmarkLoadCSV(b *testing.B) {
 	d0 := oltp.TATP(oltp.TATPConfig{Subscribers: 2000, Queries: 1, Seed: 8}).D0
-	var data bytes.Buffer
-	data.WriteString(strings.Join(d0.Schema().Attrs(), ",") + "\n")
-	for i := 0; i < d0.Len(); i++ {
-		for a, v := range d0.At(i).Values {
-			if a > 0 {
-				data.WriteByte(',')
-			}
-			data.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-		data.WriteByte('\n')
-	}
 	path := filepath.Join(b.TempDir(), "d0.csv")
-	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(csvText(d0)), 0o644); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -159,14 +159,15 @@ func (d *diagnoser) dispatch() (*Repair, error) {
 // solveJoint runs the configured algorithm over the whole complaint set
 // (the solve stage when partition planning is off or found a single
 // component, and the fallback when partition merging detects a
-// conflict or cross-partition interference).
+// conflict or cross-partition interference). Both algorithms are one
+// scan: Basic (Algorithm 1) is Inc_k with a single batch holding every
+// candidate.
 func (d *diagnoser) solveJoint() (*Repair, error) {
-	switch d.opt.Algorithm {
-	case Incremental:
-		return d.incremental()
-	default:
-		return d.basic()
+	k := d.opt.K
+	if d.opt.Algorithm == Basic {
+		k = len(d.candidates)
 	}
+	return d.incremental(k)
 }
 
 type diagnoser struct {
@@ -376,34 +377,20 @@ func (st *Stats) addSolve(r milp.Result) {
 	st.LastStatus = r.Status.String()
 }
 
-// basic runs Algorithm 1: one MILP parameterizing every candidate query.
-func (d *diagnoser) basic() (*Repair, error) {
-	paramSet := make(map[int]bool, len(d.candidates))
-	for _, i := range d.candidates {
-		paramSet[i] = true
-	}
-	bsp := d.span.Start("batch")
-	bsp.SetAttr("queries", len(paramSet))
-	defer bsp.End()
-	repaired, ok, err := d.attempt(d.log, d.bound, paramSet, nil, &d.stats, bsp)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return d.unresolved(), nil
-	}
-	return d.finish(d.maybeRefine(repaired, paramSet, &d.stats, bsp)), nil
-}
-
-// incremental runs Algorithm 3: batches of K consecutive candidates,
+// incremental runs Algorithm 3: batches of k consecutive candidates,
 // newest first. A verified repair that leaves every non-complaint tuple
 // at its dirty value is returned immediately. A repair that resolves the
 // complaints but disturbs other tuples is kept as a fallback while older
 // batches are scanned — without tuple slicing this cannot happen (hard
 // constraints forbid disturbance, as in the paper's Basic_params), and
 // with tuple slicing this gate is what keeps repair precision high when
-// a newer query admits a spurious fix.
-func (d *diagnoser) incremental() (*Repair, error) {
+// a newer query admits a spurious fix. With no candidate the input log
+// is the answer, resolved exactly when the dirty final state already
+// satisfies the complaints.
+func (d *diagnoser) incremental(k int) (*Repair, error) {
+	if len(d.candidates) == 0 {
+		return d.finish(verified{log: d.log, final: d.dirtyFinal}), nil
+	}
 	// Candidates sorted most to least recent.
 	cands := append([]int(nil), d.candidates...)
 	for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
@@ -411,7 +398,6 @@ func (d *diagnoser) incremental() (*Repair, error) {
 	}
 	var fallback *Repair
 	fallbackDamage := 0
-	k := d.opt.K
 	for start := 0; start < len(cands); start += k {
 		if !d.deadline.IsZero() && time.Now().After(d.deadline) {
 			d.stats.LastStatus = "total-time-limit"

@@ -28,9 +28,9 @@ import (
 // constants, and query.Dependency/DirectImpact read only which
 // attributes a statement reads and writes.
 
-// DefaultImpactCacheEntries bounds an ImpactCache constructed with
+// defaultImpactCacheEntries bounds an ImpactCache constructed with
 // NewImpactCache(0).
-const DefaultImpactCacheEntries = 32
+const defaultImpactCacheEntries = 32
 
 // ImpactCache caches FullImpact closures across diagnoses, keyed by the
 // log's statements. Install one via Options.ImpactCache (histstore.Store
@@ -56,10 +56,10 @@ type impactEntry struct {
 }
 
 // NewImpactCache returns a cache bounded to max closures (0 picks
-// DefaultImpactCacheEntries).
+// defaultImpactCacheEntries).
 func NewImpactCache(max int) *ImpactCache {
 	if max <= 0 {
-		max = DefaultImpactCacheEntries
+		max = defaultImpactCacheEntries
 	}
 	return &ImpactCache{entries: lru.New[impactKey, impactEntry](max)}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -21,7 +22,7 @@ import (
 // attributes the other complains about. planPartitions splits the
 // complaint set into the connected components of that interaction
 // graph; solvePartitions runs each component as an independent
-// sub-diagnosis on the shared scheduler; mergePartitionRepairs stitches
+// sub-diagnosis on the scan's goroutines; mergePartitionRepairs stitches
 // the per-partition repairs back into one log repair, falling back to a
 // joint solve whenever independence turns out to be violated at merge
 // or verification time.
@@ -224,21 +225,21 @@ func (d *diagnoser) partitioned() (*Repair, bool, error) {
 }
 
 // solvePartitions runs every partition as an independent sub-diagnosis
-// on the shared scheduler with Options.Partition workers, started
-// largest-first (by the planner's size estimate) so the biggest MILP
-// never sits at the back of the queue defining the critical path. Each
-// sub-diagnosis sees the full log and initial state but only its
-// partition's complaints, with repair candidates pinned to the
-// partition's candidate set; nested partitioning is disabled so the
-// concurrency budget is spent at the partition level. Results are still
-// adjudicated in plan (index) order, so the chosen repair is
-// independent of the start order.
+// on Options.Partition goroutines, started largest-first (by the
+// planner's size estimate) so the biggest MILP never sits at the back of
+// the queue defining the critical path. Each sub-diagnosis sees the full
+// log and initial state but only its partition's complaints, with
+// repair candidates pinned to the partition's candidate set; nested
+// partitioning is disabled so the concurrency budget is spent at the
+// partition level. Results are still adjudicated in plan (index) order,
+// so the chosen repair is independent of the start order.
 //
 // With Options.PartitionSolver set, each partition is packaged as a
 // self-contained Subproblem and dispatched through the hook (the
-// distributed coordinator's entry point); otherwise it solves in
-// process, adopting the parent's planning products so no partition
-// re-runs the replay + FullImpact pass.
+// distributed coordinator's entry point); otherwise, and for a job the
+// hook declines (ErrDeclined), it solves in process, adopting the
+// parent's planning products so no partition re-runs the replay +
+// FullImpact pass.
 func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 	sub := d.opt
 	sub.Partition = 0
@@ -290,6 +291,17 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 		if d.opt.PartitionSolver != nil {
 			out.rep, out.err = d.opt.PartitionSolver.SolvePartition(
 				Subproblem{D0: d.d0, Log: d.log, Complaints: cs, Options: o})
+			if errors.Is(out.err, ErrDeclined) {
+				// Solved here on the plan this diagnosis holds, under a
+				// "local" span and stamped like the fleet's own answers.
+				lsp := pspans[i].Start("local")
+				o.Trace = lsp
+				out.rep, out.err = d.solveSub(cs, o)
+				lsp.End()
+				if out.rep != nil {
+					out.rep.Stats.WorkerAddr = "local"
+				}
+			}
 		} else {
 			out.rep, out.err = d.solveSub(cs, o)
 		}
@@ -341,18 +353,14 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 // state, FullImpact closure) and derives its slices from them, so the
 // per-partition cost is pure solving — the ROADMAP's "partition-aware
 // tuple slicing". Stats.PlanPasses across a locally partitioned
-// diagnosis therefore totals exactly 1.
+// diagnosis therefore totals exactly 1. The parent's deadline bounds it.
 func (d *diagnoser) solveSub(cs []Complaint, o Options) (*Repair, error) {
-	o = o.withDefaults()
 	sub := &diagnoser{opt: o, d0: d.d0, log: d.log, complaints: cs,
-		width: d.width,
+		width: d.width, deadline: d.deadline,
 		// The sub-diagnosis hangs its batch spans directly under the
 		// partition's span (no nested "diagnose" level).
 		span: o.Trace}
 	sub.adoptPlan(d)
-	if o.TotalTimeLimit > 0 {
-		sub.deadline = time.Now().Add(o.TotalTimeLimit)
-	}
 	return sub.solveJoint()
 }
 

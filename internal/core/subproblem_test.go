@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func (s *countingSolver) SolvePartition(sub Subproblem) (*Repair, error) {
 		sub.D0 == nil || len(sub.Log) == 0 {
 		s.badPackage.Add(1)
 	}
-	rep, err := sub.SolveLocal()
+	rep, err := Diagnose(sub.D0, sub.Log, sub.Complaints, sub.Options)
 	if err == nil {
 		// What a remote transport would stamp on a worker-solved repair.
 		rep.Stats.RemoteJobs = 1
@@ -75,6 +76,63 @@ func TestPartitionSolverHookErrorPropagates(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("solver error did not propagate")
+	}
+}
+
+// decliningSolver declines every job, after delay: a fleet that solves
+// nothing.
+type decliningSolver struct{ delay time.Duration }
+
+func (s decliningSolver) SolvePartition(Subproblem) (*Repair, error) {
+	time.Sleep(s.delay)
+	return nil, ErrDeclined
+}
+
+// TestDeclinedPartitionsSolveOnThePlan: the partition scan solves a job
+// its solver declines itself, on the plan it holds, so the diagnosis is
+// the one without a solver — the same repair, one planning pass, the
+// same replays — with each partition stamped "local". A job declined
+// after the diagnosis's TotalTimeLimit ran out is not solved on borrowed
+// time: the outcome is "total-time-limit".
+func TestDeclinedPartitionsSolveOnThePlan(t *testing.T) {
+	d0, dirty, _, complaints := clusterWorkload(t, 3, 4)
+	opt := Options{Algorithm: Incremental, TupleSlicing: true, QuerySlicing: true,
+		Partition: 2, TimeLimit: 30 * time.Second}
+	want, err := Diagnose(d0, dirty, complaints, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.PartitionSolver = decliningSolver{}
+	got, err := Diagnose(d0, dirty, complaints, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Resolved || got.Distance != want.Distance || !slices.Equal(got.Changed, want.Changed) {
+		t.Errorf("declined: resolved=%v distance=%v changed=%v, want %v %v %v",
+			got.Resolved, got.Distance, got.Changed, want.Resolved, want.Distance, want.Changed)
+	}
+	if got.Stats.PlanPasses != 1 || got.Stats.Replays != want.Stats.Replays {
+		t.Errorf("declined: PlanPasses=%d Replays=%d, want 1 and %d",
+			got.Stats.PlanPasses, got.Stats.Replays, want.Stats.Replays)
+	}
+	if len(got.Stats.PartitionStats) != 3 {
+		t.Fatalf("declined: %d partition stats, want 3", len(got.Stats.PartitionStats))
+	}
+	for _, ps := range got.Stats.PartitionStats {
+		if ps.Worker != "local" {
+			t.Errorf("partition %d: worker %q, want local", ps.Index, ps.Worker)
+		}
+	}
+
+	opt.PartitionSolver = decliningSolver{delay: 100 * time.Millisecond}
+	opt.TotalTimeLimit = 50 * time.Millisecond
+	late, err := Diagnose(d0, dirty, complaints, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Resolved || late.Stats.LastStatus != "total-time-limit" || late.Stats.BatchesTried != 0 {
+		t.Errorf("declined past the deadline: resolved=%v status=%q batches=%d, want unresolved total-time-limit with none tried",
+			late.Resolved, late.Stats.LastStatus, late.Stats.BatchesTried)
 	}
 }
 

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"time"
 
@@ -51,7 +52,8 @@ type Algorithm int
 
 // Strategies.
 const (
-	// Basic encodes the whole log in one MILP (Algorithm 1).
+	// Basic parameterizes every candidate query in one MILP
+	// (Algorithm 1): the Incremental scan with a single batch.
 	Basic Algorithm = iota
 	// Incremental parameterizes K consecutive queries at a time, newest
 	// first, and stops at the first verified repair (Algorithm 3).
@@ -95,10 +97,9 @@ type Options struct {
 	// PartitionSolver, when non-nil, dispatches each partition
 	// subproblem instead of the in-process engine — the hook behind
 	// internal/dist's coordinator, which ships subproblems to remote
-	// workers. Implementations must return a repair equivalent to
-	// Subproblem.SolveLocal (the distributed coordinator guarantees this
-	// by falling back to the local engine when a worker fails). Ignored
-	// unless Partition enables partitioning.
+	// workers. Implementations return a repair equivalent to Diagnose of
+	// the Subproblem, or decline the job (ErrDeclined). Ignored unless
+	// Partition enables partitioning.
 	PartitionSolver PartitionSolver
 
 	// ImpactCache, when non-nil, caches FullImpact closures across
@@ -181,7 +182,7 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// Encode aggregates encoder sizes across every attempted batch.
 	Rows, Vars, Binaries int
-	// BatchesTried counts encode+solve attempts (1 for basic).
+	// BatchesTried counts encode+solve attempts (none with no candidate).
 	BatchesTried int
 	// RelevantQueries is the candidate set size after query slicing
 	// (len(log) when slicing is off).
@@ -195,9 +196,10 @@ type Stats struct {
 	// or interference and re-solved jointly.
 	PartitionFallback bool
 	// PlanPasses counts full planning passes (log replay plus the
-	// FullImpact closure). Partition subproblems solved in-process adopt
-	// the coordinator's plan instead of re-planning, so a partitioned
-	// diagnosis reports 1; remote workers plan once per shipped job.
+	// FullImpact closure). Partition subproblems solved in-process —
+	// with no PartitionSolver, or one that declined the job — adopt the
+	// coordinator's plan instead of re-planning, so a partitioned
+	// diagnosis reports 1; remote workers plan once per job they solve.
 	PlanPasses int
 	// RemoteJobs counts partition subproblems solved by a remote worker
 	// (via Options.PartitionSolver / internal/dist). Jobs that fell back
@@ -269,11 +271,11 @@ type Stats struct {
 	// two components. Conflict re-solves append additional entries.
 	// Coordinator-level only: never merged upward from sub-diagnoses.
 	PartitionStats []PartitionStat
-	// WorkerAddr and DispatchAttempts are stamped by the distributed
-	// coordinator onto each partition repair's Stats: the address of the
-	// worker that solved the job ("local" after fallback) and how many
-	// dispatch attempts it took. Per-job fields — read into
-	// PartitionStats during collection, never merged into totals.
+	// WorkerAddr and DispatchAttempts are stamped onto each partition
+	// repair's Stats: the worker that solved the job ("local" when the
+	// PartitionSolver declined it) and how many dispatch attempts it
+	// took. Per-job fields — read into PartitionStats during
+	// collection, never merged into totals.
 	WorkerAddr       string
 	DispatchAttempts int
 	// Refined tells whether the step-2 refinement ran.
@@ -330,8 +332,8 @@ type Repair struct {
 // solved anywhere: the full initial state and log (replay verification
 // needs both), the partition's complaint subset, and sub-Options with
 // the repair candidates pinned to the partition's candidate set and
-// partitioning disabled. A Subproblem is self-contained —
-// solving it requires nothing from the coordinating diagnosis.
+// partitioning disabled. A Subproblem is self-contained — Diagnose of
+// its fields solves it with nothing from the coordinating diagnosis.
 type Subproblem struct {
 	D0         *relation.Table
 	Log        []query.Query
@@ -339,19 +341,20 @@ type Subproblem struct {
 	Options    Options
 }
 
-// SolveLocal runs the subproblem on the in-process engine. It is the
-// reference semantics every PartitionSolver must match, and the fallback
-// path distributed solvers use when a worker fails.
-func (s Subproblem) SolveLocal() (*Repair, error) {
-	return Diagnose(s.D0, s.Log, s.Complaints, s.Options)
-}
+// ErrDeclined is what a PartitionSolver returns for a subproblem it did
+// not solve (internal/dist's coordinator: no worker answered, or the job
+// could not be encoded). The partition scan then solves that partition
+// in process on the plan it already holds, under a "local" span, with
+// Stats.WorkerAddr "local"; it is not an error of the diagnosis.
+var ErrDeclined = errors.New("core: partition solver declined the subproblem")
 
 // PartitionSolver solves partition subproblems on behalf of the engine.
 // The distributed coordinator in internal/dist implements it by shipping
 // jobs to workers over the wire protocol; tests implement it to inject
-// faults. Implementations are called concurrently (one goroutine per
-// partition, bounded by Options.Partition) and must be safe for
-// concurrent use.
+// faults. A job it does not solve it declines (ErrDeclined); any other
+// error fails the diagnosis. Implementations are called concurrently
+// (one goroutine per partition, bounded by Options.Partition) and must
+// be safe for concurrent use.
 type PartitionSolver interface {
 	SolvePartition(sub Subproblem) (*Repair, error)
 }

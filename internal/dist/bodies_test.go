@@ -124,7 +124,7 @@ func TestBodyEvictedThenNamedAgain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sub.SolveLocal()
+		rep, err := core.Diagnose(sub.D0, sub.Log, sub.Complaints, sub.Options)
 		if err != nil {
 			t.Fatal(err)
 		}

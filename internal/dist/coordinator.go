@@ -17,7 +17,7 @@ import (
 // Transport delivers one solve to a solver and returns its answer. A
 // transport error (dial failure, link backing off, deadline, broken
 // frame) means the answer is unknown; the Coordinator responds by
-// retrying on another worker and, ultimately, solving locally.
+// retrying on another worker and, ultimately, declining the job.
 // Implementations must be safe for concurrent use: the engine
 // dispatches partitions from multiple goroutines.
 type Transport interface {
@@ -52,8 +52,9 @@ const defaultJobTimeout = 5 * time.Minute
 // Solver, through which the engine's partition scan ships every
 // subproblem. Planning, merging, conflict detection and replay
 // verification stay in the engine: the coordinator only dispatches,
-// with retry and local fallback. The engine starts partitions
-// largest-first, so the biggest MILPs reach the fleet first.
+// with retry, and declines (core.ErrDeclined) what no worker answered.
+// The engine starts partitions largest-first, so the biggest MILPs
+// reach the fleet first.
 type Coordinator struct {
 	cfg        Config
 	transports []Transport
@@ -114,7 +115,7 @@ func (c *Coordinator) Close() error {
 // RemoteJobs reports how many jobs were solved remotely since creation.
 func (c *Coordinator) RemoteJobs() int { return int(c.remoteJobs.Load()) }
 
-// LocalFallbacks reports how many jobs fell back to the local engine.
+// LocalFallbacks reports how many jobs were declined to the local engine.
 func (c *Coordinator) LocalFallbacks() int { return int(c.localJobs.Load()) }
 
 // transportSlack is how much longer than the job's own solve budget a
@@ -136,26 +137,25 @@ type runSolver struct {
 	enc *encMemo
 }
 
-// SolvePartition implements core.PartitionSolver: encode the subproblem,
-// offer it to workers round-robin with per-attempt timeouts, and fall
-// back to the in-process engine when every attempt fails. Remote repairs
-// are marked with Stats.RemoteJobs=1 so the engine's stats merge counts
-// them. The job's TotalTimeLimit bounds dispatch and fallback together:
-// a fallback that starts with the budget spent returns the engine's
-// "total-time-limit" outcome instead of solving on borrowed time.
+// SolvePartition implements core.PartitionSolver: encode the subproblem
+// and offer it to workers round-robin with per-attempt timeouts. Remote
+// repairs are marked with Stats.RemoteJobs=1 so the engine's stats merge
+// counts them. A job no worker answered, or one that cannot be encoded,
+// is declined (core.ErrDeclined): the engine solves it on its own plan
+// within what is left of the job's TotalTimeLimit, which bounds
+// dispatch and fallback together.
 func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
 	c := r.c
-	// Attempts and the local fallback hang under the partition's span.
-	sp := sub.Options.Trace
-	var deadline time.Time
-	if sub.Options.TotalTimeLimit > 0 {
-		deadline = time.Now().Add(sub.Options.TotalTimeLimit)
-	}
 	if len(c.transports) > 0 {
 		mDistJobs.Inc()
 		job, err := r.enc.encodeJob(c.nextJobID.Add(1), sub)
 		if err == nil {
-			if rep, ok := c.dispatch(job, sub, deadline, sp); ok {
+			var deadline time.Time
+			if sub.Options.TotalTimeLimit > 0 {
+				deadline = time.Now().Add(sub.Options.TotalTimeLimit)
+			}
+			// Attempts hang under the partition's span.
+			if rep, ok := c.dispatch(job, sub, deadline, sub.Options.Trace); ok {
 				return rep, nil
 			}
 		} else {
@@ -164,22 +164,7 @@ func (r *runSolver) SolvePartition(sub core.Subproblem) (*core.Repair, error) {
 		mDistFallbacks.Inc()
 	}
 	c.localJobs.Add(1)
-	lsp := sp.Start("local")
-	defer lsp.End()
-	sub.Options.Trace = lsp
-	if !deadline.IsZero() {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return &core.Repair{Log: query.CloneLog(sub.Log),
-				Stats: core.Stats{LastStatus: "total-time-limit", WorkerAddr: "local"}}, nil
-		}
-		sub.Options.TotalTimeLimit = remain
-	}
-	rep, err := sub.SolveLocal()
-	if rep != nil {
-		rep.Stats.WorkerAddr = "local"
-	}
-	return rep, err
+	return nil, core.ErrDeclined
 }
 
 // dispatch offers the job once to each worker, in round-robin order,

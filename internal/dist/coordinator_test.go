@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net"
 	"runtime"
@@ -64,7 +65,8 @@ func TestDispatchCursorWraparound(t *testing.T) {
 // name that would not read back as itself is never dispatched: a
 // keyword, a name with a blank or a dash, or one that lexes as a number,
 // which would turn a SET from attribute 2024 into the constant 2024 on
-// the worker. EncodeJob refuses it and the partition solves locally.
+// the worker. EncodeJob refuses it and the coordinator declines the
+// job, which the engine's partition scan then solves on its own plan.
 func TestUnprintableNamesSolveLocally(t *testing.T) {
 	for _, c := range []struct{ table, attr string }{
 		{"T", "2024"}, {"T", "1e3"}, {"T", "in"}, {"T", "net pay"}, {"T", "a-b"},
@@ -78,8 +80,8 @@ func TestUnprintableNamesSolveLocally(t *testing.T) {
 		}
 		coord := NewCoordinator(Config{Logf: t.Logf}, InProc{})
 		rep, err := coord.Solver().SolvePartition(sub)
-		if err != nil || !rep.Resolved {
-			t.Fatalf("table %q attribute %q: err=%v, want a local repair", c.table, c.attr, err)
+		if !errors.Is(err, core.ErrDeclined) || rep != nil {
+			t.Fatalf("table %q attribute %q: repair=%v err=%v, want the job declined", c.table, c.attr, rep != nil, err)
 		}
 		if coord.RemoteJobs() != 0 || coord.LocalFallbacks() != 1 {
 			t.Errorf("table %q attribute %q: RemoteJobs=%d LocalFallbacks=%d, want 0 and 1",

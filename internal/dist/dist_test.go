@@ -241,18 +241,16 @@ func TestDistributedWorkerKilledMidRun(t *testing.T) {
 }
 
 // TestDistributedExhaustedBudgetFallsThrough pins the budget semantics:
-// a subproblem whose TotalTimeLimit is already (effectively) spent must
-// come back as the engine's "total-time-limit" outcome, not a local
-// solve on borrowed time.
+// a diagnosis whose TotalTimeLimit is already (effectively) spent when
+// its jobs fall back must come back as the engine's "total-time-limit"
+// outcome, not a local solve on borrowed time.
 func TestDistributedExhaustedBudgetFallsThrough(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	coord := dist.NewCoordinator(dist.Config{Logf: t.Logf}) // empty fleet: straight to fallback
 	defer coord.Close()
 	opts := partitionOpts()
-	opts.Candidates = []int{0}
 	opts.TotalTimeLimit = time.Nanosecond
-	rep, err := coord.Solver().SolvePartition(core.Subproblem{
-		D0: d0, Log: log, Complaints: complaints, Options: opts})
+	rep, err := coord.Diagnose(d0, log, complaints, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +259,57 @@ func TestDistributedExhaustedBudgetFallsThrough(t *testing.T) {
 	}
 	if rep.Stats.LastStatus != "total-time-limit" {
 		t.Errorf("LastStatus = %q, want total-time-limit", rep.Stats.LastStatus)
+	}
+}
+
+// TestDeclinedJobsMatchLocal: a fleet that solves nothing — no
+// transports at all, or one hung worker — declines every job, and the
+// engine's partition scan solves each on the plan it already holds. The
+// repair is byte-identical to the local partitioned diagnosis and costs
+// what it does: one planning pass and the same replays.
+func TestDeclinedJobsMatchLocal(t *testing.T) {
+	d0, log, complaints := benchInstance(t, 12)
+	opts := partitionOpts()
+	opts.Partition = 4
+	want, err := core.Diagnose(d0, log, complaints, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Resolved || want.Stats.Partitions < 2 || want.Stats.PlanPasses != 1 {
+		t.Fatalf("setup: local diagnosis resolved=%v partitions=%d plan passes=%d",
+			want.Resolved, want.Stats.Partitions, want.Stats.PlanPasses)
+	}
+	sch := d0.Schema()
+	for _, fleet := range []struct {
+		name  string
+		coord *dist.Coordinator
+	}{
+		{"no transports", dist.NewCoordinator(dist.Config{Logf: t.Logf})},
+		{"black-hole worker", dist.Connect(dist.Config{JobTimeout: 200 * time.Millisecond, Logf: t.Logf},
+			startBlackHoleWorker(t))},
+	} {
+		got, err := fleet.coord.Diagnose(d0, log, complaints, opts)
+		fleet.coord.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", fleet.name, err)
+		}
+		if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+			t.Errorf("%s: repair differs from local:\n got:\n%s\nwant:\n%s", fleet.name, g, w)
+		}
+		st := got.Stats
+		if st.PlanPasses != 1 || st.Replays != want.Stats.Replays {
+			t.Errorf("%s: PlanPasses=%d Replays=%d, want 1 and %d (the local run's)",
+				fleet.name, st.PlanPasses, st.Replays, want.Stats.Replays)
+		}
+		if st.RemoteJobs != 0 || fleet.coord.LocalFallbacks() != st.Partitions {
+			t.Errorf("%s: RemoteJobs=%d LocalFallbacks=%d, want 0 and %d",
+				fleet.name, st.RemoteJobs, fleet.coord.LocalFallbacks(), st.Partitions)
+		}
+		for _, ps := range st.PartitionStats {
+			if ps.Worker != "local" || ps.Remote {
+				t.Errorf("%s: partition %d worker=%q remote=%v, want local", fleet.name, ps.Index, ps.Worker, ps.Remote)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 )
 
@@ -33,8 +34,8 @@ func FuzzDecodeJob(f *testing.F) {
 		// How many LP goroutines a solve may start is a question of the
 		// worker's resources, not of decoding.
 		sub.Options.SolverParallel = 0
-		if rep, err := sub.SolveLocal(); err == nil && rep == nil {
-			t.Fatal("SolveLocal returned neither a repair nor an error")
+		if rep, err := core.Diagnose(sub.D0, sub.Log, sub.Complaints, sub.Options); err == nil && rep == nil {
+			t.Fatal("Diagnose returned neither a repair nor an error")
 		}
 	})
 }

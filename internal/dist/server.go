@@ -242,7 +242,7 @@ func solveJob(ctx context.Context, job *Request, b *body, impact *core.ImpactCac
 	if !clampBudget(ctx, &sub.Options) {
 		return fail(cmp.Or(ctx.Err(), context.DeadlineExceeded))
 	}
-	rep, err := sub.SolveLocal()
+	rep, err := core.Diagnose(sub.D0, sub.Log, sub.Complaints, sub.Options)
 	if err == nil && job.D0 == nil {
 		rep.Stats.WorkerCacheHits = 1
 	}
@@ -291,17 +291,16 @@ func (s *Server) solveSem() chan struct{} {
 	return s.sem
 }
 
-// capLimits clamps the solve's budgets to MaxTimeLimit and its solver
-// parallelism to this machine's width (a repair is the same at any).
+// capLimits clamps the solve's budgets to MaxTimeLimit (its solver
+// width is clamped where its options become the engine's).
 func (s *Server) capLimits(job *Request) {
+	if s.MaxTimeLimit <= 0 {
+		return
+	}
 	if job.Options == nil {
 		job.Options = new(DiagnoseOptions)
 	}
 	o := job.Options
-	o.SolverParallel = min(o.SolverParallel, runtime.GOMAXPROCS(0))
-	if s.MaxTimeLimit <= 0 {
-		return
-	}
 	limit := ceilMS(s.MaxTimeLimit)
 	if o.TimeLimitMS <= 0 || o.TimeLimitMS > limit {
 		o.TimeLimitMS = limit

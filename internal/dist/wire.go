@@ -169,9 +169,8 @@ type DiagnoseOptions struct {
 }
 
 // Resolve maps the options onto core.Options with CLI-identical
-// defaults (a nil receiver is all defaults), the solver width clamped to
-// this machine's: a repair is the same at any width. The partition width
-// is left as asked, since the partitions may run elsewhere; whoever runs
+// defaults (a nil receiver is all defaults). The partition width is
+// left as asked, since the partitions may run elsewhere; whoever runs
 // them here clamps it.
 func (o *DiagnoseOptions) Resolve() core.Options {
 	opt := o.engine()
@@ -182,17 +181,18 @@ func (o *DiagnoseOptions) Resolve() core.Options {
 	if opt.TimeLimit <= 0 {
 		opt.TimeLimit = 60 * time.Second
 	}
-	opt.SolverParallel = min(opt.SolverParallel, runtime.GOMAXPROCS(0))
 	return opt
 }
 
 // engine maps the options onto core.Options member for member, as a
-// solve needs them: its subproblem's own.
+// solve needs them: its subproblem's own. The solver width is clamped
+// to this machine's, on a daemon and on a worker alike: a repair is the
+// same at any width.
 func (o *DiagnoseOptions) engine() core.Options {
 	if o == nil {
 		o = new(DiagnoseOptions)
 	}
-	opt := core.Options{K: o.K, Partition: o.Partition, SolverParallel: o.SolverParallel,
+	opt := core.Options{K: o.K, Partition: o.Partition, SolverParallel: min(o.SolverParallel, runtime.GOMAXPROCS(0)),
 		TupleSlicing: !o.NoTupleSlicing, QuerySlicing: !o.NoQuerySlicing, AttrSlicing: o.AttrSlicing,
 		TimeLimit: time.Duration(o.TimeLimitMS) * time.Millisecond}
 	if o.Algorithm == core.Incremental.String() {

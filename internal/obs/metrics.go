@@ -100,12 +100,12 @@ type Histogram struct {
 	sumBits atomic.Uint64
 }
 
-// LogBuckets returns n upper bounds starting at start and multiplying
+// logBuckets returns n upper bounds starting at start and multiplying
 // by factor: start, start*factor, start*factor^2, … The default latency
-// buckets LatencyBuckets use start=100µs, factor=4, n=10, spanning
+// buckets (latencyBuckets) use start=100µs, factor=4, n=10, spanning
 // 100µs to ~26s — wide enough for both a cache-hit microsolve and a
 // budget-limited MILP search.
-func LogBuckets(start, factor float64, n int) []float64 {
+func logBuckets(start, factor float64, n int) []float64 {
 	if n <= 0 || start <= 0 || factor <= 1 {
 		return nil
 	}
@@ -118,10 +118,10 @@ func LogBuckets(start, factor float64, n int) []float64 {
 	return b
 }
 
-// LatencyBuckets is the shared bucket layout for solve/wire latency
+// latencyBuckets is the shared bucket layout for solve/wire latency
 // histograms, in seconds: 100µs, 400µs, 1.6ms, 6.4ms, 25.6ms, 102ms,
 // 410ms, 1.6s, 6.6s, 26s, +Inf.
-func LatencyBuckets() []float64 { return LogBuckets(100e-6, 4, 10) }
+func latencyBuckets() []float64 { return logBuckets(100e-6, 4, 10) }
 
 // newHistogram builds a histogram with the given ascending upper bounds.
 func newHistogram(uppers []float64) *Histogram {
@@ -210,7 +210,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // Histogram returns (creating if needed) the named histogram with the
 // given bucket upper bounds (used only on first creation; nil picks
-// LatencyBuckets).
+// latencyBuckets).
 func (r *Registry) Histogram(name, help string, uppers []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -218,7 +218,7 @@ func (r *Registry) Histogram(name, help string, uppers []float64) *Histogram {
 		return h
 	}
 	if uppers == nil {
-		uppers = LatencyBuckets()
+		uppers = latencyBuckets()
 	}
 	h := newHistogram(uppers)
 	r.hists[name] = h

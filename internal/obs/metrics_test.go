@@ -39,7 +39,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 }
 
 func TestLogBuckets(t *testing.T) {
-	b := LogBuckets(100e-6, 4, 10)
+	b := logBuckets(100e-6, 4, 10)
 	if len(b) != 10 {
 		t.Fatalf("len = %d", len(b))
 	}
@@ -55,8 +55,8 @@ func TestLogBuckets(t *testing.T) {
 	if b[9] < 20 || b[9] > 30 {
 		t.Fatalf("b[9] = %g, want ~26s", b[9])
 	}
-	if LogBuckets(0, 4, 10) != nil || LogBuckets(1, 1, 10) != nil || LogBuckets(1, 4, 0) != nil {
-		t.Fatalf("degenerate LogBuckets should return nil")
+	if logBuckets(0, 4, 10) != nil || logBuckets(1, 1, 10) != nil || logBuckets(1, 4, 0) != nil {
+		t.Fatalf("degenerate logBuckets should return nil")
 	}
 }
 

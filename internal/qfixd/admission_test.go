@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // grab acquires in a goroutine and reports the grant on a channel, so
@@ -179,4 +181,73 @@ func TestAdmissionCancelLeavesQueue(t *testing.T) {
 	// into the abandoned one.
 	a.release()
 	mustGrant(t, second, "second waiter")
+}
+
+// TestTimeLimitReleasesTheSlot: a request's time_limit_ms bounds a solve
+// that sits inside one long LP, so the slot it holds comes free in time.
+// A daemon with one slot gets Basic without tuple slicing on the
+// 60-row, 30-statement generator log (seed 7, statement 0 corrupted;
+// the root LP alone runs for about 4 s on two cores) with a 500 ms
+// limit; a second tenant's diagnose, sent while the first holds the
+// slot, is admitted and answered within 2 s.
+func TestTimeLimitReleasesTheSlot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solver-bound")
+	}
+	w, err := workload.Generate(workload.Config{ND: 60, Nq: 30, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := w.MakeInstance(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, addr := startDaemon(t, Config{MaxInflight: 1})
+	slow, quick := dialDaemon(t, addr), dialDaemon(t, addr)
+	rows := make([][]float64, w.D0.Len())
+	for i := range rows {
+		rows[i] = w.D0.At(i).Values
+	}
+	sql := make([]string, len(in.Dirty))
+	for i, q := range in.Dirty {
+		sql[i] = q.String(w.Schema)
+	}
+	if err := slow.Create("slow", w.Schema.Name(), "id", w.Schema.Attrs(), rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := slow.Append("slow", sql...); err != nil {
+		t.Fatal(err)
+	}
+	sc := taxScenario(0)
+	wantLog, wantChanged, wantDist := cliRepair(t, sc)
+	seedTenant(t, quick, "quick", sc)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := slow.Diagnose("slow", in.Complaints,
+			&DiagnoseOptions{Algorithm: "basic", NoTupleSlicing: true, TimeLimitMS: 500})
+		done <- err
+	}()
+	for held := false; !held; time.Sleep(time.Millisecond) {
+		svc.adm.mu.Lock()
+		held = svc.adm.free == 0
+		svc.adm.mu.Unlock()
+		select {
+		case err := <-done:
+			t.Fatalf("the long diagnosis ended before it was seen holding the slot: %v", err)
+		default:
+		}
+	}
+	start := time.Now()
+	resp, err := quick.Diagnose("quick", nil, nil)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("second tenant answered after %v behind a 500 ms solve limit", elapsed)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRepair(t, "second tenant", resp, wantLog, wantChanged, wantDist)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 }

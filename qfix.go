@@ -30,26 +30,28 @@
 // splits the complaint set into independent subproblems: two complaints
 // belong to the same partition iff their relevant-query candidate sets
 // (derived from the full-impact analysis of Definition 7) intersect.
-// Solving runs each partition concurrently on a shared worker pool and
-// merges the per-partition repairs; Algorithm 3's incremental batch
-// scan itself runs newest-first, one batch at a time. Partitioned
-// diagnosis always returns a replay-verified repair and can resolve
-// strictly more instances than the joint path (see core.Options for the
-// exact guarantees).
+// Solving runs each partition concurrently on the scan's own goroutines
+// (Options.Partition of them) and merges the per-partition repairs;
+// Algorithm 3's incremental batch scan itself runs newest-first, one
+// batch at a time, and Basic is that scan with one batch holding every
+// candidate. Partitioned diagnosis always returns a replay-verified
+// repair and can resolve strictly more instances than the joint path
+// (see core.Options for the exact guarantees).
 //
 // Diagnosis also scales past one process: internal/dist's Coordinator
 // (dist.Connect over cmd/qfix-worker addresses, then Install or
 // Coordinator.Diagnose) ships each partition subproblem to a worker
-// fleet over a versioned wire protocol, falling back to the local
-// engine per job when a worker fails — a distributed diagnosis never
-// loses an instance the local engine can solve, and its merged repair
-// goes through the same replay verification. The coordinator keeps one
-// persistent multiplexed connection per worker: concurrent jobs share
-// the connection and each result streams back the moment its solve
-// lands (Stats.StreamedResults). Partitions are dispatched
-// largest-first (by the planner's rows × candidates × complaints
-// estimate) on both the local pool and the fleet, so the biggest MILP
-// never sits at the back of the queue defining the critical path.
+// fleet over a versioned wire protocol. A job no worker answers is
+// declined back to the engine (core.ErrDeclined), which solves that
+// partition on the plan it already holds — a distributed diagnosis
+// never loses an instance the local engine can solve, and its merged
+// repair goes through the same replay verification. The coordinator
+// keeps one persistent multiplexed connection per worker: concurrent
+// jobs share the connection and each result streams back the moment
+// its solve lands. Partitions are started largest-first (by the
+// planner's rows × candidates × complaints estimate), in process and on
+// the fleet alike, so the biggest MILP never sits at the back of the
+// queue defining the critical path.
 //
 // Between diagnoses of one history the engine carries a single thing:
 // the FullImpact closure of Definition 7, which depends only on each

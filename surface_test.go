@@ -16,7 +16,7 @@ import (
 // methods or fields) in the module's non-test files. The budget may
 // only be lowered: a new export has to retire an old one.
 func TestExportedSurfaceBudget(t *testing.T) {
-	const budget = 255
+	const budget = 253
 	n := 0
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
