@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -44,7 +45,8 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 	defer span.End()
 
 	rp := startPhase(span, "replay")
-	dirtyFinal, err := query.Replay(log, d0)
+	hist := new(query.History)
+	dirtyFinal, err := hist.Replay(log, d0)
 	replayTime := rp.stop()
 	if err != nil {
 		return nil, fmt.Errorf("core: replaying log: %w", err)
@@ -63,7 +65,7 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 
 	d := &diagnoser{
 		opt: opt, d0: d0, log: log, complaints: complaints,
-		width: width, dirtyFinal: dirtyFinal, span: span,
+		width: width, dirtyFinal: dirtyFinal, hist: hist, span: span,
 	}
 	d.stats.PlanTime += replayTime
 	d.stats.Replays = 1
@@ -177,6 +179,7 @@ type diagnoser struct {
 	complaints []Complaint
 	width      int
 	dirtyFinal *relation.Table
+	hist       *query.History // the replay that produced dirtyFinal; verifies candidates
 	deadline   time.Time
 	span       *obs.Span // phase spans hang here (nil = tracing off)
 
@@ -216,15 +219,16 @@ func (d *diagnoser) plan() {
 }
 
 // adoptPlan initializes a partition sub-diagnoser from its parent's
-// planning products: the replayed dirty state and FullImpact closure are
-// shared read-only, so the sub-diagnosis derives its slices by cheap set
-// arithmetic instead of a planning pass of its own (Stats.PlanPasses
-// stays at the parent's single pass). The derived candidate set is
+// planning products: the replayed dirty state, its history and the
+// FullImpact closure are shared read-only, so the sub-diagnosis derives
+// its slices by cheap set arithmetic instead of a planning pass of its
+// own (Stats.PlanPasses stays at the parent's single pass). The derived candidate set is
 // provably the one a fresh plan would compute: Options.Candidates is
 // pinned to the partition's candidates, and relevantQueries over the
 // shared impact sets is deterministic.
 func (sub *diagnoser) adoptPlan(parent *diagnoser) {
 	sub.dirtyFinal = parent.dirtyFinal
+	sub.hist = parent.hist
 	sub.bound = parent.bound
 	sub.full = parent.full
 	sub.planSlices()
@@ -389,7 +393,7 @@ func (st *Stats) addSolve(r milp.Result) {
 // satisfies the complaints.
 func (d *diagnoser) incremental(k int) (*Repair, error) {
 	if len(d.candidates) == 0 {
-		return d.finish(verified{log: d.log, final: d.dirtyFinal}), nil
+		return d.finish(verified{log: d.log, ok: true}), nil
 	}
 	// Candidates sorted most to least recent.
 	cands := append([]int(nil), d.candidates...)
@@ -426,7 +430,7 @@ func (d *diagnoser) incremental(k int) (*Repair, error) {
 		bsp.End()
 		rep := d.finish(v)
 		if !rep.Resolved {
-			continue // failed replay verification; scan older batches
+			continue // failed verification; scan older batches
 		}
 		damage := d.damage(v)
 		if damage == 0 {
@@ -444,28 +448,65 @@ func (d *diagnoser) incremental(k int) (*Repair, error) {
 	return d.unresolved(), nil
 }
 
-// verified is a candidate repair with its one verification replay: the
-// final state the log produces from D0 and that state's diff against the
-// dirty final state. Resolution, the damage gate and the refinement soft
-// set all read it, so a candidate costs one full-table replay however
-// many of them look. Never mutated once built.
+// verified is a candidate repair with its verification: the rows whose
+// final state under the log differs from the dirty final state, with
+// their exact values, and those rows' diff against the dirty final
+// state. The log's final state is the dirty final state with rows in
+// place of its own rows, which is what resolution, the damage gate and
+// the refinement's soft set and domain bound read, so a candidate is
+// verified once however many of them look. Never mutated once built.
 type verified struct {
-	log   []query.Query
-	final *relation.Table // nil when the log does not replay
-	diff  []relation.Diff // dirtyFinal -> final
+	log  []query.Query
+	ok   bool             // the log replays
+	rows []relation.Tuple // by ascending ID; nil Values: not in the final state
+	diff []relation.Diff  // dirtyFinal -> final
 }
 
-// verify replays a candidate repair, charging the replay to st.
+// verify verifies a candidate repair against the dirty replay's history,
+// charging it to st as one replay.
 func (d *diagnoser) verify(log []query.Query, st *Stats, sp *obs.Span) verified {
 	vp := startPhase(sp, "verify")
 	v := verified{log: log}
 	st.Replays++
-	if final, err := query.Replay(log, d.d0); err == nil {
-		v.final = final
-		v.diff = relation.DiffTables(d.dirtyFinal, final, 1e-9)
+	if rows, err := d.hist.Diverged(log); err == nil {
+		v.ok, v.rows = true, rows
+		v.diff = diffRows(d.dirtyFinal, rows, 1e-9)
 	}
 	st.VerifyTime += vp.stop()
 	return v
+}
+
+// diffRows is relation.DiffTables(dirty, final, eps) for the final state
+// that is dirty with rows (see verified) in place of its own.
+func diffRows(dirty *relation.Table, rows []relation.Tuple, eps float64) []relation.Diff {
+	var out []relation.Diff
+	for _, after := range rows {
+		before, ok := dirty.Get(after.ID)
+		switch {
+		case after.Values == nil:
+			out = append(out, relation.Diff{ID: after.ID, Before: &before})
+		case !ok:
+			out = append(out, relation.Diff{ID: after.ID, After: &after})
+		case !before.Equal(after, eps):
+			out = append(out, relation.Diff{ID: after.ID, Before: &before, After: &after})
+		}
+	}
+	return out
+}
+
+// boundOf is encode.DomainBound over a candidate log and its final state.
+func (d *diagnoser) boundOf(v verified) float64 {
+	return encode.DomainBound(d.d0, v.log, d.dirtyFinal, v.rows...)
+}
+
+// lookup returns a row of the candidate's final state.
+func (v verified) lookup(dirty *relation.Table, id int64) (relation.Tuple, bool) {
+	if i, ok := slices.BinarySearchFunc(v.rows, id, func(t relation.Tuple, id int64) int {
+		return cmp.Compare(t.ID, id)
+	}); ok {
+		return v.rows[i], v.rows[i].Values != nil
+	}
+	return dirty.Get(id)
 }
 
 // damage counts non-complaint tuples whose final state under the repair
@@ -487,7 +528,7 @@ func (d *diagnoser) damage(v verified) int {
 // batch of non-complaint tuples can move the repaired clause onto
 // previously untouched tuples the earlier soft set did not cover; the
 // soft set accumulates across rounds. Each round's re-solve is verified
-// in turn, and that replay is the next round's input: the returned
+// in turn, and that verification is the next round's input: the returned
 // repair always carries the verification of its own log.
 func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, st *Stats, sp *obs.Span) verified {
 	v := d.verify(repaired, st, sp)
@@ -499,13 +540,13 @@ func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, s
 	// re-encode would dwarf it. Cap how many NEW soft tuples each round
 	// may add (a global cap would starve later rounds and fake
 	// convergence); the incremental loop's damage gate re-checks the
-	// final replay regardless.
+	// final verification regardless.
 	const maxSoftPerRound = 60
 	const maxRounds = 3
 
 	softSet := make(map[int64]bool)
 	var soft []int64
-	for round := 0; round < maxRounds && v.final != nil; round++ {
+	for round := 0; round < maxRounds && v.ok; round++ {
 		fresh := 0
 		for _, df := range v.diff {
 			if d.complaintIDs[df.ID] || softSet[df.ID] {
@@ -526,7 +567,7 @@ func (d *diagnoser) maybeRefine(repaired []query.Query, paramSet map[int]bool, s
 		// the current solution, parameterizing only the repaired queries.
 		rsp := sp.Start("refine")
 		rsp.SetAttr("soft", len(soft))
-		refined, ok, err := d.attempt(v.log, encode.DomainBound(d.d0, v.log, v.final), paramSet, soft, st, rsp)
+		refined, ok, err := d.attempt(v.log, d.boundOf(v), paramSet, soft, st, rsp)
 		rsp.End()
 		if err != nil || !ok {
 			return v
@@ -562,14 +603,21 @@ func (d *diagnoser) finish(v verified) *Repair {
 			rep.Changed = append(rep.Changed, i)
 		}
 	}
-	rep.Resolved = v.final != nil && ComplaintsResolved(v.final, d.complaints, 1e-6)
+	rep.Resolved = v.ok && complaintsResolved(func(id int64) (relation.Tuple, bool) {
+		return v.lookup(d.dirtyFinal, id)
+	}, d.complaints, 1e-6)
 	return rep
 }
 
 // ComplaintsResolved checks a final state against a complaint set.
 func ComplaintsResolved(final *relation.Table, complaints []Complaint, eps float64) bool {
+	return complaintsResolved(final.Get, complaints, eps)
+}
+
+// complaintsResolved is ComplaintsResolved over a final state's lookup.
+func complaintsResolved(get func(int64) (relation.Tuple, bool), complaints []Complaint, eps float64) bool {
 	for _, c := range complaints {
-		t, ok := final.Get(c.TupleID)
+		t, ok := get(c.TupleID)
 		if c.Exists != ok {
 			return false
 		}

@@ -383,7 +383,7 @@ func (d *diagnoser) solveSub(cs []Complaint, o Options) (*Repair, error) {
 //     fall back to a joint solve.
 func (d *diagnoser) mergePartitionRepairs(reps []*Repair) (*Repair, error) {
 	// The merge phase covers parameter stitching; the merged log's
-	// verification replay is its own phase, and a fallback joint solve is
+	// verification is its own phase, and a fallback joint solve is
 	// charged to the phases it runs. The phase is stopped before any
 	// Stats snapshot.
 	mp := startPhase(d.span, "merge")
@@ -405,7 +405,7 @@ func (d *diagnoser) mergePartitionRepairs(reps []*Repair) (*Repair, error) {
 
 	rep := d.finish(d.verify(merged, &d.stats, d.span))
 	if !rep.Resolved {
-		// Every partition verified in isolation but the combined replay
+		// Every partition verified in isolation but the combined log
 		// violates a complaint: the partitions interfered outside the
 		// attribute sets the planner reasons about. Solve jointly.
 		d.stats.PartitionFallback = true

@@ -274,7 +274,8 @@ func TestMergeConflictFallsBackToJointSolve(t *testing.T) {
 		width: d0.Schema().Width(),
 	}
 	var err error
-	d.dirtyFinal, err = query.Replay(dirty, d0)
+	d.hist = new(query.History)
+	d.dirtyFinal, err = d.hist.Replay(dirty, d0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,16 +18,22 @@ import (
 func (s Stats) Format(verbose bool) []string {
 	var out []string
 	if verbose {
+		// Locally only the planning replay is full; each remote worker
+		// adds its own planning replay to Replays.
+		verify := fmt.Sprintf("%d verified tuple-wise against the one full replay", max(s.Replays-1, 0))
+		if s.RemoteJobs > 0 {
+			verify = fmt.Sprintf("%d replays and tuple-wise verifications, the workers' included", s.Replays)
+		}
 		out = append(out,
 			fmt.Sprintf("solver: %d nodes, %d LP iterations, %d refactorizations, %d presolved rows, LP exits: %d numerical failures, %d iteration limits; limit stops: %d node, %d time",
 				s.Nodes, s.LPIters, s.Refactorizations, s.PresolvedRows, s.LPNumFails, s.LPIterLimits,
 				s.NodeLimitStops, s.TimeLimitStops),
 			fmt.Sprintf("model: %d rows, %d vars (%d binary); %d batches tried",
 				s.Rows, s.Vars, s.Binaries, s.BatchesTried),
-			fmt.Sprintf("phases: plan %v (impact %v), encode %v, solve %v, verify %v (%d full replays), merge %v",
+			fmt.Sprintf("phases: plan %v (impact %v), encode %v, solve %v, verify %v (%s), merge %v",
 				fmtDur(s.PlanTime), fmtDur(s.ImpactTime),
 				fmtDur(s.EncodeTime), fmtDur(s.SolveTime),
-				fmtDur(s.VerifyTime), s.Replays, fmtDur(s.MergeTime)))
+				fmtDur(s.VerifyTime), verify, fmtDur(s.MergeTime)))
 	}
 	if s.Partitions > 0 {
 		out = append(out, fmt.Sprintf("partitions: %d (fallback to joint solve: %v)",

@@ -247,9 +247,9 @@ type Stats struct {
 	// PlanTime, EncodeTime, SolveTime, VerifyTime, and MergeTime split
 	// the wall clock by pipeline phase. PlanTime covers the log replay,
 	// the FullImpact closure (ImpactTime is the subset spent there), and
-	// slicing; VerifyTime covers the verification replay of every
-	// candidate repair and its diff against the dirty final state
-	// (including the merged log of a partitioned diagnosis); MergeTime
+	// slicing; VerifyTime covers the verification of every candidate
+	// repair against that replay and its diff against the dirty final
+	// state (including the merged log of a partitioned diagnosis); MergeTime
 	// covers stitching partition repairs and re-solving conflicts. All
 	// five are derived from the same instrumentation points as the trace
 	// spans (Options.Trace), so the CLI, bench, and wire report one
@@ -259,12 +259,15 @@ type Stats struct {
 	SolveTime  time.Duration
 	VerifyTime time.Duration
 	MergeTime  time.Duration
-	// Replays counts full-table replays of a log from D0: the planning
-	// replay plus one verification replay per candidate repair (each
+	// Replays counts the planning replay of the log from D0, the one
+	// full-table replay, plus one verification per candidate repair (each
 	// solved batch, each refinement round's re-solve, the merged log of a
-	// partitioned diagnosis). Encoding replays only the tuple slice and
-	// is not counted. Deterministic for the sequential scans; on the
-	// distributed path it aggregates the workers' replays too.
+	// partitioned diagnosis). A verification replays no table: it follows
+	// the rows the candidate's rewritten statements treat differently
+	// through the planning replay's history (query.History). Encoding
+	// replays only the tuple slice and is not counted. Deterministic for
+	// the sequential scans; on the distributed path it aggregates the
+	// workers' counts too.
 	Replays int
 	// PartitionStats breaks a partitioned diagnosis down per partition,
 	// in plan (index) order; empty when partitioning found fewer than

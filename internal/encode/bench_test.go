@@ -123,3 +123,21 @@ func TestEncoderStorageIsReused(t *testing.T) {
 		t.Errorf("encoding a pinned instance again allocated %v times, want at most %d", a, bound)
 	}
 }
+
+// TestDomainBoundAllocatesOnce: DomainBound reads every statement's
+// constants through one scratch slice, where a Params call per
+// statement allocated one each.
+func TestDomainBoundAllocatesOnce(t *testing.T) {
+	for name, w := range map[string]*workload.Workload{
+		"tpcc": oltp.TPCC(oltp.TPCCConfig{Orders: 2500, Queries: 1200, Seed: 7}),
+		"tatp": oltp.TATP(oltp.TATPConfig{Subscribers: 2000, Queries: 1100, Seed: 8}),
+	} {
+		final, err := query.Replay(w.Log, w.D0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() { encode.DomainBound(w.D0, w.Log, final) }); n > 1 {
+			t.Errorf("%s: DomainBound allocates %.0f times, want at most 1", name, n)
+		}
+	}
+}

@@ -298,23 +298,44 @@ func (e *encoder) step(i int) error {
 // Options.DomainBound is zero: twice the largest absolute value seen in
 // the initial state, the log's final state (final = Replay(log, d0); nil
 // when the log does not replay) or any query constant, plus slack.
-func DomainBound(d0 *relation.Table, log []query.Query, final *relation.Table) float64 {
+// replaced lists rows by ascending ID that take the place of final's
+// rows of the same ID or join them (nil Values: the row is gone), for a
+// final state held as another one with the rows that differ.
+func DomainBound(d0 *relation.Table, log []query.Query, final *relation.Table, replaced ...relation.Tuple) float64 {
 	maxAbs := 1.0
-	scan := func(vs []float64) {
-		for _, v := range vs {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-	}
-	d0.Rows(func(t relation.Tuple) { scan(t.Values) })
+	d0.Rows(func(t relation.Tuple) { maxAbs = maxAbsOf(maxAbs, t.Values) })
+	// One scratch vector for every statement's constants, with room for
+	// an INSERT's values and an UPDATE that sets and tests every attribute.
+	params := make([]float64, 0, 2*d0.Schema().Width())
 	for _, q := range log {
-		scan(q.Params())
+		params = q.AppendParams(params[:0])
+		maxAbs = maxAbsOf(maxAbs, params)
 	}
 	if final != nil {
-		final.Rows(func(t relation.Tuple) { scan(t.Values) })
+		i := 0
+		final.Rows(func(t relation.Tuple) {
+			for i < len(replaced) && replaced[i].ID < t.ID {
+				i++
+			}
+			if i == len(replaced) || replaced[i].ID != t.ID {
+				maxAbs = maxAbsOf(maxAbs, t.Values)
+			}
+		})
+	}
+	for _, t := range replaced {
+		maxAbs = maxAbsOf(maxAbs, t.Values)
 	}
 	return 2*maxAbs + 10
+}
+
+// maxAbsOf returns the larger of m and the largest |v| of vs.
+func maxAbsOf(m float64, vs []float64) float64 {
+	for _, v := range vs {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
 }
 
 // newTstate registers a tracked tuple whose current values are known

@@ -9,7 +9,6 @@ func ReplayIndexed(log []Query, d0 *relation.Table) (*relation.Table, error) {
 	for a := range x.index {
 		x.index[a].want = true
 	}
-	x.any = true
 	return x.run(log)
 }
 

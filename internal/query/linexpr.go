@@ -100,14 +100,17 @@ func (e LinExpr) Add(o LinExpr) LinExpr {
 	return normalized(e.Const+o.Const, append(append(terms, e.Terms...), o.Terms...))
 }
 
-// Scale returns k*e.
+// Scale returns k*e. A coefficient whose product underflows to zero is
+// dropped, so a normalized e scales to a normalized expression.
 func (e LinExpr) Scale(k float64) LinExpr {
 	out := LinExpr{Const: k * e.Const}
 	if k == 0 {
 		return out
 	}
 	for _, t := range e.Terms {
-		out.Terms = append(out.Terms, Term{Attr: t.Attr, Coef: k * t.Coef})
+		if c := k * t.Coef; c != 0 {
+			out.Terms = append(out.Terms, Term{Attr: t.Attr, Coef: c})
+		}
 	}
 	return out
 }

@@ -17,19 +17,19 @@ import (
 // is a stable address into a query.
 
 // Params implements Query for Update.
-func (u *Update) Params() []float64 {
-	var p []float64
+func (u *Update) Params() []float64 { return u.AppendParams(nil) }
+
+// AppendParams implements Query for Update.
+func (u *Update) AppendParams(dst []float64) []float64 {
 	for _, sc := range u.Set {
-		p = append(p, sc.Expr.Const)
+		dst = append(dst, sc.Expr.Const)
 	}
-	WalkPreds(u.Where, func(pr *Pred) { p = append(p, pr.RHS) })
-	return p
+	return appendRHS(dst, u.Where)
 }
 
 // SetParams implements Query for Update.
 func (u *Update) SetParams(p []float64) error {
-	want := len(u.Params())
-	if len(p) != want {
+	if want := paramCount(u); len(p) != want {
 		return fmt.Errorf("query: UPDATE has %d params, got %d", want, len(p))
 	}
 	i := 0
@@ -42,7 +42,10 @@ func (u *Update) SetParams(p []float64) error {
 }
 
 // Params implements Query for Insert.
-func (q *Insert) Params() []float64 { return append([]float64(nil), q.Values...) }
+func (q *Insert) Params() []float64 { return q.AppendParams(nil) }
+
+// AppendParams implements Query for Insert.
+func (q *Insert) AppendParams(dst []float64) []float64 { return append(dst, q.Values...) }
 
 // SetParams implements Query for Insert.
 func (q *Insert) SetParams(p []float64) error {
@@ -54,16 +57,14 @@ func (q *Insert) SetParams(p []float64) error {
 }
 
 // Params implements Query for Delete.
-func (q *Delete) Params() []float64 {
-	var p []float64
-	WalkPreds(q.Where, func(pr *Pred) { p = append(p, pr.RHS) })
-	return p
-}
+func (q *Delete) Params() []float64 { return q.AppendParams(nil) }
+
+// AppendParams implements Query for Delete.
+func (q *Delete) AppendParams(dst []float64) []float64 { return appendRHS(dst, q.Where) }
 
 // SetParams implements Query for Delete.
 func (q *Delete) SetParams(p []float64) error {
-	want := len(q.Params())
-	if len(p) != want {
+	if want := paramCount(q); len(p) != want {
 		return fmt.Errorf("query: DELETE has %d params, got %d", want, len(p))
 	}
 	i := 0
@@ -71,11 +72,46 @@ func (q *Delete) SetParams(p []float64) error {
 	return nil
 }
 
+// appendRHS appends the RHS of every predicate of c in WalkPreds order.
+func appendRHS(dst []float64, c Cond) []float64 {
+	switch v := c.(type) {
+	case *Pred:
+		dst = append(dst, v.RHS)
+	case *And:
+		for _, k := range v.Kids {
+			dst = appendRHS(dst, k)
+		}
+	case *Or:
+		for _, k := range v.Kids {
+			dst = appendRHS(dst, k)
+		}
+	}
+	return dst
+}
+
+// countPreds counts the predicates of c, the parameters its WHERE adds.
+func countPreds(c Cond) int {
+	n := 0
+	switch v := c.(type) {
+	case *Pred:
+		n = 1
+	case *And:
+		for _, k := range v.Kids {
+			n += countPreds(k)
+		}
+	case *Or:
+		for _, k := range v.Kids {
+			n += countPreds(k)
+		}
+	}
+	return n
+}
+
 // logParams concatenates the parameter vectors of all queries in a log.
 func logParams(log []Query) []float64 {
 	var p []float64
 	for _, q := range log {
-		p = append(p, q.Params()...)
+		p = q.AppendParams(p)
 	}
 	return p
 }
@@ -96,12 +132,22 @@ func Distance(a, b []Query) float64 {
 	return d
 }
 
-// SameStructure reports whether two queries share kind and parameter
+// sameStructure reports whether two queries share kind and parameter
 // arity — the precondition for treating one as a parameter repair of the
 // other.
-func SameStructure(a, b Query) bool {
-	if a.Kind() != b.Kind() {
-		return false
+func sameStructure(a, b Query) bool {
+	return a.Kind() == b.Kind() && paramCount(a) == paramCount(b)
+}
+
+// paramCount is len(q.Params()), counted without building them.
+func paramCount(q Query) int {
+	switch q := q.(type) {
+	case *Update:
+		return len(q.Set) + countPreds(q.Where)
+	case *Insert:
+		return len(q.Values)
+	case *Delete:
+		return countPreds(q.Where)
 	}
-	return len(a.Params()) == len(b.Params())
+	return len(q.Params())
 }

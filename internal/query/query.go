@@ -39,6 +39,9 @@ type Query interface {
 	// Params returns the query's constant vector in canonical order
 	// (see package comment); SetParams writes it back.
 	Params() []float64
+	// AppendParams appends what Params returns to dst and returns the
+	// extended slice; Params is AppendParams(nil).
+	AppendParams(dst []float64) []float64
 	SetParams(p []float64) error
 	String(s *relation.Schema) string
 	// AppendSQL appends what String returns to b and returns the
@@ -75,7 +78,11 @@ func (u *Update) Kind() Kind { return KindUpdate }
 
 // Apply implements Query: tuples satisfying Where get all SET clauses
 // applied simultaneously over their old values.
-func (u *Update) Apply(tb *relation.Table) error {
+func (u *Update) Apply(tb *relation.Table) error { return u.scan(tb, nil) }
+
+// scan is Apply, telling matched, when it is not nil, the ID of each row
+// the WHERE matched once the row is set.
+func (u *Update) scan(tb *relation.Table, matched func(id int64)) error {
 	if err := u.checkSet(tb.Schema().Width()); err != nil {
 		return err
 	}
@@ -89,6 +96,9 @@ func (u *Update) Apply(tb *relation.Table) error {
 	tb.Update(func(t relation.Tuple) {
 		if u.Where.Eval(t.Values) {
 			u.assign(t.Values, newVals)
+			if matched != nil {
+				matched(t.ID)
+			}
 		}
 	})
 	return nil
@@ -219,14 +229,19 @@ func (q *Delete) Kind() Kind { return KindDelete }
 
 // Apply implements Query.
 func (q *Delete) Apply(tb *relation.Table) error {
-	var doomed []int64
+	tb.DeleteBatch(q.matching(tb, nil))
+	return nil
+}
+
+// matching appends to ids the ID of every row of tb the WHERE matches,
+// in table order.
+func (q *Delete) matching(tb *relation.Table, ids []int64) []int64 {
 	tb.Rows(func(t relation.Tuple) {
 		if q.Where.Eval(t.Values) {
-			doomed = append(doomed, t.ID)
+			ids = append(ids, t.ID)
 		}
 	})
-	tb.DeleteBatch(doomed)
-	return nil
+	return ids
 }
 
 // Clone implements Query.

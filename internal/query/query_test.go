@@ -327,13 +327,13 @@ func TestSameStructure(t *testing.T) {
 	b := NewUpdate([]SetClause{{Attr: 1, Expr: ConstExpr(9)}}, AttrPred(1, EQ, 7))
 	c := NewUpdate([]SetClause{{Attr: 0, Expr: ConstExpr(1)}},
 		NewAnd(AttrPred(0, EQ, 2), AttrPred(1, LE, 3)))
-	if !SameStructure(a, b) {
+	if !sameStructure(a, b) {
 		t.Error("same-arity updates not recognized")
 	}
-	if SameStructure(a, c) {
+	if sameStructure(a, c) {
 		t.Error("different-arity updates recognized")
 	}
-	if SameStructure(a, NewInsert(1, 2)) {
+	if sameStructure(a, NewInsert(1, 2)) {
 		t.Error("cross-kind recognized")
 	}
 }

@@ -36,12 +36,14 @@ const (
 // often enough the executor keeps a hash index value → row IDs and hands
 // the statement that one chain. The index is only a prefilter — the
 // whole WHERE still decides every candidate row — and every other
-// statement goes through q.Apply.
+// UPDATE or DELETE runs the scan of its own Apply. A replay that records a
+// History tells it which rows each statement matched.
 type executor struct {
 	tb      *relation.Table
 	index   []attrIndex // per attribute of the schema
-	any     bool        // some attribute is indexed
 	inserts int         // INSERTs of the log not yet applied
+	h       *History    // told which rows each statement matched; nil when not recording
+	at      int         // the statement being applied
 
 	// Scratch of the statement being applied.
 	newVals []float64 // SET values (Update.assign)
@@ -97,7 +99,6 @@ func newExecutor(log []Query, d0 *relation.Table) *executor {
 	for a := range x.index {
 		ix := &x.index[a]
 		ix.want = len(log) > buildEvals && ix.points*(rows-lookupRows) > buildEvals*rows
-		x.any = x.any || ix.want
 	}
 	return x
 }
@@ -150,6 +151,7 @@ func (x *executor) pointPred(where Cond) *Pred {
 // run applies the log to the executor's table and returns it.
 func (x *executor) run(log []Query) (*relation.Table, error) {
 	for i, q := range log {
+		x.at = i
 		if err := x.apply(q); err != nil {
 			return nil, fmt.Errorf("query %d (%s): %w", i, q.Kind(), err)
 		}
@@ -162,15 +164,16 @@ func (x *executor) apply(q Query) error {
 	if _, ok := q.(*Insert); ok {
 		x.inserts--
 	}
-	if !x.any {
-		return q.Apply(x.tb)
-	}
 	switch q := q.(type) {
 	case *Update:
 		if p := x.pointPred(q.Where); p != nil {
 			return x.update(q, p)
 		}
-		if err := q.Apply(x.tb); err != nil {
+		var matched func(int64) // nil unless recording: q.Apply's own scan
+		if x.h != nil {
+			matched = x.match
+		}
+		if err := q.scan(x.tb, matched); err != nil {
 			return err
 		}
 		for _, sc := range q.Set {
@@ -178,11 +181,17 @@ func (x *executor) apply(q Query) error {
 		}
 		return nil
 	case *Delete:
+		x.ids = x.ids[:0]
 		if p := x.pointPred(q.Where); p != nil {
 			x.delete(q, p)
-			return nil
+		} else {
+			x.ids = q.matching(x.tb, x.ids)
 		}
-		return q.Apply(x.tb)
+		for _, id := range x.ids {
+			x.match(id)
+		}
+		x.tb.DeleteBatch(x.ids) // index entries stay, and resolve to nothing
+		return nil
 	case *Insert:
 		id := x.tb.NextID()
 		if err := q.Apply(x.tb); err != nil {
@@ -193,13 +202,27 @@ func (x *executor) apply(q Query) error {
 				x.index[a].add(q.Values[a], id)
 			}
 		}
+		if x.h != nil {
+			x.h.ins = append(x.h.ins, int32(x.at))
+		}
 		return nil
+	}
+	if x.h != nil {
+		return fmt.Errorf("query: no history of a %T statement", q)
 	}
 	// A statement kind this file does not know may write anything.
 	for a := range x.index {
 		x.index[a].built = false
 	}
 	return q.Apply(x.tb)
+}
+
+// match tells the history, when the replay records one, that the
+// statement being applied matched row id.
+func (x *executor) match(id int64) {
+	if x.h != nil {
+		x.h.match(id, x.at)
+	}
 }
 
 // chain returns the index of the attribute p selects on, building it if
@@ -246,6 +269,7 @@ func (x *executor) update(u *Update, p *Pred) error {
 			return
 		}
 		u.assign(t.Values, x.newVals)
+		x.match(t.ID)
 		for k, a := range x.written {
 			if v := t.Values[a]; v != x.old[k] {
 				x.index[a].move(t.ID, x.old[k], v)
@@ -258,8 +282,8 @@ func (x *executor) update(u *Update, p *Pred) error {
 	return nil
 }
 
+// delete lists in x.ids the rows on p's chain that q's WHERE matches.
 func (x *executor) delete(q *Delete, p *Pred) {
-	x.ids = x.ids[:0]
 	row := func(t relation.Tuple) {
 		if q.Where.Eval(t.Values) {
 			x.ids = append(x.ids, t.ID)
@@ -268,7 +292,6 @@ func (x *executor) delete(q *Delete, p *Pred) {
 	for ix, e := x.chain(p); e != 0; e = ix.ents[e-1].next {
 		x.tb.UpdateRow(ix.ents[e-1].id, row)
 	}
-	x.tb.DeleteBatch(x.ids) // their entries stay, and resolve to nothing
 }
 
 // add lists row id on the chain of v, in a new entry.

@@ -223,6 +223,10 @@ func (tb *Table) ReadValues(id int64, dst []float64) bool {
 	return ok
 }
 
+// Pos returns the position of the live tuple with the given ID in the
+// table's order, the i that At(i) reads, reporting whether it is live.
+func (tb *Table) Pos(id int64) (int, bool) { return tb.index(id) }
+
 // Set overwrites the values of the tuple with the given ID.
 func (tb *Table) Set(id int64, values []float64) error {
 	i, ok := tb.index(id)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/oltp"
+	"repro/internal/query"
 	"repro/internal/relation"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
@@ -59,5 +60,37 @@ func TestParseLogAllocsPerInsert(t *testing.T) {
 	// The parser itself and the log are the two allocations not per INSERT.
 	if allocs > 2*n+2 {
 		t.Errorf("ParseLog of %d INSERTs: %.0f allocations, want at most %d (two per INSERT, two per log)", n, allocs, 2*n+2)
+	}
+}
+
+// TestParseLogAllocsPerPredicate pins what a WHERE predicate with a
+// constant side costs the parser: the constant folds into the freshly
+// parsed left side, where subtracting it as an expression copied the
+// left side's terms. ParseLog of BenchmarkParseLog's TATP log allocated
+// 6,047 times with the copy, one per predicate more than now.
+func TestParseLogAllocsPerPredicate(t *testing.T) {
+	w := oltp.TATP(oltp.TATPConfig{Subscribers: 2000, Queries: 1100, Seed: 8})
+	var sql strings.Builder
+	preds := 0
+	for _, q := range w.Log {
+		sql.WriteString(q.String(w.Schema) + ";\n")
+		switch q := q.(type) {
+		case *query.Update:
+			query.WalkPreds(q.Where, func(*query.Pred) { preds++ })
+		case *query.Delete:
+			query.WalkPreds(q.Where, func(*query.Pred) { preds++ })
+		}
+	}
+	text := sql.String()
+	allocs := testing.AllocsPerRun(3, func() {
+		log, err := sqlparse.ParseLog(w.Schema, text)
+		if err != nil || len(log) != len(w.Log) {
+			t.Fatalf("%d statements, error %v", len(log), err)
+		}
+	})
+	const withCopy = 6047
+	if allocs > withCopy-float64(preds) {
+		t.Errorf("ParseLog of the TATP log: %.0f allocations, want at most %d (%d, one fewer per each of its %d predicates)",
+			allocs, withCopy-preds, withCopy, preds)
 	}
 }

@@ -383,7 +383,7 @@ func (p *parser) predicate() (query.Cond, error) {
 		if err != nil {
 			return nil, err
 		}
-		loP, err := normalizePred(lhs, query.GE, lo)
+		loP, err := normalizePred(lhs.Clone(), query.GE, lo)
 		if err != nil {
 			return nil, err
 		}
@@ -412,7 +412,7 @@ func (p *parser) predicate() (query.Cond, error) {
 		if _, err := p.expect(tokSymbol, "]"); err != nil {
 			return nil, err
 		}
-		loP, err := normalizePred(lhs, query.GE, lo)
+		loP, err := normalizePred(lhs.Clone(), query.GE, lo)
 		if err != nil {
 			return nil, err
 		}
@@ -448,9 +448,16 @@ func (p *parser) predicate() (query.Cond, error) {
 
 // normalizePred rewrites "lhs op rhs" into the canonical Pred form with
 // all attribute terms on the left and a single constant on the right:
-// (lhs-rhs without constant) op (rhsConst - lhsConst).
+// (lhs-rhs without constant) op (rhsConst - lhsConst). The predicate
+// keeps lhs's terms when rhs is a constant, so lhs must be the caller's
+// own; every expression the parser builds is already normalized.
 func normalizePred(lhs query.LinExpr, op query.CmpOp, rhs query.LinExpr) (query.Cond, error) {
-	diff := lhs.Add(rhs.Scale(-1))
+	diff := lhs
+	if rhs.IsConst() {
+		diff.Const -= rhs.Const
+	} else {
+		diff = lhs.Add(rhs.Scale(-1))
+	}
 	if diff.IsConst() {
 		return nil, fmt.Errorf("sqlparse: predicate references no attributes")
 	}
