@@ -383,11 +383,38 @@ func readText(path string) (string, error) {
 // infinities are refused: the encoder sizes its big-M from finite data,
 // and no repair can reach a non-finite target.
 func parseCell(cell string) (float64, error) {
-	v, err := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+	cell = strings.TrimSpace(cell)
+	if v, ok := wholeCell(cell); ok {
+		return v, nil
+	}
+	v, err := strconv.ParseFloat(cell, 64)
 	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		return 0, fmt.Errorf("non-finite value %q", strings.TrimSpace(cell))
+		return 0, fmt.Errorf("non-finite value %q", cell)
 	}
 	return v, err
+}
+
+// wholeCell converts a cell of 1–15 decimal digits, after at most one
+// leading '-', without strconv.ParseFloat's general path: below 2^53 it
+// is exactly float64 of its integer, which is what ParseFloat returns
+// ("-0" included, negative zero). false sends the cell to ParseFloat.
+func wholeCell(cell string) (float64, bool) {
+	digits := strings.TrimPrefix(cell, "-")
+	if len(digits) == 0 || len(digits) > 15 {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(d)
+	}
+	if len(digits) < len(cell) {
+		return -float64(n), true
+	}
+	return float64(n), true
 }
 
 // loadComplaints parses the complaint file.

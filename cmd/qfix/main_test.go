@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -585,5 +586,29 @@ func TestReportRendersInPlace(t *testing.T) {
 	})
 	if allocs > float64(len(w.Log))/10 {
 		t.Errorf("printing %d statements allocated %.0f times, want at most %d", len(w.Log), allocs, len(w.Log)/10)
+	}
+}
+
+// TestParseCellMatchesParseFloat pins parseCell's whole-number fast
+// path to strconv.ParseFloat of the trimmed cell: the same value bit for
+// bit (negative zero included) and the same error text, on the cells
+// the fast path takes and on the ones it must hand over.
+func TestParseCellMatchesParseFloat(t *testing.T) {
+	for _, cell := range []string{"0", "-0", "+7", "007", "-42", "123456789012345", "-123456789012345",
+		"1234567890123456", "9007199254740993", " 12 ", "1e3", "1.5", "0x10", "1_0", "", "-", "--1", "12a", "NaN", "-Inf"} {
+		got, err := parseCell(cell)
+		want, wantErr := strconv.ParseFloat(strings.TrimSpace(cell), 64)
+		if wantErr == nil && (math.IsNaN(want) || math.IsInf(want, 0)) {
+			if err == nil {
+				t.Errorf("parseCell(%q) = %v, want the non-finite value refused", cell, got)
+			}
+			continue
+		}
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("parseCell(%q) error %v, ParseFloat's %v", cell, err, wantErr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("parseCell(%q) = %v, ParseFloat %v", cell, got, want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/encode"
@@ -18,14 +19,65 @@ import (
 // returns a log repair. A nil error with Repair.Resolved=false means the
 // search completed without finding a verified repair (the paper reports
 // these runs as infeasible/timeout); hard failures (malformed inputs)
-// return an error.
+// return an error. It is Subproblem.Solve of its arguments under a
+// "diagnose" span, with a repaired log that is the caller's own.
 func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt Options) (*Repair, error) {
-	opt = opt.withDefaults()
-	if len(log) == 0 {
+	span := opt.Trace.Start("diagnose")
+	span.SetAttr("algorithm", opt.Algorithm.String())
+	span.SetAttr("queries", len(log))
+	span.SetAttr("complaints", len(complaints))
+	defer span.End()
+	opt.Trace = span
+
+	rep, err := Subproblem{D0: d0, Log: log, Complaints: complaints, Options: opt}.Solve()
+	if rep == nil {
+		return nil, err
+	}
+	mDiagnoses.Inc()
+	// Solve's repair shares every statement outside Rewritten with the
+	// caller's log; the repair handed back is the caller's own to mutate.
+	rep.Log = query.CloneLog(rep.Log)
+	if rep.Resolved {
+		mDiagnosesResolved.Inc()
+	}
+	mPlanSeconds.Observe(rep.Stats.PlanTime.Seconds())
+	mEncodeSeconds.Observe(rep.Stats.EncodeTime.Seconds())
+	mSolveSeconds.Observe(rep.Stats.SolveTime.Seconds())
+	return rep, err
+}
+
+// Plan plans the subproblem's D0 and log once for every solve of it:
+// the planning replay, checkResolution's verdict, the domain bound and
+// the FullImpact closure, none of which reads a complaint or an option
+// but Options.ImpactCache and Options.Trace. Copies of the subproblem
+// share the plan, whatever Complaints and Options they are given, and
+// solve on it concurrently; the first solve on it reports the plan's
+// pass in its Stats (PlanPasses 1, one replay), the others none. D0
+// and Log must not change afterwards. The error is the one Solve
+// answers for this log.
+func (s *Subproblem) Plan() error {
+	d := &diagnoser{opt: s.Options, d0: s.D0, log: s.Log, width: s.D0.Schema().Width(), span: s.Options.Trace}
+	if d.replay() == nil {
+		d.planPass(true)
+	}
+	st := d.stats
+	d.unclaimed.Store(&st)
+	s.plan = d.plan
+	return d.err
+}
+
+// Solve solves the subproblem on its plan, planning it first if it has
+// none (Plan; a diagnosis's partitions carry the diagnosis's own). The
+// repair's Log shares every statement outside Rewritten with s.Log,
+// copy on write as inside a diagnosis: whoever mutates it must clone
+// first (Diagnose does).
+func (s Subproblem) Solve() (*Repair, error) {
+	opt := s.Options.withDefaults()
+	if len(s.Log) == 0 {
 		return nil, fmt.Errorf("core: empty query log")
 	}
-	width := d0.Schema().Width()
-	for _, c := range complaints {
+	width := s.D0.Schema().Width()
+	for _, c := range s.Complaints {
 		if c.Exists && len(c.Values) != width {
 			return nil, fmt.Errorf("core: complaint on tuple %d has %d values for %d attributes",
 				c.TupleID, len(c.Values), width)
@@ -38,61 +90,39 @@ func Diagnose(d0 *relation.Table, log []query.Query, complaints []Complaint, opt
 		}
 	}
 
-	span := opt.Trace.Start("diagnose")
-	span.SetAttr("algorithm", opt.Algorithm.String())
-	span.SetAttr("queries", len(log))
-	span.SetAttr("complaints", len(complaints))
-	defer span.End()
-
-	rp := startPhase(span, "replay")
-	hist := new(query.History)
-	dirtyFinal, err := hist.Replay(log, d0)
-	replayTime := rp.stop()
-	if err != nil {
-		return nil, fmt.Errorf("core: replaying log: %w", err)
+	d := &diagnoser{opt: opt, d0: s.D0, log: s.Log, complaints: s.Complaints,
+		width: width, plan: s.plan, span: opt.Trace}
+	if s.plan == nil {
+		d.replay()
+	} else if st := s.plan.unclaimed.Swap(nil); st != nil {
+		d.stats = *st
 	}
-	if err := checkResolution(log, d0, dirtyFinal); err != nil {
-		return nil, err
+	if d.err != nil {
+		return nil, d.err
 	}
-	if len(complaints) == 0 {
+	if len(s.Complaints) == 0 {
 		// Nothing to diagnose: the identity repair is optimal.
-		mDiagnoses.Inc()
-		mDiagnosesResolved.Inc()
-		return &Repair{Log: query.CloneLog(log), Resolved: true,
-			Stats: Stats{RelevantQueries: len(log), LastStatus: "trivial",
-				PlanTime: replayTime, Replays: 1}}, nil
+		d.stats.RelevantQueries, d.stats.LastStatus = len(s.Log), "trivial"
+		return &Repair{Log: s.Log, Resolved: true, Stats: d.stats}, nil
 	}
-
-	d := &diagnoser{
-		opt: opt, d0: d0, log: log, complaints: complaints,
-		width: width, dirtyFinal: dirtyFinal, hist: hist, span: span,
+	if s.plan == nil {
+		d.planPass(opt.QuerySlicing || opt.AttrSlicing || opt.Partition > 0)
+	} else {
+		d.planSlices()
 	}
-	d.stats.PlanTime += replayTime
-	d.stats.Replays = 1
-	d.plan()
 	if opt.TotalTimeLimit > 0 {
 		d.deadline = time.Now().Add(opt.TotalTimeLimit)
 	}
 
 	rep, err := d.dispatch()
-	mDiagnoses.Inc()
 	if rep != nil {
-		// Inside the diagnosis a candidate log shares every statement it
-		// did not repair with the caller's log (see attempt); the repair
-		// handed back is the caller's own to mutate. Which statements were
-		// shared is only knowable before the clone.
+		// Which statements the search built itself is only knowable by
+		// identity, before anyone clones the log.
 		for i, q := range rep.Log {
-			if q != log[i] {
+			if q != s.Log[i] {
 				rep.Rewritten = append(rep.Rewritten, i)
 			}
 		}
-		rep.Log = query.CloneLog(rep.Log)
-		if rep.Resolved {
-			mDiagnosesResolved.Inc()
-		}
-		mPlanSeconds.Observe(rep.Stats.PlanTime.Seconds())
-		mEncodeSeconds.Observe(rep.Stats.EncodeTime.Seconds())
-		mSolveSeconds.Observe(rep.Stats.SolveTime.Seconds())
 	}
 	return rep, err
 }
@@ -178,34 +208,64 @@ type diagnoser struct {
 	log        []query.Query
 	complaints []Complaint
 	width      int
-	dirtyFinal *relation.Table
-	hist       *query.History // the replay that produced dirtyFinal; verifies candidates
+	*plan      // shared read-only with every solve on it
 	deadline   time.Time
 	span       *obs.Span // phase spans hang here (nil = tracing off)
 
-	// planning products
+	// planning products of the complaints
 	candidates   []int // repair candidates (query slicing or all)
 	attrs        []int // encoded attributes (attr slicing or nil)
 	tupleIDs     []int64
 	complaintIDs map[int64]bool
-	full         []query.AttrSet // full impact F(q) per query (nil unless needed)
-	ac           query.AttrSet   // complaint attributes A(C)
-	bound        float64         // big-M of encodings over d.log
+	ac           query.AttrSet // complaint attributes A(C)
 
 	stats Stats
 }
 
-// plan computes the slicing sets (§5.2–5.3) and the tuple slice (§5.1).
-// Its products stay on the diagnoser: the partition planner reuses the
-// full-impact sets and the dirty final state to build the
-// complaint–query interaction graph without recomputing them, and
-// partition subproblems adopt them wholesale (adoptPlan) so only the
-// coordinating diagnosis pays for the replay and the FullImpact closure.
-func (d *diagnoser) plan() {
+// plan is what planning derives from a D0 and log before it reads a
+// complaint. A diagnosis plans once and solves every partition on its
+// plan (the paper's §5.1–5.3 slicing, applied per partition, derives
+// each partition's slices from it by set arithmetic); a dist worker
+// plans each body it decodes once for every job over it
+// (Subproblem.Plan). Never mutated once built, but for unclaimed.
+type plan struct {
+	hist       *query.History  // the replay that produced dirtyFinal; verifies candidates
+	dirtyFinal *relation.Table // the dirty final state
+	err        error           // the replay's failure or checkResolution's refusal
+	bound      float64         // big-M of encodings over the log
+	full       []query.AttrSet // full impact F(q) per query (nil unless needed)
+	// unclaimed holds a plan's own pass (Subproblem.Plan) until the
+	// first solve on it takes it into its Stats, so the pass is reported
+	// once however many solves share it.
+	unclaimed atomic.Pointer[Stats]
+}
+
+// replay runs the planning replay into a fresh plan and refuses data
+// finer than the encoding separates (plan.err).
+func (d *diagnoser) replay() error {
+	rp := startPhase(d.span, "replay")
+	d.plan = &plan{hist: new(query.History)}
+	dirtyFinal, err := d.hist.Replay(d.log, d.d0)
+	d.stats.PlanTime += rp.stop()
+	d.stats.Replays++
+	if err != nil {
+		d.err = fmt.Errorf("core: replaying log: %w", err)
+		return d.err
+	}
+	d.dirtyFinal = dirtyFinal
+	d.err = checkResolution(d.log, d.d0, dirtyFinal)
+	return d.err
+}
+
+// planPass computes the plan's domain bound and, when full, its
+// FullImpact closure, then the slicing sets of d's complaints (§5.1–5.3)
+// if it has any. The partition planner reuses the full-impact sets and
+// the dirty final state to build the complaint–query interaction graph.
+func (d *diagnoser) planPass(full bool) {
 	d.stats.PlanPasses++
 	pp := startPhase(d.span, "plan")
 	d.bound = encode.DomainBound(d.d0, d.log, d.dirtyFinal)
-	if d.opt.QuerySlicing || d.opt.AttrSlicing || d.opt.Partition > 0 {
+	if full {
 		ip := startPhase(pp.sp, "impact")
 		if d.opt.ImpactCache != nil {
 			d.full = d.opt.ImpactCache.fullImpact(d.log, d.width, &d.stats)
@@ -214,28 +274,16 @@ func (d *diagnoser) plan() {
 		}
 		d.stats.ImpactTime += ip.stop()
 	}
-	d.planSlices()
+	if len(d.complaints) > 0 {
+		d.planSlices()
+	}
 	d.stats.PlanTime += pp.stop()
 }
 
-// adoptPlan initializes a partition sub-diagnoser from its parent's
-// planning products: the replayed dirty state, its history and the
-// FullImpact closure are shared read-only, so the sub-diagnosis derives
-// its slices by cheap set arithmetic instead of a planning pass of its
-// own (Stats.PlanPasses stays at the parent's single pass). The derived candidate set is
-// provably the one a fresh plan would compute: Options.Candidates is
-// pinned to the partition's candidates, and relevantQueries over the
-// shared impact sets is deterministic.
-func (sub *diagnoser) adoptPlan(parent *diagnoser) {
-	sub.dirtyFinal = parent.dirtyFinal
-	sub.hist = parent.hist
-	sub.bound = parent.bound
-	sub.full = parent.full
-	sub.planSlices()
-}
-
-// planSlices derives the per-diagnosis slicing sets from the (computed
-// or adopted) dirty final state and impact closure.
+// planSlices derives the complaints' slicing sets from the plan. On a
+// shared plan they are provably the ones a fresh plan would compute:
+// relevantQueries over the shared impact sets is deterministic, and a
+// partition's Options.Candidates pins its candidates.
 func (d *diagnoser) planSlices() {
 	d.ac = complaintAttrs(d.complaints, d.dirtyFinal)
 	if d.opt.QuerySlicing {

@@ -11,7 +11,7 @@ type Verifier struct{ d *diagnoser }
 
 // NewVerifier replays log from d0 as Diagnose does, for complaints.
 func NewVerifier(d0 *relation.Table, log []query.Query, complaints []Complaint) (*Verifier, error) {
-	d := &diagnoser{d0: d0, log: log, complaints: complaints, hist: new(query.History)}
+	d := &diagnoser{d0: d0, log: log, complaints: complaints, plan: &plan{hist: new(query.History)}}
 	var err error
 	d.dirtyFinal, err = d.hist.Replay(log, d0)
 	return &Verifier{d}, err

@@ -34,7 +34,7 @@ const defaultImpactCacheEntries = 32
 
 // ImpactCache caches FullImpact closures across diagnoses, keyed by the
 // log's statements. Install one via Options.ImpactCache (histstore.Store
-// and the dist worker each keep their own) and repeated diagnoses of the
+// keeps one per store) and repeated diagnoses of the
 // same log skip the O(n·w) closure entirely, while diagnoses of a grown
 // log pay only the incremental ExtendFullImpact update. Safe for
 // concurrent use; eviction is LRU.

@@ -234,12 +234,14 @@ func (d *diagnoser) partitioned() (*Repair, bool, error) {
 // partition level. Results are still adjudicated in plan (index) order,
 // so the chosen repair is independent of the start order.
 //
-// With Options.PartitionSolver set, each partition is packaged as a
-// self-contained Subproblem and dispatched through the hook (the
-// distributed coordinator's entry point); otherwise, and for a job the
-// hook declines (ErrDeclined), it solves in process, adopting the
-// parent's planning products so no partition re-runs the replay +
-// FullImpact pass.
+// Each partition is packaged as a self-contained Subproblem carrying
+// this diagnosis's plan. With Options.PartitionSolver set it is
+// dispatched through the hook (the distributed coordinator's entry
+// point); otherwise, and for a job the hook declines (ErrDeclined), it
+// solves in process on that plan (Subproblem.Solve), so no partition
+// re-runs the replay + FullImpact pass and Stats.PlanPasses across a
+// locally partitioned diagnosis totals exactly 1. The outer deadline
+// reaches each job as its TotalTimeLimit.
 func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 	sub := d.opt
 	sub.Partition = 0
@@ -268,6 +270,18 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 		queueWait time.Duration
 		solve     time.Duration
 	}
+	// budget gives a job what is left of the diagnosis's deadline as its
+	// TotalTimeLimit, reckoned when the job starts and again when its
+	// solver declines it; false means nothing is, and the job answers
+	// expired() unsolved.
+	budget := func(o *Options) bool {
+		if d.deadline.IsZero() {
+			return true
+		}
+		o.TotalTimeLimit = time.Until(d.deadline)
+		return o.TotalTimeLimit > 0
+	}
+	expired := func() *Repair { return &Repair{Log: d.log, Stats: Stats{LastStatus: "total-time-limit"}} }
 	results, wait := sched.OnPool(nil, d.opt.Partition, len(parts), largestFirst(parts), func(i int) outcome {
 		jobStart := time.Now()
 		qspans[i].End()
@@ -275,35 +289,34 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 		out := outcome{queueWait: jobStart.Sub(created[i])}
 		o := sub
 		o.Trace = pspans[i]
-		if !d.deadline.IsZero() {
-			remain := time.Until(d.deadline)
-			if remain <= 0 {
-				out.rep = &Repair{Log: d.log, Stats: Stats{LastStatus: "total-time-limit"}}
-				return out
-			}
-			o.TotalTimeLimit = remain
+		if !budget(&o) {
+			out.rep = expired()
+			return out
 		}
 		o.Candidates = append([]int(nil), parts[i].candidates...)
 		cs := make([]Complaint, len(parts[i].complaintIdx))
 		for j, ci := range parts[i].complaintIdx {
 			cs[j] = d.complaints[ci]
 		}
+		sp := Subproblem{D0: d.d0, Log: d.log, Complaints: cs, Options: o, plan: d.plan}
 		if d.opt.PartitionSolver != nil {
-			out.rep, out.err = d.opt.PartitionSolver.SolvePartition(
-				Subproblem{D0: d.d0, Log: d.log, Complaints: cs, Options: o})
+			out.rep, out.err = d.opt.PartitionSolver.SolvePartition(sp)
 			if errors.Is(out.err, ErrDeclined) {
 				// Solved here on the plan this diagnosis holds, under a
 				// "local" span and stamped like the fleet's own answers.
 				lsp := pspans[i].Start("local")
-				o.Trace = lsp
-				out.rep, out.err = d.solveSub(cs, o)
+				sp.Options.Trace = lsp
+				out.rep, out.err = expired(), nil
+				if budget(&sp.Options) {
+					out.rep, out.err = sp.Solve()
+				}
 				lsp.End()
 				if out.rep != nil {
 					out.rep.Stats.WorkerAddr = "local"
 				}
 			}
 		} else {
-			out.rep, out.err = d.solveSub(cs, o)
+			out.rep, out.err = sp.Solve()
 		}
 		out.solve = time.Since(jobStart)
 		return out
@@ -346,22 +359,6 @@ func (d *diagnoser) solvePartitions(parts []partition) ([]*Repair, error) {
 		return nil, firstErr
 	}
 	return reps, nil
-}
-
-// solveSub runs one partition subproblem in process. Unlike a fresh
-// Diagnose, it adopts the parent's planning products (replayed dirty
-// state, FullImpact closure) and derives its slices from them, so the
-// per-partition cost is pure solving — the ROADMAP's "partition-aware
-// tuple slicing". Stats.PlanPasses across a locally partitioned
-// diagnosis therefore totals exactly 1. The parent's deadline bounds it.
-func (d *diagnoser) solveSub(cs []Complaint, o Options) (*Repair, error) {
-	sub := &diagnoser{opt: o, d0: d.d0, log: d.log, complaints: cs,
-		width: d.width, deadline: d.deadline,
-		// The sub-diagnosis hangs its batch spans directly under the
-		// partition's span (no nested "diagnose" level).
-		span: o.Trace}
-	sub.adoptPlan(d)
-	return sub.solveJoint()
 }
 
 // mergePartitionRepairs combines the per-partition repairs into one log

@@ -273,13 +273,10 @@ func TestMergeConflictFallsBackToJointSolve(t *testing.T) {
 		d0: d0, log: dirty, complaints: complaints,
 		width: d0.Schema().Width(),
 	}
-	var err error
-	d.hist = new(query.History)
-	d.dirtyFinal, err = d.hist.Replay(dirty, d0)
-	if err != nil {
+	if err := d.replay(); err != nil {
 		t.Fatal(err)
 	}
-	d.plan()
+	d.planPass(true)
 	parts := planPartitions(d.complaints, d.full, d.dirtyFinal, d.candidates)
 	if len(parts) != 2 {
 		t.Fatalf("setup: want 2 partitions, got %d", len(parts))

@@ -96,3 +96,80 @@ func TestRewrittenIsExact(t *testing.T) {
 		})
 	}
 }
+
+// TestSubproblemSolveSharesTheLog pins Subproblem.Solve beside
+// Diagnose: its repair is Diagnose's of the same subproblem, parameter
+// for parameter, but copy on write — every statement outside Rewritten
+// is the subproblem's own — and the subproblem's log is left bit for bit
+// as it was. It holds planning as Solve goes and on a plan (Plan) that
+// several copies share, whose pass the first solve reports and the
+// others do not.
+func TestSubproblemSolveSharesTheLog(t *testing.T) {
+	sliced := Options{Algorithm: Incremental, TupleSlicing: true, QuerySlicing: true, TimeLimit: 30 * time.Second}
+	d0, dirty, truth := figure2()
+	fig5d0, fig5dirty, fig5truth := figure5b()
+	cd0, cdirty, _, ccomplaints := clusterWorkload(t, 3, 4)
+	noQS, parts := sliced, sliced
+	noQS.QuerySlicing = false
+	parts.Partition = 3
+	cases := []struct {
+		name string
+		sub  Subproblem
+	}{
+		{"incremental", Subproblem{D0: d0, Log: dirty, Complaints: completeComplaints(t, d0, dirty, truth), Options: sliced}},
+		{"refinement", Subproblem{D0: fig5d0, Log: fig5dirty, Complaints: completeComplaints(t, fig5d0, fig5dirty, fig5truth), Options: noQS}},
+		{"partition", Subproblem{D0: cd0, Log: cdirty, Complaints: ccomplaints, Options: parts}},
+	}
+	bits := func(log []query.Query) [][]uint64 {
+		out := make([][]uint64, len(log))
+		for i, q := range log {
+			for _, p := range q.Params() {
+				out[i] = append(out[i], math.Float64bits(p))
+			}
+		}
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := bits(tc.sub.Log)
+			want, err := Diagnose(tc.sub.D0, tc.sub.Log, tc.sub.Complaints, tc.sub.Options)
+			if err != nil || !want.Resolved {
+				t.Fatalf("setup: Diagnose err=%v resolved=%v", err, want != nil && want.Resolved)
+			}
+			planned := tc.sub
+			if err := planned.Plan(); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []struct {
+				how    string
+				sub    Subproblem
+				passes int
+			}{{"unplanned", tc.sub, 1}, {"planned, first", planned, 1}, {"planned, second", planned, 0}} {
+				got, err := s.sub.Solve()
+				if err != nil {
+					t.Fatalf("%s: %v", s.how, err)
+				}
+				if got.Resolved != want.Resolved || got.Distance != want.Distance ||
+					!slices.Equal(got.Changed, want.Changed) || !slices.Equal(got.Rewritten, want.Rewritten) {
+					t.Errorf("%s: resolved=%v distance=%v changed=%v rewritten=%v, Diagnose %v %v %v %v", s.how,
+						got.Resolved, got.Distance, got.Changed, got.Rewritten,
+						want.Resolved, want.Distance, want.Changed, want.Rewritten)
+				}
+				if g, w := bits(got.Log), bits(want.Log); !slices.EqualFunc(g, w, slices.Equal) {
+					t.Errorf("%s: repaired parameters %v, Diagnose's %v", s.how, g, w)
+				}
+				for i, q := range got.Log {
+					if !slices.Contains(got.Rewritten, i) && q != tc.sub.Log[i] {
+						t.Errorf("%s: statement %d is outside Rewritten but not the subproblem's own", s.how, i)
+					}
+				}
+				if got.Stats.PlanPasses != s.passes {
+					t.Errorf("%s: PlanPasses = %d, want %d", s.how, got.Stats.PlanPasses, s.passes)
+				}
+			}
+			if after := bits(tc.sub.Log); !slices.EqualFunc(after, before, slices.Equal) {
+				t.Errorf("Solve changed the subproblem's log: %v, was %v", after, before)
+			}
+		})
+	}
+}

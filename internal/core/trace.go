@@ -33,7 +33,7 @@ func (p phase) stop() time.Duration {
 // rendered by qfix-worker's -telemetry endpoint and `qfix -metrics`.
 var (
 	mDiagnoses = obs.Default().Counter("qfix_diagnoses_total",
-		"Diagnoses run by this process (including partition subproblems solved as worker jobs).")
+		"Diagnoses run by this process (a worker counts its jobs in qfix_worker_jobs_total).")
 	mDiagnosesResolved = obs.Default().Counter("qfix_diagnoses_resolved_total",
 		"Diagnoses that returned a replay-verified repair.")
 	mPlanSeconds = obs.Default().Histogram("qfix_plan_seconds",

@@ -97,9 +97,9 @@ type Options struct {
 	// PartitionSolver, when non-nil, dispatches each partition
 	// subproblem instead of the in-process engine — the hook behind
 	// internal/dist's coordinator, which ships subproblems to remote
-	// workers. Implementations return a repair equivalent to Diagnose of
-	// the Subproblem, or decline the job (ErrDeclined). Ignored unless
-	// Partition enables partitioning.
+	// workers. Implementations return a repair equivalent to the
+	// Subproblem's Solve, or decline the job (ErrDeclined). Ignored
+	// unless Partition enables partitioning.
 	PartitionSolver PartitionSolver
 
 	// ImpactCache, when non-nil, caches FullImpact closures across
@@ -109,8 +109,8 @@ type Options struct {
 	// prefix incrementally (ExtendFullImpact). The cache holds on to the
 	// log slice it is given, so do not overwrite its elements afterwards
 	// (appending is fine). Process-local and never serialized:
-	// histstore.Store installs one per store, and dist workers keep one
-	// per process so repeat jobs skip re-planning.
+	// histstore.Store installs one per store. A dist worker keeps none:
+	// it plans each body once for every job over it (Subproblem.Plan).
 	ImpactCache *ImpactCache
 
 	// TupleSlicing encodes only complaint tuples (§5.1) and enables the
@@ -197,9 +197,11 @@ type Stats struct {
 	PartitionFallback bool
 	// PlanPasses counts full planning passes (log replay plus the
 	// FullImpact closure). Partition subproblems solved in-process —
-	// with no PartitionSolver, or one that declined the job — adopt the
-	// coordinator's plan instead of re-planning, so a partitioned
-	// diagnosis reports 1; remote workers plan once per job they solve.
+	// with no PartitionSolver, or one that declined the job — solve on
+	// the coordinator's plan instead of re-planning, so a partitioned
+	// diagnosis reports 1; a remote worker plans each body it decodes
+	// once for every job over it, and the first of those jobs reports
+	// the pass.
 	PlanPasses int
 	// RemoteJobs counts partition subproblems solved by a remote worker
 	// (via Options.PartitionSolver / internal/dist). Jobs that fell back
@@ -211,10 +213,10 @@ type Stats struct {
 	StreamedResults int
 	// ImpactCacheHits counts planning passes that reused a cached
 	// FullImpact closure (Options.ImpactCache) instead of computing one
-	// from scratch — exact reuse and prefix extension both count. On the distributed path this aggregates worker-side hits
-	// too (each worker diagnosis plans with the worker's process
-	// cache), so a cold client run against a warm fleet reports them —
-	// distinct from WorkerCacheHits, which counts body reuse.
+	// from scratch — exact reuse and prefix extension both count. Only
+	// the coordinating diagnosis's own pass can hit: workers keep no
+	// cache (their jobs over one body share its plan, which
+	// WorkerCacheHits counts).
 	ImpactCacheHits int
 	// ImpactCacheExtends counts the subset of hits that found a proper
 	// prefix and ran the incremental ExtendFullImpact update.
@@ -335,13 +337,17 @@ type Repair struct {
 // solved anywhere: the full initial state and log (replay verification
 // needs both), the partition's complaint subset, and sub-Options with
 // the repair candidates pinned to the partition's candidate set and
-// partitioning disabled. A Subproblem is self-contained — Diagnose of
-// its fields solves it with nothing from the coordinating diagnosis.
+// partitioning disabled. A Subproblem is self-contained — Solve of its
+// fields solves it with nothing from the coordinating diagnosis. The
+// engine's partition scan hands it over already planned (the
+// diagnosis's own plan), and Plan plans one for every copy of it.
 type Subproblem struct {
 	D0         *relation.Table
 	Log        []query.Query
 	Complaints []Complaint
 	Options    Options
+
+	plan *plan // nil: Solve plans
 }
 
 // ErrDeclined is what a PartitionSolver returns for a subproblem it did

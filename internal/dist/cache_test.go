@@ -76,8 +76,8 @@ func TestDispatchBudgetCappedOnHungWorker(t *testing.T) {
 // instead of carrying it, run after run (each diagnosis has a body of
 // its own), while the repairs stay byte-identical to the local
 // reference and the solver's counters and partition plan equal to the
-// first run's, at GOMAXPROCS 1 and N; the worker's impact cache serves
-// the jobs that share a decoded body.
+// first run's, at GOMAXPROCS 1 and N; the worker plans the body once
+// for all of its jobs.
 func TestWorkerCacheRepeatJobsByteIdentical(t *testing.T) {
 	d0, log, complaints := benchInstance(t, 4)
 	want := localReference(t, d0, log, complaints)
@@ -110,14 +110,13 @@ func TestWorkerCacheRepeatJobsByteIdentical(t *testing.T) {
 			t.Errorf("run %d: WorkerCacheHits = %d of %d jobs, want all but the one that carried the body",
 				run, got.Stats.WorkerCacheHits, got.Stats.RemoteJobs)
 		}
-		if got.Stats.ImpactCacheHits == 0 {
-			t.Errorf("run %d: worker impact cache never hit; jobs over one body re-planned from scratch", run)
+		if got.Stats.PlanPasses != 2 {
+			t.Errorf("run %d: PlanPasses = %d, want 2 (1 local + 1 for the body); jobs over one body re-planned",
+				run, got.Stats.PlanPasses)
 		}
 		// The solver's work and the partition plan, in plan order, must
-		// repeat. Jobs over one body solve concurrently on the worker, so
-		// how many of them found its impact closure already cached depends
-		// on timing and is left out. (Core's determinism test compares
-		// every counter of the in-process engine.)
+		// repeat. (Core's determinism test compares every counter of the
+		// in-process engine.)
 		st := got.Stats
 		c := fmt.Sprintln(st.Rows, st.Vars, st.Binaries, st.BatchesTried, st.Nodes, st.LPIters,
 			st.Refactorizations, st.PresolvedRows, st.LPNumFails, st.LPIterLimits, st.NodeLimitStops, st.TimeLimitStops,
@@ -129,6 +128,45 @@ func TestWorkerCacheRepeatJobsByteIdentical(t *testing.T) {
 			first = c
 		} else if c != first {
 			t.Errorf("run %d: counters differ from run 1:\n got %s\nwant %s", run, c, first)
+		}
+	}
+}
+
+// TestWorkerPlansEachBodyOnce: a worker plans each body it decodes once,
+// and every job over the body solves on that plan, concurrently. Over
+// one loopback worker, so all four partition jobs of a diagnosis share
+// one body, the diagnosis reports exactly two planning passes (the
+// coordinator's and the body's) and one replay more than the local run,
+// run after run at GOMAXPROCS 1 and N, and repairs byte-identical to
+// the local reference.
+func TestWorkerPlansEachBodyOnce(t *testing.T) {
+	d0, log, complaints := benchInstance(t, 4)
+	want := localReference(t, d0, log, complaints)
+	sch := d0.Schema()
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+
+	coord := dist.Connect(dist.Config{Logf: t.Logf}, startWorker(t))
+	defer coord.Close()
+	for run, p := range []int{1, max(procs, 4), 1, max(procs, 4)} {
+		runtime.GOMAXPROCS(p)
+		got, err := coord.Diagnose(d0, log, complaints, partitionOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := got.Stats
+		if st.Partitions < 4 || st.RemoteJobs != st.Partitions {
+			t.Fatalf("run %d: %d partitions, %d solved remotely; want >= 4, all remote", run, st.Partitions, st.RemoteJobs)
+		}
+		if w, g := repairFingerprint(sch, want), repairFingerprint(sch, got); w != g {
+			t.Errorf("run %d (GOMAXPROCS %d): repair differs from local:\n got:\n%s\nwant:\n%s", run, p, g, w)
+		}
+		if st.PlanPasses != 2 {
+			t.Errorf("run %d (GOMAXPROCS %d): PlanPasses = %d, want 2 (1 local + 1 for the body)", run, p, st.PlanPasses)
+		}
+		if st.Replays != want.Stats.Replays+1 {
+			t.Errorf("run %d (GOMAXPROCS %d): Replays = %d, want %d (the local run's, plus the body's planning replay)",
+				run, p, st.Replays, want.Stats.Replays+1)
 		}
 	}
 }

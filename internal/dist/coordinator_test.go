@@ -142,7 +142,7 @@ func TestDispatchStampsAttemptDeadline(t *testing.T) {
 	expired, cancel := context.WithDeadline(context.Background(),
 		time.Now().Add(-time.Second))
 	defer cancel()
-	res := solveJob(expired, &job, decodeBody(&job), nil)
+	res := solveJob(expired, &job, decodeBody(&job))
 	if res.Err == "" || res.Resolved {
 		t.Errorf("worker solved a job whose attempt window had closed: %+v", res)
 	}

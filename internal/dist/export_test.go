@@ -41,7 +41,7 @@ func (InProc) Do(ctx context.Context, job *Job) (*Result, error) {
 		return nil, err
 	}
 	var out Response
-	if err := roundTrip(solveJob(ctx, &decoded, decodeBody(&decoded), nil), &out); err != nil {
+	if err := roundTrip(solveJob(ctx, &decoded, decodeBody(&decoded)), &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

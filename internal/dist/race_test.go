@@ -20,8 +20,8 @@ import (
 // TestServerRace has three coordinators, each with its own multiplexed
 // connection, diagnose one four-cluster history through a fresh worker
 // at once under -race, three times over: their connections arrive
-// together, so the handlers build the server's solve slots and impact
-// cache concurrently, and the partition jobs share that impact cache.
+// together, so the handlers build the server's solve slots
+// concurrently, and the partition jobs over each body share its plan.
 func TestServerRace(t *testing.T) {
 	d0, log, complaints := raceInstance(t, 4)
 	opt := core.Options{Algorithm: core.Basic, TupleSlicing: true, QuerySlicing: true, Partition: 4, TimeLimit: 30 * time.Second}

@@ -21,7 +21,8 @@ import (
 // Server is the serving end of the wire. Serve makes it a worker, which
 // answers ping and solve: up to MaxInflight solves run at once across
 // the server, each answered as it lands, and each connection holds the
-// last bodySlots bodies its solves carried, decoded once. ServeOps
+// last bodySlots bodies its solves carried, each decoded and planned
+// once (core.Subproblem.Plan) for every solve over it. ServeOps
 // makes it a daemon, which answers ping and its tenant ops (diagnose
 // runs concurrently, the others in the read loop) and refuses solve:
 // the daemon's own admission bounds the work it takes on.
@@ -36,10 +37,9 @@ type Server struct {
 	// Logf, when set, receives one line per solve and per protocol error.
 	Logf func(format string, args ...any)
 
-	conns  frameconn.Registry
-	mu     sync.Mutex
-	sem    chan struct{}     // guarded by mu — server-wide solve slots (MaxInflight)
-	impact *core.ImpactCache // set with sem, never after — one impact cache for every solve
+	conns frameconn.Registry
+	mu    sync.Mutex
+	sem   chan struct{} // guarded by mu — server-wide solve slots (MaxInflight)
 }
 
 // Ops are a daemon's tenant operations (internal/qfixd's Service).
@@ -186,7 +186,7 @@ func (s *Server) solve(job *Request, b *body, from net.Addr, wg *sync.WaitGroup,
 		}
 		start := time.Now()
 		s.capLimits(job)
-		res := solveJob(ctx, job, b, s.impact)
+		res := solveJob(ctx, job, b)
 		elapsed := time.Since(start)
 		mWorkerJobSeconds.Observe(elapsed.Seconds())
 		var st core.Stats
@@ -226,10 +226,10 @@ func clampBudget(ctx context.Context, o *core.Options) bool {
 // to decode and dead attempts, and solves the rest on the local engine
 // bounded by ctx. b is the job's body, carried or held by its
 // connection; a job that named a held body reports it through
-// Stats.WorkerCacheHits. impact, when non-nil, is the server's impact
-// cache: jobs over one body hand the engine the same statements, so all
-// but the first skip planning's FullImpact pass.
-func solveJob(ctx context.Context, job *Request, b *body, impact *core.ImpactCache) *Response {
+// Stats.WorkerCacheHits. The first solve over a body plans it, and
+// every solve over it solves on that plan: the replay, the FullImpact
+// closure and the rest of planning run once per body, not per job.
+func solveJob(ctx context.Context, job *Request, b *body) *Response {
 	fail := func(err error) *Response { return &Response{Version: WireVersion, ID: job.ID, Err: err.Error()} }
 	if err := job.validate(nil); err != nil {
 		return fail(err)
@@ -237,12 +237,12 @@ func solveJob(ctx context.Context, job *Request, b *body, impact *core.ImpactCac
 	if b.err != nil {
 		return fail(b.err)
 	}
+	b.plan.Do(func() { b.sub.Plan() }) // its error is every solve's answer
 	sub := b.subproblem(job)
-	sub.Options.ImpactCache = impact
 	if !clampBudget(ctx, &sub.Options) {
 		return fail(cmp.Or(ctx.Err(), context.DeadlineExceeded))
 	}
-	rep, err := core.Diagnose(sub.D0, sub.Log, sub.Complaints, sub.Options)
+	rep, err := sub.Solve()
 	if err == nil && job.D0 == nil {
 		rep.Stats.WorkerCacheHits = 1
 	}
@@ -274,7 +274,7 @@ func resolveBody(bodies *lru.Map[uint64, *body], job *Request) *body {
 }
 
 // solveSem lazily builds the server-wide solve-slot semaphore sized
-// per MaxInflight, and with it the server's impact cache.
+// per MaxInflight.
 func (s *Server) solveSem() chan struct{} {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -286,7 +286,7 @@ func (s *Server) solveSem() chan struct{} {
 		case n == 0:
 			n = runtime.GOMAXPROCS(0)
 		}
-		s.sem, s.impact = make(chan struct{}, n), core.NewImpactCache(0)
+		s.sem = make(chan struct{}, n)
 	}
 	return s.sem
 }

@@ -28,6 +28,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -310,13 +311,14 @@ func DecodeJob(j *Request) (core.Subproblem, error) {
 	return b.subproblem(j), nil
 }
 
-// body is a decoded D0 and log, shared read-only by every solve that
-// names it. err records a carried body that failed to decode; the
-// solves that name it are answered with it.
+// body is a decoded D0 and log, planned by the first solve over it
+// (plan) and shared read-only, plan and all, by every solve that names
+// it. err records a carried body that failed to decode; the solves that
+// name it are answered with it.
 type body struct {
-	d0  *relation.Table
-	log []query.Query
-	err error
+	sub  core.Subproblem // D0 and Log, planned once plan has run
+	plan sync.Once
+	err  error
 }
 
 // decodeBody decodes the body a solve carries.
@@ -338,17 +340,19 @@ func decodeBody(j *Request) *body {
 			return &body{err: fmt.Errorf("query %d: %w", i, err)}
 		}
 	}
-	return &body{d0: d0, log: log}
+	return &body{sub: core.Subproblem{D0: d0, Log: log}}
 }
 
-// subproblem is solve j over this body, solved jointly whatever
-// partition width the frame names.
+// subproblem is solve j over this body, on the body's plan once it has
+// one, solved jointly whatever partition width the frame names.
 func (b *body) subproblem(j *Request) core.Subproblem {
 	opt := j.Options.engine()
 	opt.Partition, opt.Candidates = 0, slices.Clone(j.Candidates)
 	opt.TotalTimeLimit = time.Duration(j.TotalTimeLimitMS) * time.Millisecond
 	opt.MaxNodes, opt.SingleCorruption, opt.SkipRefine = j.MaxNodes, j.SingleCorruption, j.SkipRefine
-	return core.Subproblem{D0: b.d0, Log: b.log, Complaints: j.Complaints, Options: opt}
+	sub := b.sub
+	sub.Complaints, sub.Options = j.Complaints, opt
+	return sub
 }
 
 // EncodeResult packages a solved repair (or a solver error) as a

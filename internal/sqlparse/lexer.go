@@ -102,7 +102,7 @@ func lex(input string, i int) (token, int, error) {
 				i++
 			}
 			text := input[start:i]
-			v, err := strconv.ParseFloat(text, 64)
+			v, err := parseNumber(text)
 			if err != nil {
 				return token{}, start, fmt.Errorf("sqlparse: bad number %q at %d", text, start)
 			}
@@ -133,4 +133,22 @@ func lex(input string, i int) (token, int, error) {
 		}
 	}
 	return token{kind: tokEOF, pos: n}, n, nil
+}
+
+// parseNumber is strconv.ParseFloat(text, 64) with a fast path for a
+// token of 1–15 decimal digits: below 2^53 it is exactly float64 of its
+// integer, which is what ParseFloat returns.
+func parseNumber(text string) (float64, error) {
+	if len(text) == 0 || len(text) > 15 {
+		return strconv.ParseFloat(text, 64)
+	}
+	var n int64
+	for i := 0; i < len(text); i++ {
+		d := text[i] - '0'
+		if d > 9 {
+			return strconv.ParseFloat(text, 64)
+		}
+		n = n*10 + int64(d)
+	}
+	return float64(n), nil
 }

@@ -1,7 +1,9 @@
 package sqlparse
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -434,5 +436,30 @@ func TestKeywordsAnyCase(t *testing.T) {
 	want := "UPDATE Updates SET setting = 1, ORacle = _in WHERE (setting >= 1 AND setting <= 2) OR (_in >= 1 AND _in <= 2) OR TRUE"
 	if got := q.String(s); got != want {
 		t.Errorf("parsed to %s, want %s", got, want)
+	}
+}
+
+// TestNumberTokenMatchesParseFloat pins the lexer's whole-number fast
+// path to strconv.ParseFloat of the token's text, bit for bit, on the
+// tokens it takes (1–15 digits) and on the ones it must hand over.
+func TestNumberTokenMatchesParseFloat(t *testing.T) {
+	for _, text := range []string{"0", "7", "007", "123456789012345", "1234567890123456",
+		"9007199254740993", "1e3", "1E+3", "2e-1", "1.5", ".5", "5."} {
+		tok, _, err := lex(text, 0)
+		if err != nil || tok.kind != tokNumber || tok.text != text {
+			t.Fatalf("lex(%q) = %+v, %v; want the number token %q", text, tok, err, text)
+		}
+		want, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(tok.num) != math.Float64bits(want) {
+			t.Errorf("lex(%q) = %v, ParseFloat %v", text, tok.num, want)
+		}
+	}
+	for _, text := range []string{"1.2.3", "1e", "1e+"} {
+		if _, _, err := lex(text, 0); err == nil || !strings.Contains(err.Error(), "bad number") {
+			t.Errorf("lex(%q) error %v, want a bad number", text, err)
+		}
 	}
 }
