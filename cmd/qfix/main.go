@@ -22,7 +22,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/csv"
 	"errors"
 	"flag"
@@ -87,21 +86,28 @@ func run(out *bufio.Writer) error {
 		os.Exit(2)
 	}
 
+	// The trace covers the whole run: the inputs' load and parse, then the diagnosis.
+	var root *obs.Span
+	if *tracePath != "" {
+		root = obs.NewTrace("qfix")
+	}
+	sp := root.Start("load")
 	sch, d0, err := loadCSV(*dataPath, *tableName, *keyAttr)
-	if err != nil {
+	if sp.End(); err != nil {
 		return err
 	}
+	sp = root.Start("parse")
 	sql, err := readText(*logPath)
-	if err != nil {
+	var history []qfix.Query
+	if err == nil {
+		history, err = qfix.ParseLog(sch, sql)
+	}
+	if sp.End(); err != nil {
 		return err
 	}
-	history, err := qfix.ParseLog(sch, sql)
-	if err != nil {
-		return err
-	}
-
+	sp = root.Start("load")
 	complaints, err := loadComplaints(*compPath, sch.Width())
-	if err != nil {
+	if sp.End(); err != nil {
 		return err
 	}
 	part, err := parsePool("partition", *partition)
@@ -123,11 +129,7 @@ func run(out *bufio.Writer) error {
 		SolverParallel:   spar,
 		TimeLimit:        *limit,
 	}
-	var root *obs.Span
-	if *tracePath != "" {
-		root = obs.NewTrace("qfix")
-		opts.Trace = root
-	}
+	opts.Trace = root
 	switch *algo {
 	case "basic":
 		opts.Algorithm = qfix.Basic
@@ -243,57 +245,37 @@ func parsePool(name, s string) (int, error) {
 }
 
 // loadCSV reads the initial state: header row of attribute names, then
-// one row of numeric values per tuple. Records are streamed, not
-// collected: the table is the only copy of the data this keeps, and it is
-// allocated once. A regular file is read twice, first to count its lines,
-// which bounds its rows, so that the table is grown to that many before
-// the first Insert; Insert's appends would otherwise regrow its storage
+// one row of numeric values per tuple. The file (or pipe) is read once,
+// into one string sized from its Stat, and its lines are counted there,
+// so that the table, the only other copy of the data, is allocated once
+// at that many rows; Insert's appends would otherwise regrow its storage
 // to about twice what it keeps, and a one-shot qfix never collects what
-// they leave behind. Another kind of file (a pipe) is read once and the
-// table grows as it goes.
+// they leave behind. A file without a quote or a carriage return, which
+// is every file qfix and its benchmarks write, is split into lines and
+// cells by byte; any other goes through encoding/csv over the same
+// string, so quoting and every error it reports stay encoding/csv's.
 func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
-	f, err := os.Open(path)
+	text, err := readText(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, nil, err
+	lines := strings.Count(text, "\n") + 1 // the last may lack its newline
+	rs := &records{text: text}
+	if strings.IndexByte(text, '"') >= 0 || strings.IndexByte(text, '\r') >= 0 {
+		rs.r = csv.NewReader(strings.NewReader(text))
+		rs.r.ReuseRecord = true
 	}
-	// A pipe stats with size 0, so only a regular file's size may
-	// shrink the buffer below bufio's default.
-	size, lines := 64<<10, 0
-	if st.Mode().IsRegular() {
-		size = int(min(st.Size()+1, int64(size)))
-	}
-	buf := bufio.NewReaderSize(f, size)
-	if st.Mode().IsRegular() {
-		if lines, err = countLines(buf); err != nil {
-			return nil, nil, err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, err
-		}
-		buf.Reset(f)
-	}
-	r := csv.NewReader(buf)
-	r.ReuseRecord = true
 	// Every error names the file and the physical line, blank lines
 	// counted, as loadComplaints does; encoding/csv's name no file.
-	read := func() ([]string, error) {
-		rec, err := r.Read()
-		if pe, ok := err.(*csv.ParseError); ok {
-			err = fmt.Errorf("%s line %d: %v", path, pe.Line, pe.Err)
-		}
-		return rec, err
+	fail := func(field int, err error) error {
+		return fmt.Errorf("%s line %d: %v", path, rs.lineOf(field), err)
 	}
-	rec, err := read()
+	rec, err := rs.next()
 	if err == io.EOF {
 		return nil, nil, fmt.Errorf("%s: empty file", path)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fail(0, err)
 	}
 	header := make([]string, len(rec))
 	for i, h := range rec {
@@ -306,51 +288,72 @@ func loadCSV(path, table, key string) (*qfix.Schema, *qfix.Table, error) {
 	tb := qfix.NewTable(sch)
 	// Every line but the header's may be a row.
 	tb.Grow(lines - 1)
-	vals := make([]float64, len(header)) // Insert copies it; the reader holds every record to the header's width
+	vals := make([]float64, len(header)) // Insert copies it
 	for {
-		rec, err := read()
+		rec, err := rs.next()
 		if err == io.EOF {
 			return sch, tb, nil
 		}
+		if err == nil && len(rec) != len(header) {
+			err = csv.ErrFieldCount
+		}
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fail(0, err)
 		}
 		for i, cell := range rec {
-			v, err := parseCell(cell)
-			if err != nil {
-				line, _ := r.FieldPos(i)
-				return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
+			if vals[i], err = parseCell(cell); err != nil {
+				return nil, nil, fail(i, err)
 			}
-			vals[i] = v
 		}
-		if _, err := tb.Insert(vals); err != nil {
-			line, _ := r.FieldPos(0)
-			return nil, nil, fmt.Errorf("%s line %d: %v", path, line, err)
-		}
+		tb.MustInsert(vals...) // of the header's width, checked above
 	}
 }
 
-// countLines reads r to its end and returns how many lines it held: its
-// newlines, and one more for a last line without one.
-func countLines(r *bufio.Reader) (int, error) {
-	lines, last := 0, byte('\n')
-	for {
-		chunk, err := r.Peek(r.Size())
-		if len(chunk) > 0 {
-			lines += bytes.Count(chunk, []byte{'\n'})
-			last = chunk[len(chunk)-1]
-			r.Discard(len(chunk))
+// records reads a CSV text's records: through r, an encoding/csv
+// reader, or (r nil, no quote or carriage return) split as encoding/csv
+// splits it, a record per non-blank line and a cell per comma.
+type records struct {
+	r    *csv.Reader
+	text string // what is left to split
+	line int    // the physical line of the record split last; under r, of r's error
+	rec  []string
+}
+
+// next returns the next record, valid until the following call, or
+// io.EOF after the last.
+func (rs *records) next() ([]string, error) {
+	if rs.r != nil {
+		rec, err := rs.r.Read()
+		if pe, ok := err.(*csv.ParseError); ok {
+			rs.line, err = pe.Line, pe.Err
 		}
-		if err == io.EOF {
-			if last != '\n' {
-				lines++
-			}
-			return lines, nil
-		}
-		if err != nil {
-			return 0, err
-		}
+		return rec, err
 	}
+	for rs.text != "" {
+		var l string
+		l, rs.text, _ = strings.Cut(rs.text, "\n")
+		rs.line++
+		if l == "" {
+			continue
+		}
+		rs.rec = rs.rec[:0]
+		for i := strings.IndexByte(l, ','); i >= 0; i = strings.IndexByte(l, ',') {
+			rs.rec, l = append(rs.rec, l[:i]), l[i+1:]
+		}
+		rs.rec = append(rs.rec, l)
+		return rs.rec, nil
+	}
+	return nil, io.EOF
+}
+
+// lineOf returns the physical line the given cell of the last record
+// starts on, or after an error of r the line r reported it on.
+func (rs *records) lineOf(field int) int {
+	if rs.r == nil || rs.line != 0 {
+		return rs.line
+	}
+	line, _ := rs.r.FieldPos(field)
+	return line
 }
 
 // readText returns a file's contents as one string, allocated once at

@@ -68,11 +68,13 @@ func TestLoadCSVErrors(t *testing.T) {
 }
 
 // TestLoadCSVAllocatesOnce: loading N rows allocates the table's
-// storage once, sized from the file, not regrown by Insert's appends.
-// What the load allocates in all, the reader's buffer and the schema
-// included, stays under 1.5 times what the table keeps plus the size of
-// the file; left to regrow, the table alone allocates about twice what
-// it keeps.
+// storage once, sized from the file, not regrown by Insert's appends,
+// and the file once, with no string per record. What the load
+// allocates in all, the schema included, stays under 1.1 times what the
+// table keeps plus the size of the file; left to regrow, the table
+// alone allocates about twice what it keeps, and encoding/csv's string
+// per record costs about the file again (1.17 times the table plus the
+// file in all).
 func TestLoadCSVAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("counts bytes allocated, which the race detector inflates")
@@ -88,7 +90,7 @@ func TestLoadCSVAllocatesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	kept := uint64(rows * (1 + width) * 8) // an ID and the values per row
-	limit := kept*3/2 + uint64(data.Len())
+	limit := kept*11/10 + uint64(data.Len())
 	var least uint64
 	for range 3 {
 		var before, after runtime.MemStats
@@ -103,7 +105,7 @@ func TestLoadCSVAllocatesOnce(t *testing.T) {
 		}
 	}
 	if least > limit {
-		t.Errorf("loading %d rows of %d values allocated %d bytes, want at most %d (1.5 × the %d the table keeps, plus the %d-byte file)",
+		t.Errorf("loading %d rows of %d values allocated %d bytes, want at most %d (1.1 × the %d the table keeps, plus the %d-byte file)",
 			rows, width, least, limit, kept, data.Len())
 	}
 }

@@ -347,6 +347,7 @@ func (d *diagnoser) attempt(baseLog []query.Query, bound float64, paramSet map[i
 		FixNonComplaints: !d.opt.TupleSlicing,
 		SoftTupleIDs:     soft,
 		DomainBound:      bound,
+		History:          d.hist,
 	}
 
 	ep := startPhase(sp, "encode")

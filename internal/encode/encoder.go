@@ -34,6 +34,7 @@ type encoder struct {
 	M     float64
 
 	dirty    *relation.Table
+	start    int // the first statement walked
 	trackAll bool
 	attrSeed []bool // nil = track all attributes
 
@@ -60,10 +61,12 @@ type storage struct {
 	affs     slab[aff]
 	bools    slab[bool]
 	floats   slab[float64]
-	terms    slab[milp.Term] // of every aff built; rows live in rowTerms
-	rowTerms []milp.Term     // the row being built
-	rowC     float64         // its constant
-	vals     []aff           // encodeUpdate's new and assigned values
+	terms    slab[milp.Term]  // of every aff built; rows live in rowTerms
+	rowTerms []milp.Term      // the row being built
+	rowC     float64          // its constant
+	vals     []aff            // encodeUpdate's new and assigned values
+	ids      []int64          // the wanted IDs, ascending
+	keep     []relation.Tuple // the dirty replay's rows at the start
 }
 
 // encoders is the free list Encode takes its encoders from.
@@ -80,7 +83,7 @@ func (e *encoder) release() {
 	clear(st.sigma)
 	clear(st.sigmaTrue)
 	clear(st.windows)
-	st.order = st.order[:0]
+	st.order, st.ids, st.keep = st.order[:0], st.ids[:0], st.keep[:0]
 	st.tuples.reset()
 	st.affs.reset()
 	st.bools.reset()
@@ -162,7 +165,7 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 		return nil, err
 	}
 	defer e.release()
-	for i := range e.log {
+	for i := e.start; i < len(e.log); i++ {
 		if err := e.step(i); err != nil {
 			return nil, err
 		}
@@ -234,26 +237,51 @@ func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, o
 		}
 	}
 
-	// Seed tracked tuples from D0. A statement's effect on a tuple depends
-	// on that tuple alone, so under tuple slicing the dirty replay carries
-	// only the wanted rows: each log step then costs O(|tracked|), not
-	// O(|D0|). The ID counter is D0's, so inserts allocate the IDs they
-	// get in a replay of the full table.
-	if e.trackAll {
-		e.dirty = d0.Clone()
-	} else {
-		var keep []relation.Tuple
+	// Seed the tracked tuples at the first statement walked (see
+	// Options.History). A statement's effect on a tuple depends on that
+	// tuple alone, so under tuple slicing the dirty replay carries only
+	// the wanted rows, each step costing O(|tracked|), not O(|D0|), with
+	// the full table's ID counter. A tuple deleted before is tracked dead.
+	seed := func(id int64, vals []float64, live bool) {
+		t := e.newTstate(id, vals)
+		if !live {
+			t.dirtyAlive, t.alive = false, knownB(false)
+			return
+		}
+		e.keep = append(e.keep, relation.Tuple{ID: id, Values: t.dirtyVals})
+	}
+	next := d0.NextID()
+	if h := opt.History; h == nil || e.trackAll {
 		d0.Rows(func(t relation.Tuple) {
-			if e.wantIDs[t.ID] {
-				keep = append(keep, t)
+			if e.trackAll || e.wantIDs[t.ID] {
+				seed(t.ID, t.Values, true)
 			}
 		})
-		var err error
-		if e.dirty, err = relation.NewTableFromRows(e.sch, keep, d0.NextID()); err != nil {
-			return nil, fmt.Errorf("encode: slicing the initial state: %w", err)
+	} else {
+		e.start = len(log)
+		for i, on := range opt.ParamQueries {
+			if on && i >= 0 && i < e.start {
+				e.start = i
+			}
 		}
+		// The recorded log (the same slice) shares the prefix; another is compared.
+		if rec := h.Log(); e.start > 0 && (len(rec) < e.start || &rec[0] != &log[0]) {
+			for i := 0; i < e.start; i++ {
+				if i == len(rec) || log[i] != rec[i] {
+					e.start = i
+				}
+			}
+		}
+		for id := range e.wantIDs {
+			e.ids = append(e.ids, id)
+		}
+		slices.Sort(e.ids)
+		next = h.Before(e.start, e.ids, seed)
 	}
-	e.dirty.Rows(func(t relation.Tuple) { e.newTstate(t.ID, t.Values) })
+	var err error
+	if e.dirty, err = relation.NewTableFromRows(e.sch, e.keep, next); err != nil {
+		return nil, fmt.Errorf("encode: slicing the initial state: %w", err)
+	}
 	return e, nil
 }
 
@@ -278,14 +306,14 @@ func (e *encoder) step(i int) error {
 		}
 	case *query.Insert:
 		newID := e.dirty.NextID()
+		if !e.trackAll && !e.wantIDs[newID] {
+			e.dirty.SkipID() // an untracked row: only its ID is the walk's
+			break
+		}
 		if err := v.Apply(e.dirty); err != nil {
 			return fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
 		}
-		if e.trackAll || e.wantIDs[newID] {
-			e.encodeInsert(i, v, pc, newID)
-		} else {
-			e.dirty.Delete(newID)
-		}
+		e.encodeInsert(i, v, pc, newID)
 	default:
 		return fmt.Errorf("encode: unsupported query kind %T at index %d", q, i)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/milp"
+	"repro/internal/query"
 )
 
 // Complaint is the encoder-level view of a complaint c : t -> t* (paper
@@ -51,6 +52,15 @@ type Options struct {
 	// DomainBound M: bound on |values| and parameter deviation. Zero
 	// auto-sizes from the data and log (2×max|value| + 10).
 	DomainBound float64
+
+	// History is a replay of D0 and the log, or of a log it repairs.
+	// Under tuple slicing the walk then starts at the first parameterized
+	// statement or the first one the logs do not share, from the states
+	// the history records there: the constant statements before it emit
+	// nothing. The model is the walk from D0's, bit for bit where folding
+	// computes values exactly (integer data); elsewhere the start holds
+	// the replay's bits, which frozen attributes carry either way.
+	History *query.History
 }
 
 const (

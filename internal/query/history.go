@@ -157,7 +157,37 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// verifier is the state of one Diverged walk.
+// Log returns the recorded log.
+func (h *History) Log() []Query { return h.log }
+
+// Before calls f for each row of ids (ascending) that statement k of
+// the recorded log finds live or deleted, a row of D0 or of an INSERT
+// before k, with its values just before k (a deleted row's when it was
+// deleted; valid until f returns) and whether it is live. It returns the
+// ID the next INSERT assigns. The states are a replay's of the first k
+// statements, bit for bit, at the cost of the rows asked for.
+func (h *History) Before(k int, ids []int64, f func(id int64, vals []float64, live bool)) int64 {
+	width := h.d0.Schema().Width()
+	v := &verifier{h: h, width: width, scratch: make([]float64, 2*width)}
+	ins, _ := slices.BinarySearch(h.ins, int32(k))
+	visit := func(slot int, id int64, orig []float64) {
+		vals, live := v.before(k, slot, id, orig)
+		if !live { // the DELETE that matched the row is its newest entry
+			vals, _ = v.before(int(h.ents[h.head[slot]-1].stmt), slot, id, orig)
+		}
+		f(id, vals, live)
+	}
+	for _, id := range ids {
+		if j := id - h.firstIns; j >= 0 && j < int64(ins) {
+			visit(h.d0.Len()+int(j), id, h.log[h.ins[j]].(*Insert).Values)
+		} else if slot, ok := h.d0.Pos(id); ok && h.d0.ReadValues(id, v.scratch[width:]) {
+			visit(slot, id, v.scratch[width:])
+		}
+	}
+	return h.firstIns + int64(ins)
+}
+
+// verifier is the state of one Diverged walk; Before uses its before.
 type verifier struct {
 	h       *History
 	width   int

@@ -140,6 +140,10 @@ func (tb *Table) Insert(values []float64) (Tuple, error) {
 	return Tuple{ID: id, Values: tb.row(len(tb.ids) - 1)}, nil
 }
 
+// SkipID takes the ID the next Insert would assign, adding no row: a
+// table holding a slice of another's rows follows the other's IDs.
+func (tb *Table) SkipID() { tb.nextID++ }
+
 // Grow makes room for n more rows, so that the next n Inserts neither
 // reallocate nor copy the table's storage. A loader that knows how many
 // rows it will insert calls it once: left to Insert's appends, a table

@@ -71,8 +71,9 @@ func (ws *Solver) Install(snap *Snapshot) bool {
 	}
 	s.opt = ws.opt.withDefaults(m, n)
 	// The snapshot overwrites the whole iterate and basis, so only the
-	// bounds and buffers are reset; the basic values are computed once,
-	// by warmReset, after the clamp.
+	// bounds and buffers are reset. The next Solve's warmReset clamps the
+	// nonbasic values into the problem's bounds and computes the basic
+	// values under the factorization made here, once.
 	s.reset()
 	copy(s.xval, snap.xval)
 	for j := range s.basicPos {
@@ -87,9 +88,6 @@ func (ws *Solver) Install(snap *Snapshot) bool {
 	}
 	s.refactorCount++
 	mRefactorizations.Inc()
-	// Clamp nonbasic variables into the problem's current bounds and
-	// recompute the basic values under the fresh factorization.
-	s.warmReset()
 	ws.initialized = true
 	return true
 }

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/query"
@@ -9,8 +10,8 @@ import (
 )
 
 // parser parses statements against a fixed schema, which resolves
-// attribute names to positions. It holds one token of lookahead and
-// scans the source as it goes.
+// attribute names to positions. It holds one token of lookahead, which
+// it scans in place as it goes (advance) and tests by its code.
 type parser struct {
 	schema *relation.Schema
 	src    string
@@ -21,6 +22,33 @@ type parser struct {
 	// the grammar made of that.
 	lexErr error
 	depth  int // open parentheses and unary minuses around the cursor
+
+	// The nodes of the statements parsed come from slabs (see slab).
+	updates slab[query.Update]
+	sets    slab[query.SetClause]
+	vals    slab[float64]
+	preds   slab[query.Pred]
+	terms   slab[query.Term]
+}
+
+// slab hands out the elements of chunks it allocates, each a quarter of
+// what it has handed out (at most 64 elements, at least one take): a
+// one-statement parse allocates what it keeps, a log one chunk per 64
+// nodes of a kind. A chunk lives while any node from it does; slices
+// taken are capped, so an append to one cannot reach the next.
+type slab[T any] struct {
+	free  []T
+	taken int
+}
+
+func (s *slab[T]) take(n int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(min(s.taken/4, 64), n))
+	}
+	s.taken += n
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // maxNesting bounds how deeply parentheses and unary minuses may nest.
@@ -44,8 +72,8 @@ func Parse(schema *relation.Schema, sql string) (query.Query, error) {
 	p := newParser(schema, sql)
 	q, err := p.statement()
 	if err == nil {
-		p.accept(tokSymbol, ";")
-		if !p.at(tokEOF, "") {
+		p.accept(';')
+		if p.tok.kind != tokEOF {
 			err = p.errf("trailing input after statement")
 		}
 	}
@@ -62,8 +90,8 @@ func Parse(schema *relation.Schema, sql string) (query.Query, error) {
 func ParseLog(schema *relation.Schema, sql string) ([]query.Query, error) {
 	p := newParser(schema, sql)
 	log := make([]query.Query, 0, strings.Count(sql, ";")+1)
-	for !p.at(tokEOF, "") {
-		if p.accept(tokSymbol, ";") {
+	for p.tok.kind != tokEOF {
+		if p.accept(';') {
 			continue
 		}
 		q, err := p.statement()
@@ -83,7 +111,7 @@ func ParseLog(schema *relation.Schema, sql string) ([]query.Query, error) {
 // anything the grammar objects to, so what is left of a rejected input
 // is scanned for one.
 func (p *parser) scanned(err error) error {
-	for err != nil && !p.at(tokEOF, "") {
+	for err != nil && p.tok.kind != tokEOF {
 		p.advance()
 	}
 	if p.lexErr != nil {
@@ -107,54 +135,53 @@ func newParser(schema *relation.Schema, sql string) *parser {
 	return p
 }
 
-// advance makes the next token of the source the current one.
-func (p *parser) advance() {
-	if p.lexErr == nil {
-		p.tok, p.off, p.lexErr = lex(p.src, p.off)
-	}
-	if p.lexErr != nil {
-		p.tok = token{kind: tokEOF, pos: p.off}
-	}
-}
-
-func (p *parser) cur() token  { return p.tok }
-func (p *parser) next() token { t := p.tok; p.advance(); return t }
-
-func (p *parser) at(kind tokKind, text string) bool {
-	t := p.cur()
-	return t.kind == kind && (text == "" || t.text == text)
-}
-
-func (p *parser) accept(kind tokKind, text string) bool {
-	if p.at(kind, text) {
+// accept moves past the current token if it is the symbol or keyword
+// of code c, and reports whether it was.
+func (p *parser) accept(c byte) bool {
+	if p.tok.code == c {
 		p.advance()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(kind tokKind, text string) (token, error) {
-	if p.at(kind, text) {
-		return p.next(), nil
+// expect moves past the symbol or keyword of code c, or fails.
+func (p *parser) expect(c byte) error {
+	if p.accept(c) {
+		return nil
 	}
-	return token{}, p.errf("expected %q, found %q", text, p.cur().text)
+	want := string(rune(c))
+	if c >= kwBase {
+		want = kwText[c-kwBase]
+	}
+	return p.errf("expected %q, found %q", want, p.text())
+}
+
+// ident moves past an identifier and returns it, or fails.
+func (p *parser) ident() (string, error) {
+	if p.tok.kind != tokIdent {
+		return "", p.errf("expected %q, found %q", "", p.text())
+	}
+	name := p.text()
+	p.advance()
+	return name, nil
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("sqlparse: %s (at offset %d)", fmt.Sprintf(format, args...), p.cur().pos)
+	return fmt.Errorf("sqlparse: %s (at offset %d)", fmt.Sprintf(format, args...), p.tok.pos)
 }
 
 // statement := update | insert | delete
 func (p *parser) statement() (query.Query, error) {
 	switch {
-	case p.accept(tokKeyword, "UPDATE"):
+	case p.accept(kwUPDATE):
 		return p.update()
-	case p.accept(tokKeyword, "INSERT"):
+	case p.accept(kwINSERT):
 		return p.insert()
-	case p.accept(tokKeyword, "DELETE"):
+	case p.accept(kwDELETE):
 		return p.delete()
 	default:
-		return nil, p.errf("expected UPDATE, INSERT or DELETE, found %q", p.cur().text)
+		return nil, p.errf("expected UPDATE, INSERT or DELETE, found %q", p.text())
 	}
 }
 
@@ -180,8 +207,9 @@ func (p *parser) resolveAttr(name string) (int, bool) {
 // would read back as a number.
 func CheckSchema(s *relation.Schema) error {
 	for _, name := range append([]string{s.Name()}, s.Attrs()...) {
-		t, end, err := lex(name, 0)
-		if err != nil || t.kind != tokIdent || t.pos != 0 || end != len(name) {
+		p := parser{src: name}
+		p.advance()
+		if p.lexErr != nil || p.tok.kind != tokIdent || p.tok.pos != 0 || p.off != len(name) {
 			return fmt.Errorf("sqlparse: name %q is not a plain SQL identifier", name)
 		}
 	}
@@ -189,12 +217,12 @@ func CheckSchema(s *relation.Schema) error {
 }
 
 func (p *parser) tableName() error {
-	t, err := p.expect(tokIdent, "")
+	name, err := p.ident()
 	if err != nil {
 		return err
 	}
-	if !strings.EqualFold(t.text, p.schema.Name()) {
-		return fmt.Errorf("sqlparse: unknown table %q (schema is %q)", t.text, p.schema.Name())
+	if name != p.schema.Name() && !strings.EqualFold(name, p.schema.Name()) {
+		return fmt.Errorf("sqlparse: unknown table %q (schema is %q)", name, p.schema.Name())
 	}
 	return nil
 }
@@ -203,20 +231,23 @@ func (p *parser) update() (query.Query, error) {
 	if err := p.tableName(); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokKeyword, "SET"); err != nil {
+	if err := p.expect(kwSET); err != nil {
 		return nil, err
 	}
-	var set []query.SetClause
+	// The clauses gather on the stack and go to the Update in one slice
+	// of their number.
+	var buf [4]query.SetClause
+	set := buf[:0]
 	for {
-		attrTok, err := p.expect(tokIdent, "")
+		name, err := p.ident()
 		if err != nil {
 			return nil, err
 		}
-		attr, ok := p.resolveAttr(attrTok.text)
+		attr, ok := p.resolveAttr(name)
 		if !ok {
-			return nil, fmt.Errorf("sqlparse: unknown attribute %q", attrTok.text)
+			return nil, fmt.Errorf("sqlparse: unknown attribute %q", name)
 		}
-		if _, err := p.expect(tokSymbol, "="); err != nil {
+		if err := p.expect('='); err != nil {
 			return nil, err
 		}
 		expr, err := p.linExpr()
@@ -224,7 +255,7 @@ func (p *parser) update() (query.Query, error) {
 			return nil, err
 		}
 		set = append(set, query.SetClause{Attr: attr, Expr: expr})
-		if !p.accept(tokSymbol, ",") {
+		if !p.accept(',') {
 			break
 		}
 	}
@@ -232,25 +263,27 @@ func (p *parser) update() (query.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return query.NewUpdate(set, cond), nil
+	u := &p.updates.take(1)[0]
+	u.Set, u.Where = append(p.sets.take(len(set))[:0], set...), cond
+	return u, nil
 }
 
 func (p *parser) insert() (query.Query, error) {
-	if _, err := p.expect(tokKeyword, "INTO"); err != nil {
+	if err := p.expect(kwINTO); err != nil {
 		return nil, err
 	}
 	if err := p.tableName(); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokKeyword, "VALUES"); err != nil {
+	if err := p.expect(kwVALUES); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(tokSymbol, "("); err != nil {
+	if err := p.expect('('); err != nil {
 		return nil, err
 	}
 	// The values go straight into the Insert, in a slice of the schema's
 	// width: a well-formed statement fills it without regrowing it.
-	vals := make([]float64, 0, p.schema.Width())
+	vals := p.vals.take(p.schema.Width())[:0]
 	for {
 		e, err := p.linExpr()
 		if err != nil {
@@ -260,11 +293,11 @@ func (p *parser) insert() (query.Query, error) {
 			return nil, p.errf("INSERT values must be constants")
 		}
 		vals = append(vals, e.Const)
-		if !p.accept(tokSymbol, ",") {
+		if !p.accept(',') {
 			break
 		}
 	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
+	if err := p.expect(')'); err != nil {
 		return nil, err
 	}
 	if len(vals) != p.schema.Width() {
@@ -275,7 +308,7 @@ func (p *parser) insert() (query.Query, error) {
 }
 
 func (p *parser) delete() (query.Query, error) {
-	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
+	if err := p.expect(kwFROM); err != nil {
 		return nil, err
 	}
 	if err := p.tableName(); err != nil {
@@ -289,50 +322,39 @@ func (p *parser) delete() (query.Query, error) {
 }
 
 func (p *parser) optionalWhere() (query.Cond, error) {
-	if !p.accept(tokKeyword, "WHERE") {
+	if !p.accept(kwWHERE) {
 		return query.True{}, nil
 	}
 	return p.orCond()
 }
 
 // orCond := andCond (OR andCond)*
-func (p *parser) orCond() (query.Cond, error) {
-	first, err := p.andCond()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(tokKeyword, "OR") {
-		return first, nil
-	}
-	kids := []query.Cond{first}
-	for p.accept(tokKeyword, "OR") {
-		k, err := p.andCond()
-		if err != nil {
-			return nil, err
-		}
-		kids = append(kids, k)
-	}
-	return query.NewOr(kids...), nil
-}
+func (p *parser) orCond() (query.Cond, error) { return p.list(kwOR, p.andCond) }
 
 // andCond := condUnit (AND condUnit)*
-func (p *parser) andCond() (query.Cond, error) {
-	first, err := p.condUnit()
-	if err != nil {
-		return nil, err
-	}
-	if !p.at(tokKeyword, "AND") {
-		return first, nil
-	}
-	kids := []query.Cond{first}
-	for p.accept(tokKeyword, "AND") {
-		k, err := p.condUnit()
+func (p *parser) andCond() (query.Cond, error) { return p.list(kwAND, p.condUnit) }
+
+// list parses item (sep item)*, sep OR or AND, into the one item or the
+// disjunction or conjunction of them all.
+func (p *parser) list(sep byte, item func() (query.Cond, error)) (query.Cond, error) {
+	var buf [4]query.Cond
+	kids := buf[:0]
+	for {
+		k, err := item()
 		if err != nil {
 			return nil, err
 		}
-		kids = append(kids, k)
+		if kids = append(kids, k); !p.accept(sep) {
+			break
+		}
 	}
-	return query.NewAnd(kids...), nil
+	switch {
+	case len(kids) == 1:
+		return kids[0], nil
+	case sep == kwOR:
+		return query.NewOr(slices.Clone(kids)...), nil
+	}
+	return query.NewAnd(slices.Clone(kids)...), nil
 }
 
 // condUnit := TRUE | FALSE | '(' orCond ')' | predicate
@@ -340,21 +362,21 @@ func (p *parser) andCond() (query.Cond, error) {
 // arithmetic by lookahead: after the ')' a comparison operator or
 // BETWEEN/IN means the parens were part of an expression.
 func (p *parser) condUnit() (query.Cond, error) {
-	if p.accept(tokKeyword, "TRUE") {
+	if p.accept(kwTRUE) {
 		return query.True{}, nil
 	}
-	if p.accept(tokKeyword, "FALSE") {
+	if p.accept(kwFALSE) {
 		return query.NewOr(), nil
 	}
-	if p.at(tokSymbol, "(") {
+	if p.tok.code == '(' {
 		if err := p.nest(); err != nil {
 			return nil, err
 		}
 		tok, off := p.tok, p.off
-		p.next()
+		p.advance()
 		cond, err := p.orCond()
 		if err == nil {
-			_, err = p.expect(tokSymbol, ")")
+			err = p.expect(')')
 		}
 		p.depth--
 		if err == nil {
@@ -371,79 +393,60 @@ func (p *parser) predicate() (query.Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.accept(tokKeyword, "BETWEEN") {
-		lo, err := p.linExpr()
+	if in := p.accept(kwIN); in || p.accept(kwBETWEEN) {
+		// "lhs BETWEEN lo AND hi", or the paper's "lhs in [lo, hi]": an
+		// inclusive range.
+		var lo, hi query.LinExpr
+		sep := byte(kwAND)
+		if in {
+			sep, err = ',', p.expect('[')
+		}
+		if err == nil {
+			lo, err = p.linExpr()
+		}
+		if err == nil {
+			err = p.expect(sep)
+		}
+		if err == nil {
+			hi, err = p.linExpr()
+		}
+		if err == nil && in {
+			err = p.expect(']')
+		}
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(tokKeyword, "AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.linExpr()
+		loP, err := p.normalizePred(lhs.Clone(), query.GE, lo)
 		if err != nil {
 			return nil, err
 		}
-		loP, err := normalizePred(lhs.Clone(), query.GE, lo)
-		if err != nil {
-			return nil, err
-		}
-		hiP, err := normalizePred(lhs, query.LE, hi)
-		if err != nil {
-			return nil, err
-		}
-		return query.NewAnd(loP, hiP), nil
-	}
-	if p.accept(tokKeyword, "IN") {
-		// Paper notation: "a_j in [lo, hi]" — an inclusive range.
-		if _, err := p.expect(tokSymbol, "["); err != nil {
-			return nil, err
-		}
-		lo, err := p.linExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSymbol, ","); err != nil {
-			return nil, err
-		}
-		hi, err := p.linExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSymbol, "]"); err != nil {
-			return nil, err
-		}
-		loP, err := normalizePred(lhs.Clone(), query.GE, lo)
-		if err != nil {
-			return nil, err
-		}
-		hiP, err := normalizePred(lhs, query.LE, hi)
+		hiP, err := p.normalizePred(lhs, query.LE, hi)
 		if err != nil {
 			return nil, err
 		}
 		return query.NewAnd(loP, hiP), nil
 	}
-	opTok := p.cur()
 	var op query.CmpOp
-	switch opTok.text {
-	case "=":
+	switch p.tok.code {
+	case '=':
 		op = query.EQ
-	case "<=":
+	case symLE:
 		op = query.LE
-	case ">=":
+	case symGE:
 		op = query.GE
-	case "<":
+	case '<':
 		op = query.LT
-	case ">":
+	case '>':
 		op = query.GT
 	default:
-		return nil, p.errf("expected comparison operator, found %q", opTok.text)
+		return nil, p.errf("expected comparison operator, found %q", p.text())
 	}
-	p.next()
+	p.advance()
 	rhs, err := p.linExpr()
 	if err != nil {
 		return nil, err
 	}
-	return normalizePred(lhs, op, rhs)
+	return p.normalizePred(lhs, op, rhs)
 }
 
 // normalizePred rewrites "lhs op rhs" into the canonical Pred form with
@@ -451,7 +454,7 @@ func (p *parser) predicate() (query.Cond, error) {
 // (lhs-rhs without constant) op (rhsConst - lhsConst). The predicate
 // keeps lhs's terms when rhs is a constant, so lhs must be the caller's
 // own; every expression the parser builds is already normalized.
-func normalizePred(lhs query.LinExpr, op query.CmpOp, rhs query.LinExpr) (query.Cond, error) {
+func (p *parser) normalizePred(lhs query.LinExpr, op query.CmpOp, rhs query.LinExpr) (query.Cond, error) {
 	diff := lhs
 	if rhs.IsConst() {
 		diff.Const -= rhs.Const
@@ -461,9 +464,10 @@ func normalizePred(lhs query.LinExpr, op query.CmpOp, rhs query.LinExpr) (query.
 	if diff.IsConst() {
 		return nil, fmt.Errorf("sqlparse: predicate references no attributes")
 	}
-	rhsConst := -diff.Const
-	diff.Const = 0
-	return query.NewPred(diff, op, rhsConst), nil
+	pr := &p.preds.take(1)[0]
+	*pr = query.Pred{LHS: diff, Op: op, RHS: -diff.Const} // query.NewPred's form
+	pr.LHS.Const = 0
+	return pr, nil
 }
 
 // linExpr := mulTerm (('+'|'-') mulTerm)*
@@ -472,23 +476,19 @@ func (p *parser) linExpr() (query.LinExpr, error) {
 	if err != nil {
 		return query.LinExpr{}, err
 	}
-	for {
-		if p.accept(tokSymbol, "+") {
-			t, err := p.mulTerm()
-			if err != nil {
-				return query.LinExpr{}, err
-			}
-			e = e.Add(t)
-		} else if p.accept(tokSymbol, "-") {
-			t, err := p.mulTerm()
-			if err != nil {
-				return query.LinExpr{}, err
-			}
-			e = e.Add(t.Scale(-1))
-		} else {
-			return e, nil
+	for p.tok.code == '+' || p.tok.code == '-' {
+		minus := p.tok.code == '-'
+		p.advance()
+		t, err := p.mulTerm()
+		if err != nil {
+			return query.LinExpr{}, err
 		}
+		if minus {
+			t = t.Scale(-1)
+		}
+		e = e.Add(t)
 	}
+	return e, nil
 }
 
 // mulTerm := factor (('*'|'/') factor)* with the linearity restriction
@@ -499,7 +499,7 @@ func (p *parser) mulTerm() (query.LinExpr, error) {
 		return query.LinExpr{}, err
 	}
 	for {
-		if p.accept(tokSymbol, "*") {
+		if p.accept('*') {
 			f, err := p.factor()
 			if err != nil {
 				return query.LinExpr{}, err
@@ -512,7 +512,7 @@ func (p *parser) mulTerm() (query.LinExpr, error) {
 			default:
 				return query.LinExpr{}, p.errf("non-linear product of attributes")
 			}
-		} else if p.accept(tokSymbol, "/") {
+		} else if p.accept('/') {
 			f, err := p.factor()
 			if err != nil {
 				return query.LinExpr{}, err
@@ -529,25 +529,29 @@ func (p *parser) mulTerm() (query.LinExpr, error) {
 
 // factor := NUMBER | IDENT | '(' linExpr ')' | '-' factor
 func (p *parser) factor() (query.LinExpr, error) {
-	t := p.cur()
-	switch {
+	switch t := &p.tok; {
 	case t.kind == tokNumber:
-		p.next()
-		return query.ConstExpr(t.num), nil
+		v := t.num
+		p.advance()
+		return query.ConstExpr(v), nil
 	case t.kind == tokIdent:
-		p.next()
-		attr, ok := p.resolveAttr(t.text)
+		name := p.text()
+		p.advance()
+		attr, ok := p.resolveAttr(name)
 		if !ok {
-			return query.LinExpr{}, fmt.Errorf("sqlparse: unknown attribute %q", t.text)
+			return query.LinExpr{}, fmt.Errorf("sqlparse: unknown attribute %q", name)
 		}
-		return query.AttrExpr(attr), nil
-	case t.kind == tokSymbol && (t.text == "(" || t.text == "-"):
+		ts := p.terms.take(1) // query.AttrExpr, its term from the slab
+		ts[0] = query.Term{Attr: attr, Coef: 1}
+		return query.LinExpr{Terms: ts}, nil
+	case t.code == '(' || t.code == '-':
 		if err := p.nest(); err != nil {
 			return query.LinExpr{}, err
 		}
 		defer func() { p.depth-- }()
-		p.next()
-		if t.text == "-" {
+		minus := t.code == '-'
+		p.advance()
+		if minus {
 			e, err := p.factor()
 			if err != nil {
 				return query.LinExpr{}, err
@@ -558,11 +562,11 @@ func (p *parser) factor() (query.LinExpr, error) {
 		if err != nil {
 			return query.LinExpr{}, err
 		}
-		if _, err := p.expect(tokSymbol, ")"); err != nil {
+		if err := p.expect(')'); err != nil {
 			return query.LinExpr{}, err
 		}
 		return e, nil
 	default:
-		return query.LinExpr{}, p.errf("expected expression, found %q", t.text)
+		return query.LinExpr{}, p.errf("expected expression, found %q", p.text())
 	}
 }
