@@ -19,6 +19,10 @@
 //     tuple carries an explicit liveness literal that gates every later
 //     condition (see encodeDelete).
 //
+// An encode walks only the tracked tuples (§5.1) from its batch's first
+// parameterized statement (§5.4), starting from their states in a
+// query.History; each steps its own dirty values, and no table is copied.
+//
 // An encoding allocates per model, not per expression. A constraint row
 // is built in one scratch slice; the terms of values that outlive a row
 // come from a term arena, and tracked tuples' state from slabs. Encode

@@ -12,7 +12,8 @@ import (
 // BenchmarkEncodeOLTP times the encode stage as a diagnosis runs it on an
 // OLTP history: one incremental batch (the corrupted Delivery UPDATE
 // parameterized) over a 1200-statement TPC-C ORDER log, tuple-sliced to
-// the two complaint tuples, with the domain bound handed in.
+// the two complaint tuples, with the domain bound and the planning
+// replay's history handed in.
 func BenchmarkEncodeOLTP(b *testing.B) {
 	w := oltp.TPCC(oltp.TPCCConfig{Orders: 2500, Queries: 1200, Seed: 7})
 	corrupt := len(w.Log) - 1
@@ -31,6 +32,7 @@ func BenchmarkEncodeOLTP(b *testing.B) {
 	opt := encode.Options{
 		ParamQueries: map[int]bool{corrupt: true},
 		DomainBound:  encode.DomainBound(in.W.D0, in.Dirty, in.DirtyFinal),
+		History:      record(b, in),
 	}
 	complaints := make([]encode.Complaint, len(in.Complaints))
 	for i, c := range in.Complaints {
@@ -45,9 +47,21 @@ func BenchmarkEncodeOLTP(b *testing.B) {
 	}
 }
 
+// record replays an instance's dirty log into a history, as a
+// diagnosis's planning pass does.
+func record(tb testing.TB, in *workload.Instance) *query.History {
+	tb.Helper()
+	h := new(query.History)
+	if _, err := h.Replay(in.Dirty, in.W.D0); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
 // pinnedEncoding is one Encode call as a diagnosis makes it on a
 // synthetic range-UPDATE instance: the Inc_1 batch at the corrupted
-// query, tuple-sliced to the complaint tuples, domain bound handed in.
+// query, tuple-sliced to the complaint tuples, domain bound and history
+// handed in.
 type pinnedEncoding struct {
 	in         *workload.Instance
 	complaints []encode.Complaint
@@ -77,6 +91,7 @@ func pinnedEncodings(tb testing.TB) []pinnedEncoding {
 		p := pinnedEncoding{in: in, opt: encode.Options{
 			ParamQueries: map[int]bool{g.nq - g.age: true},
 			DomainBound:  encode.DomainBound(in.W.D0, in.Dirty, in.DirtyFinal),
+			History:      record(tb, in),
 		}}
 		for _, c := range in.Complaints {
 			p.opt.TupleIDs = append(p.opt.TupleIDs, c.TupleID)
@@ -111,14 +126,12 @@ func BenchmarkEncodeSynthetic(b *testing.B) {
 
 // An encoder's storage is the next one's: encoding the same instance
 // again allocates no expression's terms and no tuple's state, only what
-// is the encoding's own: the sliced dirty table (with the list of rows
-// it is built from) and its replay (one scratch per UPDATE), the
-// Problem, the Result and its Params, and the parameterized query's
-// bookkeeping.
+// is the encoding's own: the history's seeding scratch, the Problem,
+// the Result and its Params, and the parameterized query's bookkeeping.
 func TestEncoderStorageIsReused(t *testing.T) {
 	p := pinnedEncodings(t)[0]
 	encodePinned(t, p)
-	const bound = 51
+	const bound = 12
 	if a := testing.AllocsPerRun(10, func() { encodePinned(t, p) }); a > bound {
 		t.Errorf("encoding a pinned instance again allocated %v times, want at most %d", a, bound)
 	}

@@ -33,8 +33,8 @@ type encoder struct {
 	width int
 	M     float64
 
-	dirty    *relation.Table
-	start    int // the first statement walked
+	start    int   // the first statement walked
+	nextID   int64 // the ID the next INSERT assigns
 	trackAll bool
 	attrSeed []bool // nil = track all attributes
 
@@ -61,12 +61,11 @@ type storage struct {
 	affs     slab[aff]
 	bools    slab[bool]
 	floats   slab[float64]
-	terms    slab[milp.Term]  // of every aff built; rows live in rowTerms
-	rowTerms []milp.Term      // the row being built
-	rowC     float64          // its constant
-	vals     []aff            // encodeUpdate's new and assigned values
-	ids      []int64          // the wanted IDs, ascending
-	keep     []relation.Tuple // the dirty replay's rows at the start
+	terms    slab[milp.Term] // of every aff built; rows live in rowTerms
+	rowTerms []milp.Term     // the row being built
+	rowC     float64         // its constant
+	vals     []aff           // encodeUpdate's new and assigned values
+	ids      []int64         // the tuples to seed, ascending
 }
 
 // encoders is the free list Encode takes its encoders from.
@@ -83,7 +82,7 @@ func (e *encoder) release() {
 	clear(st.sigma)
 	clear(st.sigmaTrue)
 	clear(st.windows)
-	st.order, st.ids, st.keep = st.order[:0], st.ids[:0], st.keep[:0]
+	st.order, st.ids = st.order[:0], st.ids[:0]
 	st.tuples.reset()
 	st.affs.reset()
 	st.bools.reset()
@@ -181,9 +180,17 @@ func Encode(d0 *relation.Table, log []query.Query, complaints []Complaint, opt O
 	return &Result{Model: e.m, Params: e.params, Stats: e.stats}, nil
 }
 
-// newEncoder sets up the encoder over the state before the first query:
-// the slicing scopes, the domain bound, and the tracked tuples of D0.
+// newEncoder sets up the encoder at the first statement it walks: the
+// slicing scopes, the domain bound, and the tracked tuples as the
+// history has them there.
 func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, opt Options) (*encoder, error) {
+	h := opt.History
+	if h == nil {
+		h = new(query.History)
+		if _, err := h.Replay(log, d0); err != nil {
+			return nil, fmt.Errorf("encode: replaying the log: %w", err)
+		}
+	}
 	e := encoders.Get()
 	if e == nil {
 		e = &encoder{storage: storage{
@@ -200,11 +207,11 @@ func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, o
 	e.sch, e.width = d0.Schema(), d0.Schema().Width()
 	e.M = opt.DomainBound
 	if e.M <= 0 {
-		// Callers that hold the log's final state pass DomainBound(d0,
-		// log, final) instead and spare this replay. A log that does not
-		// replay fails the dirty replay below with the same error.
-		final, _ := query.Replay(log, d0)
-		e.M = DomainBound(d0, log, final)
+		rows, err := h.Diverged(log)
+		if err != nil {
+			return nil, fmt.Errorf("encode: %w", err)
+		}
+		e.M = DomainBound(d0, log, h.Final(), rows...)
 	}
 	e.trackAll = opt.TupleIDs == nil
 	for _, id := range opt.TupleIDs {
@@ -237,95 +244,86 @@ func newEncoder(d0 *relation.Table, log []query.Query, complaints []Complaint, o
 		}
 	}
 
-	// Seed the tracked tuples at the first statement walked (see
-	// Options.History). A statement's effect on a tuple depends on that
-	// tuple alone, so under tuple slicing the dirty replay carries only
-	// the wanted rows, each step costing O(|tracked|), not O(|D0|), with
-	// the full table's ID counter. A tuple deleted before is tracked dead.
-	seed := func(id int64, vals []float64, live bool) {
-		t := e.newTstate(id, vals)
-		if !live {
-			t.dirtyAlive, t.alive = false, knownB(false)
-			return
+	// The walk starts at the first parameterized statement, or the first
+	// one the logs do not share if that comes before: the statements
+	// before it are constant, so they emit nothing and leave each tuple
+	// in the state the history records. The recorded log (the same
+	// slice) shares the prefix; another is compared.
+	e.start = len(log)
+	for i, on := range opt.ParamQueries {
+		if on && i >= 0 && i < e.start {
+			e.start = i
 		}
-		e.keep = append(e.keep, relation.Tuple{ID: id, Values: t.dirtyVals})
 	}
-	next := d0.NextID()
-	if h := opt.History; h == nil || e.trackAll {
-		d0.Rows(func(t relation.Tuple) {
-			if e.trackAll || e.wantIDs[t.ID] {
-				seed(t.ID, t.Values, true)
-			}
-		})
-	} else {
-		e.start = len(log)
-		for i, on := range opt.ParamQueries {
-			if on && i >= 0 && i < e.start {
+	if rec := h.Log(); e.start > 0 && (len(rec) < e.start || &rec[0] != &log[0]) {
+		for i := 0; i < e.start; i++ {
+			if i == len(rec) || log[i] != rec[i] {
 				e.start = i
 			}
 		}
-		// The recorded log (the same slice) shares the prefix; another is compared.
-		if rec := h.Log(); e.start > 0 && (len(rec) < e.start || &rec[0] != &log[0]) {
-			for i := 0; i < e.start; i++ {
-				if i == len(rec) || log[i] != rec[i] {
-					e.start = i
-				}
+	}
+	// Seed the tracked tuples there, a tuple deleted before it as dead.
+	if e.trackAll {
+		d0.Rows(func(t relation.Tuple) { e.ids = append(e.ids, t.ID) })
+		id := d0.NextID()
+		for _, q := range log[:e.start] {
+			if _, ok := q.(*query.Insert); ok {
+				e.ids = append(e.ids, id)
+				id++
 			}
 		}
+	} else {
 		for id := range e.wantIDs {
 			e.ids = append(e.ids, id)
 		}
 		slices.Sort(e.ids)
-		next = h.Before(e.start, e.ids, seed)
 	}
-	var err error
-	if e.dirty, err = relation.NewTableFromRows(e.sch, e.keep, next); err != nil {
-		return nil, fmt.Errorf("encode: slicing the initial state: %w", err)
-	}
+	e.nextID = h.Before(e.start, e.ids, func(id int64, vals []float64, live bool) {
+		if t := e.newTstate(id, vals); !live {
+			t.dirtyAlive, t.alive = false, knownB(false)
+		}
+	})
 	return e, nil
 }
 
-// step encodes log entry i over the tracked tuples and advances the dirty
-// replay past it.
+// step encodes log entry i over the tracked tuples and carries their
+// dirty values past it.
 func (e *encoder) step(i int) error {
 	q := e.log[i]
-	pc, err := e.paramize(i, q)
-	if err != nil {
-		return err
-	}
 	switch v := q.(type) {
 	case *query.Update:
-		e.encodeUpdate(i, v, pc)
-		if err := v.Apply(e.dirty); err != nil {
-			return fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
+		if err := v.CheckSet(e.width); err != nil {
+			return fmt.Errorf("encode: query %d: %w", i, err)
 		}
+		e.encodeUpdate(i, v, e.paramize(i, q))
 	case *query.Delete:
-		e.encodeDelete(i, v, pc)
-		if err := v.Apply(e.dirty); err != nil {
-			return fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
-		}
+		e.encodeDelete(i, v, e.paramize(i, q))
 	case *query.Insert:
-		newID := e.dirty.NextID()
-		if !e.trackAll && !e.wantIDs[newID] {
-			e.dirty.SkipID() // an untracked row: only its ID is the walk's
-			break
+		if len(v.Values) != e.width {
+			return fmt.Errorf("encode: query %d: INSERT of %d values into %d attributes", i, len(v.Values), e.width)
 		}
-		if err := v.Apply(e.dirty); err != nil {
-			return fmt.Errorf("encode: dirty replay of query %d: %w", i, err)
+		pc := e.paramize(i, q)
+		if e.trackAll || e.wantIDs[e.nextID] {
+			e.encodeInsert(v, pc, e.nextID)
 		}
-		e.encodeInsert(i, v, pc, newID)
+		e.nextID++ // an untracked row takes its ID all the same
+		return nil // and no tuple's dirty values change
 	default:
 		return fmt.Errorf("encode: unsupported query kind %T at index %d", q, i)
 	}
 	e.flushWindows()
-	e.refreshDirty()
+	for _, t := range e.order {
+		if t.dirtyAlive {
+			t.dirtyAlive = q.ApplyRow(t.dirtyVals)
+		}
+	}
 	return nil
 }
 
 // DomainBound derives the big-M domain bound Encode uses when
 // Options.DomainBound is zero: twice the largest absolute value seen in
-// the initial state, the log's final state (final = Replay(log, d0); nil
-// when the log does not replay) or any query constant, plus slack.
+// the initial state, the log's final state (final = Replay(log, d0)) or
+// any query constant, plus slack.
 // replaced lists rows by ascending ID that take the place of final's
 // rows of the same ID or join them (nil Values: the row is gone), for a
 // final state held as another one with the rows that differ.
@@ -339,17 +337,15 @@ func DomainBound(d0 *relation.Table, log []query.Query, final *relation.Table, r
 		params = q.AppendParams(params[:0])
 		maxAbs = maxAbsOf(maxAbs, params)
 	}
-	if final != nil {
-		i := 0
-		final.Rows(func(t relation.Tuple) {
-			for i < len(replaced) && replaced[i].ID < t.ID {
-				i++
-			}
-			if i == len(replaced) || replaced[i].ID != t.ID {
-				maxAbs = maxAbsOf(maxAbs, t.Values)
-			}
-		})
-	}
+	i := 0
+	final.Rows(func(t relation.Tuple) {
+		for i < len(replaced) && replaced[i].ID < t.ID {
+			i++
+		}
+		if i == len(replaced) || replaced[i].ID != t.ID {
+			maxAbs = maxAbsOf(maxAbs, t.Values)
+		}
+	})
 	for _, t := range replaced {
 		maxAbs = maxAbsOf(maxAbs, t.Values)
 	}
@@ -411,19 +407,11 @@ func (e *encoder) promote(t *tstate, a int) {
 	t.vals[a] = constAff(t.dirtyVals[a])
 }
 
-// refreshDirty re-reads every tracked tuple's dirty values after a log
-// step; deleted tuples keep their last values and flip dirtyAlive.
-func (e *encoder) refreshDirty() {
-	for _, t := range e.order {
-		t.dirtyAlive = e.dirty.ReadValues(t.id, t.dirtyVals)
-	}
-}
-
 // paramize creates parameter variables (and distance objective terms)
 // for query i when it is marked for repair.
-func (e *encoder) paramize(i int, q query.Query) (pctx, error) {
+func (e *encoder) paramize(i int, q query.Query) pctx {
 	if !e.opt.ParamQueries[i] {
-		return pctx{}, nil
+		return pctx{}
 	}
 	pc := pctx{on: true, predVars: make(map[*query.Pred]milp.Var)}
 	idx := 0
@@ -453,7 +441,7 @@ func (e *encoder) paramize(i int, q query.Query) (pctx, error) {
 			pc.predVars[p] = newParam(p.RHS)
 		})
 	}
-	return pc, nil
+	return pc
 }
 
 // combineSet builds µ's value for one SET clause over the tuple's current
@@ -549,10 +537,10 @@ func (e *encoder) encodeDelete(qi int, q *query.Delete, pc pctx) {
 	}
 }
 
-// encodeInsert registers the tuple born at query qi (Eq. 5). A
+// encodeInsert registers the tuple an INSERT gives newID (Eq. 5). A
 // parameterized insert's values are parameter variables; the tuple always
 // exists (inserts are repaired by changing values, as in the paper).
-func (e *encoder) encodeInsert(qi int, q *query.Insert, pc pctx, newID int64) {
+func (e *encoder) encodeInsert(q *query.Insert, pc pctx, newID int64) {
 	t := e.newTstate(newID, q.Values)
 	if !pc.on {
 		return

@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -398,6 +399,50 @@ func TestComplaintOnUnknownTuple(t *testing.T) {
 		Options{ParamQueries: map[int]bool{0: true}})
 	if err == nil {
 		t.Fatal("expected unknown-tuple error")
+	}
+}
+
+// A log that does not replay, an UPDATE setting an attribute outside
+// the schema or an INSERT of the wrong arity, is an error: where Encode
+// records the history itself, and where it is handed the history of a
+// log that does replay and differs only there, with the domain bound
+// sized from that history or handed in, tuple sliced or not.
+func TestEncodeRejectsLogThatDoesNotReplay(t *testing.T) {
+	d0 := relation.NewTable(relation.MustSchema("T", []string{"a", "b"}, ""))
+	d0.MustInsert(1, 2)
+	d0.MustInsert(3, 4)
+	where := query.AttrPred(0, query.GE, 0)
+	set := func(attr int) query.Query {
+		return query.NewUpdate([]query.SetClause{{Attr: attr, Expr: query.ConstExpr(5)}}, where)
+	}
+	good := []query.Query{set(1), query.NewInsert(6, 7)}
+	complaints := []Complaint{{TupleID: 1, Exists: true, Values: []float64{1, 6}}}
+	for name, bad := range map[string][]query.Query{
+		"SET attribute 7": {set(7), good[1]},
+		"INSERT of 1":     {good[0], query.NewInsert(6)},
+	} {
+		h := new(query.History)
+		if _, err := h.Replay(good, d0); err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range []Options{
+			{}, {TupleIDs: []int64{1, 3}},
+			{History: h}, {History: h, TupleIDs: []int64{1, 3}},
+			{History: h, DomainBound: 100}, {History: h, DomainBound: 100, TupleIDs: []int64{1, 3}},
+		} {
+			opt.ParamQueries = map[int]bool{0: true, 1: true}
+			at := fmt.Sprintf("%s, history %v, bound %v, tuples %v", name, opt.History != nil, opt.DomainBound, opt.TupleIDs)
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s: Encode panicked: %v", at, r)
+					}
+				}()
+				if _, err := Encode(d0, bad, complaints, opt); err == nil {
+					t.Errorf("%s: no error", at)
+				}
+			}()
+		}
 	}
 }
 

@@ -50,16 +50,16 @@ type Options struct {
 	SoftTupleIDs []int64
 
 	// DomainBound M: bound on |values| and parameter deviation. Zero
-	// auto-sizes from the data and log (2×max|value| + 10).
+	// sizes it as the DomainBound function does (2×max|value| + 10), over
+	// D0, the log's constants and its final state, which History gives.
 	DomainBound float64
 
-	// History is a replay of D0 and the log, or of a log it repairs.
-	// Under tuple slicing the walk then starts at the first parameterized
-	// statement or the first one the logs do not share, from the states
-	// the history records there: the constant statements before it emit
-	// nothing. The model is the walk from D0's, bit for bit where folding
-	// computes values exactly (integer data); elsewhere the start holds
-	// the replay's bits, which frozen attributes carry either way.
+	// History is a replay of D0 and the log, or of a log it repairs; nil
+	// records one, and a log that does not replay fails there. The walk
+	// starts at the first parameterized statement, or the first one the
+	// logs do not share if that comes before, from the tuple states the
+	// history records there: the constant statements before it would
+	// emit nothing.
 	History *query.History
 }
 

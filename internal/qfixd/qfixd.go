@@ -22,6 +22,11 @@
 //     repeats the question exactly costs a lookup and one write of the
 //     bytes already encoded, with no engine run and no slot.
 //
+// A diagnose has no total budget, only time_limit_ms (default 60 s) per
+// MILP solve: it may hold its slot for that limit times the batches it
+// tries (and refinement rounds); basic without tuple slicing solves one
+// large MILP that can run to the full limit.
+//
 // A diagnosis runs and adjudicates its scans exactly as the qfix CLI
 // does (internal/sched), so a qfixd repair is byte-identical to the
 // CLI's; the e2e tests pin that. Server speaks internal/dist's

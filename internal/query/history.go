@@ -106,7 +106,7 @@ func (h *History) Diverged(log []Query) ([]relation.Tuple, error) {
 			continue
 		}
 		if u, ok := q.(*Update); ok {
-			if err := u.checkSet(width); err != nil {
+			if err := u.CheckSet(width); err != nil {
 				return nil, fmt.Errorf("query %d (%s): %w", k, q.Kind(), err)
 			}
 		}
@@ -160,6 +160,9 @@ func sameBits(a, b []float64) bool {
 // Log returns the recorded log.
 func (h *History) Log() []Query { return h.log }
 
+// Final returns the recorded log's final state. It must not be changed.
+func (h *History) Final() *relation.Table { return h.final }
+
 // Before calls f for each row of ids (ascending) that statement k of
 // the recorded log finds live or deleted, a row of D0 or of an INSERT
 // before k, with its values just before k (a deleted row's when it was
@@ -195,7 +198,6 @@ type verifier struct {
 	vals    []float64 // the values of the diverged rows
 	isDiv   []uint64  // by slot: the row diverged
 	scratch []float64 // three rows: a dirty state and two candidate ones
-	newVals []float64 // SET values (Update.assign)
 	chain   []int32   // statements to apply again
 }
 
@@ -209,27 +211,11 @@ type divRow struct {
 
 func (v *verifier) row(d divRow) []float64 { return v.vals[d.off : d.off+v.width : d.off+v.width] }
 
-// assign applies u's SET clauses to a row u matched.
-func (v *verifier) assign(u *Update, row []float64) {
-	if len(v.newVals) < len(u.Set) {
-		v.newVals = make([]float64, len(u.Set))
-	}
-	u.assign(row, v.newVals)
-}
-
 // carry applies q to every diverged row that is still live.
 func (v *verifier) carry(q Query) {
 	for i, d := range v.div {
-		if !d.alive {
-			continue
-		}
-		switch q := q.(type) {
-		case *Update:
-			if row := v.row(d); q.Where.Eval(row) {
-				v.assign(q, row)
-			}
-		case *Delete:
-			v.div[i].alive = !q.Where.Eval(v.row(d))
+		if d.alive {
+			v.div[i].alive = q.ApplyRow(v.row(d))
 		}
 	}
 }
@@ -278,12 +264,12 @@ func (v *verifier) test(k int, q Query, slot int, id int64, orig []float64) {
 		after := v.scratch[w : 2*w]
 		copy(after, vals)
 		if mn {
-			v.assign(q, after)
+			q.assign(after)
 		}
 		if mo && mn {
 			dirty := v.scratch[2*w:]
 			copy(dirty, vals)
-			v.assign(old, dirty)
+			old.assign(dirty)
 			if sameBits(after, dirty) {
 				return
 			}
@@ -324,7 +310,7 @@ func (v *verifier) before(k, slot int, id int64, orig []float64) ([]float64, boo
 	}
 	copy(dirty, orig)
 	for i := len(v.chain) - 1; i >= 0; i-- {
-		v.assign(h.log[v.chain[i]].(*Update), dirty)
+		h.log[v.chain[i]].(*Update).assign(dirty)
 	}
 	return dirty, true
 }

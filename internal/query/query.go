@@ -35,6 +35,12 @@ func (k Kind) String() string {
 type Query interface {
 	Kind() Kind
 	Apply(tb *relation.Table) error
+	// ApplyRow applies the statement to one live row of a table in place,
+	// as Apply does to each of them, and reports whether the row is still
+	// live: an UPDATE sets it when its WHERE holds, a DELETE removes it
+	// then, an INSERT leaves it be. The row holds every attribute; an
+	// UPDATE's SET attributes are not checked (see CheckSet).
+	ApplyRow(row []float64) bool
 	Clone() Query
 	// Params returns the query's constant vector in canonical order
 	// (see package comment); SetParams writes it back.
@@ -80,22 +86,23 @@ func (u *Update) Kind() Kind { return KindUpdate }
 // applied simultaneously over their old values.
 func (u *Update) Apply(tb *relation.Table) error { return u.scan(tb, nil) }
 
+// ApplyRow implements Query.
+func (u *Update) ApplyRow(row []float64) bool {
+	if u.Where.Eval(row) {
+		u.assign(row)
+	}
+	return true
+}
+
 // scan is Apply, telling matched, when it is not nil, the ID of each row
 // the WHERE matched once the row is set.
 func (u *Update) scan(tb *relation.Table, matched func(id int64)) error {
-	if err := u.checkSet(tb.Schema().Width()); err != nil {
+	if err := u.CheckSet(tb.Schema().Width()); err != nil {
 		return err
-	}
-	// The SET values of the row at hand: on the stack for the few clauses
-	// a statement has, so that a replay allocates nothing per UPDATE.
-	var scratch [8]float64
-	newVals := scratch[:]
-	if len(u.Set) > len(scratch) {
-		newVals = make([]float64, len(u.Set))
 	}
 	tb.Update(func(t relation.Tuple) {
 		if u.Where.Eval(t.Values) {
-			u.assign(t.Values, newVals)
+			u.assign(t.Values)
 			if matched != nil {
 				matched(t.ID)
 			}
@@ -104,8 +111,9 @@ func (u *Update) scan(tb *relation.Table, matched func(id int64)) error {
 	return nil
 }
 
-// checkSet rejects a SET clause that names no attribute of the table.
-func (u *Update) checkSet(width int) error {
+// CheckSet rejects a SET clause that names no attribute of a table of
+// the given width.
+func (u *Update) CheckSet(width int) error {
 	for _, sc := range u.Set {
 		if sc.Attr < 0 || sc.Attr >= width {
 			return fmt.Errorf("query: SET attribute %d out of range [0,%d)", sc.Attr, width)
@@ -115,9 +123,15 @@ func (u *Update) checkSet(width int) error {
 }
 
 // assign applies the SET clauses to the values of a tuple the WHERE
-// matched. newVals is scratch of at least len(u.Set): every SET
-// expression is evaluated over the old values before any is assigned.
-func (u *Update) assign(values, newVals []float64) {
+// matched: every SET expression is evaluated over the old values before
+// any is assigned. The new values sit on the stack for the few clauses a
+// statement has, so that a replay allocates nothing per row.
+func (u *Update) assign(values []float64) {
+	var scratch [8]float64
+	newVals := scratch[:]
+	if len(u.Set) > len(scratch) {
+		newVals = make([]float64, len(u.Set))
+	}
 	for i, sc := range u.Set {
 		newVals[i] = sc.Expr.Eval(values)
 	}
@@ -188,6 +202,9 @@ func (q *Insert) Apply(tb *relation.Table) error {
 	return err
 }
 
+// ApplyRow implements Query.
+func (q *Insert) ApplyRow([]float64) bool { return true }
+
 // Clone implements Query.
 func (q *Insert) Clone() Query {
 	return &Insert{Values: append([]float64(nil), q.Values...)}
@@ -232,6 +249,9 @@ func (q *Delete) Apply(tb *relation.Table) error {
 	tb.DeleteBatch(q.matching(tb, nil))
 	return nil
 }
+
+// ApplyRow implements Query.
+func (q *Delete) ApplyRow(row []float64) bool { return !q.Where.Eval(row) }
 
 // matching appends to ids the ID of every row of tb the WHERE matches,
 // in table order.

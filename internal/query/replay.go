@@ -46,7 +46,6 @@ type executor struct {
 	at      int         // the statement being applied
 
 	// Scratch of the statement being applied.
-	newVals []float64 // SET values (Update.assign)
 	written []int     // indexed attributes the UPDATE sets
 	old     []float64 // their values in the row at hand, before it ran
 	ids     []int64   // the rows to visit (UPDATE) or remove (DELETE)
@@ -246,7 +245,7 @@ func (x *executor) chain(p *Pred) (*attrIndex, int32) {
 }
 
 func (x *executor) update(u *Update, p *Pred) error {
-	if err := u.checkSet(len(x.index)); err != nil {
+	if err := u.CheckSet(len(x.index)); err != nil {
 		return err
 	}
 	x.ids = x.ids[:0] // a copy of the chain: a row that moves leaves it
@@ -259,7 +258,6 @@ func (x *executor) update(u *Update, p *Pred) error {
 			x.written = append(x.written, sc.Attr)
 		}
 	}
-	x.newVals = slices.Grow(x.newVals[:0], len(u.Set))[:len(u.Set)]
 	x.old = slices.Grow(x.old[:0], len(x.written))[:len(x.written)]
 	row := func(t relation.Tuple) {
 		for k, a := range x.written {
@@ -268,7 +266,7 @@ func (x *executor) update(u *Update, p *Pred) error {
 		if !u.Where.Eval(t.Values) {
 			return
 		}
-		u.assign(t.Values, x.newVals)
+		u.assign(t.Values)
 		x.match(t.ID)
 		for k, a := range x.written {
 			if v := t.Values[a]; v != x.old[k] {
